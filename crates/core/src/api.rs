@@ -11,9 +11,9 @@
 //! | `Query(properties)` | Coordinator | [`crate::coordinator::Coordinator::query`] |
 //! | `Send` (syncer) | Syncer | issued by the worker loop in [`crate::runtime`] the moment a layer's backward completes; the per-layer state machine is [`crate::syncer::Syncer`] |
 //! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::on_param_chunk`] / [`crate::syncer::Syncer::on_peer_sf`] / [`crate::syncer::Syncer::on_param_matrix`], completing via [`crate::syncer::Syncer::is_complete`] |
-//! | `Move` (syncer) | Syncer | the flatten/apply pair: [`crate::syncer::flatten_grads`] (GPU→CPU direction) and [`crate::syncer::SyncOutcome`] application ([`crate::syncer::write_params_flat`], [`crate::syncer::apply_sf_batches`], [`crate::syncer::apply_delta_flat`]) |
-//! | `Send` (KV store) | KV store | the broadcast a shard performs when a pair's update count reaches `P` — the `Some(params)` return of [`crate::kvstore::ShardState::receive_grad`] |
-//! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardState::receive_grad`] (BSP) and [`crate::kvstore::ShardState::receive_grad_async`] (bounded-async extension) |
+//! | `Move` (syncer) | Syncer | GPU→CPU: [`crate::syncer::Syncer::encode_push_grad`] encodes a KV pair straight from the layer's gradient storage ([`crate::syncer::flatten_grads`] for the collectives); CPU→GPU: a PS chunk lands in the replica inside [`crate::syncer::Syncer::on_param_chunk`], every other scheme applies its [`crate::syncer::SyncOutcome`] ([`crate::syncer::write_params_flat`], [`crate::syncer::apply_sf_batches`], [`crate::syncer::apply_delta_flat`]) |
+//! | `Send` (KV store) | KV store | the broadcast a shard performs when a pair's update count reaches `P` — the `Ok(true)` of [`crate::kvstore::ShardState::stage`], then [`crate::kvstore::ShardState::fold`] and one pooled encoding of the fresh master (the `Some(params)` return of the dense wrapper [`crate::kvstore::ShardState::receive_grad`]) |
+//! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardState::stage`] (BSP; a wire frame is staged as its bytes) and [`crate::kvstore::ShardState::receive_grad_async`] (bounded-async extension) |
 //!
 //! Other Section-4 behaviours and where they live:
 //!

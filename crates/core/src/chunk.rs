@@ -6,6 +6,7 @@
 //! also provided as the baseline that creates hot-spots (Section 5.1).
 
 use crate::config::Partition;
+use std::ops::Range;
 
 /// One KV pair: a contiguous slice of one layer's flattened parameters,
 /// owned by one server shard.
@@ -25,6 +26,23 @@ impl Chunk {
     /// Payload bytes of a dense f32 copy of this chunk.
     pub fn bytes(&self) -> u64 {
         self.len as u64 * 4
+    }
+
+    /// The chunk's element range within the layer's flat parameters.
+    pub fn range(&self) -> Range<usize> {
+        self.offset..self.offset + self.len
+    }
+
+    /// Where the chunk lies in a `weights ++ bias` layer with `weights`
+    /// weight elements: its range of the weights and its range of the bias.
+    /// Either may be empty; both are non-empty only for the one chunk of a
+    /// layer that straddles the boundary.
+    pub fn split_at_bias(&self, weights: usize) -> (Range<usize>, Range<usize>) {
+        let Range { start, end } = self.range();
+        (
+            start.min(weights)..end.min(weights),
+            start.max(weights) - weights..end.max(weights) - weights,
+        )
     }
 }
 

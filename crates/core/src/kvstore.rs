@@ -7,15 +7,51 @@
 //! value is increased by 1. The KV pair will be broadcast via its Send API
 //! when its count equals the number of workers."
 //!
-//! Aggregation is deterministic: per-worker gradients are buffered and summed
+//! Aggregation is deterministic: per-worker gradients are staged and folded
 //! in worker-id order once complete, so two runs with identical inputs
 //! produce bitwise-identical parameters (the distributed-equals-serial tests
 //! rely on this).
+//!
+//! A gradient is staged *as it arrived*: a wire frame stays its refcounted
+//! [`Bytes`] (validated at receipt, never decoded to a vector) and is folded
+//! straight from those bytes into the pair's velocity.
 
+use crate::wire::{self, Codec, CodecError};
+use bytes::Bytes;
 use std::collections::HashMap;
 
 /// Key of one KV pair: `(layer index, chunk index within the layer)`.
 pub type KvKey = (u32, u32);
+
+/// One worker's gradient for a KV pair, held until the round folds.
+#[derive(Debug)]
+pub enum Staged {
+    /// A gradient frame's payload exactly as it came off the wire. Pins one
+    /// pool buffer per (pair, worker) until the fold drops it.
+    Frame { codec: Codec, payload: Bytes },
+    /// An already-dense gradient (the Adam SF reconstruction, tests).
+    Dense(Vec<f32>),
+}
+
+impl Staged {
+    /// `acc[i] += scale · g[i]`, a frame straight from its wire bytes. A
+    /// frame that is not `acc.len()` well-formed values is refused whole; a
+    /// dense gradient of the wrong length is a caller bug.
+    fn axpy_into(&self, scale: f32, acc: &mut [f32]) -> Result<(), CodecError> {
+        match self {
+            Staged::Frame { codec, payload } => {
+                wire::accumulate_codec(*codec, payload, scale, acc)?
+            }
+            Staged::Dense(g) => {
+                assert_eq!(g.len(), acc.len(), "gradient length mismatch");
+                for (a, g) in acc.iter_mut().zip(g) {
+                    *a += scale * g;
+                }
+            }
+        }
+        Ok(())
+    }
+}
 
 /// One shard of the globally-shared parameters.
 #[derive(Debug)]
@@ -32,7 +68,7 @@ pub struct ShardState {
     momentum: f32,
     params: HashMap<KvKey, Vec<f32>>,
     velocity: HashMap<KvKey, Vec<f32>>,
-    pending: HashMap<KvKey, Vec<Option<Vec<f32>>>>,
+    pending: HashMap<KvKey, Vec<Option<Staged>>>,
 }
 
 impl ShardState {
@@ -71,11 +107,17 @@ impl ShardState {
         self.params.get(&key).map(Vec::as_slice)
     }
 
-    /// Receives one worker's gradient for a KV pair.
-    ///
-    /// Returns `Some(updated parameters)` when this was the last missing
-    /// worker (count reached `P`): the summed gradient has been applied and
-    /// the fresh master copy should be broadcast. Returns `None` otherwise.
+    fn master_mut(&mut self, key: KvKey) -> &mut Vec<f32> {
+        self.params
+            .get_mut(&key)
+            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"))
+    }
+
+    /// Receives one worker's dense gradient for a KV pair: [`Self::stage`],
+    /// and once the count reaches `P`, [`Self::fold`] and
+    /// [`Self::apply_velocity`] in one call. Returns `Some(updated
+    /// parameters)` — the fresh master copy to broadcast — for the last
+    /// missing worker, `None` otherwise.
     ///
     /// # Panics
     ///
@@ -83,81 +125,52 @@ impl ShardState {
     /// match, the worker id is out of range, or the same worker reports twice
     /// in one round (a BSP protocol violation).
     pub fn receive_grad(&mut self, worker: usize, key: KvKey, grad: &[f32]) -> Option<Vec<f32>> {
-        if !self.stage_grad(worker, key, grad) {
-            return None;
-        }
-        let delta = self.fold_velocity(key);
-        Some(self.apply_delta(key, &delta))
+        let complete = self
+            .stage(worker, key, Staged::Dense(grad.to_vec()))
+            .expect("a dense gradient is never refused");
+        complete.then(|| {
+            self.fold(key);
+            self.apply_velocity(key).to_vec()
+        })
     }
 
-    /// Like [`Self::receive_grad`], but when the count reaches `P` it returns
-    /// the folded **update delta** (the scaled velocity) *without* applying
-    /// it to the master copy. The compression plane uses this to encode the
-    /// delta lossily and then [`Self::apply_delta`] exactly what the workers
-    /// will decode, keeping master and replicas bitwise in lockstep.
-    pub fn receive_grad_deferred(
-        &mut self,
-        worker: usize,
-        key: KvKey,
-        grad: &[f32],
-    ) -> Option<Vec<f32>> {
-        if !self.stage_grad(worker, key, grad) {
-            return None;
-        }
-        Some(self.fold_velocity(key))
-    }
-
-    /// Adds `delta` to a KV pair's master copy and returns the fresh copy —
-    /// the second half of the deferred path.
+    /// Stages one worker's gradient for the current round; `Ok(true)` when
+    /// the count reached `P` and the round is ready to [`Self::fold`]. A
+    /// frame that is not a well-formed payload of the pair's length is
+    /// refused here, at receipt: nothing is staged from it, and the round
+    /// still completes when the good frame arrives.
     ///
     /// # Panics
     ///
-    /// Panics if the pair was never initialised or the length mismatches.
-    pub fn apply_delta(&mut self, key: KvKey, delta: &[f32]) -> Vec<f32> {
-        let master = self
-            .params
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"));
-        assert_eq!(
-            delta.len(),
-            master.len(),
-            "delta length mismatch for {key:?}"
-        );
-        for (p, &v) in master.iter_mut().zip(delta.iter()) {
-            *p += v;
-        }
-        master.clone()
-    }
-
-    /// Buffers one worker's gradient; `true` when the count reached `P`.
-    fn stage_grad(&mut self, worker: usize, key: KvKey, grad: &[f32]) -> bool {
+    /// As [`Self::receive_grad`].
+    pub fn stage(&mut self, worker: usize, key: KvKey, grad: Staged) -> Result<bool, CodecError> {
         assert!(worker < self.workers, "worker {worker} out of range");
-        let master = self
-            .params
-            .get(&key)
-            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"));
-        assert_eq!(
-            grad.len(),
-            master.len(),
-            "gradient length mismatch for {key:?}"
-        );
-
+        let elems = self.master_mut(key).len();
+        match &grad {
+            Staged::Frame { codec, payload } => {
+                poseidon_tensor::compress::validate(*codec, payload, elems)?
+            }
+            Staged::Dense(g) => assert_eq!(g.len(), elems, "gradient length mismatch for {key:?}"),
+        }
+        let workers = self.workers;
         let slots = self
             .pending
             .entry(key)
-            .or_insert_with(|| vec![None; self.workers]);
+            .or_insert_with(|| (0..workers).map(|_| None).collect());
         assert!(
             slots[worker].is_none(),
             "worker {worker} sent two updates for {key:?} in one BSP round"
         );
-        slots[worker] = Some(grad.to_vec());
-        slots.iter().all(Option::is_some)
+        slots[worker] = Some(grad);
+        Ok(slots.iter().all(Option::is_some))
     }
 
-    /// Folds the completed round's gradients in worker-id order
-    /// (deterministic) into the scaled velocity, resets the round, and
-    /// returns the velocity — the exact `θ`-delta for this round.
-    fn fold_velocity(&mut self, key: KvKey) -> Vec<f32> {
+    /// Folds the completed round in worker-id order (deterministic) into the
+    /// scaled velocity — per element `v ← µ·v` (or `0.0`), then
+    /// `v += scale·g_w` for `w = 0..P`, each straight from its staged form —
+    /// resets the round, and returns the velocity: the exact `θ`-delta of
+    /// this round, not yet applied. Panics if the round is not complete.
+    pub fn fold(&mut self, key: KvKey) -> &[f32] {
         let slots = self.pending.remove(&key).expect("round not complete");
         let len = self.params[&key].len();
         let velocity = self.velocity.entry(key).or_insert_with(|| vec![0.0; len]);
@@ -168,12 +181,34 @@ impl ShardState {
         } else {
             velocity.fill(0.0);
         }
-        for g in slots.into_iter().map(|s| s.expect("checked complete")) {
-            for (v, gv) in velocity.iter_mut().zip(&g) {
-                *v += self.update_scale * gv;
-            }
+        for grad in slots {
+            grad.expect("round not complete")
+                .axpy_into(self.update_scale, velocity)
+                .expect("validated when staged");
         }
-        velocity.clone()
+        velocity
+    }
+
+    /// `θ += v` with the pair's folded velocity; returns the fresh master.
+    pub fn apply_velocity(&mut self, key: KvKey) -> &[f32] {
+        let velocity = self.velocity.get(&key).expect("pair never folded");
+        let master = self
+            .params
+            .get_mut(&key)
+            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"));
+        for (p, v) in master.iter_mut().zip(velocity) {
+            *p += v;
+        }
+        master
+    }
+
+    /// `θ += decode(payload)`, in place: the compression plane folds,
+    /// compresses the velocity, then advances the master by exactly what
+    /// every replica will decode from that reply, keeping master and replicas
+    /// bitwise in lockstep. Panics if the payload is not the pair's length.
+    pub fn apply_delta(&mut self, key: KvKey, codec: Codec, payload: &[u8]) {
+        wire::accumulate_codec(codec, payload, 1.0, self.master_mut(key))
+            .unwrap_or_else(|e| panic!("delta for {key:?} does not decode: {e}"));
     }
 
     /// Changes the update scale (`-lr / P`), e.g. when a learning-rate
@@ -253,25 +288,13 @@ impl ShardState {
     /// returns the fresh master copy — the bounded-asynchronous path
     /// (Section 3 notes Poseidon's design "can easily be applied to
     /// asynchronous or bounded-asynchronous consistency models"; staleness
-    /// enforcement lives with the workers' clock, not the shard).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair was never initialised or the length mismatches.
-    pub fn receive_grad_async(&mut self, _worker: usize, key: KvKey, grad: &[f32]) -> Vec<f32> {
-        let master = self
-            .params
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"));
-        assert_eq!(
-            grad.len(),
-            master.len(),
-            "gradient length mismatch for {key:?}"
-        );
-        for (p, g) in master.iter_mut().zip(grad) {
-            *p += self.update_scale * g;
-        }
-        master.clone()
+    /// enforcement lives with the workers' clock, not the shard). A malformed
+    /// frame is refused and leaves the master untouched.
+    pub fn receive_grad_async(&mut self, key: KvKey, grad: &Staged) -> Result<&[f32], CodecError> {
+        let scale = self.update_scale;
+        let master = self.master_mut(key);
+        grad.axpy_into(scale, master)?;
+        Ok(master)
     }
 
     /// Serialises the master copies of every KV pair — the shard's
@@ -453,39 +476,67 @@ mod tests {
         assert_eq!(shard.pair((0, 0)).unwrap(), &[8.0]);
     }
 
+    fn frame(vals: &[f32]) -> Staged {
+        Staged::Frame {
+            codec: Codec::Identity,
+            payload: wire::encode_f32s(vals),
+        }
+    }
+
     #[test]
-    fn deferred_path_matches_receive_grad_when_delta_applied_verbatim() {
-        let mut direct = ShardState::with_momentum(2, -0.5, 0.9);
-        let mut deferred = ShardState::with_momentum(2, -0.5, 0.9);
-        for s in [&mut direct, &mut deferred] {
+    fn wire_staged_round_matches_dense_round_bitwise() {
+        let mut dense = ShardState::with_momentum(2, -0.5, 0.9);
+        let mut wired = ShardState::with_momentum(2, -0.5, 0.9);
+        for s in [&mut dense, &mut wired] {
             s.init_pair((0, 0), vec![1.0, -2.0, 3.0]);
         }
         for round in 0..3 {
             let g0 = [1.0 + round as f32, 0.5, -1.0];
             let g1 = [0.25, -0.125, 2.0];
-            let a = {
-                direct.receive_grad(0, (0, 0), &g0);
-                direct.receive_grad(1, (0, 0), &g1).unwrap()
-            };
-            let b = {
-                deferred.receive_grad_deferred(0, (0, 0), &g0);
-                let delta = deferred.receive_grad_deferred(1, (0, 0), &g1).unwrap();
-                deferred.apply_delta((0, 0), &delta)
-            };
+            dense.receive_grad(0, (0, 0), &g0);
+            let a = dense.receive_grad(1, (0, 0), &g1).unwrap();
+            // Worker 1 arrives first: the fold order is still worker-id.
+            assert!(!wired.stage(1, (0, 0), frame(&g1)).unwrap());
+            assert!(wired.stage(0, (0, 0), frame(&g0)).unwrap());
+            wired.fold((0, 0));
+            let b = wired.apply_velocity((0, 0));
             let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a), bits(&b), "round {round}");
+            assert_eq!(bits(&a), bits(b), "round {round}");
         }
     }
 
     #[test]
-    fn deferred_delta_is_the_scaled_velocity_not_the_params() {
+    fn fold_returns_the_scaled_velocity_and_leaves_the_master() {
         let mut shard = ShardState::new(1, -1.0);
         shard.init_pair((0, 0), vec![10.0]);
-        let delta = shard.receive_grad_deferred(0, (0, 0), &[4.0]).unwrap();
-        assert_eq!(delta, vec![-4.0], "delta is -lr·Σg");
+        assert!(shard.stage(0, (0, 0), Staged::Dense(vec![4.0])).unwrap());
+        assert_eq!(shard.fold((0, 0)), &[-4.0], "delta is -lr·Σg");
         assert_eq!(shard.pair((0, 0)).unwrap(), &[10.0], "master untouched");
-        let fresh = shard.apply_delta((0, 0), &delta);
-        assert_eq!(fresh, vec![6.0]);
+        // The lossy reply path applies what the wire will carry instead.
+        shard.apply_delta((0, 0), Codec::Identity, &wire::encode_f32s(&[-3.5]));
+        assert_eq!(shard.pair((0, 0)).unwrap(), &[6.5]);
+    }
+
+    #[test]
+    fn bad_frame_is_refused_at_receipt_and_stages_nothing() {
+        let mut shard = ShardState::new(2, -1.0);
+        shard.init_pair((0, 0), vec![0.0, 0.0]);
+        assert!(shard.stage(0, (0, 0), frame(&[1.0])).is_err(), "one short");
+        assert_eq!(shard.pending_count((0, 0)), 0);
+        assert!(!shard.stage(0, (0, 0), frame(&[1.0, 2.0])).unwrap());
+        assert!(shard.stage(1, (0, 0), frame(&[1.0, 2.0])).unwrap());
+        shard.fold((0, 0));
+        assert_eq!(shard.apply_velocity((0, 0)), &[-2.0, -4.0]);
+    }
+
+    #[test]
+    fn async_apply_folds_one_gradient_immediately() {
+        let mut shard = ShardState::new(3, -0.5);
+        shard.init_pair((0, 0), vec![1.0, 1.0]);
+        let fresh = shard.receive_grad_async((0, 0), &frame(&[2.0, -2.0]));
+        assert_eq!(fresh.unwrap(), &[0.0, 2.0]);
+        assert!(shard.receive_grad_async((0, 0), &frame(&[2.0])).is_err());
+        assert_eq!(shard.pair((0, 0)).unwrap(), &[0.0, 2.0], "refused whole");
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //! in-process channels or TCP.
 //!
 //! Gradient compression rides the codec plane: every gradient frame carries
-//! its codec in the header, the shard decodes whatever arrives (so
-//! mixed-codec meshes interoperate), and a lossy chunk replies with the
-//! compressed *velocity delta* instead of fresh parameters — double error
-//! feedback, CNTK-style, with the master advanced by the decoded bytes the
-//! workers will apply so replicas and master stay bitwise consistent.
+//! its codec in the header, the shard folds whatever arrives straight from
+//! the frame's bytes (so mixed-codec meshes interoperate and no payload is
+//! decoded to a vector), and a lossy chunk replies with the compressed
+//! *velocity delta* instead of fresh parameters — double error feedback,
+//! CNTK-style, with the master advanced by the decoded bytes the workers
+//! will apply so replicas and master stay bitwise consistent. A reply is
+//! encoded once into one pooled buffer that all `P` workers share.
 //!
 //! Elastic membership rides the epoch plane: when the shard's
 //! [`MembershipSchedule`] is non-trivial, the serving loop is segmented by
@@ -29,7 +31,7 @@
 
 use crate::checkpoint::{self, PairState, ShardCheckpoint};
 use crate::chunk::Chunk;
-use crate::kvstore::ShardState;
+use crate::kvstore::{ShardState, Staged};
 use crate::membership::MembershipSchedule;
 use crate::telemetry;
 use crate::transport::{Envelope, Message, Transport, TransportError};
@@ -126,8 +128,8 @@ pub(crate) fn run_server<T: Transport>(mut plan: ServerPlan, mut endpoint: T) ->
     let shard_label = endpoint.endpoint_id().to_string();
     let m_serve = crate::metrics::histogram("poseidon_serve_ns", &[("shard", &shard_label)]);
     let mut state = ShardState::with_momentum(plan.workers, plan.update_scale, plan.momentum);
-    // Per-chunk serving metadata: expected element count and the codec this
-    // shard replies with. Decoding always follows the *frame's* codec.
+    // Per-chunk serving metadata: element count and the codec this shard
+    // replies with. Folding always follows the *frame's* codec.
     let mut chunk_info: HashMap<(u32, u32), (usize, Codec)> = HashMap::new();
     // Per-chunk aggregate compressors (error feedback on the reply path);
     // created lazily, only lossy chunks ever allocate one.
@@ -502,65 +504,56 @@ fn serve_envelope<T: Transport>(
             codec,
             data,
         } => {
+            let key = (layer, chunk);
             let &(elems, reply_codec) = chunk_info
-                .get(&(layer, chunk))
+                .get(&key)
                 .expect("gradient push for a chunk this shard does not own");
-            // Decode by the frame's own codec tag, whatever the worker
-            // chose to send.
-            let grad = match wire::decode_codec(codec, &data, elems) {
-                Ok(grad) => grad,
+            // Stage the frame as it arrived, under the codec its own header
+            // names (whatever the worker chose to send): validated here,
+            // folded straight from its bytes when the round fills — or, under
+            // SSP, at once.
+            let grad = Staged::Frame {
+                codec,
+                payload: data,
+            };
+            let staged = if plan.ssp {
+                state.receive_grad_async(key, &grad).map(|_| true)
+            } else {
+                state.stage(env.from, key, grad)
+            };
+            let complete = match staged {
+                Ok(complete) => complete,
                 Err(e) => {
-                    crate::runtime::note_poisoned_frame(
-                        endpoint.endpoint_id(),
-                        env.from,
-                        "gradient",
-                        &e,
-                    );
+                    let me = endpoint.endpoint_id();
+                    crate::runtime::note_poisoned_frame(me, env.from, "gradient", &e);
                     return false;
                 }
             };
-            if plan.ssp {
-                let updated = state.receive_grad_async(env.from, (layer, chunk), &grad);
-                must_send(
-                    endpoint,
-                    env.from,
-                    Message::ParamChunk {
-                        iter,
-                        layer,
-                        chunk,
-                        codec: Codec::Identity,
-                        data: wire::encode_f32s_pooled(&updated),
-                    },
-                );
-            } else if reply_codec == Codec::Identity {
-                if let Some(updated) = state.receive_grad(env.from, (layer, chunk), &grad) {
-                    for w in 0..plan.workers {
-                        must_send(
-                            endpoint,
-                            w,
-                            Message::ParamChunk {
-                                iter,
-                                layer,
-                                chunk,
-                                codec: Codec::Identity,
-                                data: wire::encode_f32s_pooled(&updated),
-                            },
-                        );
-                    }
-                }
-            } else if let Some(delta) = state.receive_grad_deferred(env.from, (layer, chunk), &grad)
-            {
-                // Lossy reply: compress the scaled velocity delta (with
-                // error feedback), then advance the master by the *decoded*
-                // bytes so it tracks exactly what every replica applies.
-                let comp = reply_comp
-                    .entry((layer, chunk))
-                    .or_insert_with(|| make_compressor(reply_codec, elems));
-                let payload = comp.compress(&delta);
-                let applied = wire::decode_codec(reply_codec, &payload, elems)
-                    .expect("shard's own encoding must decode");
-                state.apply_delta((layer, chunk), &applied);
-                for w in 0..plan.workers {
+            if complete {
+                // One pooled reply, encoded once and shared by refcount.
+                let data = if plan.ssp {
+                    wire::encode_f32s_pooled(state.pair(key).expect("pair just updated"))
+                } else if reply_codec == Codec::Identity {
+                    state.fold(key);
+                    wire::encode_f32s_pooled(state.apply_velocity(key))
+                } else {
+                    // Lossy reply: compress the scaled velocity (with error
+                    // feedback) where it lies, then advance the master by
+                    // the *decoded* bytes so it tracks exactly what every
+                    // replica applies.
+                    let comp = reply_comp
+                        .entry(key)
+                        .or_insert_with(|| make_compressor(reply_codec, elems));
+                    let payload = wire::compress_pooled(comp.as_mut(), state.fold(key));
+                    state.apply_delta(key, reply_codec, &payload);
+                    payload
+                };
+                // SSP answers the sender alone (and is identity-only by plan).
+                let to = match plan.ssp {
+                    true => env.from..env.from + 1,
+                    false => 0..plan.workers,
+                };
+                for w in to {
                     must_send(
                         endpoint,
                         w,
@@ -569,7 +562,7 @@ fn serve_envelope<T: Transport>(
                             layer,
                             chunk,
                             codec: reply_codec,
-                            data: payload.clone(),
+                            data: data.clone(),
                         },
                     );
                 }
@@ -600,34 +593,28 @@ fn serve_envelope<T: Transport>(
                 lg.param_elems,
                 "reconstructed gradient size mismatch"
             );
-            if let Some(updated) =
-                state.receive_grad(env.from, (layer, LAYER_GRANULAR_CHUNK), &flat)
-            {
-                broadcast_matrix(endpoint, plan.workers, iter, layer, &updated);
+            let key = (layer, LAYER_GRANULAR_CHUNK);
+            let complete = state
+                .stage(env.from, key, Staged::Dense(flat))
+                .expect("length asserted above");
+            if complete {
+                state.fold(key);
+                let data = wire::encode_f32s_pooled(state.apply_velocity(key));
+                for w in 0..plan.workers {
+                    must_send(
+                        endpoint,
+                        w,
+                        Message::ParamMatrix {
+                            iter,
+                            layer,
+                            data: data.clone(),
+                        },
+                    );
+                }
             }
         }
         other => panic!("server received unexpected message {other:?}"),
     }
     m_serve.record(serve_started.elapsed().as_nanos() as u64);
     true
-}
-
-fn broadcast_matrix<T: Transport>(
-    endpoint: &T,
-    workers: usize,
-    iter: u64,
-    layer: u32,
-    flat: &[f32],
-) {
-    for w in 0..workers {
-        must_send(
-            endpoint,
-            w,
-            Message::ParamMatrix {
-                iter,
-                layer,
-                data: wire::encode_f32s_pooled(flat),
-            },
-        );
-    }
 }

@@ -4,8 +4,9 @@
 //! per-layer gradient callback (wait-free backpropagation — communication of
 //! upper layers proceeds while lower layers are still computing), then a
 //! receive loop that drains the endpoint until every syncer reports complete
-//! (the completion vector `C` is all ones), applying each layer's outcome as
-//! it finishes.
+//! (the completion vector `C` is all ones), applying each PS chunk to the
+//! replica the moment it arrives and every other layer's outcome as it
+//! finishes.
 //!
 //! The worker is transport-agnostic: the same loop drives an in-process
 //! channel endpoint (threaded [`train`](crate::runtime::train)) or a TCP
@@ -16,7 +17,6 @@
 //! never a process abort at the decode site.
 
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
-use crate::chunk::Chunk;
 use crate::config::CommScheme;
 use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
@@ -245,18 +245,13 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
             let params = layer.params().expect("trainable layer");
             match s.scheme() {
                 CommScheme::Ps => {
-                    let flat = syncer::flatten_grads(params);
                     let codec = s.codec();
-                    // Snapshot the chunk table first: `encode_push` needs the
-                    // syncer mutably (per-chunk error-feedback state).
-                    let chunks: Vec<Chunk> = s.chunks().to_vec();
-                    for (idx, chunk) in chunks.into_iter().enumerate() {
-                        let payload =
-                            s.encode_push(idx, &flat[chunk.offset..chunk.offset + chunk.len]);
+                    for idx in 0..s.chunks().len() {
+                        let payload = s.encode_push_grad(idx, params);
                         must_send(
                             &endpoint,
                             cfg.me,
-                            workers + cfg.schedule.owner(chunk.shard, epoch),
+                            workers + cfg.schedule.owner(s.chunks()[idx].shard, epoch),
                             Message::GradChunk {
                                 iter: iter as u64,
                                 layer: l as u32,
@@ -401,21 +396,26 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                 Message::ParamChunk {
                     chunk, codec, data, ..
                 } => {
-                    // Decode by the frame's codec tag; identity carries fresh
-                    // params, a lossy codec carries the compressed delta (the
-                    // syncer's outcome type follows its own codec).
-                    let elems = s.chunks()[chunk as usize].len;
-                    match wire::decode_codec(codec, &data, elems) {
-                        Ok(vals) => s.on_param_chunk(chunk as usize, vals),
-                        Err(e) => {
-                            crate::runtime::note_poisoned_frame(
-                                endpoint.endpoint_id(),
-                                from,
-                                "param chunk",
-                                &e,
-                            );
-                            continue;
-                        }
+                    // Lands in the layer's parameters at the chunk's offset
+                    // right here; the apply span and histogram wrap each
+                    // chunk, so a layer's apply time is the sum over them.
+                    let params = net
+                        .slot_mut(layer)
+                        .and_then(|l| l.params_mut())
+                        .expect("trainable layer");
+                    telemetry::span_begin("apply", layer as u64, iter as u64);
+                    let apply_started = std::time::Instant::now();
+                    let applied = s.on_param_chunk(chunk as usize, codec, &data, params);
+                    telemetry::span_end("apply", layer as u64, iter as u64);
+                    m_apply.record(apply_started.elapsed().as_nanos() as u64);
+                    if let Err(e) = applied {
+                        crate::runtime::note_poisoned_frame(
+                            endpoint.endpoint_id(),
+                            from,
+                            "param chunk",
+                            &e,
+                        );
+                        continue;
                     }
                 }
                 Message::ParamMatrix { data, .. } => {
@@ -468,37 +468,41 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                 }
             }
             if !was_complete && s.is_complete() {
-                telemetry::span_begin("apply", layer as u64, iter as u64);
-                let apply_started = std::time::Instant::now();
-                let outcome = s.take_outcome();
-                let params = net
-                    .slot_mut(layer)
-                    .and_then(|l| l.params_mut())
-                    .expect("trainable layer");
-                match outcome {
-                    SyncOutcome::FreshParams(flat) => syncer::write_params_flat(params, &flat),
-                    SyncOutcome::ApplyDelta(flat) => syncer::apply_delta_flat(params, &flat),
-                    SyncOutcome::SfApply(batches) => {
-                        let scale = cfg.update_scale * cfg.lr_schedule.multiplier(iter);
-                        let (rows, cols) = params.weights.shape();
-                        let (grad_w, grad_b) = syncer::reconstruct_sf_batches(&batches, rows, cols);
-                        let (vw, vb) = sf_velocity.entry(layer).or_insert_with(|| {
-                            (poseidon_tensor::Matrix::zeros(rows, cols), vec![0.0; rows])
-                        });
-                        vw.scale(cfg.momentum);
-                        vw.axpy(scale, &grad_w);
-                        for (v, g) in vb.iter_mut().zip(&grad_b) {
-                            *v = cfg.momentum * *v + scale * g;
-                        }
-                        params.weights.add_assign(vw);
-                        for (i, &v) in vb.iter().enumerate() {
-                            params.bias[(0, i)] += v;
+                // PS layers have nothing left to apply: their chunks landed
+                // in the replica as they arrived.
+                if let Some(outcome) = s.take_outcome() {
+                    telemetry::span_begin("apply", layer as u64, iter as u64);
+                    let apply_started = std::time::Instant::now();
+                    let params = net
+                        .slot_mut(layer)
+                        .and_then(|l| l.params_mut())
+                        .expect("trainable layer");
+                    match outcome {
+                        SyncOutcome::FreshParams(flat) => syncer::write_params_flat(params, &flat),
+                        SyncOutcome::ApplyDelta(flat) => syncer::apply_delta_flat(params, &flat),
+                        SyncOutcome::SfApply(batches) => {
+                            let scale = cfg.update_scale * cfg.lr_schedule.multiplier(iter);
+                            let (rows, cols) = params.weights.shape();
+                            let (grad_w, grad_b) =
+                                syncer::reconstruct_sf_batches(&batches, rows, cols);
+                            let (vw, vb) = sf_velocity.entry(layer).or_insert_with(|| {
+                                (poseidon_tensor::Matrix::zeros(rows, cols), vec![0.0; rows])
+                            });
+                            vw.scale(cfg.momentum);
+                            vw.axpy(scale, &grad_w);
+                            for (v, g) in vb.iter_mut().zip(&grad_b) {
+                                *v = cfg.momentum * *v + scale * g;
+                            }
+                            params.weights.add_assign(vw);
+                            for (i, &v) in vb.iter().enumerate() {
+                                params.bias[(0, i)] += v;
+                            }
                         }
                     }
+                    telemetry::span_end("apply", layer as u64, iter as u64);
+                    m_apply.record(apply_started.elapsed().as_nanos() as u64);
                 }
-                telemetry::span_end("apply", layer as u64, iter as u64);
                 telemetry::span_end_lane("wfbp.sync", layer as u32, layer as u64, iter as u64);
-                m_apply.record(apply_started.elapsed().as_nanos() as u64);
                 if let Some(t0) = sync_started.get_mut(layer).and_then(Option::take) {
                     if let Some(h) = m_sync.get(&layer) {
                         h.record(t0.elapsed().as_nanos() as u64);

@@ -4,10 +4,11 @@
 //! assembling (so that each layer one-to-one maps to one syncer), accounting
 //! for its parameter synchronisation." A syncer's life per iteration is
 //! `Move(GPU→CPU) → Send → Receive → Move(CPU→GPU)`; in this in-process
-//! runtime the two `Move`s become gradient flattening and parameter
-//! application, and `Send`/`Receive` are tracked here so the worker knows
-//! when the layer is fully synchronised (the entry in the client's completion
-//! vector `C`).
+//! runtime the two `Move`s become encoding a gradient slice and applying a
+//! parameter payload — on the PS path one pass each, straight from the
+//! layer's gradient storage and into its parameter storage — and
+//! `Send`/`Receive` are tracked here so the worker knows when the layer is
+//! fully synchronised (the entry in the client's completion vector `C`).
 //!
 //! This module is pure bookkeeping — no I/O — so it is exhaustively unit
 //! tested; the [`crate::runtime`] threads drive it with real messages.
@@ -21,16 +22,15 @@ use poseidon_tensor::compress::{decompress, make_compressor, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
 
 /// What a completed syncer hands back to the worker's `Move(CPU→GPU)` step.
+/// PS layers hand back nothing: every `ParamChunk` was applied to the
+/// replica the moment it arrived ([`Syncer::on_param_chunk`]).
 #[derive(Debug)]
 pub enum SyncOutcome {
-    /// Fresh parameters from the parameter server (flattened weights ++ bias);
-    /// overwrite the replica's parameters.
+    /// Fresh parameters from the Adam matrix pull (flattened weights ++
+    /// bias); overwrite the replica's parameters.
     FreshParams(Vec<f32>),
-    /// A pre-scaled parameter *delta* (flattened weights ++ bias); add it to
-    /// the replica's parameters. Used by the collectives and by every lossy
-    /// codec's PS path, where the server broadcasts the (compressed)
-    /// aggregated update rather than dense parameters (Seide et al.'s double
-    /// quantization, generalised to any [`Codec`]).
+    /// A pre-scaled parameter *delta* (flattened weights ++ bias) from a
+    /// collective; add it to the replica's parameters.
     ApplyDelta(Vec<f32>),
     /// All workers' sufficient-factor batches in worker-id order (including
     /// our own); reconstruct and apply `scale · Σ` locally.
@@ -81,7 +81,12 @@ pub struct Syncer {
     workers: usize,
     me: usize,
     // --- per-iteration state ---
-    received_chunks: Vec<Option<Vec<f32>>>,
+    /// PS: which chunks have been applied to the replica this iteration.
+    chunk_done: Vec<bool>,
+    /// PS: staging for a chunk that straddles the weights/bias boundary, the
+    /// one kind that cannot be encoded from or decoded into parameter storage
+    /// directly. Kept between iterations.
+    scratch: Vec<f32>,
     received_matrix: Option<Vec<f32>>,
     own_sf: Option<SfBatch>,
     peer_sf: Vec<Option<SfBatch>>,
@@ -158,7 +163,8 @@ impl Syncer {
             chunks,
             workers,
             me,
-            received_chunks: vec![None; n_chunks],
+            chunk_done: vec![false; n_chunks],
+            scratch: Vec::new(),
             received_matrix: None,
             own_sf: None,
             peer_sf: vec![None; workers],
@@ -207,27 +213,44 @@ impl Syncer {
         self.codec
     }
 
-    /// Encodes one PS push chunk with this layer's codec, keeping per-chunk
-    /// error-feedback state across iterations. Identity takes the pooled
-    /// bitwise-exact path.
+    /// Encodes one PS push chunk with this layer's codec into a pooled
+    /// buffer, keeping per-chunk error-feedback state across iterations.
     pub fn encode_push(&mut self, chunk_idx: usize, vals: &[f32]) -> Bytes {
-        if self.codec == Codec::Identity {
+        Self::compress(self.codec, &mut self.push_comp[chunk_idx], vals)
+    }
+
+    /// [`Self::encode_push`] of chunk `chunk_idx` read straight from the
+    /// layer's gradient storage (the flat layout is `weights ++ bias`).
+    pub fn encode_push_grad(&mut self, chunk_idx: usize, p: &ParamBlock) -> Bytes {
+        let (w, b) = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+        let (wr, br) = self.chunks[chunk_idx].split_at_bias(w.len());
+        let vals = if br.is_empty() {
+            &w[wr]
+        } else if wr.is_empty() {
+            &b[br]
+        } else {
+            self.scratch.clear();
+            self.scratch.extend_from_slice(&w[wr]);
+            self.scratch.extend_from_slice(&b[br]);
+            &self.scratch
+        };
+        Self::compress(self.codec, &mut self.push_comp[chunk_idx], vals)
+    }
+
+    /// One stream's encode: identity is stateless, every other codec goes
+    /// through the stream's lazily created error-feedback compressor.
+    fn compress(codec: Codec, comp: &mut Option<Box<dyn Compressor>>, vals: &[f32]) -> Bytes {
+        if codec == Codec::Identity {
             return wire::encode_f32s_pooled(vals);
         }
-        let comp = self.push_comp[chunk_idx]
-            .get_or_insert_with(|| make_compressor(self.codec, vals.len()));
-        comp.compress(vals)
+        let comp = comp.get_or_insert_with(|| make_compressor(codec, vals.len()));
+        wire::compress_pooled(comp.as_mut(), vals)
     }
 
     /// Compresses one collective segment's values with the per-segment
     /// error-feedback compressor.
     fn seg_compress(&mut self, seg: usize, vals: &[f32]) -> Bytes {
-        if self.codec == Codec::Identity {
-            return wire::encode_f32s_pooled(vals);
-        }
-        let comp =
-            self.seg_comp[seg].get_or_insert_with(|| make_compressor(self.codec, vals.len()));
-        comp.compress(vals)
+        Self::compress(self.codec, &mut self.seg_comp[seg], vals)
     }
 
     /// Exports the persistent cross-iteration state (velocity replicas and
@@ -317,9 +340,7 @@ impl Syncer {
     /// Resets the per-iteration state (the completion-vector entry goes back
     /// to 0).
     pub fn begin_iteration(&mut self) {
-        for c in &mut self.received_chunks {
-            *c = None;
-        }
+        self.chunk_done.fill(false);
         self.received_matrix = None;
         self.own_sf = None;
         for p in &mut self.peer_sf {
@@ -677,27 +698,58 @@ impl Syncer {
         self.own_sf = Some(batch);
     }
 
-    /// Handles a fresh parameter chunk from a PS shard. `chunk_idx` is the
-    /// chunk's index within this layer.
+    /// Applies a parameter chunk from a PS shard to the replica right away,
+    /// at the chunk's offset in `params`, as the frame's own `codec` tag says:
+    /// identity carries fresh parameters and is decoded over them, a lossy
+    /// codec carries the compressed aggregated update (Seide et al.'s double
+    /// quantization, generalised to any [`Codec`]) and is accumulated into
+    /// them. A payload that fails to decode (a poisoned frame) is refused
+    /// whole: nothing is written and the chunk stays outstanding.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range index, a length mismatch, or a duplicate.
-    pub fn on_param_chunk(&mut self, chunk_idx: usize, values: Vec<f32>) {
+    /// Panics on an out-of-range index or a duplicate.
+    pub fn on_param_chunk(
+        &mut self,
+        chunk_idx: usize,
+        codec: Codec,
+        payload: &[u8],
+        params: &mut ParamBlock,
+    ) -> Result<(), CodecError> {
         assert!(
             matches!(self.scheme, CommScheme::Ps),
             "layer {} ({}): unexpected param chunk",
             self.layer,
             self.scheme
         );
-        let chunk = &self.chunks[chunk_idx];
-        assert_eq!(values.len(), chunk.len, "chunk length mismatch");
         assert!(
-            self.received_chunks[chunk_idx].is_none(),
+            !self.chunk_done[chunk_idx],
             "duplicate chunk {chunk_idx} for layer {}",
             self.layer
         );
-        self.received_chunks[chunk_idx] = Some(values);
+        let apply = |dst: &mut [f32]| match codec {
+            Codec::Identity => wire::decode_codec_into(codec, payload, dst),
+            _ => wire::accumulate_codec(codec, payload, 1.0, dst),
+        };
+        let (w, b) = (params.weights.as_mut_slice(), params.bias.as_mut_slice());
+        let (wr, br) = self.chunks[chunk_idx].split_at_bias(w.len());
+        if br.is_empty() {
+            apply(&mut w[wr])?;
+        } else if wr.is_empty() {
+            apply(&mut b[br])?;
+        } else {
+            // Stage the replica's own values so one decode covers both
+            // halves, then put them back.
+            self.scratch.clear();
+            self.scratch.extend_from_slice(&w[wr.clone()]);
+            self.scratch.extend_from_slice(&b[br.clone()]);
+            apply(&mut self.scratch)?;
+            let (head, tail) = self.scratch.split_at(wr.len());
+            w[wr].copy_from_slice(head);
+            b[br].copy_from_slice(tail);
+        }
+        self.chunk_done[chunk_idx] = true;
+        Ok(())
     }
 
     /// Handles a dense parameter matrix (Adam pull).
@@ -732,7 +784,7 @@ impl Syncer {
     /// entry in the completion vector can be set to 1.
     pub fn is_complete(&self) -> bool {
         match self.scheme {
-            CommScheme::Ps => self.received_chunks.iter().all(Option::is_some),
+            CommScheme::Ps => self.chunk_done.iter().all(|&d| d),
             CommScheme::AdamSf => self.received_matrix.is_some(),
             CommScheme::Sfb => {
                 self.own_sf.is_some()
@@ -744,33 +796,17 @@ impl Syncer {
         }
     }
 
-    /// Consumes the iteration's received state into a [`SyncOutcome`].
-    ///
-    /// # Panics
-    ///
+    /// Consumes the iteration's received state into a [`SyncOutcome`] —
+    /// `None` for a PS layer, whose chunks were applied as they arrived.
     /// Panics if the syncer is not complete.
-    pub fn take_outcome(&mut self) -> SyncOutcome {
+    pub fn take_outcome(&mut self) -> Option<SyncOutcome> {
         assert!(
             self.is_complete(),
             "layer {} syncer not complete",
             self.layer
         );
-        match self.scheme {
-            CommScheme::Ps => {
-                let mut flat = vec![0.0f32; self.param_elems];
-                for (idx, chunk) in self.chunks.iter().enumerate() {
-                    let vals = self.received_chunks[idx].take().expect("complete");
-                    flat[chunk.offset..chunk.offset + chunk.len].copy_from_slice(&vals);
-                }
-                if self.codec == Codec::Identity {
-                    // Identity PS broadcasts fresh parameters — overwrite.
-                    SyncOutcome::FreshParams(flat)
-                } else {
-                    // Lossy PS broadcasts the compressed aggregated update —
-                    // the chunks hold decoded deltas, add them in place.
-                    SyncOutcome::ApplyDelta(flat)
-                }
-            }
+        Some(match self.scheme {
+            CommScheme::Ps => return None,
             CommScheme::AdamSf => {
                 SyncOutcome::FreshParams(self.received_matrix.take().expect("complete"))
             }
@@ -795,7 +831,7 @@ impl Syncer {
                 }
                 SyncOutcome::ApplyDelta(flat)
             }
-        }
+        })
     }
 }
 
@@ -890,19 +926,57 @@ mod tests {
     }
 
     #[test]
-    fn ps_syncer_assembles_chunks_in_offset_order() {
-        let chunks = vec![chunk(0, 0, 0, 3), chunk(0, 1, 3, 2)];
-        let mut s = Syncer::new(0, CommScheme::Ps, chunks, 5, 4, 0);
+    fn ps_syncer_applies_chunks_in_place_in_any_order() {
+        // 2×2 weights ++ 2 bias, cut so the middle chunk straddles the
+        // weights/bias boundary.
+        let chunks = vec![chunk(0, 0, 0, 3), chunk(0, 1, 3, 2), chunk(0, 2, 5, 1)];
+        let mut s = Syncer::new(0, CommScheme::Ps, chunks, 6, 4, 0);
+        let mut p = ParamBlock::new(2, 2);
+        let frame = |vals: &[f32]| wire::encode_f32s(vals);
         assert!(!s.is_complete());
-        s.on_param_chunk(1, vec![40.0, 50.0]);
+        s.on_param_chunk(2, Codec::Identity, &frame(&[60.0]), &mut p)
+            .unwrap();
+        s.on_param_chunk(1, Codec::Identity, &frame(&[40.0, 50.0]), &mut p)
+            .unwrap();
         assert!(!s.is_complete());
-        s.on_param_chunk(0, vec![10.0, 20.0, 30.0]);
+        assert_eq!(flatten_params(&p), vec![0.0, 0.0, 0.0, 40.0, 50.0, 60.0]);
+        s.on_param_chunk(0, Codec::Identity, &frame(&[10.0, 20.0, 30.0]), &mut p)
+            .unwrap();
         assert!(s.is_complete());
-        match s.take_outcome() {
-            SyncOutcome::FreshParams(flat) => {
-                assert_eq!(flat, vec![10.0, 20.0, 30.0, 40.0, 50.0]);
-            }
-            other => panic!("wrong outcome {other:?}"),
+        assert!(s.take_outcome().is_none(), "nothing left to apply");
+        assert_eq!(flatten_params(&p), vec![10.0, 20.0, 30.0, 40.0, 50.0, 60.0]);
+    }
+
+    #[test]
+    fn lossy_param_chunk_is_a_delta_and_a_bad_one_writes_nothing() {
+        let chunks = vec![chunk(0, 0, 0, 6)];
+        let mut s = Syncer::new(0, CommScheme::Ps, chunks, 6, 2, 0).with_codec(Codec::Bf16);
+        let mut p = ParamBlock::new(2, 2);
+        write_params_flat(&mut p, &[1.0; 6]);
+        let delta = [0.5f32, -0.5, 2.0, 0.0, -1.0, 4.0];
+        let payload = make_compressor(Codec::Bf16, 6).compress(&delta);
+        let err = s.on_param_chunk(0, Codec::Bf16, &payload[..11], &mut p);
+        assert!(err.is_err() && !s.is_complete());
+        assert_eq!(flatten_params(&p), vec![1.0; 6], "refused whole");
+        s.on_param_chunk(0, Codec::Bf16, &payload, &mut p).unwrap();
+        assert!(s.is_complete());
+        assert_eq!(flatten_params(&p), vec![1.5, 0.5, 3.0, 1.0, 0.0, 5.0]);
+    }
+
+    #[test]
+    fn push_encodes_each_chunk_from_the_gradient_storage() {
+        let chunks = vec![chunk(0, 0, 0, 3), chunk(0, 1, 3, 2), chunk(0, 2, 5, 1)];
+        let mut s = Syncer::new(0, CommScheme::Ps, chunks.clone(), 6, 2, 0);
+        let mut p = ParamBlock::new(2, 2);
+        p.grad_weights = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        p.grad_bias = Matrix::from_vec(1, 2, vec![5.0, 6.0]);
+        let flat = flatten_grads(&p);
+        for (idx, c) in chunks.iter().enumerate() {
+            assert_eq!(
+                s.encode_push_grad(idx, &p),
+                wire::encode_f32s(&flat[c.range()]),
+                "chunk {idx}"
+            );
         }
     }
 
@@ -917,7 +991,7 @@ mod tests {
         assert!(!s.is_complete());
         s.on_peer_sf(2, batch(3.0));
         assert!(s.is_complete());
-        match s.take_outcome() {
+        match s.take_outcome().unwrap() {
             SyncOutcome::SfApply(batches) => {
                 assert_eq!(batches.len(), 3);
                 // Worker-id order: 0, me(1), 2.
@@ -934,7 +1008,7 @@ mod tests {
         let mut s = Syncer::new(1, CommScheme::AdamSf, vec![], 4, 2, 0);
         s.on_param_matrix(vec![1.0, 2.0, 3.0, 4.0]);
         assert!(s.is_complete());
-        match s.take_outcome() {
+        match s.take_outcome().unwrap() {
             SyncOutcome::FreshParams(flat) => assert_eq!(flat.len(), 4),
             other => panic!("wrong outcome {other:?}"),
         }
@@ -943,12 +1017,16 @@ mod tests {
     #[test]
     fn begin_iteration_resets_state() {
         let mut s = Syncer::new(0, CommScheme::Ps, vec![chunk(0, 0, 0, 2)], 2, 2, 0);
-        s.on_param_chunk(0, vec![1.0, 2.0]);
+        let mut p = ParamBlock::new(1, 1);
+        let frame = wire::encode_f32s(&[1.0, 2.0]);
+        s.on_param_chunk(0, Codec::Identity, &frame, &mut p)
+            .unwrap();
         assert!(s.is_complete());
-        let _ = s.take_outcome();
         s.begin_iteration();
         assert!(!s.is_complete());
-        s.on_param_chunk(0, vec![3.0, 4.0]); // no duplicate panic after reset
+        // No duplicate panic after reset.
+        s.on_param_chunk(0, Codec::Identity, &frame, &mut p)
+            .unwrap();
         assert!(s.is_complete());
     }
 
@@ -956,8 +1034,10 @@ mod tests {
     #[should_panic(expected = "duplicate chunk")]
     fn duplicate_chunk_panics() {
         let mut s = Syncer::new(0, CommScheme::Ps, vec![chunk(0, 0, 0, 1)], 1, 1, 0);
-        s.on_param_chunk(0, vec![1.0]);
-        s.on_param_chunk(0, vec![1.0]);
+        let mut p = ParamBlock::new(1, 1);
+        let frame = wire::encode_f32s(&[1.0]);
+        let _ = s.on_param_chunk(0, Codec::Identity, &frame, &mut p);
+        let _ = s.on_param_chunk(0, Codec::Identity, &frame, &mut p);
     }
 
     #[test]
@@ -1053,7 +1133,7 @@ mod tests {
             let mut deltas = Vec::new();
             for s in &mut syncers {
                 assert!(s.is_complete(), "collective exchange stalled");
-                match s.take_outcome() {
+                match s.take_outcome().unwrap() {
                     SyncOutcome::ApplyDelta(d) => deltas.push(d),
                     other => panic!("wrong outcome {other:?}"),
                 }
@@ -1112,7 +1192,7 @@ mod tests {
             .unwrap();
         assert!(done.is_empty(), "DISTRIBUTE stops before its originator");
         assert!(a.is_complete());
-        match a.take_outcome() {
+        match a.take_outcome().unwrap() {
             SyncOutcome::ApplyDelta(d) => assert_eq!(d, vec![1.5, 2.5, 3.5]),
             other => panic!("wrong outcome {other:?}"),
         }
@@ -1152,7 +1232,7 @@ mod tests {
             let mut deltas = Vec::new();
             for s in &mut syncers {
                 assert!(s.is_complete(), "lossy collective exchange stalled");
-                match s.take_outcome() {
+                match s.take_outcome().unwrap() {
                     SyncOutcome::ApplyDelta(d) => deltas.push(d),
                     other => panic!("wrong outcome {other:?}"),
                 }

@@ -185,12 +185,18 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let ch = rest.chars().next().unwrap();
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
+                    // Take the whole run up to the next quote or escape in
+                    // one slice. Both delimiters are ASCII, so the run ends
+                    // on a scalar boundary of the `&str` the input came from
+                    // — and only the run is re-checked, not the rest of the
+                    // document once per character.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).map_err(|e| e.to_string())?);
+                    self.pos += run;
                 }
             }
         }
@@ -300,6 +306,50 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] x").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+    }
+
+    #[test]
+    fn strings_keep_multibyte_runs_between_escapes() {
+        let v = parse(r#"["héllo → \"wörld\"\n✓", "", "\u00e9"]"#).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("héllo → \"wörld\"\n✓"));
+        assert_eq!(items[1].as_str(), Some(""));
+        assert_eq!(items[2].as_str(), Some("é"));
+        assert!(parse("\"never closed").is_err());
+    }
+
+    /// String parsing must be linear in the document: a trace of a few
+    /// megabytes used to take minutes (every character re-validated the whole
+    /// remaining input as UTF-8).
+    #[test]
+    fn a_four_megabyte_trace_validates_under_a_second() {
+        use crate::telemetry::{chrome, Event, EventKind, Trace, Track};
+        let events: Vec<Event> = (0..25_000u64)
+            .flat_map(|i| {
+                let ev = |ts_ns, kind| Event {
+                    ts_ns,
+                    kind,
+                    name: "wfbp.sync",
+                    lane: 0,
+                    a: i % 7,
+                    b: i,
+                };
+                [ev(2 * i, EventKind::Begin), ev(2 * i + 1, EventKind::End)]
+            })
+            .collect();
+        let mut trace = Trace::new(0, "synthetic");
+        trace.tracks.push(Track {
+            tid: 1,
+            name: "worker 0 — naïve ✓".into(),
+            events,
+            dropped: 0,
+        });
+        let doc = chrome::to_chrome_json(std::slice::from_ref(&trace));
+        assert!(doc.len() >= 4 << 20, "only {} bytes", doc.len());
+        let started = std::time::Instant::now();
+        chrome::validate(&doc).expect("synthetic trace is valid");
+        let took = started.elapsed();
+        assert!(took.as_secs_f64() < 1.0, "validation took {took:?}");
     }
 
     #[test]

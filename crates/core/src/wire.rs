@@ -50,12 +50,14 @@
 //! transport counts the very buffer it writes.
 //!
 //! Payload codecs live behind the [`Codec`] registry
-//! ([`poseidon_tensor::compress`]); this module adds the pooled fast paths
-//! for the dominant identity codec. Sufficient-factor batches use
-//! [`poseidon_tensor::bytesio`].
+//! ([`poseidon_tensor::compress`]); this module adds the pooled sender
+//! ([`compress_pooled`]) and the counted receive primitives
+//! ([`decode_codec_into`], [`accumulate_codec`]). Sufficient-factor batches
+//! use [`poseidon_tensor::bytesio`].
 
 use crate::transport::Message;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
+use poseidon_tensor::compress::Compressor;
 pub use poseidon_tensor::compress::{Codec, CodecError};
 
 /// First two bytes of every frame.
@@ -467,15 +469,21 @@ pub fn encode_f32s(vals: &[f32]) -> Bytes {
 }
 
 /// Encodes a flat f32 slice into a recycled
-/// [`BufPool`](crate::pool::BufPool) lease: the backing buffer comes from
-/// (and returns to) the global pool instead of the allocator. The runtime's
-/// gradient/parameter hot paths use this form, and it is the single encode
-/// path behind the identity codec in the registry.
+/// [`BufPool`](crate::pool::BufPool) lease: the identity codec through
+/// [`compress_pooled`], so the registry and this spelling share one loop.
 pub fn encode_f32s_pooled(vals: &[f32]) -> Bytes {
-    let mut lease = crate::pool::BufPool::global().get(vals.len() * 4);
-    for (dst, v) in lease.chunks_exact_mut(4).zip(vals) {
-        dst.copy_from_slice(&v.to_le_bytes());
-    }
+    compress_pooled(&mut poseidon_tensor::compress::IdentityCompressor, vals)
+}
+
+/// Compresses `vals` through `comp` straight into a pooled lease: the buffer
+/// comes from (and returns to) the global pool instead of the allocator, and
+/// no codec stages its payload anywhere else first. Every sender — gradient
+/// pushes, shard replies, collective hops — encodes through here.
+pub fn compress_pooled(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
+    let len = comp.codec().payload_bytes(vals.len());
+    // Dirty lease: `compress_into` overwrites every byte.
+    let mut lease = crate::pool::BufPool::global().get_dirty(len);
+    comp.compress_into(vals, &mut lease);
     lease.freeze()
 }
 
@@ -483,7 +491,7 @@ pub fn encode_f32s_pooled(vals: &[f32]) -> Bytes {
 /// by [`Codec::wire_id`] so the per-frame paths stay registry-free. The
 /// `codec` label drops top-k's permille (encoder-side parameter) to keep the
 /// cardinality bounded by the enum.
-fn codec_counters(codec: Codec) -> &'static (crate::metrics::Counter, crate::metrics::Counter) {
+fn count_codec_bytes(codec: Codec, elems: usize, wire_len: usize) {
     static TABLE: std::sync::OnceLock<Vec<(crate::metrics::Counter, crate::metrics::Counter)>> =
         std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
@@ -497,33 +505,47 @@ fn codec_counters(codec: Codec) -> &'static (crate::metrics::Counter, crate::met
             })
             .collect()
     });
-    &table[codec.wire_id() as usize]
+    let (pre, post) = &table[codec.wire_id() as usize];
+    pre.add((elems * 4) as u64);
+    post.add(wire_len as u64);
 }
 
-/// Single sender-side entry point of the codec registry: encodes `vals`
-/// through `comp`, routing the identity codec through the pooled fast path
-/// (bitwise identical to [`encode_f32s_pooled`], zero-copy on the frame
-/// write) and every lossy codec through its own [`Compressor::compress`].
-pub fn encode_codec(comp: &mut dyn poseidon_tensor::compress::Compressor, vals: &[f32]) -> Bytes {
-    let payload = if comp.codec() == Codec::Identity {
-        encode_f32s_pooled(vals)
-    } else {
-        comp.compress(vals)
-    };
-    let (pre, post) = codec_counters(comp.codec());
-    pre.add((vals.len() * 4) as u64);
-    post.add(payload.len() as u64);
+/// Counted sender-side entry point of the codec registry:
+/// [`compress_pooled`] plus the `poseidon_codec_bytes_*` counters.
+pub fn encode_codec(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
+    let payload = compress_pooled(comp, vals);
+    count_codec_bytes(comp.codec(), vals.len(), payload.len());
     payload
 }
 
-/// Single receiver-side entry point of the codec registry: decodes a payload
-/// stamped with `codec` back to `expect_elems` dense f32s, surfacing
-/// truncation/corruption as a [`CodecError`] instead of panicking.
+/// Counted receive primitive for a payload that *replaces* its destination:
+/// decodes a payload stamped with `codec` straight into `out`, surfacing
+/// truncation/corruption as a [`CodecError`] (and leaving `out` untouched)
+/// instead of panicking.
+pub fn decode_codec_into(codec: Codec, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    poseidon_tensor::compress::decode_into(codec, buf, out)?;
+    count_codec_bytes(codec, out.len(), buf.len());
+    Ok(())
+}
+
+/// Counted receive primitive for a payload that is *folded into* its
+/// destination: `acc[i] += scale · decoded[i]` straight from the wire bytes
+/// ([`poseidon_tensor::compress::accumulate`]).
+pub fn accumulate_codec(
+    codec: Codec,
+    buf: &[u8],
+    scale: f32,
+    acc: &mut [f32],
+) -> Result<(), CodecError> {
+    poseidon_tensor::compress::accumulate(codec, buf, scale, acc)?;
+    count_codec_bytes(codec, acc.len(), buf.len());
+    Ok(())
+}
+
+/// Allocate-then-[`decode_codec_into`], for callers off the hot path.
 pub fn decode_codec(codec: Codec, buf: &[u8], expect_elems: usize) -> Result<Vec<f32>, CodecError> {
     let vals = poseidon_tensor::compress::decompress(codec, buf, expect_elems)?;
-    let (pre, post) = codec_counters(codec);
-    pre.add((vals.len() * 4) as u64);
-    post.add(buf.len() as u64);
+    count_codec_bytes(codec, vals.len(), buf.len());
     Ok(vals)
 }
 
@@ -560,18 +582,12 @@ pub fn add_f32s_pooled_with(
     Some(lease.freeze())
 }
 
-/// Decodes a buffer produced by [`encode_f32s`].
+/// Decodes a buffer produced by [`encode_f32s`] — the identity codec's
+/// decode loop, so there is one f32 decode implementation.
 ///
 /// Returns `None` if the length is not a multiple of 4.
-pub fn decode_f32s(mut buf: &[u8]) -> Option<Vec<f32>> {
-    if !buf.len().is_multiple_of(4) {
-        return None;
-    }
-    let mut out = Vec::with_capacity(buf.len() / 4);
-    while buf.has_remaining() {
-        out.push(buf.get_f32_le());
-    }
-    Some(out)
+pub fn decode_f32s(buf: &[u8]) -> Option<Vec<f32>> {
+    poseidon_tensor::compress::decompress(Codec::Identity, buf, buf.len() / 4).ok()
 }
 
 #[cfg(test)]

@@ -93,8 +93,13 @@ fn telemetry_is_a_pure_observer() {
         assert_eq!((ib, ie), (ITERS, ITERS), "{name}: one iter span per iter");
         let (sb, se) = span_count(&trace, &name, "wfbp.sync");
         assert!(sb > 0 && sb == se, "{name}: balanced wfbp.sync spans");
+        // A PS layer applies each KV pair as it arrives, every other scheme
+        // applies once when the layer's sync completes.
         let (ab, ae) = span_count(&trace, &name, "apply");
-        assert_eq!((ab, ae), (sb, se), "{name}: one apply per completed sync");
+        assert!(
+            ab == ae && ab >= sb,
+            "{name}: balanced apply spans, at least one per completed sync ({ab}/{ae} vs {sb})"
+        );
         let (bb, be) = span_count(&trace, &name, "bwd");
         assert!(bb > 0 && bb == be, "{name}: nn probe recorded backward");
         let shard = format!("shard e{}", WORKERS + w);

@@ -3,6 +3,7 @@
 //! (the SFB receive path) and 1-bit quantization (the CNTK baseline).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use poseidon_tensor::compress::{make_compressor, Codec};
 use poseidon_tensor::quantize::OneBitQuantizer;
 use poseidon_tensor::{Matrix, SfBatch, SufficientFactor};
 use rand::rngs::StdRng;
@@ -52,9 +53,16 @@ fn bench_sf_reconstruct(c: &mut Criterion) {
 
 fn bench_quantize(c: &mut Criterion) {
     let grad = random(512, 512, 3);
+    // The scalar reference the codec plane is tested against...
     c.bench_function("one_bit_quantize_512x512", |b| {
         let mut q = OneBitQuantizer::new(512, 512);
         b.iter(|| std::hint::black_box(q.quantize(&grad)));
+    });
+    // ...and the in-place encoder the codec plane runs, on the same input.
+    c.bench_function("one_bit_encode_in_place_512x512", |b| {
+        let mut comp = make_compressor(Codec::OneBit, grad.len());
+        let mut out = vec![0u8; Codec::OneBit.payload_bytes(grad.len())];
+        b.iter(|| comp.compress_into(std::hint::black_box(grad.as_slice()), &mut out));
     });
 }
 

@@ -5,8 +5,11 @@
 //! quantization on top. Following "RPC Considered Harmful", the codec decision
 //! lives in the transfer plane rather than at application call sites: every
 //! gradient-bearing frame carries a [`Codec`] id, senders compress through the
-//! [`Compressor`] trait (which owns any per-tensor error-feedback state), and
-//! receivers decode with the stateless [`decompress`] entry point.
+//! [`Compressor`] trait (which owns any per-tensor error-feedback state and
+//! writes straight into the caller's buffer), and receivers consume a payload
+//! where it is needed with the stateless [`decode_into`] / [`accumulate`]
+//! primitives — [`decompress`] is the allocate-then-decode wrapper for cold
+//! callers.
 //!
 //! Four codecs ship today:
 //!
@@ -21,9 +24,8 @@
 //! payloads with a [`CodecError`] instead of panicking — a corrupt frame must
 //! be diagnosable, not a process abort.
 
-use crate::quantize::{OneBitQuantizer, QuantizedGrad};
-use crate::Matrix;
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::quantize::{self, PackedSigns};
+use bytes::Bytes;
 
 /// Default top-k density: transmit the largest 10% of (residual-corrected)
 /// coordinates per call. At 8 bytes per entry that is a 5× wire reduction.
@@ -88,8 +90,9 @@ impl Codec {
     pub fn payload_bytes(self, elems: usize) -> usize {
         match self {
             Codec::Identity => 4 * elems,
-            // rows/cols/scales header + 1 bit per element in u64 words.
-            Codec::OneBit => 16 + elems.div_ceil(64) * 8,
+            // rows/cols/scales header + 1 bit per element in u64 words; an
+            // empty chunk travels as a 1×1 matrix.
+            Codec::OneBit => quantize::wire_bytes(elems.max(1)),
             Codec::F16 | Codec::Bf16 => 2 * elems,
             Codec::TopK { permille } => 8 + 8 * topk_k(elems, permille),
         }
@@ -181,20 +184,23 @@ impl std::error::Error for CodecError {}
 /// A stateful per-tensor gradient encoder.
 ///
 /// One compressor instance is owned per (layer, chunk) endpoint so lossy
-/// codecs can carry error-feedback state across iterations; `compress` must
-/// be called with the same element count every time. Decoding is stateless —
-/// use [`decompress`] (or the trait's forwarding default) with the codec id
-/// recovered from the frame header.
+/// codecs can carry error-feedback state across iterations; it must be
+/// called with the same element count every time. Decoding is stateless —
+/// [`decode_into`] / [`accumulate`] with the codec id from the frame header.
 pub trait Compressor: Send + std::fmt::Debug {
     /// The codec this compressor emits, stamped into the frame header.
     fn codec(&self) -> Codec;
 
-    /// Encodes `vals`, updating any residual state.
-    fn compress(&mut self, vals: &[f32]) -> Bytes;
+    /// Encodes `vals` into `out`, overwriting every byte of it, and updates
+    /// any residual state in place — no per-call allocation. Panics unless
+    /// `out.len() == self.codec().payload_bytes(vals.len())`.
+    fn compress_into(&mut self, vals: &[f32], out: &mut [u8]);
 
-    /// Decodes a payload produced by a compressor of the same codec.
-    fn decompress(&self, buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
-        decompress(self.codec(), buf, elems)
+    /// [`Self::compress_into`] a freshly allocated buffer.
+    fn compress(&mut self, vals: &[f32]) -> Bytes {
+        let mut out = vec![0u8; self.codec().payload_bytes(vals.len())];
+        self.compress_into(vals, &mut out);
+        Bytes::from(out)
     }
 
     /// The error-feedback residual carried between calls, flattened. Empty
@@ -231,24 +237,111 @@ pub fn make_compressor(codec: Codec, elems: usize) -> Box<dyn Compressor> {
     }
 }
 
-/// Stateless decode dispatch: the single entry point receivers use once the
-/// frame header told them the codec.
-pub fn decompress(codec: Codec, buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
+/// Checks that `buf` is a well-formed `codec` payload of exactly `elems`
+/// values without decoding it (O(1), or one pass over top-k's `k` entries),
+/// so a receiver can drop a bad frame on arrival: everything [`decode_into`]
+/// and [`accumulate`] reject is rejected here.
+pub fn validate(codec: Codec, buf: &[u8], elems: usize) -> Result<(), CodecError> {
+    let fixed_width = |width: usize| {
+        if !buf.len().is_multiple_of(width) {
+            Err(CodecError::Truncated)
+        } else if buf.len() / width != elems {
+            Err(CodecError::LengthMismatch {
+                expect: elems,
+                got: buf.len() / width,
+            })
+        } else {
+            Ok(())
+        }
+    };
     match codec {
-        Codec::Identity => decode_identity(buf, elems),
-        Codec::OneBit => decode_onebit(buf, elems),
-        Codec::F16 => decode_cast(buf, elems, false),
-        Codec::Bf16 => decode_cast(buf, elems, true),
-        Codec::TopK { .. } => decode_topk(buf, elems),
+        Codec::Identity => fixed_width(4),
+        Codec::F16 | Codec::Bf16 => fixed_width(2),
+        Codec::OneBit => {
+            let got = PackedSigns::parse(buf).ok_or(CodecError::Truncated)?.elems;
+            if got != elems.max(1) {
+                return Err(CodecError::LengthMismatch { expect: elems, got });
+            }
+            Ok(())
+        }
+        Codec::TopK { .. } => validate_topk(buf, elems),
     }
+}
+
+/// Feeds every element of an already [`validate`]d payload to
+/// `f(slot, value)` in slot order (top-k: only the slots it lists) — the one
+/// decode loop per codec behind every receive primitive.
+fn apply(codec: Codec, buf: &[u8], out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+    match codec {
+        Codec::Identity => {
+            for (o, c) in out.iter_mut().zip(buf.chunks_exact(4)) {
+                f(o, f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+            }
+        }
+        Codec::F16 => {
+            for (o, c) in out.iter_mut().zip(buf.chunks_exact(2)) {
+                f(o, f16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
+            }
+        }
+        Codec::Bf16 => {
+            for (o, c) in out.iter_mut().zip(buf.chunks_exact(2)) {
+                f(o, bf16_bits_to_f32(u16::from_le_bytes([c[0], c[1]])));
+            }
+        }
+        Codec::OneBit => PackedSigns::parse(buf)
+            .expect("payload validated")
+            .apply(out, f),
+        Codec::TopK { .. } => {
+            for e in buf[8..].chunks_exact(8) {
+                let idx = u32::from_le_bytes([e[0], e[1], e[2], e[3]]) as usize;
+                f(&mut out[idx], f32::from_le_bytes([e[4], e[5], e[6], e[7]]));
+            }
+        }
+    }
+}
+
+/// Decodes a payload of `out.len()` values over `out`, which is untouched
+/// when the payload is rejected.
+pub fn decode_into(codec: Codec, buf: &[u8], out: &mut [f32]) -> Result<(), CodecError> {
+    validate(codec, buf, out.len())?;
+    if matches!(codec, Codec::TopK { .. }) {
+        out.fill(0.0);
+    }
+    apply(codec, buf, out, |o, v| *o = v);
+    Ok(())
+}
+
+/// `acc[i] += scale · decoded[i]` straight from the payload — per element the
+/// same multiply and add as decoding to a vector and running an axpy, so
+/// bit-identical to it, except that top-k touches only its `k` listed slots
+/// where the axpy adds `scale · 0.0` to the rest (a no-op but on a `-0.0`
+/// accumulator under a non-negative scale). `acc` is untouched when the
+/// payload is rejected.
+pub fn accumulate(codec: Codec, buf: &[u8], scale: f32, acc: &mut [f32]) -> Result<(), CodecError> {
+    validate(codec, buf, acc.len())?;
+    apply(codec, buf, acc, |a, v| *a += scale * v);
+    Ok(())
+}
+
+/// Allocate-then-[`decode_into`], for callers off the hot path.
+pub fn decompress(codec: Codec, buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
+    let mut out = vec![0.0; elems];
+    decode_into(codec, buf, &mut out)?;
+    Ok(out)
+}
+
+fn assert_payload_len(codec: Codec, vals: &[f32], out: &[u8]) {
+    assert_eq!(
+        out.len(),
+        codec.payload_bytes(vals.len()),
+        "{codec} payload buffer length"
+    );
 }
 
 // ---------------------------------------------------------------------------
 // Identity
 
-/// Raw little-endian f32s. The live runtime keeps using the pooled encoder in
-/// `poseidon::wire` for this codec (bitwise and allocation-wise identical);
-/// this impl exists so the registry is total.
+/// Raw little-endian f32s.
 #[derive(Debug)]
 pub struct IdentityCompressor;
 
@@ -257,47 +350,31 @@ impl Compressor for IdentityCompressor {
         Codec::Identity
     }
 
-    fn compress(&mut self, vals: &[f32]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(4 * vals.len());
-        for &v in vals {
-            buf.put_f32_le(v);
+    fn compress_into(&mut self, vals: &[f32], out: &mut [u8]) {
+        assert_payload_len(Codec::Identity, vals, out);
+        for (dst, v) in out.chunks_exact_mut(4).zip(vals) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
-        buf.freeze()
     }
-}
-
-fn decode_identity(buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
-    if !buf.len().is_multiple_of(4) {
-        return Err(CodecError::Truncated);
-    }
-    if buf.len() / 4 != elems {
-        return Err(CodecError::LengthMismatch {
-            expect: elems,
-            got: buf.len() / 4,
-        });
-    }
-    Ok(buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect())
 }
 
 // ---------------------------------------------------------------------------
 // 1-bit
 
-/// Wraps [`OneBitQuantizer`] over a `1 × n` view of the flat chunk, carrying
-/// the Seide-style error residual between calls.
+/// [`quantize::encode_in_place`] over the flat chunk, carrying the
+/// Seide-style error residual between calls.
 #[derive(Debug)]
 pub struct OneBitCompressor {
     elems: usize,
-    quant: OneBitQuantizer,
+    /// `elems.max(1)` long: an empty chunk still travels as a 1×1 matrix.
+    residual: Vec<f32>,
 }
 
 impl OneBitCompressor {
     pub fn new(elems: usize) -> Self {
         Self {
             elems,
-            quant: OneBitQuantizer::new(1, elems.max(1)),
+            residual: vec![0.0; elems.max(1)],
         }
     }
 }
@@ -307,45 +384,21 @@ impl Compressor for OneBitCompressor {
         Codec::OneBit
     }
 
-    fn compress(&mut self, vals: &[f32]) -> Bytes {
+    fn compress_into(&mut self, vals: &[f32], out: &mut [u8]) {
         assert_eq!(vals.len(), self.elems, "chunk size changed between calls");
-        let m = Matrix::from_vec(1, vals.len().max(1), {
-            let mut v = vals.to_vec();
-            if v.is_empty() {
-                v.push(0.0);
-            }
-            v
-        });
-        self.quant.quantize(&m).to_bytes()
+        assert_payload_len(Codec::OneBit, vals, out);
+        let vals = if vals.is_empty() { &[0.0][..] } else { vals };
+        quantize::encode_in_place(&mut self.residual, vals, out);
     }
 
     fn residual(&self) -> Vec<f32> {
-        let mut out = self.quant.residual().as_slice().to_vec();
-        out.truncate(self.elems);
-        out
+        self.residual[..self.elems].to_vec()
     }
 
     fn set_residual(&mut self, residual: &[f32]) {
         assert_eq!(residual.len(), self.elems, "residual length mismatch");
-        let mut v = residual.to_vec();
-        if v.is_empty() {
-            v.push(0.0);
-        }
-        let len = v.len();
-        self.quant.set_residual(Matrix::from_vec(1, len, v));
+        self.residual[..self.elems].copy_from_slice(residual);
     }
-}
-
-fn decode_onebit(buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
-    let q = QuantizedGrad::from_bytes(buf).ok_or(CodecError::Truncated)?;
-    let (rows, cols) = q.shape();
-    let got = rows * cols;
-    if got != elems.max(1) {
-        return Err(CodecError::LengthMismatch { expect: elems, got });
-    }
-    let mut out = q.dequantize().as_slice().to_vec();
-    out.truncate(elems);
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -366,41 +419,17 @@ impl Compressor for CastCompressor {
         }
     }
 
-    fn compress(&mut self, vals: &[f32]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(2 * vals.len());
-        for &v in vals {
+    fn compress_into(&mut self, vals: &[f32], out: &mut [u8]) {
+        assert_payload_len(self.codec(), vals, out);
+        for (dst, &v) in out.chunks_exact_mut(2).zip(vals) {
             let h = if self.bf16 {
                 f32_to_bf16_bits(v)
             } else {
                 f32_to_f16_bits(v)
             };
-            buf.put_u16_le(h);
+            dst.copy_from_slice(&h.to_le_bytes());
         }
-        buf.freeze()
     }
-}
-
-fn decode_cast(buf: &[u8], elems: usize, bf16: bool) -> Result<Vec<f32>, CodecError> {
-    if !buf.len().is_multiple_of(2) {
-        return Err(CodecError::Truncated);
-    }
-    if buf.len() / 2 != elems {
-        return Err(CodecError::LengthMismatch {
-            expect: elems,
-            got: buf.len() / 2,
-        });
-    }
-    Ok(buf
-        .chunks_exact(2)
-        .map(|c| {
-            let h = u16::from_le_bytes([c[0], c[1]]);
-            if bf16 {
-                bf16_bits_to_f32(h)
-            } else {
-                f16_bits_to_f32(h)
-            }
-        })
-        .collect())
 }
 
 /// f32 → IEEE 754 binary16 with round-to-nearest-even (no stable `f16` in
@@ -505,12 +534,12 @@ pub fn bf16_bits_to_f32(h: u16) -> f32 {
 pub struct TopKCompressor {
     permille: u16,
     residual: Vec<f32>,
+    /// Index scratch for the magnitude ranking, kept between calls.
+    order: Vec<u32>,
 }
 
 fn topk_k(elems: usize, permille: u16) -> usize {
-    ((elems * permille as usize) / 1000)
-        .max(1)
-        .min(elems.max(1))
+    ((elems * permille as usize) / 1000).max(1).min(elems)
 }
 
 impl TopKCompressor {
@@ -518,6 +547,7 @@ impl TopKCompressor {
         Self {
             permille,
             residual: vec![0.0; elems],
+            order: Vec::with_capacity(elems),
         }
     }
 }
@@ -529,33 +559,35 @@ impl Compressor for TopKCompressor {
         }
     }
 
-    fn compress(&mut self, vals: &[f32]) -> Bytes {
+    fn compress_into(&mut self, vals: &[f32], out: &mut [u8]) {
         assert_eq!(vals.len(), self.residual.len(), "chunk size changed");
-        for (r, &v) in self.residual.iter_mut().zip(vals) {
+        assert_payload_len(self.codec(), vals, out);
+        let residual = &mut self.residual;
+        for (r, &v) in residual.iter_mut().zip(vals) {
             *r += v;
         }
-        let n = self.residual.len();
-        let k = topk_k(n, self.permille).min(n);
+        let n = residual.len();
+        let k = topk_k(n, self.permille);
         // Total order: |value| descending (on the bit pattern so NaN-free
         // data sorts identically everywhere), index ascending on ties.
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by(|&a, &b| {
-            let ka = self.residual[a as usize].abs().to_bits();
-            let kb = self.residual[b as usize].abs().to_bits();
+        self.order.clear();
+        self.order.extend(0..n as u32);
+        self.order.sort_unstable_by(|&a, &b| {
+            let ka = residual[a as usize].abs().to_bits();
+            let kb = residual[b as usize].abs().to_bits();
             kb.cmp(&ka).then(a.cmp(&b))
         });
-        let mut picked: Vec<u32> = order[..k].to_vec();
+        let picked = &mut self.order[..k];
         picked.sort_unstable();
 
-        let mut buf = BytesMut::with_capacity(8 + 8 * k);
-        buf.put_u32_le(n as u32);
-        buf.put_u32_le(k as u32);
-        for &i in &picked {
-            buf.put_u32_le(i);
-            buf.put_f32_le(self.residual[i as usize]);
-            self.residual[i as usize] = 0.0;
+        out[0..4].copy_from_slice(&(n as u32).to_le_bytes());
+        out[4..8].copy_from_slice(&(k as u32).to_le_bytes());
+        for (entry, &i) in out[8..].chunks_exact_mut(8).zip(picked.iter()) {
+            let slot = &mut residual[i as usize];
+            entry[..4].copy_from_slice(&i.to_le_bytes());
+            entry[4..].copy_from_slice(&slot.to_le_bytes());
+            *slot = 0.0;
         }
-        buf.freeze()
     }
 
     fn residual(&self) -> Vec<f32> {
@@ -572,7 +604,7 @@ impl Compressor for TopKCompressor {
     }
 }
 
-fn decode_topk(buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
+fn validate_topk(buf: &[u8], elems: usize) -> Result<(), CodecError> {
     if buf.len() < 8 {
         return Err(CodecError::Truncated);
     }
@@ -590,12 +622,9 @@ fn decode_topk(buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
     if buf.len() != 8 + 8 * k {
         return Err(CodecError::Truncated);
     }
-    let mut out = vec![0.0f32; elems];
     let mut prev: Option<u32> = None;
-    for e in 0..k {
-        let at = 8 + 8 * e;
-        let idx = u32::from_le_bytes([buf[at], buf[at + 1], buf[at + 2], buf[at + 3]]);
-        let val = f32::from_le_bytes([buf[at + 4], buf[at + 5], buf[at + 6], buf[at + 7]]);
+    for e in buf[8..].chunks_exact(8) {
+        let idx = u32::from_le_bytes([e[0], e[1], e[2], e[3]]);
         if idx as usize >= elems {
             return Err(CodecError::Malformed("index out of range"));
         }
@@ -603,9 +632,8 @@ fn decode_topk(buf: &[u8], elems: usize) -> Result<Vec<f32>, CodecError> {
             return Err(CodecError::Malformed("indices not strictly ascending"));
         }
         prev = Some(idx);
-        out[idx as usize] = val;
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]

@@ -58,29 +58,15 @@ impl QuantizedGrad {
     /// Decodes a buffer produced by [`Self::to_bytes`].
     ///
     /// Returns `None` if the buffer is truncated or declares a zero dimension.
-    pub fn from_bytes(mut buf: &[u8]) -> Option<Self> {
-        use bytes::Buf;
-        if buf.remaining() < 16 {
-            return None;
-        }
-        let rows = buf.get_u32_le() as usize;
-        let cols = buf.get_u32_le() as usize;
-        if rows == 0 || cols == 0 {
-            return None;
-        }
-        let pos_scale = buf.get_f32_le();
-        let neg_scale = buf.get_f32_le();
-        let words = (rows * cols).div_ceil(64);
-        if buf.remaining() < words * 8 {
-            return None;
-        }
-        let bits = (0..words).map(|_| buf.get_u64_le()).collect();
+    pub fn from_bytes(buf: &[u8]) -> Option<Self> {
+        let packed = PackedSigns::parse(buf)?;
+        let word = |c: &[u8]| u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
         Some(Self {
-            rows,
-            cols,
-            pos_scale,
-            neg_scale,
-            bits,
+            rows: packed.rows,
+            cols: packed.elems / packed.rows,
+            pos_scale: packed.pos_scale,
+            neg_scale: packed.neg_scale,
+            bits: packed.bits.chunks_exact(8).map(word).collect(),
         })
     }
 
@@ -202,6 +188,127 @@ impl OneBitQuantizer {
         self.residual = eff;
         self.residual.sub_assign(&decoded);
         q
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Flat in-place fast path: what the codec plane runs. The types above stay as
+// the scalar reference it is tested against bit for bit.
+
+/// Bytes ahead of the packed signs: `rows`, `cols`, `pos_scale`, `neg_scale`.
+pub const HEADER_BYTES: usize = 16;
+
+/// Wire bytes of a `1 × elems` encoding.
+pub fn wire_bytes(elems: usize) -> usize {
+    HEADER_BYTES + elems.div_ceil(64) * 8
+}
+
+/// 1-bit encodes `vals + residual` as a `1 × n` matrix straight into `out`
+/// and leaves the new quantization error in `residual` — bit for bit what
+/// [`OneBitQuantizer::quantize`] then [`QuantizedGrad::to_bytes`] produce,
+/// without their three temporaries. The two scale sums stay sequential f64
+/// sums in element order: each block of 32 first masks every value into its
+/// group (`+0.0` for the other group, which never changes an IEEE sum that
+/// started at `+0.0`), then adds the block in order, so only the adds sit on
+/// the dependency chain. Panics if `vals` is empty, or `residual`/`out` have
+/// the wrong length.
+pub fn encode_in_place(residual: &mut [f32], vals: &[f32], out: &mut [u8]) {
+    let n = vals.len();
+    assert!(n > 0 && residual.len() == n, "1-bit encode of {n} values");
+    assert_eq!(out.len(), wire_bytes(n), "1-bit payload length");
+    let cols = u32::try_from(n).expect("1-bit chunk exceeds u32 elements");
+    let (hdr, bits) = out.split_at_mut(HEADER_BYTES);
+    let (mut pos_sum, mut neg_sum, mut pos_cnt) = (0.0f64, 0.0f64, 0usize);
+    let (mut p, mut q) = ([0.0f32; 32], [0.0f32; 32]);
+    // `1 << j` per lane as a table: baseline x86-64 has no per-lane variable
+    // shift to vectorise the sign packing with.
+    let lane_bit: [u32; 32] = std::array::from_fn(|j| 1 << j);
+    let blocks = residual.chunks_mut(32).zip(vals.chunks(32));
+    for ((r32, g32), word) in blocks.zip(bits.chunks_exact_mut(4)) {
+        let mut signs = 0u32;
+        let lanes = r32.iter_mut().zip(g32).zip(p.iter_mut().zip(q.iter_mut()));
+        for (((r, &g), (p, q)), bit) in lanes.zip(&lane_bit) {
+            let eff = g + *r;
+            *r = eff;
+            let mask = 0u32.wrapping_sub((eff > 0.0) as u32);
+            *p = f32::from_bits(eff.to_bits() & mask);
+            *q = f32::from_bits(eff.to_bits() & !mask);
+            signs |= mask & bit;
+        }
+        word.copy_from_slice(&signs.to_le_bytes());
+        pos_cnt += signs.count_ones() as usize;
+        for (&p, &q) in p.iter().zip(&q).take(r32.len()) {
+            pos_sum += p as f64;
+            neg_sum += q as f64;
+        }
+    }
+    // The last u64 sign word may have an untouched upper half.
+    bits[n.div_ceil(32) * 4..].fill(0);
+    let mean = |sum: f64, cnt: usize| {
+        if cnt > 0 {
+            (sum / cnt as f64) as f32
+        } else {
+            0.0
+        }
+    };
+    let (pos_scale, neg_scale) = (mean(pos_sum, pos_cnt), mean(neg_sum, n - pos_cnt));
+    hdr[0..4].copy_from_slice(&1u32.to_le_bytes());
+    hdr[4..8].copy_from_slice(&cols.to_le_bytes());
+    hdr[8..12].copy_from_slice(&pos_scale.to_le_bytes());
+    hdr[12..16].copy_from_slice(&neg_scale.to_le_bytes());
+    for r in residual.iter_mut() {
+        *r -= if *r > 0.0 { pos_scale } else { neg_scale };
+    }
+}
+
+/// A borrowed, length-checked view of a 1-bit payload.
+#[derive(Clone, Copy, Debug)]
+pub struct PackedSigns<'a> {
+    rows: usize,
+    /// `rows · cols` of the header.
+    pub elems: usize,
+    pos_scale: f32,
+    neg_scale: f32,
+    bits: &'a [u8],
+}
+
+impl<'a> PackedSigns<'a> {
+    /// `None` if the buffer is shorter than its header claims or declares a
+    /// zero dimension. Never allocates.
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let word = |at: usize| [buf[at], buf[at + 1], buf[at + 2], buf[at + 3]];
+        if buf.len() < HEADER_BYTES {
+            return None;
+        }
+        let rows = u32::from_le_bytes(word(0)) as usize;
+        let elems = rows.checked_mul(u32::from_le_bytes(word(4)) as usize)?;
+        let bits = buf[HEADER_BYTES..].get(..elems.div_ceil(64).checked_mul(8)?)?;
+        (elems > 0).then_some(Self {
+            rows,
+            elems,
+            pos_scale: f32::from_le_bytes(word(8)),
+            neg_scale: f32::from_le_bytes(word(12)),
+            bits,
+        })
+    }
+
+    /// Calls `f(slot, decoded)` for the leading `out.len()` elements in
+    /// order, eight signs per payload byte.
+    pub fn apply(&self, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+        let (pos, neg) = (self.pos_scale, self.neg_scale);
+        let pick = |byte: u8, j: usize| if byte & (1 << j) != 0 { pos } else { neg };
+        let mut bytes = self.bits.iter();
+        let mut full = out.chunks_exact_mut(8);
+        for (o8, &byte) in (&mut full).zip(&mut bytes) {
+            for (j, o) in o8.iter_mut().enumerate() {
+                f(o, pick(byte, j));
+            }
+        }
+        if let Some(&byte) = bytes.next() {
+            for (j, o) in full.into_remainder().iter_mut().enumerate() {
+                f(o, pick(byte, j));
+            }
+        }
     }
 }
 
