@@ -30,8 +30,7 @@ use poseidon::runtime::{
 use poseidon::serving::{InferFn, ServingServer, Snapshot, SnapshotCell};
 use poseidon::telemetry::{self, chrome, report, TelemetryConfig};
 use poseidon::transport::{
-    ReliabilityConfig, ReliableTransport, TcpFabricSpec, TcpTransport, ThreadedTcpTransport,
-    TrafficSnapshot, Transport,
+    ReliabilityConfig, ReliableTransport, TcpFabricSpec, TcpTransport, TrafficSnapshot, Transport,
 };
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
@@ -41,23 +40,6 @@ use poseidon_tensor::Matrix;
 use std::process::{Command, ExitCode, Stdio};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-/// Which TCP core carries the mesh: the evented single-poller transport or
-/// the thread-per-peer baseline it replaced.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TransportKind {
-    Evented,
-    Threaded,
-}
-
-impl TransportKind {
-    fn as_flag(self) -> &'static str {
-        match self {
-            TransportKind::Evented => "evented",
-            TransportKind::Threaded => "threaded",
-        }
-    }
-}
 
 #[derive(Clone)]
 struct Args {
@@ -77,7 +59,6 @@ struct Args {
     trace_out: Option<String>,
     fault_plan: Option<FaultPlan>,
     reliable: bool,
-    transport: TransportKind,
     metrics_addr: Option<String>,
     straggler: Option<(usize, u64)>,
     straggler_factor: f64,
@@ -109,7 +90,6 @@ impl Default for Args {
             trace_out: None,
             fault_plan: None,
             reliable: false,
-            transport: TransportKind::Evented,
             metrics_addr: None,
             straggler: None,
             straggler_factor: HealthConfig::default().straggler_factor,
@@ -146,7 +126,6 @@ const USAGE: &str = "poseidon-node: multi-process distributed SGD over TCP
                     (action:from>to@trigger; implies the reliability layer)
   --reliable on     wrap every endpoint in the reliability layer even with
                     no faults scripted (sequencing, acks, retransmits)
-  --transport S     evented (single-poller core) | threaded      [evented]
   --metrics-addr A  serve Prometheus text on HOST:PORT; endpoint N binds
                     HOST:PORT+N, so every process of the mesh is scrapable
                     while it trains (curl any of them)
@@ -228,15 +207,6 @@ fn parse_args() -> Result<Args, String> {
                     "on" | "true" | "1" => true,
                     "off" | "false" | "0" => false,
                     other => return Err(format!("--reliable takes on|off, got {other:?}")),
-                }
-            }
-            "--transport" => {
-                args.transport = match val.as_str() {
-                    "evented" => TransportKind::Evented,
-                    "threaded" => TransportKind::Threaded,
-                    other => {
-                        return Err(format!("--transport takes evented|threaded, got {other:?}"))
-                    }
                 }
             }
             "--metrics-addr" => args.metrics_addr = Some(val),
@@ -392,30 +362,16 @@ fn run_one(a: &Args, me: usize) -> ExitCode {
         }
         None => None,
     };
-    match a.transport {
-        TransportKind::Evented => match TcpTransport::connect(&spec, me) {
-            Ok(ep) => run_role(a, me, &spec, ep),
-            Err(e) => {
-                eprintln!("endpoint {me}: mesh connect failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        TransportKind::Threaded => match ThreadedTcpTransport::connect(&spec, me) {
-            Ok(ep) => run_role(a, me, &spec, ep),
-            Err(e) => {
-                eprintln!("endpoint {me}: mesh connect failed: {e}");
-                ExitCode::FAILURE
-            }
-        },
+    match TcpTransport::connect(&spec, me) {
+        Ok(ep) => run_role(a, me, &spec, ep),
+        Err(e) => {
+            eprintln!("endpoint {me}: mesh connect failed: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-fn run_role<T: Transport + Send + 'static>(
-    a: &Args,
-    me: usize,
-    spec: &TcpFabricSpec,
-    endpoint: T,
-) -> ExitCode {
+fn run_role(a: &Args, me: usize, spec: &TcpFabricSpec, endpoint: TcpTransport) -> ExitCode {
     let traffic = std::sync::Arc::clone(endpoint.traffic());
     let mut cfg = runtime_config(a);
     let data = dataset(a);
@@ -736,8 +692,6 @@ fn run_generation(
                 a.samples.to_string(),
                 "--timeout-s".into(),
                 a.timeout_s.to_string(),
-                "--transport".into(),
-                a.transport.as_flag().into(),
                 "--straggler-factor".into(),
                 a.straggler_factor.to_string(),
                 "--endpoint".into(),

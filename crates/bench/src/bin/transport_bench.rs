@@ -1,17 +1,20 @@
-//! Ring-topology benchmark of the two TCP transport cores.
+//! Many-link smoke of the TCP transport on an all-to-all mesh.
 //!
-//! Every endpoint `i` streams frames to `(i+1) % E` while draining its own
-//! inbox, for `E` in `--endpoints` and payload sizes in `--payloads`, once
-//! over the evented single-poller core ([`TcpTransport`]) and once over the
-//! thread-per-peer baseline ([`ThreadedTcpTransport`]). Reported per
-//! scenario: aggregate frames/s and bytes/s, plus p50/p99 one-way frame
-//! latency (send-enqueue to recv-dequeue, micros — the `iter` header field
-//! carries the send timestamp, so no extra wire bytes are involved).
+//! Every endpoint `i` of a full mesh streams frames to `(i+1) % E` while
+//! draining its own inbox, for `E` in `--endpoints` and payload sizes in
+//! `--payloads` — the 8- and 32-endpoint scale `benchmark/`'s two-endpoint
+//! probes do not reach. Each run asserts that every frame arrived, from the
+//! right peer and in order, and that the traffic ledger holds exactly the
+//! bytes sent. Reported per scenario: aggregate frames/s and bytes/s, plus
+//! the p50/p99 *queueing delay* under that saturating load (send-enqueue to
+//! recv-dequeue, micros — the `iter` header field carries the send
+//! timestamp, so no extra wire bytes are involved). That is a backlog
+//! figure, not a latency: unloaded round trips are `benchmark/`'s
+//! `transport.tcp_rtt_*` probes, which also track the transport PR over PR.
 //!
-//! Results land in `--out` (default `BENCH_transport.json`, one scenario per
-//! line). `--check-against FILE` reads a baseline *before* running and fails
-//! the process if any scenario present in both runs lost more than 20% of
-//! its baseline frames/s — the regression gate `scripts/check.sh` runs.
+//! Results land in `--out` (one scenario per line; a temp file by default —
+//! the committed `BENCH_transport.json` is the frozen PR-10 record of this
+//! ring raced against the since-deleted thread-per-peer transport).
 //!
 //! ```text
 //! cargo run --release -p poseidon-bench --bin transport_bench -- \
@@ -19,30 +22,25 @@
 //! ```
 
 use poseidon::transport::{
-    bind_ephemeral, Message, TcpFabricSpec, TcpTransport, ThreadedTcpTransport, Transport,
+    bind_ephemeral, Message, TcpFabricSpec, TcpTransport, TrafficCounters, Transport,
 };
-use std::collections::BTreeMap;
 use std::process::ExitCode;
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
-const USAGE: &str = "transport_bench: ring throughput/latency for both TCP cores
+const USAGE: &str = "transport_bench: all-to-all mesh smoke (ring traffic) of the TCP transport
   --endpoints A,B,..  mesh sizes to sweep                     [2,8,32]
   --payloads A,B,..   payload bytes per frame                 [256,65536]
   --frames A,B,..     frames per endpoint, one per payload    [20000,1500]
-  --transports LIST   evented,threaded (either or both)       [evented,threaded]
   --repeat N          runs per scenario; best-of-N is kept    [3]
-  --out PATH          write results JSON here                 [BENCH_transport.json]
-  --check-against P   fail on >20% evented/threaded ratio drop [off]";
+  --out PATH          write results JSON here                 [$TMPDIR/poseidon_transport_bench.json]";
 
 #[derive(Clone)]
 struct Args {
     endpoints: Vec<usize>,
     payloads: Vec<usize>,
     frames: Vec<usize>,
-    transports: Vec<String>,
     out: String,
-    check_against: Option<String>,
     repeat: usize,
 }
 
@@ -52,9 +50,10 @@ impl Default for Args {
             endpoints: vec![2, 8, 32],
             payloads: vec![256, 65536],
             frames: vec![20000, 1500],
-            transports: vec!["evented".into(), "threaded".into()],
-            out: "BENCH_transport.json".into(),
-            check_against: None,
+            out: std::env::temp_dir()
+                .join("poseidon_transport_bench.json")
+                .to_string_lossy()
+                .into_owned(),
             repeat: 3,
         }
     }
@@ -92,16 +91,7 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--repeat needs a positive integer".into());
                 }
             }
-            "--transports" => {
-                args.transports = val.split(',').map(|s| s.trim().to_string()).collect();
-                for t in &args.transports {
-                    if t != "evented" && t != "threaded" {
-                        return Err(format!("unknown transport {t:?}\n{USAGE}"));
-                    }
-                }
-            }
             "--out" => args.out = val,
-            "--check-against" => args.check_against = Some(val),
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
     }
@@ -114,16 +104,15 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// One measured scenario. The key triple identifies it across runs.
+/// One measured scenario.
 struct Record {
-    transport: String,
     endpoints: usize,
     payload_bytes: usize,
     frames_per_endpoint: usize,
     frames_per_s: f64,
     bytes_per_s: f64,
-    p50_us: u64,
-    p99_us: u64,
+    queue_delay_p50_us: u64,
+    queue_delay_p99_us: u64,
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -134,13 +123,9 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Runs one ring scenario over any transport and returns the aggregate
-/// rates plus the latency distribution.
-fn run_ring<T, F>(endpoints: usize, payload_bytes: usize, frames: usize, connect: F) -> Record
-where
-    T: Transport + Send,
-    F: Fn(&TcpFabricSpec, usize, std::net::TcpListener) -> T + Sync,
-{
+/// Runs one ring scenario, checks delivery and the byte audit, and returns
+/// the aggregate rates plus the queueing-delay distribution.
+fn run_ring(endpoints: usize, payload_bytes: usize, frames: usize) -> Record {
     let (listeners, addrs) = bind_ephemeral(endpoints).expect("bind mesh");
     let spec = TcpFabricSpec {
         addrs,
@@ -154,55 +139,73 @@ where
     // the transport, not the allocator. `encode_f32s` emits 4 + 4n bytes.
     let elems = payload_bytes.saturating_sub(4) / 4;
     let payload = poseidon::wire::encode_f32s(&vec![1.0f32; elems]);
-    let wire_frame_bytes = 32 + payload.len() as u64;
+    let frame = |k: usize, sent_us: u64| Message::GradChunk {
+        iter: sent_us,
+        layer: 0,
+        chunk: k as u32,
+        codec: poseidon::wire::Codec::Identity,
+        data: payload.clone(),
+    };
+    let wire_frame_bytes = frame(0, 0).wire_bytes();
 
+    let counters = Arc::new(TrafficCounters::new(endpoints));
     let barrier = Barrier::new(endpoints);
     let epoch = Instant::now();
     let done = Mutex::new(Vec::new());
     std::thread::scope(|s| {
         for (me, listener) in listeners.into_iter().enumerate() {
-            let (spec, connect, barrier, done, payload) =
-                (&spec, &connect, &barrier, &done, payload.clone());
+            let (spec, barrier, done, frame) = (&spec, &barrier, &done, &frame);
+            let counters = Arc::clone(&counters);
             s.spawn(move || {
-                let mut ep = connect(spec, me, listener);
+                let mut ep =
+                    TcpTransport::connect_with_listener(spec, me, listener, Some(counters))
+                        .expect("connect");
                 let next = (me + 1) % endpoints;
+                let prev = (me + endpoints - 1) % endpoints;
                 barrier.wait();
                 let start = epoch.elapsed();
-                let mut latencies = Vec::with_capacity(frames);
-                let mut got = 0usize;
-                let note = |env: poseidon::transport::Envelope, lat: &mut Vec<u64>| {
+                let mut delays = Vec::with_capacity(frames);
+                let note = |env: poseidon::transport::Envelope, delays: &mut Vec<u64>| {
                     let now = epoch.elapsed().as_micros() as u64;
-                    lat.push(now.saturating_sub(env.msg.iter()));
+                    assert_eq!(env.from, prev, "endpoint {me}: frame from the wrong peer");
+                    let Message::GradChunk { chunk, .. } = env.msg else {
+                        panic!("endpoint {me}: unexpected {}", env.msg.tag_name());
+                    };
+                    assert_eq!(
+                        chunk as usize,
+                        delays.len(),
+                        "endpoint {me}: lost or reordered"
+                    );
+                    delays.push(now.saturating_sub(env.msg.iter()));
                 };
                 for k in 0..frames {
-                    let msg = Message::GradChunk {
-                        iter: epoch.elapsed().as_micros() as u64,
-                        layer: 0,
-                        chunk: k as u32,
-                        codec: poseidon::wire::Codec::Identity,
-                        data: payload.clone(),
-                    };
-                    ep.send(next, msg).expect("ring send");
+                    ep.send(next, frame(k, epoch.elapsed().as_micros() as u64))
+                        .expect("ring send");
                     // Drain eagerly so inboxes (and pooled buffers) stay
                     // bounded no matter how far ahead the sender runs.
                     while let Some(env) = ep.try_recv().expect("ring try_recv") {
-                        note(env, &mut latencies);
-                        got += 1;
+                        note(env, &mut delays);
                     }
                 }
-                while got < frames {
+                while delays.len() < frames {
                     let env = ep
                         .recv_timeout(Duration::from_secs(60))
                         .expect("ring recv starved");
-                    note(env, &mut latencies);
-                    got += 1;
+                    note(env, &mut delays);
                 }
                 let elapsed = epoch.elapsed() - start;
                 ep.shutdown().expect("shutdown");
-                done.lock().unwrap().push((elapsed, latencies));
+                done.lock().unwrap().push((elapsed, delays));
             });
         }
     });
+
+    // The byte audit: every endpoint sent and received `frames` whole frames.
+    let per_node = frames as u64 * wire_frame_bytes;
+    for node in 0..endpoints {
+        assert_eq!(counters.tx_bytes(node), per_node, "node {node} tx ledger");
+        assert_eq!(counters.rx_bytes(node), per_node, "node {node} rx ledger");
+    }
 
     let finished = done.into_inner().unwrap();
     let slowest = finished
@@ -210,19 +213,18 @@ where
         .map(|(e, _)| *e)
         .max()
         .expect("at least one endpoint");
-    let mut latencies: Vec<u64> = finished.into_iter().flat_map(|(_, l)| l).collect();
-    latencies.sort_unstable();
+    let mut delays: Vec<u64> = finished.into_iter().flat_map(|(_, d)| d).collect();
+    delays.sort_unstable();
     let total_frames = (endpoints * frames) as f64;
     let secs = slowest.as_secs_f64().max(1e-9);
     Record {
-        transport: String::new(),
         endpoints,
         payload_bytes,
         frames_per_endpoint: frames,
         frames_per_s: total_frames / secs,
         bytes_per_s: total_frames * wire_frame_bytes as f64 / secs,
-        p50_us: percentile(&latencies, 0.50),
-        p99_us: percentile(&latencies, 0.99),
+        queue_delay_p50_us: percentile(&delays, 0.50),
+        queue_delay_p99_us: percentile(&delays, 0.99),
     }
 }
 
@@ -231,50 +233,20 @@ fn render(records: &[Record]) -> String {
     for (i, r) in records.iter().enumerate() {
         let sep = if i + 1 == records.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"transport\": \"{}\", \"endpoints\": {}, \"payload_bytes\": {}, \
+            "    {{\"endpoints\": {}, \"payload_bytes\": {}, \
              \"frames_per_endpoint\": {}, \"frames_per_s\": {:.1}, \"bytes_per_s\": {:.1}, \
-             \"p50_us\": {}, \"p99_us\": {}}}{sep}\n",
-            r.transport,
+             \"queue_delay_p50_us\": {}, \"queue_delay_p99_us\": {}}}{sep}\n",
             r.endpoints,
             r.payload_bytes,
             r.frames_per_endpoint,
             r.frames_per_s,
             r.bytes_per_s,
-            r.p50_us,
-            r.p99_us,
+            r.queue_delay_p50_us,
+            r.queue_delay_p99_us,
         ));
     }
     out.push_str("  ]\n}\n");
     out
-}
-
-/// Pulls `"key": value` out of one scenario line. Good enough for the JSON
-/// this binary writes — the baseline parser has no other job.
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\": ");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}'])?;
-    Some(rest[..end].trim().trim_matches('"'))
-}
-
-/// `(transport, endpoints, payload) -> frames_per_s` from a results file.
-fn parse_baseline(text: &str) -> BTreeMap<(String, usize, usize), f64> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let (Some(t), Some(e), Some(p), Some(f)) = (
-            field(line, "transport"),
-            field(line, "endpoints"),
-            field(line, "payload_bytes"),
-            field(line, "frames_per_s"),
-        ) else {
-            continue;
-        };
-        if let (Ok(e), Ok(p), Ok(f)) = (e.parse(), p.parse(), f.parse()) {
-            map.insert((t.to_string(), e, p), f);
-        }
-    }
-    map
 }
 
 fn main() -> ExitCode {
@@ -285,115 +257,35 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Read the baseline before `--out` (possibly the same file) is rewritten.
-    let baseline = args.check_against.as_ref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
-        parse_baseline(&text)
-    });
 
     let mut records = Vec::new();
-    // Transports innermost: each evented/threaded pair runs back-to-back so
-    // the comparison sees like machine conditions (page cache, allocator
-    // arenas, scheduler state drift across a long sweep).
     for &endpoints in &args.endpoints {
         for (&payload, &frames) in args.payloads.iter().zip(&args.frames) {
-            for kind in &args.transports {
-                // Best-of-N: on a contended single-core box one run can land
-                // in a bad scheduling mode; the max measures what the
-                // transport can actually sustain, and is a far stabler
-                // statistic across invocations than any single sample.
-                let mut rec: Option<Record> = None;
-                for _ in 0..args.repeat {
-                    let r = match kind.as_str() {
-                        "evented" => run_ring(endpoints, payload, frames, |spec, me, l| {
-                            TcpTransport::connect_with_listener(spec, me, l, None).expect("connect")
-                        }),
-                        _ => run_ring(endpoints, payload, frames, |spec, me, l| {
-                            ThreadedTcpTransport::connect_with_listener(spec, me, l, None)
-                                .expect("connect")
-                        }),
-                    };
-                    if rec.as_ref().is_none_or(|b| r.frames_per_s > b.frames_per_s) {
-                        rec = Some(r);
-                    }
-                }
-                let mut rec = rec.expect("repeat >= 1");
-                rec.transport = kind.clone();
-                println!(
-                    "{:>8} E={:<2} payload={:<6} {:>10.0} frames/s {:>12.0} B/s p50={}us p99={}us",
-                    rec.transport,
-                    rec.endpoints,
-                    rec.payload_bytes,
-                    rec.frames_per_s,
-                    rec.bytes_per_s,
-                    rec.p50_us,
-                    rec.p99_us
-                );
-                records.push(rec);
-            }
+            // Best-of-N: on a contended box one run can land in a bad
+            // scheduling mode; the max measures what the transport can
+            // actually sustain, and is a far stabler statistic across
+            // invocations than any single sample.
+            let rec = (0..args.repeat)
+                .map(|_| run_ring(endpoints, payload, frames))
+                .max_by(|a, b| a.frames_per_s.total_cmp(&b.frames_per_s))
+                .expect("repeat >= 1");
+            println!(
+                "E={:<2} payload={:<6} {:>10.0} frames/s {:>12.0} B/s queue delay p50={}us p99={}us",
+                rec.endpoints,
+                rec.payload_bytes,
+                rec.frames_per_s,
+                rec.bytes_per_s,
+                rec.queue_delay_p50_us,
+                rec.queue_delay_p99_us
+            );
+            records.push(rec);
         }
     }
 
-    let json = render(&records);
-    if let Err(e) = std::fs::write(&args.out, &json) {
+    if let Err(e) = std::fs::write(&args.out, render(&records)) {
         eprintln!("writing {}: {e}", args.out);
         return ExitCode::FAILURE;
     }
     println!("results written to {}", args.out);
-
-    if let Some(baseline) = baseline {
-        // Absolute frames/s on shared-tenancy hardware drifts by tens of
-        // percent between invocations, for every transport at once. The
-        // evented/threaded ratio cancels that machine-wide factor — the two
-        // run back-to-back under like conditions — so the gate compares
-        // ratios: current evented-vs-threaded against the committed one.
-        let mut regressed = false;
-        let mut checked = 0usize;
-        let current: std::collections::HashMap<_, _> = records
-            .iter()
-            .map(|r| {
-                (
-                    (r.transport.clone(), r.endpoints, r.payload_bytes),
-                    r.frames_per_s,
-                )
-            })
-            .collect();
-        for r in &records {
-            if r.transport != "evented" {
-                continue;
-            }
-            let th_key = ("threaded".to_string(), r.endpoints, r.payload_bytes);
-            let ev_key = ("evented".to_string(), r.endpoints, r.payload_bytes);
-            let (Some(&th_now), Some(&ev_base), Some(&th_base)) = (
-                current.get(&th_key),
-                baseline.get(&ev_key),
-                baseline.get(&th_key),
-            ) else {
-                continue;
-            };
-            let now = r.frames_per_s / th_now.max(1e-9);
-            let base = ev_base / th_base.max(1e-9);
-            let rel = now / base.max(1e-9);
-            checked += 1;
-            let verdict = if rel < 0.8 {
-                regressed = true;
-                "REGRESSED"
-            } else {
-                "ok"
-            };
-            println!(
-                "vs baseline: E={} payload={}: evented/threaded {:.2}x -> {:.2}x ({:.2} of baseline) {}",
-                r.endpoints, r.payload_bytes, base, now, rel, verdict
-            );
-        }
-        if checked == 0 {
-            eprintln!("transport_bench: baseline shares no comparable scenarios; nothing gated");
-        }
-        if regressed {
-            eprintln!("transport_bench: evented/threaded ratio regressed >20% vs baseline");
-            return ExitCode::FAILURE;
-        }
-    }
     ExitCode::SUCCESS
 }

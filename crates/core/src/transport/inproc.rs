@@ -1,81 +1,52 @@
 //! In-process transport: the threaded runtime's stand-in for the cluster
 //! network.
 //!
-//! Every endpoint gets one mpsc inbox; sends push an [`Envelope`] onto the
-//! destination's queue after charging the message's frame bytes to the
-//! traffic ledger. Messages never actually cross the wire format here — the
-//! codec is exercised by `wire_bytes()` (accounting) and by the codec's own
-//! tests — which keeps the threaded runtime allocation-light while still
-//! counting exactly what [`super::TcpTransport`] would move.
+//! Every endpoint gets one mpsc inbox; a send pushes an [`Envelope`] onto the
+//! destination's queue and, once that succeeded, has the shared endpoint core
+//! charge the message's frame bytes to the traffic ledger. Messages never
+//! actually cross the wire format here — the codec is exercised by
+//! `wire_bytes()` (accounting) and by the codec's own tests — which keeps the
+//! threaded runtime allocation-light while still counting exactly what
+//! [`super::TcpTransport`] would move. Everything on the receive side (the
+//! epoch fence, the receive loops, timeout diagnostics) is the core's.
 
-use super::{Envelope, Message, RecvTracker, TrafficCounters, Transport, TransportError};
-use crate::metrics;
+use super::{EndpointCore, Envelope, Message, TrafficCounters, Transport, TransportError};
 use crate::telemetry;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// One endpoint's attachment to an in-process fabric.
 pub struct InProcTransport {
-    me: usize,
-    node: usize,
+    core: EndpointCore,
     inbox: Receiver<Envelope>,
     outboxes: Vec<Option<Sender<Envelope>>>,
-    /// Physical node per endpoint, shared by every endpoint of the fabric
-    /// (one allocation total, not one copy per endpoint).
-    dest_nodes: Arc<[usize]>,
-    counters: Arc<TrafficCounters>,
-    tracker: RecvTracker,
-    /// Per-peer tx/rx frame+byte counters, resolved at fabric build so the
-    /// send path records registry-free.
-    peer_metrics: metrics::PeerCounters,
-    /// This endpoint's membership epoch: stamped on every send, fences every
-    /// receive (stale data frames are dropped and counted).
-    membership_epoch: AtomicU32,
 }
 
-impl InProcTransport {
-    /// Notes a delivered envelope for timeout diagnostics and telemetry.
-    fn on_delivered(&self, env: &Envelope) {
-        self.tracker.note(env);
-        self.peer_metrics.note_rx(env.src, env.msg.wire_bytes());
-        if telemetry::is_enabled() {
-            telemetry::instant("rx.frame", env.from as u64, env.msg.wire_bytes());
-        }
+/// With no reader thread to do it, the `rx.frame` instant is emitted by the
+/// receiving thread as it dequeues.
+fn traced(env: Envelope) -> Envelope {
+    if telemetry::is_enabled() {
+        telemetry::instant("rx.frame", env.from as u64, env.msg.wire_bytes());
     }
-
-    /// Epoch fence at the dequeue point: a data frame from a stale membership
-    /// epoch is dropped and counted, never delivered.
-    fn admit(&self, env: Envelope) -> Option<Envelope> {
-        if super::stale_epoch(&env, self.membership_epoch.load(Ordering::Relaxed)) {
-            super::note_stale_epoch_frame(
-                self.me,
-                env.epoch,
-                self.membership_epoch.load(Ordering::Relaxed),
-            );
-            return None;
-        }
-        self.on_delivered(&env);
-        Some(env)
-    }
+    env
 }
 
 impl Transport for InProcTransport {
     fn node(&self) -> usize {
-        self.node
+        self.core.node()
     }
 
     fn endpoint_id(&self) -> usize {
-        self.me
+        self.core.me()
     }
 
     fn endpoints(&self) -> usize {
-        self.outboxes.len()
+        self.core.endpoints()
     }
 
     fn traffic(&self) -> &Arc<TrafficCounters> {
-        &self.counters
+        self.core.traffic()
     }
 
     fn send_seq(&self, to: usize, msg: Message, seq: u32) -> Result<(), TransportError> {
@@ -86,71 +57,37 @@ impl Transport for InProcTransport {
             .as_ref()
             .ok_or(TransportError::Closed)?;
         let bytes = msg.wire_bytes();
-        self.peer_metrics.note_tx(to, bytes);
-        if telemetry::is_enabled() {
-            telemetry::instant("tx.frame", to as u64, bytes);
-        }
         outbox
             .send(Envelope {
-                from: self.node,
-                src: self.me,
+                from: self.core.node(),
+                src: self.core.me(),
                 seq,
-                epoch: self.membership_epoch.load(Ordering::Relaxed),
+                epoch: self.core.current_epoch(),
                 msg,
             })
             .map_err(|_| TransportError::Closed)?;
-        self.counters.record(self.node, self.dest_nodes[to], bytes);
+        self.core.note_sent(to, bytes);
         Ok(())
     }
 
     fn recv(&self) -> Result<Envelope, TransportError> {
-        loop {
-            let env = self.inbox.recv().map_err(|_| TransportError::Closed)?;
-            if let Some(env) = self.admit(env) {
-                return Ok(env);
-            }
-        }
+        self.core.recv(&self.inbox).map(traced)
     }
 
     fn try_recv(&self) -> Result<Option<Envelope>, TransportError> {
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) => {
-                    if let Some(env) = self.admit(env) {
-                        return Ok(Some(env));
-                    }
-                }
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
+        Ok(self.core.try_recv(&self.inbox)?.map(traced))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, TransportError> {
-        // The full budget restarts after a dropped stale frame — stale frames
-        // arrive only in the instants around a reconfiguration, so the
-        // simplicity is worth the marginally lax bound.
-        loop {
-            match self.inbox.recv_timeout(timeout) {
-                Ok(env) => {
-                    if let Some(env) = self.admit(env) {
-                        return Ok(env);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(self.tracker.timeout(self.me, timeout))
-                }
-                Err(RecvTimeoutError::Disconnected) => return Err(TransportError::Closed),
-            }
-        }
+        self.core.recv_timeout(&self.inbox, timeout).map(traced)
     }
 
     fn set_epoch(&self, epoch: u32) {
-        self.membership_epoch.store(epoch, Ordering::Relaxed);
+        self.core.set_epoch(epoch);
     }
 
     fn current_epoch(&self) -> u32 {
-        self.membership_epoch.load(Ordering::Relaxed)
+        self.core.current_epoch()
     }
 
     fn shutdown(&mut self) -> Result<(), TransportError> {
@@ -196,45 +133,10 @@ pub fn fabric_with_nodes(
         .into_iter()
         .enumerate()
         .map(|(idx, inbox)| InProcTransport {
-            me: idx,
-            node: node_ids[idx],
+            core: EndpointCore::new(idx, Arc::clone(&node_ids), Arc::clone(&counters)),
             inbox,
             outboxes: senders.clone(),
-            dest_nodes: Arc::clone(&node_ids),
-            counters: Arc::clone(&counters),
-            tracker: RecvTracker::default(),
-            peer_metrics: metrics::PeerCounters::new(idx, node_of_endpoint.len()),
-            membership_epoch: AtomicU32::new(0),
         })
         .collect();
     (endpoints, counters)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use bytes::Bytes;
-
-    #[test]
-    fn shutdown_is_idempotent_and_closes_peers() {
-        let (mut eps, _) = fabric(2);
-        let mut e1 = eps.remove(1);
-        let mut e0 = eps.remove(0);
-        e1.shutdown().unwrap();
-        e1.shutdown().unwrap();
-        assert_eq!(
-            e1.send(
-                0,
-                Message::SfPush {
-                    iter: 0,
-                    layer: 0,
-                    data: Bytes::new()
-                }
-            ),
-            Err(TransportError::Closed)
-        );
-        e0.shutdown().unwrap();
-        // All senders for endpoint 0's inbox are gone now.
-        assert_eq!(e0.recv().unwrap_err(), TransportError::Closed);
-    }
 }

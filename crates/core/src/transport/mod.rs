@@ -25,17 +25,18 @@ mod net;
 mod reliable;
 pub(crate) mod sys;
 mod tcp;
-mod threaded;
 
 pub use inproc::{fabric, fabric_with_nodes, InProcTransport};
 pub use net::{bind_ephemeral, TcpFabricSpec};
 pub use reliable::{ReliabilityConfig, ReliabilityStats, ReliableTransport};
 pub use tcp::TcpTransport;
-pub use threaded::ThreadedTcpTransport;
 
+use crate::metrics::PeerCounters;
+use crate::telemetry;
 use crate::wire::{self, FrameError};
 use bytes::Bytes;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -273,15 +274,15 @@ pub fn stale_epoch_frames() -> u64 {
 /// bookkeeping stays valid across reconfigurations — and frames from a
 /// *future* epoch are delivered (the sender crossed the boundary first; BSP
 /// ordering guarantees the receiver is about to).
-pub(crate) fn stale_epoch(env: &Envelope, current: u32) -> bool {
+fn stale_epoch(env: &Envelope, current: u32) -> bool {
     !env.msg.is_control() && env.epoch < current
 }
 
 /// Counts one dropped stale-epoch frame (global static + metrics counter).
-pub(crate) fn note_stale_epoch_frame(endpoint: usize, frame_epoch: u32, current: u32) {
+fn note_stale_epoch_frame(endpoint: usize, frame_epoch: u32, current: u32) {
     STALE_EPOCH_FRAMES.fetch_add(1, Ordering::Relaxed);
     crate::metrics::counter("poseidon_stale_epoch_frames_total", &[]).add(1);
-    crate::telemetry::instant(
+    telemetry::instant(
         "transport.stale_epoch",
         endpoint as u64,
         ((current as u64) << 32) | frame_epoch as u64,
@@ -457,11 +458,26 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// Tracks the most recent frame an endpoint received, so a later timeout
-/// can report who went quiet and when. One per transport endpoint; the
-/// `Mutex` is uncontended (only the endpoint's receive path touches it).
-#[derive(Debug, Default)]
-pub(crate) struct RecvTracker {
+/// The per-endpoint core both transports hold: who this endpoint is, the
+/// ledgers it charges, its membership epoch, and the last frame it saw. It
+/// owns the one implementation of the epoch fence at dequeue, of the receive
+/// loop behind `recv`/`try_recv`/`recv_timeout`, and of send-side accounting;
+/// a transport adds only how an [`Envelope`] gets into the inbox.
+#[derive(Debug)]
+pub(crate) struct EndpointCore {
+    me: usize,
+    /// Physical node of every endpoint on the fabric.
+    nodes: Arc<[usize]>,
+    traffic: Arc<TrafficCounters>,
+    /// Per-peer tx/rx frame+byte counters, resolved once so the frame paths
+    /// record registry-free.
+    peers: PeerCounters,
+    /// Membership epoch: stamped on every send, fences every receive.
+    epoch: AtomicU32,
+    /// Envelopes taken off the inbox so far, delivered or fenced.
+    dequeued: AtomicU64,
+    /// The most recent delivered frame, so a later timeout can report who
+    /// went quiet and when. Uncontended: only the receive path touches it.
     last: Mutex<Option<LastSeen>>,
     attempts: AtomicU64,
 }
@@ -469,17 +485,50 @@ pub(crate) struct RecvTracker {
 /// `(from node, frame tag, iter, layer, arrival time)` of the last envelope.
 type LastSeen = (usize, &'static str, u64, u32, Instant);
 
-impl RecvTracker {
-    /// Notes a delivered envelope (and emits the `rx.frame` telemetry
-    /// instant for transports with no reader thread of their own).
-    pub(crate) fn note(&self, env: &Envelope) {
-        *self.last.lock().unwrap() = Some((
-            env.from,
-            env.msg.tag_name(),
-            env.msg.iter(),
-            env.msg.layer(),
-            Instant::now(),
-        ));
+impl EndpointCore {
+    /// The core of endpoint `me` on a fabric whose endpoint `j` lives on
+    /// physical node `nodes[j]`, charging `traffic`.
+    pub(crate) fn new(me: usize, nodes: Arc<[usize]>, traffic: Arc<TrafficCounters>) -> Self {
+        Self {
+            me,
+            peers: PeerCounters::new(me, nodes.len()),
+            nodes,
+            traffic,
+            epoch: AtomicU32::new(0),
+            dequeued: AtomicU64::new(0),
+            last: Mutex::new(None),
+            attempts: AtomicU64::new(0),
+        }
+    }
+
+    pub(crate) fn me(&self) -> usize {
+        self.me
+    }
+
+    pub(crate) fn node(&self) -> usize {
+        self.nodes[self.me]
+    }
+
+    pub(crate) fn endpoints(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub(crate) fn traffic(&self) -> &Arc<TrafficCounters> {
+        &self.traffic
+    }
+
+    pub(crate) fn set_epoch(&self, epoch: u32) {
+        self.epoch.store(epoch, Ordering::Relaxed);
+    }
+
+    pub(crate) fn current_epoch(&self) -> u32 {
+        self.epoch.load(Ordering::Relaxed)
+    }
+
+    /// Envelopes taken off the inbox so far (a transport that counts what it
+    /// put in derives its receive-queue depth from the difference).
+    pub(crate) fn dequeued(&self) -> u64 {
+        self.dequeued.load(Ordering::Relaxed)
     }
 
     /// Notes one recovery attempt (dial retry, reconnect) so a later
@@ -488,26 +537,101 @@ impl RecvTracker {
         self.attempts.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Builds the enriched timeout error for `endpoint` after `waited`.
-    pub(crate) fn timeout(&self, endpoint: usize, waited: Duration) -> TransportError {
-        crate::telemetry::instant(
+    /// Accounts one frame of `bytes` committed to endpoint `to`: per-peer
+    /// counters, the `tx.frame` instant, and the traffic ledger (which skips
+    /// loop-back). Call it once the frame can no longer be refused.
+    pub(crate) fn note_sent(&self, to: usize, bytes: u64) {
+        self.peers.note_tx(to, bytes);
+        if telemetry::is_enabled() {
+            telemetry::instant("tx.frame", to as u64, bytes);
+        }
+        self.traffic.record(self.node(), self.nodes[to], bytes);
+    }
+
+    /// The receive loop: pulls envelopes with `next` until one passes the
+    /// epoch fence. A data frame from a stale membership epoch is dropped and
+    /// counted, never delivered; an admitted frame is counted against its
+    /// sender and remembered for timeout diagnostics.
+    fn admit_from<E>(&self, mut next: impl FnMut() -> Result<Envelope, E>) -> Result<Envelope, E> {
+        loop {
+            let env = next()?;
+            self.dequeued.fetch_add(1, Ordering::Relaxed);
+            let current = self.current_epoch();
+            if stale_epoch(&env, current) {
+                note_stale_epoch_frame(self.me, env.epoch, current);
+                continue;
+            }
+            self.peers.note_rx(env.src, env.msg.wire_bytes());
+            self.note(&env);
+            return Ok(env);
+        }
+    }
+
+    /// Remembers `env` as the last frame seen.
+    fn note(&self, env: &Envelope) {
+        *self.last.lock().expect("last frame lock") = Some((
+            env.from,
+            env.msg.tag_name(),
+            env.msg.iter(),
+            env.msg.layer(),
+            Instant::now(),
+        ));
+    }
+
+    /// Blocks until an admitted envelope arrives on `inbox`.
+    pub(crate) fn recv(&self, inbox: &Receiver<Envelope>) -> Result<Envelope, TransportError> {
+        self.admit_from(|| inbox.recv())
+            .map_err(|_| TransportError::Closed)
+    }
+
+    /// Non-blocking receive; `Ok(None)` when nothing admissible is queued.
+    pub(crate) fn try_recv(
+        &self,
+        inbox: &Receiver<Envelope>,
+    ) -> Result<Option<Envelope>, TransportError> {
+        match self.admit_from(|| inbox.try_recv()) {
+            Ok(env) => Ok(Some(env)),
+            Err(TryRecvError::Empty) => Ok(None),
+            Err(TryRecvError::Disconnected) => Err(TransportError::Closed),
+        }
+    }
+
+    /// Blocks until an admitted envelope arrives or `timeout` elapses. The
+    /// budget is one deadline: a fenced frame does not restart it, so a
+    /// straggler trickling stale frames cannot postpone the verdict.
+    pub(crate) fn recv_timeout(
+        &self,
+        inbox: &Receiver<Envelope>,
+        timeout: Duration,
+    ) -> Result<Envelope, TransportError> {
+        let deadline = Instant::now() + timeout;
+        self.admit_from(|| inbox.recv_timeout(deadline.saturating_duration_since(Instant::now())))
+            .map_err(|e| match e {
+                RecvTimeoutError::Timeout => self.timeout(timeout),
+                RecvTimeoutError::Disconnected => TransportError::Closed,
+            })
+    }
+
+    /// Builds the timeout error after `waited`, naming the last frame seen.
+    fn timeout(&self, waited: Duration) -> TransportError {
+        telemetry::instant(
             "transport.timeout",
-            endpoint as u64,
+            self.me as u64,
             waited.as_millis() as u64,
         );
-        let last_frame = self
-            .last
-            .lock()
-            .unwrap()
-            .map(|(from_node, tag, iter, layer, at)| LastFrame {
-                from_node,
-                tag,
-                iter,
-                layer,
-                since: at.elapsed(),
-            });
+        let last_frame =
+            self.last
+                .lock()
+                .expect("last frame lock")
+                .map(|(from_node, tag, iter, layer, at)| LastFrame {
+                    from_node,
+                    tag,
+                    iter,
+                    layer,
+                    since: at.elapsed(),
+                });
         TransportError::Timeout(Box::new(TimeoutDiag {
-            endpoint,
+            endpoint: self.me,
             waited,
             last_frame,
             attempts: self.attempts.load(Ordering::Relaxed),
@@ -615,16 +739,11 @@ pub trait Transport: Send {
     /// Advances this endpoint's membership epoch (DESIGN.md §2.11). Every
     /// frame sent afterwards is stamped with the new epoch; every *data*
     /// frame received that was stamped with an older epoch is dropped and
-    /// counted ([`stale_epoch_frames`]) instead of delivered. Transports
-    /// that predate elastic membership ignore the call (epoch stays 0).
-    fn set_epoch(&self, epoch: u32) {
-        let _ = epoch;
-    }
+    /// counted ([`stale_epoch_frames`]) instead of delivered.
+    fn set_epoch(&self, epoch: u32);
 
     /// This endpoint's current membership epoch (0 under fixed membership).
-    fn current_epoch(&self) -> u32 {
-        0
-    }
+    fn current_epoch(&self) -> u32;
 
     /// Gracefully tears down this endpoint. Idempotent.
     fn shutdown(&mut self) -> Result<(), TransportError>;
@@ -771,133 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn messages_are_delivered_with_origin() {
-        let (eps, _) = fabric(3);
-        eps[0].send(2, grad(7, 10)).unwrap();
-        let env = eps[2].recv().unwrap();
-        assert_eq!(env.from, 0);
-        assert_eq!(env.msg.iter(), 7);
-        assert_eq!(env.msg.wire_bytes(), HDR + 10);
-    }
-
-    #[test]
-    fn traffic_is_counted_per_node() {
-        let (eps, counters) = fabric(3);
-        eps[0].send(1, grad(0, 100)).unwrap();
-        eps[0].send(2, grad(0, 50)).unwrap();
-        eps[1].recv().unwrap();
-        eps[2].recv().unwrap();
-        assert_eq!(counters.tx_bytes(0), 2 * HDR + 150);
-        assert_eq!(counters.rx_bytes(1), HDR + 100);
-        assert_eq!(counters.rx_bytes(2), HDR + 50);
-        assert_eq!(counters.total_bytes(), 2 * HDR + 150);
-    }
-
-    #[test]
-    fn loopback_is_delivered_but_not_counted() {
-        let (eps, counters) = fabric(2);
-        eps[1].send(1, grad(0, 999)).unwrap();
-        let env = eps[1].recv().unwrap();
-        assert_eq!(env.from, 1);
-        assert_eq!(counters.total_bytes(), 0);
-        assert_eq!(counters.tx_bytes(1), 0);
-    }
-
-    #[test]
-    fn try_recv_is_nonblocking() {
-        let (eps, _) = fabric(2);
-        assert!(eps[0].try_recv().unwrap().is_none());
-        eps[1].send(0, grad(1, 1)).unwrap();
-        assert!(eps[0].try_recv().unwrap().is_some());
-        assert!(eps[0].try_recv().unwrap().is_none());
-    }
-
-    #[test]
-    fn recv_timeout_reports_a_dropped_peer() {
-        let (eps, _) = fabric(2);
-        let err = eps[0].recv_timeout(Duration::from_millis(20)).unwrap_err();
-        match &err {
-            TransportError::Timeout(diag) => {
-                assert_eq!(diag.endpoint, 0);
-                assert!(diag.waited >= Duration::from_millis(20));
-                assert!(diag.last_frame.is_none(), "nothing was ever received");
-            }
-            other => panic!("expected Timeout, got {other:?}"),
-        }
-        eps[1].send(0, grad(1, 1)).unwrap();
-        assert!(eps[0].recv_timeout(Duration::from_millis(20)).is_ok());
-    }
-
-    #[test]
-    fn timeout_diag_names_the_last_frame_seen() {
-        let (eps, _) = fabric(2);
-        eps[1]
-            .send(
-                0,
-                Message::GradChunk {
-                    iter: 9,
-                    layer: 4,
-                    chunk: 0,
-                    codec: wire::Codec::Identity,
-                    data: Bytes::from(vec![0u8; 8]),
-                },
-            )
-            .unwrap();
-        eps[0].recv().unwrap();
-        let err = eps[0].recv_timeout(Duration::from_millis(10)).unwrap_err();
-        let TransportError::Timeout(diag) = err else {
-            panic!("expected Timeout");
-        };
-        let last = diag
-            .last_frame
-            .clone()
-            .expect("a frame was received before");
-        assert_eq!(last.from_node, 1);
-        assert_eq!(last.tag, "GradChunk");
-        assert_eq!(last.iter, 9);
-        assert_eq!(last.layer, 4);
-        let text = format!("{}", TransportError::Timeout(diag));
-        assert!(text.contains("GradChunk iter 9 layer 4"), "{text}");
-    }
-
-    #[test]
-    fn endpoints_work_across_threads() {
-        let (mut eps, counters) = fabric(2);
-        let e1 = eps.remove(1);
-        let e0 = eps.remove(0);
-        let t = std::thread::spawn(move || {
-            for i in 0..10 {
-                e1.send(0, grad(i, 8)).unwrap();
-            }
-        });
-        let mut got = 0;
-        for _ in 0..10 {
-            let env = e0.recv().unwrap();
-            assert_eq!(env.from, 1);
-            got += 1;
-        }
-        t.join().unwrap();
-        assert_eq!(got, 10);
-        assert_eq!(counters.total_bytes(), 10 * (HDR + 8));
-    }
-
-    #[test]
-    fn colocated_endpoints_share_a_node() {
-        // Endpoints 0,1 are workers on nodes 0,1; endpoints 2,3 are shards on
-        // the same nodes.
-        let (eps, counters) = fabric_with_nodes(&[0, 1, 0, 1]);
-        // Worker 0 → its local shard (endpoint 2, node 0): loop-back.
-        eps[0].send(2, grad(0, 100)).unwrap();
-        eps[2].recv().unwrap();
-        assert_eq!(counters.total_bytes(), 0);
-        // Worker 0 → remote shard (endpoint 3, node 1): counted.
-        eps[0].send(3, grad(0, 100)).unwrap();
-        eps[3].recv().unwrap();
-        assert_eq!(counters.tx_bytes(0), HDR + 100);
-        assert_eq!(counters.rx_bytes(1), HDR + 100);
-    }
-
-    #[test]
     fn per_node_totals_sum_tx_and_rx() {
         let (eps, counters) = fabric(2);
         eps[0].send(1, grad(0, 10)).unwrap();
@@ -923,20 +915,6 @@ mod tests {
         eps[0].sever_link(1).unwrap();
         eps[0].send(1, grad(0, 4)).unwrap();
         assert_eq!(eps[1].recv().unwrap().from, 0);
-    }
-
-    #[test]
-    fn envelopes_carry_src_and_seq() {
-        let (eps, _) = fabric_with_nodes(&[0, 1, 0, 1]);
-        // Endpoint 2 (node 0) → endpoint 1 (node 1), sequenced.
-        eps[2].send_seq(1, grad(3, 4), 17).unwrap();
-        let env = eps[1].recv().unwrap();
-        assert_eq!(env.from, 0, "from is the physical node");
-        assert_eq!(env.src, 2, "src is the endpoint");
-        assert_eq!(env.seq, 17);
-        // Plain send is unsequenced.
-        eps[0].send(1, grad(3, 4)).unwrap();
-        assert_eq!(eps[1].recv().unwrap().seq, 0);
     }
 
     #[test]

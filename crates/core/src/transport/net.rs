@@ -1,11 +1,9 @@
-//! Socket plumbing shared by the two TCP transports: the fabric spec, the
-//! connection HELLO, and the dial/accept helpers.
+//! Socket plumbing of the TCP transport: the fabric spec, the connection
+//! HELLO, and the dial/accept helpers.
 //!
-//! Both [`TcpTransport`](super::TcpTransport) (the event-loop core) and
-//! [`ThreadedTcpTransport`](super::ThreadedTcpTransport) (the blocking
-//! thread-per-peer baseline) build the same mesh: a full graph of
-//! *unidirectional* connections where endpoint `a` dials `b` and uses that
-//! stream exclusively for a → b frames. Every dial opens with a 16-byte
+//! [`TcpTransport`](super::TcpTransport) builds a full mesh of
+//! *unidirectional* connections: endpoint `a` dials `b` and uses that stream
+//! exclusively for a → b frames. Every dial opens with a 16-byte
 //! HELLO:
 //!
 //! ```text
@@ -237,29 +235,6 @@ impl HelloGate {
     pub fn dup_count(&self) -> u64 {
         self.dups.load(std::sync::atomic::Ordering::Relaxed)
     }
-}
-
-/// Reads `buf.len()` bytes. `Ok(false)` on clean EOF at a frame boundary;
-/// EOF mid-buffer is an `UnexpectedEof` error (the peer died mid-frame).
-pub(crate) fn read_full(stream: &mut TcpStream, buf: &mut [u8]) -> std::io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    format!("peer closed {filled} bytes into a {}-byte read", buf.len()),
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
 }
 
 #[cfg(test)]

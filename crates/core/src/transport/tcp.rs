@@ -1,12 +1,10 @@
 //! The event-loop TCP transport: one poller thread per endpoint multiplexes
 //! every peer socket in nonblocking mode.
 //!
-//! This is the zero-copy core of the comm plane (DESIGN.md §2.4). Where the
-//! [`ThreadedTcpTransport`](super::ThreadedTcpTransport) baseline spends one
-//! blocking reader thread per inbound peer and serialises every frame into a
-//! fresh buffer, this transport runs exactly **two** threads regardless of
-//! fabric size — an acceptor and a poller — and moves payload bytes without
-//! intermediate copies:
+//! This is the zero-copy core of the comm plane (DESIGN.md §2.4). It runs
+//! exactly **two** threads regardless of fabric size — an acceptor and a
+//! poller, never one per peer — and moves payload bytes without intermediate
+//! copies:
 //!
 //! * **Send path**: `send_seq` encodes only the fixed 32-byte header
 //!   ([`encode_header_stamped`]) and enqueues `(header, payload Bytes)` on the
@@ -33,16 +31,17 @@
 //! drain. Shutdown drains all live queues for up to [`DRAIN_BUDGET`] before
 //! FIN-ing, so a clean shutdown never strands flushed-but-unsent frames.
 //!
-//! Accounting is send-side only and charged once at *enqueue* time: the
-//! ledger reflects frames committed to the wire, exactly as the in-process
-//! transport counts sends, so the bitwise-equivalence suites see identical
-//! ledgers. Loop-back (same physical node) frames still cross the socket but
-//! are never counted.
+//! Accounting is send-side only and charged once, by the shared
+//! [`EndpointCore`], when a frame is *committed* (enqueued, claimed for an
+//! inline write, or pushed to the loop-back channel): the ledger reflects
+//! frames committed to the wire, exactly as the in-process transport counts
+//! sends, so the bitwise-equivalence suites see identical ledgers. Loop-back
+//! (same physical node) frames still cross the socket but are never counted.
 
 use super::net::{self, Hello, HelloGate, TcpFabricSpec, ACCEPT_POLL};
 use super::sys;
 use super::{
-    Backoff, Envelope, LinkHealth, Message, PollerDiag, RecvTracker, TrafficCounters, Transport,
+    Backoff, EndpointCore, Envelope, LinkHealth, Message, PollerDiag, TrafficCounters, Transport,
     TransportError,
 };
 use crate::metrics;
@@ -55,7 +54,7 @@ use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,6 +138,15 @@ struct LinkQueue {
     writer_busy: bool,
 }
 
+/// A link claimed for an inline write: the dup'd socket, the link epoch the
+/// write runs under, and the frame to write.
+struct InlineClaim {
+    dup_fd: RawFd,
+    epoch: u64,
+    hdr: [u8; FRAME_HEADER_BYTES],
+    payload: Bytes,
+}
+
 /// Sender-facing half of a link: the queue plus the condvar the poller
 /// signals when drained bytes open up space.
 struct LinkShared {
@@ -176,7 +184,9 @@ impl LinkShared {
 /// Owns the [`sys::Poller`] so its waker fd stays valid for as long as any
 /// sender might signal it.
 struct Shared {
-    me: usize,
+    /// Identity, ledgers, epoch fence and last-frame tracker — everything
+    /// that is not specific to sockets.
+    core: EndpointCore,
     spec: TcpFabricSpec,
     /// Write queue per peer (`None` for our own slot).
     links: Vec<Option<LinkShared>>,
@@ -190,8 +200,9 @@ struct Shared {
     gens: Vec<AtomicU32>,
     gate: HelloGate,
     reader_err: Mutex<Option<TransportError>>,
-    /// Envelopes delivered to the inbox but not yet consumed.
-    inflight: AtomicU64,
+    /// Envelopes put into the inbox so far; less the core's dequeue count
+    /// this is the receive-queue depth.
+    delivered: AtomicU64,
     down: AtomicBool,
     /// True while the poller is (about to be) blocked in `wait`; senders
     /// only pay the waker syscall when this is set.
@@ -208,72 +219,34 @@ struct Shared {
     /// `(peer, "rx"|"tx", when)` of the last readiness event served.
     last_ready: Mutex<Option<(usize, &'static str, Instant)>>,
     poller: sys::Poller,
-    tracker: RecvTracker,
     /// Metrics-plane handles, resolved once at connect so the frame paths
-    /// record registry-free: per-peer tx/rx frame+byte counters, queue
-    /// high-water gauges, the writev batch-size distribution, and the
-    /// reconnect counter.
-    peer_metrics: metrics::PeerCounters,
+    /// record registry-free: queue high-water gauges, the writev batch-size
+    /// distribution, and the reconnect counter.
     m_tx_queue_peak: metrics::Gauge,
     m_rx_queue_peak: metrics::Gauge,
     m_writev_batch: metrics::Histogram,
     m_reconnects: metrics::Counter,
-    /// Base instant of the `last_tx_ns`/`last_rx_ns` stamps (elapsed ns + 1,
-    /// so 0 means "never") — link staleness for timeout diagnostics.
+    /// Base instant of the `last_tx_ns` stamp (elapsed ns + 1, so 0 means
+    /// "never") — send-side link staleness for timeout diagnostics.
     started: Instant,
     last_tx_ns: AtomicU64,
-    last_rx_ns: AtomicU64,
 }
 
 impl Shared {
-    fn stamp_tx(&self) {
-        self.last_tx_ns.store(
-            self.started.elapsed().as_nanos() as u64 + 1,
-            Ordering::Relaxed,
-        );
-    }
-
-    fn stamp_rx(&self) {
-        self.last_rx_ns.store(
-            self.started.elapsed().as_nanos() as u64 + 1,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Age of a `last_*_ns` stamp (`None` = never stamped).
-    fn stamp_age(&self, stamp: &AtomicU64) -> Option<Duration> {
-        match stamp.load(Ordering::Relaxed) {
-            0 => None,
-            ns => Some(Duration::from_nanos(
-                (self.started.elapsed().as_nanos() as u64 + 1).saturating_sub(ns),
-            )),
-        }
-    }
-
-    /// The link-state snapshot a timeout verdict carries (retransmits are
-    /// filled in by the reliable layer, which owns that counter).
-    fn link_health(&self) -> LinkHealth {
-        LinkHealth {
-            queued_frames: self.pending_frames.load(Ordering::Relaxed),
-            queued_bytes: self.pending_bytes.load(Ordering::Relaxed),
-            last_tx_age: self.stamp_age(&self.last_tx_ns),
-            last_rx_age: self.stamp_age(&self.last_rx_ns),
-            retransmits: 0,
-        }
+    /// Counts one envelope into the inbox and returns the receive-queue
+    /// depth including it. Saturating: the two counters are read apart, so a
+    /// burst of loop-back traffic dequeued in between can overtake this
+    /// thread's view of `delivered`.
+    fn note_delivered(&self) -> u64 {
+        (self.delivered.fetch_add(1, Ordering::Relaxed) + 1).saturating_sub(self.core.dequeued())
     }
 }
 
 /// A TCP transport endpoint driven by a single readiness event loop.
 ///
 /// Thread budget is O(1) in fabric size: one persistent acceptor plus one
-/// poller, whatever `endpoints()` says — versus the baseline's thread per
-/// inbound peer. Wire format, HELLO handshake, accounting, and the
-/// [`Transport`] contract are identical to
-/// [`ThreadedTcpTransport`](super::ThreadedTcpTransport), so the two are
-/// interchangeable under every equivalence and chaos suite.
+/// poller, whatever `endpoints()` says — never a thread per inbound peer.
 pub struct TcpTransport {
-    me: usize,
-    node: usize,
     shared: Arc<Shared>,
     /// Keeps the loop-back path alive; dropped on shutdown (so pure-receiver
     /// drops can close the channel once the poller also exits).
@@ -281,12 +254,7 @@ pub struct TcpTransport {
     inbox: Receiver<Envelope>,
     acceptor: Option<JoinHandle<()>>,
     poller_thread: Option<JoinHandle<()>>,
-    counters: Arc<TrafficCounters>,
     down: bool,
-    /// This endpoint's membership epoch (distinct from the per-link
-    /// *connection* generation `link.epoch`): stamped into every outgoing
-    /// frame, fences every receive.
-    membership_epoch: AtomicU32,
 }
 
 impl TcpTransport {
@@ -321,7 +289,7 @@ impl TcpTransport {
         let poller = sys::Poller::new()
             .map_err(|e| TransportError::Handshake(format!("create poller: {e}")))?;
         let shared = Arc::new(Shared {
-            me,
+            core: EndpointCore::new(me, Arc::from(spec.node_of_endpoint.as_slice()), counters),
             spec: spec.clone(),
             links: (0..n).map(|i| (i != me).then(LinkShared::new)).collect(),
             adoptions: Mutex::new(Vec::new()),
@@ -329,7 +297,7 @@ impl TcpTransport {
             gens: (0..n).map(|_| AtomicU32::new(1)).collect(),
             gate: HelloGate::new(n),
             reader_err: Mutex::new(None),
-            inflight: AtomicU64::new(0),
+            delivered: AtomicU64::new(0),
             down: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
@@ -339,8 +307,6 @@ impl TcpTransport {
             pending_bytes: AtomicU64::new(0),
             last_ready: Mutex::new(None),
             poller,
-            tracker: RecvTracker::default(),
-            peer_metrics: metrics::PeerCounters::new(me, n),
             m_tx_queue_peak: metrics::gauge(
                 "poseidon_tx_queue_peak_frames",
                 &[("endpoint", &me.to_string())],
@@ -359,7 +325,6 @@ impl TcpTransport {
             ),
             started: Instant::now(),
             last_tx_ns: AtomicU64::new(0),
-            last_rx_ns: AtomicU64::new(0),
         });
 
         // The acceptor accepts the initial mesh (reported through `init_tx`)
@@ -409,16 +374,12 @@ impl TcpTransport {
         };
 
         Ok(Self {
-            me,
-            node: spec.node_of_endpoint[me],
             shared,
             self_tx: Some(self_tx),
             inbox,
             acceptor: Some(acceptor),
             poller_thread: Some(poller_thread),
-            counters,
             down: false,
-            membership_epoch: AtomicU32::new(0),
         })
     }
 
@@ -437,39 +398,123 @@ impl TcpTransport {
         self.shared.gate.dup_count()
     }
 
-    /// The reader error, if any, else the fallback.
-    fn pending_error(&self, fallback: TransportError) -> TransportError {
-        self.shared
-            .reader_err
-            .lock()
-            .expect("reader error lock")
-            .clone()
-            .unwrap_or(fallback)
-    }
-
-    /// Notes a delivered envelope: queue-depth bookkeeping plus timeout
-    /// diagnostics.
-    fn on_delivered(&self, env: &Envelope) {
-        self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
-        self.shared.tracker.note(env);
-        self.shared
-            .peer_metrics
-            .note_rx(env.src, env.msg.wire_bytes());
-        self.shared.stamp_rx();
-    }
-
-    /// Epoch fence at the dequeue point: a data frame from a stale membership
-    /// epoch is dropped and counted, never delivered. The inflight counter is
-    /// still decremented — the frame left the queue either way.
-    fn admit(&self, env: Envelope) -> Option<Envelope> {
-        let current = self.membership_epoch.load(Ordering::Relaxed);
-        if super::stale_epoch(&env, current) {
-            self.shared.inflight.fetch_sub(1, Ordering::Relaxed);
-            super::note_stale_epoch_frame(self.me, env.epoch, current);
-            return None;
+    /// What a failed receive should say. A reader that hit a protocol
+    /// violation explains the silence better than "timeout" or "closed";
+    /// otherwise a timeout gains the context only this transport has: is
+    /// traffic stuck in our write queues, when did readiness last arrive,
+    /// and how stale is the link in each direction (retransmits are filled
+    /// in by the reliable layer, which owns that counter).
+    fn enrich(&self, err: TransportError) -> TransportError {
+        let shared = &self.shared;
+        if let Some(e) = shared.reader_err.lock().expect("reader error lock").clone() {
+            return e;
         }
-        self.on_delivered(&env);
-        Some(env)
+        let TransportError::Timeout(mut diag) = err else {
+            return err;
+        };
+        let frames = shared.pending_frames.load(Ordering::Relaxed);
+        let bytes = shared.pending_bytes.load(Ordering::Relaxed);
+        diag.poller = Some(PollerDiag {
+            pending_tx_frames: frames,
+            pending_tx_bytes: bytes,
+            last_ready: shared
+                .last_ready
+                .lock()
+                .expect("last ready lock")
+                .map(|(peer, dir, at)| (peer, dir, at.elapsed())),
+        });
+        diag.link = Some(LinkHealth {
+            queued_frames: frames,
+            queued_bytes: bytes,
+            last_tx_age: match shared.last_tx_ns.load(Ordering::Relaxed) {
+                0 => None,
+                ns => Some(Duration::from_nanos(
+                    (shared.started.elapsed().as_nanos() as u64 + 1).saturating_sub(ns),
+                )),
+            },
+            last_rx_age: diag.last_frame.as_ref().map(|last| last.since),
+            retransmits: 0,
+        });
+        TransportError::Timeout(diag)
+    }
+
+    /// Commits one frame to the link for `to`: waits out backpressure, then
+    /// either enqueues it for the poller (`Ok(None)`) or claims the idle link
+    /// for an inline write by the calling thread, handing the frame back in
+    /// the claim. `Closed` once shutdown began — nothing is enqueued, stamped
+    /// or accounted then.
+    fn commit(
+        &self,
+        to: usize,
+        link: &LinkShared,
+        hdr: [u8; FRAME_HEADER_BYTES],
+        payload: Bytes,
+    ) -> Result<Option<InlineClaim>, TransportError> {
+        let shared = &self.shared;
+        let frame_len = (FRAME_HEADER_BYTES + payload.len()) as u64;
+        let mut q = link.q.lock().expect("link queue");
+        while q.bytes >= MAX_LINK_PENDING_BYTES
+            && q.dead.is_none()
+            && !shared.down.load(Ordering::SeqCst)
+        {
+            let (guard, _) = link
+                .space
+                .wait_timeout(q, BACKPRESSURE_RECHECK)
+                .expect("link queue");
+            q = guard;
+        }
+        if shared.down.load(Ordering::SeqCst) {
+            return Err(TransportError::Closed);
+        }
+        let sent_ns = shared.started.elapsed().as_nanos() as u64 + 1;
+        shared.last_tx_ns.store(sent_ns, Ordering::Relaxed);
+        // A send on a dead link revives it: the poller notices the
+        // non-empty queue and restarts the redial state machine with a
+        // fresh reconnect budget.
+        q.dead = None;
+        // Inline fast path for large frames: with nothing queued ahead
+        // and no other inline writer active, this thread claims the link
+        // and writes the frame to the socket itself — no poller handoff,
+        // no wake, no copy, and on flow control the kernel wakes this
+        // thread directly. The dup pins the socket *object* (not just the
+        // descriptor number) so the write can proceed outside all locks
+        // even if the poller retires the original fd concurrently.
+        if payload.len() >= INLINE_WRITE_MIN && q.frames.is_empty() && !q.writer_busy {
+            let slot = shared.out_fds[to].lock().expect("out fd lock");
+            if let Some(fd) = *slot {
+                if let Ok(dup_fd) = sys::dup_fd(fd) {
+                    q.writer_busy = true;
+                    return Ok(Some(InlineClaim {
+                        dup_fd,
+                        epoch: link.epoch.load(Ordering::SeqCst),
+                        hdr,
+                        payload,
+                    }));
+                }
+            }
+        }
+        // Queued path: the poller owns the write, coalescing this frame
+        // with its neighbours into one vectored syscall.
+        q.frames.push_back(QueuedFrame {
+            hdr,
+            payload,
+            written: 0,
+        });
+        q.bytes += frame_len;
+        link.depth.fetch_add(1, Ordering::Relaxed);
+        let depth = q.frames.len() as u64;
+        drop(q);
+        shared.m_tx_queue_peak.set_max(depth);
+        shared.pending_frames.fetch_add(1, Ordering::Relaxed);
+        shared.pending_bytes.fetch_add(frame_len, Ordering::Relaxed);
+        if telemetry::is_enabled() {
+            telemetry::counter("tx.queue", to as u64, depth);
+        }
+        shared.dirty.store(true, Ordering::SeqCst);
+        if shared.sleeping.load(Ordering::SeqCst) {
+            shared.poller.waker().wake();
+        }
+        Ok(None)
     }
 
     /// The claimed inline write of one large frame: loops `writev` on the
@@ -477,14 +522,13 @@ impl TcpTransport {
     /// frame is fully written, the socket errors, or shutdown begins. Runs
     /// outside every lock; on exit it releases the claim and requeues any
     /// remainder at the *front* of the queue so per-link order holds.
-    fn inline_write(
-        &self,
-        link: &LinkShared,
-        dup_fd: RawFd,
-        epoch: u64,
-        hdr: [u8; FRAME_HEADER_BYTES],
-        payload: Bytes,
-    ) {
+    fn inline_write(&self, link: &LinkShared, claim: InlineClaim) {
+        let InlineClaim {
+            dup_fd,
+            epoch,
+            hdr,
+            payload,
+        } = claim;
         let total = FRAME_HEADER_BYTES + payload.len();
         let mut written = 0usize;
         let mut broken = false;
@@ -560,164 +604,67 @@ impl TcpTransport {
             }
         }
     }
-
-    /// Event-loop context for a timeout verdict: queue depths and the last
-    /// readiness event, mapped to an age at the moment of the timeout.
-    fn poller_diag(&self) -> PollerDiag {
-        PollerDiag {
-            pending_tx_frames: self.shared.pending_frames.load(Ordering::Relaxed),
-            pending_tx_bytes: self.shared.pending_bytes.load(Ordering::Relaxed),
-            last_ready: self
-                .shared
-                .last_ready
-                .lock()
-                .expect("last ready lock")
-                .map(|(peer, dir, at)| (peer, dir, at.elapsed())),
-        }
-    }
 }
 
 impl Transport for TcpTransport {
     fn node(&self) -> usize {
-        self.node
+        self.shared.core.node()
     }
 
     fn endpoint_id(&self) -> usize {
-        self.me
+        self.shared.core.me()
     }
 
     fn endpoints(&self) -> usize {
-        self.shared.spec.addrs.len()
+        self.shared.core.endpoints()
     }
 
     fn traffic(&self) -> &Arc<TrafficCounters> {
-        &self.counters
+        self.shared.core.traffic()
     }
 
     fn send_seq(&self, to: usize, msg: Message, seq: u32) -> Result<(), TransportError> {
-        if to == self.me {
-            let tx = self.self_tx.as_ref().ok_or(TransportError::Closed)?;
-            if telemetry::is_enabled() {
-                telemetry::instant("tx.frame", to as u64, msg.wire_bytes());
-            }
-            self.shared.peer_metrics.note_tx(to, msg.wire_bytes());
-            self.shared.inflight.fetch_add(1, Ordering::Relaxed);
-            // Loop-back within one endpoint never touches the socket and,
-            // like all same-node traffic, is never counted.
-            return tx
-                .send(Envelope {
-                    from: self.node,
-                    src: self.me,
+        let shared = &self.shared;
+        let core = &shared.core;
+        let frame_len = msg.wire_bytes();
+        let epoch = core.current_epoch();
+        // Our own slot holds no link: loop-back within one endpoint never
+        // touches the socket and, like all same-node traffic, is never counted.
+        let link = shared.links.get(to).ok_or(TransportError::Closed)?.as_ref();
+        let claim = match link {
+            None => {
+                let tx = self.self_tx.as_ref().ok_or(TransportError::Closed)?;
+                shared.note_delivered();
+                tx.send(Envelope {
+                    from: core.node(),
+                    src: core.me(),
                     seq,
-                    epoch: self.membership_epoch.load(Ordering::Relaxed),
+                    epoch,
                     msg,
                 })
-                .map_err(|_| TransportError::Closed);
-        }
-        let link = self
-            .shared
-            .links
-            .get(to)
-            .ok_or(TransportError::Closed)?
-            .as_ref()
-            .ok_or(TransportError::Closed)?;
-        let frame_len = msg.wire_bytes();
-        if telemetry::is_enabled() {
-            telemetry::instant("tx.frame", to as u64, frame_len);
-        }
-        self.shared.peer_metrics.note_tx(to, frame_len);
-        self.shared.stamp_tx();
-        let hdr = encode_header_stamped(
-            &msg,
-            self.me as u32,
-            seq,
-            self.membership_epoch.load(Ordering::Relaxed),
-        );
-        let payload = msg.into_payload();
-        let claimed = {
-            let mut q = link.q.lock().expect("link queue");
-            while q.bytes >= MAX_LINK_PENDING_BYTES
-                && q.dead.is_none()
-                && !self.shared.down.load(Ordering::SeqCst)
-            {
-                let (guard, _) = link
-                    .space
-                    .wait_timeout(q, BACKPRESSURE_RECHECK)
-                    .expect("link queue");
-                q = guard;
+                .map_err(|_| TransportError::Closed)?;
+                None
             }
-            if self.shared.down.load(Ordering::SeqCst) {
-                return Err(TransportError::Closed);
-            }
-            // A send on a dead link revives it: the poller notices the
-            // non-empty queue and restarts the redial state machine with a
-            // fresh reconnect budget.
-            q.dead = None;
-            // Inline fast path for large frames: with nothing queued ahead
-            // and no other inline writer active, this thread claims the link
-            // and writes the frame to the socket itself — no poller handoff,
-            // no wake, no copy, and on flow control the kernel wakes this
-            // thread directly. The dup pins the socket *object* (not just the
-            // descriptor number) so the write can proceed outside all locks
-            // even if the poller retires the original fd concurrently.
-            let mut claim = None;
-            if payload.len() >= INLINE_WRITE_MIN && q.frames.is_empty() && !q.writer_busy {
-                let slot = self.shared.out_fds[to].lock().expect("out fd lock");
-                if let Some(fd) = *slot {
-                    if let Ok(dup) = sys::dup_fd(fd) {
-                        q.writer_busy = true;
-                        claim = Some((dup, link.epoch.load(Ordering::SeqCst)));
-                    }
-                }
-            }
-            match claim {
-                Some(claim) => claim,
-                None => {
-                    // Queued path: the poller owns the write, coalescing this
-                    // frame with its neighbours into one vectored syscall.
-                    q.frames.push_back(QueuedFrame {
-                        hdr,
-                        payload,
-                        written: 0,
-                    });
-                    q.bytes += frame_len;
-                    link.depth.fetch_add(1, Ordering::Relaxed);
-                    let depth = q.frames.len() as u64;
-                    drop(q);
-                    self.shared.m_tx_queue_peak.set_max(depth);
-                    self.shared.pending_frames.fetch_add(1, Ordering::Relaxed);
-                    self.shared
-                        .pending_bytes
-                        .fetch_add(frame_len, Ordering::Relaxed);
-                    self.counters.record(
-                        self.node,
-                        self.shared.spec.node_of_endpoint[to],
-                        frame_len,
-                    );
-                    if telemetry::is_enabled() {
-                        telemetry::counter("tx.queue", to as u64, depth);
-                    }
-                    self.shared.dirty.store(true, Ordering::SeqCst);
-                    if self.shared.sleeping.load(Ordering::SeqCst) {
-                        self.shared.poller.waker().wake();
-                    }
-                    return Ok(());
-                }
+            Some(link) => {
+                let hdr = encode_header_stamped(&msg, core.me() as u32, seq, epoch);
+                self.commit(to, link, hdr, msg.into_payload())?
             }
         };
-        // Claimed inline write, outside every lock.
-        let (dup_fd, epoch) = claimed;
-        self.inline_write(link, dup_fd, epoch, hdr, payload);
-        self.counters
-            .record(self.node, self.shared.spec.node_of_endpoint[to], frame_len);
-        if telemetry::is_enabled() {
-            telemetry::counter("tx.queue", to as u64, 0);
+        // The commit point: the frame is enqueued, claimed, or in the
+        // loop-back channel. A send refused above is never accounted.
+        core.note_sent(to, frame_len);
+        if let (Some(link), Some(claim)) = (link, claim) {
+            // Claimed inline write, outside every lock.
+            self.inline_write(link, claim);
+            if telemetry::is_enabled() {
+                telemetry::counter("tx.queue", to as u64, 0);
+            }
         }
         Ok(())
     }
 
     fn sever_link(&self, to: usize) -> Result<(), TransportError> {
-        if to == self.me {
+        if to == self.shared.core.me() {
             return Ok(());
         }
         if let Some(slot) = self.shared.out_fds.get(to) {
@@ -733,64 +680,32 @@ impl Transport for TcpTransport {
     }
 
     fn recv(&self) -> Result<Envelope, TransportError> {
-        loop {
-            let env = self
-                .inbox
-                .recv()
-                .map_err(|_| self.pending_error(TransportError::Closed))?;
-            if let Some(env) = self.admit(env) {
-                return Ok(env);
-            }
-        }
+        self.shared
+            .core
+            .recv(&self.inbox)
+            .map_err(|e| self.enrich(e))
     }
 
     fn try_recv(&self) -> Result<Option<Envelope>, TransportError> {
-        loop {
-            match self.inbox.try_recv() {
-                Ok(env) => {
-                    if let Some(env) = self.admit(env) {
-                        return Ok(Some(env));
-                    }
-                }
-                Err(TryRecvError::Empty) => return Ok(None),
-                Err(TryRecvError::Disconnected) => {
-                    return Err(self.pending_error(TransportError::Closed))
-                }
-            }
-        }
+        self.shared
+            .core
+            .try_recv(&self.inbox)
+            .map_err(|e| self.enrich(e))
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, TransportError> {
-        loop {
-            match self.inbox.recv_timeout(timeout) {
-                Ok(env) => {
-                    if let Some(env) = self.admit(env) {
-                        return Ok(env);
-                    }
-                }
-                // A reader that hit a protocol violation explains the silence
-                // better than "timeout".
-                Err(RecvTimeoutError::Timeout) => {
-                    let mut err = self.pending_error(self.shared.tracker.timeout(self.me, timeout));
-                    if let TransportError::Timeout(diag) = &mut err {
-                        diag.poller = Some(self.poller_diag());
-                        diag.link = Some(self.shared.link_health());
-                    }
-                    return Err(err);
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(self.pending_error(TransportError::Closed))
-                }
-            }
-        }
+        self.shared
+            .core
+            .recv_timeout(&self.inbox, timeout)
+            .map_err(|e| self.enrich(e))
     }
 
     fn set_epoch(&self, epoch: u32) {
-        self.membership_epoch.store(epoch, Ordering::Relaxed);
+        self.shared.core.set_epoch(epoch);
     }
 
     fn current_epoch(&self) -> u32 {
-        self.membership_epoch.load(Ordering::Relaxed)
+        self.shared.core.current_epoch()
     }
 
     fn shutdown(&mut self) -> Result<(), TransportError> {
@@ -902,7 +817,6 @@ enum Close {
 /// runs the per-link redial state machine.
 struct EventLoop {
     shared: Arc<Shared>,
-    me: usize,
     out: Vec<OutState>,
     /// Whether EPOLLOUT interest is currently registered per link.
     wants_writable: Vec<bool>,
@@ -917,11 +831,9 @@ impl EventLoop {
         initial_inbound: Vec<(usize, TcpStream)>,
         tx: Sender<Envelope>,
     ) -> EventLoop {
-        let me = shared.me;
         let n = out_streams.len();
         let mut lp = EventLoop {
             shared,
-            me,
             out: out_streams
                 .into_iter()
                 .map(|s| s.map_or(OutState::Dead, OutState::Up))
@@ -940,7 +852,7 @@ impl EventLoop {
     }
 
     fn run(mut self) {
-        telemetry::set_thread_track(format!("poller e{}", self.me));
+        telemetry::set_thread_track(format!("poller e{}", self.shared.core.me()));
         let mut events: Vec<sys::PollEvent> = Vec::new();
         let mut last_occupancy = Instant::now();
         while !self.shared.down.load(Ordering::SeqCst) {
@@ -1107,7 +1019,7 @@ impl EventLoop {
     /// is due, revive dead links with queued traffic.
     fn sweep(&mut self, now: Instant) {
         for peer in 0..self.out.len() {
-            if peer == self.me {
+            if peer == self.shared.core.me() {
                 continue;
             }
             // Lock-free depth probe: a stale zero is safe (the enqueueing
@@ -1311,10 +1223,15 @@ impl EventLoop {
             }
         };
         d.attempts += 1;
-        self.shared.tracker.note_attempt();
+        self.shared.core.note_attempt();
         let generation = self.shared.gens[peer].fetch_add(1, Ordering::Relaxed) + 1;
         let addr = self.shared.spec.addrs[peer];
-        match net::dial_once(addr, self.me, generation, REDIAL_ATTEMPT_TIMEOUT) {
+        match net::dial_once(
+            addr,
+            self.shared.core.me(),
+            generation,
+            REDIAL_ATTEMPT_TIMEOUT,
+        ) {
             Ok(stream) => {
                 self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
                 self.shared.m_reconnects.inc();
@@ -1372,7 +1289,7 @@ impl EventLoop {
         loop {
             let mut pending = false;
             for peer in 0..self.out.len() {
-                if peer == self.me || !matches!(self.out[peer], OutState::Up(_)) {
+                if peer == self.shared.core.me() || !matches!(self.out[peer], OutState::Up(_)) {
                     continue;
                 }
                 self.flush_link(peer);
@@ -1548,7 +1465,7 @@ fn deliver(
     payload: Bytes,
 ) -> Result<(), Close> {
     let msg = assemble(header, payload);
-    let queued = shared.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+    let queued = shared.note_delivered();
     shared.m_rx_queue_peak.set_max(queued);
     if telemetry::is_enabled() {
         telemetry::instant(
@@ -1625,7 +1542,7 @@ fn acceptor_loop(
     init_tx: Sender<Result<Vec<(usize, TcpStream)>, TransportError>>,
     deadline: Instant,
 ) {
-    let me = shared.me;
+    let me = shared.core.me();
     telemetry::set_thread_track(format!("accept e{me}"));
     let expected = shared.spec.addrs.len() - 1;
     let initial = accept_initial(&listener, me, expected, &shared.gate, deadline);
@@ -1720,71 +1637,6 @@ mod tests {
             }
         });
         counters
-    }
-
-    #[test]
-    fn mesh_delivers_in_both_directions_and_counts_frames() {
-        let counters = with_fabric(&[0, 1], |mut ep| {
-            let other = 1 - ep.endpoint_id();
-            ep.send(other, grad(ep.endpoint_id() as u64, 40)).unwrap();
-            let env = ep.recv().unwrap();
-            assert_eq!(env.from, other);
-            assert_eq!(env.src, other, "src names the sending endpoint");
-            assert_eq!(env.msg.iter(), other as u64);
-            ep.shutdown().unwrap();
-        });
-        let frame = (FRAME_HEADER_BYTES + 40) as u64;
-        assert_eq!(counters.tx_bytes(0), frame);
-        assert_eq!(counters.tx_bytes(1), frame);
-        assert_eq!(counters.total_bytes(), 2 * frame);
-    }
-
-    #[test]
-    fn frames_keep_per_pair_order_under_load() {
-        with_fabric(&[0, 1], |mut ep| {
-            if ep.endpoint_id() == 0 {
-                for i in 0..500u64 {
-                    ep.send(1, grad(i, (i % 97) as usize)).unwrap();
-                }
-            } else {
-                for i in 0..500u64 {
-                    let env = ep.recv().unwrap();
-                    assert_eq!(env.msg.iter(), i, "reordered frame");
-                }
-            }
-            ep.shutdown().unwrap();
-        });
-    }
-
-    #[test]
-    fn large_payloads_take_the_direct_read_path_intact() {
-        // 200 KiB payload: spans many staging buffers, exercising the
-        // staged-prefix + direct-read reassembly and the pooled freeze.
-        let payload: Vec<u8> = (0..200_000u32).map(|i| (i % 251) as u8).collect();
-        let want = payload.clone();
-        with_fabric(&[0, 1], move |mut ep| {
-            if ep.endpoint_id() == 0 {
-                ep.send(
-                    1,
-                    Message::GradChunk {
-                        iter: 1,
-                        layer: 0,
-                        chunk: 0,
-                        codec: crate::wire::Codec::Identity,
-                        data: Bytes::from(payload.clone()),
-                    },
-                )
-                .unwrap();
-            } else {
-                let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
-                let Message::GradChunk { data, .. } = env.msg else {
-                    panic!("wrong variant");
-                };
-                assert_eq!(data.len(), want.len());
-                assert_eq!(&data[..], &want[..], "payload corrupted in transit");
-            }
-            ep.shutdown().unwrap();
-        });
     }
 
     #[test]

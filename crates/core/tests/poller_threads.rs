@@ -1,15 +1,14 @@
-//! Thread-budget proof for the evented transport: one endpoint costs a
-//! constant number of threads (poller + acceptor) no matter how many peers it
-//! meshes with, while the threaded baseline pays one reader thread per
-//! inbound stream. Counted straight from `/proc/self/status`, so the tests
-//! are Linux-only.
+//! Thread-budget proof for the TCP transport: one endpoint costs a constant
+//! number of threads (poller + acceptor) no matter how many peers it meshes
+//! with. Counted straight from `/proc/self/status`, so the test is
+//! Linux-only — and alone in its binary, so no other test's threads land in
+//! the measurement.
 
 #![cfg(target_os = "linux")]
 
-use poseidon::transport::{
-    bind_ephemeral, Message, TcpFabricSpec, TcpTransport, ThreadedTcpTransport, Transport,
-};
-use std::sync::Mutex;
+mod common;
+
+use poseidon::transport::{Message, TcpTransport, Transport};
 use std::time::Duration;
 
 /// Live threads in this process, per the kernel, once the count has held
@@ -39,45 +38,8 @@ fn thread_count_now() -> usize {
         .expect("thread count")
 }
 
-fn mesh_spec(endpoints: usize) -> (Vec<std::net::TcpListener>, TcpFabricSpec) {
-    let (listeners, addrs) = bind_ephemeral(endpoints).expect("bind");
-    let spec = TcpFabricSpec {
-        addrs,
-        node_of_endpoint: (0..endpoints).collect(),
-        connect_timeout: Duration::from_secs(30),
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-        reconnect_timeout: Duration::from_secs(5),
-    };
-    (listeners, spec)
-}
-
-/// Connects a full mesh concurrently (every endpoint must dial while the
-/// others accept) and hands the endpoints back in index order.
-fn connect_mesh<T, F>(endpoints: usize, connect: F) -> Vec<T>
-where
-    T: Transport + Send,
-    F: Fn(&TcpFabricSpec, usize, std::net::TcpListener) -> T + Sync,
-{
-    let (listeners, spec) = mesh_spec(endpoints);
-    let done: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(endpoints));
-    std::thread::scope(|s| {
-        for (me, listener) in listeners.into_iter().enumerate() {
-            let (spec, done, connect) = (&spec, &done, &connect);
-            s.spawn(move || {
-                let ep = connect(spec, me, listener);
-                done.lock().unwrap().push((me, ep));
-            });
-        }
-    });
-    let mut eps = done.into_inner().unwrap();
-    eps.sort_by_key(|(me, _)| *me);
-    assert_eq!(eps.len(), endpoints, "every endpoint must connect");
-    eps.into_iter().map(|(_, ep)| ep).collect()
-}
-
 /// One frame around the ring proves every endpoint is live.
-fn prove_ring<T: Transport>(eps: &[T]) {
+fn prove_ring(eps: &[TcpTransport]) {
     for (i, ep) in eps.iter().enumerate() {
         ep.send((i + 1) % eps.len(), Message::Ack { upto: i as u64 })
             .expect("ring send");
@@ -90,25 +52,15 @@ fn prove_ring<T: Transport>(eps: &[T]) {
     }
 }
 
-/// Both budgets are read from the process-wide thread count while a mesh is
-/// open, so they are one test: as two, the harness runs them on parallel
-/// threads and each mesh (and the other test's own thread, starting or
-/// exiting) lands in the other's measurement.
+/// A 33-endpoint mesh (32 peers per endpoint) costs a fixed two threads per
+/// endpoint — poller + acceptor — not one per peer, and shutdown joins every
+/// one of them.
 #[test]
-fn thread_budgets_evented_constant_threaded_per_stream() {
-    evented_mesh_at_32_peers_is_two_threads_per_endpoint();
-    threaded_mesh_pays_a_thread_per_inbound_stream();
-}
-
-/// The tentpole claim: a 33-endpoint mesh (32 peers per endpoint) costs a
-/// fixed two threads per endpoint — poller + acceptor — not one per peer,
-/// and shutdown joins every one of them.
 fn evented_mesh_at_32_peers_is_two_threads_per_endpoint() {
     const ENDPOINTS: usize = 33;
     let baseline = thread_count();
-    let mut eps = connect_mesh(ENDPOINTS, |spec, me, listener| {
-        TcpTransport::connect_with_listener(spec, me, listener, None).expect("connect")
-    });
+    let nodes: Vec<usize> = (0..ENDPOINTS).collect();
+    let (mut eps, _) = common::tcp_mesh(&nodes);
     let steady = thread_count();
     let delta = steady - baseline;
     assert!(
@@ -130,27 +82,4 @@ fn evented_mesh_at_32_peers_is_two_threads_per_endpoint() {
         after <= baseline + 1,
         "shutdown must join poller and acceptor threads ({after} live, baseline {baseline})"
     );
-}
-
-/// The baseline it replaces: thread-per-stream scales with the mesh. Even a
-/// small 8-endpoint threaded mesh costs ~8 threads per endpoint (acceptor +
-/// 7 readers), several times the evented budget.
-fn threaded_mesh_pays_a_thread_per_inbound_stream() {
-    const ENDPOINTS: usize = 8;
-    let baseline = thread_count();
-    let mut eps = connect_mesh(ENDPOINTS, |spec, me, listener| {
-        ThreadedTcpTransport::connect_with_listener(spec, me, listener, None).expect("connect")
-    });
-    let steady = thread_count();
-    let delta = steady - baseline;
-    assert!(
-        delta >= ENDPOINTS * (ENDPOINTS - 1),
-        "threaded mesh reports {delta} threads; expected at least one reader \
-         per inbound stream ({} streams)",
-        ENDPOINTS * (ENDPOINTS - 1)
-    );
-    prove_ring(&eps);
-    for ep in &mut eps {
-        ep.shutdown().expect("shutdown");
-    }
 }

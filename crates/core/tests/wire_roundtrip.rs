@@ -351,7 +351,8 @@ proptest! {
     /// The receive-side epoch fence, driven through a real transport: a data
     /// frame from a stale epoch is dropped *and counted*, never delivered;
     /// control frames and current/future epochs always pass. Exhaustive over
-    /// small (sender, receiver) epoch pairs by proptest.
+    /// small (sender, receiver) epoch pairs by proptest; `transport_contract.rs`
+    /// runs the fence on the TCP transport too.
     #[test]
     fn inproc_epoch_fence_admits_exactly_non_stale_frames(
         sender_epoch in 0u32..5,
@@ -385,59 +386,4 @@ proptest! {
             prop_assert!(stale_epoch_frames() > dropped_before, "drop must be counted");
         }
     }
-}
-
-/// The same fence over the evented TCP transport: a socket-delivered data
-/// frame stamped with a stale epoch is observed (traffic counted) but never
-/// surfaced from `recv`, while the next current-epoch frame is.
-#[test]
-fn tcp_epoch_fence_drops_and_counts_stale_frames() {
-    use poseidon::transport::{bind_ephemeral, TcpFabricSpec, TcpTransport};
-    use std::time::Duration;
-
-    let (listeners, addrs) = bind_ephemeral(2).expect("bind");
-    let spec = TcpFabricSpec {
-        addrs,
-        node_of_endpoint: vec![0, 1],
-        connect_timeout: Duration::from_secs(10),
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-        reconnect_timeout: Duration::from_secs(5),
-    };
-    let mut ls = listeners.into_iter();
-    let (l0, l1) = (ls.next().expect("l0"), ls.next().expect("l1"));
-    let spec2 = spec.clone();
-    let receiver = std::thread::spawn(move || {
-        let mut ep = TcpTransport::connect_with_listener(&spec2, 1, l1, None).expect("connect");
-        ep.set_epoch(1);
-        let dropped_before = stale_epoch_frames();
-        // The stale frame (epoch 0) is dropped inside this recv; only the
-        // fresh frame (epoch 1) that follows it on the same stream surfaces.
-        let env = ep
-            .recv_timeout(Duration::from_secs(30))
-            .expect("fresh frame");
-        assert_eq!(env.epoch, 1, "only the current-epoch frame is delivered");
-        let Message::GradChunk { chunk, .. } = env.msg else {
-            panic!("unexpected variant");
-        };
-        assert_eq!(chunk, 7, "the fresh frame, not the stale one");
-        assert!(
-            stale_epoch_frames() > dropped_before,
-            "stale drop must be counted"
-        );
-        ep.shutdown().expect("shutdown");
-    });
-    let mut ep = TcpTransport::connect_with_listener(&spec, 0, l0, None).expect("connect");
-    let chunk_at = |chunk: u32| Message::GradChunk {
-        iter: 3,
-        layer: 0,
-        chunk,
-        codec: Codec::Identity,
-        data: Bytes::copy_from_slice(&[9, 9]),
-    };
-    ep.send(1, chunk_at(6)).expect("stale send"); // epoch 0: fenced out
-    ep.set_epoch(1);
-    ep.send(1, chunk_at(7)).expect("fresh send"); // epoch 1: delivered
-    receiver.join().expect("receiver");
-    ep.shutdown().expect("shutdown");
 }
