@@ -488,15 +488,15 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                             let (vw, vb) = sf_velocity.entry(layer).or_insert_with(|| {
                                 (poseidon_tensor::Matrix::zeros(rows, cols), vec![0.0; rows])
                             });
-                            vw.scale(cfg.momentum);
-                            vw.axpy(scale, &grad_w);
-                            for (v, g) in vb.iter_mut().zip(&grad_b) {
-                                *v = cfg.momentum * *v + scale * g;
-                            }
-                            params.weights.add_assign(vw);
-                            for (i, &v) in vb.iter().enumerate() {
-                                params.bias[(0, i)] += v;
-                            }
+                            let (w, b) = (&mut params.weights, &mut params.bias);
+                            momentum_step(
+                                w.as_mut_slice(),
+                                vw.as_mut_slice(),
+                                grad_w.as_slice(),
+                                cfg.momentum,
+                                scale,
+                            );
+                            momentum_step(b.as_mut_slice(), vb, &grad_b, cfg.momentum, scale);
                         }
                     }
                     telemetry::span_end("apply", layer as u64, iter as u64);
@@ -584,10 +584,66 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 }
 
+/// One momentum-SGD step over a parameter slice, in a single pass:
+/// `v ← momentum·v + scale·g`, then `w ← w + v`. Each element sees the same
+/// three roundings, in the same order, as `Matrix::scale` → `Matrix::axpy` →
+/// `Matrix::add_assign` over the whole matrix (Rust never contracts `*` and
+/// `+` into an FMA), so the replica's bits do not depend on the fusion.
+fn momentum_step(w: &mut [f32], v: &mut [f32], g: &[f32], momentum: f32, scale: f32) {
+    assert!(w.len() == v.len() && v.len() == g.len(), "length mismatch");
+    for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
+        *v *= momentum;
+        *v += scale * g;
+        *w += *v;
+    }
+}
+
 /// Top-1 error of `net` on `data` (whole set, one batch of all samples).
 pub fn evaluate_error<M: Model>(net: &mut M, data: &Dataset) -> f32 {
     let (x, y) = data.minibatch(0, data.len());
     let logits = net.forward(&x);
     let out = SoftmaxCrossEntropy.evaluate(&logits, &y);
     1.0 - out.correct as f32 / data.len() as f32
+}
+
+#[cfg(test)]
+mod tests {
+    use super::momentum_step;
+    use poseidon_tensor::Matrix;
+
+    #[test]
+    fn momentum_step_is_scale_axpy_add_assign_bit_for_bit() {
+        let ramp = |n: usize, seed: u32| -> Vec<f32> {
+            (0..n as u32)
+                .map(|i| ((i.wrapping_mul(2654435761) ^ seed) % 2003) as f32 / 977.0 - 1.0)
+                .collect()
+        };
+        let (rows, cols) = (7, 13);
+        let mut grad = ramp(rows * cols, 3);
+        grad[5] = f32::NAN;
+        grad[6] = f32::INFINITY;
+        grad[7] = -0.0;
+        for (momentum, scale) in [(0.9f32, -0.05f32), (0.0, -0.05), (0.9, 0.0), (0.0, 0.0)] {
+            let mut w = Matrix::from_vec(rows, cols, ramp(rows * cols, 1));
+            let mut v = Matrix::from_vec(rows, cols, ramp(rows * cols, 2));
+            let g = Matrix::from_vec(rows, cols, grad.clone());
+            let (mut w_fused, mut v_fused) = (w.clone(), v.clone());
+            // Two steps, so the second starts from a velocity holding NaN/Inf.
+            for _ in 0..2 {
+                v.scale(momentum);
+                v.axpy(scale, &g);
+                w.add_assign(&v);
+                momentum_step(
+                    w_fused.as_mut_slice(),
+                    v_fused.as_mut_slice(),
+                    g.as_slice(),
+                    momentum,
+                    scale,
+                );
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w), bits(&w_fused), "weights, m={momentum} s={scale}");
+            assert_eq!(bits(&v), bits(&v_fused), "velocity, m={momentum} s={scale}");
+        }
+    }
 }

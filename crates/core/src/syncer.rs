@@ -882,19 +882,33 @@ pub fn apply_delta_flat(p: &mut ParamBlock, flat: &[f32]) {
 /// Reconstructs the summed dense gradient of a set of SF batches: the weight
 /// gradient `Σ uvᵀ` and the bias gradient `Σ u`.
 ///
-/// Batches must be given in worker-id order so every replica folds them
-/// identically.
+/// The factors are stacked worker-then-sample into `U` (one `u` per row) and
+/// `V`, and the weight gradient is the single GEMM `Uᵀ·V`. Its ascending-`k`
+/// fold gives every element the same sum of `u·v` products, in the same
+/// order, as one [`Matrix::rank1_update`] sweep per factor — the bits do not
+/// change, the matrix is written once instead of once per factor. Batches
+/// must be given in worker-id order so every replica folds them identically.
+///
+/// # Panics
+///
+/// Panics if a factor's shape is not `(rows, cols)`.
 pub fn reconstruct_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> (Matrix, Vec<f32>) {
-    let mut grad = Matrix::zeros(rows, cols);
+    let count: usize = batches.iter().map(SfBatch::len).sum();
     let mut bias_grad = vec![0.0f32; rows];
-    for batch in batches {
-        batch.accumulate_into(&mut grad, 1.0);
-        for sf in batch.factors() {
-            for (b, &u) in bias_grad.iter_mut().zip(&sf.u) {
-                *b += u;
-            }
+    if count == 0 {
+        return (Matrix::zeros(rows, cols), bias_grad);
+    }
+    let mut u = Vec::with_capacity(count * rows);
+    let mut v = Vec::with_capacity(count * cols);
+    for sf in batches.iter().flat_map(SfBatch::factors) {
+        assert_eq!(sf.shape(), (rows, cols), "sufficient factor shape mismatch");
+        u.extend_from_slice(&sf.u);
+        v.extend_from_slice(&sf.v);
+        for (b, &x) in bias_grad.iter_mut().zip(&sf.u) {
+            *b += x;
         }
     }
+    let grad = Matrix::from_vec(count, rows, u).matmul_tn(&Matrix::from_vec(count, cols, v));
     (grad, bias_grad)
 }
 

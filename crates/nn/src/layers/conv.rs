@@ -1,11 +1,26 @@
-//! 2-D convolution implemented via im2col + GEMM (the same lowering Caffe
+//! 2-D convolution lowered to GEMM over a column matrix (the lowering Caffe
 //! uses, which is also why conv gradients are "indecomposable and sparse"
 //! from the communication architecture's point of view — they always travel
 //! via the parameter server).
+//!
+//! One sample is lowered to `col`, a `D × L` matrix with `D = c_in·kh·kw`
+//! rows and `L = h_out·w_out` columns: row `(ch, ky, kx)` holds, for every
+//! output position, the input pixel that kernel tap reads (zero where the
+//! tap falls into the padding). At stride 1 each `(ch, ky, kx, oy)` segment
+//! of a row is one contiguous span of an input row, so the lowering is a
+//! `copy_from_slice`/`fill` per segment and its adjoint a vector add. Then
+//! forward is `W·col` written straight into the sample's output row,
+//! `dW_s = G·colᵀ` and `dcol = Wᵀ·G`, all on the packed GEMM.
+//!
+//! Fold orders (the bitwise contract): a forward element sums its taps in
+//! ascending `(ch, ky, kx)`, `dW_s` sums over ascending output position, and
+//! the scatter of `dcol` walks `(ky, kx)` **descending** so that every input
+//! pixel receives its contributions in ascending `(oy, ox)` — for a fixed
+//! pixel a larger tap offset means a smaller output coordinate.
 
 use crate::layer::{Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
-use poseidon_tensor::Matrix;
+use poseidon_tensor::{kernel, Matrix};
 use rand::Rng;
 use std::ops::Range;
 
@@ -25,7 +40,17 @@ pub struct Conv2d {
     pad: usize,
     params: ParamBlock,
     cached_input: Option<Matrix>,
+    /// One `D × L` column buffer per compute thread, kept across steps so
+    /// no pass allocates (and page-faults) it again. It holds `col`, and in
+    /// backward, once `dW_s` has consumed that, `dcol`.
+    cols: Vec<Vec<f32>>,
+    /// Per-sample `dW` and `db` partials, kept across steps likewise.
+    grad_parts: Vec<(Matrix, Matrix)>,
 }
+
+/// What one compute thread owns during a backward pass: its rows of the
+/// input gradient, its samples' gradient partials and its column buffer.
+type BackwardPart<'a> = (&'a mut [f32], &'a mut [(Matrix, Matrix)], &'a mut Vec<f32>);
 
 impl Conv2d {
     /// Creates a convolution over `in_shape` with `c_out` square `k×k`
@@ -61,6 +86,8 @@ impl Conv2d {
             pad,
             params,
             cached_input: None,
+            cols: Vec::new(),
+            grad_parts: Vec::new(),
         }
     }
 
@@ -69,55 +96,103 @@ impl Conv2d {
         self.in_shape
     }
 
-    /// Lowers one sample into the caller's patch matrix
-    /// (`(h_out·w_out) × (c_in·kh·kw)`). Every element is written — padding
-    /// positions get an explicit zero — so the scratch matrix can be reused
+    /// Takes the column buffers out of the layer, at least `threads` of them.
+    fn take_cols(&mut self, threads: usize) -> Vec<Vec<f32>> {
+        let mut cols = std::mem::take(&mut self.cols);
+        cols.resize_with(cols.len().max(threads), Vec::new);
+        cols
+    }
+
+    /// `(D, L)`: rows and columns of the column matrix.
+    fn col_shape(&self) -> (usize, usize) {
+        (
+            self.in_shape.c * self.kh * self.kw,
+            self.out_shape.h * self.out_shape.w,
+        )
+    }
+
+    /// The output columns whose tap `kx` reads inside the input row; the
+    /// columns before and after it read padding.
+    fn ox_range(&self, kx: usize) -> Range<usize> {
+        // ix = ox·stride + kx − pad must land in 0..w.
+        let hi = (self.in_shape.w + self.pad)
+            .checked_sub(kx + 1)
+            .map_or(0, |room| (room / self.stride + 1).min(self.out_shape.w));
+        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
+        lo.min(hi)..hi
+    }
+
+    /// The input row that tap row `ky` reads for output row `oy`, unless it
+    /// is padding.
+    fn input_row(&self, oy: usize, ky: usize) -> Option<usize> {
+        (oy * self.stride + ky)
+            .checked_sub(self.pad)
+            .filter(|&iy| iy < self.in_shape.h)
+    }
+
+    /// Lowers one sample into `col` (`D × L`). Every element is written —
+    /// padding positions get an explicit zero — so the buffer is reused
     /// across samples without clearing.
-    fn im2col_into(&self, sample: &[f32], patches: &mut Matrix) {
+    fn lower(&self, sample: &[f32], col: &mut [f32]) {
         let TensorShape { c, h, w } = self.in_shape;
         let (ho, wo) = (self.out_shape.h, self.out_shape.w);
-        debug_assert_eq!(patches.shape(), (ho * wo, c * self.kh * self.kw));
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let prow = patches.row_mut(oy * wo + ox);
-                let mut idx = 0;
-                for ch in 0..c {
-                    let chan = &sample[ch * h * w..(ch + 1) * h * w];
-                    for ky in 0..self.kh {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        for kx in 0..self.kw {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            prow[idx] =
-                                if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                    chan[iy as usize * w + ix as usize]
-                                } else {
-                                    0.0
-                                };
-                            idx += 1;
+        let mut segs = col.chunks_exact_mut(wo);
+        for ch in 0..c {
+            for ky in 0..self.kh {
+                for kx in 0..self.kw {
+                    let ox = self.ox_range(kx);
+                    for oy in 0..ho {
+                        let seg = segs.next().expect("col is D × L");
+                        let Some(iy) = self.input_row(oy, ky).filter(|_| !ox.is_empty()) else {
+                            seg.fill(0.0);
+                            continue;
+                        };
+                        let ix = ox.start * self.stride + kx - self.pad;
+                        let row = &sample[(ch * h + iy) * w..][ix..w];
+                        seg[..ox.start].fill(0.0);
+                        if self.stride == 1 {
+                            seg[ox.clone()].copy_from_slice(&row[..ox.len()]);
+                        } else {
+                            let taps = row.iter().step_by(self.stride);
+                            for (o, &v) in seg[ox.clone()].iter_mut().zip(taps) {
+                                *o = v;
+                            }
                         }
+                        seg[ox.end..].fill(0.0);
                     }
                 }
             }
         }
     }
 
-    /// Scatters a patch-matrix gradient back to an input-sample gradient.
-    fn col2im(&self, grad_patches: &Matrix, out: &mut [f32]) {
+    /// Adds `dcol` (`D × L`) back onto the input-sample gradient `out`: the
+    /// adjoint of [`Self::lower`], taps descending (see the module doc).
+    fn scatter(&self, dcol: &[f32], out: &mut [f32]) {
         let TensorShape { c, h, w } = self.in_shape;
         let (ho, wo) = (self.out_shape.h, self.out_shape.w);
-        for oy in 0..ho {
-            for ox in 0..wo {
-                let prow = grad_patches.row(oy * wo + ox);
-                let mut idx = 0;
-                for ch in 0..c {
-                    for ky in 0..self.kh {
-                        let iy = (oy * self.stride + ky) as isize - self.pad as isize;
-                        for kx in 0..self.kw {
-                            let ix = (ox * self.stride + kx) as isize - self.pad as isize;
-                            if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                                out[ch * h * w + iy as usize * w + ix as usize] += prow[idx];
+        for ch in 0..c {
+            for ky in (0..self.kh).rev() {
+                for kx in (0..self.kw).rev() {
+                    let ox = self.ox_range(kx);
+                    if ox.is_empty() {
+                        continue;
+                    }
+                    let d = (ch * self.kh + ky) * self.kw + kx;
+                    let ix = ox.start * self.stride + kx - self.pad;
+                    for oy in 0..ho {
+                        let Some(iy) = self.input_row(oy, ky) else {
+                            continue;
+                        };
+                        let seg = &dcol[(d * ho + oy) * wo..][ox.clone()];
+                        let row = &mut out[(ch * h + iy) * w..][ix..w];
+                        if self.stride == 1 {
+                            for (o, &g) in row.iter_mut().zip(seg) {
+                                *o += g;
                             }
-                            idx += 1;
+                        } else {
+                            for (o, &g) in row.iter_mut().step_by(self.stride).zip(seg) {
+                                *o += g;
+                            }
                         }
                     }
                 }
@@ -127,37 +202,33 @@ impl Conv2d {
 
     /// Backward pass over one contiguous sample range: fills the matching
     /// rows of `grad_in` and one weight/bias gradient partial per sample.
-    /// All scratch (patch matrix, per-sample `G` view, `Gᵀ·W` product) is
-    /// allocated once per chunk and reused across its samples.
     fn backward_chunk(
         &self,
         input: &Matrix,
         grad_out: &Matrix,
         range: Range<usize>,
-        grad_in: &mut [f32],
-        gw_parts: &mut [Matrix],
-        gb_parts: &mut [Matrix],
+        (grad_in, parts, col): BackwardPart<'_>,
     ) {
-        let l = self.out_shape.h * self.out_shape.w;
-        let d = self.in_shape.c * self.kh * self.kw;
+        let (d, l) = self.col_shape();
         let in_len = self.in_shape.len();
-        let mut patches = Matrix::zeros(l, d);
-        let mut gmat = Matrix::zeros(self.c_out, l);
-        let mut gp = Matrix::zeros(l, d);
-        for (i, s) in range.enumerate() {
-            self.im2col_into(input.row(s), &mut patches);
-            // View this sample's output gradient as c_out × L.
-            gmat.as_mut_slice().copy_from_slice(grad_out.row(s));
-            // dW_s = G · P  (c_out × D).
-            gmat.matmul_rows_into(&patches, 0..self.c_out, gw_parts[i].as_mut_slice());
+        let weights = self.params.weights.as_slice();
+        col.resize(d * l, 0.0);
+        for ((s, (gw, gb)), gi) in range.zip(parts).zip(grad_in.chunks_exact_mut(in_len)) {
+            self.lower(input.row(s), col);
+            // This sample's output gradient is already `c_out × L`.
+            let g = grad_out.row(s);
+            // dW_s = G · colᵀ  (c_out × D).
+            gw.clear();
+            kernel::gemm(self.c_out, d, l, g, l, 1, col, 1, l, gw.as_mut_slice());
             // db_s = row sums of G.
-            for co in 0..self.c_out {
-                gb_parts[i][(0, co)] = gmat.row(co).iter().sum::<f32>();
+            for (b, grow) in gb.as_mut_slice().iter_mut().zip(g.chunks_exact(l)) {
+                *b = grow.iter().sum::<f32>();
             }
-            // dP = Gᵀ · W  (L × D), scattered back to the input.
-            gp.clear();
-            gmat.matmul_tn_rows_into(&self.params.weights, 0..l, gp.as_mut_slice());
-            self.col2im(&gp, &mut grad_in[i * in_len..(i + 1) * in_len]);
+            // dcol = Wᵀ · G  (D × L) over the buffer `col` no longer needs,
+            // scattered back to the input.
+            col.fill(0.0);
+            kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, col);
+            self.scatter(col, gi);
         }
     }
 }
@@ -195,31 +266,33 @@ impl Layer for Conv2d {
             self.in_shape
         );
         let k = input.rows();
-        let l = self.out_shape.h * self.out_shape.w;
-        let d = self.in_shape.c * self.kh * self.kw;
+        let (d, l) = self.col_shape();
         let c_out = self.c_out;
         let mut out = Matrix::zeros(k, c_out * l);
+        let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
+        let mut cols = self.take_cols(ranges.len());
+        let rows = parallel::split_by_ranges(out.as_mut_slice(), &ranges, c_out * l);
+        let chunks = ranges
+            .into_iter()
+            .zip(rows.into_iter().zip(&mut cols))
+            .collect();
         let this = &*self;
-        parallel::par_row_chunks(k, c_out * l, out.as_mut_slice(), |range, chunk| {
-            // Per-thread scratch, reused across this chunk's samples.
-            let mut patches = Matrix::zeros(l, d);
-            let mut y = vec![0.0f32; c_out * l];
-            for (i, s) in range.enumerate() {
-                this.im2col_into(input.row(s), &mut patches);
-                y.fill(0.0);
-                // (c_out × D) · (L × D)ᵀ = c_out × L
-                this.params
-                    .weights
-                    .matmul_nt_rows_into(&patches, 0..c_out, &mut y);
-                let orow = &mut chunk[i * c_out * l..(i + 1) * c_out * l];
-                for co in 0..c_out {
-                    let b = this.params.bias[(0, co)];
-                    for p in 0..l {
-                        orow[co * l + p] = y[co * l + p] + b;
+        parallel::par_chunks(chunks, |range, (rows, col): (&mut [f32], &mut Vec<f32>)| {
+            let weights = this.params.weights.as_slice();
+            col.resize(d * l, 0.0);
+            for (s, orow) in range.zip(rows.chunks_exact_mut(c_out * l)) {
+                this.lower(input.row(s), col);
+                // (c_out × D) · (D × L), accumulated onto the zeroed output
+                // row; then the bias, in place.
+                kernel::gemm(c_out, l, d, weights, d, 1, col, l, 1, orow);
+                for (ochan, &b) in orow.chunks_exact_mut(l).zip(this.params.bias.row(0)) {
+                    for o in ochan {
+                        *o += b;
                     }
                 }
             }
         });
+        self.cols = cols;
         self.cached_input = Some(input.clone());
         out
     }
@@ -230,53 +303,42 @@ impl Layer for Conv2d {
             .take()
             .expect("backward called before forward");
         let k = input.rows();
-        let l = self.out_shape.h * self.out_shape.w;
+        let (d, l) = self.col_shape();
         assert_eq!(grad_out.rows(), k, "batch size mismatch");
         assert_eq!(grad_out.cols(), self.c_out * l, "grad width mismatch");
 
-        let d = self.in_shape.c * self.kh * self.kw;
         let in_len = self.in_shape.len();
         let mut grad_in = Matrix::zeros(k, in_len);
         // One weight/bias gradient partial per sample; reduced below in a
         // fixed tree over the sample index, so the result is independent of
         // how samples were spread across threads.
-        let mut gw_parts: Vec<Matrix> = (0..k).map(|_| Matrix::zeros(self.c_out, d)).collect();
-        let mut gb_parts: Vec<Matrix> = (0..k).map(|_| Matrix::zeros(1, self.c_out)).collect();
-
+        let mut parts = std::mem::take(&mut self.grad_parts);
+        let c_out = self.c_out;
+        parts.resize_with(parts.len().max(k), || {
+            (Matrix::zeros(c_out, d), Matrix::zeros(1, c_out))
+        });
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
-        if ranges.len() <= 1 {
-            self.backward_chunk(
-                &input,
-                grad_out,
-                0..k,
-                grad_in.as_mut_slice(),
-                &mut gw_parts,
-                &mut gb_parts,
-            );
-        } else {
-            let this = &*self;
-            crossbeam::thread::scope(|scope| {
-                let mut gi_rest = grad_in.as_mut_slice();
-                let mut gw_rest = gw_parts.as_mut_slice();
-                let mut gb_rest = gb_parts.as_mut_slice();
-                for range in ranges {
-                    let (gi, tail) = gi_rest.split_at_mut(range.len() * in_len);
-                    gi_rest = tail;
-                    let (gw, tail) = gw_rest.split_at_mut(range.len());
-                    gw_rest = tail;
-                    let (gb, tail) = gb_rest.split_at_mut(range.len());
-                    gb_rest = tail;
-                    let input = &input;
-                    scope.spawn(move |_| this.backward_chunk(input, grad_out, range, gi, gw, gb));
-                }
-            })
-            .expect("compute thread panicked");
-        }
+        let mut cols = self.take_cols(ranges.len());
+        let gi = parallel::split_by_ranges(grad_in.as_mut_slice(), &ranges, in_len);
+        let ps = parallel::split_by_ranges(&mut parts, &ranges, 1);
+        let chunks: Vec<(Range<usize>, BackwardPart<'_>)> = ranges
+            .into_iter()
+            .zip(gi.into_iter().zip(ps).zip(&mut cols))
+            .map(|(range, ((gi, ps), col))| (range, (gi, ps, col)))
+            .collect();
+        let this = &*self;
+        parallel::par_chunks(chunks, |range, part| {
+            this.backward_chunk(&input, grad_out, range, part)
+        });
 
-        self.params.grad_weights =
-            parallel::tree_reduce(gw_parts, |a, b| a.add_assign(b)).expect("batch is non-empty");
-        self.params.grad_bias =
-            parallel::tree_reduce(gb_parts, |a, b| a.add_assign(b)).expect("batch is non-empty");
+        parallel::tree_reduce(&mut parts[..k], |a, b| {
+            a.0.add_assign(&b.0);
+            a.1.add_assign(&b.1);
+        });
+        self.params.grad_weights = parts[0].0.clone();
+        self.params.grad_bias = parts[0].1.clone();
+        self.grad_parts = parts;
+        self.cols = cols;
         self.cached_input = Some(input);
         grad_in
     }

@@ -72,8 +72,12 @@ impl Layer for MaxPool2d {
             for ch in 0..c {
                 for oy in 0..ho {
                     for ox in 0..wo {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
+                        // Seeded with the window's own first cell (always
+                        // inside the input: there is no padding), not with
+                        // −∞ at index 0: a window of NaNs or −∞ then emits
+                        // that value and routes its gradient to itself.
+                        let mut best_idx = ch * h * w + oy * self.stride * w + ox * self.stride;
+                        let mut best = sample[best_idx];
                         for ky in 0..self.k {
                             let iy = oy * self.stride + ky;
                             if iy >= h {
@@ -164,6 +168,44 @@ mod tests {
         let gin = p.backward(&Matrix::filled(1, 4, 1.0));
         assert_eq!(gin[(0, 4)], 4.0, "centre wins all four windows");
         assert_eq!(gin.sum(), 4.0);
+    }
+
+    #[test]
+    fn nan_and_neg_infinity_windows_keep_their_value_and_their_gradient() {
+        // Channel 0 is finite; channel 1's top-left window is all NaN and
+        // its bottom-right window all −∞.
+        let mut p = MaxPool2d::new("pool", TensorShape::new(2, 4, 4), 2, 2);
+        let mut x = Matrix::filled(1, 32, 1.0);
+        for cell in [0, 1, 4, 5] {
+            x[(0, 16 + cell)] = f32::NAN;
+        }
+        for cell in [10, 11, 14, 15] {
+            x[(0, 16 + cell)] = f32::NEG_INFINITY;
+        }
+        let y = p.forward(&x);
+        assert!(
+            y[(0, 4)].is_nan(),
+            "a NaN window yields NaN, got {}",
+            y[(0, 4)]
+        );
+        assert_eq!(y[(0, 7)], f32::NEG_INFINITY);
+        let mut gout = Matrix::zeros(1, 8);
+        gout[(0, 4)] = 3.0;
+        gout[(0, 7)] = 5.0;
+        let gin = p.backward(&gout);
+        let nan_window: f32 = [0, 1, 4, 5].iter().map(|&c| gin[(0, 16 + c)]).sum();
+        assert_eq!(nan_window, 3.0, "gradient stays inside the NaN window");
+        assert_eq!(
+            gin[(0, 16 + 10)],
+            5.0,
+            "an all-−∞ window routes to its first cell"
+        );
+        assert_eq!(
+            gin.sum(),
+            8.0,
+            "nothing leaks to channel 0's top-left pixel"
+        );
+        assert_eq!(gin[(0, 0)], 0.0);
     }
 
     #[test]

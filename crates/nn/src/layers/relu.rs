@@ -42,17 +42,16 @@ impl Layer for ReLU {
             "{}: bad input size",
             self.name
         );
-        let mut out = input.clone();
-        let mut mask = Matrix::zeros(input.rows(), input.cols());
-        for (i, v) in out.as_mut_slice().iter_mut().enumerate() {
-            if *v > 0.0 {
-                mask.as_mut_slice()[i] = 1.0;
-            } else {
-                *v = 0.0;
-            }
-        }
-        self.mask = Some(mask);
-        out
+        // Two branch-free selects, one output each, so both loops vectorise;
+        // a clamp-in-place loop compiles to a branch that mispredicts on
+        // every other activation.
+        let (rows, cols) = input.shape();
+        let x = input.as_slice();
+        let out = x.iter().map(|&v| if v > 0.0 { v } else { 0.0 });
+        let mask = x.iter().map(|&v| if v > 0.0 { 1.0 } else { 0.0 });
+        let (out, mask) = (out.collect(), mask.collect());
+        self.mask = Some(Matrix::from_vec(rows, cols, mask));
+        Matrix::from_vec(rows, cols, out)
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {

@@ -85,13 +85,14 @@ impl Network {
             input.cols(),
             self.input_shape
         );
-        let mut act = input.clone();
+        // The bottom layer reads the caller's batch in place.
+        let mut act: Option<Matrix> = None;
         for (l, layer) in self.layers.iter_mut().enumerate() {
             crate::probe::emit(crate::probe::ProbeEvent::ForwardBegin { layer: l });
-            act = layer.forward(&act);
+            act = Some(layer.forward(act.as_ref().unwrap_or(input)));
             crate::probe::emit(crate::probe::ProbeEvent::ForwardEnd { layer: l });
         }
-        act
+        act.unwrap_or_else(|| input.clone())
     }
 
     /// Backward pass without a gradient callback.
@@ -112,10 +113,11 @@ impl Network {
         grad_top: &Matrix,
         mut on_layer_done: impl FnMut(usize, &mut dyn Layer),
     ) {
-        let mut grad = grad_top.clone();
+        // The top layer reads the caller's gradient in place.
+        let mut grad: Option<Matrix> = None;
         for l in (0..self.layers.len()).rev() {
             crate::probe::emit(crate::probe::ProbeEvent::BackwardBegin { layer: l });
-            grad = self.layers[l].backward(&grad);
+            grad = Some(self.layers[l].backward(grad.as_ref().unwrap_or(grad_top)));
             crate::probe::emit(crate::probe::ProbeEvent::BackwardEnd { layer: l });
             on_layer_done(l, self.layers[l].as_mut());
         }

@@ -109,59 +109,60 @@ where
         "par_row_chunks: buffer size mismatch"
     );
     let ranges = chunk_ranges(total_rows, compute_threads());
-    if ranges.len() <= 1 {
-        f(0..total_rows, out);
-        return;
-    }
-    crossbeam::thread::scope(|scope| {
-        let mut rest = out;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len() * row_width);
-            rest = tail;
-            let f = &f;
-            scope.spawn(move |_| {
-                crate::probe::emit(crate::probe::ProbeEvent::ChunkBegin {
-                    lo: range.start,
-                    hi: range.end,
-                });
-                f(range.clone(), chunk);
-                crate::probe::emit(crate::probe::ProbeEvent::ChunkEnd {
-                    lo: range.start,
-                    hi: range.end,
-                });
-            });
-        }
-    })
-    .expect("compute thread panicked");
+    let rows = split_by_ranges(out, &ranges, row_width);
+    par_chunks(ranges.into_iter().zip(rows).collect(), f);
 }
 
-/// Runs `f(slot_range, slots_chunk)` over contiguous chunks of `slots`, one
-/// chunk per compute thread — the slot-per-sample counterpart of
-/// [`par_row_chunks`], used to fill per-sample gradient partials that are
-/// then combined with [`tree_reduce`].
-pub fn par_slots<T, F>(slots: &mut [T], f: F)
+/// Splits the head of `buf` into one slice per range, `width` elements per
+/// index of the range — the disjoint parts [`par_chunks`] hands out.
+///
+/// # Panics
+///
+/// Panics if `buf` is shorter than the ranges cover.
+pub fn split_by_ranges<'a, T>(
+    mut buf: &'a mut [T],
+    ranges: &[Range<usize>],
+    width: usize,
+) -> Vec<&'a mut [T]> {
+    ranges
+        .iter()
+        .map(|range| {
+            let (part, tail) = std::mem::take(&mut buf).split_at_mut(range.len() * width);
+            buf = tail;
+            part
+        })
+        .collect()
+}
+
+/// Runs `f(range, part)` for every `(range, part)` of `chunks`, each on a
+/// compute thread of its own; a single chunk runs inline on the calling
+/// thread, so a thread budget of 1 spawns nothing. `part` is whatever the
+/// caller split per chunk — output rows, per-sample gradient slots that are
+/// then combined with [`tree_reduce`], a thread's scratch buffers.
+///
+/// # Panics
+///
+/// Panics if a spawned compute thread panics.
+pub fn par_chunks<T, F>(mut chunks: Vec<(Range<usize>, T)>, f: F)
 where
     T: Send,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
+    F: Fn(Range<usize>, T) + Sync,
 {
-    let total = slots.len();
-    let ranges = chunk_ranges(total, compute_threads());
-    if ranges.len() <= 1 {
-        f(0..total, slots);
+    if chunks.len() <= 1 {
+        if let Some((range, part)) = chunks.pop() {
+            f(range, part);
+        }
         return;
     }
     crossbeam::thread::scope(|scope| {
-        let mut rest = slots;
-        for range in ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            rest = tail;
+        for (range, part) in chunks {
             let f = &f;
             scope.spawn(move |_| {
                 crate::probe::emit(crate::probe::ProbeEvent::ChunkBegin {
                     lo: range.start,
                     hi: range.end,
                 });
-                f(range.clone(), chunk);
+                f(range.clone(), part);
                 crate::probe::emit(crate::probe::ProbeEvent::ChunkEnd {
                     lo: range.start,
                     hi: range.end,
@@ -172,20 +173,18 @@ where
     .expect("compute thread panicked");
 }
 
-/// Reduces `items` with `combine` in a **fixed pairwise tree order** that
-/// depends only on the number of items, never on thread count or timing:
-/// stride-doubling over the original indices (`0+=1, 2+=3, …`, then
-/// `0+=2, 4+=6, …`, and so on). Returns `None` for an empty input.
+/// Reduces `items` into `items[0]` with `combine`, in a **fixed pairwise
+/// tree order** that depends only on the number of items, never on thread
+/// count or timing: stride-doubling over the original indices (`0+=1, 2+=3,
+/// …`, then `0+=2, 4+=6, …`, and so on). The other items are left holding
+/// partial sums; an empty slice is a no-op.
 ///
 /// Floating-point addition is not associative, so *some* canonical order has
 /// to be fixed for per-sample gradient partials; fixing a tree (rather than
 /// a left fold) keeps the result independent of how samples were distributed
 /// across threads.
-pub fn tree_reduce<T>(mut items: Vec<T>, mut combine: impl FnMut(&mut T, &T)) -> Option<T> {
+pub fn tree_reduce<T>(items: &mut [T], mut combine: impl FnMut(&mut T, &T)) {
     let n = items.len();
-    if n == 0 {
-        return None;
-    }
     let mut stride = 1;
     while stride < n {
         let mut i = 0;
@@ -196,8 +195,6 @@ pub fn tree_reduce<T>(mut items: Vec<T>, mut combine: impl FnMut(&mut T, &T)) ->
         }
         stride *= 2;
     }
-    items.truncate(1);
-    items.pop()
 }
 
 #[cfg(test)]
@@ -268,8 +265,9 @@ mod tests {
         // Track combination order symbolically: each item is a parenthesised
         // string, so the final string is the exact reduction tree.
         let shape = |n: usize| {
-            let items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
-            tree_reduce(items, |a, b| *a = format!("({a}+{b})")).unwrap()
+            let mut items: Vec<String> = (0..n).map(|i| i.to_string()).collect();
+            tree_reduce(&mut items, |a, b| *a = format!("({a}+{b})"));
+            items.swap_remove(0)
         };
         assert_eq!(shape(1), "0");
         assert_eq!(shape(2), "(0+1)");
@@ -281,27 +279,28 @@ mod tests {
 
     #[test]
     fn tree_reduce_handles_empty_and_sums_correctly() {
-        assert_eq!(tree_reduce(Vec::<u64>::new(), |a, b| *a += b), None);
+        tree_reduce(&mut Vec::<u64>::new(), |a, b| *a += b);
         for n in 1usize..40 {
-            let items: Vec<u64> = (1..=n as u64).collect();
-            let total = tree_reduce(items, |a, b| *a += b).unwrap();
-            assert_eq!(total, (n as u64) * (n as u64 + 1) / 2);
+            let mut items: Vec<u64> = (1..=n as u64).collect();
+            tree_reduce(&mut items, |a, b| *a += b);
+            assert_eq!(items[0], (n as u64) * (n as u64 + 1) / 2);
         }
     }
 
     #[test]
-    fn par_slots_covers_every_slot_once() {
+    fn par_chunks_hands_every_part_to_its_range_once() {
         for threads in [1usize, 2, 7] {
-            set_compute_threads(threads);
             let mut slots = vec![0u32; 13];
-            par_slots(&mut slots, |range, chunk| {
-                for (i, s) in range.clone().enumerate() {
-                    chunk[i] += s as u32 + 1;
+            let ranges = chunk_ranges(13, threads);
+            let parts = split_by_ranges(&mut slots, &ranges, 1);
+            let chunks = ranges.into_iter().zip(parts).collect();
+            par_chunks(chunks, |range, part: &mut [u32]| {
+                for (slot, s) in part.iter_mut().zip(range) {
+                    *slot += s as u32 + 1;
                 }
             });
             let expect: Vec<u32> = (1..=13).collect();
             assert_eq!(slots, expect, "threads={threads}");
         }
-        reset_compute_threads();
     }
 }

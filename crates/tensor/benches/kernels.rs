@@ -27,6 +27,26 @@ fn bench_gemm(c: &mut Criterion) {
     g.finish();
 }
 
+/// The three GEMMs a conv layer issues per sample (`c_out = 32`, `D = 800`,
+/// `L = 256`): forward `W·col`, `dW = G·colᵀ` and `dcol = Wᵀ·G`.
+fn bench_conv_gemms(c: &mut Criterion) {
+    let (c_out, d, l) = (32usize, 800usize, 256usize);
+    let weights = random(c_out, d, 4);
+    let col = random(d, l, 5);
+    let grad = random(c_out, l, 6);
+    let mut g = c.benchmark_group("conv_gemm_per_sample");
+    g.bench_function("nn_32x800x256", |bench| {
+        bench.iter(|| std::hint::black_box(weights.matmul(&col)));
+    });
+    g.bench_function("nt_32x256x800", |bench| {
+        bench.iter(|| std::hint::black_box(grad.matmul_nt(&col)));
+    });
+    g.bench_function("tn_800x32x256", |bench| {
+        bench.iter(|| std::hint::black_box(weights.matmul_tn(&grad)));
+    });
+    g.finish();
+}
+
 fn bench_sf_reconstruct(c: &mut Criterion) {
     let mut g = c.benchmark_group("sf_reconstruct");
     for &(m, n, k) in &[(256usize, 256usize, 32usize), (1024, 1024, 32)] {
@@ -66,5 +86,11 @@ fn bench_quantize(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_gemm, bench_sf_reconstruct, bench_quantize);
+criterion_group!(
+    benches,
+    bench_gemm,
+    bench_conv_gemms,
+    bench_sf_reconstruct,
+    bench_quantize
+);
 criterion_main!(benches);

@@ -1,15 +1,22 @@
 //! Cache-blocked, panel-packed f32 GEMM kernel.
 //!
-//! One generic routine computes `C += A·B` over *strided* views of row-major
-//! storage, so the three public multiply flavours (`A·B`, `Aᵀ·B`, `A·Bᵀ`)
-//! are a single kernel with swapped strides — no transpose is ever
-//! materialised.
+//! One routine computes `C += A·B` over views of row-major storage that are
+//! either row-major or transposed in place (one unit stride per operand), so
+//! the three public multiply flavours (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are a single
+//! kernel with swapped strides — no transpose is ever materialised outside
+//! the pack panels.
 //!
 //! Layout follows the classic BLIS/GotoBLAS decomposition: the shared
 //! dimension is split into `KC`-deep slabs, `B` slabs are packed into
 //! `NR`-wide column panels and `A` slabs into `MR`-tall row panels, and a
 //! fixed-size, branch-free microkernel accumulates an `MR × NR` register
-//! tile. The microkernel contains only ordinary `*`/`+` arithmetic on
+//! tile. Packing is one routine with two bodies, chosen from the operand's
+//! strides: where a panel's lanes are contiguous in memory it copies one
+//! panel row per depth step, where the depth is contiguous it gathers one
+//! element per lane into each panel row. The panels live in thread-local
+//! scratch that is reused from call to call; every element the microkernel
+//! reads is rewritten by the pack before it, so a reused panel cannot leak
+//! into a result. The microkernel contains only ordinary `*`/`+` arithmetic on
 //! fixed-size arrays; it is compiled three times — baseline, AVX2 and
 //! AVX-512 — and the widest version the CPU supports is selected at runtime.
 //! The `#[target_feature]` copies merely give the autovectorizer wider
@@ -26,6 +33,8 @@
 //! identical to the naive reference on every shape (the tests assert
 //! this), and NaN/Inf propagate like plain IEEE arithmetic: there is no
 //! zero-skipping fast path.
+
+use std::cell::RefCell;
 
 /// Depth of one packed slab of the shared dimension.
 const KC: usize = 256;
@@ -44,7 +53,7 @@ const NC: usize = 1024;
 /// after the corresponding CPU feature has been detected at runtime.
 type MicroKernel = unsafe fn(&[f32], &[f32], &mut [f32], usize);
 
-/// `C += A·B` for strided views.
+/// `C += A·B` for views with one unit stride each.
 ///
 /// * `A` is `m × k`: element `(i, p)` lives at `a[i*a_rs + p*a_cs]`.
 /// * `B` is `k × n`: element `(p, j)` lives at `b[p*b_rs + j*b_cs]`.
@@ -55,8 +64,10 @@ type MicroKernel = unsafe fn(&[f32], &[f32], &mut [f32], usize);
 ///
 /// # Panics
 ///
-/// Panics (via slice indexing) if a stride/dimension combination addresses
-/// past the end of `a` or `b`, or if `c.len() != m*n`.
+/// Panics if neither stride of an operand is 1 (a row-major matrix and its
+/// in-place transpose are the only layouts the packers read), if a
+/// stride/dimension combination addresses past the end of `a` or `b` (via
+/// slice indexing), or if `c.len() != m*n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
     m: usize,
@@ -76,18 +87,27 @@ pub fn gemm(
         "gemm: C buffer is {} elements, want {m}x{n}",
         c.len()
     );
+    assert!(
+        a_rs == 1 || a_cs == 1,
+        "gemm: operand A has strides ({a_rs}, {a_cs}); one of them must be 1"
+    );
+    assert!(
+        b_rs == 1 || b_cs == 1,
+        "gemm: operand B has strides ({b_rs}, {b_cs}); one of them must be 1"
+    );
     if m == 0 || n == 0 || k == 0 {
         return;
     }
+    // A panel's lanes are rows of `A` and columns of `B`; its depth is `k`.
     let view_a = View {
         data: a,
-        rs: a_rs,
-        cs: a_cs,
+        lane: a_rs,
+        depth: a_cs,
     };
     let view_b = View {
         data: b,
-        rs: b_rs,
-        cs: b_cs,
+        lane: b_cs,
+        depth: b_rs,
     };
     match detect_isa() {
         // Safety: `detect_isa` returned a variant only if the matching CPU
@@ -122,19 +142,22 @@ fn detect_isa() -> Isa {
     Isa::Baseline
 }
 
-/// A strided read-only 2-D view into row-major storage.
+/// A read-only operand as the packers see it: the element in panel lane `x`
+/// at depth `p` lives at `data[x*lane + p*depth]`, and one of the two
+/// strides is 1 (asserted by [`gemm`]).
 #[derive(Clone, Copy)]
 struct View<'a> {
     data: &'a [f32],
-    rs: usize,
-    cs: usize,
+    lane: usize,
+    depth: usize,
 }
 
-impl View<'_> {
-    #[inline(always)]
-    fn at(&self, r: usize, c: usize) -> f32 {
-        self.data[r * self.rs + c * self.cs]
-    }
+thread_local! {
+    /// The calling thread's `A` and `B` pack panels, grown on demand and
+    /// kept between calls: a conv layer issues three GEMMs per sample, and
+    /// allocating and zero-filling up to 1 MiB for each cost as much as the
+    /// arithmetic at `m = 32`.
+    static PANELS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 /// The blocked driver, generic over the microkernel tile shape.
@@ -147,32 +170,39 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
     c: &mut [f32],
     mk: MicroKernel,
 ) {
-    let kc_max = k.min(KC);
-    let mc_max = pad_to(m.min(MC), MR);
-    let nc_max = pad_to(n.min(NC), NR);
-    let mut apack = vec![0.0f32; mc_max * kc_max];
-    let mut bpack = vec![0.0f32; nc_max * kc_max];
-
-    let mut jc = 0;
-    while jc < n {
-        let nc = (n - jc).min(NC);
-        // The shared dimension advances in the *middle* loop so every C tile
-        // sees its k-slabs in ascending order — the determinism contract.
-        let mut pc = 0;
-        while pc < k {
-            let kc = (k - pc).min(KC);
-            pack_b::<NR>(&mut bpack, b, pc, kc, jc, nc);
-            let mut ic = 0;
-            while ic < m {
-                let mc = (m - ic).min(MC);
-                pack_a::<MR>(&mut apack, a, ic, mc, pc, kc);
-                run_tiles::<MR, NR>(&apack, &bpack, c, n, ic, mc, jc, nc, kc, mk);
-                ic += MC;
-            }
-            pc += KC;
+    PANELS.with_borrow_mut(|(apack, bpack)| {
+        let kc_max = k.min(KC);
+        let a_len = pad_to(m.min(MC), MR) * kc_max;
+        let b_len = pad_to(n.min(NC), NR) * kc_max;
+        if apack.len() < a_len {
+            apack.resize(a_len, 0.0);
         }
-        jc += NC;
-    }
+        if bpack.len() < b_len {
+            bpack.resize(b_len, 0.0);
+        }
+
+        let mut jc = 0;
+        while jc < n {
+            let nc = (n - jc).min(NC);
+            // The shared dimension advances in the *middle* loop so every C
+            // tile sees its k-slabs in ascending order — the determinism
+            // contract.
+            let mut pc = 0;
+            while pc < k {
+                let kc = (k - pc).min(KC);
+                pack::<NR>(bpack, b, jc, nc, pc, kc);
+                let mut ic = 0;
+                while ic < m {
+                    let mc = (m - ic).min(MC);
+                    pack::<MR>(apack, a, ic, mc, pc, kc);
+                    run_tiles::<MR, NR>(apack, bpack, c, n, ic, mc, jc, nc, kc, mk);
+                    ic += MC;
+                }
+                pc += KC;
+            }
+            jc += NC;
+        }
+    });
 }
 
 /// Rounds `x` up to a multiple of `to`.
@@ -180,60 +210,49 @@ fn pad_to(x: usize, to: usize) -> usize {
     x.div_ceil(to) * to
 }
 
-/// Packs the `mc × kc` block of `A` at `(ic, pc)` into `MR`-tall row panels,
-/// k-major within each panel (`[p][r]`), zero-padding the ragged last panel.
-fn pack_a<const MR: usize>(
-    apack: &mut [f32],
-    a: View<'_>,
-    ic: usize,
-    mc: usize,
-    pc: usize,
+/// Packs lanes `x0..x0+lanes` of `src` over depth `p0..p0+kc` into `W`-wide
+/// panels, depth-major within each panel (`[p][x]`). Only the ragged last
+/// panel is padded (with zeros), and every element of the `lanes.div_ceil(W)`
+/// panels is written, so `dst` may hold anything on entry.
+fn pack<const W: usize>(
+    dst: &mut [f32],
+    src: View<'_>,
+    x0: usize,
+    lanes: usize,
+    p0: usize,
     kc: usize,
 ) {
-    let mut idx = 0;
-    let mut r0 = 0;
-    while r0 < mc {
-        let rows = (mc - r0).min(MR);
-        for p in 0..kc {
-            for r in 0..MR {
-                apack[idx] = if r < rows {
-                    a.at(ic + r0 + r, pc + p)
-                } else {
-                    0.0
-                };
-                idx += 1;
+    let origin = x0 * src.lane + p0 * src.depth;
+    for (i, panel) in dst
+        .chunks_exact_mut(W * kc)
+        .enumerate()
+        .take(lanes.div_ceil(W))
+    {
+        let w = (lanes - i * W).min(W);
+        let data = &src.data[origin + i * W * src.lane..];
+        // One range check per panel instead of one per element.
+        assert!(
+            (w - 1) * src.lane + (kc - 1) * src.depth < data.len(),
+            "gemm: operand view addresses past the end of its buffer"
+        );
+        for (p, row) in panel.chunks_exact_mut(W).enumerate() {
+            let at = p * src.depth;
+            if w < W {
+                for (x, slot) in row[..w].iter_mut().enumerate() {
+                    *slot = data[at + x * src.lane];
+                }
+                row[w..].fill(0.0);
+            } else if src.lane == 1 {
+                // The panel's lanes are contiguous in memory: a row copy.
+                row.copy_from_slice(&data[at..at + W]);
+            } else {
+                // The depth is contiguous (`src.depth == 1`): gather one
+                // element from each lane's run, writing whole panel rows.
+                for (x, slot) in row.iter_mut().enumerate() {
+                    *slot = data[at + x * src.lane];
+                }
             }
         }
-        r0 += MR;
-    }
-}
-
-/// Packs the `kc × nc` block of `B` at `(pc, jc)` into `NR`-wide column
-/// panels, k-major within each panel (`[p][j]`), zero-padding the ragged
-/// last panel.
-fn pack_b<const NR: usize>(
-    bpack: &mut [f32],
-    b: View<'_>,
-    pc: usize,
-    kc: usize,
-    jc: usize,
-    nc: usize,
-) {
-    let mut idx = 0;
-    let mut j0 = 0;
-    while j0 < nc {
-        let cols = (nc - j0).min(NR);
-        for p in 0..kc {
-            for j in 0..NR {
-                bpack[idx] = if j < cols {
-                    b.at(pc + p, jc + j0 + j)
-                } else {
-                    0.0
-                };
-                idx += 1;
-            }
-        }
-        j0 += NR;
     }
 }
 

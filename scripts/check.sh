@@ -12,10 +12,12 @@ cd "$(dirname "$0")/.."
 
 echo "== offline suites: the bitwise contract, no registry needed =="
 # Every proptest-free integration suite (root tests/, four of crates/core,
-# one of crates/nn) by path, incl. tests/ps_wire_path.rs — the differential
-# tests of the PS data path against the scalar codec and a reference fold —
-# and crates/core/tests/transport_contract.rs, the Transport contract run on
-# the in-process fabric and on a loopback TCP mesh.
+# two of crates/nn, one of crates/tensor) by path, incl. tests/ps_wire_path.rs
+# — the differential tests of the PS data path against the scalar codec and a
+# reference fold — crates/core/tests/transport_contract.rs, the Transport
+# contract run on the in-process fabric and on a loopback TCP mesh, and the
+# bitwise compute oracles (conv_oracle.rs: Conv2d against a direct
+# convolution; gemm_oracle.rs: the packed GEMM against the naive fold).
 cargo test --offline -q --manifest-path offline/Cargo.toml
 
 echo "== benchmark package tests =="

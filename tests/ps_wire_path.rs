@@ -12,7 +12,9 @@ use poseidon::coordinator::Coordinator;
 use poseidon::kvstore::{ShardState, Staged};
 use poseidon::pool::BufPool;
 use poseidon::runtime::{poisoned_frames, run_endpoint, train, NodeOutcome, RuntimeConfig};
-use poseidon::syncer::{flatten_grads, flatten_params, write_params_flat, Syncer};
+use poseidon::syncer::{
+    flatten_grads, flatten_params, reconstruct_sf_batches, write_params_flat, Syncer,
+};
 use poseidon::transport::{fabric_with_nodes, Message, Transport};
 use poseidon::wire;
 use poseidon_nn::data::Dataset;
@@ -20,7 +22,7 @@ use poseidon_nn::layer::TensorShape;
 use poseidon_nn::{presets, Model, Network, ParamBlock};
 use poseidon_tensor::compress::{accumulate, decode_into, decompress, make_compressor, validate};
 use poseidon_tensor::quantize::OneBitQuantizer;
-use poseidon_tensor::Matrix;
+use poseidon_tensor::{Matrix, SfBatch, SufficientFactor};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
@@ -379,6 +381,89 @@ fn pushes_encode_from_gradient_storage_exactly_like_the_flat_slice() {
 
 // ---------------------------------------------------------------------------
 // (d) hostile frames against a live shard
+
+/// `batches` as the receive side used to fold them: one rank-1 sweep over
+/// the whole matrix per factor, worker by worker, sample by sample.
+fn rank1_reference(batches: &[SfBatch], rows: usize, cols: usize) -> (Matrix, Vec<f32>) {
+    let mut grad = Matrix::zeros(rows, cols);
+    let mut bias = vec![0.0f32; rows];
+    for sf in batches.iter().flat_map(SfBatch::factors) {
+        sf.accumulate_into(&mut grad, 1.0);
+        for (b, &u) in bias.iter_mut().zip(&sf.u) {
+            *b += u;
+        }
+    }
+    (grad, bias)
+}
+
+#[test]
+fn sf_reconstruction_as_one_gemm_equals_the_rank1_sweeps_bit_for_bit() {
+    // Any NaN equals any NaN: the rank-1 sweep forms `(1·u)·v`, the GEMM
+    // `u·v`, and a NaN's payload is not part of the contract.
+    let same = |got: &[f32], want: &[f32], what: &str| {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{what}: element {i}: {g:?} vs {w:?}"
+            );
+        }
+    };
+    let mut rng = Lcg(0x5F);
+    // Ragged against every GEMM tile, and one shape past a `KC` slab of
+    // factors (300 > 256) so the fold crosses a pack boundary.
+    for &(rows, cols, ref ks) in &[
+        (37usize, 53usize, vec![5usize]),
+        (37, 53, vec![4, 7]),
+        (64, 33, vec![1, 16, 3]),
+        (9, 1025, vec![16, 16]),
+        (8, 40, vec![150, 150]),
+    ] {
+        let mut batches: Vec<SfBatch> = ks
+            .iter()
+            .map(|&k| {
+                SfBatch::from_factors(
+                    (0..k)
+                        .map(|_| SufficientFactor::new(rng.vec(rows), rng.vec(cols)))
+                        .collect(),
+                )
+            })
+            .collect();
+        let (want_w, want_b) = rank1_reference(&batches, rows, cols);
+        let (got_w, got_b) = reconstruct_sf_batches(&batches, rows, cols);
+        assert_eq!(got_w.shape(), (rows, cols));
+        same(
+            got_w.as_slice(),
+            want_w.as_slice(),
+            &format!("weights P={}", ks.len()),
+        );
+        assert_eq!(bits(&got_b), bits(&want_b), "bias P={}", ks.len());
+
+        // A NaN and an infinity in one worker's factors reach exactly the
+        // row and column the sweeps would have poisoned.
+        let mut factors = batches[0].factors().to_vec();
+        factors[0].u[rows / 2] = f32::NAN;
+        factors[0].v[cols - 1] = f32::INFINITY;
+        batches[0] = SfBatch::from_factors(factors);
+        let (want_w, want_b) = rank1_reference(&batches, rows, cols);
+        let (got_w, got_b) = reconstruct_sf_batches(&batches, rows, cols);
+        assert!(want_w.row(rows / 2).iter().all(|x| x.is_nan()));
+        assert!(want_w[(0, 0)].is_finite());
+        same(
+            got_w.as_slice(),
+            want_w.as_slice(),
+            "weights with a NaN factor",
+        );
+        same(&got_b, &want_b, "bias with a NaN factor");
+    }
+
+    // No batches, and batches that hold no factors: a zero gradient.
+    for empty in [vec![], vec![SfBatch::new(), SfBatch::new()]] {
+        let (w, b) = reconstruct_sf_batches(&empty, 3, 4);
+        assert_eq!(w, Matrix::zeros(3, 4));
+        assert_eq!(b, vec![0.0; 3]);
+    }
+}
 
 fn tiny_factory() -> Network {
     presets::mlp(&[4, 3], 17)
