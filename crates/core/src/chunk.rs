@@ -38,12 +38,18 @@ impl Chunk {
     /// Either may be empty; both are non-empty only for the one chunk of a
     /// layer that straddles the boundary.
     pub fn split_at_bias(&self, weights: usize) -> (Range<usize>, Range<usize>) {
-        let Range { start, end } = self.range();
-        (
-            start.min(weights)..end.min(weights),
-            start.max(weights) - weights..end.max(weights) - weights,
-        )
+        split_at_bias(self.range(), weights)
     }
+}
+
+/// [`Chunk::split_at_bias`] of any element range of a `weights ++ bias`
+/// layer.
+pub fn split_at_bias(range: Range<usize>, weights: usize) -> (Range<usize>, Range<usize>) {
+    let Range { start, end } = range;
+    (
+        start.min(weights)..end.min(weights),
+        start.max(weights) - weights..end.max(weights) - weights,
+    )
 }
 
 /// The chunk table for a model: every trainable layer's parameters cut into

@@ -34,7 +34,9 @@
 //! Families follow Prometheus conventions — `poseidon_` prefix, `_total`
 //! suffix on counters, unit suffix on histograms (`_ns`): per-iteration
 //! `poseidon_step_time_ns` / `poseidon_busy_time_ns` / `poseidon_apply_ns`
-//! `{worker}`, per-layer `poseidon_sync_wait_ns` `{worker,layer}`, shard
+//! `{worker}`, per-layer `poseidon_sync_wait_ns` `{worker,layer}`,
+//! `poseidon_wfbp_drained_frames_total` `{worker}` (frames a worker handled
+//! between the layers of backward rather than after it), shard
 //! `poseidon_serve_ns` `{shard}`; transport `poseidon_{tx,rx}_{frames,
 //! bytes}_total` `{endpoint,peer}`, `poseidon_tx_queue_peak` high-water,
 //! `poseidon_writev_batch_frames`, `poseidon_reconnects_total` and

@@ -1,12 +1,22 @@
 //! The worker: Algorithm 2 of the paper.
 //!
-//! Per iteration: forward, then backward with syncer `Send`s fired from the
-//! per-layer gradient callback (wait-free backpropagation — communication of
-//! upper layers proceeds while lower layers are still computing), then a
-//! receive loop that drains the endpoint until every syncer reports complete
-//! (the completion vector `C` is all ones), applying each PS chunk to the
-//! replica the moment it arrives and every other layer's outcome as it
-//! finishes.
+//! Per iteration: forward, then backward with every layer's whole sync —
+//! Send → Receive → Move — scheduled against the back-propagation of the
+//! layers below it (wait-free backpropagation). The per-layer gradient
+//! callback fires that layer's `Send`s and then drains, without blocking,
+//! whatever has arrived for the layers already done: a PS chunk decodes into
+//! the replica, a complete set of SFB factors is reconstructed and applied, a
+//! collective frame is hop-added and forwarded — into layers the backward
+//! pass has finished with and lends out for exactly that
+//! ([`poseidon_nn::Finished`]). What is still outstanding when the bottom
+//! layer is done is received by a blocking tail, through the same
+//! [`Exchange::dispatch`], until every syncer reports complete (the
+//! completion vector `C` is all ones).
+//!
+//! A neighbour that is ahead can deliver a frame for a layer whose own `Send`
+//! has not fired here yet (a ring REDUCE, a peer's factors): it is parked with
+//! its layer and replayed, in arrival order, right after that `Send`. A frame
+//! for the next iteration is stashed and replayed first thing in it.
 //!
 //! The worker is transport-agnostic: the same loop drives an in-process
 //! channel endpoint (threaded [`train`](crate::runtime::train)) or a TCP
@@ -22,17 +32,19 @@ use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
 use crate::metrics;
 use crate::serving::{Snapshot, SnapshotCell};
-use crate::syncer::{self, SyncOutcome, Syncer};
+use crate::syncer::{self, CollectiveSend, SyncOutcome, Syncer};
 use crate::telemetry;
 use crate::transport::{Message, Transport, TransportError};
 use crate::wire;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::loss::SoftmaxCrossEntropy;
-use poseidon_nn::Model;
+use poseidon_nn::{BackwardNeeds, Finished, Layer, Model, ParamBlock};
 use poseidon_tensor::bytesio;
+use poseidon_tensor::Matrix;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// What one worker reports back.
 pub(crate) struct WorkerOutput<M: Model> {
@@ -88,10 +100,381 @@ pub(crate) struct WorkerConfig {
     pub snapshots: Option<Arc<SnapshotCell>>,
 }
 
+impl WorkerConfig {
+    /// `update_scale · lr multiplier`: the f32 product the PS shard scales a
+    /// gradient by at iteration `iter`, formed client-side by the schemes
+    /// that fold without a shard.
+    fn scale_at(&self, iter: usize) -> f32 {
+        self.update_scale * self.lr_schedule.multiplier(iter)
+    }
+}
+
 /// Sends or panics with enough context to name the broken link.
 fn must_send<T: Transport>(endpoint: &T, me: usize, to: usize, msg: Message) {
     if let Err(e) = endpoint.send(to, msg) {
         panic!("worker {me}: send to endpoint {to} failed: {e}");
+    }
+}
+
+/// Transmits the collective frames a syncer handed back for `layer`.
+fn send_collective_frames<T: Transport>(
+    endpoint: &T,
+    me: usize,
+    (iter, layer): (u64, usize),
+    codec: wire::Codec,
+    sends: Vec<CollectiveSend>,
+) {
+    for send in sends {
+        must_send(
+            endpoint,
+            me,
+            send.to_worker,
+            Message::Collective {
+                iter,
+                layer: layer as u32,
+                route: send.route,
+                codec,
+                data: send.data,
+            },
+        );
+    }
+}
+
+/// One trainable layer's side of the exchange.
+struct LayerSync {
+    syncer: Syncer,
+    /// This iteration's `Send` has fired. Until then the layer's incoming
+    /// frames wait in `parked`, in arrival order.
+    sent: bool,
+    parked: Vec<(usize, Message)>,
+    /// When the `Send` fired: the layer's WFBP window is open from then
+    /// until its outcome is applied.
+    started: Option<Instant>,
+    wait: metrics::Histogram,
+}
+
+/// Where [`Exchange::dispatch`] finds the parameters a frame lands in.
+enum Replica<'a, 'f, M> {
+    /// Inside backward: the layer whose callback is running and the finished
+    /// layers above it.
+    Lent(usize, &'a mut dyn Layer, &'a mut Finished<'f>),
+    /// After backward: the whole model.
+    Whole(&'a mut M),
+}
+
+impl<M: Model> Replica<'_, '_, M> {
+    fn params_mut(&mut self, id: usize) -> &mut ParamBlock {
+        let layer: Option<&mut dyn Layer> = match self {
+            Replica::Lent(current, layer, _) if *current == id => Some(&mut **layer),
+            Replica::Lent(_, _, finished) => finished.slot_mut(id),
+            Replica::Whole(net) => net.slot_mut(id),
+        };
+        layer
+            .and_then(|l| l.params_mut())
+            .expect("a frame is dispatched to a trainable layer whose backward is done")
+    }
+}
+
+/// A worker's half of the parameter exchange: the per-layer syncers and
+/// everything a frame needs on its way from the endpoint into the replica.
+struct Exchange<'a, T: Transport> {
+    cfg: &'a WorkerConfig,
+    endpoint: &'a T,
+    workers: usize,
+    layers: HashMap<usize, LayerSync>,
+    /// SFB velocity buffers (identical on every replica).
+    sf_velocity: HashMap<usize, (Matrix, Vec<f32>)>,
+    /// Frames that arrived early for the next iteration (peers can run one
+    /// iteration ahead of us).
+    stashed: VecDeque<(usize, Message)>,
+    /// Frames to dispatch before anything new off the endpoint: last
+    /// iteration's stash, then whatever a `Send` released from its layer's
+    /// park. The transports guarantee per-link FIFO and the collective
+    /// chains rely on it (a segment's DISTRIBUTE must not overtake its
+    /// REDUCE), so arrival order is kept through both.
+    pending: VecDeque<(usize, Message)>,
+    iter: usize,
+    epoch: u32,
+    /// Layers whose sync completed this iteration.
+    completed: usize,
+    m_apply: metrics::Histogram,
+}
+
+impl<T: Transport> Exchange<'_, T> {
+    fn begin_iteration(&mut self, iter: usize, epoch: u32) {
+        (self.iter, self.epoch, self.completed) = (iter, epoch, 0);
+        for l in self.layers.values_mut() {
+            l.syncer.begin_iteration();
+            l.sent = false;
+        }
+        debug_assert!(self.pending.is_empty(), "an iteration ends drained");
+        std::mem::swap(&mut self.pending, &mut self.stashed);
+    }
+
+    /// Layer `l`'s `Send`, the moment `bˡ` is done; opens its sync window
+    /// and releases the frames that were parked for it.
+    fn send(&mut self, l: usize, layer: &dyn Layer) {
+        let (endpoint, schedule, epoch) = (self.endpoint, &self.cfg.schedule, self.epoch);
+        let (me, workers, iter) = (self.cfg.me, self.workers, self.iter as u64);
+        let Some(state) = self.layers.get_mut(&l) else {
+            return;
+        };
+        let s = &mut state.syncer;
+        let params = layer.params().expect("trainable layer");
+        match s.scheme() {
+            CommScheme::Ps => {
+                let codec = s.codec();
+                for idx in 0..s.chunks().len() {
+                    let payload = s.encode_push_grad(idx, params);
+                    must_send(
+                        endpoint,
+                        me,
+                        workers + schedule.owner(s.chunks()[idx].shard, epoch),
+                        Message::GradChunk {
+                            iter,
+                            layer: l as u32,
+                            chunk: idx as u32,
+                            codec,
+                            data: payload,
+                        },
+                    );
+                }
+            }
+            CommScheme::Sfb => {
+                let batch = layer
+                    .sufficient_factors()
+                    .expect("SFB requires sufficient factors");
+                let payload = bytesio::encode_sf_batch(&batch);
+                for peer in (0..workers).filter(|&peer| peer != me) {
+                    must_send(
+                        endpoint,
+                        me,
+                        peer,
+                        Message::SfPush {
+                            iter,
+                            layer: l as u32,
+                            data: payload.clone(),
+                        },
+                    );
+                }
+                s.set_own_sf(batch);
+            }
+            CommScheme::AdamSf => {
+                let batch = layer
+                    .sufficient_factors()
+                    .expect("Adam requires sufficient factors");
+                must_send(
+                    endpoint,
+                    me,
+                    workers + schedule.owner(l % workers, epoch),
+                    Message::SfPush {
+                        iter,
+                        layer: l as u32,
+                        data: bytesio::encode_sf_batch(&batch),
+                    },
+                );
+            }
+            CommScheme::Ring | CommScheme::Tree => {
+                let sends = s.send_collective(params, self.cfg.scale_at(self.iter));
+                send_collective_frames(endpoint, me, (iter, l), s.codec(), sends);
+            }
+        }
+        // The layer's sync window opens the instant its gradient left
+        // (WFBP); it closes when the outcome is applied in `dispatch`. The
+        // span lives on the layer's own lane because windows of different
+        // layers overlap.
+        if telemetry::is_enabled() {
+            telemetry::instant("grad.ready", l as u64, iter);
+            telemetry::span_begin_lane("wfbp.sync", l as u32, l as u64, iter);
+        }
+        state.started = Some(Instant::now());
+        state.sent = true;
+        // Parked frames are older than anything still pending.
+        for parked in state.parked.drain(..).rev() {
+            self.pending.push_front(parked);
+        }
+    }
+
+    /// The next frame that is already here, if any. A transport failure is
+    /// left to [`Self::wait_next`], which meets it again and reports it with
+    /// the sync progress.
+    fn try_next(&mut self) -> Option<(usize, Message)> {
+        self.pending.pop_front().or_else(|| {
+            let env = self.endpoint.try_recv().ok().flatten()?;
+            Some((env.from, env.msg))
+        })
+    }
+
+    /// The next frame, waiting for it up to `comm_timeout`.
+    fn wait_next(&mut self) -> (usize, Message) {
+        if let Some(p) = self.pending.pop_front() {
+            return p;
+        }
+        let (me, iter) = (self.cfg.me, self.iter);
+        match crate::runtime::recv_with_retry(self.endpoint, self.cfg.comm_timeout) {
+            Ok(env) => (env.from, env.msg),
+            Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
+                "worker {me} starved at iteration {iter} with {}/{} layers synced — a peer \
+                 died or stalled: {e}",
+                self.completed,
+                self.layers.len()
+            ),
+            Err(e) => panic!("worker {me} transport failed at iteration {iter}: {e}"),
+        }
+    }
+
+    /// Takes one received frame to its syncer and, when that completes the
+    /// layer, applies the outcome to the replica. `false` when the frame went
+    /// elsewhere instead: control traffic, a frame stashed for the next
+    /// iteration or parked until its layer's `Send`, a poisoned payload.
+    fn dispatch<M: Model>(
+        &mut self,
+        from: usize,
+        msg: Message,
+        replica: &mut Replica<'_, '_, M>,
+    ) -> bool {
+        // Control traffic is consumed by the reliability layer; any that
+        // surfaces here (a peer acking over a bare transport) carries no
+        // training state and is dropped before the iteration bookkeeping.
+        if msg.is_control() {
+            return false;
+        }
+        let (me, iter) = (self.cfg.me, self.iter);
+        let msg_iter = msg.iter() as usize;
+        if msg_iter > iter {
+            self.stashed.push_back((from, msg));
+            return false;
+        }
+        assert_eq!(msg_iter, iter, "stale message from a past iteration");
+        let layer = match &msg {
+            Message::GradChunk { layer, .. }
+            | Message::ParamChunk { layer, .. }
+            | Message::SfPush { layer, .. }
+            | Message::ParamMatrix { layer, .. }
+            | Message::Collective { layer, .. } => *layer as usize,
+            Message::Handoff { .. } => {
+                // Shard-to-shard state transfer; a worker is never a
+                // handoff destination. Arriving here means a routing bug.
+                panic!("worker {me} received a shard handoff frame")
+            }
+            Message::Ack { .. } | Message::Nack { .. } => {
+                unreachable!("control frames are filtered before dispatch")
+            }
+        };
+        let state = self
+            .layers
+            .get_mut(&layer)
+            .expect("message for unknown layer");
+        if !state.sent {
+            state.parked.push((from, msg));
+            return false;
+        }
+        let s = &mut state.syncer;
+        let was_complete = s.is_complete();
+        match msg {
+            Message::ParamChunk {
+                chunk, codec, data, ..
+            } => {
+                // Lands in the layer's parameters at the chunk's offset
+                // right here; the apply span and histogram wrap each
+                // chunk, so a layer's apply time is the sum over them.
+                let params = replica.params_mut(layer);
+                telemetry::span_begin("apply", layer as u64, iter as u64);
+                let apply_started = Instant::now();
+                let applied = s.on_param_chunk(chunk as usize, codec, &data, params);
+                telemetry::span_end("apply", layer as u64, iter as u64);
+                self.m_apply
+                    .record(apply_started.elapsed().as_nanos() as u64);
+                if let Err(e) = applied {
+                    crate::runtime::note_poisoned_frame(
+                        self.endpoint.endpoint_id(),
+                        from,
+                        "param chunk",
+                        &e,
+                    );
+                    return false;
+                }
+            }
+            Message::ParamMatrix { data, .. } => {
+                s.on_param_matrix(wire::decode_f32s(&data).expect("corrupt param matrix"));
+            }
+            Message::SfPush { data, .. } => {
+                s.on_peer_sf(
+                    from,
+                    bytesio::decode_sf_batch(&data).expect("corrupt SF payload"),
+                );
+            }
+            Message::Collective { route, data, .. } => {
+                let codec = s.codec();
+                match s.on_collective(from, route, data) {
+                    Ok(sends) => send_collective_frames(
+                        self.endpoint,
+                        me,
+                        (iter as u64, layer),
+                        codec,
+                        sends,
+                    ),
+                    Err(e) => {
+                        crate::runtime::note_poisoned_frame(
+                            self.endpoint.endpoint_id(),
+                            from,
+                            "collective",
+                            &e,
+                        );
+                        return false;
+                    }
+                }
+            }
+            Message::GradChunk { .. } => {
+                panic!("worker {me} received an unexpected gradient chunk")
+            }
+            Message::Handoff { .. } => {
+                unreachable!("handoff frames are rejected before dispatch")
+            }
+            Message::Ack { .. } | Message::Nack { .. } => {
+                unreachable!("control frames are filtered before dispatch")
+            }
+        }
+        if !was_complete && s.is_complete() {
+            // PS layers have nothing left to apply: their chunks landed
+            // in the replica as they arrived.
+            if let Some(outcome) = s.take_outcome() {
+                telemetry::span_begin("apply", layer as u64, iter as u64);
+                let apply_started = Instant::now();
+                let params = replica.params_mut(layer);
+                match outcome {
+                    SyncOutcome::FreshParams(flat) => syncer::write_params_flat(params, &flat),
+                    SyncOutcome::ApplyDelta(segments) => syncer::apply_delta(params, &segments),
+                    SyncOutcome::SfApply(batches) => {
+                        let (rows, cols) = params.weights.shape();
+                        let (grad_w, grad_b) = syncer::reconstruct_sf_batches(&batches, rows, cols);
+                        let (vw, vb) = self
+                            .sf_velocity
+                            .entry(layer)
+                            .or_insert_with(|| (Matrix::zeros(rows, cols), vec![0.0; rows]));
+                        let (w, b) = (&mut params.weights, &mut params.bias);
+                        let (momentum, scale) = (self.cfg.momentum, self.cfg.scale_at(iter));
+                        momentum_step(
+                            w.as_mut_slice(),
+                            vw.as_mut_slice(),
+                            grad_w.as_slice(),
+                            momentum,
+                            scale,
+                        );
+                        momentum_step(b.as_mut_slice(), vb, &grad_b, momentum, scale);
+                    }
+                }
+                telemetry::span_end("apply", layer as u64, iter as u64);
+                self.m_apply
+                    .record(apply_started.elapsed().as_nanos() as u64);
+            }
+            telemetry::span_end_lane("wfbp.sync", layer as u32, layer as u64, iter as u64);
+            if let Some(t0) = state.started.take() {
+                state.wait.record(t0.elapsed().as_nanos() as u64);
+            }
+            self.completed += 1;
+        }
+        true
     }
 }
 
@@ -112,22 +495,61 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     poseidon_nn::parallel::set_compute_threads(cfg.compute_threads.max(1));
     let head = SoftmaxCrossEntropy;
 
+    // Metrics handles resolved once per worker, so recording inside the
+    // loop never touches the registry mutex. The busy histogram is also
+    // kept privately (unconditional `observe`) because the health verdict
+    // must not flicker with the global metrics gate.
+    let worker_label = cfg.me.to_string();
+    let m_step = metrics::histogram("poseidon_step_time_ns", &[("worker", &worker_label)]);
+    let m_busy = metrics::histogram("poseidon_busy_time_ns", &[("worker", &worker_label)]);
+    let m_apply = metrics::histogram("poseidon_apply_ns", &[("worker", &worker_label)]);
+    let m_drained = metrics::counter(
+        "poseidon_wfbp_drained_frames_total",
+        &[("worker", &worker_label)],
+    );
+    let busy_local = metrics::Histogram::new();
+
     // One syncer per trainable layer — each carries its scheme, its codec
-    // (with per-chunk error-feedback state for lossy codecs) — plus SFB
-    // velocity buffers (identical on every replica).
-    let mut syncers: HashMap<usize, Syncer> = HashMap::new();
-    let mut sf_velocity: HashMap<usize, (poseidon_tensor::Matrix, Vec<f32>)> = HashMap::new();
+    // (with per-chunk error-feedback state for lossy codecs).
+    let mut layers: HashMap<usize, LayerSync> = HashMap::new();
     for (l, scheme) in coordinator.scheme_assignment() {
         let info = &coordinator.layers()[l];
         let chunks = coordinator.chunk_table().layer_chunks(l);
-        syncers.insert(
+        let layer_label = l.to_string();
+        layers.insert(
             l,
-            Syncer::new(l, scheme, chunks, info.param_elems, workers, cfg.me)
-                .with_momentum(cfg.momentum)
-                .with_codec(coordinator.best_codec(l)),
+            LayerSync {
+                syncer: Syncer::new(l, scheme, chunks, info.param_elems, workers, cfg.me)
+                    .with_momentum(cfg.momentum)
+                    .with_codec(coordinator.best_codec(l)),
+                sent: false,
+                parked: Vec::new(),
+                started: None,
+                wait: metrics::histogram(
+                    "poseidon_sync_wait_ns",
+                    &[("worker", &worker_label), ("layer", &layer_label)],
+                ),
+            },
         );
     }
-    let num_syncers = syncers.len();
+    let num_syncers = layers.len();
+    let mut sf_velocity: HashMap<usize, (Matrix, Vec<f32>)> = HashMap::new();
+
+    // What each slot's backward has to produce follows from where the slot
+    // sits and how its update travels: nobody reads the gradient a slot fed
+    // by the model input would pass further down, and a layer whose update
+    // leaves as sufficient factors never ships its dense weight gradient.
+    for id in 0..net.num_slots() {
+        let needs = BackwardNeeds {
+            input_grad: !net.reads_input(id),
+            weight_grad: !layers
+                .get(&id)
+                .is_some_and(|l| matches!(l.syncer.scheme(), CommScheme::Sfb | CommScheme::AdamSf)),
+        };
+        if let Some(layer) = net.slot_mut(id) {
+            layer.set_backward_needs(needs);
+        }
+    }
 
     // Resume: overwrite the fresh replica with the checkpointed one —
     // params, SFB velocity, and every syncer's lossy-codec stream state —
@@ -154,60 +576,42 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                 .expect("checkpointed layer is trainable");
             syncer::write_params_flat(params, &lc.params);
             if let Some((rows, cols, vw, vb)) = lc.sf_velocity {
-                sf_velocity.insert(
-                    l,
-                    (
-                        poseidon_tensor::Matrix::from_vec(rows as usize, cols as usize, vw),
-                        vb,
-                    ),
-                );
+                sf_velocity.insert(l, (Matrix::from_vec(rows as usize, cols as usize, vw), vb));
             }
-            syncers
+            layers
                 .get_mut(&l)
                 .expect("checkpointed layer has a syncer")
+                .syncer
                 .import_state(lc.syncer);
         }
     }
 
-    // Metrics handles resolved once per worker, so recording inside the
-    // loop never touches the registry mutex. The busy histogram is also
-    // kept privately (unconditional `observe`) because the health verdict
-    // must not flicker with the global metrics gate.
-    let worker_label = cfg.me.to_string();
-    let m_step = metrics::histogram("poseidon_step_time_ns", &[("worker", &worker_label)]);
-    let m_busy = metrics::histogram("poseidon_busy_time_ns", &[("worker", &worker_label)]);
-    let m_apply = metrics::histogram("poseidon_apply_ns", &[("worker", &worker_label)]);
-    let m_sync: HashMap<usize, metrics::Histogram> = syncers
-        .keys()
-        .map(|&l| {
-            let layer_label = l.to_string();
-            (
-                l,
-                metrics::histogram(
-                    "poseidon_sync_wait_ns",
-                    &[("worker", &worker_label), ("layer", &layer_label)],
-                ),
-            )
-        })
-        .collect();
-    let busy_local = metrics::Histogram::new();
-    let max_layer = syncers.keys().copied().max().unwrap_or(0);
-    let mut sync_started: Vec<Option<std::time::Instant>> = vec![None; max_layer + 1];
+    let mut ex = Exchange {
+        cfg: &cfg,
+        endpoint: &endpoint,
+        workers,
+        layers,
+        sf_velocity,
+        stashed: VecDeque::new(),
+        pending: VecDeque::new(),
+        iter: cfg.start_iter,
+        epoch: 0,
+        completed: 0,
+        m_apply,
+    };
 
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut jitter_rng = cfg.jitter_us.map(|_| {
         use rand::SeedableRng;
         rand::rngs::StdRng::seed_from_u64(0x5A17 + cfg.me as u64)
     });
     let mut losses = Vec::with_capacity(cfg.iterations);
     let mut test_errors = Vec::new();
-    // Messages that arrived early for a future iteration (SFB peers can run
-    // one iteration ahead of us).
-    let mut stashed: VecDeque<(usize, Message)> = VecDeque::new();
 
     let m_epoch = metrics::gauge("poseidon_membership_epoch", &[]);
     for iter in cfg.start_iter..cfg.start_iter + cfg.iterations {
         let _iter_span = telemetry::span("iter", cfg.me as u64, iter as u64);
+        telemetry::set_iteration(iter as u64);
         // Membership epoch for this iteration: bump the transport stamp at
         // the boundary so everything sent from here on carries the new
         // epoch, and anything still addressed to the old ownership map is
@@ -220,10 +624,8 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         if let Some(staleness) = cfg.ssp_staleness {
             clock.wait_until_allowed(cfg.me, iter as u64, staleness);
         }
-        for s in syncers.values_mut() {
-            s.begin_iteration();
-        }
-        let iter_started = std::time::Instant::now();
+        ex.begin_iteration(iter, epoch);
+        let iter_started = Instant::now();
 
         if let Some(delay) = cfg.straggler_delay {
             std::thread::sleep(delay);
@@ -237,101 +639,17 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         let out = head.evaluate(&logits, &y);
         losses.push(out.loss);
 
-        // Backward with WFBP sends: layer l's Send fires the moment bˡ done.
-        net.backward_with(&out.grad, &mut |l, layer| {
-            let Some(s) = syncers.get_mut(&l) else {
-                return;
-            };
-            let params = layer.params().expect("trainable layer");
-            match s.scheme() {
-                CommScheme::Ps => {
-                    let codec = s.codec();
-                    for idx in 0..s.chunks().len() {
-                        let payload = s.encode_push_grad(idx, params);
-                        must_send(
-                            &endpoint,
-                            cfg.me,
-                            workers + cfg.schedule.owner(s.chunks()[idx].shard, epoch),
-                            Message::GradChunk {
-                                iter: iter as u64,
-                                layer: l as u32,
-                                chunk: idx as u32,
-                                codec,
-                                data: payload,
-                            },
-                        );
-                    }
-                }
-                CommScheme::Sfb => {
-                    let batch = layer
-                        .sufficient_factors()
-                        .expect("SFB requires sufficient factors");
-                    let payload = bytesio::encode_sf_batch(&batch);
-                    for peer in 0..workers {
-                        if peer != cfg.me {
-                            must_send(
-                                &endpoint,
-                                cfg.me,
-                                peer,
-                                Message::SfPush {
-                                    iter: iter as u64,
-                                    layer: l as u32,
-                                    data: payload.clone(),
-                                },
-                            );
-                        }
-                    }
-                    s.set_own_sf(batch);
-                }
-                CommScheme::AdamSf => {
-                    let batch = layer
-                        .sufficient_factors()
-                        .expect("Adam requires sufficient factors");
-                    let owner = cfg.schedule.owner(l % workers, epoch);
-                    must_send(
-                        &endpoint,
-                        cfg.me,
-                        workers + owner,
-                        Message::SfPush {
-                            iter: iter as u64,
-                            layer: l as u32,
-                            data: bytesio::encode_sf_batch(&batch),
-                        },
-                    );
-                }
-                CommScheme::Ring | CommScheme::Tree => {
-                    // Scale client-side with the same f32 product the PS
-                    // shard uses (`update_scale · lr multiplier`), so the
-                    // collective fold is bitwise-identical to the server's.
-                    let flat = syncer::flatten_grads(params);
-                    let scale = cfg.update_scale * cfg.lr_schedule.multiplier(iter);
-                    let scaled: Vec<f32> = flat.iter().map(|g| scale * g).collect();
-                    let codec = s.codec();
-                    for send in s.set_collective_grad(scaled) {
-                        must_send(
-                            &endpoint,
-                            cfg.me,
-                            send.to_worker,
-                            Message::Collective {
-                                iter: iter as u64,
-                                layer: l as u32,
-                                route: send.route,
-                                codec,
-                                data: send.data,
-                            },
-                        );
-                    }
+        // Backward with WFBP: layer l's Send fires the moment bˡ is done,
+        // and whatever has come back for the layers above it by then is
+        // received and moved into them before bˡ⁻¹ starts.
+        net.backward_with(&out.grad, &mut |l, layer, finished| {
+            ex.send(l, layer);
+            let mut replica = Replica::<M>::Lent(l, layer, finished);
+            while let Some((from, msg)) = ex.try_next() {
+                if ex.dispatch(from, msg, &mut replica) {
+                    m_drained.inc();
                 }
             }
-            // The layer's sync window opens the instant its gradient left
-            // (WFBP); it closes when the outcome is applied below. The span
-            // lives on the layer's own lane because windows of different
-            // layers overlap.
-            if telemetry::is_enabled() {
-                telemetry::instant("grad.ready", l as u64, iter as u64);
-                telemetry::span_begin_lane("wfbp.sync", l as u32, l as u64, iter as u64);
-            }
-            sync_started[l] = Some(std::time::Instant::now());
         });
         // Busy window: everything this worker computed for the step
         // (injected delay included — that is exactly what a straggler looks
@@ -340,176 +658,12 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         m_busy.record(busy_ns);
         busy_local.observe(busy_ns);
 
-        // Receive until the completion vector is all ones. Replay anything
-        // stashed for this iteration first, in arrival order — the transports
-        // guarantee per-link FIFO and the collective chains rely on it (a
-        // segment's DISTRIBUTE must not overtake its REDUCE on replay).
-        let mut completed = 0usize;
-        let mut pending: VecDeque<(usize, Message)> = std::mem::take(&mut stashed);
-        while completed < num_syncers {
-            let (from, msg) = if let Some(p) = pending.pop_front() {
-                p
-            } else {
-                match crate::runtime::recv_with_retry(&endpoint, cfg.comm_timeout) {
-                    Ok(env) => (env.from, env.msg),
-                    Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
-                        "worker {} starved at iteration {iter} with {completed}/{num_syncers} \
-                         layers synced — a peer died or stalled: {e}",
-                        cfg.me
-                    ),
-                    Err(e) => panic!(
-                        "worker {} transport failed at iteration {iter}: {e}",
-                        cfg.me
-                    ),
-                }
-            };
-            // Control traffic is consumed by the reliability layer; any that
-            // surfaces here (a peer acking over a bare transport) carries no
-            // training state and is dropped before the iteration bookkeeping.
-            if msg.is_control() {
-                continue;
-            }
-            let msg_iter = msg.iter() as usize;
-            if msg_iter > iter {
-                stashed.push_back((from, msg));
-                continue;
-            }
-            assert_eq!(msg_iter, iter, "stale message from a past iteration");
-            let layer = match &msg {
-                Message::GradChunk { layer, .. }
-                | Message::ParamChunk { layer, .. }
-                | Message::SfPush { layer, .. }
-                | Message::ParamMatrix { layer, .. }
-                | Message::Collective { layer, .. } => *layer as usize,
-                Message::Handoff { .. } => {
-                    // Shard-to-shard state transfer; a worker is never a
-                    // handoff destination. Arriving here means a routing bug.
-                    panic!("worker {} received a shard handoff frame", cfg.me)
-                }
-                Message::Ack { .. } | Message::Nack { .. } => {
-                    unreachable!("control frames are filtered before dispatch")
-                }
-            };
-            let s = syncers.get_mut(&layer).expect("message for unknown layer");
-            let was_complete = s.is_complete();
-            match msg {
-                Message::ParamChunk {
-                    chunk, codec, data, ..
-                } => {
-                    // Lands in the layer's parameters at the chunk's offset
-                    // right here; the apply span and histogram wrap each
-                    // chunk, so a layer's apply time is the sum over them.
-                    let params = net
-                        .slot_mut(layer)
-                        .and_then(|l| l.params_mut())
-                        .expect("trainable layer");
-                    telemetry::span_begin("apply", layer as u64, iter as u64);
-                    let apply_started = std::time::Instant::now();
-                    let applied = s.on_param_chunk(chunk as usize, codec, &data, params);
-                    telemetry::span_end("apply", layer as u64, iter as u64);
-                    m_apply.record(apply_started.elapsed().as_nanos() as u64);
-                    if let Err(e) = applied {
-                        crate::runtime::note_poisoned_frame(
-                            endpoint.endpoint_id(),
-                            from,
-                            "param chunk",
-                            &e,
-                        );
-                        continue;
-                    }
-                }
-                Message::ParamMatrix { data, .. } => {
-                    s.on_param_matrix(wire::decode_f32s(&data).expect("corrupt param matrix"));
-                }
-                Message::SfPush { data, .. } => {
-                    s.on_peer_sf(
-                        from,
-                        bytesio::decode_sf_batch(&data).expect("corrupt SF payload"),
-                    );
-                }
-                Message::Collective { route, data, .. } => {
-                    let codec = s.codec();
-                    match s.on_collective(from, route, data) {
-                        Ok(sends) => {
-                            for send in sends {
-                                must_send(
-                                    &endpoint,
-                                    cfg.me,
-                                    send.to_worker,
-                                    Message::Collective {
-                                        iter: iter as u64,
-                                        layer: layer as u32,
-                                        route: send.route,
-                                        codec,
-                                        data: send.data,
-                                    },
-                                );
-                            }
-                        }
-                        Err(e) => {
-                            crate::runtime::note_poisoned_frame(
-                                endpoint.endpoint_id(),
-                                from,
-                                "collective",
-                                &e,
-                            );
-                            continue;
-                        }
-                    }
-                }
-                Message::GradChunk { .. } => {
-                    panic!("worker {} received an unexpected gradient chunk", cfg.me)
-                }
-                Message::Handoff { .. } => {
-                    unreachable!("handoff frames are rejected before dispatch")
-                }
-                Message::Ack { .. } | Message::Nack { .. } => {
-                    unreachable!("control frames are filtered before dispatch")
-                }
-            }
-            if !was_complete && s.is_complete() {
-                // PS layers have nothing left to apply: their chunks landed
-                // in the replica as they arrived.
-                if let Some(outcome) = s.take_outcome() {
-                    telemetry::span_begin("apply", layer as u64, iter as u64);
-                    let apply_started = std::time::Instant::now();
-                    let params = net
-                        .slot_mut(layer)
-                        .and_then(|l| l.params_mut())
-                        .expect("trainable layer");
-                    match outcome {
-                        SyncOutcome::FreshParams(flat) => syncer::write_params_flat(params, &flat),
-                        SyncOutcome::ApplyDelta(flat) => syncer::apply_delta_flat(params, &flat),
-                        SyncOutcome::SfApply(batches) => {
-                            let scale = cfg.update_scale * cfg.lr_schedule.multiplier(iter);
-                            let (rows, cols) = params.weights.shape();
-                            let (grad_w, grad_b) =
-                                syncer::reconstruct_sf_batches(&batches, rows, cols);
-                            let (vw, vb) = sf_velocity.entry(layer).or_insert_with(|| {
-                                (poseidon_tensor::Matrix::zeros(rows, cols), vec![0.0; rows])
-                            });
-                            let (w, b) = (&mut params.weights, &mut params.bias);
-                            momentum_step(
-                                w.as_mut_slice(),
-                                vw.as_mut_slice(),
-                                grad_w.as_slice(),
-                                cfg.momentum,
-                                scale,
-                            );
-                            momentum_step(b.as_mut_slice(), vb, &grad_b, cfg.momentum, scale);
-                        }
-                    }
-                    telemetry::span_end("apply", layer as u64, iter as u64);
-                    m_apply.record(apply_started.elapsed().as_nanos() as u64);
-                }
-                telemetry::span_end_lane("wfbp.sync", layer as u32, layer as u64, iter as u64);
-                if let Some(t0) = sync_started.get_mut(layer).and_then(Option::take) {
-                    if let Some(h) = m_sync.get(&layer) {
-                        h.record(t0.elapsed().as_nanos() as u64);
-                    }
-                }
-                completed += 1;
-            }
+        // Receive what is still outstanding until the completion vector is
+        // all ones.
+        let mut replica = Replica::Whole(&mut net);
+        while ex.completed < num_syncers {
+            let (from, msg) = ex.wait_next();
+            ex.dispatch(from, msg, &mut replica);
         }
 
         m_step.record(iter_started.elapsed().as_nanos() as u64);
@@ -540,16 +694,28 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 
     let wall = started.elapsed();
+    let Exchange {
+        layers,
+        sf_velocity,
+        ..
+    } = ex;
     endpoint
         .shutdown()
         .unwrap_or_else(|e| panic!("worker {}: transport shutdown failed: {e}", cfg.me));
+
+    // The replica leaves as an ordinary model again.
+    for id in 0..net.num_slots() {
+        if let Some(layer) = net.slot_mut(id) {
+            layer.set_backward_needs(BackwardNeeds::ALL);
+        }
+    }
 
     // Export: the complete per-layer state a future segment needs to resume
     // bitwise-identically — replica params, SFB velocity, syncer stream
     // state (collective velocity + lossy-codec residuals).
     let checkpoint = cfg.export_state.then(|| {
         let next_iter = cfg.start_iter + cfg.iterations;
-        let mut layer_ids: Vec<usize> = syncers.keys().copied().collect();
+        let mut layer_ids: Vec<usize> = layers.keys().copied().collect();
         layer_ids.sort_unstable();
         WorkerCheckpoint {
             worker: cfg.me as u32,
@@ -568,7 +734,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                         let (rows, cols) = vw.shape();
                         (rows as u32, cols as u32, vw.as_slice().to_vec(), vb.clone())
                     }),
-                    syncer: syncers[&l].export_state(),
+                    syncer: layers[&l].syncer.export_state(),
                 })
                 .collect(),
         }

@@ -5,33 +5,37 @@
 //! for its parameter synchronisation." A syncer's life per iteration is
 //! `Move(GPU→CPU) → Send → Receive → Move(CPU→GPU)`; in this in-process
 //! runtime the two `Move`s become encoding a gradient slice and applying a
-//! parameter payload — on the PS path one pass each, straight from the
-//! layer's gradient storage and into its parameter storage — and
-//! `Send`/`Receive` are tracked here so the worker knows when the layer is
-//! fully synchronised (the entry in the client's completion vector `C`).
+//! parameter payload — one pass each, straight from the layer's gradient
+//! storage and into its parameter storage, on the PS path and on the
+//! collectives alike — and `Send`/`Receive` are tracked here so the worker
+//! knows when the layer is fully synchronised (the entry in the client's
+//! completion vector `C`).
 //!
 //! This module is pure bookkeeping — no I/O — so it is exhaustively unit
 //! tested; the [`crate::runtime`] threads drive it with real messages.
 
-use crate::chunk::Chunk;
+use crate::chunk::{split_at_bias, Chunk};
 use crate::config::{Codec, CommScheme};
+use crate::pool::BufPool;
 use crate::wire::{self, CodecError, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
 use bytes::Bytes;
 use poseidon_nn::ParamBlock;
-use poseidon_tensor::compress::{decompress, make_compressor, Compressor};
+use poseidon_tensor::compress::{decode_into, decompress, make_compressor, validate, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
 
 /// What a completed syncer hands back to the worker's `Move(CPU→GPU)` step.
 /// PS layers hand back nothing: every `ParamChunk` was applied to the
 /// replica the moment it arrived ([`Syncer::on_param_chunk`]).
 #[derive(Debug)]
-pub enum SyncOutcome {
+pub enum SyncOutcome<'a> {
     /// Fresh parameters from the Adam matrix pull (flattened weights ++
     /// bias); overwrite the replica's parameters.
     FreshParams(Vec<f32>),
-    /// A pre-scaled parameter *delta* (flattened weights ++ bias) from a
-    /// collective; add it to the replica's parameters.
-    ApplyDelta(Vec<f32>),
+    /// A pre-scaled parameter *delta* from a collective, as `(offset,
+    /// values)` segments of the flattened weights ++ bias lent from the
+    /// syncer's velocity; add it to the replica's parameters
+    /// ([`apply_delta`]).
+    ApplyDelta(Vec<(usize, &'a [f32])>),
     /// All workers' sufficient-factor batches in worker-id order (including
     /// our own); reconstruct and apply `scale · Σ` locally.
     SfApply(Vec<SfBatch>),
@@ -100,8 +104,11 @@ pub struct Syncer {
     /// Per-segment scaled velocity `v` — the client-side replica of the PS
     /// shard's velocity buffer. Persistent across iterations.
     velocity: Vec<Option<Vec<f32>>>,
-    /// Per-segment own scaled contribution `c_me = scale·g_me` this iteration.
-    own_contrib: Vec<Option<Vec<f32>>>,
+    /// Per-segment own scaled contribution `c_me = scale·g_me`; the buffers
+    /// are kept between iterations, `own_ready` says which hold this
+    /// iteration's values and have not been folded yet.
+    own_contrib: Vec<Vec<f32>>,
+    own_ready: Vec<bool>,
     /// Per-segment completion flag this iteration.
     seg_done: Vec<bool>,
     /// Tree root only: decoded origin-tagged contributions, `[seg][origin]`.
@@ -170,7 +177,8 @@ impl Syncer {
             peer_sf: vec![None; workers],
             momentum: 0.0,
             velocity: vec![None; n_segs],
-            own_contrib: vec![None; n_segs],
+            own_contrib: vec![Vec::new(); n_segs],
+            own_ready: vec![false; n_segs],
             seg_done: vec![false; n_segs],
             gathered: if matches!(scheme, CommScheme::Tree) && me == 0 {
                 vec![vec![None; workers]; n_segs]
@@ -245,12 +253,6 @@ impl Syncer {
         }
         let comp = comp.get_or_insert_with(|| make_compressor(codec, vals.len()));
         wire::compress_pooled(comp.as_mut(), vals)
-    }
-
-    /// Compresses one collective segment's values with the per-segment
-    /// error-feedback compressor.
-    fn seg_compress(&mut self, seg: usize, vals: &[f32]) -> Bytes {
-        Self::compress(self.codec, &mut self.seg_comp[seg], vals)
     }
 
     /// Exports the persistent cross-iteration state (velocity replicas and
@@ -337,6 +339,15 @@ impl Syncer {
         &self.chunks
     }
 
+    /// `f32` elements of buffer this syncer holds on to between iterations:
+    /// the collective velocity, this worker's kept contribution and the
+    /// staging scratch. Constant once every buffer has been used.
+    pub fn retained_elems(&self) -> usize {
+        let velocity = self.velocity.iter().flatten().map(Vec::capacity);
+        let own = self.own_contrib.iter().map(Vec::capacity);
+        velocity.chain(own).sum::<usize>() + self.scratch.capacity()
+    }
+
     /// Resets the per-iteration state (the completion-vector entry goes back
     /// to 0).
     pub fn begin_iteration(&mut self) {
@@ -348,12 +359,8 @@ impl Syncer {
         }
         // Collective per-iteration state only — the velocity is the optimiser
         // state and lives across iterations (next round's µ·v).
-        for c in &mut self.own_contrib {
-            *c = None;
-        }
-        for d in &mut self.seg_done {
-            *d = false;
-        }
+        self.own_ready.fill(false);
+        self.seg_done.fill(false);
         for seg in &mut self.gathered {
             for o in seg {
                 *o = None;
@@ -367,15 +374,17 @@ impl Syncer {
         [2 * w + 1, 2 * w + 2].into_iter().filter(move |&c| c < p)
     }
 
-    /// Records this worker's scaled gradient contribution `c = scale·g`
-    /// (flattened `weights ++ bias`) at `Send` time and returns the collective
-    /// frames to transmit: ring worker 0 seeds each segment's chain with
-    /// `µ·v + c₀` (the exact PS fold prefix), tree non-roots push their
-    /// origin-tagged contribution towards the root.
-    pub fn set_collective_grad(&mut self, scaled: Vec<f32>) -> Vec<CollectiveSend> {
+    /// The collective `Send`: forms this worker's contribution `c = scale·g`
+    /// (the same f32 product the PS shard forms) straight from the layer's
+    /// gradient storage and returns the collective frames to transmit. Ring
+    /// worker 0 seeds each segment's chain with `µ·v + c₀` (the exact PS fold
+    /// prefix) and tree non-roots push their origin-tagged `c` towards the
+    /// root, both written in one pass into the wire buffer; every other
+    /// worker keeps `c` for the hop or fold that adds it in.
+    pub fn send_collective(&mut self, p: &ParamBlock, scale: f32) -> Vec<CollectiveSend> {
         assert!(
             matches!(self.scheme, CommScheme::Ring | CommScheme::Tree),
-            "layer {}: set_collective_grad under {}",
+            "layer {}: send_collective under {}",
             self.layer,
             self.scheme
         );
@@ -383,66 +392,67 @@ impl Syncer {
             self.workers > 1,
             "collective schemes need at least two workers"
         );
-        assert_eq!(
-            scaled.len(),
-            self.param_elems,
-            "scaled gradient length mismatch"
-        );
+        assert_eq!(p.num_params(), self.param_elems, "gradient length mismatch");
+        // Who this worker's `c` travels to right away, if anybody.
+        let first_hop = match (self.scheme, self.me) {
+            (CommScheme::Ring, 0) => Some(1),
+            (CommScheme::Tree, me) if me > 0 => Some((me - 1) / 2),
+            _ => None,
+        };
+        let (gw, gb) = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
         let mut out = Vec::new();
-        match (self.scheme, self.me) {
-            (CommScheme::Ring, 0) => {
-                for seg in 0..self.segs.len() {
-                    let (off, len) = self.segs[seg];
-                    // Seed `t = µ·v` (exact zeros when µ = 0 or before the
-                    // first fold — the shard's `velocity.fill(0.0)`), then
-                    // `t += c₀`: the same f32 op sequence the shard runs, so
-                    // every rounding matches bitwise. Never assign `c₀`
-                    // directly — `0.0 + (-0.0)` is `+0.0`, assignment isn't.
-                    let mut t = vec![0.0f32; len];
-                    if self.momentum != 0.0 {
-                        if let Some(v) = &self.velocity[seg] {
-                            for (t, v) in t.iter_mut().zip(v) {
-                                *t = self.momentum * v;
-                            }
-                        }
-                    }
-                    for (t, c) in t.iter_mut().zip(&scaled[off..off + len]) {
-                        *t += c;
-                    }
-                    let data = self.seg_compress(seg, &t);
-                    out.push(CollectiveSend {
-                        to_worker: 1,
-                        route: wire::pack_collective(COLLECTIVE_REDUCE, 0, seg),
-                        data,
-                    });
+        for seg in 0..self.segs.len() {
+            let (off, len) = self.segs[seg];
+            // The segment's gradient where it lies: a run of the weight
+            // gradient, then a run of the bias gradient (either may be empty).
+            let (wr, br) = split_at_bias(off..off + len, gw.len());
+            let runs = [(0, &gw[wr.clone()]), (wr.len(), &gb[br])];
+            let Some(to_worker) = first_hop else {
+                let own = &mut self.own_contrib[seg];
+                own.resize(len, 0.0);
+                for (at, g) in runs {
+                    write_scaled(&mut own[at..at + g.len()], Seed::Plain, scale, g);
                 }
+                self.own_ready[seg] = true;
+                continue;
+            };
+            // Zeros when µ = 0 or before the first fold — the shard's
+            // `velocity.fill(0.0)`.
+            let velocity = self.velocity[seg]
+                .as_deref()
+                .filter(|_| self.momentum != 0.0);
+            // Only the ring's worker 0 is first into a fold.
+            let seed = |at: usize, n: usize| match velocity {
+                _ if self.me != 0 => Seed::Plain,
+                Some(v) => Seed::Momentum(self.momentum, &v[at..at + n]),
+                None => Seed::Zero,
+            };
+            let data = if self.codec == Codec::Identity {
+                // Dirty lease: the runs cover every byte.
+                let mut lease = BufPool::global().get_dirty(len * 4);
+                for (at, g) in runs {
+                    let dst = &mut lease[at * 4..(at + g.len()) * 4];
+                    write_scaled(dst, seed(at, g.len()), scale, g);
+                }
+                lease.freeze()
+            } else {
+                self.scratch.resize(len, 0.0);
+                for (at, g) in runs {
+                    let dst = &mut self.scratch[at..at + g.len()];
+                    write_scaled(dst, seed(at, g.len()), scale, g);
+                }
+                Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
+            };
+            out.push(CollectiveSend {
+                to_worker,
+                route: wire::pack_collective(COLLECTIVE_REDUCE, self.me, seg),
+                data,
+            });
+        }
+        if matches!(self.scheme, CommScheme::Tree) && self.me == 0 {
+            for seg in 0..self.segs.len() {
+                self.try_fold_root(seg, &mut out);
             }
-            (CommScheme::Ring, _) => {
-                for (seg, &(off, len)) in self.segs.iter().enumerate() {
-                    self.own_contrib[seg] = Some(scaled[off..off + len].to_vec());
-                }
-            }
-            (CommScheme::Tree, 0) => {
-                for (seg, &(off, len)) in self.segs.iter().enumerate() {
-                    self.own_contrib[seg] = Some(scaled[off..off + len].to_vec());
-                }
-                for seg in 0..self.segs.len() {
-                    self.try_fold_root(seg, &mut out);
-                }
-            }
-            (CommScheme::Tree, me) => {
-                let parent = (me - 1) / 2;
-                for seg in 0..self.segs.len() {
-                    let (off, len) = self.segs[seg];
-                    let data = self.seg_compress(seg, &scaled[off..off + len]);
-                    out.push(CollectiveSend {
-                        to_worker: parent,
-                        route: wire::pack_collective(COLLECTIVE_REDUCE, me, seg),
-                        data,
-                    });
-                }
-            }
-            _ => unreachable!(),
         }
         out
     }
@@ -465,10 +475,12 @@ impl Syncer {
     /// # Panics
     ///
     /// Panics on a protocol violation: wrong sender for the route, duplicate
-    /// segment, length mismatch, or a ring REDUCE arriving before this
-    /// worker's own backward produced its contribution (the runtimes drive
-    /// the whole backward pass before draining receives, so that is a bug,
-    /// not a race).
+    /// segment, length mismatch, or a ring REDUCE handed over before
+    /// [`Self::send_collective`] produced this worker's contribution. A
+    /// faster neighbour's REDUCE does reach a worker that early — receives
+    /// are drained between the layers of backward — so the worker parks
+    /// every frame of a layer until that layer's own `Send` has fired and
+    /// replays them, in arrival order, right after it.
     pub fn on_collective(
         &mut self,
         from_worker: usize,
@@ -504,19 +516,22 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate ring REDUCE for segment {seg}"
                 );
+                assert!(
+                    self.own_ready[seg],
+                    "ring REDUCE for segment {seg} before this layer's Send"
+                );
+                let own = &self.own_contrib[seg];
                 if self.codec == Codec::Identity {
-                    let own = self.own_contrib[seg].take().unwrap_or_else(|| {
-                        panic!("ring REDUCE for segment {seg} before local backward")
-                    });
                     // Fused `partial += c_me` straight on the wire payload
                     // into a pooled buffer — no decode/encode round-trip per
                     // hop.
-                    let summed =
-                        wire::add_f32s_pooled(&payload, &own).expect("length checked above");
                     if self.me == self.workers - 1 {
-                        // Chain complete: `summed` is the new velocity. Store
-                        // it and originate the DISTRIBUTE pass the other way.
-                        self.velocity[seg] = Some(wire::decode_f32s(&summed).expect("aligned"));
+                        // Chain complete: the sums are the new velocity. The
+                        // same pass keeps them and writes the DISTRIBUTE
+                        // frame that travels the other way.
+                        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
+                        let summed = wire::add_f32s_pooled_keep(&payload, own, v)
+                            .expect("length checked above");
                         self.seg_done[seg] = true;
                         out.push(CollectiveSend {
                             to_worker: (self.me + 1) % self.workers,
@@ -527,27 +542,27 @@ impl Syncer {
                         out.push(CollectiveSend {
                             to_worker: self.me + 1,
                             route,
-                            data: summed,
+                            data: wire::add_f32s_pooled(&payload, own)
+                                .expect("length checked above"),
                         });
                     }
+                    self.own_ready[seg] = false;
                 } else {
                     // Decompress–add–recompress: validate *before* consuming
                     // the contribution so a poisoned frame leaves the round
                     // resumable.
                     let mut summed = decompress(self.codec, &payload, len)?;
-                    let own = self.own_contrib[seg].take().unwrap_or_else(|| {
-                        panic!("ring REDUCE for segment {seg} before local backward")
-                    });
-                    for (s, c) in summed.iter_mut().zip(&own) {
+                    for (s, c) in summed.iter_mut().zip(own) {
                         *s += c;
                     }
-                    let data = self.seg_compress(seg, &summed);
+                    self.own_ready[seg] = false;
+                    let data = Self::compress(self.codec, &mut self.seg_comp[seg], &summed);
                     if self.me == self.workers - 1 {
                         // The terminal's velocity is the decode of its own
                         // encoding — the exact values every other replica
                         // will decode from the DISTRIBUTE pass.
-                        self.velocity[seg] =
-                            Some(decompress(self.codec, &data, len).expect("own encoding"));
+                        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
+                        decode_into(self.codec, &data, v).expect("own encoding");
                         self.seg_done[seg] = true;
                         out.push(CollectiveSend {
                             to_worker: (self.me + 1) % self.workers,
@@ -575,8 +590,7 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate ring DISTRIBUTE for segment {seg}"
                 );
-                self.velocity[seg] = Some(decompress(self.codec, &payload, len)?);
-                self.seg_done[seg] = true;
+                self.receive_velocity(seg, &payload)?;
                 let next = self.me + 1;
                 if next != last {
                     // Forward the folded velocity unchanged (shared `Bytes`,
@@ -623,8 +637,7 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate tree DISTRIBUTE for segment {seg}"
                 );
-                self.velocity[seg] = Some(decompress(self.codec, &payload, len)?);
-                self.seg_done[seg] = true;
+                self.receive_velocity(seg, &payload)?;
                 for child in self.tree_children(self.me) {
                     out.push(CollectiveSend {
                         to_worker: child,
@@ -638,46 +651,57 @@ impl Syncer {
         Ok(out)
     }
 
+    /// A DISTRIBUTE payload is segment `seg`'s new velocity: decodes it over
+    /// the kept buffer, which a rejected payload leaves as it was.
+    fn receive_velocity(&mut self, seg: usize, payload: &[u8]) -> Result<(), CodecError> {
+        let (_, len) = self.segs[seg];
+        validate(self.codec, payload, len)?;
+        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
+        decode_into(self.codec, payload, v).expect("validated above");
+        self.seg_done[seg] = true;
+        Ok(())
+    }
+
     /// Root-side tree fold: once every origin's contribution and our own are
     /// in for `seg`, replay the shard's exact fold (`v ← µ·v` or zeros, then
-    /// `v += c_w` in worker-id order) and broadcast the new velocity down.
+    /// `v += c_w` in worker-id order) in place on the kept velocity and
+    /// broadcast it down.
     fn try_fold_root(&mut self, seg: usize, out: &mut Vec<CollectiveSend>) {
         debug_assert_eq!(self.me, 0, "only the root folds");
         if self.seg_done[seg]
-            || self.own_contrib[seg].is_none()
+            || !self.own_ready[seg]
             || (1..self.workers).any(|o| self.gathered[seg][o].is_none())
         {
             return;
         }
         let (_, len) = self.segs[seg];
-        let mut t = vec![0.0f32; len];
-        if self.momentum != 0.0 {
-            if let Some(v) = &self.velocity[seg] {
-                for (t, v) in t.iter_mut().zip(v) {
-                    *t = self.momentum * v;
-                }
+        let own = &self.own_contrib[seg];
+        let seeded = self.momentum != 0.0 && self.velocity[seg].is_some();
+        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
+        if seeded {
+            for (v, c) in v.iter_mut().zip(own) {
+                *v = self.momentum * *v + c;
+            }
+        } else {
+            // `0.0 + c`, not `c`: see [`Seed::Zero`].
+            for (v, c) in v.iter_mut().zip(own) {
+                *v = 0.0 + c;
             }
         }
-        let own = self.own_contrib[seg].take().expect("checked above");
-        for (t, c) in t.iter_mut().zip(&own) {
-            *t += c;
-        }
+        self.own_ready[seg] = false;
         for origin in 1..self.workers {
             let b = self.gathered[seg][origin].take().expect("checked above");
-            for (t, src) in t.iter_mut().zip(&b) {
-                *t += src;
+            for (v, src) in v.iter_mut().zip(&b) {
+                *v += src;
             }
         }
-        let data = self.seg_compress(seg, &t);
+        let data = Self::compress(self.codec, &mut self.seg_comp[seg], v);
         // Under a lossy codec the root, like every other replica, applies
         // what the wire carries — the decode of its own encoding — so all
         // replicas stay bitwise identical.
-        self.velocity[seg] = if self.codec == Codec::Identity {
-            Some(t)
-        } else {
-            let (_, len) = self.segs[seg];
-            Some(decompress(self.codec, &data, len).expect("own encoding"))
-        };
+        if self.codec != Codec::Identity {
+            decode_into(self.codec, &data, v).expect("own encoding");
+        }
         self.seg_done[seg] = true;
         for child in self.tree_children(0) {
             out.push(CollectiveSend {
@@ -799,7 +823,7 @@ impl Syncer {
     /// Consumes the iteration's received state into a [`SyncOutcome`] —
     /// `None` for a PS layer, whose chunks were applied as they arrived.
     /// Panics if the syncer is not complete.
-    pub fn take_outcome(&mut self) -> Option<SyncOutcome> {
+    pub fn take_outcome(&mut self) -> Option<SyncOutcome<'_>> {
         assert!(
             self.is_complete(),
             "layer {} syncer not complete",
@@ -821,16 +845,15 @@ impl Syncer {
                 }
                 SyncOutcome::SfApply(batches)
             }
-            CommScheme::Ring | CommScheme::Tree => {
-                // The velocity is persistent optimiser state (next round's
-                // µ·v), so clone rather than take.
-                let mut flat = vec![0.0f32; self.param_elems];
-                for (seg, &(off, len)) in self.segs.iter().enumerate() {
-                    flat[off..off + len]
-                        .copy_from_slice(self.velocity[seg].as_ref().expect("complete"));
-                }
-                SyncOutcome::ApplyDelta(flat)
-            }
+            // The velocity is persistent optimiser state (next round's
+            // µ·v): lent, not taken.
+            CommScheme::Ring | CommScheme::Tree => SyncOutcome::ApplyDelta(
+                self.segs
+                    .iter()
+                    .zip(&self.velocity)
+                    .map(|(&(off, _), v)| (off, v.as_deref().expect("complete")))
+                    .collect(),
+            ),
         })
     }
 }
@@ -863,19 +886,71 @@ pub fn write_params_flat(p: &mut ParamBlock, flat: &[f32]) {
     p.bias.as_mut_slice().copy_from_slice(&flat[w..]);
 }
 
-/// Adds a flat pre-scaled `weights ++ bias` delta to a parameter block.
+/// Adds a pre-scaled delta, given as `(offset, values)` segments of the flat
+/// `weights ++ bias` layout, to a parameter block where it lies.
 ///
 /// # Panics
 ///
-/// Panics if `flat` has the wrong length.
-pub fn apply_delta_flat(p: &mut ParamBlock, flat: &[f32]) {
-    assert_eq!(flat.len(), p.num_params(), "flat delta length mismatch");
-    let w = p.weights.len();
-    for (v, d) in p.weights.as_mut_slice().iter_mut().zip(&flat[..w]) {
-        *v += d;
+/// Panics if a segment reaches past the block.
+pub fn apply_delta(p: &mut ParamBlock, segments: &[(usize, &[f32])]) {
+    let (w, b) = (p.weights.as_mut_slice(), p.bias.as_mut_slice());
+    for &(off, delta) in segments {
+        let (wr, br) = split_at_bias(off..off + delta.len(), w.len());
+        let (dw, db) = delta.split_at(wr.len());
+        for (v, d) in w[wr].iter_mut().zip(dw) {
+            *v += d;
+        }
+        for (v, d) in b[br].iter_mut().zip(db) {
+            *v += d;
+        }
     }
-    for (v, d) in p.bias.as_mut_slice().iter_mut().zip(&flat[w..]) {
-        *v += d;
+}
+
+/// How a contribution `c = scale·g` enters a wire buffer or a kept one.
+#[derive(Clone, Copy)]
+enum Seed<'a> {
+    /// As it is: somebody else's fold adds it in.
+    Plain,
+    /// First into a fold over a zero velocity: `0.0 + c`, the f32 op the
+    /// shard runs on its zero-filled velocity. Never `c` itself —
+    /// `0.0 + (-0.0)` is `+0.0`, assignment isn't.
+    Zero,
+    /// First into a fold over `µ·v`: `µ·v + c`, every product and the sum
+    /// rounded on its own like the shard's `v ← µ·v; v += c`.
+    Momentum(f32, &'a [f32]),
+}
+
+/// Somewhere a run of `f32`s goes: a value buffer, or wire bytes
+/// (little-endian, the identity codec's layout).
+trait F32Sink {
+    fn put(&mut self, vals: impl Iterator<Item = f32>);
+}
+
+impl F32Sink for [f32] {
+    fn put(&mut self, vals: impl Iterator<Item = f32>) {
+        for (d, v) in self.iter_mut().zip(vals) {
+            *d = v;
+        }
+    }
+}
+
+impl F32Sink for [u8] {
+    fn put(&mut self, vals: impl Iterator<Item = f32>) {
+        for (d, v) in self.chunks_exact_mut(4).zip(vals) {
+            d.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+}
+
+/// Writes `scale·g`, seeded as `seed` says, over `dst` in one pass.
+fn write_scaled<S: F32Sink + ?Sized>(dst: &mut S, seed: Seed<'_>, scale: f32, g: &[f32]) {
+    match seed {
+        Seed::Plain => dst.put(g.iter().map(|g| scale * g)),
+        Seed::Zero => dst.put(g.iter().map(|g| 0.0 + scale * g)),
+        Seed::Momentum(mu, v) => {
+            assert_eq!(v.len(), g.len(), "velocity run length");
+            dst.put(v.iter().zip(g).map(|(v, g)| mu * v + scale * g))
+        }
     }
 }
 
@@ -1105,6 +1180,30 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// A `1 × (n − 1)` block whose flat gradient is `flat`: any chunk that
+    /// covers the last element straddles the weights/bias boundary.
+    fn block_with_grads(flat: &[f32]) -> ParamBlock {
+        let cols = flat.len() - 1;
+        let mut p = ParamBlock::new(1, cols);
+        p.grad_weights = Matrix::from_vec(1, cols, flat[..cols].to_vec());
+        p.grad_bias = Matrix::from_vec(1, 1, flat[cols..].to_vec());
+        p
+    }
+
+    /// The flat delta a completed collective syncer hands back.
+    fn take_delta(s: &mut Syncer, elems: usize) -> Vec<f32> {
+        let mut flat = vec![f32::NAN; elems];
+        match s.take_outcome().unwrap() {
+            SyncOutcome::ApplyDelta(segs) => {
+                for (off, v) in segs {
+                    flat[off..off + v.len()].copy_from_slice(v);
+                }
+            }
+            other => panic!("wrong outcome {other:?}"),
+        }
+        flat
+    }
+
     /// Drives `workers` collective syncers through three full exchanges and
     /// checks the applied parameters stay bitwise identical to a PS shard
     /// folding the same raw gradients (the cross-scheme exactness invariant).
@@ -1134,8 +1233,7 @@ mod tests {
             let mut inflight: VecDeque<(usize, usize, u32, Bytes)> = VecDeque::new();
             for (w, s) in syncers.iter_mut().enumerate() {
                 s.begin_iteration();
-                let scaled: Vec<f32> = grads[w].iter().map(|g| scale * g).collect();
-                for send in s.set_collective_grad(scaled) {
+                for send in s.send_collective(&block_with_grads(&grads[w]), scale) {
                     inflight.push_back((send.to_worker, w, send.route, send.data));
                 }
             }
@@ -1147,17 +1245,22 @@ mod tests {
             let mut deltas = Vec::new();
             for s in &mut syncers {
                 assert!(s.is_complete(), "collective exchange stalled");
-                match s.take_outcome().unwrap() {
-                    SyncOutcome::ApplyDelta(d) => deltas.push(d),
-                    other => panic!("wrong outcome {other:?}"),
-                }
+                deltas.push(take_delta(s, elems));
             }
             for d in &deltas[1..] {
                 assert_eq!(f32_bits(d), f32_bits(&deltas[0]), "replicas diverged");
             }
+            // Applied where it lies, the delta lands exactly like the flat add.
+            let mut block = block_with_grads(&vec![0.0; elems]);
+            write_params_flat(&mut block, &params);
+            match syncers[0].take_outcome().unwrap() {
+                SyncOutcome::ApplyDelta(segs) => apply_delta(&mut block, &segs),
+                other => panic!("wrong outcome {other:?}"),
+            }
             for (p, d) in params.iter_mut().zip(&deltas[0]) {
                 *p += d;
             }
+            assert_eq!(f32_bits(&flatten_params(&block)), f32_bits(&params));
             for (w, g) in grads.iter().enumerate() {
                 shard.receive_grad(w, (0, 0), &g[..4]);
                 shard.receive_grad(w, (0, 1), &g[4..]);
@@ -1193,8 +1296,10 @@ mod tests {
     fn collective_layer_without_chunks_uses_one_segment() {
         let mut a = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 0);
         let mut b = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 1);
-        let seeds = a.set_collective_grad(vec![1.0, 2.0, 3.0]);
-        assert!(b.set_collective_grad(vec![0.5, 0.5, 0.5]).is_empty());
+        let seeds = a.send_collective(&block_with_grads(&[1.0, 2.0, 3.0]), 1.0);
+        assert!(b
+            .send_collective(&block_with_grads(&[0.5, 0.5, 0.5]), 1.0)
+            .is_empty());
         assert_eq!(seeds.len(), 1, "single whole-layer segment");
         let fwd = b
             .on_collective(0, seeds[0].route, seeds[0].data.clone())
@@ -1206,10 +1311,7 @@ mod tests {
             .unwrap();
         assert!(done.is_empty(), "DISTRIBUTE stops before its originator");
         assert!(a.is_complete());
-        match a.take_outcome().unwrap() {
-            SyncOutcome::ApplyDelta(d) => assert_eq!(d, vec![1.5, 2.5, 3.5]),
-            other => panic!("wrong outcome {other:?}"),
-        }
+        assert_eq!(take_delta(&mut a, 3), vec![1.5, 2.5, 3.5]);
     }
 
     /// Drives `workers` lossy-codec collective syncers through several
@@ -1231,10 +1333,10 @@ mod tests {
             let mut inflight: VecDeque<(usize, usize, u32, Bytes)> = VecDeque::new();
             for (w, s) in syncers.iter_mut().enumerate() {
                 s.begin_iteration();
-                let scaled: Vec<f32> = (0..elems)
-                    .map(|i| scale * (((w * 31 + i * 7 + it * 13) % 17) as f32 * 0.3 - 2.0))
+                let grad: Vec<f32> = (0..elems)
+                    .map(|i| ((w * 31 + i * 7 + it * 13) % 17) as f32 * 0.3 - 2.0)
                     .collect();
-                for send in s.set_collective_grad(scaled) {
+                for send in s.send_collective(&block_with_grads(&grad), scale) {
                     inflight.push_back((send.to_worker, w, send.route, send.data));
                 }
             }
@@ -1246,10 +1348,7 @@ mod tests {
             let mut deltas = Vec::new();
             for s in &mut syncers {
                 assert!(s.is_complete(), "lossy collective exchange stalled");
-                match s.take_outcome().unwrap() {
-                    SyncOutcome::ApplyDelta(d) => deltas.push(d),
-                    other => panic!("wrong outcome {other:?}"),
-                }
+                deltas.push(take_delta(s, elems));
             }
             for d in &deltas[1..] {
                 assert_eq!(
@@ -1282,7 +1381,7 @@ mod tests {
     #[test]
     fn corrupt_collective_payload_surfaces_not_panics() {
         let mut b = Syncer::new(0, CommScheme::Ring, vec![], 4, 2, 1).with_codec(Codec::OneBit);
-        let _ = b.set_collective_grad(vec![0.1, 0.2, 0.3, 0.4]);
+        let _ = b.send_collective(&block_with_grads(&[0.1, 0.2, 0.3, 0.4]), 1.0);
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, 0);
         let err = b.on_collective(0, route, Bytes::from(vec![1u8, 2, 3]));
         assert!(err.is_err(), "truncated payload must surface, got {err:?}");
@@ -1360,7 +1459,7 @@ mod tests {
     #[should_panic(expected = "wrong predecessor")]
     fn ring_reduce_from_wrong_sender_panics() {
         let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, 2);
-        s.set_collective_grad(vec![0.0, 0.0]);
+        s.send_collective(&block_with_grads(&[0.0, 0.0]), 1.0);
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, 0);
         let _ = s.on_collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
     }

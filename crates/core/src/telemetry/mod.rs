@@ -30,9 +30,11 @@
 //! ([`crate::sim::simulate_with_trace`]), so simulated and real timelines are
 //! directly comparable.
 //!
-//! Names in use: `iter`, `fwd`, `bwd`, `chunk` (batch-parallel worker
-//! spans), `wfbp.sync`, `grad.ready`, `apply`, `serve.apply`, `tx.frame`,
-//! `rx.frame`, `dial.retry`, `transport.timeout`, `rx.queue`.
+//! Names in use: `iter`, `fwd`, `bwd` (both `(layer, iteration)`, the
+//! iteration being what the thread last told [`set_iteration`]), `chunk`
+//! (batch-parallel worker spans), `wfbp.sync`, `grad.ready`, `apply`,
+//! `serve.apply`, `tx.frame`, `rx.frame`, `dial.retry`, `transport.timeout`,
+//! `rx.queue`.
 //!
 //! # Exporters
 //!
@@ -44,7 +46,7 @@ pub mod chrome;
 mod json;
 pub mod report;
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -398,15 +400,29 @@ pub fn drain() -> Trace {
     }
 }
 
+thread_local! {
+    /// The training iteration the current thread is in ([`set_iteration`]).
+    static ITERATION: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Publishes the iteration the calling thread is working on: the
+/// [`poseidon_nn::probe`] hook runs below the training loop and cannot be
+/// told, so it stamps the `fwd`/`bwd` spans it records with what was last
+/// published here. One thread-local store, whether recording or not.
+pub fn set_iteration(iter: u64) {
+    ITERATION.with(|i| i.set(iter));
+}
+
 /// The [`poseidon_nn::probe`] hook: maps nn probe events onto recorder
 /// spans. Installed once by [`enable`].
 fn nn_probe(ev: poseidon_nn::probe::ProbeEvent) {
     use poseidon_nn::probe::ProbeEvent as P;
+    let iter = ITERATION.with(Cell::get);
     match ev {
-        P::ForwardBegin { layer } => span_begin("fwd", layer as u64, 0),
-        P::ForwardEnd { layer } => span_end("fwd", layer as u64, 0),
-        P::BackwardBegin { layer } => span_begin("bwd", layer as u64, 0),
-        P::BackwardEnd { layer } => span_end("bwd", layer as u64, 0),
+        P::ForwardBegin { layer } => span_begin("fwd", layer as u64, iter),
+        P::ForwardEnd { layer } => span_end("fwd", layer as u64, iter),
+        P::BackwardBegin { layer } => span_begin("bwd", layer as u64, iter),
+        P::BackwardEnd { layer } => span_end("bwd", layer as u64, iter),
         P::ChunkBegin { lo, hi } => span_begin("chunk", lo as u64, hi as u64),
         P::ChunkEnd { lo, hi } => span_end("chunk", lo as u64, hi as u64),
     }

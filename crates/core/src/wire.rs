@@ -582,6 +582,28 @@ pub fn add_f32s_pooled_with(
     Some(lease.freeze())
 }
 
+/// [`add_f32s_pooled`] for the hop that ends a reduce chain: the same pass
+/// also stores every sum in `sums`, so the chain's result is kept and framed
+/// without a second look at either.
+///
+/// Returns `None` when the lengths disagree.
+pub fn add_f32s_pooled_keep(payload: &[u8], own: &[f32], sums: &mut [f32]) -> Option<Bytes> {
+    if payload.len() != own.len() * 4 || sums.len() != own.len() {
+        return None;
+    }
+    let mut lease = crate::pool::BufPool::global().get_dirty(payload.len());
+    for (((dst, src), v), sum) in lease
+        .chunks_exact_mut(4)
+        .zip(payload.chunks_exact(4))
+        .zip(own)
+        .zip(sums)
+    {
+        *sum = f32::from_le_bytes([src[0], src[1], src[2], src[3]]) + v;
+        dst.copy_from_slice(&sum.to_le_bytes());
+    }
+    Some(lease.freeze())
+}
+
 /// Decodes a buffer produced by [`encode_f32s`] — the identity codec's
 /// decode loop, so there is one f32 decode implementation.
 ///

@@ -102,6 +102,23 @@ fn telemetry_is_a_pure_observer() {
         );
         let (bb, be) = span_count(&trace, &name, "bwd");
         assert!(bb > 0 && bb == be, "{name}: nn probe recorded backward");
+        // The probe runs below the training loop; the worker tells it which
+        // iteration its spans belong to.
+        for compute in ["fwd", "bwd"] {
+            let track = trace.tracks.iter().find(|t| t.name == name).unwrap();
+            let mut iters: Vec<u64> = track
+                .events
+                .iter()
+                .filter(|e| e.name == compute && e.kind == EventKind::Begin)
+                .map(|e| e.b)
+                .collect();
+            iters.dedup();
+            assert_eq!(
+                iters,
+                (0..ITERS as u64).collect::<Vec<_>>(),
+                "{name}: {compute} spans carry their iteration"
+            );
+        }
         let shard = format!("shard e{}", WORKERS + w);
         let (vb, ve) = span_count(&trace, &shard, "serve.apply");
         assert!(vb > 0 && vb == ve, "{shard}: balanced serve.apply spans");

@@ -9,10 +9,10 @@
 //! trains either through [`crate::model::Model`].
 
 use crate::layer::{Layer, TensorShape};
-use crate::model::Model;
+use crate::model::{Finished, Model};
 use poseidon_tensor::Matrix;
 
-enum Node {
+pub(crate) enum Node {
     /// The (single) graph input.
     Input,
     /// A layer applied to one upstream node.
@@ -22,6 +22,15 @@ enum Node {
         inputs: Vec<usize>,
         shape: TensorShape,
     },
+}
+
+impl Node {
+    pub(crate) fn layer_mut(&mut self) -> Option<&mut dyn Layer> {
+        match self {
+            Node::Layer { layer, .. } => Some(layer.as_mut()),
+            _ => None,
+        }
+    }
 }
 
 /// A DAG of layers with one input and one output.
@@ -159,10 +168,11 @@ impl Model for GraphNetwork {
     }
 
     fn slot_mut(&mut self, id: usize) -> Option<&mut dyn Layer> {
-        match self.nodes.get_mut(id)? {
-            Node::Layer { layer, .. } => Some(layer.as_mut()),
-            _ => None,
-        }
+        self.nodes.get_mut(id)?.layer_mut()
+    }
+
+    fn reads_input(&self, id: usize) -> bool {
+        matches!(self.nodes.get(id), Some(Node::Layer { input: 0, .. }))
     }
 
     fn forward(&mut self, input: &Matrix) -> Matrix {
@@ -214,7 +224,7 @@ impl Model for GraphNetwork {
     fn backward_with(
         &mut self,
         grad_top: &Matrix,
-        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer),
+        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer, &mut Finished<'_>),
     ) {
         let output = self.output.expect("set_output before backward");
         assert!(
@@ -227,14 +237,21 @@ impl Model for GraphNetwork {
             let Some(g) = grads[id].take() else {
                 unreachable!("set_output verified every node feeds the output");
             };
-            match &mut self.nodes[id] {
+            // Ids are a topological order walked downward: every node above
+            // `id` is finished.
+            let (lower, upper) = self.nodes.split_at_mut(id + 1);
+            match &mut lower[id] {
                 Node::Input => unreachable!(),
                 Node::Layer { layer, input } => {
                     crate::probe::emit(crate::probe::ProbeEvent::BackwardBegin { layer: id });
                     let gin = layer.backward(&g);
                     crate::probe::emit(crate::probe::ProbeEvent::BackwardEnd { layer: id });
-                    on_layer_done(id, layer.as_mut());
-                    accumulate(&mut grads[*input], gin);
+                    on_layer_done(id, layer.as_mut(), &mut Finished::graph(id + 1, upper));
+                    // Nobody reads the gradient of the graph input (and a
+                    // layer told so returns a placeholder for it).
+                    if *input != 0 {
+                        accumulate(&mut grads[*input], gin);
+                    }
                 }
                 Node::Concat { inputs, .. } => {
                     let mut offset = 0usize;
@@ -353,7 +370,7 @@ mod tests {
         let y = g.forward(&x);
         let out = SoftmaxCrossEntropy.evaluate(&y, &[0, 1]);
         let mut order = Vec::new();
-        g.backward_with(&out.grad, &mut |id, _| order.push(id));
+        g.backward_with(&out.grad, &mut |id, _, _| order.push(id));
         // Layers only (no concat/pool-only callbacks for stateless? pool and
         // relu ARE layer nodes, so they appear too), strictly decreasing ids.
         for w in order.windows(2) {

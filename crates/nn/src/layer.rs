@@ -135,6 +135,34 @@ impl ParamBlock {
     }
 }
 
+/// Which of a backward pass's products somebody reads.
+///
+/// Whoever drives the model derives both from what it already knows — the
+/// slot's position ([`crate::Model::reads_input`]) and how the layer's
+/// update travels — and tells the layer once
+/// ([`Layer::set_backward_needs`]); a layer skips the work behind a need
+/// that is off. The bias gradient and the sufficient factors are always
+/// produced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct BackwardNeeds {
+    /// `∂L/∂input` is read. Off for a slot fed by the model input, whose
+    /// input gradient nobody consumes; `backward` then returns a 1 × 1
+    /// placeholder instead.
+    pub input_grad: bool,
+    /// The dense weight gradient is read. Off for a layer whose update
+    /// travels as sufficient factors; `grad_weights` then keeps whatever it
+    /// held.
+    pub weight_grad: bool,
+}
+
+impl BackwardNeeds {
+    /// Everything is read: what every layer assumes until told otherwise.
+    pub const ALL: Self = Self {
+        input_grad: true,
+        weight_grad: true,
+    };
+}
+
 /// A differentiable layer of a sequential network.
 ///
 /// The contract mirrors Caffe's: `forward` caches whatever `backward` needs;
@@ -157,6 +185,12 @@ pub trait Layer: Send {
     /// Backward pass: takes `∂L/∂output` (`K × out_features`), accumulates
     /// parameter gradients, returns `∂L/∂input`.
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
+
+    /// Tells the layer which products of `backward` are read from now on.
+    /// Layers with nothing worth skipping ignore it.
+    fn set_backward_needs(&mut self, needs: BackwardNeeds) {
+        let _ = needs;
+    }
 
     /// The layer's parameters, if it has any.
     fn params(&self) -> Option<&ParamBlock> {

@@ -18,7 +18,7 @@
 //! pixel receives its contributions in ascending `(oy, ox)` — for a fixed
 //! pixel a larger tap offset means a smaller output coordinate.
 
-use crate::layer::{Layer, LayerKind, ParamBlock, TensorShape};
+use crate::layer::{BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
 use poseidon_tensor::{kernel, Matrix};
 use rand::Rng;
@@ -46,10 +46,14 @@ pub struct Conv2d {
     cols: Vec<Vec<f32>>,
     /// Per-sample `dW` and `db` partials, kept across steps likewise.
     grad_parts: Vec<(Matrix, Matrix)>,
+    /// Only `input_grad` matters here: the weight gradient is the layer's
+    /// whole update.
+    needs: BackwardNeeds,
 }
 
 /// What one compute thread owns during a backward pass: its rows of the
-/// input gradient, its samples' gradient partials and its column buffer.
+/// input gradient (none when that is not needed), its samples' gradient
+/// partials and its column buffer.
 type BackwardPart<'a> = (&'a mut [f32], &'a mut [(Matrix, Matrix)], &'a mut Vec<f32>);
 
 impl Conv2d {
@@ -88,6 +92,7 @@ impl Conv2d {
             cached_input: None,
             cols: Vec::new(),
             grad_parts: Vec::new(),
+            needs: BackwardNeeds::ALL,
         }
     }
 
@@ -201,7 +206,8 @@ impl Conv2d {
     }
 
     /// Backward pass over one contiguous sample range: fills the matching
-    /// rows of `grad_in` and one weight/bias gradient partial per sample.
+    /// rows of `grad_in` (when it has any) and one weight/bias gradient
+    /// partial per sample.
     fn backward_chunk(
         &self,
         input: &Matrix,
@@ -213,7 +219,8 @@ impl Conv2d {
         let in_len = self.in_shape.len();
         let weights = self.params.weights.as_slice();
         col.resize(d * l, 0.0);
-        for ((s, (gw, gb)), gi) in range.zip(parts).zip(grad_in.chunks_exact_mut(in_len)) {
+        let mut grad_in = grad_in.chunks_exact_mut(in_len);
+        for (s, (gw, gb)) in range.zip(parts) {
             self.lower(input.row(s), col);
             // This sample's output gradient is already `c_out × L`.
             let g = grad_out.row(s);
@@ -225,10 +232,13 @@ impl Conv2d {
                 *b = grow.iter().sum::<f32>();
             }
             // dcol = Wᵀ · G  (D × L) over the buffer `col` no longer needs,
-            // scattered back to the input.
-            col.fill(0.0);
-            kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, col);
-            self.scatter(col, gi);
+            // scattered back to the input — unless nobody reads that
+            // gradient and no rows of it were handed out.
+            if let Some(gi) = grad_in.next() {
+                col.fill(0.0);
+                kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, col);
+                self.scatter(col, gi);
+            }
         }
     }
 }
@@ -308,7 +318,11 @@ impl Layer for Conv2d {
         assert_eq!(grad_out.cols(), self.c_out * l, "grad width mismatch");
 
         let in_len = self.in_shape.len();
-        let mut grad_in = Matrix::zeros(k, in_len);
+        let mut grad_in = if self.needs.input_grad {
+            Matrix::zeros(k, in_len)
+        } else {
+            Matrix::zeros(1, 1)
+        };
         // One weight/bias gradient partial per sample; reduced below in a
         // fixed tree over the sample index, so the result is independent of
         // how samples were spread across threads.
@@ -319,7 +333,9 @@ impl Layer for Conv2d {
         });
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
         let mut cols = self.take_cols(ranges.len());
-        let gi = parallel::split_by_ranges(grad_in.as_mut_slice(), &ranges, in_len);
+        // Without an input gradient every thread gets an empty slice of it.
+        let gi_width = if self.needs.input_grad { in_len } else { 0 };
+        let gi = parallel::split_by_ranges(grad_in.as_mut_slice(), &ranges, gi_width);
         let ps = parallel::split_by_ranges(&mut parts, &ranges, 1);
         let chunks: Vec<(Range<usize>, BackwardPart<'_>)> = ranges
             .into_iter()
@@ -341,6 +357,10 @@ impl Layer for Conv2d {
         self.cols = cols;
         self.cached_input = Some(input);
         grad_in
+    }
+
+    fn set_backward_needs(&mut self, needs: BackwardNeeds) {
+        self.needs = needs;
     }
 
     fn params(&self) -> Option<&ParamBlock> {

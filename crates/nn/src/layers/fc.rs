@@ -1,7 +1,7 @@
 //! Fully-connected layer — the layer class whose gradients decompose into
 //! sufficient factors.
 
-use crate::layer::{Layer, LayerKind, ParamBlock, TensorShape};
+use crate::layer::{BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
 use poseidon_tensor::{Matrix, SfBatch, SufficientFactor};
 use rand::Rng;
@@ -22,6 +22,7 @@ pub struct FullyConnected {
     cached_input: Option<Matrix>,
     /// Output gradient of the last backward pass (the `u` factors).
     cached_delta: Option<Matrix>,
+    needs: BackwardNeeds,
 }
 
 impl FullyConnected {
@@ -41,6 +42,7 @@ impl FullyConnected {
             params,
             cached_input: None,
             cached_delta: None,
+            needs: BackwardNeeds::ALL,
         }
     }
 
@@ -110,13 +112,16 @@ impl Layer for FullyConnected {
         // ∂L/∂W = δᵀ · x  (out × in), parallel over weight rows. Each
         // element sums over samples in ascending order whatever the
         // partition, keeping gradients thread-count independent.
-        let mut gw = Matrix::zeros(self.out_features, self.in_features);
-        parallel::par_row_chunks(
-            self.out_features,
-            self.in_features,
-            gw.as_mut_slice(),
-            |range, chunk| grad_out.matmul_tn_rows_into(input, range, chunk),
-        );
+        if self.needs.weight_grad {
+            let mut gw = Matrix::zeros(self.out_features, self.in_features);
+            parallel::par_row_chunks(
+                self.out_features,
+                self.in_features,
+                gw.as_mut_slice(),
+                |range, chunk| grad_out.matmul_tn_rows_into(input, range, chunk),
+            );
+            self.params.grad_weights = gw;
+        }
 
         // ∂L/∂b = column sums of δ (cheap; kept serial).
         let mut gb = Matrix::zeros(1, self.out_features);
@@ -125,21 +130,29 @@ impl Layer for FullyConnected {
                 *g += d;
             }
         }
+        self.params.grad_bias = gb;
 
         // ∂L/∂x = δ · W  (K × in), parallel over sample rows.
-        let weights = &self.params.weights;
-        let mut grad_in = Matrix::zeros(grad_out.rows(), self.in_features);
-        parallel::par_row_chunks(
-            grad_out.rows(),
-            self.in_features,
-            grad_in.as_mut_slice(),
-            |range, chunk| grad_out.matmul_rows_into(weights, range, chunk),
-        );
+        let grad_in = if self.needs.input_grad {
+            let weights = &self.params.weights;
+            let mut grad_in = Matrix::zeros(grad_out.rows(), self.in_features);
+            parallel::par_row_chunks(
+                grad_out.rows(),
+                self.in_features,
+                grad_in.as_mut_slice(),
+                |range, chunk| grad_out.matmul_rows_into(weights, range, chunk),
+            );
+            grad_in
+        } else {
+            Matrix::zeros(1, 1)
+        };
 
-        self.params.grad_weights = gw;
-        self.params.grad_bias = gb;
         self.cached_delta = Some(grad_out.clone());
         grad_in
+    }
+
+    fn set_backward_needs(&mut self, needs: BackwardNeeds) {
+        self.needs = needs;
     }
 
     fn params(&self) -> Option<&ParamBlock> {

@@ -7,7 +7,9 @@
 //! * a sequential container ([`network::Network`]) whose backward pass visits
 //!   layers **top-down** and invokes a per-layer gradient callback the moment
 //!   that layer's gradients are complete — the hook wait-free backpropagation
-//!   (Algorithm 2, L5–L8 of the paper) schedules communication from;
+//!   (Algorithm 2, L5–L8 of the paper) schedules communication from — lending
+//!   it the layers already finished ([`model::Finished`]), so what comes back
+//!   for them can be moved in while the layers below still compute;
 //! * per-layer parameter blocks ([`layer::ParamBlock`]) that can be read,
 //!   replaced and updated independently — the independence HybComm exploits;
 //! * per-sample sufficient factors from fully-connected layers
@@ -37,6 +39,6 @@ pub mod sgd;
 pub mod zoo;
 
 pub use graph::GraphNetwork;
-pub use layer::{Layer, LayerKind, ParamBlock, TensorShape};
-pub use model::Model;
+pub use layer::{BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
+pub use model::{Finished, Model};
 pub use network::Network;

@@ -5,12 +5,62 @@
 //! optimization for deep neural networks depends on adjacent layers (and not
 //! the whole network)". This trait captures the contract the distributed
 //! runtime actually needs — addressable parameter slots and a backward pass
-//! that reports per-layer gradient completion — so both the sequential
-//! [`crate::network::Network`] and the branched [`crate::graph::GraphNetwork`]
-//! can be trained by the same Poseidon client library.
+//! that reports per-layer gradient completion and lends out the layers it
+//! has finished with — so both the sequential [`crate::network::Network`]
+//! and the branched [`crate::graph::GraphNetwork`] can be trained by the same
+//! Poseidon client library.
 
+use crate::graph::Node;
 use crate::layer::{Layer, TensorShape};
 use poseidon_tensor::Matrix;
+
+/// The slots whose backward pass has already run, lent to the
+/// [`Model::backward_with`] callback: their gradients are final and nothing
+/// below reads their parameters again this pass, so a synchronised update
+/// may be written into them while the layers below still back-propagate.
+/// The slot whose callback is running and every slot below it are out of
+/// reach.
+pub struct Finished<'a> {
+    /// Id of the first slot of `slots`; both models walk ids downward, so
+    /// the finished slots are exactly the ids from here up.
+    first: usize,
+    slots: FinishedSlots<'a>,
+}
+
+enum FinishedSlots<'a> {
+    Chain(&'a mut [Box<dyn Layer>]),
+    Graph(&'a mut [Node]),
+}
+
+impl<'a> Finished<'a> {
+    pub(crate) fn chain(first: usize, layers: &'a mut [Box<dyn Layer>]) -> Self {
+        Self {
+            first,
+            slots: FinishedSlots::Chain(layers),
+        }
+    }
+
+    pub(crate) fn graph(first: usize, nodes: &'a mut [Node]) -> Self {
+        Self {
+            first,
+            slots: FinishedSlots::Graph(nodes),
+        }
+    }
+
+    /// The finished layer at slot `id`; `None` for a slot that is not
+    /// finished yet, is structural, or does not exist.
+    pub fn slot_mut(&mut self, id: usize) -> Option<&mut dyn Layer> {
+        let at = id.checked_sub(self.first)?;
+        match &mut self.slots {
+            // (Not `map`: the trait object's lifetime shortens only by coercion.)
+            FinishedSlots::Chain(layers) => match layers.get_mut(at) {
+                Some(layer) => Some(layer.as_mut()),
+                None => None,
+            },
+            FinishedSlots::Graph(nodes) => nodes.get_mut(at).and_then(Node::layer_mut),
+        }
+    }
+}
 
 /// A trainable model with independently-synchronisable parameter slots.
 pub trait Model: Send {
@@ -27,21 +77,27 @@ pub trait Model: Send {
     /// Mutable access to the layer at `id`.
     fn slot_mut(&mut self, id: usize) -> Option<&mut dyn Layer>;
 
+    /// `true` iff slot `id` is a layer fed by the model input: nobody reads
+    /// the gradient it would propagate further down
+    /// ([`crate::layer::BackwardNeeds::input_grad`]).
+    fn reads_input(&self, id: usize) -> bool;
+
     /// Feed-forward over a batch.
     fn forward(&mut self, input: &Matrix) -> Matrix;
 
-    /// Backward pass; `on_layer_done(id, layer)` fires the moment slot `id`'s
-    /// parameter gradients are final — the WFBP hook. Callback order must
-    /// follow gradient-completion order (reverse topological).
+    /// Backward pass; `on_layer_done(id, layer, finished)` fires the moment
+    /// slot `id`'s parameter gradients are final — the WFBP hook — with the
+    /// slots that fired before it lent out through `finished`. Callback
+    /// order must follow gradient-completion order (reverse topological).
     fn backward_with(
         &mut self,
         grad_top: &Matrix,
-        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer),
+        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer, &mut Finished<'_>),
     );
 
     /// Backward pass without a callback.
     fn backward(&mut self, grad_top: &Matrix) {
-        self.backward_with(grad_top, &mut |_, _| {});
+        self.backward_with(grad_top, &mut |_, _, _| {});
     }
 
     /// Slot ids that own parameters, ascending.
@@ -113,6 +169,10 @@ impl Model for crate::network::Network {
         (id < self.num_layers()).then(|| self.layer_mut(id))
     }
 
+    fn reads_input(&self, id: usize) -> bool {
+        id == 0 && self.num_layers() > 0
+    }
+
     fn forward(&mut self, input: &Matrix) -> Matrix {
         crate::network::Network::forward(self, input)
     }
@@ -120,7 +180,7 @@ impl Model for crate::network::Network {
     fn backward_with(
         &mut self,
         grad_top: &Matrix,
-        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer),
+        on_layer_done: &mut dyn FnMut(usize, &mut dyn Layer, &mut Finished<'_>),
     ) {
         crate::network::Network::backward_with(self, grad_top, on_layer_done);
     }
@@ -147,10 +207,11 @@ mod tests {
         let y = Model::forward(&mut net, &x);
         assert_eq!(y.shape(), (2, 3));
         let mut order = Vec::new();
-        Model::backward_with(&mut net, &Matrix::filled(2, 3, 0.1), &mut |id, _| {
+        Model::backward_with(&mut net, &Matrix::filled(2, 3, 0.1), &mut |id, _, _| {
             order.push(id)
         });
         assert_eq!(order, vec![2, 1, 0]);
+        assert!(net.reads_input(0) && !net.reads_input(2));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! wait-free backpropagation hooks into.
 
 use crate::layer::{Layer, TensorShape};
+use crate::model::Finished;
 use poseidon_tensor::Matrix;
 
 /// A sequential stack of layers (the paper's chain-like NN).
@@ -97,29 +98,33 @@ impl Network {
 
     /// Backward pass without a gradient callback.
     pub fn backward(&mut self, grad_top: &Matrix) {
-        self.backward_with(grad_top, |_, _| {});
+        self.backward_with(grad_top, |_, _, _| {});
     }
 
     /// Backward pass from the top layer down.
     ///
     /// After each layer finishes computing its gradients, `on_layer_done(l,
-    /// layer)` fires with the layer index and a mutable reference — this is
-    /// the point at which that layer's gradients (and sufficient factors) are
-    /// final, and where WFBP triggers the layer's communication. Layers below
-    /// `l` have not yet run, mirroring `bᵢ(i < l)` still being pending in the
-    /// paper's schedule.
+    /// layer, finished)` fires with the layer index and a mutable reference —
+    /// this is the point at which that layer's gradients (and sufficient
+    /// factors) are final, and where WFBP triggers the layer's communication.
+    /// Layers below `l` have not yet run, mirroring `bᵢ(i < l)` still being
+    /// pending in the paper's schedule; the layers above `l` are done with
+    /// and lent out through `finished`, so whatever came back for them in
+    /// the meantime can be applied right here.
     pub fn backward_with(
         &mut self,
         grad_top: &Matrix,
-        mut on_layer_done: impl FnMut(usize, &mut dyn Layer),
+        mut on_layer_done: impl FnMut(usize, &mut dyn Layer, &mut Finished<'_>),
     ) {
         // The top layer reads the caller's gradient in place.
         let mut grad: Option<Matrix> = None;
         for l in (0..self.layers.len()).rev() {
+            let (lower, upper) = self.layers.split_at_mut(l + 1);
+            let layer = lower[l].as_mut();
             crate::probe::emit(crate::probe::ProbeEvent::BackwardBegin { layer: l });
-            grad = Some(self.layers[l].backward(grad.as_ref().unwrap_or(grad_top)));
+            grad = Some(layer.backward(grad.as_ref().unwrap_or(grad_top)));
             crate::probe::emit(crate::probe::ProbeEvent::BackwardEnd { layer: l });
-            on_layer_done(l, self.layers[l].as_mut());
+            on_layer_done(l, layer, &mut Finished::chain(l + 1, upper));
         }
     }
 
@@ -216,7 +221,7 @@ mod tests {
         let y = net.forward(&x);
         let out = SoftmaxCrossEntropy.evaluate(&y, &[0, 1]);
         let mut order = Vec::new();
-        net.backward_with(&out.grad, |l, _| order.push(l));
+        net.backward_with(&out.grad, |l, _, _| order.push(l));
         assert_eq!(order, vec![2, 1, 0], "callback order must be top-down");
     }
 
@@ -226,7 +231,7 @@ mod tests {
         let x = Matrix::filled(2, 4, 0.2);
         let y = net.forward(&x);
         let out = SoftmaxCrossEntropy.evaluate(&y, &[1, 2]);
-        net.backward_with(&out.grad, |_, layer| {
+        net.backward_with(&out.grad, |_, layer, _| {
             if let Some(p) = layer.params() {
                 assert!(
                     p.grad_weights.norm() > 0.0,

@@ -12,12 +12,13 @@
 //! * `db`: per sample the left-to-right row sum of `g`, then the same tree.
 //!
 //! `Conv2d` must reproduce every bit at 1, 2 and 7 compute threads, on the
-//! first pass and on a second one that reuses the layer's scratch.
+//! first pass and on a second one that reuses the layer's scratch — and `dW`
+//! and `db` also on a pass that was told nobody reads `dX` and skips it.
 //!
 //! Proptest-free on purpose: `offline/Cargo.toml` lists this suite, so it
 //! runs where the registry does not resolve.
 
-use poseidon_nn::layer::{Layer, TensorShape};
+use poseidon_nn::layer::{BackwardNeeds, Layer, TensorShape};
 use poseidon_nn::layers::Conv2d;
 use poseidon_nn::parallel;
 use poseidon_tensor::Matrix;
@@ -250,8 +251,9 @@ fn assert_same(got: &[f32], want: &[f32], what: &str) {
     }
 }
 
-/// Runs `Conv2d` on `cs` at `threads` compute threads and compares two
-/// consecutive forward/backward passes with `want`.
+/// Runs `Conv2d` on `cs` at `threads` compute threads and compares four
+/// consecutive forward/backward passes with `want`: two full ones, one
+/// without the input gradient, and a full one over what that left behind.
 fn check(
     cs: Case,
     threads: usize,
@@ -271,12 +273,27 @@ fn check(
             let params = conv.params_mut().expect("conv has parameters");
             params.weights.as_mut_slice().copy_from_slice(wt);
             params.bias.as_mut_slice().copy_from_slice(bias);
-            for pass in 0..2 {
+            let no_input_grad = BackwardNeeds {
+                input_grad: false,
+                ..BackwardNeeds::ALL
+            };
+            let passes = [
+                BackwardNeeds::ALL,
+                BackwardNeeds::ALL,
+                no_input_grad,
+                BackwardNeeds::ALL,
+            ];
+            for (pass, needs) in passes.into_iter().enumerate() {
                 let what = |part: &str| format!("{cs:?} threads={threads} pass={pass}: {part}");
+                conv.set_backward_needs(needs);
                 let out = conv.forward(x);
                 assert_same(out.as_slice(), &want.out, &what("forward"));
                 let grad_in = conv.backward(g);
-                assert_same(grad_in.as_slice(), &want.grad_in, &what("dX"));
+                if needs.input_grad {
+                    assert_same(grad_in.as_slice(), &want.grad_in, &what("dX"));
+                } else {
+                    assert_eq!(grad_in.shape(), (1, 1), "{}", what("dX placeholder"));
+                }
                 let p = conv.params().expect("conv has parameters");
                 assert_same(p.grad_weights.as_slice(), &want.grad_w, &what("dW"));
                 assert_same(p.grad_bias.as_slice(), &want.grad_b, &what("db"));

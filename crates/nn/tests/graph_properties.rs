@@ -93,7 +93,7 @@ proptest! {
         let mut grad = Matrix::zeros(y.rows(), y.cols());
         grad.map_inplace(|_| 0.1);
         let mut order = Vec::new();
-        g.backward_with(&grad, &mut |id, _| order.push(id));
+        g.backward_with(&grad, &mut |id, _, _| order.push(id));
         for w in order.windows(2) {
             prop_assert!(w[0] > w[1], "non-monotone callback order {order:?}");
         }

@@ -79,7 +79,9 @@ fn main() {
     let y = g.forward(&x);
     let out = SoftmaxCrossEntropy.evaluate(&y, &[0, 1]);
     print!("gradient completion order:");
-    g.backward_with(&out.grad, &mut |id, layer| print!(" {}#{id}", layer.name()));
+    g.backward_with(&out.grad, &mut |id, layer, _| {
+        print!(" {}#{id}", layer.name())
+    });
     println!();
 
     // What the coordinator decides per slot.

@@ -12,12 +12,16 @@ cd "$(dirname "$0")/.."
 
 echo "== offline suites: the bitwise contract, no registry needed =="
 # Every proptest-free integration suite (root tests/, four of crates/core,
-# two of crates/nn, one of crates/tensor) by path, incl. tests/ps_wire_path.rs
-# — the differential tests of the PS data path against the scalar codec and a
-# reference fold — crates/core/tests/transport_contract.rs, the Transport
-# contract run on the in-process fabric and on a loopback TCP mesh, and the
-# bitwise compute oracles (conv_oracle.rs: Conv2d against a direct
-# convolution; gemm_oracle.rs: the packed GEMM against the naive fold).
+# three of crates/nn, one of crates/tensor) by path, incl. tests/ps_wire_path.rs
+# and tests/collective_wire_path.rs — the differential tests of the PS and the
+# ring/tree data paths against the scalar codec and a reference fold —
+# tests/wfbp_drain.rs (draining receives inside backward ends on the replicas
+# of a tail-only run; a REDUCE that beats the local Send is parked),
+# crates/core/tests/transport_contract.rs, the Transport contract run on the
+# in-process fabric and on a loopback TCP mesh, the backward_with contract of
+# both model containers (backward_contract.rs), and the bitwise compute
+# oracles (conv_oracle.rs: Conv2d against a direct convolution; gemm_oracle.rs:
+# the packed GEMM against the naive fold).
 cargo test --offline -q --manifest-path offline/Cargo.toml
 
 echo "== benchmark package tests =="
