@@ -9,6 +9,14 @@
 //! scheme chosen by the coordinator, and the iteration ends when compute and
 //! every layer's synchronisation have finished on every node (the completion
 //! vector of Section 4.1).
+//!
+//! Every reported statistic is a function of the order in which the queue
+//! pops — `(time, insertion order)`, see [`poseidon_netsim::EventQueue`] —
+//! so the handlers below must keep issuing the same `schedule_at` calls in
+//! the same order; `tests/sim_fingerprint.rs` pins the result bit for bit.
+//! Progress is kept in flat tables over the coordinator's own index space
+//! (a chunk's position in the chunk table, and trainable layer × worker):
+//! see [`SimState`].
 
 use crate::config::ClusterConfig;
 use crate::config::Codec;
@@ -19,7 +27,6 @@ use crate::sim::profile::{LayerTimes, SimConfig};
 use crate::telemetry::{Event, EventKind, Trace, Track};
 use poseidon_netsim::{EventQueue, FlowNetwork, LinkConfig, Network, NodeId, Resource};
 use poseidon_nn::zoo::ModelSpec;
-use std::collections::HashMap;
 
 /// Wire overhead per message (framing + header), bytes.
 const MSG_OVERHEAD: u64 = 16;
@@ -125,55 +132,67 @@ impl SimTracer {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Ev {
-    /// Layer `l`'s gradients are complete on `worker`; begin its part of the
-    /// synchronisation.
-    SyncReady { layer: usize, worker: usize },
-    /// One worker's gradient chunk arrived at its shard.
-    GradArrive { layer: usize, chunk: usize },
-    /// The shard finished applying a chunk's aggregated update.
-    ApplyDone { layer: usize, chunk: usize },
-    /// Fresh parameters arrived back at a worker.
-    PullArrive {
-        layer: usize,
-        chunk: usize,
-        worker: usize,
-    },
-    /// A peer's SF batch arrived at a worker (SFB).
-    SfArrive { layer: usize, at: usize },
-    /// A worker finished reconstructing a layer from factors (SFB).
-    ReconDone { layer: usize, at: usize },
-    /// A ring partial sum for `chunk` arrived at worker `at` (REDUCE hop).
-    RingReduce {
-        layer: usize,
-        chunk: usize,
-        at: usize,
-    },
-    /// The folded ring value for `chunk` arrived at worker `at` (DISTRIBUTE).
-    RingShare {
-        layer: usize,
-        chunk: usize,
-        at: usize,
-    },
-    /// A tree contribution for `chunk` arrived at node `at` en route to the
+/// What an [`Ev`] announces. `layer` is always the dense (trainable-layer)
+/// index; the comments say what `chunk` and `node` mean for each kind.
+#[derive(Clone, Copy, Debug)]
+enum Kind {
+    /// The layer's gradients are complete on worker `node`; begin its part of
+    /// the synchronisation.
+    SyncReady,
+    /// One worker's gradient `chunk` arrived at its shard.
+    GradArrive,
+    /// The shard finished applying `chunk`'s aggregated update.
+    ApplyDone,
+    /// Fresh parameters of `chunk` arrived back at worker `node`.
+    PullArrive,
+    /// A peer's SF batch arrived at worker `node` (SFB).
+    SfArrive,
+    /// Worker `node` finished reconstructing the layer from factors (SFB).
+    ReconDone,
+    /// A ring partial sum for `chunk` arrived at worker `node` (REDUCE hop).
+    RingReduce,
+    /// The folded ring value for `chunk` arrived at worker `node`
+    /// (DISTRIBUTE).
+    RingShare,
+    /// A tree contribution for `chunk` arrived at `node` en route to the
     /// root (interior nodes relay without folding, as in the live runtime).
-    TreeGather {
-        layer: usize,
-        chunk: usize,
-        at: usize,
-    },
-    /// The root's folded value for `chunk` arrived at node `at` (broadcast).
-    TreeCast {
-        layer: usize,
-        chunk: usize,
-        at: usize,
-    },
+    TreeGather,
+    /// The root's folded value for `chunk` arrived at `node` (broadcast).
+    TreeCast,
+}
+
+/// One scheduled event: 16 bytes, so a queue node is 32.
+#[derive(Clone, Copy, Debug)]
+struct Ev {
+    kind: Kind,
+    layer: u32,
+    chunk: u32,
+    node: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+impl Ev {
+    /// The casts are lossless: `simulate_inner` checks `slots · P` fits.
+    fn new(kind: Kind, layer: usize, chunk: usize, node: usize) -> Self {
+        Self {
+            kind,
+            layer: layer as u32,
+            chunk: chunk as u32,
+            node: node as u32,
+        }
+    }
 }
 
 /// Per-layer synchronisation plan derived from the coordinator.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct LayerPlan {
+    /// Index into the model's layers (trace labels, Adam's owner shard).
+    layer: usize,
+    /// Position of the layer's first chunk in the coordinator's chunk table:
+    /// `base + chunk` is that chunk's slot in the per-chunk progress tables
+    /// (an SFB or Adam layer uses `base` alone).
+    base: usize,
     scheme: CommScheme,
     /// The gradient codec this layer's frames ride (identity unless the
     /// codec policy compresses it); wire bytes below are priced through it.
@@ -183,14 +202,23 @@ struct LayerPlan {
     chunks: Vec<(usize, u64, u64)>,
     /// Dense flattened parameter bytes.
     dense_bytes: u64,
+    /// Dense bytes one chunk's GPU↔CPU move carries: an even share of the
+    /// layer (all of it for an SFB or Adam layer).
+    stage_bytes: u64,
     /// SF one-way message bytes (FC layers).
     sf_bytes: u64,
     /// FC shape, if any.
     fc_shape: Option<(usize, usize)>,
 }
 
+/// "No entry" in a counter table, the dense stand-in for a key absent from
+/// a map (`NAN` plays that role in the two time tables).
+const UNSET: u32 = u32::MAX;
+
 struct SimState<'a> {
     cfg: &'a SimConfig,
+    /// One plan per trainable layer, bottom-up: the dense layer index.
+    plans: &'a [LayerPlan],
     p: usize,
     batch: usize,
     gpus: usize,
@@ -200,23 +228,29 @@ struct SimState<'a> {
     memcpy: Vec<Resource>,
     cpu: Vec<Resource>,
     pcie: Vec<Resource>,
-    plans: HashMap<usize, LayerPlan>,
-    // progress
-    grad_counts: HashMap<(usize, usize), usize>,
-    pull_remaining: HashMap<(usize, usize), usize>,
-    chunks_remaining: HashMap<(usize, usize), usize>,
-    sf_counts: HashMap<(usize, usize), usize>,
-    /// Local gradient ready time per (layer, worker) — collective schemes.
-    coll_ready: HashMap<(usize, usize), f64>,
-    /// Ring REDUCE hops that arrived before the local gradient was ready,
-    /// stashed by (layer, chunk, worker) → arrival time.
-    coll_pending: HashMap<(usize, usize, usize), f64>,
-    /// Contributions gathered at the tree root per (layer, chunk).
-    tree_counts: HashMap<(usize, usize), usize>,
-    /// Aggregations already applied (late straggler pushes are discarded).
-    applied: std::collections::HashSet<(usize, usize)>,
-    /// SFB reconstructions already started per (layer, worker).
-    reconstructed: std::collections::HashSet<(usize, usize)>,
+    // Progress of one iteration, reset by `begin_iteration`. Three index
+    // spaces, all sized from the plan: a chunk's slot `plan.base + chunk`,
+    // `dense layer · P + worker` (`lw`), and `slot · P + worker`.
+    /// Pushes received per slot; `UNSET` once the aggregate is applied (a
+    /// late straggler push is then discarded).
+    grad_counts: Vec<u32>,
+    /// Pulls still in flight per slot.
+    pull_remaining: Vec<u32>,
+    /// Contributions gathered at the tree root per slot.
+    tree_counts: Vec<u32>,
+    /// Chunks a (layer, worker) still waits for; `UNSET` until its
+    /// `SyncReady` — or, for a dropped straggler, its first pull — sets it.
+    chunks_remaining: Vec<u32>,
+    /// Peer SF batches received per (layer, worker); `UNSET` once the
+    /// reconstruction has started.
+    sf_counts: Vec<u32>,
+    /// Local gradient ready time per (layer, worker) — collective schemes;
+    /// `NAN` until the worker's `SyncReady`.
+    coll_ready: Vec<f64>,
+    /// Ring REDUCE hops that arrived before the local gradient was ready:
+    /// arrival time per (slot, worker), `NAN` when nothing is stashed. Empty
+    /// unless some layer rides a collective.
+    coll_pending: Vec<f64>,
     layer_done: f64,
     done_count: usize,
     expected_done: usize,
@@ -224,17 +258,33 @@ struct SimState<'a> {
 }
 
 impl SimState<'_> {
-    fn charge_memcpy(&self) -> bool {
-        self.cfg.unoverlapped_memcpy
+    fn lw(&self, layer: usize, worker: usize) -> usize {
+        layer * self.p + worker
     }
 
-    fn move_dur(&self, bytes: u64) -> f64 {
-        bytes as f64 / self.cfg.memcpy_bytes_per_s + self.cfg.per_move_overhead_s
+    /// Forgets the previous iteration's progress.
+    fn begin_iteration(&mut self, iter_start: f64) {
+        self.layer_done = iter_start;
+        self.done_count = 0;
+        let active_nodes = (0..self.p).filter(|&w| !self.is_dropped(w)).count();
+        self.expected_done = self.plans.len() * active_nodes;
+        self.grad_counts.fill(0);
+        self.pull_remaining.fill(0);
+        self.tree_counts.fill(0);
+        self.chunks_remaining.fill(UNSET);
+        self.sf_counts.fill(0);
+        self.coll_ready.fill(f64::NAN);
+        self.coll_pending.fill(f64::NAN);
     }
 
-    fn mark_layer_worker_done(&mut self, t: f64) {
-        self.layer_done = self.layer_done.max(t);
-        self.done_count += 1;
+    /// An unoverlapped engine's synchronous GPU↔CPU copy of `bytes` on
+    /// `node`'s memcpy stream; free when moves overlap with compute.
+    fn staged(&mut self, node: usize, ready: f64, bytes: u64) -> f64 {
+        if !self.cfg.unoverlapped_memcpy {
+            return ready;
+        }
+        let dur = bytes as f64 / self.cfg.memcpy_bytes_per_s + self.cfg.per_move_overhead_s;
+        self.memcpy[node].reserve(ready, dur).1
     }
 
     /// `true` iff `worker` is a straggler whose participation is dropped:
@@ -263,7 +313,8 @@ impl SimState<'_> {
     }
 
     /// Local multi-GPU aggregation of `bytes` onto the node's leader GPU
-    /// (G−1 device-to-device copies over PCIe); identity when G = 1.
+    /// (G−1 device-to-device copies over PCIe); identity when G = 1. The
+    /// re-distribution of fresh parameters to the other GPUs costs the same.
     fn local_aggregate(&mut self, node: usize, ready: f64, bytes: u64) -> f64 {
         if self.gpus <= 1 {
             return ready;
@@ -272,10 +323,37 @@ impl SimState<'_> {
         self.pcie[node].reserve(ready, dur).1
     }
 
-    /// Re-distribution of fresh parameters from the leader GPU to the node's
-    /// other GPUs; identity when G = 1.
-    fn local_distribute(&mut self, node: usize, ready: f64, bytes: u64) -> f64 {
-        self.local_aggregate(node, ready, bytes)
+    /// `worker` holds the layer's fresh parameters at `t`: re-distribute
+    /// them to its other GPUs and, unless it is a dropped straggler, count
+    /// the layer towards the iteration's completion vector.
+    fn layer_synced(&mut self, plan: &LayerPlan, worker: usize, t: f64) {
+        let done = self.local_aggregate(worker, t, plan.dense_bytes);
+        if self.is_dropped(worker) {
+            return;
+        }
+        if let Some(tr) = self.tracer.as_mut() {
+            let (lane, a, iter) = (plan.layer as u32 + 1, plan.layer as u64, tr.iter);
+            tr.push(worker, EventKind::End, "wfbp.sync", lane, a, iter, done);
+        }
+        self.layer_done = self.layer_done.max(done);
+        self.done_count += 1;
+    }
+
+    /// One of the chunks `worker` waits for on dense layer `layer` (all of
+    /// the layer's, or the single reply of an Adam layer) landed at `t`; the
+    /// last one synchronises the layer there.
+    fn chunk_landed(&mut self, layer: usize, worker: usize, t: f64) {
+        let plan = &self.plans[layer];
+        let i = self.lw(layer, worker);
+        let left = &mut self.chunks_remaining[i];
+        if *left == UNSET {
+            *left = plan.chunks.len().max(1) as u32;
+        }
+        *left -= 1;
+        if *left == 0 {
+            *left = UNSET;
+            self.layer_synced(plan, worker, t);
+        }
     }
 
     /// Dispatches a transfer under the configured bandwidth model: FIFO NIC
@@ -366,8 +444,13 @@ fn simulate_inner(
     let times = LayerTimes::derive(spec, batch, cfg.gpu_default_flops);
     let single_node_ips = batch as f64 / times.total();
 
-    // Build per-layer plans.
-    let mut plans: HashMap<usize, LayerPlan> = HashMap::new();
+    // Build per-layer plans, bottom-up. The chunk table is layer-major and
+    // holds chunks of exactly the trainable layers, so a layer's chunks are
+    // the next run of it, and a chunk's position in the table is its slot in
+    // the progress tables.
+    let table = coordinator.chunk_table().chunks();
+    let mut next = 0usize;
+    let mut plans: Vec<LayerPlan> = Vec::new();
     for (l, scheme) in coordinator.scheme_assignment() {
         let info = &coordinator.layers()[l];
         let dense_bytes = info.param_elems as u64 * 4;
@@ -376,39 +459,45 @@ fn simulate_inner(
             .map(|(m, n)| (node_batch * (m + n)) as u64 * 4 + MSG_OVERHEAD)
             .unwrap_or(0);
         let codec = coordinator.best_codec(l);
+        let base = next;
+        next += table[base..].iter().take_while(|c| c.layer == l).count();
         let chunks: Vec<(usize, u64, u64)> = match scheme {
             // Collectives reuse the PS chunk table as their segment tiling,
             // exactly like the live Syncer does; wire bytes are priced
             // through the layer's codec, the dense bytes drive fold costs.
-            CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => coordinator
-                .chunk_table()
-                .layer_chunks(l)
+            CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => table[base..next]
                 .iter()
                 .map(|c| {
-                    (
-                        c.shard,
-                        codec.payload_bytes(c.len) as u64 + MSG_OVERHEAD,
-                        c.bytes(),
-                    )
+                    let wire = codec.payload_bytes(c.len) as u64 + MSG_OVERHEAD;
+                    (c.shard, wire, c.bytes())
                 })
                 .collect(),
             CommScheme::AdamSf | CommScheme::Sfb => Vec::new(),
         };
-        plans.insert(
-            l,
-            LayerPlan {
-                scheme,
-                codec,
-                chunks,
-                dense_bytes,
-                sf_bytes,
-                fc_shape: info.fc_shape,
-            },
-        );
+        plans.push(LayerPlan {
+            layer: l,
+            base,
+            scheme,
+            codec,
+            dense_bytes,
+            stage_bytes: dense_bytes / chunks.len().max(1) as u64,
+            sf_bytes,
+            fc_shape: info.fc_shape,
+            chunks,
+        });
     }
+    let slots = table.len();
+    assert!(
+        slots.saturating_mul(p) <= u32::MAX as usize,
+        "{slots} chunks on {p} nodes overflow the event's u32 indices"
+    );
+    let any_collective = plans
+        .iter()
+        .any(|plan| matches!(plan.scheme, CommScheme::Ring | CommScheme::Tree));
 
     let mut state = SimState {
         cfg,
+        plans: &plans,
         p,
         batch: node_batch,
         gpus,
@@ -426,16 +515,13 @@ fn simulate_inner(
         memcpy: vec![Resource::new(); p],
         cpu: vec![Resource::new(); p],
         pcie: vec![Resource::new(); p],
-        plans,
-        grad_counts: HashMap::new(),
-        pull_remaining: HashMap::new(),
-        chunks_remaining: HashMap::new(),
-        sf_counts: HashMap::new(),
-        coll_ready: HashMap::new(),
-        coll_pending: HashMap::new(),
-        tree_counts: HashMap::new(),
-        applied: std::collections::HashSet::new(),
-        reconstructed: std::collections::HashSet::new(),
+        grad_counts: vec![0; slots],
+        pull_remaining: vec![0; slots],
+        tree_counts: vec![0; slots],
+        chunks_remaining: vec![UNSET; plans.len() * p],
+        sf_counts: vec![0; plans.len() * p],
+        coll_ready: vec![f64::NAN; plans.len() * p],
+        coll_pending: vec![f64::NAN; if any_collective { slots * p } else { 0 }],
         layer_done: 0.0,
         done_count: 0,
         expected_done: 0,
@@ -443,6 +529,11 @@ fn simulate_inner(
     };
 
     let mut gpu: Vec<Resource> = vec![Resource::new(); p];
+    let mut bwd_done = vec![vec![0.0f64; spec.layers.len()]; p];
+    // One queue for the call: each iteration drains it, then rewinds its
+    // clock — a dropped straggler's last pull can land after `iter_end`, so
+    // a clock carried over would refuse the next iteration's `SyncReady`s.
+    let mut queue: EventQueue<Ev> = EventQueue::new();
     let iterations = 3usize;
     let mut iter_start = 0.0f64;
     let mut measured = (0.0f64, 0.0f64); // (start, end) of last iteration
@@ -471,7 +562,6 @@ fn simulate_inner(
         }
         // Compute schedule: forward then backward on every GPU; an injected
         // straggler's compute is uniformly slowed down.
-        let mut bwd_done = vec![vec![0.0f64; spec.layers.len()]; p];
         let mut compute_end = iter_start;
         for (w, g) in gpu.iter_mut().enumerate() {
             let slow = match cfg.straggler {
@@ -494,39 +584,21 @@ fn simulate_inner(
                 t = f;
                 bwd_done[w][l] = f;
             }
-            let dropped =
-                matches!(cfg.straggler, Some((node, _)) if cfg.drop_stragglers && node == w);
-            if !dropped {
+            if !state.is_dropped(w) {
                 compute_end = compute_end.max(t);
             }
         }
         state.gpu_compute_end = compute_end;
 
-        // Seed sync events in backward-completion order (top layer first).
-        let mut queue: EventQueue<Ev> = EventQueue::new();
-        // The event clock starts at 0; we keep absolute times throughout, so
-        // re-create the queue per iteration with schedule_at on absolute time.
-        state.layer_done = iter_start;
-        state.done_count = 0;
-        let active_nodes = (0..p).filter(|&w| !state.is_dropped(w)).count();
-        state.expected_done = state.plans.len() * active_nodes;
-        state.grad_counts.clear();
-        state.pull_remaining.clear();
-        state.chunks_remaining.clear();
-        state.sf_counts.clear();
-        state.coll_ready.clear();
-        state.coll_pending.clear();
-        state.tree_counts.clear();
-        state.applied.clear();
-        state.reconstructed.clear();
-
-        let mut trainable: Vec<usize> = state.plans.keys().copied().collect();
-        trainable.sort_unstable_by(|a, b| b.cmp(a)); // top-down
-        for &l in &trainable {
+        // Seed sync events in backward-completion order (top layer first) on
+        // absolute times.
+        queue.restart();
+        state.begin_iteration(iter_start);
+        for (d, plan) in plans.iter().enumerate().rev() {
             // Collectives have no partial-participation mode: every worker is
             // a link in the chain/tree, so a straggler still sends (and gates
             // the fold) even when its iteration completion is discounted.
-            let collective = matches!(state.plans[&l].scheme, CommScheme::Ring | CommScheme::Tree);
+            let collective = matches!(plan.scheme, CommScheme::Ring | CommScheme::Tree);
             for (w, done) in bwd_done.iter().enumerate() {
                 if state.is_dropped(w) && !collective {
                     // The dropped straggler's sends never happen; it lags
@@ -534,50 +606,36 @@ fn simulate_inner(
                     continue;
                 }
                 let ready = match cfg.scheduler {
-                    Scheduler::Wfbp => done[l],
-                    Scheduler::Sequential => {
-                        // The node finishes its own backward first.
-                        done[0].max(done[spec.layers.len() - 1])
-                    }
+                    Scheduler::Wfbp => done[plan.layer],
+                    // The node finishes its own backward first.
+                    Scheduler::Sequential => done[0].max(done[spec.layers.len() - 1]),
                 };
-                queue.schedule_at(
-                    ready,
-                    Ev::SyncReady {
-                        layer: l,
-                        worker: w,
-                    },
-                );
+                queue.schedule_at(ready, Ev::new(Kind::SyncReady, d, 0, w));
             }
         }
 
         // Drain events; under fair sharing, interleave fluid-flow completions
-        // with queued events in global time order.
+        // with queued events in global time order: a completion strictly
+        // before the next queued event goes first.
         loop {
-            let qt = queue.peek_time();
             let ft = state.fair.as_mut().and_then(FlowNetwork::next_event_time);
-            match (qt, ft) {
-                (None, None) => break,
-                _ => {
-                    let qt_v = qt.unwrap_or(f64::INFINITY);
-                    let ft_v = ft.unwrap_or(f64::INFINITY);
-                    if ft_v < qt_v {
-                        let done = state.fair.as_mut().expect("fair mode").advance(ft_v);
-                        for ev in done {
-                            queue.schedule_at(ft_v + cfg.latency_s, ev);
-                        }
-                    } else {
-                        let (now, ev) = queue.pop().expect("queue non-empty");
-                        if let Some(fair) = state.fair.as_mut() {
-                            if fair.next_event_time().is_none_or(|t| t >= now) {
-                                for done_ev in fair.advance(now.min(ft_v)) {
-                                    queue.schedule_at(now + cfg.latency_s, done_ev);
-                                }
-                            }
-                        }
-                        step(&mut state, &mut queue, now, ev);
+            let ft_v = ft.unwrap_or(f64::INFINITY);
+            if ft.is_some() && queue.peek_time().is_none_or(|qt| ft_v < qt) {
+                let done = state.fair.as_mut().expect("fair mode").advance(ft_v);
+                for ev in done {
+                    queue.schedule_at(ft_v + cfg.latency_s, ev);
+                }
+                continue;
+            }
+            let Some((now, ev)) = queue.pop() else { break };
+            if let Some(fair) = state.fair.as_mut() {
+                if fair.next_event_time().is_none_or(|t| t >= now) {
+                    for done_ev in fair.advance(now.min(ft_v)) {
+                        queue.schedule_at(now + cfg.latency_s, done_ev);
                     }
                 }
             }
+            step(&mut state, &mut queue, now, ev);
         }
 
         let iter_end = state.gpu_compute_end.max(state.layer_done);
@@ -585,15 +643,6 @@ fn simulate_inner(
             state.done_count, state.expected_done,
             "not every layer synchronised on every node"
         );
-        if std::env::var_os("POSEIDON_SIM_DEBUG").is_some() {
-            eprintln!(
-                "iter {it}: start {iter_start:.4} compute_end {:.4} sync_end {:.4} tx_busy[0] {:.4} cpu_busy[0] {:.4}",
-                state.gpu_compute_end,
-                state.layer_done,
-                state.net.tx_busy(NodeId(0)),
-                state.cpu[0].total_busy(),
-            );
-        }
         if let Some(tr) = state.tracer.as_mut() {
             for w in 0..p {
                 tr.push(w, EventKind::End, "iter", 0, w as u64, it as u64, iter_end);
@@ -625,17 +674,10 @@ fn simulate_inner(
         per_node_gbit: (0..p)
             .map(|n| crate::stats::bytes_to_gbit(ledger.node_bytes(n)))
             .collect(),
-        schemes: {
-            let mut s: Vec<(usize, CommScheme)> = state
-                .plans
-                .iter()
-                .map(|(&l, plan)| (l, plan.scheme))
-                .collect();
-            s.sort_unstable_by_key(|&(l, _)| l);
-            s.into_iter()
-                .map(|(l, scheme)| (coordinator.layers()[l].name.clone(), scheme))
-                .collect()
-        },
+        schemes: plans
+            .iter()
+            .map(|plan| (coordinator.layers()[plan.layer].name.clone(), plan.scheme))
+            .collect(),
     };
     let trace = state.tracer.take().map(|tr| tr.into_trace(p, spec.name));
     (report, trace)
@@ -643,123 +685,74 @@ fn simulate_inner(
 
 fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) {
     let p = state.p;
-    match ev {
-        Ev::SyncReady { layer, worker: w } => {
+    let (d, chunk, node) = (ev.layer as usize, ev.chunk as usize, ev.node as usize);
+    let plan = &state.plans[d];
+    let layer = plan.layer;
+    match ev.kind {
+        Kind::SyncReady => {
+            let w = node;
             if let Some(tr) = state.tracer.as_mut() {
-                let iter = tr.iter;
-                tr.push(
-                    w,
-                    EventKind::Instant,
-                    "grad.ready",
-                    0,
-                    layer as u64,
-                    iter,
-                    now,
-                );
-                tr.push(
-                    w,
-                    EventKind::Begin,
-                    "wfbp.sync",
-                    layer as u32 + 1,
-                    layer as u64,
-                    iter,
-                    now,
-                );
+                let (lane, a, iter) = (layer as u32 + 1, layer as u64, tr.iter);
+                tr.push(w, EventKind::Instant, "grad.ready", 0, a, iter, now);
+                tr.push(w, EventKind::Begin, "wfbp.sync", lane, a, iter, now);
             }
-            let plan = state.plans[&layer].clone();
+            let lw = state.lw(d, w);
             match plan.scheme {
                 CommScheme::Ps => {
-                    state.chunks_remaining.insert((layer, w), plan.chunks.len());
+                    state.chunks_remaining[lw] = plan.chunks.len() as u32;
                     for (c, &(shard, bytes, dense)) in plan.chunks.iter().enumerate() {
-                        let mut ready = state.local_aggregate(
-                            w,
-                            now,
-                            plan.dense_bytes / plan.chunks.len() as u64,
-                        );
-                        if state.charge_memcpy() {
-                            let dur = state.move_dur(plan.dense_bytes / plan.chunks.len() as u64);
-                            ready = state.memcpy[w].reserve(ready, dur).1;
-                        }
+                        let mut ready = state.local_aggregate(w, now, plan.stage_bytes);
+                        ready = state.staged(w, ready, plan.stage_bytes);
                         if plan.codec != Codec::Identity {
                             // Compression pass (error feedback + encode)
                             // before send, on the transform stream.
                             let qdur = 2.0 * dense as f64 / state.cfg.transform_flops;
                             ready = state.cpu[w].reserve(ready, qdur).1;
                         }
-                        state.send(
-                            queue,
-                            ready,
-                            w,
-                            shard,
-                            bytes,
-                            Ev::GradArrive { layer, chunk: c },
-                        );
+                        let arrive = Ev::new(Kind::GradArrive, d, c, 0);
+                        state.send(queue, ready, w, shard, bytes, arrive);
                     }
                 }
                 CommScheme::Sfb => {
-                    state.chunks_remaining.insert((layer, w), 1);
-                    let mut ready = state.local_aggregate(w, now, plan.sf_bytes);
-                    if state.charge_memcpy() {
-                        let dur = state.move_dur(plan.sf_bytes);
-                        ready = state.memcpy[w].reserve(ready, dur).1;
-                    }
-                    for v in 0..p {
-                        if v == w {
-                            continue;
-                        }
-                        state.send(
-                            queue,
-                            ready,
-                            w,
-                            v,
-                            plan.sf_bytes,
-                            Ev::SfArrive { layer, at: v },
-                        );
+                    state.chunks_remaining[lw] = 1;
+                    let ready = state.local_aggregate(w, now, plan.sf_bytes);
+                    let ready = state.staged(w, ready, plan.sf_bytes);
+                    for v in (0..p).filter(|&v| v != w) {
+                        let arrive = Ev::new(Kind::SfArrive, d, 0, v);
+                        state.send(queue, ready, w, v, plan.sf_bytes, arrive);
                     }
                     if p == 1 {
                         // Degenerate single-node SFB: nothing to receive.
-                        queue.schedule_at(now, Ev::ReconDone { layer, at: w });
+                        queue.schedule_at(now, Ev::new(Kind::ReconDone, d, 0, w));
                     }
                 }
                 CommScheme::Ring | CommScheme::Tree => {
-                    state
-                        .chunks_remaining
-                        .entry((layer, w))
-                        .or_insert(plan.chunks.len());
-                    let mut ready = state.local_aggregate(w, now, plan.dense_bytes);
-                    if state.charge_memcpy() {
-                        let dur = state.move_dur(plan.dense_bytes);
-                        ready = state.memcpy[w].reserve(ready, dur).1;
+                    if state.chunks_remaining[lw] == UNSET {
+                        state.chunks_remaining[lw] = plan.chunks.len() as u32;
                     }
+                    let mut ready = state.local_aggregate(w, now, plan.dense_bytes);
+                    ready = state.staged(w, ready, plan.dense_bytes);
                     if plan.codec != Codec::Identity {
                         // Compression pass before seeding / contributing.
                         let qdur = 2.0 * plan.dense_bytes as f64 / state.cfg.transform_flops;
                         ready = state.cpu[w].reserve(ready, qdur).1;
                     }
-                    state.coll_ready.insert((layer, w), ready);
+                    state.coll_ready[lw] = ready;
                     match (plan.scheme, w) {
                         (CommScheme::Ring, 0) => {
                             // Worker 0 seeds the chain towards worker 1.
                             for (c, &(_, bytes, _)) in plan.chunks.iter().enumerate() {
-                                state.send(
-                                    queue,
-                                    ready,
-                                    0,
-                                    1,
-                                    bytes,
-                                    Ev::RingReduce {
-                                        layer,
-                                        chunk: c,
-                                        at: 1,
-                                    },
-                                );
+                                let hop = Ev::new(Kind::RingReduce, d, c, 1);
+                                state.send(queue, ready, 0, 1, bytes, hop);
                             }
                         }
                         (CommScheme::Ring, _) => {
                             // Replay REDUCE hops that outran our backward.
                             for c in 0..plan.chunks.len() {
-                                if let Some(t) = state.coll_pending.remove(&(layer, c, w)) {
-                                    ring_reduce_arrive(state, queue, t.max(ready), layer, c, w);
+                                let stash = &mut state.coll_pending[(plan.base + c) * p + w];
+                                let t = std::mem::replace(stash, f64::NAN);
+                                if !t.is_nan() {
+                                    ring_reduce_arrive(state, queue, t.max(ready), d, c, w);
                                 }
                             }
                         }
@@ -767,60 +760,38 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                             // Tree root: fold any chunk whose contributions
                             // all arrived before our own gradient was ready.
                             for c in 0..plan.chunks.len() {
-                                try_tree_fold(state, queue, ready, layer, c);
+                                try_tree_fold(state, queue, ready, d, c);
                             }
                         }
                         _ => {
                             let parent = (w - 1) / 2;
                             for (c, &(_, bytes, _)) in plan.chunks.iter().enumerate() {
-                                state.send(
-                                    queue,
-                                    ready,
-                                    w,
-                                    parent,
-                                    bytes,
-                                    Ev::TreeGather {
-                                        layer,
-                                        chunk: c,
-                                        at: parent,
-                                    },
-                                );
+                                let up = Ev::new(Kind::TreeGather, d, c, parent);
+                                state.send(queue, ready, w, parent, bytes, up);
                             }
                         }
                     }
                 }
                 CommScheme::AdamSf => {
-                    state.chunks_remaining.insert((layer, w), 1);
-                    let owner = layer % p;
-                    let mut ready = state.local_aggregate(w, now, plan.sf_bytes);
-                    if state.charge_memcpy() {
-                        let dur = state.move_dur(plan.sf_bytes);
-                        ready = state.memcpy[w].reserve(ready, dur).1;
-                    }
-                    state.send(
-                        queue,
-                        ready,
-                        w,
-                        owner,
-                        plan.sf_bytes,
-                        Ev::GradArrive { layer, chunk: 0 },
-                    );
+                    state.chunks_remaining[lw] = 1;
+                    let ready = state.local_aggregate(w, now, plan.sf_bytes);
+                    let ready = state.staged(w, ready, plan.sf_bytes);
+                    let arrive = Ev::new(Kind::GradArrive, d, 0, 0);
+                    state.send(queue, ready, w, layer % p, plan.sf_bytes, arrive);
                 }
             }
         }
-        Ev::GradArrive { layer, chunk } => {
-            if state.applied.contains(&(layer, chunk)) {
+        Kind::GradArrive => {
+            let required = state.required_pushes() as u32;
+            let count = &mut state.grad_counts[plan.base + chunk];
+            if *count == UNSET {
                 return; // late straggler push, dropped
             }
-            let required = state.required_pushes();
-            let count = state.grad_counts.entry((layer, chunk)).or_insert(0);
             *count += 1;
             if *count < required {
                 return;
             }
-            state.grad_counts.remove(&(layer, chunk));
-            state.applied.insert((layer, chunk));
-            let plan = state.plans[&layer].clone();
+            *count = UNSET;
             let (shard, apply_dur) = match plan.scheme {
                 CommScheme::Ps => {
                     let (shard, _, dense) = plan.chunks[chunk];
@@ -844,10 +815,9 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
             if let Some(tr) = state.tracer.as_mut() {
                 tr.span(p + shard, "serve.apply", 0, layer as u64, astart, done);
             }
-            queue.schedule_at(done, Ev::ApplyDone { layer, chunk });
+            queue.schedule_at(done, Ev::new(Kind::ApplyDone, d, chunk, 0));
         }
-        Ev::ApplyDone { layer, chunk } => {
-            let plan = state.plans[&layer].clone();
+        Kind::ApplyDone => {
             let (shard, pull_bytes) = match plan.scheme {
                 // Lossy PS replies with the compressed delta: same wire
                 // bytes as the push direction.
@@ -858,186 +828,85 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                 CommScheme::AdamSf => (layer % p, plan.dense_bytes + MSG_OVERHEAD),
                 CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => unreachable!(),
             };
-            state.pull_remaining.insert((layer, chunk), p);
+            state.pull_remaining[plan.base + chunk] = p as u32;
             for w in 0..p {
-                state.send(
-                    queue,
-                    now,
-                    shard,
-                    w,
-                    pull_bytes,
-                    Ev::PullArrive {
-                        layer,
-                        chunk,
-                        worker: w,
-                    },
-                );
+                let pull = Ev::new(Kind::PullArrive, d, chunk, w);
+                state.send(queue, now, shard, w, pull_bytes, pull);
             }
         }
-        Ev::PullArrive {
-            layer,
-            chunk,
-            worker,
-        } => {
-            let plan = state.plans[&layer].clone();
-            let mut done = now;
-            if state.charge_memcpy() {
-                let per_chunk = plan.dense_bytes / plan.chunks.len().max(1) as u64;
-                let dur = state.move_dur(per_chunk);
-                done = state.memcpy[worker].reserve(now, dur).1;
-            }
+        Kind::PullArrive => {
+            let mut done = state.staged(node, now, plan.stage_bytes);
             if plan.codec != Codec::Identity {
                 // Decompress the pulled payload.
                 let dq = plan.dense_bytes as f64 / state.cfg.transform_flops;
-                done = state.cpu[worker].reserve(done, dq).1;
+                done = state.cpu[node].reserve(done, dq).1;
             }
-            let rem = state
-                .pull_remaining
-                .get_mut(&(layer, chunk))
-                .expect("pull bookkeeping");
-            *rem -= 1;
-            if *rem == 0 {
-                state.pull_remaining.remove(&(layer, chunk));
-            }
-            let chunks_total = match plan.scheme {
-                CommScheme::Ps => plan.chunks.len(),
-                _ => 1,
-            };
-            let entry = state
-                .chunks_remaining
-                .entry((layer, worker))
-                .or_insert(chunks_total);
-            *entry -= 1;
-            if *entry == 0 {
-                state.chunks_remaining.remove(&(layer, worker));
-                let done = state.local_distribute(worker, done, plan.dense_bytes);
-                if !state.is_dropped(worker) {
-                    if let Some(tr) = state.tracer.as_mut() {
-                        let iter = tr.iter;
-                        tr.push(
-                            worker,
-                            EventKind::End,
-                            "wfbp.sync",
-                            layer as u32 + 1,
-                            layer as u64,
-                            iter,
-                            done,
-                        );
-                    }
-                    state.mark_layer_worker_done(done);
-                }
-            }
+            let in_flight = &mut state.pull_remaining[plan.base + chunk];
+            *in_flight = in_flight.checked_sub(1).expect("pull bookkeeping");
+            state.chunk_landed(d, node, done);
         }
-        Ev::SfArrive { layer, at } => {
-            if state.reconstructed.contains(&(layer, at)) {
+        Kind::SfArrive => {
+            let required = state.required_sf(node) as u32;
+            let i = state.lw(d, node);
+            let count = &mut state.sf_counts[i];
+            if *count == UNSET {
                 return; // late straggler batch, dropped
             }
-            let required = state.required_sf(at);
-            let count = state.sf_counts.entry((layer, at)).or_insert(0);
             *count += 1;
             if *count < required {
                 return;
             }
-            state.sf_counts.remove(&(layer, at));
-            state.reconstructed.insert((layer, at));
-            let plan = &state.plans[&layer];
+            *count = UNSET;
             let (m, n) = plan.fc_shape.expect("SFB needs FC shape");
             // Reconstruct P·K rank-1 updates (own factors included) on the
             // transform stream.
             let recon = p as f64 * 2.0 * state.batch as f64 * m as f64 * n as f64
                 / state.cfg.transform_flops;
-            let done = state.cpu[at].reserve(now, recon).1;
-            queue.schedule_at(done, Ev::ReconDone { layer, at });
+            let done = state.cpu[node].reserve(now, recon).1;
+            queue.schedule_at(done, Ev::new(Kind::ReconDone, d, 0, node));
         }
-        Ev::ReconDone { layer, at } => {
-            let dense = state.plans[&layer].dense_bytes;
-            let done = state.local_distribute(at, now, dense);
-            if !state.is_dropped(at) {
-                if let Some(tr) = state.tracer.as_mut() {
-                    let iter = tr.iter;
-                    tr.push(
-                        at,
-                        EventKind::End,
-                        "wfbp.sync",
-                        layer as u32 + 1,
-                        layer as u64,
-                        iter,
-                        done,
-                    );
-                }
-                state.mark_layer_worker_done(done);
-            }
-        }
-        Ev::RingReduce { layer, chunk, at } => match state.coll_ready.get(&(layer, at)) {
-            Some(&ready) => ring_reduce_arrive(state, queue, now.max(ready), layer, chunk, at),
-            None => {
+        Kind::ReconDone => state.layer_synced(plan, node, now),
+        Kind::RingReduce => {
+            let ready = state.coll_ready[state.lw(d, node)];
+            if ready.is_nan() {
                 // The predecessor ran ahead of this worker's backward; stash
                 // the hop until our own contribution exists (satellite of the
                 // live runtime's frame-stashing discipline).
-                state.coll_pending.insert((layer, chunk, at), now);
+                state.coll_pending[(plan.base + chunk) * p + node] = now;
+            } else {
+                ring_reduce_arrive(state, queue, now.max(ready), d, chunk, node);
             }
-        },
-        Ev::RingShare { layer, chunk, at } => {
-            let plan = state.plans[&layer].clone();
+        }
+        Kind::RingShare => {
             let (_, bytes, _) = plan.chunks[chunk];
-            finish_collective_chunk(state, now, layer, chunk, at);
-            let next = at + 1;
+            state.chunk_landed(d, node, now);
+            let next = node + 1;
             if next != p - 1 {
                 // Stop one short of the originator (worker P−1 already holds
                 // the folded value).
-                state.send(
-                    queue,
-                    now,
-                    at,
-                    next,
-                    bytes,
-                    Ev::RingShare {
-                        layer,
-                        chunk,
-                        at: next,
-                    },
-                );
+                let share = Ev::new(Kind::RingShare, d, chunk, next);
+                state.send(queue, now, node, next, bytes, share);
             }
         }
-        Ev::TreeGather { layer, chunk, at } => {
-            if at == 0 {
-                *state.tree_counts.entry((layer, chunk)).or_insert(0) += 1;
-                try_tree_fold(state, queue, now, layer, chunk);
+        Kind::TreeGather => {
+            if node == 0 {
+                state.tree_counts[plan.base + chunk] += 1;
+                try_tree_fold(state, queue, now, d, chunk);
             } else {
                 // Interior nodes relay origin-tagged payloads unchanged.
-                let (_, bytes, _) = state.plans[&layer].chunks[chunk];
-                let parent = (at - 1) / 2;
-                state.send(
-                    queue,
-                    now,
-                    at,
-                    parent,
-                    bytes,
-                    Ev::TreeGather {
-                        layer,
-                        chunk,
-                        at: parent,
-                    },
-                );
+                let (_, bytes, _) = plan.chunks[chunk];
+                let parent = (node - 1) / 2;
+                let up = Ev::new(Kind::TreeGather, d, chunk, parent);
+                state.send(queue, now, node, parent, bytes, up);
             }
         }
-        Ev::TreeCast { layer, chunk, at } => {
-            let (_, bytes, _) = state.plans[&layer].chunks[chunk];
-            finish_collective_chunk(state, now, layer, chunk, at);
-            for child in [2 * at + 1, 2 * at + 2] {
+        Kind::TreeCast => {
+            let (_, bytes, _) = plan.chunks[chunk];
+            state.chunk_landed(d, node, now);
+            for child in [2 * node + 1, 2 * node + 2] {
                 if child < p {
-                    state.send(
-                        queue,
-                        now,
-                        at,
-                        child,
-                        bytes,
-                        Ev::TreeCast {
-                            layer,
-                            chunk,
-                            at: child,
-                        },
-                    );
+                    let cast = Ev::new(Kind::TreeCast, d, chunk, child);
+                    state.send(queue, now, node, child, bytes, cast);
                 }
             }
         }
@@ -1051,46 +920,27 @@ fn ring_reduce_arrive(
     state: &mut SimState<'_>,
     queue: &mut EventQueue<Ev>,
     now: f64,
-    layer: usize,
+    d: usize,
     chunk: usize,
     at: usize,
 ) {
     let p = state.p;
-    let (_, bytes, dense) = state.plans[&layer].chunks[chunk];
+    let plan = &state.plans[d];
+    let (_, bytes, dense) = plan.chunks[chunk];
     let dur = dense as f64 / state.cfg.apply_bytes_per_s;
     let done = state.cpu[at].reserve(now, dur).1;
     if let Some(tr) = state.tracer.as_mut() {
-        tr.span(p + at, "coll.fold", 0, layer as u64, now, done);
+        tr.span(p + at, "coll.fold", 0, plan.layer as u64, now, done);
     }
     if at == p - 1 {
         // Chain complete: this worker holds the folded update; the broadcast
         // pass walks the ring from worker 0.
-        finish_collective_chunk(state, done, layer, chunk, at);
-        state.send(
-            queue,
-            done,
-            at,
-            0,
-            bytes,
-            Ev::RingShare {
-                layer,
-                chunk,
-                at: 0,
-            },
-        );
+        state.chunk_landed(d, at, done);
+        let share = Ev::new(Kind::RingShare, d, chunk, 0);
+        state.send(queue, done, at, 0, bytes, share);
     } else {
-        state.send(
-            queue,
-            done,
-            at,
-            at + 1,
-            bytes,
-            Ev::RingReduce {
-                layer,
-                chunk,
-                at: at + 1,
-            },
-        );
+        let hop = Ev::new(Kind::RingReduce, d, chunk, at + 1);
+        state.send(queue, done, at, at + 1, bytes, hop);
     }
 }
 
@@ -1100,76 +950,28 @@ fn try_tree_fold(
     state: &mut SimState<'_>,
     queue: &mut EventQueue<Ev>,
     now: f64,
-    layer: usize,
+    d: usize,
     chunk: usize,
 ) {
-    let Some(&ready) = state.coll_ready.get(&(layer, 0)) else {
-        return;
-    };
-    if state.tree_counts.get(&(layer, chunk)).copied().unwrap_or(0) < state.p - 1 {
+    let p = state.p;
+    let plan = &state.plans[d];
+    let ready = state.coll_ready[state.lw(d, 0)];
+    if ready.is_nan() || (state.tree_counts[plan.base + chunk] as usize) < p - 1 {
         return;
     }
-    state.tree_counts.remove(&(layer, chunk));
-    let p = state.p;
-    let (_, bytes, dense) = state.plans[&layer].chunks[chunk];
+    state.tree_counts[plan.base + chunk] = 0;
+    let (_, bytes, dense) = plan.chunks[chunk];
     let dur = p as f64 * dense as f64 / state.cfg.apply_bytes_per_s;
     let start = now.max(ready);
     let done = state.cpu[0].reserve(start, dur).1;
     if let Some(tr) = state.tracer.as_mut() {
-        tr.span(p, "coll.fold", 0, layer as u64, start, done);
+        tr.span(p, "coll.fold", 0, plan.layer as u64, start, done);
     }
-    finish_collective_chunk(state, done, layer, chunk, 0);
+    state.chunk_landed(d, 0, done);
     for child in [1, 2] {
         if child < p {
-            state.send(
-                queue,
-                done,
-                0,
-                child,
-                bytes,
-                Ev::TreeCast {
-                    layer,
-                    chunk,
-                    at: child,
-                },
-            );
-        }
-    }
-}
-
-/// A collective worker received (or produced) the final value of one chunk;
-/// when the last chunk lands, the layer is synchronised on that worker.
-fn finish_collective_chunk(
-    state: &mut SimState<'_>,
-    t: f64,
-    layer: usize,
-    chunk: usize,
-    worker: usize,
-) {
-    let _ = chunk;
-    let plan = state.plans[&layer].clone();
-    let entry = state
-        .chunks_remaining
-        .entry((layer, worker))
-        .or_insert(plan.chunks.len());
-    *entry -= 1;
-    if *entry == 0 {
-        state.chunks_remaining.remove(&(layer, worker));
-        let done = state.local_distribute(worker, t, plan.dense_bytes);
-        if !state.is_dropped(worker) {
-            if let Some(tr) = state.tracer.as_mut() {
-                let iter = tr.iter;
-                tr.push(
-                    worker,
-                    EventKind::End,
-                    "wfbp.sync",
-                    layer as u32 + 1,
-                    layer as u64,
-                    iter,
-                    done,
-                );
-            }
-            state.mark_layer_worker_done(done);
+            let cast = Ev::new(Kind::TreeCast, d, chunk, child);
+            state.send(queue, done, 0, child, bytes, cast);
         }
     }
 }
@@ -1188,504 +990,4 @@ pub fn speedup_series(
             (n, report.speedup)
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::sim::profile::System;
-    use poseidon_nn::zoo;
-
-    fn report(system: System, model: &ModelSpec, nodes: usize, bw: f64) -> IterationReport {
-        simulate(model, &SimConfig::system(system, nodes, bw))
-    }
-
-    #[test]
-    fn single_node_poseidon_matches_native_throughput() {
-        let vgg = zoo::vgg19();
-        let r = report(System::Poseidon, &vgg, 1, 40.0);
-        assert!(
-            (r.throughput_ips - 35.5).abs() / 35.5 < 0.02,
-            "single-node Poseidon VGG19 = {} img/s, expected ~35.5",
-            r.throughput_ips
-        );
-        assert!(
-            r.per_node_gbit.iter().all(|&g| g == 0.0),
-            "no network traffic on 1 node"
-        );
-    }
-
-    #[test]
-    fn single_node_caffe_ps_pays_memcpy_overhead() {
-        let vgg = zoo::vgg19();
-        let ps = report(System::CaffePs, &vgg, 1, 40.0);
-        let psd = report(System::Poseidon, &vgg, 1, 40.0);
-        assert!(
-            ps.throughput_ips < 0.75 * psd.throughput_ips,
-            "Caffe+PS ({}) should be well below Poseidon ({}) on one node",
-            ps.throughput_ips,
-            psd.throughput_ips
-        );
-    }
-
-    #[test]
-    fn poseidon_scales_near_linearly_on_vgg_at_40gbe() {
-        let vgg = zoo::vgg19();
-        let r = report(System::Poseidon, &vgg, 32, 40.0);
-        assert!(
-            r.speedup > 28.0,
-            "Poseidon VGG19 at 32 nodes: {}x",
-            r.speedup
-        );
-    }
-
-    #[test]
-    fn wfbp_beats_sequential_ps() {
-        let vgg = zoo::vgg19();
-        let seq = report(System::CaffePs, &vgg, 8, 40.0);
-        let wfbp = report(System::WfbpPs, &vgg, 8, 40.0);
-        assert!(
-            wfbp.speedup > seq.speedup * 1.2,
-            "WFBP {} vs sequential {}",
-            wfbp.speedup,
-            seq.speedup
-        );
-    }
-
-    #[test]
-    fn hybrid_beats_pure_ps_under_limited_bandwidth() {
-        let vgg = zoo::vgg19();
-        let ps = report(System::WfbpPs, &vgg, 16, 10.0);
-        let psd = report(System::Poseidon, &vgg, 16, 10.0);
-        assert!(
-            psd.speedup > ps.speedup * 1.3,
-            "Poseidon {} vs WFBP-PS {} at 10GbE",
-            psd.speedup,
-            ps.speedup
-        );
-        assert!(
-            psd.speedup > 13.0,
-            "Poseidon should stay near-linear: {}",
-            psd.speedup
-        );
-    }
-
-    #[test]
-    fn tensorflow_hotspot_hurts_vgg() {
-        let vgg = zoo::vgg19();
-        let tf = report(System::TensorFlow, &vgg, 8, 40.0);
-        let psd = report(System::Poseidon, &vgg, 8, 40.0);
-        assert!(
-            tf.speedup < 0.6 * psd.speedup,
-            "TF {} should trail Poseidon {} badly on VGG19",
-            tf.speedup,
-            psd.speedup
-        );
-        assert!(tf.stall_fraction > psd.stall_fraction + 0.2);
-    }
-
-    #[test]
-    fn adam_creates_load_imbalance() {
-        let vgg = zoo::vgg19();
-        let adam = report(System::Adam, &vgg, 8, 40.0);
-        let even = report(System::WfbpPs, &vgg, 8, 40.0);
-        let imbalance = |g: &[f64]| {
-            let max = g.iter().cloned().fold(0.0f64, f64::max);
-            let mean = g.iter().sum::<f64>() / g.len() as f64;
-            max / mean
-        };
-        assert!(
-            imbalance(&adam.per_node_gbit) > 1.8,
-            "Adam per-node traffic should be skewed: {:?}",
-            adam.per_node_gbit
-        );
-        assert!(
-            imbalance(&even.per_node_gbit) < 1.2,
-            "KV-pair PS should be even: {:?}",
-            even.per_node_gbit
-        );
-    }
-
-    #[test]
-    fn traffic_matches_cost_model_for_ps() {
-        // Per-node PS traffic for the whole model ≈ 2·params·4·(P1+P2−2)/P2.
-        let vgg = zoo::vgg19();
-        let r = report(System::WfbpPs, &vgg, 8, 40.0);
-        let expect_gbit = 2.0 * vgg.param_bytes() as f64 * (8.0 + 8.0 - 2.0) / 8.0 * 8.0 / 1e9;
-        let got = r.per_node_gbit[0];
-        assert!(
-            (got - expect_gbit).abs() / expect_gbit < 0.02,
-            "per-node traffic {got} Gb vs cost model {expect_gbit} Gb"
-        );
-    }
-
-    #[test]
-    fn sequential_iteration_is_compute_plus_comm() {
-        let g = zoo::googlenet();
-        let r = report(System::CaffePs, &g, 4, 10.0);
-        assert!(r.iter_time_s > r.compute_s, "sequential must add comm time");
-        assert_eq!(
-            r.schemes
-                .iter()
-                .filter(|(_, s)| *s == CommScheme::Sfb)
-                .count(),
-            0
-        );
-    }
-
-    #[test]
-    fn onebit_reduces_fc_traffic() {
-        let vgg = zoo::vgg19();
-        let onebit = report(System::Cntk1Bit, &vgg, 8, 40.0);
-        let ps = report(System::WfbpPs, &vgg, 8, 40.0);
-        assert!(
-            onebit.per_node_gbit[0] < 0.45 * ps.per_node_gbit[0],
-            "1-bit {} Gb vs PS {} Gb",
-            onebit.per_node_gbit[0],
-            ps.per_node_gbit[0]
-        );
-    }
-
-    #[test]
-    fn multi_gpu_scales_with_local_aggregation() {
-        let g = zoo::googlenet();
-        let mut cfg = SimConfig::system(System::Poseidon, 1, 40.0);
-        cfg.gpus_per_node = 4;
-        let r = simulate(&g, &cfg);
-        assert!(
-            r.speedup > 3.8,
-            "4 GPUs on one node should be near-linear: {}x",
-            r.speedup
-        );
-        // 8-GPU nodes on the heavy VGG19 pay visible PCIe aggregation.
-        let vgg = zoo::vgg19();
-        let mut cfg = SimConfig::system(System::Poseidon, 4, 40.0);
-        cfg.gpus_per_node = 8;
-        let r = simulate(&vgg, &cfg);
-        assert!(
-            r.speedup > 28.0 && r.speedup < 32.0,
-            "4x8 GPUs VGG19: {}x",
-            r.speedup
-        );
-    }
-
-    #[test]
-    fn multi_gpu_increases_effective_batch_for_best_scheme() {
-        // GoogLeNet's thin classifier: SFB at K=32 single GPU on few nodes,
-        // PS once 8 GPUs multiply the per-node batch.
-        let g = zoo::googlenet();
-        let mut small = SimConfig::system(System::Poseidon, 4, 40.0);
-        small.batch_per_node = Some(32);
-        let r_small = simulate(&g, &small);
-        let mut big = small.clone();
-        big.gpus_per_node = 8; // node batch 256 > the ~253 crossover
-        let r_big = simulate(&g, &big);
-        let fc_scheme = |r: &IterationReport| {
-            r.schemes
-                .iter()
-                .find(|(n, _)| n.contains("classifier"))
-                .map(|&(_, s)| s)
-                .expect("classifier present")
-        };
-        assert_eq!(fc_scheme(&r_small), CommScheme::Sfb);
-        assert_eq!(
-            fc_scheme(&r_big),
-            CommScheme::Ps,
-            "bigger node batch flips to PS"
-        );
-    }
-
-    #[test]
-    fn straggler_gates_bsp_iteration_time() {
-        let g = zoo::googlenet();
-        let clean = simulate(&g, &SimConfig::system(System::WfbpPs, 8, 40.0));
-        let mut cfg = SimConfig::system(System::WfbpPs, 8, 40.0);
-        cfg.straggler = Some((3, 2.0));
-        let slow = simulate(&g, &cfg);
-        // BSP waits for the slowest node: iteration roughly doubles.
-        assert!(
-            slow.iter_time_s > 1.8 * clean.iter_time_s,
-            "straggler must gate the barrier: {} vs {}",
-            slow.iter_time_s,
-            clean.iter_time_s
-        );
-    }
-
-    #[test]
-    fn dropping_the_straggler_recovers_throughput() {
-        let g = zoo::googlenet();
-        let mut gated = SimConfig::system(System::WfbpPs, 8, 40.0);
-        gated.straggler = Some((3, 2.0));
-        let waiting = simulate(&g, &gated);
-        let mut dropping = gated.clone();
-        dropping.drop_stragglers = true;
-        let dropped = simulate(&g, &dropping);
-        assert!(
-            dropped.iter_time_s < 0.7 * waiting.iter_time_s,
-            "dropping should cut the straggler tail: {} vs {}",
-            dropped.iter_time_s,
-            waiting.iter_time_s
-        );
-        // But the straggler still receives parameters, so the protocol
-        // completes for every node.
-        assert!(dropped.speedup > waiting.speedup);
-    }
-
-    #[test]
-    fn straggler_drop_works_for_sfb_layers_too() {
-        let vgg = zoo::vgg19();
-        let mut cfg = SimConfig::system(System::Poseidon, 8, 10.0);
-        cfg.straggler = Some((0, 3.0));
-        cfg.drop_stragglers = true;
-        let r = simulate(&vgg, &cfg);
-        assert!(r.schemes.iter().any(|(_, s)| *s == CommScheme::Sfb));
-        // With the straggler's contributions dropped, the other 7 nodes are
-        // barely slowed.
-        let clean = simulate(&vgg, &SimConfig::system(System::Poseidon, 8, 10.0));
-        assert!(r.iter_time_s < 1.25 * clean.iter_time_s);
-    }
-
-    #[test]
-    fn fair_share_model_agrees_with_fifo() {
-        // The two bandwidth models must agree closely when comm is fully
-        // overlapped, and within ~25% when bandwidth-bound.
-        let vgg = zoo::vgg19();
-        let fifo = simulate(&vgg, &SimConfig::system(System::Poseidon, 8, 40.0));
-        let mut cfg = SimConfig::system(System::Poseidon, 8, 40.0);
-        cfg.fair_share = true;
-        let fair = simulate(&vgg, &cfg);
-        assert!((fifo.speedup - fair.speedup).abs() / fifo.speedup < 0.02);
-        assert!(
-            (fifo.per_node_gbit[0] - fair.per_node_gbit[0]).abs() < 0.01,
-            "traffic accounting must be identical across models"
-        );
-
-        let g = zoo::googlenet();
-        let fifo = simulate(&g, &SimConfig::system(System::WfbpPs, 8, 5.0));
-        let mut cfg = SimConfig::system(System::WfbpPs, 8, 5.0);
-        cfg.fair_share = true;
-        let fair = simulate(&g, &cfg);
-        let rel = (fifo.speedup - fair.speedup).abs() / fifo.speedup;
-        assert!(
-            rel < 0.25,
-            "bandwidth-bound disagreement {rel:.2} too large"
-        );
-    }
-
-    #[test]
-    fn traced_simulation_matches_untraced_and_exports_valid_chrome_json() {
-        let vgg = zoo::vgg19();
-        let cfg = SimConfig::system(System::Poseidon, 4, 40.0);
-        let plain = simulate(&vgg, &cfg);
-        let (report, trace) = simulate_with_trace(&vgg, &cfg);
-        // Tracing is pure observation: the simulation result is unchanged.
-        assert_eq!(plain.iter_time_s, report.iter_time_s);
-        assert_eq!(plain.per_node_gbit, report.per_node_gbit);
-        assert!(trace.event_count() > 0, "trace must record the iteration");
-
-        // WFBP is visible in the timeline: on node 0 some layer's sync
-        // window opens strictly before the node's backward pass finishes.
-        let t0 = trace
-            .tracks
-            .iter()
-            .find(|t| t.name == "node 0")
-            .expect("node 0 track");
-        let last_bwd_end = t0
-            .events
-            .iter()
-            .filter(|e| e.name == "bwd" && e.kind == EventKind::End)
-            .map(|e| e.ts_ns)
-            .max()
-            .expect("bwd spans recorded");
-        let first_sync_begin = t0
-            .events
-            .iter()
-            .filter(|e| e.name == "wfbp.sync" && e.kind == EventKind::Begin)
-            .map(|e| e.ts_ns)
-            .min()
-            .expect("sync spans recorded");
-        assert!(
-            first_sync_begin < last_bwd_end,
-            "WFBP overlap missing: first sync at {first_sync_begin} ns, backward ends {last_bwd_end} ns"
-        );
-
-        // The exporter round-trips: structurally valid Chrome trace JSON.
-        let json = crate::telemetry::chrome::to_chrome_json(&[trace]);
-        let stats = crate::telemetry::chrome::validate(&json).expect("valid chrome trace");
-        assert!(stats.spans > 0 && stats.tracks > 1);
-    }
-
-    #[test]
-    fn simulated_metrics_emit_live_run_families() {
-        let vgg = zoo::vgg19();
-        let cfg = SimConfig::system(System::Poseidon, 4, 40.0);
-        let plain = simulate(&vgg, &cfg);
-        let (report, snap) = simulate_with_metrics(&vgg, &cfg);
-        // Metrics replay is pure observation too.
-        assert_eq!(plain.iter_time_s, report.iter_time_s);
-        // The virtual-clock run lands in the same families a live scrape
-        // serves: per-node step histograms and per-peer traffic counters.
-        let steps = snap
-            .family("poseidon_step_time_ns")
-            .expect("step time family");
-        assert_eq!(steps.samples.len(), 4, "one step histogram per node");
-        let tx = snap
-            .family("poseidon_tx_bytes_total")
-            .expect("tx bytes family");
-        assert!(!tx.samples.is_empty(), "simulated sends must be counted");
-        let text = snap.render();
-        assert!(
-            text.contains("poseidon_step_time_ns_bucket"),
-            "exposition render must work on simulated snapshots: {text}"
-        );
-    }
-
-    #[test]
-    fn ring_per_node_traffic_is_bounded_independent_of_p() {
-        // Each ring worker relays every chunk at most twice in each
-        // direction (one REDUCE hop, one DISTRIBUTE hop), so per-node
-        // traffic caps at 2·dense sent + 2·dense received no matter how
-        // many nodes join — PS per-node traffic instead grows with
-        // (P1+P2−2)/P2. (The ledger counts both directions.)
-        let vgg = zoo::vgg19();
-        let dense_gbit = vgg.param_bytes() as f64 * 8.0 / 1e9;
-        for p in [4usize, 8, 16] {
-            let mut cfg = SimConfig::system(System::WfbpPs, p, 40.0);
-            cfg.policy = crate::config::SchemePolicy::AlwaysRing;
-            let ring = simulate(&vgg, &cfg);
-            assert!(
-                ring.schemes.iter().all(|(_, s)| *s == CommScheme::Ring),
-                "AlwaysRing must assign Ring everywhere: {:?}",
-                ring.schemes
-            );
-            let max_gbit = ring.per_node_gbit.iter().cloned().fold(0.0, f64::max);
-            assert!(
-                max_gbit < 1.02 * 4.0 * dense_gbit,
-                "P={p}: ring per-node traffic {max_gbit} Gb exceeds the 4·dense cap"
-            );
-            // Whole-cluster bytes: 2(P−1) hops, each counted at sender and
-            // receiver.
-            let total: f64 = ring.per_node_gbit.iter().sum();
-            let expect = 2.0 * 2.0 * (p - 1) as f64 * dense_gbit;
-            assert!(
-                (total - expect).abs() / expect < 0.02,
-                "P={p}: cluster ring traffic {total} Gb vs expected {expect} Gb"
-            );
-        }
-    }
-
-    #[test]
-    fn tree_completes_with_gather_and_broadcast() {
-        let g = zoo::googlenet();
-        let mut cfg = SimConfig::system(System::WfbpPs, 8, 40.0);
-        cfg.policy = crate::config::SchemePolicy::AlwaysTree;
-        let r = simulate(&g, &cfg);
-        assert!(r.schemes.iter().all(|(_, s)| *s == CommScheme::Tree));
-        assert!(r.iter_time_s >= r.compute_s);
-        assert!(r.per_node_gbit.iter().all(|&b| b > 0.0));
-        // The root relays the most traffic (gather in + broadcast out plus
-        // relayed interior contributions); leaves send one copy up and
-        // forward at most two down.
-        assert!(
-            r.per_node_gbit[0] > r.per_node_gbit[7],
-            "root should carry more than a leaf: {:?}",
-            r.per_node_gbit
-        );
-    }
-
-    #[test]
-    fn topo_aware_policy_mixes_schemes_in_simulation() {
-        // An oversubscribed 2-level cluster (4 nodes × 2 GPUs): the cost
-        // model keeps the latency-bound first conv on PS and the FC layers
-        // on SFB, but moves the bandwidth-bound big convs — whose PS traffic
-        // would all cross the oversubscribed core — onto a collective. This
-        // is the FireCaffe-style crossover, end to end in the simulator.
-        use crate::config::{SchemePolicy, Topology};
-        use poseidon_netsim::LinkConfig;
-        let vgg = zoo::vgg19();
-        let topo = Topology::two_level(
-            4,
-            2,
-            LinkConfig {
-                bandwidth_gbps: 100.0,
-                latency_s: 1e-6,
-            },
-            LinkConfig {
-                bandwidth_gbps: 10.0,
-                latency_s: 50e-6,
-            },
-            4.0,
-        );
-        let mut cfg = SimConfig::system(System::WfbpPs, 8, 10.0);
-        cfg.policy = SchemePolicy::TopoAware(topo);
-        let r = simulate(&vgg, &cfg);
-        let scheme_of = |name: &str| {
-            r.schemes
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|&(_, s)| s)
-                .unwrap_or_else(|| panic!("{name} missing from {:?}", r.schemes))
-        };
-        assert_eq!(
-            scheme_of("conv1_1"),
-            CommScheme::Ps,
-            "tiny first conv stays latency-bound on PS: {:?}",
-            r.schemes
-        );
-        assert!(
-            matches!(scheme_of("conv5_4"), CommScheme::Ring | CommScheme::Tree),
-            "big conv should go collective: {:?}",
-            r.schemes
-        );
-        assert_eq!(
-            scheme_of("fc6"),
-            CommScheme::Sfb,
-            "FC layers stay on sufficient factors: {:?}",
-            r.schemes
-        );
-        // The mixed plan still completes every layer on every node (the
-        // simulate() internal barrier assertion), and every scheme family
-        // appears at once.
-        let distinct: std::collections::HashSet<_> = r.schemes.iter().map(|&(_, s)| s).collect();
-        assert!(distinct.len() >= 3, "expected a 3-way mix: {:?}", r.schemes);
-    }
-
-    #[test]
-    fn ring_has_no_straggler_drop_escape_hatch() {
-        // Collectives are barrier-full: every worker is a link in the chain,
-        // so even with drop_stragglers the slow node gates the fold (unlike
-        // PS, where its pushes are simply discarded). The run must still
-        // complete — the dropped node keeps sending.
-        let g = zoo::googlenet();
-        let mut cfg = SimConfig::system(System::WfbpPs, 8, 40.0);
-        cfg.policy = crate::config::SchemePolicy::AlwaysRing;
-        let clean = simulate(&g, &cfg);
-        let mut slow = cfg.clone();
-        slow.straggler = Some((3, 2.0));
-        slow.drop_stragglers = true;
-        let gated = simulate(&g, &slow);
-        assert!(
-            gated.iter_time_s > 1.5 * clean.iter_time_s,
-            "ring cannot drop a straggler: {} vs {}",
-            gated.iter_time_s,
-            clean.iter_time_s
-        );
-    }
-
-    #[test]
-    fn speedup_series_is_monotone_for_poseidon() {
-        let g = zoo::googlenet();
-        let series = speedup_series(
-            &g,
-            |n| SimConfig::system(System::Poseidon, n, 40.0),
-            &[1, 2, 4, 8],
-        );
-        assert!(
-            (series[0].1 - 1.0).abs() < 0.02,
-            "1-node speedup ~1: {series:?}"
-        );
-        for w in series.windows(2) {
-            assert!(w[1].1 > w[0].1, "speedup must grow: {series:?}");
-        }
-    }
 }
