@@ -18,6 +18,7 @@
 
 use crate::wire::{self, Codec, CodecError};
 use bytes::Bytes;
+use poseidon_tensor::compress::FrameCursor;
 use std::collections::HashMap;
 
 /// Key of one KV pair: `(layer index, chunk index within the layer)`.
@@ -34,24 +35,49 @@ pub enum Staged {
 }
 
 impl Staged {
-    /// `acc[i] += scale · g[i]`, a frame straight from its wire bytes. A
-    /// frame that is not `acc.len()` well-formed values is refused whole; a
-    /// dense gradient of the wrong length is a caller bug.
-    fn axpy_into(&self, scale: f32, acc: &mut [f32]) -> Result<(), CodecError> {
+    /// A cursor at the front of this gradient. A frame that is not `elems`
+    /// well-formed values is refused whole; a dense gradient of the wrong
+    /// length is a caller bug.
+    fn cursor(&self, elems: usize) -> Result<GradCursor<'_>, CodecError> {
         match self {
             Staged::Frame { codec, payload } => {
-                wire::accumulate_codec(*codec, payload, scale, acc)?
+                wire::codec_cursor(*codec, payload, elems).map(GradCursor::Frame)
             }
             Staged::Dense(g) => {
-                assert_eq!(g.len(), acc.len(), "gradient length mismatch");
-                for (a, g) in acc.iter_mut().zip(g) {
+                assert_eq!(g.len(), elems, "gradient length mismatch");
+                Ok(GradCursor::Dense(g))
+            }
+        }
+    }
+}
+
+/// One staged gradient being folded front to back, a window at a time: a
+/// frame straight from its wire bytes, a dense gradient by slice.
+enum GradCursor<'a> {
+    Frame(FrameCursor<'a>),
+    Dense(&'a [f32]),
+}
+
+impl GradCursor<'_> {
+    /// `acc[i] += scale · g[at + i]` over the next `acc.len()` elements.
+    fn axpy_next(&mut self, scale: f32, acc: &mut [f32]) {
+        match self {
+            GradCursor::Frame(frame) => frame.accumulate_next(scale, acc),
+            GradCursor::Dense(g) => {
+                let (head, rest) = g.split_at(acc.len());
+                *g = rest;
+                for (a, g) in acc.iter_mut().zip(head) {
                     *a += scale * g;
                 }
             }
         }
-        Ok(())
     }
 }
+
+/// Velocity elements folded per block: 16 KiB of velocity stays in L1 while
+/// the round's `P` gradients stream through it. A multiple of 8, as
+/// [`FrameCursor`] windows must be.
+pub const FOLD_BLOCK: usize = 4096;
 
 /// One shard of the globally-shared parameters.
 #[derive(Debug)]
@@ -169,22 +195,33 @@ impl ShardState {
     /// scaled velocity — per element `v ← µ·v` (or `0.0`), then
     /// `v += scale·g_w` for `w = 0..P`, each straight from its staged form —
     /// resets the round, and returns the velocity: the exact `θ`-delta of
-    /// this round, not yet applied. Panics if the round is not complete.
+    /// this round, not yet applied. The velocity is walked once, in
+    /// [`FOLD_BLOCK`]-element blocks that see the decay and then all `P`
+    /// gradients before the walk moves on: the same operations per element
+    /// in the same order as `P + 1` whole passes. Panics if the round is not
+    /// complete.
     pub fn fold(&mut self, key: KvKey) -> &[f32] {
         let slots = self.pending.remove(&key).expect("round not complete");
         let len = self.params[&key].len();
         let velocity = self.velocity.entry(key).or_insert_with(|| vec![0.0; len]);
-        if self.momentum != 0.0 {
-            for v in velocity.iter_mut() {
-                *v *= self.momentum;
+        let mut grads: Vec<GradCursor<'_>> = slots
+            .iter()
+            .map(|grad| {
+                let grad = grad.as_ref().expect("round not complete");
+                grad.cursor(len).expect("validated when staged")
+            })
+            .collect();
+        for block in velocity.chunks_mut(FOLD_BLOCK) {
+            if self.momentum != 0.0 {
+                for v in block.iter_mut() {
+                    *v *= self.momentum;
+                }
+            } else {
+                block.fill(0.0);
             }
-        } else {
-            velocity.fill(0.0);
-        }
-        for grad in slots {
-            grad.expect("round not complete")
-                .axpy_into(self.update_scale, velocity)
-                .expect("validated when staged");
+            for grad in &mut grads {
+                grad.axpy_next(self.update_scale, block);
+            }
         }
         velocity
     }
@@ -293,7 +330,7 @@ impl ShardState {
     pub fn receive_grad_async(&mut self, key: KvKey, grad: &Staged) -> Result<&[f32], CodecError> {
         let scale = self.update_scale;
         let master = self.master_mut(key);
-        grad.axpy_into(scale, master)?;
+        grad.cursor(master.len())?.axpy_next(scale, master);
         Ok(master)
     }
 

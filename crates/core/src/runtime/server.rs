@@ -538,15 +538,11 @@ fn serve_envelope<T: Transport>(
                     wire::encode_f32s_pooled(state.apply_velocity(key))
                 } else {
                     // Lossy reply: compress the scaled velocity (with error
-                    // feedback) where it lies, then advance the master by
-                    // the *decoded* bytes so it tracks exactly what every
-                    // replica applies.
+                    // feedback) where it lies; the master follows below.
                     let comp = reply_comp
                         .entry(key)
                         .or_insert_with(|| make_compressor(reply_codec, elems));
-                    let payload = wire::compress_pooled(comp.as_mut(), state.fold(key));
-                    state.apply_delta(key, reply_codec, &payload);
-                    payload
+                    wire::compress_pooled(comp.as_mut(), state.fold(key))
                 };
                 // SSP answers the sender alone (and is identity-only by plan).
                 let to = match plan.ssp {
@@ -565,6 +561,12 @@ fn serve_envelope<T: Transport>(
                             data: data.clone(),
                         },
                     );
+                }
+                // The lossy reply is on its way before the master advances —
+                // by the *decoded* bytes, so it tracks exactly what every
+                // replica applies; nothing reads the master in between.
+                if !plan.ssp && reply_codec != Codec::Identity {
+                    state.apply_delta(key, reply_codec, &data);
                 }
             }
         }

@@ -295,14 +295,16 @@ impl<T: Transport> Exchange<'_, T> {
         }
     }
 
-    /// The next frame that is already here, if any. A transport failure is
-    /// left to [`Self::wait_next`], which meets it again and reports it with
-    /// the sync progress.
-    fn try_next(&mut self) -> Option<(usize, Message)> {
-        self.pending.pop_front().or_else(|| {
-            let env = self.endpoint.try_recv().ok().flatten()?;
-            Some((env.from, env.msg))
-        })
+    /// The next frame that is already here, if any, and whether it came off
+    /// the endpoint just now rather than out of the replay queue. A transport
+    /// failure is left to [`Self::wait_next`], which meets it again and
+    /// reports it with the sync progress.
+    fn try_next(&mut self) -> Option<(usize, Message, bool)> {
+        if let Some((from, msg)) = self.pending.pop_front() {
+            return Some((from, msg, false));
+        }
+        let env = self.endpoint.try_recv().ok().flatten()?;
+        Some((env.from, env.msg, true))
     }
 
     /// The next frame, waiting for it up to `comm_timeout`.
@@ -324,26 +326,21 @@ impl<T: Transport> Exchange<'_, T> {
     }
 
     /// Takes one received frame to its syncer and, when that completes the
-    /// layer, applies the outcome to the replica. `false` when the frame went
-    /// elsewhere instead: control traffic, a frame stashed for the next
-    /// iteration or parked until its layer's `Send`, a poisoned payload.
-    fn dispatch<M: Model>(
-        &mut self,
-        from: usize,
-        msg: Message,
-        replica: &mut Replica<'_, '_, M>,
-    ) -> bool {
+    /// layer, applies the outcome to the replica — unless the frame goes
+    /// elsewhere instead: control traffic (dropped), a frame stashed for the
+    /// next iteration or parked until its layer's `Send`, a poisoned payload.
+    fn dispatch<M: Model>(&mut self, from: usize, msg: Message, replica: &mut Replica<'_, '_, M>) {
         // Control traffic is consumed by the reliability layer; any that
         // surfaces here (a peer acking over a bare transport) carries no
         // training state and is dropped before the iteration bookkeeping.
         if msg.is_control() {
-            return false;
+            return;
         }
         let (me, iter) = (self.cfg.me, self.iter);
         let msg_iter = msg.iter() as usize;
         if msg_iter > iter {
             self.stashed.push_back((from, msg));
-            return false;
+            return;
         }
         assert_eq!(msg_iter, iter, "stale message from a past iteration");
         let layer = match &msg {
@@ -367,7 +364,7 @@ impl<T: Transport> Exchange<'_, T> {
             .expect("message for unknown layer");
         if !state.sent {
             state.parked.push((from, msg));
-            return false;
+            return;
         }
         let s = &mut state.syncer;
         let was_complete = s.is_complete();
@@ -392,7 +389,7 @@ impl<T: Transport> Exchange<'_, T> {
                         "param chunk",
                         &e,
                     );
-                    return false;
+                    return;
                 }
             }
             Message::ParamMatrix { data, .. } => {
@@ -421,7 +418,7 @@ impl<T: Transport> Exchange<'_, T> {
                             "collective",
                             &e,
                         );
-                        return false;
+                        return;
                     }
                 }
             }
@@ -474,7 +471,6 @@ impl<T: Transport> Exchange<'_, T> {
             }
             self.completed += 1;
         }
-        true
     }
 }
 
@@ -645,10 +641,15 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         net.backward_with(&out.grad, &mut |l, layer, finished| {
             ex.send(l, layer);
             let mut replica = Replica::<M>::Lent(l, layer, finished);
-            while let Some((from, msg)) = ex.try_next() {
-                if ex.dispatch(from, msg, &mut replica) {
+            // A drained frame is one the endpoint yielded here, wherever
+            // `dispatch` then takes it (a layer, its park, the stash). A
+            // replayed frame is not: last iteration's stash was received by
+            // the blocking tail, on a mesh that never drains too.
+            while let Some((from, msg, off_endpoint)) = ex.try_next() {
+                if off_endpoint {
                     m_drained.inc();
                 }
+                ex.dispatch(from, msg, &mut replica);
             }
         });
         // Busy window: everything this worker computed for the step

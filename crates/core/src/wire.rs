@@ -57,8 +57,8 @@
 
 use crate::transport::Message;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use poseidon_tensor::compress::Compressor;
 pub use poseidon_tensor::compress::{Codec, CodecError};
+use poseidon_tensor::compress::{Compressor, FrameCursor};
 
 /// First two bytes of every frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"PN";
@@ -540,6 +540,15 @@ pub fn accumulate_codec(
     poseidon_tensor::compress::accumulate(codec, buf, scale, acc)?;
     count_codec_bytes(codec, acc.len(), buf.len());
     Ok(())
+}
+
+/// Counted receive primitive for a payload folded into its destination a
+/// window at a time: [`accumulate_codec`] split across
+/// [`FrameCursor::accumulate_next`] calls, counted once, here.
+pub fn codec_cursor(codec: Codec, buf: &[u8], elems: usize) -> Result<FrameCursor<'_>, CodecError> {
+    let cursor = FrameCursor::new(codec, buf, elems)?;
+    count_codec_bytes(codec, elems, buf.len());
+    Ok(cursor)
 }
 
 /// Allocate-then-[`decode_codec_into`], for callers off the hot path.

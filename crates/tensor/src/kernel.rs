@@ -34,6 +34,7 @@
 //! this), and NaN/Inf propagate like plain IEEE arithmetic: there is no
 //! zero-skipping fast path.
 
+use crate::isa::{detect_isa, Isa};
 use std::cell::RefCell;
 
 /// Depth of one packed slab of the shared dimension.
@@ -112,34 +113,12 @@ pub fn gemm(
     match detect_isa() {
         // Safety: `detect_isa` returned a variant only if the matching CPU
         // feature is present, which is the contract of each microkernel.
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => gemm_blocked::<8, 32>(m, n, k, view_a, view_b, c, mk_avx512),
+        #[cfg(target_arch = "x86_64")]
         Isa::Avx2 => gemm_blocked::<4, 16>(m, n, k, view_a, view_b, c, mk_avx2),
         Isa::Baseline => gemm_blocked::<4, 16>(m, n, k, view_a, view_b, c, mk_baseline),
     }
-}
-
-/// Instruction-set tier the runtime dispatch selected.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Isa {
-    Baseline,
-    Avx2,
-    Avx512,
-}
-
-#[cfg(target_arch = "x86_64")]
-fn detect_isa() -> Isa {
-    if is_x86_feature_detected!("avx512f") {
-        Isa::Avx512
-    } else if is_x86_feature_detected!("avx2") {
-        Isa::Avx2
-    } else {
-        Isa::Baseline
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn detect_isa() -> Isa {
-    Isa::Baseline
 }
 
 /// A read-only operand as the packers see it: the element in panel lane `x`

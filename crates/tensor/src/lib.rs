@@ -20,6 +20,7 @@
 pub mod bytesio;
 pub mod compress;
 pub mod init;
+mod isa;
 pub mod kernel;
 pub mod matrix;
 pub mod quantize;

@@ -12,7 +12,14 @@
 //! large matrices — but statistically lossy, which Figure 11 of the paper
 //! (and our reproduction of it) shows as slower convergence.
 
+use crate::isa::{detect_isa, Isa};
 use crate::Matrix;
+
+/// f64 lanes per scale sum: element `i` of a chunk adds into lane
+/// `i % SUM_LANES` of its group, and a group's sum is its lanes folded in
+/// ascending lane order from lane 0. Part of the codec's definition — the
+/// scalar oracle and every compiled copy of the fast path share it.
+pub const SUM_LANES: usize = 16;
 
 /// Dense bit-packed 1-bit encoding of a gradient matrix.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,8 +71,8 @@ impl QuantizedGrad {
         Some(Self {
             rows: packed.rows,
             cols: packed.elems / packed.rows,
-            pos_scale: packed.pos_scale,
-            neg_scale: packed.neg_scale,
+            pos_scale: packed.scales.pos,
+            neg_scale: packed.scales.neg,
             bits: packed.bits.chunks_exact(8).map(word).collect(),
         })
     }
@@ -143,30 +150,37 @@ impl OneBitQuantizer {
         eff.add_assign(&self.residual);
 
         // Split by sign; scales are the per-group means so the reconstruction
-        // is unbiased within each group.
-        let mut pos_sum = 0.0f64;
+        // is unbiased within each group. Element `i` adds into f64 lane
+        // `i % SUM_LANES` of its group and the lanes fold in ascending order:
+        // the summation order is part of the encoding, because the fast path
+        // must reproduce these scales bit for bit while keeping
+        // `SUM_LANES` independent adds in flight.
+        let mut pos_lanes = [0.0f64; SUM_LANES];
         let mut pos_cnt = 0usize;
-        let mut neg_sum = 0.0f64;
+        let mut neg_lanes = [0.0f64; SUM_LANES];
         let mut neg_cnt = 0usize;
-        for &v in eff.as_slice() {
+        for (i, &v) in eff.as_slice().iter().enumerate() {
             if v > 0.0 {
-                pos_sum += v as f64;
+                pos_lanes[i % SUM_LANES] += v as f64;
                 pos_cnt += 1;
             } else {
-                neg_sum += v as f64;
+                neg_lanes[i % SUM_LANES] += v as f64;
                 neg_cnt += 1;
             }
         }
-        let pos_scale = if pos_cnt > 0 {
-            (pos_sum / pos_cnt as f64) as f32
-        } else {
-            0.0
+        let mean = |lanes: &[f64; SUM_LANES], cnt: usize| {
+            let mut sum = lanes[0];
+            for lane in &lanes[1..] {
+                sum += lane;
+            }
+            if cnt > 0 {
+                (sum / cnt as f64) as f32
+            } else {
+                0.0
+            }
         };
-        let neg_scale = if neg_cnt > 0 {
-            (neg_sum / neg_cnt as f64) as f32
-        } else {
-            0.0
-        };
+        let pos_scale = mean(&pos_lanes, pos_cnt);
+        let neg_scale = mean(&neg_lanes, neg_cnt);
 
         let mut bits = vec![0u64; n.div_ceil(64)];
         for (i, &v) in eff.as_slice().iter().enumerate() {
@@ -203,62 +217,289 @@ pub fn wire_bytes(elems: usize) -> usize {
     HEADER_BYTES + elems.div_ceil(64) * 8
 }
 
-/// 1-bit encodes `vals + residual` as a `1 × n` matrix straight into `out`
-/// and leaves the new quantization error in `residual` — bit for bit what
-/// [`OneBitQuantizer::quantize`] then [`QuantizedGrad::to_bytes`] produce,
-/// without their three temporaries. The two scale sums stay sequential f64
-/// sums in element order: each block of 32 first masks every value into its
-/// group (`+0.0` for the other group, which never changes an IEEE sum that
-/// started at `+0.0`), then adds the block in order, so only the adds sit on
-/// the dependency chain. Panics if `vals` is empty, or `residual`/`out` have
-/// the wrong length.
-pub fn encode_in_place(residual: &mut [f32], vals: &[f32], out: &mut [u8]) {
+/// The two group means of one encoding: what a receiver decodes for a
+/// positive and for a non-positive element.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Scales {
+    pub pos: f32,
+    pub neg: f32,
+}
+
+impl Scales {
+    /// Nothing to subtract: `owed(r)` is `r` itself, bit for bit (`-0.0`
+    /// keeps its sign under `- +0.0`).
+    pub const ZERO: Scales = Scales { pos: 0.0, neg: 0.0 };
+
+    /// The value a receiver reconstructs for an element whose effective
+    /// gradient was `eff`.
+    #[inline(always)]
+    fn decoded(self, eff: f32) -> f32 {
+        if eff > 0.0 {
+            self.pos
+        } else {
+            self.neg
+        }
+    }
+
+    /// The quantization error of an element encoded under these scales from
+    /// the effective gradient `eff` — the Seide residual, one f32 subtraction.
+    #[inline(always)]
+    pub fn owed(self, eff: f32) -> f32 {
+        eff - self.decoded(eff)
+    }
+}
+
+/// Folds a group's lanes in ascending lane order from lane 0.
+fn fold_lanes(lanes: &[f64; SUM_LANES]) -> f64 {
+    lanes[1..].iter().fold(lanes[0], |sum, &lane| sum + lane)
+}
+
+/// A group's scale: the mean of its `cnt` members, `0.0` for an empty group.
+fn group_mean(lanes: &[f64; SUM_LANES], cnt: usize) -> f32 {
+    if cnt > 0 {
+        (fold_lanes(lanes) / cnt as f64) as f32
+    } else {
+        0.0
+    }
+}
+
+/// One compiled copy of the 1-bit codec loops the running CPU can execute.
+/// Values come only from [`Tier::available`], so holding one is the proof
+/// that its instruction set was detected on this CPU. Production code always runs the
+/// widest; the differential tests walk all of them against the baseline.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Tier(Isa);
+
+impl Tier {
+    /// Every tier this CPU runs, baseline first, widest last.
+    pub fn available() -> Vec<Tier> {
+        let detected = Isa::ALL.iter().filter(|isa| isa.detected());
+        detected.map(|&isa| Tier(isa)).collect()
+    }
+
+    fn widest() -> Tier {
+        Tier(detect_isa())
+    }
+
+    pub fn name(self) -> &'static str {
+        match self.0 {
+            Isa::Baseline => "baseline",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => "avx512",
+        }
+    }
+}
+
+/// 1-bit encodes the chunk's effective gradient as a `1 × n` matrix straight
+/// into `out` — bit for bit what [`OneBitQuantizer::quantize`] then
+/// [`QuantizedGrad::to_bytes`] produce, in **one** pass over the chunk.
+///
+/// `eff` and `carry` are the stream's state: the effective gradient of the
+/// previous call and the scales it was encoded under, whose difference
+/// [`Scales::owed`] is the residual that call left. This call forms that
+/// residual in a register, adds `vals`, stores the new effective gradient
+/// over `eff` and the new scales over `carry`; a fresh or restored stream
+/// holds its residual in `eff` with [`Scales::ZERO`].
+///
+/// Every element adds, as an f64, into lane `i % SUM_LANES` of its group's
+/// sum (and `+0.0` into the other group's, which never changes an IEEE sum
+/// that started at `+0.0`), so no add waits for the one before it.
+///
+/// Panics if `vals` is empty, or `eff`/`out` have the wrong length.
+pub fn encode_in_place(eff: &mut [f32], carry: &mut Scales, vals: &[f32], out: &mut [u8]) {
+    encode_in_place_on(Tier::widest(), eff, carry, vals, out)
+}
+
+/// [`encode_in_place`] through one named compiled copy.
+pub fn encode_in_place_on(
+    tier: Tier,
+    eff: &mut [f32],
+    carry: &mut Scales,
+    vals: &[f32],
+    out: &mut [u8],
+) {
     let n = vals.len();
-    assert!(n > 0 && residual.len() == n, "1-bit encode of {n} values");
+    assert!(n > 0 && eff.len() == n, "1-bit encode of {n} values");
     assert_eq!(out.len(), wire_bytes(n), "1-bit payload length");
     let cols = u32::try_from(n).expect("1-bit chunk exceeds u32 elements");
     let (hdr, bits) = out.split_at_mut(HEADER_BYTES);
-    let (mut pos_sum, mut neg_sum, mut pos_cnt) = (0.0f64, 0.0f64, 0usize);
-    let (mut p, mut q) = ([0.0f32; 32], [0.0f32; 32]);
-    // `1 << j` per lane as a table: baseline x86-64 has no per-lane variable
-    // shift to vectorise the sign packing with.
-    let lane_bit: [u32; 32] = std::array::from_fn(|j| 1 << j);
-    let blocks = residual.chunks_mut(32).zip(vals.chunks(32));
-    for ((r32, g32), word) in blocks.zip(bits.chunks_exact_mut(4)) {
-        let mut signs = 0u32;
-        let lanes = r32.iter_mut().zip(g32).zip(p.iter_mut().zip(q.iter_mut()));
-        for (((r, &g), (p, q)), bit) in lanes.zip(&lane_bit) {
-            let eff = g + *r;
-            *r = eff;
-            let mask = 0u32.wrapping_sub((eff > 0.0) as u32);
-            *p = f32::from_bits(eff.to_bits() & mask);
-            *q = f32::from_bits(eff.to_bits() & !mask);
-            signs |= mask & bit;
-        }
-        word.copy_from_slice(&signs.to_le_bytes());
-        pos_cnt += signs.count_ones() as usize;
-        for (&p, &q) in p.iter().zip(&q).take(r32.len()) {
-            pos_sum += p as f64;
-            neg_sum += q as f64;
-        }
-    }
-    // The last u64 sign word may have an untouched upper half.
-    bits[n.div_ceil(32) * 4..].fill(0);
-    let mean = |sum: f64, cnt: usize| {
-        if cnt > 0 {
-            (sum / cnt as f64) as f32
-        } else {
-            0.0
-        }
+    let sums = match tier.0 {
+        Isa::Baseline => encode_body(eff, *carry, vals, bits, sign_bits),
+        // SAFETY: a `Tier` is only ever built around an `Isa` whose feature
+        // was detected on this CPU — `avx2` here, which is all the copy needs.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx2 => unsafe { encode_avx2(eff, *carry, vals, bits) },
+        // SAFETY: likewise, `avx512f` was detected.
+        #[cfg(target_arch = "x86_64")]
+        Isa::Avx512 => unsafe { encode_avx512(eff, *carry, vals, bits) },
     };
-    let (pos_scale, neg_scale) = (mean(pos_sum, pos_cnt), mean(neg_sum, n - pos_cnt));
+    *carry = Scales {
+        pos: group_mean(&sums.pos, sums.pos_cnt),
+        neg: group_mean(&sums.neg, n - sums.pos_cnt),
+    };
     hdr[0..4].copy_from_slice(&1u32.to_le_bytes());
     hdr[4..8].copy_from_slice(&cols.to_le_bytes());
-    hdr[8..12].copy_from_slice(&pos_scale.to_le_bytes());
-    hdr[12..16].copy_from_slice(&neg_scale.to_le_bytes());
-    for r in residual.iter_mut() {
-        *r -= if *r > 0.0 { pos_scale } else { neg_scale };
+    hdr[8..12].copy_from_slice(&carry.pos.to_le_bytes());
+    hdr[12..16].copy_from_slice(&carry.neg.to_le_bytes());
+}
+
+/// What one encode pass learns about the chunk besides its sign bits.
+struct GroupSums {
+    pos: [f64; SUM_LANES],
+    neg: [f64; SUM_LANES],
+    pos_cnt: usize,
+}
+
+/// One step's worth of elements: a sign half-word on the wire.
+type Step = [f32; SUM_LANES];
+
+/// Bit `j` set where `e[j] > 0.0`.
+#[inline(always)]
+fn sign_bits(e: &Step) -> u16 {
+    let mut signs = 0u16;
+    for (j, &e) in e.iter().enumerate() {
+        signs |= ((e > 0.0) as u16) << j;
     }
+    signs
+}
+
+/// `scales.pos` where bit `j` of `signs` is set, `scales.neg` elsewhere.
+#[inline(always)]
+fn select(signs: u16, scales: Scales) -> Step {
+    std::array::from_fn(|j| {
+        if signs & (1 << j) != 0 {
+            scales.pos
+        } else {
+            scales.neg
+        }
+    })
+}
+
+/// [`sign_bits`] as two compares and two move-masks.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sign_bits_avx2(e: &Step) -> u16 {
+    use std::arch::x86_64::{
+        _mm256_cmp_ps, _mm256_loadu_ps, _mm256_movemask_ps, _mm256_setzero_ps, _CMP_GT_OQ,
+    };
+    let (lo, hi) = e.split_at(SUM_LANES / 2);
+    // SAFETY: each half of `e` is a live `[f32]` of 8, the 32 bytes a load reads.
+    let (lo, hi) = unsafe { (_mm256_loadu_ps(lo.as_ptr()), _mm256_loadu_ps(hi.as_ptr())) };
+    let zero = _mm256_setzero_ps();
+    let lo = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(lo, zero));
+    let hi = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(hi, zero));
+    (lo | hi << 8) as u16
+}
+
+/// [`sign_bits`] as one compare-to-mask.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sign_bits_avx512(e: &Step) -> u16 {
+    use std::arch::x86_64::{_mm512_cmp_ps_mask, _mm512_loadu_ps, _mm512_setzero_ps, _CMP_GT_OQ};
+    // SAFETY: `e` is a live `[f32; 16]`, the 64 bytes the load reads.
+    let e = unsafe { _mm512_loadu_ps(e.as_ptr()) };
+    _mm512_cmp_ps_mask::<_CMP_GT_OQ>(e, _mm512_setzero_ps())
+}
+
+/// [`select`] as a bit test and a blend per half.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn select_avx2(signs: u16, scales: Scales) -> Step {
+    use std::arch::x86_64::{
+        _mm256_and_si256, _mm256_blendv_ps, _mm256_castsi256_ps, _mm256_cmpeq_epi32,
+        _mm256_set1_epi32, _mm256_set1_ps, _mm256_setr_epi32, _mm256_storeu_ps,
+    };
+    let lane_bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    let (pos, neg) = (_mm256_set1_ps(scales.pos), _mm256_set1_ps(scales.neg));
+    let mut out = [0.0; SUM_LANES];
+    for (half, byte) in out.chunks_exact_mut(8).zip(signs.to_le_bytes()) {
+        let up = _mm256_and_si256(_mm256_set1_epi32(byte as i32), lane_bit);
+        let up = _mm256_castsi256_ps(_mm256_cmpeq_epi32(up, lane_bit));
+        // SAFETY: `half` is a live `[f32]` of 8, the 32 bytes the store writes.
+        unsafe { _mm256_storeu_ps(half.as_mut_ptr(), _mm256_blendv_ps(neg, pos, up)) };
+    }
+    out
+}
+
+/// [`select`] as one mask blend.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn select_avx512(signs: u16, scales: Scales) -> Step {
+    use std::arch::x86_64::{_mm512_mask_blend_ps, _mm512_set1_ps, _mm512_storeu_ps};
+    let picked = _mm512_mask_blend_ps(
+        signs,
+        _mm512_set1_ps(scales.neg),
+        _mm512_set1_ps(scales.pos),
+    );
+    let mut out = [0.0; SUM_LANES];
+    // SAFETY: `out` is a live `[f32; 16]`, the 64 bytes the store writes.
+    unsafe { _mm512_storeu_ps(out.as_mut_ptr(), picked) };
+    out
+}
+
+/// The encode pass: `SUM_LANES` elements per step, each step one sign
+/// half-word. Plain safe arithmetic on fixed-size arrays, compiled once per
+/// ISA tier below; `sign_bits` is [`sign_bits`] or a tier's spelling of it.
+#[inline(always)]
+fn encode_body(
+    eff: &mut [f32],
+    carry: Scales,
+    vals: &[f32],
+    bits: &mut [u8],
+    sign_bits: impl Fn(&Step) -> u16,
+) -> GroupSums {
+    let mut sums = GroupSums {
+        pos: [0.0; SUM_LANES],
+        neg: [0.0; SUM_LANES],
+        pos_cnt: 0,
+    };
+    let tail_at = eff.len() / SUM_LANES * SUM_LANES;
+    let (eff_full, eff_tail) = eff.split_at_mut(tail_at);
+    let (vals_full, vals_tail) = vals.split_at(tail_at);
+    let (bits_full, bits_tail) = bits.split_at_mut(tail_at / 8);
+    let steps = eff_full
+        .chunks_exact_mut(SUM_LANES)
+        .zip(vals_full.chunks_exact(SUM_LANES));
+    for ((r, g), half_word) in steps.zip(bits_full.chunks_exact_mut(SUM_LANES / 8)) {
+        let mut e: Step = [0.0; SUM_LANES];
+        for j in 0..SUM_LANES {
+            e[j] = g[j] + carry.owed(r[j]);
+            let mask = 0u32.wrapping_sub((e[j] > 0.0) as u32);
+            sums.pos[j] += f32::from_bits(e[j].to_bits() & mask) as f64;
+            sums.neg[j] += f32::from_bits(e[j].to_bits() & !mask) as f64;
+        }
+        r.copy_from_slice(&e);
+        half_word.copy_from_slice(&sign_bits(&e).to_le_bytes());
+    }
+    // The ragged tail, and the zero padding up to the last whole u64 word.
+    bits_tail.fill(0);
+    for (j, (r, &g)) in eff_tail.iter_mut().zip(vals_tail).enumerate() {
+        let e = g + carry.owed(*r);
+        *r = e;
+        if e > 0.0 {
+            sums.pos[j] += e as f64;
+            bits_tail[j / 8] |= 1 << (j % 8);
+        } else {
+            sums.neg[j] += e as f64;
+        }
+    }
+    // Counted from the 1/32-sized output instead of inside the loop above.
+    sums.pos_cnt = bits.iter().map(|b| b.count_ones() as usize).sum();
+    sums
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn encode_avx2(eff: &mut [f32], carry: Scales, vals: &[f32], bits: &mut [u8]) -> GroupSums {
+    encode_body(eff, carry, vals, bits, |e| sign_bits_avx2(e))
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn encode_avx512(eff: &mut [f32], carry: Scales, vals: &[f32], bits: &mut [u8]) -> GroupSums {
+    encode_body(eff, carry, vals, bits, |e| sign_bits_avx512(e))
 }
 
 /// A borrowed, length-checked view of a 1-bit payload.
@@ -267,8 +508,7 @@ pub struct PackedSigns<'a> {
     rows: usize,
     /// `rows · cols` of the header.
     pub elems: usize,
-    pos_scale: f32,
-    neg_scale: f32,
+    scales: Scales,
     bits: &'a [u8],
 }
 
@@ -286,30 +526,88 @@ impl<'a> PackedSigns<'a> {
         (elems > 0).then_some(Self {
             rows,
             elems,
-            pos_scale: f32::from_le_bytes(word(8)),
-            neg_scale: f32::from_le_bytes(word(12)),
+            scales: Scales {
+                pos: f32::from_le_bytes(word(8)),
+                neg: f32::from_le_bytes(word(12)),
+            },
             bits,
         })
     }
 
-    /// Calls `f(slot, decoded)` for the leading `out.len()` elements in
-    /// order, eight signs per payload byte.
-    pub fn apply(&self, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
-        let (pos, neg) = (self.pos_scale, self.neg_scale);
-        let pick = |byte: u8, j: usize| if byte & (1 << j) != 0 { pos } else { neg };
-        let mut bytes = self.bits.iter();
-        let mut full = out.chunks_exact_mut(8);
-        for (o8, &byte) in (&mut full).zip(&mut bytes) {
-            for (j, o) in o8.iter_mut().enumerate() {
-                f(o, pick(byte, j));
-            }
-        }
-        if let Some(&byte) = bytes.next() {
-            for (j, o) in full.into_remainder().iter_mut().enumerate() {
-                f(o, pick(byte, j));
-            }
+    /// Calls `f(slot, decoded)` for elements `start..start + out.len()` in
+    /// order, eight signs per payload byte. Panics unless `start` is a
+    /// multiple of 8 and the range lies inside the payload.
+    pub fn apply(&self, start: usize, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+        self.apply_on(Tier::widest(), start, out, f)
+    }
+
+    /// [`Self::apply`] through one named compiled copy.
+    pub fn apply_on(&self, tier: Tier, start: usize, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+        assert!(
+            start.is_multiple_of(8) && start + out.len() <= self.elems,
+            "1-bit range {start}+{} of {} elements",
+            out.len(),
+            self.elems
+        );
+        let bits = &self.bits[start / 8..];
+        match tier.0 {
+            Isa::Baseline => apply_body(bits, self.scales, out, select, f),
+            // SAFETY: `tier` holds `Isa::Avx2` only if `avx2` was detected.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => unsafe { apply_avx2(bits, self.scales, out, f) },
+            // SAFETY: `tier` holds `Isa::Avx512` only if `avx512f` was detected.
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => unsafe { apply_avx512(bits, self.scales, out, f) },
         }
     }
+}
+
+/// The decode pass: one sign half-word per `SUM_LANES` outputs; `select` is
+/// [`select`] or a tier's spelling of it.
+#[inline(always)]
+fn apply_body(
+    bits: &[u8],
+    scales: Scales,
+    out: &mut [f32],
+    select: impl Fn(u16, Scales) -> Step,
+    f: impl Fn(&mut f32, f32),
+) {
+    let mut steps = out.chunks_exact_mut(SUM_LANES);
+    let (bits_full, bits_tail) = bits.split_at(steps.len() * (SUM_LANES / 8));
+    for (o, half_word) in (&mut steps).zip(bits_full.chunks_exact(SUM_LANES / 8)) {
+        let decoded = select(u16::from_le_bytes([half_word[0], half_word[1]]), scales);
+        for (o, v) in o.iter_mut().zip(decoded) {
+            f(o, v);
+        }
+    }
+    for (j, o) in steps.into_remainder().iter_mut().enumerate() {
+        let up = bits_tail[j / 8] & (1 << (j % 8)) != 0;
+        f(o, if up { scales.pos } else { scales.neg });
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn apply_avx2(bits: &[u8], scales: Scales, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+    apply_body(
+        bits,
+        scales,
+        out,
+        |signs, scales| select_avx2(signs, scales),
+        f,
+    )
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn apply_avx512(bits: &[u8], scales: Scales, out: &mut [f32], f: impl Fn(&mut f32, f32)) {
+    apply_body(
+        bits,
+        scales,
+        out,
+        |signs, scales| select_avx512(signs, scales),
+        f,
+    )
 }
 
 #[cfg(test)]

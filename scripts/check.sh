@@ -12,7 +12,7 @@ cd "$(dirname "$0")/.."
 
 echo "== offline suites: the bitwise contract, no registry needed =="
 # Every proptest-free integration suite (root tests/, four of crates/core,
-# three of crates/nn, one each of crates/tensor and crates/netsim) by path, incl. tests/ps_wire_path.rs
+# three of crates/nn, two of crates/tensor, one of crates/netsim) by path, incl. tests/ps_wire_path.rs
 # and tests/collective_wire_path.rs — the differential tests of the PS and the
 # ring/tree data paths against the scalar codec and a reference fold —
 # tests/wfbp_drain.rs (draining receives inside backward ends on the replicas
@@ -21,7 +21,10 @@ echo "== offline suites: the bitwise contract, no registry needed =="
 # in-process fabric and on a loopback TCP mesh, the backward_with contract of
 # both model containers (backward_contract.rs), the bitwise compute
 # oracles (conv_oracle.rs: Conv2d against a direct convolution; gemm_oracle.rs:
-# the packed GEMM against the naive fold), and the simulator's event core:
+# the packed GEMM against the naive fold), the lossy codecs' bitwise oracle
+# (codec_oracle.rs: the 1-bit scale definition, every ISA copy of its loops
+# against the baseline body, the carried residual, top-k selection against
+# the full sort), and the simulator's event core:
 # tests/sim_fingerprint.rs (every reported statistic bit for bit against
 # golden digests), tests/simulation_engine.rs (the engine's behavioural
 # tests through the public API) and crates/netsim/tests/queue_order.rs (the

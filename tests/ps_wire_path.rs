@@ -9,7 +9,7 @@
 use poseidon::chunk::Chunk;
 use poseidon::config::{ClusterConfig, Codec, CodecPolicy, CommScheme, Partition, SchemePolicy};
 use poseidon::coordinator::Coordinator;
-use poseidon::kvstore::{ShardState, Staged};
+use poseidon::kvstore::{ShardState, Staged, FOLD_BLOCK};
 use poseidon::pool::BufPool;
 use poseidon::runtime::{poisoned_frames, run_endpoint, train, NodeOutcome, RuntimeConfig};
 use poseidon::syncer::{
@@ -265,6 +265,101 @@ fn assert_wire_fold_matches_reference(p: usize, momentum: f32, codec: Codec, arr
     }
 }
 
+/// One fold over gradients staged in *different* forms — identity, 1-bit,
+/// f16 and top-k frames and a dense vector, rotating through the workers
+/// round by round — plus a hand-built top-k frame whose entries all lie in
+/// the velocity's last fold block, against the textbook whole-pass loop over
+/// decoded vectors.
+fn assert_mixed_fold_matches_reference(p: usize, momentum: f32, n: usize) {
+    let what = format!("mixed forms, P={p} µ={momentum} n={n}");
+    let topk = Codec::TopK { permille: 100 };
+    let forms = [
+        Some(Codec::Identity),
+        Some(Codec::OneBit),
+        Some(topk),
+        Some(Codec::F16),
+        None, // Staged::Dense
+    ];
+    let key = (1, 0);
+    let mut rng = Lcg(0x313D ^ (p as u64) << 32 ^ n as u64);
+    let init = rng.vec(n);
+    let mut shard = ShardState::with_momentum(p, 0.0, momentum);
+    shard.init_pair(key, init.clone());
+    let (mut theta, mut v) = (init, vec![0.0f32; n]);
+    // One error-feedback stream per (worker, form).
+    let mut push: Vec<Vec<_>> = (0..p)
+        .map(|_| {
+            let stream = |codec: &Option<Codec>| codec.map(|codec| make_compressor(codec, n));
+            forms.iter().map(stream).collect()
+        })
+        .collect();
+    let last_block = (n - 1) / FOLD_BLOCK * FOLD_BLOCK;
+    let rounds = forms.len() + 1;
+    for round in 0..rounds {
+        let scale = if round + 1 == rounds {
+            -0.005f32
+        } else {
+            -0.05
+        };
+        let staged: Vec<Staged> = (0..p)
+            .map(|w| {
+                if round + 1 == rounds && w == 0 {
+                    // Nothing for this frame's cursor to do until the walk
+                    // reaches the last block.
+                    let mut entries = vec![(last_block as u32, 3.5f32)];
+                    if n - 1 > last_block {
+                        entries.push((n as u32 - 1, -1.25));
+                    }
+                    return Staged::Frame {
+                        codec: topk,
+                        payload: topk_payload(n as u32, &entries).into(),
+                    };
+                }
+                let form = (w + round) % forms.len();
+                let grad = rng.vec(n);
+                match (forms[form], &mut push[w][form]) {
+                    (Some(codec), Some(stream)) => Staged::Frame {
+                        codec,
+                        payload: stream.compress(&grad),
+                    },
+                    _ => Staged::Dense(grad),
+                }
+            })
+            .collect();
+
+        for x in v.iter_mut() {
+            *x = if momentum != 0.0 { *x * momentum } else { 0.0 };
+        }
+        for grad in &staged {
+            let g = match grad {
+                Staged::Frame { codec, payload } => decompress(*codec, payload, n).unwrap(),
+                Staged::Dense(g) => g.clone(),
+            };
+            for (x, g) in v.iter_mut().zip(&g) {
+                *x += scale * g;
+            }
+        }
+        for (t, x) in theta.iter_mut().zip(&v) {
+            *t += x;
+        }
+
+        shard.set_update_scale(scale);
+        for (w, grad) in staged.into_iter().enumerate().rev() {
+            assert_eq!(shard.stage(w, key, grad).unwrap(), w == 0, "{what}");
+        }
+        assert_eq!(
+            bits(shard.fold(key)),
+            bits(&v),
+            "velocity, round {round}, {what}"
+        );
+        assert_eq!(
+            bits(shard.apply_velocity(key)),
+            bits(&theta),
+            "master, round {round}, {what}"
+        );
+    }
+}
+
 #[test]
 fn wire_staged_fold_equals_the_reference_fold_bit_for_bit() {
     let _globals = exclusive();
@@ -284,6 +379,15 @@ fn wire_staged_fold_equals_the_reference_fold_bit_for_bit() {
             }
             for arrival in permutations_of_three {
                 assert_wire_fold_matches_reference(3, momentum, codec, &arrival);
+            }
+        }
+    }
+    // The blocked walk: every staged form in one fold, on lengths that
+    // straddle the fold block and on a default KV pair plus a ragged tail.
+    for n in [FOLD_BLOCK - 1, FOLD_BLOCK, FOLD_BLOCK + 1, 524_288 + 37] {
+        for momentum in [0.0, 0.9] {
+            for p in [1usize, 2, 3, 5] {
+                assert_mixed_fold_matches_reference(p, momentum, n);
             }
         }
     }
@@ -651,4 +755,55 @@ fn steady_state_leases_only_recycled_buffers_and_counts_exact_bytes() {
             "{codec}: codec byte counters"
         );
     }
+}
+
+/// The shard sends a lossy reply before it advances its own master by the
+/// decoded bytes. Twenty rounds of 1-bit PS with momentum later, every KV
+/// pair's master is still bit for bit the slice of every worker's replica it
+/// serves.
+#[test]
+fn lossy_master_and_every_replica_stay_in_lockstep() {
+    let _globals = exclusive();
+    let p = 2usize;
+    let partition = Partition::KvPairs { pair_elems: 50 };
+    let data = Dataset::gaussian_clusters(TensorShape::flat(8), 3, 64, 0.3, 7);
+    let cfg = RuntimeConfig {
+        policy: SchemePolicy::AlwaysPs,
+        codec: CodecPolicy::Always(Codec::OneBit),
+        partition,
+        momentum: 0.9,
+        export_state: true,
+        ..RuntimeConfig::new(p, 8, 0.2, 20)
+    };
+    let state = train(&small_factory, &data, None, &cfg)
+        .checkpoint
+        .expect("export_state run yields a checkpoint");
+    let coordinator = Coordinator::from_model(
+        &small_factory(),
+        ClusterConfig::colocated(p, 8),
+        SchemePolicy::AlwaysPs,
+        partition,
+    );
+    let mut pairs = 0;
+    for pair in state.shards.iter().flat_map(|shard| &shard.pairs) {
+        let (layer, chunk) = pair.key;
+        let range = coordinator.chunk_table().layer_chunks(layer as usize)[chunk as usize].range();
+        assert!(!pair.residual.is_empty(), "the reply stream carried state");
+        for worker in &state.workers {
+            let replica = worker
+                .layers
+                .iter()
+                .find(|l| l.layer == layer)
+                .expect("every worker holds every trainable layer");
+            assert_eq!(
+                bits(&replica.params[range.clone()]),
+                bits(&pair.params),
+                "pair {:?} on worker {}",
+                pair.key,
+                worker.worker
+            );
+        }
+        pairs += 1;
+    }
+    assert!(pairs > 2, "several pairs per layer were checked");
 }
