@@ -16,9 +16,10 @@
 //! [`Bytes`] (validated at receipt, never decoded to a vector) and is folded
 //! straight from those bytes into the pair's velocity.
 
+use crate::pool::BufPool;
 use crate::wire::{self, Codec, CodecError};
 use bytes::Bytes;
-use poseidon_tensor::compress::FrameCursor;
+use poseidon_tensor::compress::{Compressor, FrameCursor, IdentityCompressor};
 use std::collections::HashMap;
 
 /// Key of one KV pair: `(layer index, chunk index within the layer)`.
@@ -201,8 +202,36 @@ impl ShardState {
     /// in the same order as `P + 1` whole passes. Panics if the round is not
     /// complete.
     pub fn fold(&mut self, key: KvKey) -> &[f32] {
+        self.fold_blocks(key, |_, _, _| {});
+        &self.velocity[&key]
+    }
+
+    /// The identity reply of a completed round in one blocked walk: each
+    /// [`FOLD_BLOCK`] is folded as [`Self::fold`] folds it, then gets
+    /// `θ += v` and is encoded into the reply lease before the walk moves
+    /// on. Bit for bit [`Self::fold`], [`Self::apply_velocity`] and
+    /// [`wire::encode_f32s_pooled`] of the fresh master, in one pass over
+    /// `v` and `θ` instead of three.
+    pub fn fold_apply_encode(&mut self, key: KvKey) -> Bytes {
+        let len = self.master_mut(key).len();
+        let mut lease = BufPool::global().get_dirty(Codec::Identity.payload_bytes(len));
+        self.fold_blocks(key, |at, v, theta| {
+            for (t, v) in theta.iter_mut().zip(v) {
+                *t += v;
+            }
+            IdentityCompressor.compress_into(theta, &mut lease[4 * at..4 * (at + theta.len())]);
+        });
+        lease.freeze()
+    }
+
+    /// Folds the completed round block by block, handing each folded
+    /// velocity block, the master block beside it and their offset to
+    /// `then` before the walk moves on. Panics if the round is not complete.
+    fn fold_blocks(&mut self, key: KvKey, mut then: impl FnMut(usize, &[f32], &mut [f32])) {
         let slots = self.pending.remove(&key).expect("round not complete");
-        let len = self.params[&key].len();
+        let (momentum, scale) = (self.momentum, self.update_scale);
+        let master = self.params.get_mut(&key).expect("a staged pair is hosted");
+        let len = master.len();
         let velocity = self.velocity.entry(key).or_insert_with(|| vec![0.0; len]);
         let mut grads: Vec<GradCursor<'_>> = slots
             .iter()
@@ -211,19 +240,20 @@ impl ShardState {
                 grad.cursor(len).expect("validated when staged")
             })
             .collect();
-        for block in velocity.chunks_mut(FOLD_BLOCK) {
-            if self.momentum != 0.0 {
+        let blocks = velocity.chunks_mut(FOLD_BLOCK);
+        for (i, (block, theta)) in blocks.zip(master.chunks_mut(FOLD_BLOCK)).enumerate() {
+            if momentum != 0.0 {
                 for v in block.iter_mut() {
-                    *v *= self.momentum;
+                    *v *= momentum;
                 }
             } else {
                 block.fill(0.0);
             }
             for grad in &mut grads {
-                grad.axpy_next(self.update_scale, block);
+                grad.axpy_next(scale, block);
             }
+            then(i * FOLD_BLOCK, block, theta);
         }
-        velocity
     }
 
     /// `θ += v` with the pair's folded velocity; returns the fresh master.

@@ -534,8 +534,7 @@ fn serve_envelope<T: Transport>(
                 let data = if plan.ssp {
                     wire::encode_f32s_pooled(state.pair(key).expect("pair just updated"))
                 } else if reply_codec == Codec::Identity {
-                    state.fold(key);
-                    wire::encode_f32s_pooled(state.apply_velocity(key))
+                    state.fold_apply_encode(key)
                 } else {
                     // Lossy reply: compress the scaled velocity (with error
                     // feedback) where it lies; the master follows below.
@@ -600,8 +599,7 @@ fn serve_envelope<T: Transport>(
                 .stage(env.from, key, Staged::Dense(flat))
                 .expect("length asserted above");
             if complete {
-                state.fold(key);
-                let data = wire::encode_f32s_pooled(state.apply_velocity(key));
+                let data = state.fold_apply_encode(key);
                 for w in 0..plan.workers {
                     must_send(
                         endpoint,

@@ -17,6 +17,23 @@
 //!   directly into a [`BufPool`] lease which is frozen into the delivered
 //!   [`Bytes`] — the runtime consumes the same allocation the kernel wrote
 //!   into, and dropping it recycles the buffer for the next frame.
+//! * **Co-resident peers share memory**: a peer in this process *and* on
+//!   this endpoint's physical node (a worker and its colocated shard run as
+//!   threads of one process; this endpoint itself) gets the [`Envelope`],
+//!   payload `Bytes` included, pushed straight into its inbox through the
+//!   poller's own delivery routine — the receiver reads the sender's buffer.
+//!   Peers find each other in a process-wide registry keyed by the bound
+//!   listening address, unique among live endpoints because the acceptor
+//!   holds the listener for the endpoint's whole life. An endpoint registers
+//!   before its first dial, resolves its co-resident peers once the initial
+//!   mesh is up (each has registered by then, because it dialed us; its
+//!   endpoint id and node map must match the spec), and withdraws on
+//!   shutdown or drop. Peers are held weakly and an inbox closes at its own
+//!   endpoint's shutdown, so a frame for a co-resident peer that has shut
+//!   down is dropped, as its socket would drop it. A link is co-resident or
+//!   socket-borne for its whole life, so per-pair order holds; co-resident
+//!   pairs keep their idle HELLO sockets, and `sever_link` on them is the
+//!   in-process fabric's no-op.
 //!
 //! Self-healing lives in the poller's per-link state machine: a broken link
 //! moves `Up → Down`, redials with the fabric's capped exponential backoff
@@ -33,10 +50,11 @@
 //!
 //! Accounting is send-side only and charged once, by the shared
 //! [`EndpointCore`], when a frame is *committed* (enqueued, claimed for an
-//! inline write, or pushed to the loop-back channel): the ledger reflects
+//! inline write, or pushed into a co-resident inbox): the ledger reflects
 //! frames committed to the wire, exactly as the in-process transport counts
 //! sends, so the bitwise-equivalence suites see identical ledgers. Loop-back
-//! (same physical node) frames still cross the socket but are never counted.
+//! (same physical node) frames are never counted; between two processes on
+//! one node they still cross a socket.
 
 use super::net::{self, Hello, HelloGate, TcpFabricSpec, ACCEPT_POLL};
 use super::sys;
@@ -51,11 +69,11 @@ use crate::wire::{assemble, encode_header_stamped, parse_header, FrameHeader, FR
 use bytes::Bytes;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -200,6 +218,9 @@ struct Shared {
     gens: Vec<AtomicU32>,
     gate: HelloGate,
     reader_err: Mutex<Option<TransportError>>,
+    /// The inbox's only sender, shared by the poller and co-resident
+    /// senders; `None` from shutdown on, which closes the inbox.
+    inbox: Mutex<Option<Sender<Envelope>>>,
     /// Envelopes put into the inbox so far; less the core's dequeue count
     /// this is the receive-queue depth.
     delivered: AtomicU64,
@@ -240,6 +261,79 @@ impl Shared {
     fn note_delivered(&self) -> u64 {
         (self.delivered.fetch_add(1, Ordering::Relaxed) + 1).saturating_sub(self.core.dequeued())
     }
+
+    /// Notes that a frame left just now (`last_tx_ns`).
+    fn stamp_tx(&self) {
+        let ns = self.started.elapsed().as_nanos() as u64 + 1;
+        self.last_tx_ns.store(ns, Ordering::Relaxed);
+    }
+
+    /// Puts one envelope into this endpoint's inbox — the one delivery
+    /// routine of the poller and of co-resident senders. `Err` once the
+    /// inbox has closed.
+    fn deliver(&self, env: Envelope) -> Result<(), ()> {
+        let inbox = self.inbox.lock().expect("inbox lock");
+        let tx = inbox.as_ref().ok_or(())?;
+        let queued = self.note_delivered();
+        self.m_rx_queue_peak.set_max(queued);
+        if telemetry::is_enabled() {
+            telemetry::instant("rx.frame", env.from as u64, env.msg.wire_bytes());
+            telemetry::counter("rx.queue", env.from as u64, queued);
+        }
+        tx.send(env).map_err(|_| ())
+    }
+}
+
+/// Every registered endpoint of this process, by bound listening address:
+/// how a sender finds the peers it can hand frames to in memory.
+static REGISTRY: Mutex<Vec<(SocketAddr, Weak<Shared>)>> = Mutex::new(Vec::new());
+
+/// One endpoint's [`REGISTRY`] entry, withdrawn when dropped.
+struct Registration {
+    addr: SocketAddr,
+    shared: Weak<Shared>,
+}
+
+impl Registration {
+    /// Registers `shared` under `addr`. An entry already there belongs to an
+    /// endpoint whose listener is gone, so it is replaced.
+    fn new(addr: SocketAddr, shared: &Arc<Shared>) -> Registration {
+        let shared = Arc::downgrade(shared);
+        let mut registry = REGISTRY.lock().expect("registry lock");
+        registry.retain(|(a, _)| *a != addr);
+        registry.push((addr, Weak::clone(&shared)));
+        Registration { addr, shared }
+    }
+}
+
+impl Drop for Registration {
+    fn drop(&mut self) {
+        REGISTRY
+            .lock()
+            .expect("registry lock")
+            .retain(|(a, w)| *a != self.addr || !w.ptr_eq(&self.shared));
+    }
+}
+
+/// The endpoints `shared`'s frames can be handed to in memory, indexed by
+/// peer: itself, and every registered peer whose listening address, endpoint
+/// id and node map are the spec's and that shares its physical node.
+fn resolve_coresident(shared: &Arc<Shared>) -> Vec<Option<Weak<Shared>>> {
+    let (me, spec) = (shared.core.me(), &shared.spec);
+    let registry = REGISTRY.lock().expect("registry lock");
+    (0..spec.addrs.len())
+        .map(|peer| {
+            if peer == me {
+                return Some(Arc::downgrade(shared));
+            }
+            let (_, w) = registry.iter().find(|(a, _)| *a == spec.addrs[peer])?;
+            let p = w.upgrade()?;
+            (p.core.me() == peer
+                && p.core.node() == shared.core.node()
+                && p.spec.node_of_endpoint == spec.node_of_endpoint)
+                .then(|| Weak::clone(w))
+        })
+        .collect()
 }
 
 /// A TCP transport endpoint driven by a single readiness event loop.
@@ -248,9 +342,11 @@ impl Shared {
 /// poller, whatever `endpoints()` says — never a thread per inbound peer.
 pub struct TcpTransport {
     shared: Arc<Shared>,
-    /// Keeps the loop-back path alive; dropped on shutdown (so pure-receiver
-    /// drops can close the channel once the poller also exits).
-    self_tx: Option<Sender<Envelope>>,
+    /// Per peer, the co-resident endpoint its frames are handed to in
+    /// memory (our own slot always); `None` where a socket carries them.
+    coresident: Vec<Option<Weak<Shared>>>,
+    /// Our registry entry; withdrawn first thing on shutdown or drop.
+    registration: Option<Registration>,
     inbox: Receiver<Envelope>,
     acceptor: Option<JoinHandle<()>>,
     poller_thread: Option<JoinHandle<()>>,
@@ -285,7 +381,7 @@ impl TcpTransport {
         let counters = shared_counters
             .unwrap_or_else(|| Arc::new(TrafficCounters::new(spec.physical_nodes())));
 
-        let (self_tx, inbox) = channel();
+        let (inbox_tx, inbox) = channel();
         let poller = sys::Poller::new()
             .map_err(|e| TransportError::Handshake(format!("create poller: {e}")))?;
         let shared = Arc::new(Shared {
@@ -297,6 +393,7 @@ impl TcpTransport {
             gens: (0..n).map(|_| AtomicU32::new(1)).collect(),
             gate: HelloGate::new(n),
             reader_err: Mutex::new(None),
+            inbox: Mutex::new(Some(inbox_tx)),
             delivered: AtomicU64::new(0),
             down: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
@@ -327,6 +424,13 @@ impl TcpTransport {
             last_tx_ns: AtomicU64::new(0),
         });
 
+        // Registered before the first dial, so every peer that has dialed us
+        // can be found once our initial mesh is up.
+        let registration = listener
+            .local_addr()
+            .ok()
+            .map(|addr| Registration::new(addr, &shared));
+
         // The acceptor accepts the initial mesh (reported through `init_tx`)
         // and then *keeps accepting* for the life of the endpoint, gating
         // every HELLO and queueing adopted streams for the poller.
@@ -348,6 +452,7 @@ impl TcpTransport {
             }
         }
         if let Some(e) = dial_err {
+            drop(registration);
             shared.down.store(true, Ordering::SeqCst);
             let _ = acceptor.join();
             return Err(e);
@@ -356,6 +461,7 @@ impl TcpTransport {
         let accepted = init_rx
             .recv()
             .map_err(|_| TransportError::Handshake("acceptor thread panicked".into()))??;
+        let coresident = resolve_coresident(&shared);
 
         // Publish the outbound fds *before* the poller exists: `sever_link`
         // and the inline send fast path consult these slots, and both may run
@@ -369,13 +475,13 @@ impl TcpTransport {
 
         let poller_thread = {
             let shared = Arc::clone(&shared);
-            let tx = self_tx.clone();
-            std::thread::spawn(move || EventLoop::new(shared, out_streams, accepted, tx).run())
+            std::thread::spawn(move || EventLoop::new(shared, out_streams, accepted).run())
         };
 
         Ok(Self {
             shared,
-            self_tx: Some(self_tx),
+            coresident,
+            registration,
             inbox,
             acceptor: Some(acceptor),
             poller_thread: Some(poller_thread),
@@ -466,8 +572,7 @@ impl TcpTransport {
         if shared.down.load(Ordering::SeqCst) {
             return Err(TransportError::Closed);
         }
-        let sent_ns = shared.started.elapsed().as_nanos() as u64 + 1;
-        shared.last_tx_ns.store(sent_ns, Ordering::Relaxed);
+        shared.stamp_tx();
         // A send on a dead link revives it: the poller notices the
         // non-empty queue and restarts the redial state machine with a
         // fresh reconnect budget.
@@ -628,32 +733,35 @@ impl Transport for TcpTransport {
         let core = &shared.core;
         let frame_len = msg.wire_bytes();
         let epoch = core.current_epoch();
-        // Our own slot holds no link: loop-back within one endpoint never
-        // touches the socket and, like all same-node traffic, is never counted.
-        let link = shared.links.get(to).ok_or(TransportError::Closed)?.as_ref();
-        let claim = match link {
-            None => {
-                let tx = self.self_tx.as_ref().ok_or(TransportError::Closed)?;
-                shared.note_delivered();
-                tx.send(Envelope {
+        if let Some(peer) = self.coresident.get(to).ok_or(TransportError::Closed)? {
+            // Co-resident (ourselves included): the envelope itself goes into
+            // the peer's inbox, and past the shutdown check nothing refuses
+            // it. A peer that has shut down drops it, as its socket would.
+            if shared.down.load(Ordering::SeqCst) {
+                return Err(TransportError::Closed);
+            }
+            shared.stamp_tx();
+            core.note_sent(to, frame_len);
+            if let Some(peer) = peer.upgrade() {
+                let _ = peer.deliver(Envelope {
                     from: core.node(),
                     src: core.me(),
                     seq,
                     epoch,
                     msg,
-                })
-                .map_err(|_| TransportError::Closed)?;
-                None
+                });
             }
-            Some(link) => {
-                let hdr = encode_header_stamped(&msg, core.me() as u32, seq, epoch);
-                self.commit(to, link, hdr, msg.into_payload())?
-            }
-        };
-        // The commit point: the frame is enqueued, claimed, or in the
-        // loop-back channel. A send refused above is never accounted.
+            return Ok(());
+        }
+        let link = shared.links[to]
+            .as_ref()
+            .expect("a socket-borne peer has a link");
+        let hdr = encode_header_stamped(&msg, core.me() as u32, seq, epoch);
+        let claim = self.commit(to, link, hdr, msg.into_payload())?;
+        // The commit point: the frame is enqueued or claimed. A send refused
+        // above is never accounted.
         core.note_sent(to, frame_len);
-        if let (Some(link), Some(claim)) = (link, claim) {
+        if let Some(claim) = claim {
             // Claimed inline write, outside every lock.
             self.inline_write(link, claim);
             if telemetry::is_enabled() {
@@ -664,7 +772,8 @@ impl Transport for TcpTransport {
     }
 
     fn sever_link(&self, to: usize) -> Result<(), TransportError> {
-        if to == self.shared.core.me() {
+        // No socket carries a co-resident peer's frames.
+        if self.coresident.get(to).is_some_and(Option::is_some) {
             return Ok(());
         }
         if let Some(slot) = self.shared.out_fds.get(to) {
@@ -713,6 +822,7 @@ impl Transport for TcpTransport {
             return Ok(());
         }
         self.down = true;
+        self.registration = None;
         self.shared.down.store(true, Ordering::SeqCst);
         // Unblock senders stuck in backpressure, then the poller itself; it
         // drains live queues (bounded by DRAIN_BUDGET), FINs, and exits.
@@ -726,7 +836,8 @@ impl Transport for TcpTransport {
         if let Some(handle) = self.poller_thread.take() {
             let _ = handle.join();
         }
-        self.self_tx = None;
+        // Closes the inbox: `recv` drains what arrived, then says `Closed`.
+        *self.shared.inbox.lock().expect("inbox lock") = None;
         Ok(())
     }
 }
@@ -737,6 +848,7 @@ impl Drop for TcpTransport {
             // Best-effort teardown on panic paths: signal both threads but
             // do not block joining them.
             self.down = true;
+            self.registration = None;
             self.shared.down.store(true, Ordering::SeqCst);
             for link in self.shared.links.iter().flatten() {
                 link.space.notify_all();
@@ -821,7 +933,6 @@ struct EventLoop {
     /// Whether EPOLLOUT interest is currently registered per link.
     wants_writable: Vec<bool>,
     conns: Vec<Option<InConn>>,
-    tx: Sender<Envelope>,
 }
 
 impl EventLoop {
@@ -829,7 +940,6 @@ impl EventLoop {
         shared: Arc<Shared>,
         out_streams: Vec<Option<TcpStream>>,
         initial_inbound: Vec<(usize, TcpStream)>,
-        tx: Sender<Envelope>,
     ) -> EventLoop {
         let n = out_streams.len();
         let mut lp = EventLoop {
@@ -840,7 +950,6 @@ impl EventLoop {
                 .collect(),
             wants_writable: vec![false; n],
             conns: Vec::new(),
-            tx,
         };
         for peer in 0..n {
             lp.register_outbound(peer);
@@ -999,7 +1108,7 @@ impl EventLoop {
         };
         *self.shared.last_ready.lock().expect("last ready lock") =
             Some((conn.peer, "rx", Instant::now()));
-        match service_inbound(conn, &self.shared, &self.tx) {
+        match service_inbound(conn, &self.shared) {
             Ok(()) => {}
             Err(close) => {
                 if let Close::Poison(e) = close {
@@ -1335,8 +1444,8 @@ impl EventLoop {
         for conn in self.conns.iter().flatten() {
             self.shared.poller.deregister(conn.stream.as_raw_fd());
         }
-        // Dropping `self` closes every socket; the Sender clone drops with
-        // it, closing the inbox once the handle's self_tx is gone too.
+        // Dropping `self` closes every socket; the handle closes the inbox
+        // once this thread is joined.
     }
 }
 
@@ -1376,7 +1485,7 @@ fn advance_batch(
 /// connection: staging-buffer parsing for small frames, direct-to-lease
 /// reads for payloads of [`DIRECT_READ_MIN`] bytes and up. Returns when the
 /// socket would block; `Err` retires the connection.
-fn service_inbound(conn: &mut InConn, shared: &Shared, tx: &Sender<Envelope>) -> Result<(), Close> {
+fn service_inbound(conn: &mut InConn, shared: &Shared) -> Result<(), Close> {
     loop {
         // Finish an in-flight direct read first: the lease IS the payload.
         if let Some(d) = conn.direct.as_mut() {
@@ -1390,7 +1499,7 @@ fn service_inbound(conn: &mut InConn, shared: &Shared, tx: &Sender<Envelope>) ->
                 }
             }
             let d = conn.direct.take().expect("direct read present");
-            deliver(conn.from_node, shared, tx, &d.header, d.lease.freeze())?;
+            deliver(conn.from_node, shared, &d.header, d.lease.freeze())?;
             continue;
         }
         // Parse whole frames out of staging.
@@ -1413,7 +1522,7 @@ fn service_inbound(conn: &mut InConn, shared: &Shared, tx: &Sender<Envelope>) ->
                 lease[..take].copy_from_slice(&conn.buf[body_start..body_start + take]);
                 conn.start = body_start + take;
                 if take == plen {
-                    deliver(conn.from_node, shared, tx, &header, lease.freeze())?;
+                    deliver(conn.from_node, shared, &header, lease.freeze())?;
                     continue;
                 }
                 conn.direct = Some(DirectRead {
@@ -1429,7 +1538,7 @@ fn service_inbound(conn: &mut InConn, shared: &Shared, tx: &Sender<Envelope>) ->
             let mut lease = BufPool::global().get_dirty(plen);
             lease.copy_from_slice(&conn.buf[body_start..body_start + plen]);
             conn.start = body_start + plen;
-            deliver(conn.from_node, shared, tx, &header, lease.freeze())?;
+            deliver(conn.from_node, shared, &header, lease.freeze())?;
         }
         if conn.direct.is_some() {
             continue;
@@ -1460,29 +1569,18 @@ fn service_inbound(conn: &mut InConn, shared: &Shared, tx: &Sender<Envelope>) ->
 fn deliver(
     from_node: usize,
     shared: &Shared,
-    tx: &Sender<Envelope>,
     header: &FrameHeader,
     payload: Bytes,
 ) -> Result<(), Close> {
-    let msg = assemble(header, payload);
-    let queued = shared.note_delivered();
-    shared.m_rx_queue_peak.set_max(queued);
-    if telemetry::is_enabled() {
-        telemetry::instant(
-            "rx.frame",
-            from_node as u64,
-            (FRAME_HEADER_BYTES + header.payload_len) as u64,
-        );
-        telemetry::counter("rx.queue", from_node as u64, queued);
-    }
-    tx.send(Envelope {
-        from: from_node,
-        src: header.src as usize,
-        seq: header.seq,
-        epoch: header.epoch,
-        msg,
-    })
-    .map_err(|_| Close::Benign) // local endpoint shut down first
+    shared
+        .deliver(Envelope {
+            from: from_node,
+            src: header.src as usize,
+            seq: header.seq,
+            epoch: header.epoch,
+            msg: assemble(header, payload),
+        })
+        .map_err(|()| Close::Benign) // local endpoint shut down first
 }
 
 /// Accepts the initial mesh: `expected` distinct peers, each through the
@@ -1590,7 +1688,7 @@ fn acceptor_loop(
 mod tests {
     use super::*;
     use crate::wire::LAYER_GRANULAR_CHUNK;
-    use std::net::SocketAddr;
+    use std::net::Ipv4Addr;
 
     fn grad(iter: u64, payload: usize) -> Message {
         Message::GradChunk {
@@ -1734,5 +1832,152 @@ mod tests {
             Err(e) => e,
         };
         assert!(matches!(err, TransportError::Handshake(_)), "{err:?}");
+    }
+
+    /// A mesh of one thread per endpoint over `listeners`, in index order.
+    fn mesh_on(spec: &TcpFabricSpec, listeners: Vec<TcpListener>) -> Vec<TcpTransport> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(me, l)| {
+                    s.spawn(move || {
+                        TcpTransport::connect_with_listener(spec, me, l, None).expect("mesh")
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("endpoint"))
+                .collect()
+        })
+    }
+
+    fn mesh(nodes: &[usize]) -> Vec<TcpTransport> {
+        let (listeners, addrs) = super::super::bind_ephemeral(nodes.len()).expect("bind");
+        mesh_on(&quick_spec(addrs, nodes.to_vec()), listeners)
+    }
+
+    fn shutdown_all(eps: Vec<TcpTransport>) {
+        for mut ep in eps {
+            ep.shutdown().unwrap();
+        }
+    }
+
+    fn registered(addr: SocketAddr) -> bool {
+        REGISTRY.lock().unwrap().iter().any(|(a, _)| *a == addr)
+    }
+
+    /// The peers `ep` hands frames to in memory, after checking that each
+    /// resolved handle is the endpoint of `mesh` at that index.
+    fn coresident_in(ep: &TcpTransport, mesh: &[TcpTransport]) -> Vec<usize> {
+        let mut peers = Vec::new();
+        for (peer, handle) in ep.coresident.iter().enumerate() {
+            if let Some(handle) = handle {
+                let resolved = handle.upgrade().expect("a live peer");
+                assert!(Arc::ptr_eq(&resolved, &mesh[peer].shared), "foreign peer");
+                peers.push(peer);
+            }
+        }
+        peers
+    }
+
+    #[test]
+    fn meshes_with_one_node_map_never_deliver_into_each_other() {
+        let nodes = [0, 1, 0, 1];
+        let meshes = [mesh(&nodes), mesh(&nodes)];
+        for m in &meshes {
+            let resolved: Vec<_> = m.iter().map(|ep| coresident_in(ep, m)).collect();
+            assert_eq!(resolved, [[0, 2], [1, 3], [0, 2], [1, 3]]);
+        }
+        let sends = [(0, 2), (2, 0), (1, 3), (3, 1), (0, 1), (2, 2)];
+        for (tag, m) in meshes.iter().enumerate() {
+            for &(from, to) in &sends {
+                m[from].send(to, grad(tag as u64, 64)).unwrap();
+            }
+        }
+        for (tag, m) in meshes.iter().enumerate() {
+            for (to, ep) in m.iter().enumerate() {
+                for _ in sends.iter().filter(|&&(_, t)| t == to) {
+                    let env = ep.recv_timeout(Duration::from_secs(10)).unwrap();
+                    assert_eq!(env.msg.iter(), tag as u64, "endpoint {to} of mesh {tag}");
+                }
+                assert!(ep.try_recv().unwrap().is_none(), "a frame too many");
+            }
+        }
+        for m in meshes {
+            shutdown_all(m);
+        }
+    }
+
+    #[test]
+    fn dropped_endpoint_is_unregistered_and_its_port_reused() {
+        let nodes = [0, 0];
+        let first = mesh(&nodes);
+        let addrs = first[0].shared.spec.addrs.clone();
+        assert!(addrs.iter().all(|&a| registered(a)));
+        drop(first);
+        assert!(!addrs.iter().any(|&a| registered(a)), "still registered");
+        // The ports free up once the old acceptors notice the drop.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let listeners = addrs
+            .iter()
+            .map(|&a| loop {
+                match TcpListener::bind(a) {
+                    Ok(l) => break l,
+                    Err(e) if Instant::now() >= deadline => panic!("rebind {a}: {e}"),
+                    Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            })
+            .collect();
+        let second = mesh_on(&quick_spec(addrs, nodes.to_vec()), listeners);
+        assert_eq!(coresident_in(&second[0], &second), [0, 1]);
+        second[0].send(1, grad(7, 16)).unwrap();
+        let env = second[1].recv_timeout(Duration::from_secs(10)).unwrap();
+        assert_eq!((env.src, env.msg.iter()), (0, 7));
+        shutdown_all(second);
+    }
+
+    /// Endpoint 0 of a fabric with node map `nodes` whose other slots name
+    /// `peers`; the test HELLOs it as every other endpoint id so that its
+    /// connect completes.
+    fn lone_endpoint(nodes: &[usize], peers: &[SocketAddr]) -> TcpTransport {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let me = listener.local_addr().unwrap();
+        let addrs = std::iter::once(me).chain(peers.iter().copied()).collect();
+        let spec = quick_spec(addrs, nodes.to_vec());
+        std::thread::scope(|s| {
+            let spec = &spec;
+            let ep = s.spawn(move || {
+                TcpTransport::connect_with_listener(spec, 0, listener, None).expect("mesh")
+            });
+            let _hellos: Vec<TcpStream> = (1..nodes.len())
+                .map(|peer| net::dial_once(me, peer, 1, Duration::from_secs(5)).expect("dial"))
+                .collect();
+            ep.join().expect("endpoint")
+        })
+    }
+
+    #[test]
+    fn a_live_endpoint_with_another_id_or_node_map_is_not_coresident() {
+        let other = mesh(&[0, 1, 0, 1]);
+        let at = |id: usize| other[id].shared.spec.addrs[id];
+        // Slot 2 names the other mesh's endpoint 0: same node map and node,
+        // another id.
+        let mut by_id = lone_endpoint(&[0, 1, 0, 1], &[at(1), at(0), at(3)]);
+        // Slot 2 names the other mesh's endpoint 2: same id, same node, but
+        // endpoint 3 lives elsewhere in this node map.
+        let mut by_map = lone_endpoint(&[0, 1, 0, 2], &[at(1), at(2), at(3)]);
+        for (ep, peer) in [(&by_id, 2), (&by_map, 2)] {
+            assert!(ep.coresident[peer].is_none(), "slot {peer} resolved");
+            assert!(ep.coresident[0].is_some(), "self is always co-resident");
+        }
+        // The frame takes the socket, whose HELLO endpoint 0 refuses as its
+        // own: it never reaches endpoint 0's inbox.
+        by_id.send(2, grad(9, 64)).unwrap();
+        assert!(other[0].recv_timeout(Duration::from_millis(100)).is_err());
+        by_id.shutdown().unwrap();
+        by_map.shutdown().unwrap();
+        shutdown_all(other);
     }
 }

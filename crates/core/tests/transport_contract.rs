@@ -6,10 +6,11 @@
 use poseidon::metrics;
 mod common;
 
+use bytes::Bytes;
 use common::tcp_mesh;
 use poseidon::transport::{
-    fabric_with_nodes, stale_epoch_frames, Envelope, Message, TrafficCounters, Transport,
-    TransportError,
+    fabric_with_nodes, stale_epoch_frames, Envelope, Message, TrafficCounters, TrafficSnapshot,
+    Transport, TransportError,
 };
 use poseidon::wire::{Codec, FRAME_HEADER_BYTES};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -110,6 +111,180 @@ fn loopback_is_delivered_but_not_counted<T: Transport>((eps, counters): Fabric<T
 fn loopback_is_delivered_but_not_counted_on_both() {
     loopback_is_delivered_but_not_counted(fabric_with_nodes(&[0, 1, 0, 1]));
     loopback_is_delivered_but_not_counted(tcp_mesh(&[0, 1, 0, 1]));
+}
+
+/// A frame between co-resident endpoints — a worker and the shard on its
+/// node, or an endpoint and itself — arrives as the sender's own buffer:
+/// nothing copied it on the way.
+fn coresident_frame_is_the_senders_own_bytes<T: Transport>((eps, _): Fabric<T>) {
+    for (from, to) in [(0, 2), (3, 1), (2, 2)] {
+        let data = Bytes::from(vec![from as u8; 1 << 20]);
+        let sent = data.as_ptr();
+        eps[from]
+            .send(
+                to,
+                Message::GradChunk {
+                    iter: 1,
+                    layer: 0,
+                    chunk: 0,
+                    codec: Codec::Identity,
+                    data,
+                },
+            )
+            .unwrap();
+        let env = eps[to].recv_timeout(PATIENCE).unwrap();
+        assert_eq!(env.src, from);
+        assert_eq!(
+            payload_ptr(&env.msg),
+            sent,
+            "{from} -> {to}: the payload was copied"
+        );
+    }
+    close(eps);
+}
+
+fn payload_ptr(msg: &Message) -> *const u8 {
+    match msg {
+        Message::GradChunk { data, .. } => data.as_ptr(),
+        other => panic!("expected a GradChunk, got {other:?}"),
+    }
+}
+
+#[test]
+fn coresident_frame_is_the_senders_own_bytes_on_both() {
+    coresident_frame_is_the_senders_own_bytes(fabric_with_nodes(&[0, 1, 0, 1]));
+    coresident_frame_is_the_senders_own_bytes(tcp_mesh(&[0, 1, 0, 1]));
+}
+
+/// Endpoint 2 is fed at once by its co-resident endpoint 0 and by endpoint 1
+/// across nodes, each from its own thread, in sizes on both sides of the TCP
+/// transport's 8 KiB inline-write threshold: each sender's frames arrive in
+/// its send order.
+fn coresident_and_cross_node_frames_keep_per_pair_order<T: Transport>((eps, _): Fabric<T>) {
+    const FRAMES: u64 = 300;
+    let Ok([e0, e1, e2, e3]) = <[T; 4]>::try_from(eps) else {
+        panic!("a four-endpoint fabric")
+    };
+    let (e0, e1) = std::thread::scope(|s| {
+        let sending = |ep: T| {
+            s.spawn(move || {
+                for i in 0..FRAMES {
+                    let len = (i % 7) as usize * 3000;
+                    ep.send(2, grad(i, 0, vec![i as u8; len])).unwrap();
+                }
+                ep
+            })
+        };
+        let (h0, h1) = (sending(e0), sending(e1));
+        let mut next = [0u64; 2];
+        for _ in 0..2 * FRAMES {
+            let env = e2.recv_timeout(PATIENCE).unwrap();
+            assert_eq!(env.msg.iter(), next[env.src], "reordered from {}", env.src);
+            next[env.src] += 1;
+        }
+        (h0.join().expect("sender 0"), h1.join().expect("sender 1"))
+    });
+    close(vec![e0, e1, e2, e3]);
+}
+
+#[test]
+fn coresident_and_cross_node_frames_keep_per_pair_order_on_both() {
+    coresident_and_cross_node_frames_keep_per_pair_order(fabric_with_nodes(&[0, 1, 0, 1]));
+    coresident_and_cross_node_frames_keep_per_pair_order(tcp_mesh(&[0, 1, 0, 1]));
+}
+
+/// Co-resident, self and cross-node frames from endpoints 5 and 6 of a
+/// seven-endpoint fabric: returns the ledger and each `(sender, peer)`'s
+/// `poseidon_tx_frames_total` delta. No other case in this binary has an
+/// endpoint 5 or 6 to share those counters with.
+fn mixed_plan_charges<T: Transport>((eps, counters): Fabric<T>) -> (TrafficSnapshot, Vec<u64>) {
+    let tx_frames = || -> Vec<u64> {
+        let snap = metrics::snapshot();
+        let value = |from: usize, to: usize| {
+            let (from, to) = (from.to_string(), to.to_string());
+            snap.value(
+                "poseidon_tx_frames_total",
+                &[("endpoint", from.as_str()), ("peer", to.as_str())],
+            )
+            .unwrap_or(0)
+        };
+        (5..7)
+            .flat_map(|from| (0..7).map(move |to| value(from, to)))
+            .collect()
+    };
+    let before = tx_frames();
+    let plan: Vec<(usize, usize)> = [1, 3, 5, 0, 6]
+        .map(|to| (5, to))
+        .into_iter()
+        .chain([0, 2, 4, 6, 1, 5].map(|to| (6, to)))
+        .collect();
+    for (i, &(from, to)) in plan.iter().enumerate() {
+        eps[from]
+            .send(to, grad(i as u64, 0, vec![1; 997 * i + 5]))
+            .unwrap();
+    }
+    for (to, ep) in eps.iter().enumerate() {
+        for _ in plan.iter().filter(|&&(_, t)| t == to) {
+            ep.recv_timeout(PATIENCE).unwrap();
+        }
+    }
+    let after = tx_frames();
+    let charged = (
+        counters.snapshot(),
+        (0..14).map(|i| after[i] - before[i]).collect(),
+    );
+    close(eps);
+    charged
+}
+
+#[test]
+fn coresident_frames_charge_what_the_inproc_fabric_charges() {
+    let nodes = [0, 1, 0, 1, 0, 1, 0];
+    let (inproc_ledger, inproc_frames) = mixed_plan_charges(fabric_with_nodes(&nodes));
+    let (tcp_ledger, tcp_frames) = mixed_plan_charges(tcp_mesh(&nodes));
+    assert_eq!(tcp_ledger, inproc_ledger, "traffic ledger");
+    assert_eq!(tcp_frames, inproc_frames, "poseidon_tx_frames_total");
+    assert_eq!(
+        tcp_frames.iter().sum::<u64>(),
+        11,
+        "every send is one frame"
+    );
+    // Cross-node only: 5 -> 0, 5 -> 6, 6 -> 1 and 6 -> 5 (plan positions 3,
+    // 4, 9 and 10).
+    let cross: u64 = [3u64, 4, 9, 10].iter().map(|i| HDR + 997 * i + 5).sum();
+    assert_eq!(tcp_ledger.total_bytes(), cross);
+}
+
+/// Severing the link to a co-resident peer, or to itself, succeeds and loses
+/// nothing: the frames sent around the sever all arrive, in order.
+fn sever_coresident_link_loses_nothing<T: Transport>(eps: &[T]) {
+    for (from, to) in [(0, 2), (2, 2)] {
+        eps[from].send(to, grad(0, 0, vec![0; 64])).unwrap();
+        eps[from].sever_link(to).unwrap();
+        for i in 1..4 {
+            eps[from]
+                .send(to, grad(i, 0, vec![i as u8; 20_000]))
+                .unwrap();
+        }
+        for i in 0..4 {
+            let env = eps[to].recv_timeout(PATIENCE).unwrap();
+            assert_eq!((env.src, env.msg.iter()), (from, i), "{from} -> {to}");
+        }
+    }
+}
+
+#[test]
+fn sever_coresident_link_loses_nothing_on_both() {
+    let (eps, _) = fabric_with_nodes(&[0, 1, 0, 1]);
+    sever_coresident_link_loses_nothing(&eps);
+    close(eps);
+    let (eps, _) = tcp_mesh(&[0, 1, 0, 1]);
+    sever_coresident_link_loses_nothing(&eps);
+    assert!(
+        eps.iter().all(|ep| ep.reconnect_count() == 0),
+        "no socket was severed"
+    );
+    close(eps);
 }
 
 /// 500 frames of mixed sizes sent while the receiver drains concurrently

@@ -16,9 +16,13 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release && cargo test =="
 # `cargo test` covers every crate (default-members): unit tests, the seeded
 # property suites, the bitwise suites (PS / collective data paths, WFBP
-# drain, conv / GEMM / codec oracles, the simulator fingerprint) and the
-# crates/bench process suites (tcp_loopback, trace_roundtrip,
-# tcp_sever_reconnect, metrics_scrape, elastic_serving).
+# drain, conv / GEMM / codec oracles, the simulator fingerprint), the
+# transport contract on both fabrics (co-resident TCP frames: the sender's
+# own bytes, per-pair order mixed with cross-node frames, the in-process
+# ledger and tx frame counters, sever as a no-op; plus the registry hygiene
+# unit tests in transport/tcp.rs) and the crates/bench process suites
+# (tcp_loopback, trace_roundtrip, tcp_sever_reconnect, metrics_scrape,
+# elastic_serving).
 cargo build --release
 cargo test -q
 

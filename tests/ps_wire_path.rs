@@ -393,6 +393,86 @@ fn wire_staged_fold_equals_the_reference_fold_bit_for_bit() {
     }
 }
 
+/// The shard's identity reply as one blocked walk (`fold_apply_encode`)
+/// against the three passes it fuses — `fold`, `apply_velocity`, then
+/// `encode_f32s_pooled` of the master — over rounds of identity, 1-bit and
+/// f16 frames mixed with `Staged::Dense`: the same reply bytes, master and
+/// velocity, bit for bit, round after round.
+#[test]
+fn fused_identity_reply_equals_the_three_pass_reply_bit_for_bit() {
+    let _globals = exclusive();
+    let forms = [
+        Some(Codec::Identity),
+        Some(Codec::OneBit),
+        None, // Staged::Dense
+        Some(Codec::F16),
+    ];
+    let copy = |g: &Staged| match g {
+        Staged::Frame { codec, payload } => Staged::Frame {
+            codec: *codec,
+            payload: payload.clone(),
+        },
+        Staged::Dense(g) => Staged::Dense(g.clone()),
+    };
+    let key = (2, 5);
+    for n in [
+        1,
+        FOLD_BLOCK - 1,
+        FOLD_BLOCK,
+        FOLD_BLOCK + 1,
+        3 * FOLD_BLOCK + 7,
+    ] {
+        for momentum in [0.0, 0.9] {
+            for p in [1usize, 2, 3] {
+                let what = format!("P={p} µ={momentum} n={n}");
+                let mut rng = Lcg(0xF5ED ^ (p as u64) << 20 ^ n as u64);
+                let init = rng.vec(n);
+                let mut three = ShardState::with_momentum(p, 0.0, momentum);
+                let mut fused = ShardState::with_momentum(p, 0.0, momentum);
+                for s in [&mut three, &mut fused] {
+                    s.init_pair(key, init.clone());
+                }
+                // One error-feedback stream per worker for its 1-bit rounds.
+                let mut onebit: Vec<_> =
+                    (0..p).map(|_| make_compressor(Codec::OneBit, n)).collect();
+                for (round, scale) in [-0.05f32, -0.05, -0.05, -0.005].into_iter().enumerate() {
+                    let grads: Vec<Staged> = (0..p)
+                        .map(|w| {
+                            let grad = rng.vec(n);
+                            match forms[(w + round) % forms.len()] {
+                                Some(Codec::OneBit) => Staged::Frame {
+                                    codec: Codec::OneBit,
+                                    payload: onebit[w].compress(&grad),
+                                },
+                                Some(codec) => Staged::Frame {
+                                    codec,
+                                    payload: make_compressor(codec, n).compress(&grad),
+                                },
+                                None => Staged::Dense(grad),
+                            }
+                        })
+                        .collect();
+                    for s in [&mut three, &mut fused] {
+                        s.set_update_scale(scale);
+                        for (w, g) in grads.iter().enumerate() {
+                            assert_eq!(s.stage(w, key, copy(g)).unwrap(), w + 1 == p, "{what}");
+                        }
+                    }
+                    three.fold(key);
+                    let want = wire::encode_f32s_pooled(three.apply_velocity(key));
+                    let got = fused.fold_apply_encode(key);
+                    assert_eq!(got, want, "reply bytes, round {round}, {what}");
+                    let (t3, v3) = three.export_pair(key).unwrap();
+                    let (tf, vf) = fused.export_pair(key).unwrap();
+                    assert_eq!(bits(&tf), bits(&t3), "master, round {round}, {what}");
+                    assert_eq!(bits(&vf), bits(&v3), "velocity, round {round}, {what}");
+                    assert_eq!(fused.pending_count(key), 0, "{what}");
+                }
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // (c) worker apply and push
 
