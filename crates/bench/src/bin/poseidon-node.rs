@@ -20,17 +20,18 @@
 
 use poseidon::checkpoint::{self, TrainingCheckpoint};
 use poseidon::config::{Codec, CodecPolicy, Partition, SchemePolicy};
-use poseidon::faults::{FaultPlan, FaultyTransport};
+use poseidon::faults::FaultPlan;
 use poseidon::health::{self, HealthConfig};
 use poseidon::membership::{MembershipPlan, MembershipSchedule};
 use poseidon::metrics::expose::MetricsServer;
 use poseidon::runtime::{
-    flatten_model_params, install_model_params, run_endpoint, NodeOutcome, RuntimeConfig,
+    flatten_model_params, install_model_params, run_endpoint, FaultConfig, NodeOutcome,
+    RuntimeConfig,
 };
 use poseidon::serving::{InferFn, ServingServer, Snapshot, SnapshotCell};
 use poseidon::telemetry::{self, chrome, report, TelemetryConfig};
 use poseidon::transport::{
-    ReliabilityConfig, ReliableTransport, TcpFabricSpec, TcpTransport, TrafficSnapshot, Transport,
+    ReliabilityConfig, TcpFabricSpec, TcpTransport, TrafficSnapshot, Transport,
 };
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
@@ -270,6 +271,12 @@ fn runtime_config(a: &Args) -> RuntimeConfig {
         health: HealthConfig {
             straggler_factor: a.straggler_factor,
         },
+        // The chaos plane: `run_endpoint` wraps the socket endpoint as
+        // Reliable(Faulty(tcp)) and reports what it did.
+        faults: FaultConfig {
+            plan: a.fault_plan.clone(),
+            reliability: a.reliable.then(ReliabilityConfig::default),
+        },
         membership: a.membership.clone(),
         start_iter: a.start_iter,
         export_state: a.export_state,
@@ -462,33 +469,21 @@ fn run_role(a: &Args, me: usize, spec: &TcpFabricSpec, endpoint: TcpTransport) -
         }
     }
 
-    // Chaos plane: wrap the socket endpoint as Reliable(Faulty(tcp)), keep
-    // Arc handles to the fired-fault log and recovery stats so they can be
-    // reported after `run_endpoint` consumes the stack.
-    let mut chaos = None;
-    let outcome = if a.fault_plan.is_some() || a.reliable {
-        let plan = a.fault_plan.clone().unwrap_or_default();
-        let faulty = FaultyTransport::new(endpoint, &plan);
-        let reliable = ReliableTransport::new(faulty, ReliabilityConfig::default());
-        chaos = Some((reliable.inner().log(), reliable.stats()));
-        run_endpoint(&factory, &data, None, &cfg, reliable)
-    } else {
-        run_endpoint(&factory, &data, None, &cfg, endpoint)
-    };
+    let outcome = run_endpoint(&factory, &data, None, &cfg, endpoint);
 
     println!("endpoint={me}");
     println!("node={}", spec.node_of_endpoint[me]);
     let snap = traffic.snapshot();
     println!("tx={}", csv(&snap.tx));
     println!("rx={}", csv(&snap.rx));
-    if let Some((log, stats)) = &chaos {
-        use std::sync::atomic::Ordering::Relaxed;
-        println!("faults_fired={}", log.lock().expect("fault log").len());
-        println!("retransmits={}", stats.retransmits.load(Relaxed));
-        println!("dups_dropped={}", stats.dups_dropped.load(Relaxed));
-        println!("nacks_sent={}", stats.nacks_sent.load(Relaxed));
-        println!("acks_sent={}", stats.acks_sent.load(Relaxed));
-        println!("recovery_actions={}", stats.recovery_actions());
+    let (NodeOutcome::Worker { chaos, .. } | NodeOutcome::Server { chaos, .. }) = &outcome;
+    if let Some(report) = chaos {
+        println!("faults_fired={}", report.fired.len());
+        println!("retransmits={}", report.retransmits);
+        println!("dups_dropped={}", report.dups_dropped);
+        println!("nacks_sent={}", report.nacks_sent);
+        println!("acks_sent={}", report.acks_sent);
+        println!("recovery_actions={}", report.recovery_actions());
     }
     if let Some(base) = &a.trace_out {
         // run_endpoint's shutdown joined the reader threads, so every
@@ -523,7 +518,7 @@ fn run_role(a: &Args, me: usize, spec: &TcpFabricSpec, endpoint: TcpTransport) -
             println!("params={}", f32s_to_hex(&flatten_model_params(&net)));
             checkpoint.map(|ck| checkpoint::encode_worker(&ck))
         }
-        NodeOutcome::Server { checkpoint } => {
+        NodeOutcome::Server { checkpoint, .. } => {
             println!("role=server");
             checkpoint.map(|ck| checkpoint::encode_shard(&ck))
         }

@@ -363,67 +363,6 @@ impl ShardState {
         grad.cursor(master.len())?.axpy_next(scale, master);
         Ok(master)
     }
-
-    /// Serialises the master copies of every KV pair — the shard's
-    /// fault-tolerance checkpoint ("it will regularly checkpoint current
-    /// parameter states", Section 4.1). In-flight (pending) gradients are
-    /// deliberately *not* checkpointed: under BSP a restore rolls back to the
-    /// last completed round and workers resend.
-    pub fn checkpoint(&self) -> Vec<u8> {
-        use bytes::BufMut;
-        let mut keys: Vec<KvKey> = self.params.keys().copied().collect();
-        keys.sort_unstable();
-        let mut buf = bytes::BytesMut::new();
-        buf.put_u32_le(keys.len() as u32);
-        for key in keys {
-            let values = &self.params[&key];
-            buf.put_u32_le(key.0);
-            buf.put_u32_le(key.1);
-            buf.put_u32_le(values.len() as u32);
-            for &v in values {
-                buf.put_f32_le(v);
-            }
-        }
-        buf.to_vec()
-    }
-
-    /// Restores the master copies from a [`Self::checkpoint`] buffer,
-    /// replacing all current pairs and clearing any pending round.
-    ///
-    /// Returns the number of pairs restored, or `None` if the buffer is
-    /// corrupt (in which case the shard is left unchanged).
-    pub fn restore(&mut self, checkpoint: &[u8]) -> Option<usize> {
-        use bytes::Buf;
-        let mut buf = checkpoint;
-        if buf.remaining() < 4 {
-            return None;
-        }
-        let count = buf.get_u32_le() as usize;
-        let mut params = HashMap::with_capacity(count);
-        for _ in 0..count {
-            if buf.remaining() < 12 {
-                return None;
-            }
-            let layer = buf.get_u32_le();
-            let chunk = buf.get_u32_le();
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len * 4 {
-                return None;
-            }
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                values.push(buf.get_f32_le());
-            }
-            params.insert((layer, chunk), values);
-        }
-        if buf.has_remaining() {
-            return None;
-        }
-        self.params = params;
-        self.pending.clear();
-        self.velocity.clear();
-        Some(count)
-    }
 }
 
 #[cfg(test)]
@@ -630,16 +569,40 @@ mod tests {
         assert_eq!(plain.pair((0, 0)), with.pair((0, 0)));
     }
 
-    #[test]
-    fn restore_resets_velocity() {
-        let mut shard = ShardState::with_momentum(1, -1.0, 0.9);
-        shard.init_pair((0, 0), vec![0.0]);
-        let ckpt = shard.checkpoint();
-        shard.receive_grad(0, (0, 0), &[1.0]);
-        shard.restore(&ckpt).unwrap();
-        // After restore, velocity must start from zero again.
-        let t = shard.receive_grad(0, (0, 0), &[1.0]).unwrap();
-        assert_eq!(t, vec![-1.0], "no stale velocity after rollback");
+    /// `shard` through the shard checkpoint codec: every pair exported in
+    /// key order and encoded as one shard's checkpoint.
+    fn checkpoint_of(shard: &ShardState) -> Vec<u8> {
+        use crate::checkpoint::{encode_shard, PairState, ShardCheckpoint};
+        let pairs = shard
+            .sorted_keys()
+            .into_iter()
+            .map(|key| {
+                let (params, velocity) = shard.export_pair(key).unwrap();
+                PairState {
+                    key,
+                    params,
+                    velocity,
+                    residual: Vec::new(),
+                }
+            })
+            .collect();
+        encode_shard(&ShardCheckpoint {
+            shard: 0,
+            next_iter: 0,
+            epoch: 0,
+            pairs,
+        })
+    }
+
+    /// Installs every pair of a [`checkpoint_of`] buffer into `shard`;
+    /// `None`, and `shard` untouched, when the buffer does not decode.
+    fn restore_into(shard: &mut ShardState, blob: &[u8]) -> Option<usize> {
+        let ck = crate::checkpoint::decode_shard(blob)?;
+        let count = ck.pairs.len();
+        for pair in ck.pairs {
+            shard.install_pair(pair.key, pair.params, pair.velocity);
+        }
+        Some(count)
     }
 
     #[test]
@@ -647,47 +610,30 @@ mod tests {
         let mut shard = ShardState::new(2, -1.0);
         shard.init_pair((0, 0), vec![1.0, 2.0]);
         shard.init_pair((3, 1), vec![-4.5]);
-        let ckpt = shard.checkpoint();
+        let ckpt = checkpoint_of(&shard);
 
         let mut restored = ShardState::new(2, -1.0);
-        assert_eq!(restored.restore(&ckpt), Some(2));
+        assert_eq!(restore_into(&mut restored, &ckpt), Some(2));
         assert_eq!(restored.pair((0, 0)).unwrap(), &[1.0, 2.0]);
         assert_eq!(restored.pair((3, 1)).unwrap(), &[-4.5]);
-    }
-
-    #[test]
-    fn restore_discards_pending_round() {
-        let mut shard = ShardState::new(2, -1.0);
-        shard.init_pair((0, 0), vec![0.0]);
-        let ckpt = shard.checkpoint();
-        shard.receive_grad(0, (0, 0), &[5.0]);
-        assert_eq!(shard.pending_count((0, 0)), 1);
-        shard.restore(&ckpt).unwrap();
-        assert_eq!(
-            shard.pending_count((0, 0)),
-            0,
-            "in-flight gradients roll back"
-        );
-        // The same worker may now resend without a protocol violation.
-        shard.receive_grad(0, (0, 0), &[5.0]);
     }
 
     #[test]
     fn corrupt_checkpoint_is_rejected_without_damage() {
         let mut shard = ShardState::new(1, -1.0);
         shard.init_pair((0, 0), vec![7.0]);
-        let mut ckpt = shard.checkpoint();
+        let mut ckpt = checkpoint_of(&shard);
         ckpt.truncate(ckpt.len() - 1);
-        assert_eq!(shard.restore(&ckpt), None);
+        assert_eq!(restore_into(&mut shard, &ckpt), None);
         assert_eq!(
             shard.pair((0, 0)).unwrap(),
             &[7.0],
             "failed restore must not corrupt"
         );
         // Trailing garbage is also rejected.
-        let mut long = shard.checkpoint();
+        let mut long = checkpoint_of(&shard);
         long.push(0);
-        assert_eq!(shard.restore(&long), None);
+        assert_eq!(restore_into(&mut shard, &long), None);
     }
 
     #[test]
@@ -698,7 +644,11 @@ mod tests {
         let mut b = ShardState::new(1, -1.0);
         b.init_pair((1, 0), vec![2.0]);
         b.init_pair((2, 0), vec![1.0]);
-        assert_eq!(a.checkpoint(), b.checkpoint(), "key order must not leak");
+        assert_eq!(
+            checkpoint_of(&a),
+            checkpoint_of(&b),
+            "key order must not leak"
+        );
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! Prometheus text exposition: the renderer and a minimal HTTP responder.
 //!
-//! [`render`] writes the [text exposition format, version 0.0.4]
-//! (https://prometheus.io/docs/instrumenting/exposition_formats/) — `# TYPE`
-//! lines, cumulative `_bucket{le=...}` series for histograms, `_sum` and
-//! `_count`. Output order is deterministic (the registry is sorted), which
-//! the golden test pins byte-for-byte.
+//! [`render`] writes the [text exposition format, version 0.0.4][format] —
+//! `# TYPE` lines, cumulative `_bucket{le=...}` series for histograms,
+//! `_sum` and `_count`. Output order is deterministic (the registry is
+//! sorted), which the golden test pins byte-for-byte.
 //!
 //! [`MetricsServer`] is the pull endpoint: a `std`-only listener thread
 //! answering every HTTP request with a fresh snapshot of the global
 //! registry. It speaks just enough HTTP/1.1 for Prometheus and `curl` —
 //! read the request head, answer `200` with `Content-Length`, close. One
 //! scrape costs one snapshot; an idle responder costs one parked thread.
+//!
+//! [format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use super::{Family, MetricKind, MetricsSnapshot, SampleValue};
 use std::io::{Read, Write};

@@ -4,12 +4,19 @@
 //! [`poseidon_nn::Network`] replicas on disjoint data shards, and `P`
 //! KV-store shards (colocated: shard *i* shares physical node *i* with worker
 //! *i*) hold the master parameters. All synchronisation flows as serialised
-//! byte messages over a pluggable [`crate::transport::Transport`] — the
-//! threaded [`train`] entry point wires everything over
-//! [`InProcTransport`](crate::transport::InProcTransport) channels, while
-//! [`run_endpoint`] drives a *single* endpoint so one OS process per
-//! worker/shard can form the same protocol over
-//! [`TcpTransport`](crate::transport::TcpTransport) (see the `poseidon-node`
+//! byte messages over a pluggable [`crate::transport::Transport`].
+//!
+//! There is one runtime path. Both entry points build the same `RunPlan`
+//! from the model and the [`RuntimeConfig`] — scheme assignment, chunk
+//! tables, each shard's ownership universe — and hand it, with one
+//! endpoint's transport, to the one endpoint runner (`node.rs`): it wraps
+//! the chaos plane when [`RuntimeConfig::faults`] asks for it, takes the
+//! endpoint's slice of [`RuntimeConfig::resume`], and runs the worker or the
+//! shard. [`train`] runs all `2P` endpoints as threads over
+//! [`InProcTransport`](crate::transport::InProcTransport) channels and folds
+//! their outcomes into a [`TrainResult`]; [`run_endpoint`] runs one, so one
+//! OS process per worker/shard forms the same protocol over
+//! [`TcpTransport`](crate::transport::TcpTransport) (the `poseidon-node`
 //! binary). Either way the traffic the integration tests measure is the
 //! traffic the analytic cost model predicts.
 //!
@@ -28,25 +35,23 @@ pub use clock::SspClock;
 pub use node::{flatten_model_params, install_model_params, run_endpoint, NodeOutcome};
 pub use worker::evaluate_error;
 
-use crate::chunk::Chunk;
+use crate::checkpoint::TrainingCheckpoint;
 use crate::config::{
     ClusterConfig, Codec, CodecPolicy, CommScheme, ComputeConfig, Consistency, Partition,
     SchemePolicy,
 };
 use crate::coordinator::Coordinator;
-use crate::faults::{FaultPlan, FaultyTransport, FiredFault};
-use crate::runtime::server::{LayerGranular, ServerPlan};
-use crate::runtime::worker::{WorkerConfig, WorkerOutput};
-use crate::syncer;
+use crate::faults::{FaultPlan, FiredFault};
+use crate::membership::MembershipSchedule;
+use crate::runtime::server::ServerPlan;
 use crate::telemetry::{self, TelemetryConfig};
 use crate::transport::{
-    self, Envelope, ReliabilityConfig, ReliabilityStats, ReliableTransport, TrafficCounters,
-    Transport, TransportError,
+    self, Envelope, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport, TransportError,
 };
 use poseidon_nn::data::Dataset;
 use poseidon_nn::Model;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Process-wide count of frames dropped because their payload failed codec
@@ -109,10 +114,13 @@ impl LrSchedule {
 
 /// Fault-injection and recovery knobs of a run (the chaos plane).
 ///
-/// With either field set, every endpoint's transport is wrapped as
-/// `Reliable(Faulty(transport))`: the [`FaultyTransport`] executes the plan
-/// on the send path (an empty plan when only `reliability` is set), and the
-/// [`ReliableTransport`] above it heals whatever the plan breaks — so the
+/// With either field set, the endpoint runner wraps every endpoint's
+/// transport — under [`train`] and [`run_endpoint`] alike — as
+/// `Reliable(Faulty(transport))`: the
+/// [`FaultyTransport`](crate::faults::FaultyTransport) executes the plan on
+/// the send path (an empty plan when only `reliability` is set), and the
+/// [`ReliableTransport`](crate::transport::ReliableTransport) above it heals
+/// whatever the plan breaks — so the
 /// run either converges bitwise identical to the fault-free run, or (for
 /// unrecoverable plans like a black-holed link) aborts within
 /// [`RuntimeConfig::comm_timeout`] with a
@@ -159,6 +167,34 @@ impl ChaosReport {
     /// non-zero iff the reliability layer ever had to fix anything.
     pub fn recovery_actions(&self) -> u64 {
         self.retransmits + self.dups_dropped + self.nacks_sent + self.reorders_stashed
+    }
+
+    /// One endpoint's report, read off its fault log and recovery counters.
+    fn of_endpoint(log: &Mutex<Vec<FiredFault>>, stats: &ReliabilityStats) -> Self {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        let mut fired = log.lock().expect("fault log lock").clone();
+        fired.sort_by_key(|f| (f.from, f.to, f.frame));
+        Self {
+            fired,
+            retransmits: load(&stats.retransmits),
+            dups_dropped: load(&stats.dups_dropped),
+            nacks_sent: load(&stats.nacks_sent),
+            acks_sent: load(&stats.acks_sent),
+            probes_sent: load(&stats.probes_sent),
+            reorders_stashed: load(&stats.reorders_stashed),
+        }
+    }
+
+    /// Folds another endpoint's report into this one.
+    fn absorb(&mut self, other: ChaosReport) {
+        self.fired.extend(other.fired);
+        self.fired.sort_by_key(|f| (f.from, f.to, f.frame));
+        self.retransmits += other.retransmits;
+        self.dups_dropped += other.dups_dropped;
+        self.nacks_sent += other.nacks_sent;
+        self.acks_sent += other.acks_sent;
+        self.probes_sent += other.probes_sent;
+        self.reorders_stashed += other.reorders_stashed;
     }
 }
 
@@ -208,8 +244,8 @@ pub struct RuntimeConfig {
     pub compute: ComputeConfig,
     /// How long a worker or shard waits on its transport before declaring a
     /// peer lost. A stalled run fails with a diagnosable
-    /// [`TransportError::Timeout`](crate::transport::TransportError::Timeout)
-    /// naming the starved endpoint instead of hanging forever.
+    /// [`TransportError::Timeout`] naming the starved endpoint instead of
+    /// hanging forever.
     pub comm_timeout: Duration,
     /// Telemetry recorder knobs. Disabled by default; enabling records
     /// per-layer compute spans, WFBP sync windows and transport counters into
@@ -372,67 +408,56 @@ fn ssp_mode(cfg: &RuntimeConfig) -> Option<u64> {
 }
 
 /// Everything derived from the model + config that every participant (worker
-/// or shard, in-process or remote) must agree on: the scheme assignment, the
-/// chunk tables, and each shard's serving plan with initial master values.
-pub(crate) struct RunPlan {
+/// or shard, in-process or remote) must agree on — the one thing both entry
+/// points execute. What an endpoint needs beyond it, it reads from `cfg`.
+pub(crate) struct RunPlan<'a> {
+    pub cfg: &'a RuntimeConfig,
     pub coordinator: Coordinator,
-    pub schemes: Vec<(usize, CommScheme)>,
-    pub codecs: Vec<(usize, Codec)>,
+    /// Each shard's serving plan, by shard id.
     pub plans: Vec<ServerPlan>,
+    /// `-learning_rate / P`.
     pub update_scale: f32,
+    /// `Some(staleness)` under SSP.
+    pub ssp: Option<u64>,
     /// The resolved membership schedule every participant routes by.
-    pub schedule: Arc<crate::membership::MembershipSchedule>,
+    pub schedule: Arc<MembershipSchedule>,
+}
+
+impl RunPlan<'_> {
+    /// `update_scale · lr multiplier`: the f32 product a gradient of
+    /// iteration `iter` is scaled by — on the PS shard, and client-side by
+    /// the schemes that fold without one.
+    pub fn scale_at(&self, iter: usize) -> f32 {
+        self.update_scale * self.cfg.lr_schedule.multiplier(iter)
+    }
 }
 
 /// Builds the shared run plan deterministically from the reference replica.
-pub(crate) fn build_run_plan<M: Model>(reference: &M, cfg: &RuntimeConfig, ssp: bool) -> RunPlan {
+pub(crate) fn build_run_plan<'a, M: Model>(reference: &M, cfg: &'a RuntimeConfig) -> RunPlan<'a> {
     let p = cfg.workers;
+    let ssp = ssp_mode(cfg);
     let cluster = ClusterConfig::colocated(p, cfg.batch_per_worker);
     let coordinator = Coordinator::from_model(reference, cluster, cfg.policy, cfg.partition)
         .with_codec_policy(cfg.codec);
-    let schemes = coordinator.scheme_assignment();
-    let codecs = coordinator.codec_assignment();
-    let update_scale = -cfg.learning_rate / p as f32;
-    let schedule = crate::membership::MembershipSchedule::resolve(&cfg.membership, p)
+    let schedule = MembershipSchedule::resolve(&cfg.membership, p)
         .unwrap_or_else(|e| panic!("invalid membership plan: {e}"));
     if !schedule.is_trivial() {
-        assert!(!ssp, "elastic membership requires BSP");
+        assert!(ssp.is_none(), "elastic membership requires BSP");
     }
     assert!(
         cfg.start_iter == 0 || cfg.resume.is_some(),
         "a mid-run segment (start_iter > 0) must resume from a checkpoint"
     );
     if cfg.start_iter > 0 || cfg.resume.is_some() || cfg.export_state {
-        assert!(!ssp, "checkpoint/restore requires BSP");
+        assert!(ssp.is_none(), "checkpoint/restore requires BSP");
     }
 
-    let mut plans: Vec<ServerPlan> = (0..p)
-        .map(|shard| ServerPlan {
-            ps_chunks: Vec::new(),
-            layer_granular: Vec::new(),
-            init_values: Vec::new(),
-            workers: p,
-            update_scale,
-            momentum: cfg.momentum,
-            lr_schedule: cfg.lr_schedule,
-            iterations: cfg.iterations,
-            ssp,
-            comm_timeout: cfg.comm_timeout,
-            me_shard: shard,
-            schedule: Arc::clone(&schedule),
-            start_iter: cfg.start_iter,
-            all_chunks: Vec::new(),
-            all_init: Vec::new(),
-            restore: None,
-            export_state: cfg.export_state,
-        })
-        .collect();
-    for &(l, scheme) in &schemes {
-        let info = &coordinator.layers()[l];
+    let mut plans: Vec<ServerPlan> = (0..p).map(|_| ServerPlan::default()).collect();
+    for (l, scheme) in coordinator.scheme_assignment() {
         match scheme {
             CommScheme::Ps => {
                 let codec = coordinator.best_codec(l);
-                if ssp {
+                if ssp.is_some() {
                     assert_eq!(
                         codec,
                         Codec::Identity,
@@ -441,130 +466,42 @@ pub(crate) fn build_run_plan<M: Model>(reference: &M, cfg: &RuntimeConfig, ssp: 
                     );
                 }
                 for (idx, chunk) in coordinator.chunk_table().layer_chunks(l).iter().enumerate() {
-                    plans[chunk.shard]
-                        .ps_chunks
-                        .push((idx as u32, *chunk, codec));
+                    plans[chunk.shard].chunks.push((idx as u32, *chunk, codec));
                 }
             }
-            CommScheme::AdamSf => {
-                let owner = l % p;
-                plans[owner].layer_granular.push(LayerGranular {
-                    layer: l,
-                    fc_shape: info.fc_shape.expect("layer-granular schemes need FC shape"),
-                    param_elems: info.param_elems,
-                });
-            }
+            CommScheme::AdamSf => plans[l % p].layer_granular.push(l),
             // Peer-to-peer schemes; no server state.
             CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => {}
         }
     }
-    // Initial master values in the servers' canonical order: all PS chunks,
-    // then all layer-granular layers.
-    for plan in &mut plans {
-        let mut ordered = Vec::with_capacity(plan.ps_chunks.len() + plan.layer_granular.len());
-        for &(_, chunk, _) in &plan.ps_chunks {
-            let flat = syncer::flatten_params(
-                reference
-                    .slot(chunk.layer)
-                    .and_then(|l| l.params())
-                    .expect("trainable layer"),
-            );
-            ordered.push(flat[chunk.offset..chunk.offset + chunk.len].to_vec());
-        }
-        for lg in &plan.layer_granular {
-            ordered.push(syncer::flatten_params(
-                reference
-                    .slot(lg.layer)
-                    .and_then(|l| l.params())
-                    .expect("trainable layer"),
-            ));
-        }
-        plan.init_values = ordered;
-    }
-
-    // Elastic membership: every shard must know the full ownership universe
-    // (every PS chunk and its deterministic initial value) — a shard that is
-    // inactive at epoch 0 owns nothing, so its home pairs are initialised by
-    // whoever owns them.
+    // Elastic membership: every shard's ownership universe is every PS chunk
+    // — a shard inactive at epoch 0 owns nothing, so its home pairs start
+    // out with whoever owns them.
     if !schedule.is_trivial() {
         assert!(
             plans.iter().all(|plan| plan.layer_granular.is_empty()),
             "elastic membership does not support layer-granular (AdamSf) shards"
         );
-        let mut all_chunks: Vec<(u32, Chunk, Codec)> = Vec::new();
-        for plan in &plans {
-            all_chunks.extend(plan.ps_chunks.iter().copied());
-        }
-        all_chunks.sort_unstable_by_key(|&(idx, chunk, _)| (chunk.layer, idx));
-        let all_init: Vec<Vec<f32>> = all_chunks
-            .iter()
-            .map(|&(_, chunk, _)| {
-                let flat = syncer::flatten_params(
-                    reference
-                        .slot(chunk.layer)
-                        .and_then(|l| l.params())
-                        .expect("trainable layer"),
-                );
-                flat[chunk.offset..chunk.offset + chunk.len].to_vec()
-            })
-            .collect();
+        let mut all: Vec<_> = plans.iter().flat_map(|plan| plan.chunks.clone()).collect();
+        all.sort_unstable_by_key(|&(idx, chunk, _)| (chunk.layer, idx));
         for plan in &mut plans {
-            plan.all_chunks = all_chunks.clone();
-            plan.all_init = all_init.clone();
+            plan.chunks.clone_from(&all);
         }
     }
 
     RunPlan {
+        cfg,
         coordinator,
-        schemes,
-        codecs,
         plans,
-        update_scale,
+        update_scale: -cfg.learning_rate / p as f32,
+        ssp,
         schedule,
-    }
-}
-
-/// The per-worker configuration slice for worker `w`.
-fn worker_config(
-    cfg: &RuntimeConfig,
-    w: usize,
-    update_scale: f32,
-    ssp: Option<u64>,
-    compute_threads: usize,
-    schedule: &Arc<crate::membership::MembershipSchedule>,
-    restore: Option<crate::checkpoint::WorkerCheckpoint>,
-) -> WorkerConfig {
-    WorkerConfig {
-        me: w,
-        iterations: cfg.iterations,
-        batch: cfg.batch_per_worker,
-        update_scale,
-        momentum: cfg.momentum,
-        lr_schedule: cfg.lr_schedule,
-        eval_every: cfg.eval_every,
-        ssp_staleness: ssp,
-        straggler_delay: match cfg.straggler_delay_ms {
-            Some((node, ms)) if node == w => Some(Duration::from_millis(ms)),
-            _ => None,
-        },
-        jitter_us: cfg.jitter_us,
-        compute_threads,
-        comm_timeout: cfg.comm_timeout,
-        start_iter: cfg.start_iter,
-        schedule: Arc::clone(schedule),
-        restore,
-        export_state: cfg.export_state,
-        snapshots: if w == 0 {
-            cfg.serve_snapshots.clone()
-        } else {
-            None
-        },
     }
 }
 
 /// Trains `net_factory()`-built replicas on `data` across threads.
 ///
-/// `net_factory` must be deterministic — every worker builds its replica from
+/// `net_factory` must be deterministic — every endpoint builds its model from
 /// it and the replicas must start identical (same seed). The training set is
 /// partitioned into `workers` contiguous shards; `eval` (if any) is scored by
 /// worker 0 every [`RuntimeConfig::eval_every`] iterations.
@@ -582,253 +519,100 @@ pub fn train<M: Model>(
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.iterations > 0, "need at least one iteration");
     let p = cfg.workers;
-
-    let ssp = ssp_mode(cfg);
-    let clock = Arc::new(clock::SspClock::new(p));
     telemetry::configure(&cfg.telemetry);
-
-    let reference = net_factory();
-    let plan = build_run_plan(&reference, cfg, ssp.is_some());
-    let coordinator = plan.coordinator;
-    let schemes = plan.schemes;
-    let codecs = plan.codecs;
-    let schedule = plan.schedule;
+    let run = build_run_plan(&net_factory(), cfg);
+    let clock = Arc::new(SspClock::new(p));
 
     // Endpoints 0..P are workers on nodes 0..P; endpoints P..2P are shards
-    // colocated on the same nodes.
+    // colocated on the same nodes. A snapshot cell has one writer: worker 0.
     let node_ids: Vec<usize> = (0..p).chain(0..p).collect();
     let (endpoints, traffic) = transport::fabric_with_nodes(&node_ids);
-
-    let shards = data.partition(p);
-    let compute_threads = cfg.compute.threads_per_worker(p);
-
-    let (worker_outputs, shard_outputs, fault_report) = if cfg.faults.active() {
-        // Chaos plane on: every endpoint becomes Reliable(Faulty(channel)).
-        // The fault layer breaks originals on the way out; the reliability
-        // layer above it (whose retransmits pass the fault layer unfaulted)
-        // heals the stream before the runtime sees it.
-        let fplan = cfg.faults.plan.clone().unwrap_or_default();
-        let rcfg = cfg.faults.reliability.clone().unwrap_or_default();
-        let mut logs = Vec::with_capacity(2 * p);
-        let mut stats: Vec<Arc<ReliabilityStats>> = Vec::with_capacity(2 * p);
-        let wrapped: Vec<_> = endpoints
+    let outcomes: Vec<NodeOutcome<M>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = endpoints
             .into_iter()
-            .map(|ep| {
-                let faulty = FaultyTransport::new(ep, &fplan);
-                logs.push(faulty.log());
-                let reliable = ReliableTransport::new(faulty, rcfg.clone());
-                stats.push(reliable.stats());
-                reliable
+            .map(|endpoint| {
+                let (run, clock) = (&run, Arc::clone(&clock));
+                let snapshots = cfg
+                    .serve_snapshots
+                    .clone()
+                    .filter(|_| endpoint.endpoint_id() == 0);
+                scope.spawn(move || {
+                    node::run_node(run, net_factory(), data, eval, endpoint, clock, snapshots)
+                })
             })
             .collect();
-        let (outputs, shard_outs) = run_fabric(
-            net_factory,
-            cfg,
-            &coordinator,
-            plan.plans,
-            plan.update_scale,
-            &schedule,
-            shards,
-            eval,
-            ssp,
-            &clock,
-            compute_threads,
-            wrapped,
-        );
-        let mut fired: Vec<FiredFault> = logs
-            .iter()
-            .flat_map(|l| l.lock().expect("fault log lock").clone())
-            .collect();
-        fired.sort_by_key(|f| (f.from, f.to, f.frame));
-        let mut report = ChaosReport {
-            fired,
-            ..ChaosReport::default()
-        };
-        use std::sync::atomic::Ordering::Relaxed;
-        for s in &stats {
-            report.retransmits += s.retransmits.load(Relaxed);
-            report.dups_dropped += s.dups_dropped.load(Relaxed);
-            report.nacks_sent += s.nacks_sent.load(Relaxed);
-            report.acks_sent += s.acks_sent.load(Relaxed);
-            report.probes_sent += s.probes_sent.load(Relaxed);
-            report.reorders_stashed += s.reorders_stashed.load(Relaxed);
-        }
-        (outputs, shard_outs, Some(report))
-    } else {
-        let (outputs, shard_outs) = run_fabric(
-            net_factory,
-            cfg,
-            &coordinator,
-            plan.plans,
-            plan.update_scale,
-            &schedule,
-            shards,
-            eval,
-            ssp,
-            &clock,
-            compute_threads,
-            endpoints,
-        );
-        (outputs, shard_outs, None)
-    };
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("endpoint thread panicked"))
+            .collect()
+    });
 
-    // Workers and shards are joined, so every recording thread has flushed;
+    // Every endpoint is joined, so every recording thread has flushed;
     // collect the trace before anything else runs in this process.
-    let trace = if cfg.telemetry.enabled {
+    let trace = cfg.telemetry.enabled.then(|| {
         telemetry::disable();
-        Some(telemetry::drain())
-    } else {
-        None
-    };
+        telemetry::drain()
+    });
 
-    let outputs: Vec<WorkerOutput<M>> = worker_outputs;
-    let worker_wall_s: Vec<f64> = outputs.iter().map(|o| o.wall.as_secs_f64()).collect();
-    // Health verdicts from each worker's run-local busy histogram — immune to
-    // the global metrics gate and to whatever earlier runs left in the
-    // process-global registry.
-    let busy_p50: Vec<(usize, u64)> = outputs
-        .iter()
-        .enumerate()
-        .map(|(w, o)| (w, o.busy.quantile(0.5)))
+    let mut fault_report = cfg.faults.active().then(ChaosReport::default);
+    let (mut worker_losses, mut worker_wall_s, mut busy_p50) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut first, mut worker_states, mut shard_states) = (None, Vec::new(), Vec::new());
+    for outcome in outcomes {
+        let chaos = match outcome {
+            NodeOutcome::Worker {
+                losses,
+                test_errors,
+                net,
+                busy_p50_ns,
+                wall,
+                checkpoint: state,
+                chaos,
+            } => {
+                // Health verdicts come from each worker's run-local busy
+                // histogram — immune to the global metrics gate and to
+                // whatever earlier runs left in the process-global registry.
+                busy_p50.push((worker_losses.len(), busy_p50_ns));
+                worker_losses.push(losses);
+                worker_wall_s.push(wall.as_secs_f64());
+                first.get_or_insert((test_errors, net));
+                worker_states.extend(state);
+                chaos
+            }
+            NodeOutcome::Server {
+                checkpoint: state,
+                chaos,
+            } => {
+                shard_states.extend(state);
+                chaos
+            }
+        };
+        if let Some(report) = fault_report.as_mut() {
+            report.absorb(chaos.expect("the chaos plane reports from every endpoint"));
+        }
+    }
+    let losses = (0..cfg.iterations)
+        .map(|i| worker_losses.iter().map(|l| l[i]).sum::<f32>() / p as f32)
         .collect();
-    let health = crate::health::detect(&busy_p50, cfg.health.straggler_factor);
-    let iters = cfg.iterations;
-    let losses: Vec<f32> = (0..iters)
-        .map(|i| outputs.iter().map(|o| o.losses[i]).sum::<f32>() / p as f32)
-        .collect();
-    let mut outputs = outputs;
-    // Assemble the full-mesh checkpoint before worker 0's output is consumed.
-    let checkpoint = cfg
-        .export_state
-        .then(|| crate::checkpoint::TrainingCheckpoint {
-            next_iter: (cfg.start_iter + cfg.iterations) as u64,
-            workers: outputs
-                .iter_mut()
-                .map(|o| {
-                    o.checkpoint
-                        .take()
-                        .expect("export_state run yields worker checkpoints")
-                })
-                .collect(),
-            shards: shard_outputs
-                .into_iter()
-                .map(|o| {
-                    o.checkpoint
-                        .expect("export_state run yields shard checkpoints")
-                })
-                .collect(),
-        });
-    let first = outputs.remove(0);
+    let (test_errors, net) = first.expect("worker 0 ran");
 
     TrainResult {
         losses,
-        test_errors: first.test_errors,
-        net: first.net,
+        test_errors,
+        net,
         traffic,
-        schemes,
-        codecs,
+        schemes: run.coordinator.scheme_assignment(),
+        codecs: run.coordinator.codec_assignment(),
         max_staleness_spread: clock.max_spread_observed(),
         worker_wall_s,
         trace,
         fault_report,
-        health,
-        checkpoint,
+        health: crate::health::detect(&busy_p50, cfg.health.straggler_factor),
+        checkpoint: cfg.export_state.then(|| TrainingCheckpoint {
+            next_iter: (cfg.start_iter + cfg.iterations) as u64,
+            workers: worker_states,
+            shards: shard_states,
+        }),
     }
-}
-
-/// Spawns one thread per endpoint (shards then workers, endpoints ordered
-/// workers `0..P` then shards `P..2P`), joins them all, and returns the
-/// worker outputs in worker order. Generic over the transport so the same
-/// fabric runs bare channels or the chaos-wrapped stack.
-#[allow(clippy::too_many_arguments)]
-fn run_fabric<M: Model, T: Transport + Send>(
-    net_factory: &(dyn Fn() -> M + Sync),
-    cfg: &RuntimeConfig,
-    coordinator: &Coordinator,
-    mut server_plans: Vec<ServerPlan>,
-    update_scale: f32,
-    schedule: &Arc<crate::membership::MembershipSchedule>,
-    shards: Vec<Dataset>,
-    eval: Option<&Dataset>,
-    ssp: Option<u64>,
-    clock: &Arc<clock::SspClock>,
-    compute_threads: usize,
-    mut endpoints: Vec<T>,
-) -> (Vec<WorkerOutput<M>>, Vec<server::ShardOutput>) {
-    let p = cfg.workers;
-    let shard_endpoints: Vec<T> = endpoints.split_off(p);
-    let worker_endpoints = endpoints;
-    let mut worker_outputs: Vec<Option<WorkerOutput<M>>> = (0..p).map(|_| None).collect();
-
-    // Split the resume checkpoint into per-endpoint slices.
-    let mut resume_workers: Vec<Option<crate::checkpoint::WorkerCheckpoint>> =
-        (0..p).map(|_| None).collect();
-    if let Some(ck) = cfg.resume.clone() {
-        assert_eq!(
-            ck.next_iter, cfg.start_iter as u64,
-            "resume checkpoint was taken at a different iteration than this segment starts"
-        );
-        for w in ck.workers {
-            let id = w.worker as usize;
-            assert!(id < p, "resume checkpoint names worker {id} of {p}");
-            resume_workers[id] = Some(w);
-        }
-        for s in ck.shards {
-            let id = s.shard as usize;
-            assert!(id < p, "resume checkpoint names shard {id} of {p}");
-            server_plans[id].restore = Some(s);
-        }
-    }
-
-    let mut shard_outputs: Vec<Option<server::ShardOutput>> = (0..p).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut server_handles = Vec::new();
-        for (sp, endpoint) in server_plans.into_iter().zip(shard_endpoints) {
-            server_handles.push(scope.spawn(move || server::run_server(sp, endpoint)));
-        }
-        let mut worker_handles = Vec::new();
-        for (w, (shard, endpoint)) in shards.into_iter().zip(worker_endpoints).enumerate() {
-            let eval_set = if w == 0 { eval.cloned() } else { None };
-            let wc = worker_config(
-                cfg,
-                w,
-                update_scale,
-                ssp,
-                compute_threads,
-                schedule,
-                resume_workers[w].take(),
-            );
-            let clock = Arc::clone(clock);
-            worker_handles.push(scope.spawn(move || {
-                worker::run_worker(
-                    wc,
-                    coordinator,
-                    net_factory(),
-                    shard,
-                    eval_set,
-                    endpoint,
-                    clock,
-                )
-            }));
-        }
-        for (w, h) in worker_handles.into_iter().enumerate() {
-            worker_outputs[w] = Some(h.join().expect("worker thread panicked"));
-        }
-        for (s, h) in server_handles.into_iter().enumerate() {
-            shard_outputs[s] = Some(h.join().expect("server thread panicked"));
-        }
-    });
-
-    (
-        worker_outputs
-            .into_iter()
-            .map(|o| o.expect("joined"))
-            .collect(),
-        shard_outputs
-            .into_iter()
-            .map(|o| o.expect("joined"))
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -1062,42 +846,27 @@ mod tests {
     /// decode must be counted and dropped — never `expect`-abort the shard.
     #[test]
     fn poisoned_grad_frame_is_counted_and_skipped() {
-        use crate::chunk::Chunk;
         use crate::transport::Message;
+        // One shard holding one four-element pair, [1, 2, 3, 4]: the whole
+        // of a 3 → 1 FC layer, served with update scale −1.
+        let factory = || {
+            let mut net = presets::mlp(&[3, 1], 1);
+            install_model_params(&mut net, &[1.0, 2.0, 3.0, 4.0]);
+            net
+        };
+        let cfg = RuntimeConfig {
+            policy: SchemePolicy::AlwaysPs,
+            partition: Partition::KvPairs { pair_elems: 4 },
+            comm_timeout: Duration::from_secs(10),
+            ..RuntimeConfig::new(1, 1, 1.0, 1)
+        };
+        let data = Dataset::gaussian_clusters(TensorShape::flat(3), 2, 4, 0.3, 1);
         let (mut eps, _traffic) = transport::fabric_with_nodes(&[0, 0]);
         let server_ep = eps.pop().expect("server endpoint");
         let mut worker_ep = eps.pop().expect("worker endpoint");
-        let plan = ServerPlan {
-            ps_chunks: vec![(
-                0,
-                Chunk {
-                    layer: 0,
-                    offset: 0,
-                    len: 4,
-                    shard: 0,
-                },
-                Codec::Identity,
-            )],
-            layer_granular: Vec::new(),
-            init_values: vec![vec![1.0, 2.0, 3.0, 4.0]],
-            workers: 1,
-            update_scale: -1.0,
-            momentum: 0.0,
-            lr_schedule: LrSchedule::Constant,
-            iterations: 1,
-            ssp: false,
-            comm_timeout: Duration::from_secs(10),
-            me_shard: 0,
-            schedule: crate::membership::MembershipSchedule::trivial(1),
-            start_iter: 0,
-            all_chunks: Vec::new(),
-            all_init: Vec::new(),
-            restore: None,
-            export_state: false,
-        };
         let before = poisoned_frames();
         std::thread::scope(|scope| {
-            let h = scope.spawn(move || server::run_server(plan, server_ep));
+            let h = scope.spawn(|| run_endpoint(&factory, &data, None, &cfg, server_ep));
             // Truncated payload: three f32s where the chunk expects four.
             worker_ep
                 .send(

@@ -1,25 +1,31 @@
-//! Single-endpoint runtime entry: one worker *or* one KV shard, driven over
-//! any [`Transport`].
+//! One endpoint of the mesh — a worker *or* a KV shard, driven over any
+//! [`Transport`] — and the runner both entry points share.
 //!
 //! [`train`](crate::runtime::train) runs all `2P` endpoints as threads of one
 //! process; [`run_endpoint`] runs exactly one of them, so `2P` OS processes
 //! (the `poseidon-node` binary) connected by a
 //! [`TcpTransport`](crate::transport::TcpTransport) mesh execute the
-//! identical protocol. Every participant derives the same
-//! [`RunPlan`](super::RunPlan) deterministically from the shared model
+//! identical protocol. Both hand each endpoint to the same runner, the one
+//! place the chaos plane is wired: with [`RuntimeConfig::faults`] active the
+//! runner wraps the endpoint as `Reliable(Faulty(transport))` and returns
+//! the endpoint's [`ChaosReport`] in its [`NodeOutcome`]. Every participant
+//! derives the same `RunPlan` deterministically from the shared model
 //! factory and config — there is no separate control plane; agreement on the
 //! CLI flags *is* the control plane.
 //!
 //! Endpoint ids follow the fabric convention: `0..P` are workers on physical
 //! nodes `0..P`, `P..2P` are shards colocated on the same nodes.
 
-use super::{build_run_plan, server, ssp_mode, worker, worker_config, RuntimeConfig, SspClock};
+use super::{build_run_plan, server, worker, ChaosReport, RunPlan, RuntimeConfig, SspClock};
+use crate::faults::FaultyTransport;
+use crate::serving::SnapshotCell;
 use crate::syncer;
 use crate::telemetry;
-use crate::transport::Transport;
+use crate::transport::{ReliableTransport, Transport};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::Model;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// What one endpoint produced.
 pub enum NodeOutcome<M: Model> {
@@ -35,13 +41,20 @@ pub enum NodeOutcome<M: Model> {
         /// This worker's per-iteration busy-time p50 (ns), for mesh-level
         /// straggler detection by the launcher (see [`crate::health`]).
         busy_p50_ns: u64,
+        /// Wall time of this worker's training loop (under SSP fast workers
+        /// finish well before a straggler; under BSP they pace it).
+        wall: Duration,
         /// Full worker state (`export_state` runs only).
         checkpoint: Option<crate::checkpoint::WorkerCheckpoint>,
+        /// What the chaos plane did at this endpoint (`None` with it off).
+        chaos: Option<ChaosReport>,
     },
     /// A KV shard endpoint.
     Server {
         /// Full shard state (`export_state` runs only).
         checkpoint: Option<crate::checkpoint::ShardCheckpoint>,
+        /// What the chaos plane did at this endpoint (`None` with it off).
+        chaos: Option<ChaosReport>,
     },
 }
 
@@ -73,88 +86,104 @@ pub fn run_endpoint<M: Model, T: Transport>(
         endpoint.endpoints(),
         2 * p
     );
-    assert!(
-        ssp_mode(cfg).is_none(),
-        "the per-process runtime is BSP-only: SSP's clock is shared process state"
-    );
 
     telemetry::configure(&cfg.telemetry);
-    let reference = net_factory();
-    let plan = build_run_plan(&reference, cfg, false);
+    // The replica the plan is read from is this endpoint's model.
+    let net = net_factory();
+    let run = build_run_plan(&net, cfg);
+    assert!(
+        run.ssp.is_none(),
+        "the per-process runtime is BSP-only: SSP's clock is shared process state"
+    );
     let me = endpoint.endpoint_id();
     if cfg.telemetry.enabled {
         let role = if me < p { "worker" } else { "shard" };
         telemetry::set_process(me as u32, format!("poseidon-node e{me} ({role})"));
     }
+    // BSP never consults the clock; a private one satisfies the worker. In
+    // the per-process runtime every worker endpoint may serve (the caller
+    // decides by wiring a cell), not just worker 0.
+    let clock = Arc::new(SspClock::new(p));
+    run_node(
+        &run,
+        net,
+        data,
+        eval,
+        endpoint,
+        clock,
+        cfg.serve_snapshots.clone(),
+    )
+}
 
-    // Per-process resume: each endpoint takes only its own slice of the
-    // checkpoint (the launcher passes every process the same file).
-    let (worker_restore, shard_restore) = match cfg.resume.as_ref() {
-        Some(ck) if me < p => (
-            Some(
-                ck.workers
-                    .iter()
-                    .find(|w| w.worker as usize == me)
-                    .cloned()
-                    .unwrap_or_else(|| panic!("checkpoint has no state for worker {me}")),
-            ),
-            None,
-        ),
-        Some(ck) => (
-            None,
-            Some(
-                ck.shards
-                    .iter()
-                    .find(|s| s.shard as usize == me - p)
-                    .cloned()
-                    .unwrap_or_else(|| panic!("checkpoint has no state for shard {}", me - p)),
-            ),
-        ),
-        None => (None, None),
-    };
+/// Runs one endpoint of `run` to completion, for [`train`](super::train)
+/// and [`run_endpoint`] alike: wraps the chaos plane around `endpoint` when
+/// `cfg.faults` is active, takes this endpoint's slice of `cfg.resume`, and
+/// runs the worker or the shard. `net` is this endpoint's copy of the
+/// initial model — a worker's replica, a shard's initial master values;
+/// `data` is the whole training set.
+pub(super) fn run_node<M: Model, T: Transport>(
+    run: &RunPlan<'_>,
+    net: M,
+    data: &Dataset,
+    eval: Option<&Dataset>,
+    endpoint: T,
+    clock: Arc<SspClock>,
+    snapshots: Option<Arc<SnapshotCell>>,
+) -> NodeOutcome<M> {
+    let faults = &run.cfg.faults;
+    if !faults.active() {
+        return run_role(run, net, data, eval, endpoint, clock, snapshots);
+    }
+    // The fault layer breaks originals on the way out; the reliability layer
+    // above it (whose retransmits pass the fault layer unfaulted) heals the
+    // stream before the role sees it.
+    let faulty = FaultyTransport::new(endpoint, &faults.plan.clone().unwrap_or_default());
+    let log = faulty.log();
+    let reliable = ReliableTransport::new(faulty, faults.reliability.clone().unwrap_or_default());
+    let stats = reliable.stats();
+    let mut outcome = run_role(run, net, data, eval, reliable, clock, snapshots);
+    let (NodeOutcome::Worker { chaos, .. } | NodeOutcome::Server { chaos, .. }) = &mut outcome;
+    *chaos = Some(ChaosReport::of_endpoint(&log, &stats));
+    outcome
+}
 
+/// The endpoint's role, over whatever transport the runner settled on.
+fn run_role<M: Model, T: Transport>(
+    run: &RunPlan<'_>,
+    net: M,
+    data: &Dataset,
+    eval: Option<&Dataset>,
+    endpoint: T,
+    clock: Arc<SspClock>,
+    snapshots: Option<Arc<SnapshotCell>>,
+) -> NodeOutcome<M> {
+    let (p, me) = (run.cfg.workers, endpoint.endpoint_id());
+    let resume = run.cfg.resume.as_ref();
     if me < p {
-        // Worker role: train on shard `me` of the same deterministic
+        let restore = resume.map(|ck| {
+            ck.workers
+                .iter()
+                .find(|w| w.worker as usize == me)
+                .cloned()
+                .unwrap_or_else(|| panic!("checkpoint has no state for worker {me}"))
+        });
+        let local = worker::WorkerConfig {
+            eval: eval.filter(|_| me == 0).cloned(),
+            restore,
+            snapshots,
+        };
+        // Worker `me` trains on shard `me` of the same deterministic
         // partition every participant computes.
-        let shard = data.partition(p).swap_remove(me);
-        let eval_set = if me == 0 { eval.cloned() } else { None };
-        let mut wc = worker_config(
-            cfg,
-            me,
-            plan.update_scale,
-            None,
-            cfg.compute.threads_per_worker(p),
-            &plan.schedule,
-            worker_restore,
-        );
-        // In the per-process runtime every worker endpoint may serve (the
-        // caller decides by wiring a cell), not just worker 0.
-        wc.snapshots = cfg.serve_snapshots.clone();
-        // BSP never consults the clock; a private one satisfies the worker.
-        let clock = Arc::new(SspClock::new(p));
-        let out = worker::run_worker(
-            wc,
-            &plan.coordinator,
-            net_factory(),
-            shard,
-            eval_set,
-            endpoint,
-            clock,
-        );
-        NodeOutcome::Worker {
-            losses: out.losses,
-            test_errors: out.test_errors,
-            net: out.net,
-            busy_p50_ns: out.busy.quantile(0.5),
-            checkpoint: out.checkpoint,
-        }
+        worker::run_worker(run, local, net, data.part(p, me), endpoint, clock)
     } else {
-        let mut sp = plan.plans.into_iter().nth(me - p).expect("shard plan");
-        sp.restore = shard_restore;
-        let out = server::run_server(sp, endpoint);
-        NodeOutcome::Server {
-            checkpoint: out.checkpoint,
-        }
+        let restore = resume.map(|ck| {
+            ck.shards
+                .iter()
+                .find(|s| s.shard as usize == me - p)
+                .cloned()
+                .unwrap_or_else(|| panic!("checkpoint has no state for shard {}", me - p))
+        });
+        server::run_server(run, net, restore, endpoint)
     }
 }
 

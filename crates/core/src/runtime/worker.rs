@@ -26,10 +26,9 @@
 //! payload fails codec decode is poisoned: counted, diagnosed and dropped,
 //! never a process abort at the decode site.
 
+use super::{NodeOutcome, RunPlan, SspClock};
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
 use crate::config::CommScheme;
-use crate::coordinator::Coordinator;
-use crate::membership::MembershipSchedule;
 use crate::metrics;
 use crate::serving::{Snapshot, SnapshotCell};
 use crate::syncer::{self, CollectiveSend, SyncOutcome, Syncer};
@@ -46,67 +45,16 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What one worker reports back.
-pub(crate) struct WorkerOutput<M: Model> {
-    /// Mean training loss per iteration (this worker's minibatches).
-    pub losses: Vec<f32>,
-    /// `(iteration, top-1 error)` on the eval set (worker 0 only).
-    pub test_errors: Vec<(usize, f32)>,
-    /// The final model replica.
-    pub net: M,
-    /// Wall time this worker spent on its own training loop (under SSP fast
-    /// workers finish well before a straggler; under BSP they pace it).
-    pub wall: std::time::Duration,
-    /// Per-iteration busy-time distribution (forward + backward + any
-    /// injected delay) — the straggler detector's input. Recorded into a
-    /// private histogram so the verdict is independent of the global
-    /// metrics gate.
-    pub busy: metrics::HistogramSnapshot,
-    /// Full training state at the end of the run (`export_state` runs only).
-    pub checkpoint: Option<WorkerCheckpoint>,
-}
-
-/// Per-worker configuration slice.
+/// What one worker has that its peers do not; everything else it reads
+/// from the shared `RunPlan` and its `RuntimeConfig`.
 pub(crate) struct WorkerConfig {
-    pub me: usize,
-    pub iterations: usize,
-    pub batch: usize,
-    pub update_scale: f32,
-    pub momentum: f32,
-    pub lr_schedule: crate::runtime::LrSchedule,
-    pub eval_every: usize,
-    /// `Some(staleness)` enables the SSP clock protocol.
-    pub ssp_staleness: Option<u64>,
-    /// Artificial per-iteration delay (straggler injection for experiments).
-    pub straggler_delay: Option<std::time::Duration>,
-    /// Uniform random per-iteration delay bound in microseconds (jitter
-    /// injection for the SSP experiments).
-    pub jitter_us: Option<u64>,
-    /// This worker's share of the compute-thread budget for layer kernels.
-    pub compute_threads: usize,
-    /// Transport receive timeout before declaring a peer lost.
-    pub comm_timeout: std::time::Duration,
-    /// First absolute iteration of this run segment (checkpoint resume).
-    pub start_iter: usize,
-    /// Membership schedule shared by the whole mesh: iteration → epoch and
-    /// epoch → shard-ownership map. Trivial for fixed-membership runs.
-    pub schedule: Arc<MembershipSchedule>,
-    /// Restore worker state exported by a previous segment.
+    /// The eval set scored every `eval_every` iterations (worker 0 only).
+    pub eval: Option<Dataset>,
+    /// Worker state exported by a previous segment, to resume from.
     pub restore: Option<WorkerCheckpoint>,
-    /// Export a [`WorkerCheckpoint`] at the end of the run.
-    pub export_state: bool,
-    /// Publish a parameter [`Snapshot`] after every iteration (the serving
-    /// front door reads these; worker 0 only, by caller convention).
+    /// Where to publish a parameter [`Snapshot`] after every iteration (the
+    /// serving front door reads these).
     pub snapshots: Option<Arc<SnapshotCell>>,
-}
-
-impl WorkerConfig {
-    /// `update_scale · lr multiplier`: the f32 product the PS shard scales a
-    /// gradient by at iteration `iter`, formed client-side by the schemes
-    /// that fold without a shard.
-    fn scale_at(&self, iter: usize) -> f32 {
-        self.update_scale * self.lr_schedule.multiplier(iter)
-    }
 }
 
 /// Sends or panics with enough context to name the broken link.
@@ -178,9 +126,9 @@ impl<M: Model> Replica<'_, '_, M> {
 /// A worker's half of the parameter exchange: the per-layer syncers and
 /// everything a frame needs on its way from the endpoint into the replica.
 struct Exchange<'a, T: Transport> {
-    cfg: &'a WorkerConfig,
+    run: &'a RunPlan<'a>,
     endpoint: &'a T,
-    workers: usize,
+    me: usize,
     layers: HashMap<usize, LayerSync>,
     /// SFB velocity buffers (identical on every replica).
     sf_velocity: HashMap<usize, (Matrix, Vec<f32>)>,
@@ -214,8 +162,8 @@ impl<T: Transport> Exchange<'_, T> {
     /// Layer `l`'s `Send`, the moment `bˡ` is done; opens its sync window
     /// and releases the frames that were parked for it.
     fn send(&mut self, l: usize, layer: &dyn Layer) {
-        let (endpoint, schedule, epoch) = (self.endpoint, &self.cfg.schedule, self.epoch);
-        let (me, workers, iter) = (self.cfg.me, self.workers, self.iter as u64);
+        let (run, endpoint, epoch) = (self.run, self.endpoint, self.epoch);
+        let (me, workers, iter) = (self.me, run.cfg.workers, self.iter as u64);
         let Some(state) = self.layers.get_mut(&l) else {
             return;
         };
@@ -229,7 +177,7 @@ impl<T: Transport> Exchange<'_, T> {
                     must_send(
                         endpoint,
                         me,
-                        workers + schedule.owner(s.chunks()[idx].shard, epoch),
+                        workers + run.schedule.owner(s.chunks()[idx].shard, epoch),
                         Message::GradChunk {
                             iter,
                             layer: l as u32,
@@ -266,7 +214,7 @@ impl<T: Transport> Exchange<'_, T> {
                 must_send(
                     endpoint,
                     me,
-                    workers + schedule.owner(l % workers, epoch),
+                    workers + run.schedule.owner(l % workers, epoch),
                     Message::SfPush {
                         iter,
                         layer: l as u32,
@@ -275,7 +223,7 @@ impl<T: Transport> Exchange<'_, T> {
                 );
             }
             CommScheme::Ring | CommScheme::Tree => {
-                let sends = s.send_collective(params, self.cfg.scale_at(self.iter));
+                let sends = s.send_collective(params, run.scale_at(self.iter));
                 send_collective_frames(endpoint, me, (iter, l), s.codec(), sends);
             }
         }
@@ -312,8 +260,8 @@ impl<T: Transport> Exchange<'_, T> {
         if let Some(p) = self.pending.pop_front() {
             return p;
         }
-        let (me, iter) = (self.cfg.me, self.iter);
-        match crate::runtime::recv_with_retry(self.endpoint, self.cfg.comm_timeout) {
+        let (me, iter) = (self.me, self.iter);
+        match crate::runtime::recv_with_retry(self.endpoint, self.run.cfg.comm_timeout) {
             Ok(env) => (env.from, env.msg),
             Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
                 "worker {me} starved at iteration {iter} with {}/{} layers synced — a peer \
@@ -336,7 +284,7 @@ impl<T: Transport> Exchange<'_, T> {
         if msg.is_control() {
             return;
         }
-        let (me, iter) = (self.cfg.me, self.iter);
+        let (me, iter) = (self.me, self.iter);
         let msg_iter = msg.iter() as usize;
         if msg_iter > iter {
             self.stashed.push_back((from, msg));
@@ -450,7 +398,7 @@ impl<T: Transport> Exchange<'_, T> {
                             .entry(layer)
                             .or_insert_with(|| (Matrix::zeros(rows, cols), vec![0.0; rows]));
                         let (w, b) = (&mut params.weights, &mut params.bias);
-                        let (momentum, scale) = (self.cfg.momentum, self.cfg.scale_at(iter));
+                        let (momentum, scale) = (self.run.cfg.momentum, self.run.scale_at(iter));
                         momentum_step(
                             w.as_mut_slice(),
                             vw.as_mut_slice(),
@@ -476,26 +424,26 @@ impl<T: Transport> Exchange<'_, T> {
 
 /// Runs one worker to completion.
 pub(crate) fn run_worker<M: Model, T: Transport>(
-    mut cfg: WorkerConfig,
-    coordinator: &Coordinator,
+    run: &RunPlan<'_>,
+    local: WorkerConfig,
     mut net: M,
     data: Dataset,
-    eval: Option<Dataset>,
     mut endpoint: T,
-    clock: std::sync::Arc<crate::runtime::clock::SspClock>,
-) -> WorkerOutput<M> {
-    let workers = coordinator.cluster().workers;
-    telemetry::set_thread_track(format!("worker {}", cfg.me));
+    clock: Arc<SspClock>,
+) -> NodeOutcome<M> {
+    let (cfg, coordinator) = (run.cfg, &run.coordinator);
+    let (workers, me) = (cfg.workers, endpoint.endpoint_id());
+    telemetry::set_thread_track(format!("worker {me}"));
     // Pin this worker thread's share of the compute budget; the layer
     // kernels read it thread-locally when fanning out batch work.
-    poseidon_nn::parallel::set_compute_threads(cfg.compute_threads.max(1));
+    poseidon_nn::parallel::set_compute_threads(cfg.compute.threads_per_worker(workers).max(1));
     let head = SoftmaxCrossEntropy;
 
     // Metrics handles resolved once per worker, so recording inside the
     // loop never touches the registry mutex. The busy histogram is also
     // kept privately (unconditional `observe`) because the health verdict
     // must not flicker with the global metrics gate.
-    let worker_label = cfg.me.to_string();
+    let worker_label = me.to_string();
     let m_step = metrics::histogram("poseidon_step_time_ns", &[("worker", &worker_label)]);
     let m_busy = metrics::histogram("poseidon_busy_time_ns", &[("worker", &worker_label)]);
     let m_apply = metrics::histogram("poseidon_apply_ns", &[("worker", &worker_label)]);
@@ -515,7 +463,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         layers.insert(
             l,
             LayerSync {
-                syncer: Syncer::new(l, scheme, chunks, info.param_elems, workers, cfg.me)
+                syncer: Syncer::new(l, scheme, chunks, info.param_elems, workers, me)
                     .with_momentum(cfg.momentum)
                     .with_codec(coordinator.best_codec(l)),
                 sent: false,
@@ -550,11 +498,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     // Resume: overwrite the fresh replica with the checkpointed one —
     // params, SFB velocity, and every syncer's lossy-codec stream state —
     // so the segmented run is bitwise-identical to an uninterrupted one.
-    if let Some(ck) = cfg.restore.take() {
-        assert_eq!(
-            ck.worker, cfg.me as u32,
-            "checkpoint belongs to another worker"
-        );
+    if let Some(ck) = local.restore {
         assert_eq!(
             ck.next_iter, cfg.start_iter as u64,
             "checkpoint resumes at a different iteration than this segment starts"
@@ -583,9 +527,9 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 
     let mut ex = Exchange {
-        cfg: &cfg,
+        run,
         endpoint: &endpoint,
-        workers,
+        me,
         layers,
         sf_velocity,
         stashed: VecDeque::new(),
@@ -599,38 +543,39 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     let started = Instant::now();
     let mut jitter_rng = cfg.jitter_us.map(|_| {
         use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(0x5A17 + cfg.me as u64)
+        rand::rngs::StdRng::seed_from_u64(0x5A17 + me as u64)
     });
     let mut losses = Vec::with_capacity(cfg.iterations);
     let mut test_errors = Vec::new();
 
     let m_epoch = metrics::gauge("poseidon_membership_epoch", &[]);
     for iter in cfg.start_iter..cfg.start_iter + cfg.iterations {
-        let _iter_span = telemetry::span("iter", cfg.me as u64, iter as u64);
+        let _iter_span = telemetry::span("iter", me as u64, iter as u64);
         telemetry::set_iteration(iter as u64);
         // Membership epoch for this iteration: bump the transport stamp at
         // the boundary so everything sent from here on carries the new
         // epoch, and anything still addressed to the old ownership map is
         // recognisably stale.
-        let epoch = cfg.schedule.epoch_at(iter);
+        let epoch = run.schedule.epoch_at(iter);
         if endpoint.current_epoch() != epoch {
             endpoint.set_epoch(epoch);
             m_epoch.set(epoch as u64);
         }
-        if let Some(staleness) = cfg.ssp_staleness {
-            clock.wait_until_allowed(cfg.me, iter as u64, staleness);
+        if let Some(staleness) = run.ssp {
+            clock.wait_until_allowed(me, iter as u64, staleness);
         }
         ex.begin_iteration(iter, epoch);
         let iter_started = Instant::now();
 
-        if let Some(delay) = cfg.straggler_delay {
-            std::thread::sleep(delay);
+        if let Some((_, ms)) = cfg.straggler_delay_ms.filter(|&(w, _)| w == me) {
+            std::thread::sleep(std::time::Duration::from_millis(ms));
         }
         if let (Some(bound), Some(rng)) = (cfg.jitter_us, jitter_rng.as_mut()) {
             use rand::Rng;
             std::thread::sleep(std::time::Duration::from_micros(rng.gen_range(0..bound)));
         }
-        let (x, y) = data.minibatch(iter * cfg.batch, cfg.batch);
+        let batch = cfg.batch_per_worker;
+        let (x, y) = data.minibatch(iter * batch, batch);
         let logits = net.forward(&x);
         let out = head.evaluate(&logits, &y);
         losses.push(out.loss);
@@ -669,13 +614,13 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
 
         m_step.record(iter_started.elapsed().as_nanos() as u64);
 
-        if cfg.ssp_staleness.is_some() {
-            clock.advance(cfg.me, iter as u64);
+        if run.ssp.is_some() {
+            clock.advance(me, iter as u64);
         }
 
-        // Periodic evaluation (worker 0 only, by convention of the caller
-        // passing `eval` only to worker 0).
-        if let Some(eval_set) = &eval {
+        // Periodic evaluation (worker 0 only: the runner hands the eval set
+        // to worker 0 alone).
+        if let Some(eval_set) = &local.eval {
             if cfg.eval_every > 0 && (iter + 1) % cfg.eval_every == 0 {
                 let err = evaluate_error(&mut net, eval_set);
                 test_errors.push((iter + 1, err));
@@ -685,7 +630,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         // Serving: publish this iteration's replica under snapshot
         // isolation. In-flight requests keep reading the version they
         // pinned; new requests see this one.
-        if let Some(cell) = &cfg.snapshots {
+        if let Some(cell) = &local.snapshots {
             cell.publish(Snapshot {
                 iter: iter as u64,
                 epoch,
@@ -702,7 +647,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     } = ex;
     endpoint
         .shutdown()
-        .unwrap_or_else(|e| panic!("worker {}: transport shutdown failed: {e}", cfg.me));
+        .unwrap_or_else(|e| panic!("worker {me}: transport shutdown failed: {e}"));
 
     // The replica leaves as an ordinary model again.
     for id in 0..net.num_slots() {
@@ -719,9 +664,9 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         let mut layer_ids: Vec<usize> = layers.keys().copied().collect();
         layer_ids.sort_unstable();
         WorkerCheckpoint {
-            worker: cfg.me as u32,
+            worker: me as u32,
             next_iter: next_iter as u64,
-            epoch: cfg.schedule.epoch_at(next_iter),
+            epoch: run.schedule.epoch_at(next_iter),
             layers: layer_ids
                 .into_iter()
                 .map(|l| LayerCheckpoint {
@@ -741,13 +686,14 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         }
     });
 
-    WorkerOutput {
+    NodeOutcome::Worker {
         losses,
         test_errors,
         net,
+        busy_p50_ns: busy_local.snapshot().quantile(0.5),
         wall,
-        busy: busy_local.snapshot(),
         checkpoint,
+        chaos: None,
     }
 }
 

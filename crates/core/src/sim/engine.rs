@@ -231,8 +231,8 @@ struct SimState<'a> {
     // Progress of one iteration, reset by `begin_iteration`. Three index
     // spaces, all sized from the plan: a chunk's slot `plan.base + chunk`,
     // `dense layer · P + worker` (`lw`), and `slot · P + worker`.
-    /// Pushes received per slot; `UNSET` once the aggregate is applied (a
-    /// late straggler push is then discarded).
+    /// Pushes received per slot. Exactly the required ones arrive: a
+    /// dropped straggler never sends on a non-collective layer.
     grad_counts: Vec<u32>,
     /// Pulls still in flight per slot.
     pull_remaining: Vec<u32>,
@@ -241,8 +241,7 @@ struct SimState<'a> {
     /// Chunks a (layer, worker) still waits for; `UNSET` until its
     /// `SyncReady` — or, for a dropped straggler, its first pull — sets it.
     chunks_remaining: Vec<u32>,
-    /// Peer SF batches received per (layer, worker); `UNSET` once the
-    /// reconstruction has started.
+    /// Peer SF batches received per (layer, worker).
     sf_counts: Vec<u32>,
     /// Local gradient ready time per (layer, worker) — collective schemes;
     /// `NAN` until the worker's `SyncReady`.
@@ -784,14 +783,10 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
         Kind::GradArrive => {
             let required = state.required_pushes() as u32;
             let count = &mut state.grad_counts[plan.base + chunk];
-            if *count == UNSET {
-                return; // late straggler push, dropped
-            }
             *count += 1;
             if *count < required {
                 return;
             }
-            *count = UNSET;
             let (shard, apply_dur) = match plan.scheme {
                 CommScheme::Ps => {
                     let (shard, _, dense) = plan.chunks[chunk];
@@ -849,14 +844,10 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
             let required = state.required_sf(node) as u32;
             let i = state.lw(d, node);
             let count = &mut state.sf_counts[i];
-            if *count == UNSET {
-                return; // late straggler batch, dropped
-            }
             *count += 1;
             if *count < required {
                 return;
             }
-            *count = UNSET;
             let (m, n) = plan.fc_shape.expect("SFB needs FC shape");
             // Reconstruct P·K rank-1 updates (own factors included) on the
             // transform stream.

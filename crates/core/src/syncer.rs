@@ -987,17 +987,6 @@ pub fn reconstruct_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> 
     (grad, bias_grad)
 }
 
-/// Applies `scale · Σ batches` (weights via rank-1 reconstruction, bias via
-/// the summed `u` factors) to a parameter block — SFB's `Move(CPU→GPU)`.
-pub fn apply_sf_batches(p: &mut ParamBlock, batches: &[SfBatch], scale: f32) {
-    let (rows, cols) = p.weights.shape();
-    let (grad, bias_grad) = reconstruct_sf_batches(batches, rows, cols);
-    p.weights.axpy(scale, &grad);
-    for (i, &g) in bias_grad.iter().enumerate() {
-        p.bias[(0, i)] += scale * g;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1150,20 +1139,6 @@ mod tests {
         write_params_flat(&mut q, &flat);
         assert_eq!(q.weights, p.weights);
         assert_eq!(q.bias, p.bias);
-    }
-
-    #[test]
-    fn apply_sf_batches_matches_dense_update() {
-        let mut p = ParamBlock::new(2, 2);
-        let batches = vec![
-            SfBatch::from_factors(vec![SufficientFactor::new(vec![1.0, 0.0], vec![1.0, 2.0])]),
-            SfBatch::from_factors(vec![SufficientFactor::new(vec![0.0, 1.0], vec![3.0, 4.0])]),
-        ];
-        apply_sf_batches(&mut p, &batches, -0.5);
-        // grad = [[1,2],[3,4]]; params = -0.5*grad.
-        assert_eq!(p.weights.as_slice(), &[-0.5, -1.0, -1.5, -2.0]);
-        // bias grad = sum of u = [1,1].
-        assert_eq!(p.bias.as_slice(), &[-0.5, -0.5]);
     }
 
     #[test]

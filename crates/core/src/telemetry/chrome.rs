@@ -4,10 +4,11 @@
 //! chrome://tracing or [Perfetto](https://ui.perfetto.dev). Each [`Trace`]
 //! becomes one *process* (pid = endpoint id for `poseidon-node`, so a
 //! multi-process run merges into one file with one track group per OS
-//! process); each [`Track`] becomes a thread track, and every per-layer
-//! lane becomes its own sub-track — which is what makes WFBP visible: the
-//! `bwd` spans sit on the worker's compute track while each layer's
-//! `wfbp.sync` span sits on its own lane, overlapping the compute below it.
+//! process); each [`Track`](super::Track) becomes a thread track, and every
+//! per-layer lane becomes its own sub-track — which is what makes WFBP
+//! visible: the `bwd` spans sit on the worker's compute track while each
+//! layer's `wfbp.sync` span sits on its own lane, overlapping the compute
+//! below it.
 //!
 //! Timestamps are microseconds (`ts`), as the format requires; span events
 //! use `ph:"B"`/`ph:"E"`, instants `ph:"i"`, counter samples `ph:"C"`, and

@@ -1,7 +1,7 @@
 //! The wire layer: a self-describing, versioned frame codec plus the payload
 //! codecs for the runtime's messages.
 //!
-//! Every [`Message`](crate::transport::Message) that crosses a transport is
+//! Every [`Message`] that crosses a transport is
 //! encoded as one *frame*:
 //!
 //! ```text

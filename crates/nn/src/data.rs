@@ -134,33 +134,37 @@ impl Dataset {
     ///
     /// Panics if `parts == 0` or `parts > len`.
     pub fn partition(&self, parts: usize) -> Vec<Dataset> {
+        assert!(parts > 0, "bad partition count {parts}");
+        (0..parts).map(|index| self.part(parts, index)).collect()
+    }
+
+    /// Shard `index` of [`Self::partition`]`(parts)`, copied alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts == 0`, `parts > len` or `index >= parts`.
+    pub fn part(&self, parts: usize, index: usize) -> Dataset {
         assert!(
             parts > 0 && parts <= self.len(),
             "bad partition count {parts}"
         );
+        assert!(index < parts, "shard {index} of {parts}");
         let base = self.len() / parts;
         let extra = self.len() % parts;
-        let mut out = Vec::with_capacity(parts);
-        let mut offset = 0usize;
-        for p in 0..parts {
-            let size = base + usize::from(p < extra);
-            let mut samples = Matrix::zeros(size, self.shape.len());
-            let mut labels = Vec::with_capacity(size);
-            for i in 0..size {
-                samples
-                    .row_mut(i)
-                    .copy_from_slice(self.samples.row(offset + i));
-                labels.push(self.labels[offset + i]);
-            }
-            out.push(Dataset {
-                shape: self.shape,
-                samples,
-                labels,
-                classes: self.classes,
-            });
-            offset += size;
+        let offset = index * base + index.min(extra);
+        let size = base + usize::from(index < extra);
+        let mut samples = Matrix::zeros(size, self.shape.len());
+        for i in 0..size {
+            samples
+                .row_mut(i)
+                .copy_from_slice(self.samples.row(offset + i));
         }
-        out
+        Dataset {
+            shape: self.shape,
+            samples,
+            labels: self.labels[offset..offset + size].to_vec(),
+            classes: self.classes,
+        }
     }
 
     /// The CIFAR-10 sample shape (`3×32×32`), 10 classes.

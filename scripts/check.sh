@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, the tier-1 build and tests, lints, the
-# benchmark package's tests, then bounded multi-process smokes. Run from the
-# repo root: ./scripts/check.sh
+# rustdoc link check, the benchmark package's tests, then bounded
+# multi-process smokes. Run from the repo root: ./scripts/check.sh
 #
 # Every dependency is a path dependency (the four external crate names
 # resolve to the stand-ins under benchmark/shims), so every stage runs
@@ -28,6 +28,11 @@ cargo test -q
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (warnings are errors) =="
+# Doc links name real items: a link to something deleted or renamed, a bare
+# URL or a redundant link target fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== benchmark package tests =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
@@ -94,6 +99,23 @@ grep -q "replicas=bitwise-identical" "$SMOKE/onebit.txt"
 ONEBIT_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/onebit.txt" | head -1)
 test -n "$ONEBIT_HEX" && test "$ONEBIT_HEX" != "$PS_HEX" \
     || { echo "--codec onebit produced the dense params; codec plane inert"; exit 1; }
+
+echo "== chaos smoke: scripted faults heal bitwise over TCP =="
+# The chaos plane through the public launcher: --fault-plan reaches every
+# process's run_endpoint, which wraps its socket endpoint as
+# Reliable(Faulty(tcp)). Faults must fire and be repaired, and the replicas
+# must equal the fault-free PS run's.
+PORT=$((PORT + 1000))
+timeout 300 cargo run -q --release -p poseidon-bench --bin poseidon-node -- \
+    --workers 2 --iters 4 --policy ps --base-port "$PORT" \
+    --fault-plan 'drop:0>2@n2;dup:2>1@n3;sever:0>2@n4' \
+    > "$SMOKE/chaos.txt"
+grep -q "replicas=bitwise-identical" "$SMOKE/chaos.txt"
+grep -q "faults_fired_total=[1-9]" "$SMOKE/chaos.txt" \
+    || { echo "--fault-plan fired no fault; chaos plane inert"; exit 1; }
+CHAOS_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/chaos.txt" | head -1)
+test -n "$CHAOS_HEX" && test "$CHAOS_HEX" = "$PS_HEX" \
+    || { echo "chaos replicas differ from the fault-free PS run"; exit 1; }
 
 echo "== metrics bench: record-path and end-to-end overhead (printed) =="
 # The on/off numbers of the always-on metrics plane. Printed, not gated: on

@@ -9,14 +9,16 @@
 //! configured budget, never hang.
 //!
 //! Runs here use the threaded `train()` over the in-process fabric with the
-//! chaos plane enabled ([`FaultConfig`]); the per-process TCP variant (a
-//! real socket severed mid-run) lives in
-//! `crates/bench/tests/tcp_sever_reconnect.rs`.
+//! chaos plane enabled ([`FaultConfig`]), and once the same mesh as
+//! `run_endpoint` threads; the per-process TCP variant (a real socket
+//! severed mid-run) lives in `crates/bench/tests/tcp_sever_reconnect.rs`.
 
 use poseidon::config::{Codec, CodecPolicy, Partition, SchemePolicy};
 use poseidon::faults::{FaultAction, FaultPlan};
-use poseidon::runtime::{train, FaultConfig, RuntimeConfig, TrainResult};
-use poseidon::transport::ReliabilityConfig;
+use poseidon::runtime::{
+    run_endpoint, train, FaultConfig, NodeOutcome, RuntimeConfig, TrainResult,
+};
+use poseidon::transport::{fabric_with_nodes, ReliabilityConfig};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
 use poseidon_nn::presets;
@@ -381,5 +383,60 @@ fn blackholed_link_aborts_bounded_instead_of_hanging() {
         started.elapsed() < Duration::from_secs(30),
         "the dead-peer verdict must be bounded, took {:?}",
         started.elapsed()
+    );
+}
+
+/// `run_endpoint` wraps the chaos plane exactly as `train` does: the same
+/// mesh as `2P` `run_endpoint` threads under a drop/dup/sever plan lands on
+/// the clean run's parameters, and its endpoints fire, between them, exactly
+/// the faults `train` fires for that plan.
+#[test]
+fn endpoint_mesh_heals_the_same_faults_as_train() {
+    let faults = || FaultConfig {
+        plan: Some(plan_for(SchemePolicy::AlwaysPs)),
+        reliability: None,
+    };
+    let clean = run(SchemePolicy::AlwaysPs, FaultConfig::default());
+    let trained = run(SchemePolicy::AlwaysPs, faults());
+
+    let cfg = &config(SchemePolicy::AlwaysPs, faults());
+    let nodes: Vec<usize> = (0..WORKERS).chain(0..WORKERS).collect();
+    let (endpoints, _traffic) = fabric_with_nodes(&nodes);
+    let data = &dataset();
+    let outcomes: Vec<NodeOutcome<Network>> = std::thread::scope(|s| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|ep| s.spawn(move || run_endpoint(&factory, data, None, cfg, ep)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("endpoint thread panicked"))
+            .collect()
+    });
+
+    let mut fired = Vec::new();
+    for outcome in outcomes {
+        let chaos = match outcome {
+            NodeOutcome::Worker { net, chaos, .. } => {
+                assert_eq!(
+                    net.max_param_diff(&clean.net),
+                    0.0,
+                    "a faulty endpoint mesh must be bitwise identical to the clean run"
+                );
+                chaos
+            }
+            NodeOutcome::Server { chaos, .. } => chaos,
+        };
+        fired.extend(chaos.expect("the chaos plane was on").fired);
+    }
+    fired.sort_by_key(|f| (f.from, f.to, f.frame));
+    assert!(
+        fired.iter().any(|f| f.action == FaultAction::Drop),
+        "a drop must fire: {fired:?}"
+    );
+    assert_eq!(
+        fired,
+        trained.fault_report.expect("chaos plane on").fired,
+        "run_endpoint and train must fire the same faults for one plan"
     );
 }

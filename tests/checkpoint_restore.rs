@@ -2,12 +2,14 @@
 //! restored from its checkpoint finishes *bitwise identical* to the
 //! uninterrupted run — parameters, momentum velocity, the codec residual
 //! streams and the per-iteration losses — under every synchronization
-//! scheme. The checkpoint codec itself round-trips bit-exactly and rejects
-//! truncation and corruption outright.
+//! scheme — and a segment resumed as `run_endpoint` threads lands where
+//! `train` does. The checkpoint codec itself round-trips bit-exactly and
+//! rejects truncation and corruption outright.
 
 use poseidon::checkpoint::{decode_training, encode_training};
 use poseidon::config::{Codec, CodecPolicy, Partition, SchemePolicy};
-use poseidon::runtime::{flatten_model_params, train, RuntimeConfig};
+use poseidon::runtime::{flatten_model_params, run_endpoint, train, NodeOutcome, RuntimeConfig};
+use poseidon::transport::fabric_with_nodes;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
 use poseidon_nn::presets;
@@ -170,6 +172,79 @@ fn corrupt_checkpoints_are_rejected() {
         assert!(
             decode_training(&bad).is_none(),
             "accepted a checkpoint with byte {byte} corrupted"
+        );
+    }
+}
+
+/// Every worker's `(losses, replica)` from `cfg` run as `2P` `run_endpoint`
+/// threads over the in-process fabric, in worker order.
+fn endpoint_mesh(cfg: &RuntimeConfig) -> Vec<(Vec<f32>, Network)> {
+    let nodes: Vec<usize> = (0..cfg.workers).chain(0..cfg.workers).collect();
+    let (endpoints, _traffic) = fabric_with_nodes(&nodes);
+    let data = &dataset();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = endpoints
+            .into_iter()
+            .map(|ep| s.spawn(move || run_endpoint(&factory, data, None, cfg, ep)))
+            .collect();
+        handles
+            .into_iter()
+            .filter_map(|h| match h.join().expect("endpoint thread panicked") {
+                NodeOutcome::Worker { losses, net, .. } => Some((losses, net)),
+                NodeOutcome::Server { .. } => None,
+            })
+            .collect()
+    })
+}
+
+/// `train` and `run_endpoint` run the same endpoint runner, resume included:
+/// the second segment as `2P` `run_endpoint` threads, each taking its own
+/// slice of the checkpoint `train` exported, finishes bitwise where the
+/// uninterrupted `train` run does — momentum velocity and 1-bit residuals
+/// through the boundary — and worker by worker where an uninterrupted
+/// `run_endpoint` mesh does.
+#[test]
+fn endpoint_mesh_resumes_from_a_train_checkpoint_bitwise() {
+    let cfg = config(
+        SchemePolicy::AlwaysPs,
+        CodecPolicy::Always(Codec::OneBit),
+        0.9,
+    );
+    let full = train(&factory, &dataset(), None, &cfg);
+    let seg1 = train(
+        &factory,
+        &dataset(),
+        None,
+        &RuntimeConfig {
+            iterations: CUT,
+            export_state: true,
+            ..cfg.clone()
+        },
+    );
+    let seg2 = endpoint_mesh(&RuntimeConfig {
+        iterations: ITERS - CUT,
+        start_iter: CUT,
+        resume: seg1.checkpoint,
+        ..cfg.clone()
+    });
+    assert_eq!(seg2.len(), WORKERS);
+    for (w, (_, net)) in seg2.iter().enumerate() {
+        assert_eq!(
+            flatten_model_params(net),
+            flatten_model_params(&full.net),
+            "worker {w}: the resumed endpoint mesh must end on the uninterrupted run"
+        );
+    }
+    let mean: Vec<f32> = (0..ITERS - CUT)
+        .map(|i| seg2.iter().map(|(losses, _)| losses[i]).sum::<f32>() / WORKERS as f32)
+        .collect();
+    assert_eq!(mean, full.losses[CUT..], "mean loss per resumed iteration");
+    let uninterrupted = endpoint_mesh(&cfg);
+    for (w, ((resumed, _), (whole, _))) in seg2.iter().zip(&uninterrupted).enumerate() {
+        assert_eq!(
+            resumed[..],
+            whole[CUT..],
+            "worker {w}: losses per iteration"
         );
     }
 }
