@@ -720,8 +720,10 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                         let arrive = Ev::new(Kind::SfArrive, d, 0, v);
                         state.send(queue, ready, w, v, plan.sf_bytes, arrive);
                     }
-                    if p == 1 {
-                        // Degenerate single-node SFB: nothing to receive.
+                    if state.required_sf(w) == 0 {
+                        // Nothing to receive (a single node, or the one
+                        // survivor of a dropped straggler at P = 2): no
+                        // arrival will trigger reconstruction.
                         queue.schedule_at(now, Ev::new(Kind::ReconDone, d, 0, w));
                     }
                 }

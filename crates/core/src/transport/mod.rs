@@ -319,9 +319,6 @@ pub struct TimeoutDiag {
     /// socket reconnects, and runtime retry rounds all count here, so a
     /// dead-peer verdict states how hard the survivor tried.
     pub attempts: u64,
-    /// Event-loop context at the moment of the timeout (`None` on transports
-    /// without a poller, e.g. in-process channels).
-    pub poller: Option<PollerDiag>,
     /// Metrics snapshot of the stalled link at the moment of the timeout
     /// (`None` on transports that don't track link state).
     pub link: Option<LinkHealth>,
@@ -329,15 +326,20 @@ pub struct TimeoutDiag {
 
 /// A metrics snapshot of one endpoint's link state, attached to a
 /// [`TimeoutDiag`] so a dead-peer verdict carries the numbers a live scrape
-/// would have shown: how much is stuck in the write queues, how stale the
-/// conversation is in each direction, and how much repair work the reliable
-/// layer already did.
+/// would have shown: how much is stuck in the write queues (a flush stall),
+/// whether readiness simply stopped arriving (the peer went quiet), how
+/// stale the conversation is in each direction, and how much repair work
+/// the reliable layer already did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkHealth {
-    /// Frames queued for transmit but not yet written.
+    /// Frames queued for transmit but not yet written, across all links.
     pub queued_frames: u64,
-    /// Bytes queued for transmit but not yet written.
+    /// Bytes queued for transmit but not yet written, across all links.
     pub queued_bytes: u64,
+    /// `(peer, direction, age)` of the last readiness event the event loop
+    /// served — direction is `"rx"` or `"tx"` (`None` if it never served
+    /// one, or the transport has no event loop).
+    pub last_ready: Option<(usize, &'static str, Duration)>,
     /// Elapsed since this endpoint last put a frame on the wire (`None` if
     /// it never sent).
     pub last_tx_age: Option<Duration>,
@@ -355,6 +357,9 @@ impl std::fmt::Display for LinkHealth {
             "link: {} frames / {} bytes queued",
             self.queued_frames, self.queued_bytes
         )?;
+        if let Some((peer, dir, age)) = &self.last_ready {
+            write!(f, ", last readiness {dir} on peer {peer} {age:.1?} ago")?;
+        }
         match self.last_tx_age {
             Some(age) => write!(f, ", last tx {age:.1?} ago")?,
             None => write!(f, ", never sent")?,
@@ -367,36 +372,6 @@ impl std::fmt::Display for LinkHealth {
             write!(f, ", {} retransmits", self.retransmits)?;
         }
         Ok(())
-    }
-}
-
-/// What the event-loop core was doing when a receive timed out: is traffic
-/// stuck in *our* write queues (a flush stall), or did readiness simply stop
-/// arriving (the peer went quiet)?
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PollerDiag {
-    /// Frames queued but not yet written across all links.
-    pub pending_tx_frames: u64,
-    /// Bytes queued but not yet written across all links.
-    pub pending_tx_bytes: u64,
-    /// `(peer, direction, age)` of the last readiness event the poller
-    /// served — direction is `"rx"` or `"tx"`.
-    pub last_ready: Option<(usize, &'static str, Duration)>,
-}
-
-impl std::fmt::Display for PollerDiag {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "poller: {} frames / {} bytes pending",
-            self.pending_tx_frames, self.pending_tx_bytes
-        )?;
-        match &self.last_ready {
-            Some((peer, dir, age)) => {
-                write!(f, ", last readiness {dir} on peer {peer} {age:.1?} ago")
-            }
-            None => write!(f, ", no readiness event ever served"),
-        }
     }
 }
 
@@ -413,9 +388,6 @@ impl std::fmt::Display for TimeoutDiag {
         }
         if self.attempts > 0 {
             write!(f, "; {} recovery attempts", self.attempts)?;
-        }
-        if let Some(p) = &self.poller {
-            write!(f, "; {p}")?;
         }
         if let Some(l) = &self.link {
             write!(f, "; {l}")?;
@@ -634,7 +606,6 @@ impl EndpointCore {
             waited,
             last_frame,
             attempts: self.attempts.load(Ordering::Relaxed),
-            poller: None,
             link: None,
         }))
     }

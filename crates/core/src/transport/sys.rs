@@ -7,6 +7,11 @@
 //! batch of [`PollEvent`]s, and wake a sleeping waiter from another thread
 //! via a [`Waker`] (an `eventfd` on Linux, a self-pipe elsewhere). The
 //! event-loop transport ([`super::tcp`]) is the only consumer.
+//!
+//! Every `unsafe` block here is one libc call and states, in a `// SAFETY:`
+//! comment, why its pointers are valid and its descriptors are ours; the
+//! lint below makes that comment mandatory.
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 use std::io;
 use std::os::fd::RawFd;
@@ -91,6 +96,9 @@ mod imp {
         let one = 1u64.to_ne_bytes();
         // An EAGAIN here means the counter is already nonzero — the poller
         // will wake anyway.
+        // SAFETY: `write` reads exactly `one.len()` bytes from the live local
+        // array; `fd` is the eventfd of the `Poller` this waker came from,
+        // which its owner keeps alive for as long as anyone can wake it.
         unsafe { write(fd, one.as_ptr(), one.len()) };
     }
 
@@ -102,13 +110,17 @@ mod imp {
 
     impl Poller {
         pub fn new() -> io::Result<Poller> {
+            // SAFETY: no pointer arguments; the call only creates a new fd.
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
                 return Err(io::Error::last_os_error());
             }
+            // SAFETY: no pointer arguments; the call only creates a new fd.
             let wake_fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
             if wake_fd < 0 {
                 let e = io::Error::last_os_error();
+                // SAFETY: `epfd` was just created by this function and is not
+                // stored anywhere else, so it is closed exactly once.
                 unsafe { close(epfd) };
                 return Err(e);
             }
@@ -126,6 +138,10 @@ mod imp {
                 events: interest,
                 data: token,
             };
+            // SAFETY: `ev` is a live, correctly laid out `epoll_event` (the
+            // kernel ABI, packed on x86-64) that the kernel only reads during
+            // the call; `self.epfd` is our open epoll fd. A stale `fd` is
+            // reported as an error, not undefined behaviour.
             if unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) } < 0 {
                 return Err(io::Error::last_os_error());
             }
@@ -187,6 +203,8 @@ mod imp {
             };
             let mut raw = [EpollEvent { events: 0, data: 0 }; 64];
             let n = loop {
+                // SAFETY: the kernel writes at most `raw.len()` events into the
+                // live local array, which has exactly that many slots.
                 let n = unsafe {
                     epoll_wait(self.epfd, raw.as_mut_ptr(), raw.len() as i32, timeout_ms)
                 };
@@ -205,6 +223,8 @@ mod imp {
                 if token == super::Poller::WAKE_TOKEN {
                     woken = true;
                     let mut buf = [0u8; 8];
+                    // SAFETY: the kernel writes at most `buf.len()` bytes into
+                    // the live local array; `wake_fd` is ours until drop.
                     unsafe { read(self.wake_fd, buf.as_mut_ptr(), buf.len()) };
                     continue;
                 }
@@ -221,6 +241,8 @@ mod imp {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: the poller owns both fds and this is the only place
+            // that closes them; no `Waker` outlives its `Poller` in use.
             unsafe {
                 close(self.epfd);
                 close(self.wake_fd);
@@ -266,6 +288,9 @@ mod imp {
 
     pub(super) fn waker_signal(fd: RawFd) {
         let one = [1u8];
+        // SAFETY: `write` reads one byte from the live local array; `fd` is
+        // the write end of the self-pipe of the `Poller` this waker came
+        // from, which its owner keeps alive for as long as anyone can wake it.
         unsafe { write(fd, one.as_ptr(), 1) };
     }
 
@@ -281,11 +306,16 @@ mod imp {
     impl Poller {
         pub fn new() -> io::Result<Poller> {
             let mut fds = [0i32; 2];
+            // SAFETY: `pipe` writes exactly two fds into the live local
+            // two-element array.
             if unsafe { pipe(fds.as_mut_ptr()) } < 0 {
                 return Err(io::Error::last_os_error());
             }
             for fd in fds {
+                // SAFETY: `fd` is one end of the pipe just created; `F_GETFL`
+                // takes no pointer.
                 let flags = unsafe { fcntl(fd, F_GETFL, 0) };
+                // SAFETY: as above; `F_SETFL` takes an integer flag word.
                 unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) };
             }
             Ok(Poller {
@@ -366,6 +396,8 @@ mod imp {
                 None => -1,
             };
             let n = loop {
+                // SAFETY: `fds` is a live vector of exactly `fds.len()`
+                // `pollfd`s; the kernel writes only their `revents`.
                 let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as u32, timeout_ms) };
                 if n >= 0 {
                     break n;
@@ -386,6 +418,8 @@ mod imp {
                 if token == super::Poller::WAKE_TOKEN {
                     woken = true;
                     let mut buf = [0u8; 64];
+                    // SAFETY: the kernel writes at most `buf.len()` bytes into
+                    // the live local array; `pipe_r` is ours until drop.
                     while unsafe { read(self.pipe_r, buf.as_mut_ptr(), buf.len()) } > 0 {}
                     continue;
                 }
@@ -402,6 +436,8 @@ mod imp {
 
     impl Drop for Poller {
         fn drop(&mut self) {
+            // SAFETY: the poller owns both pipe ends and this is the only
+            // place that closes them; no `Waker` outlives its `Poller` in use.
             unsafe {
                 close(self.pipe_r);
                 close(self.pipe_w);
@@ -419,102 +455,14 @@ pub fn shutdown_fd(fd: RawFd) -> io::Result<()> {
     extern "C" {
         fn shutdown(fd: i32, how: i32) -> i32;
     }
+    // SAFETY: no pointer arguments, and `shutdown` neither closes nor frees
+    // `fd`, so no memory is touched whatever `fd` names (a stale one is an
+    // error). The one caller, `sever_link`, holds the fd-slot lock that keeps
+    // the socket from being closed and its number reused meanwhile.
     if unsafe { shutdown(fd, SHUT_RDWR) } < 0 {
         return Err(io::Error::last_os_error());
     }
     Ok(())
-}
-
-/// Vectored write on a raw socket fd without taking ownership — the inline
-/// fast path of `send_seq` writes from the sender thread while the poller
-/// owns the `TcpStream` itself. `IoSlice` is guaranteed ABI-compatible with
-/// `struct iovec` on Unix, so the slice passes straight through.
-pub fn writev_fd(fd: RawFd, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
-    extern "C" {
-        fn writev(fd: i32, iov: *const std::ffi::c_void, iovcnt: i32) -> isize;
-    }
-    let n = unsafe { writev(fd, bufs.as_ptr().cast(), bufs.len() as i32) };
-    if n < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(n as usize)
-}
-
-/// Duplicates a raw fd (`dup(2)`). The duplicate pins the underlying socket
-/// object: even if the original is closed by another thread, the dup stays
-/// a valid handle to the same (possibly dead) socket rather than a recycled
-/// descriptor number. Callers own the result and must [`close_fd`] it.
-pub fn dup_fd(fd: RawFd) -> io::Result<RawFd> {
-    extern "C" {
-        fn dup(fd: i32) -> i32;
-    }
-    let n = unsafe { dup(fd) };
-    if n < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(n)
-}
-
-/// Closes a raw fd owned by the caller (one obtained from [`dup_fd`]).
-pub fn close_fd(fd: RawFd) {
-    extern "C" {
-        fn close(fd: i32) -> i32;
-    }
-    unsafe { close(fd) };
-}
-
-/// Sets or clears `O_NONBLOCK` on the open file description behind `fd`.
-/// Best-effort (errors ignored — the caller's next I/O call surfaces any
-/// problem). NOTE: the flag lives on the file *description*, so it also
-/// flips every dup of the socket; callers must hold exclusive write access
-/// (the inline-write claim) across a blocking window.
-pub fn set_nonblocking_fd(fd: RawFd, nonblocking: bool) {
-    const F_GETFL: i32 = 3;
-    const F_SETFL: i32 = 4;
-    #[cfg(target_os = "linux")]
-    const O_NONBLOCK: i32 = 0x800;
-    #[cfg(not(target_os = "linux"))]
-    const O_NONBLOCK: i32 = 0x4;
-    extern "C" {
-        fn fcntl(fd: i32, cmd: i32, ...) -> i32;
-    }
-    unsafe {
-        let flags = fcntl(fd, F_GETFL);
-        if flags < 0 {
-            return;
-        }
-        let want = if nonblocking {
-            flags | O_NONBLOCK
-        } else {
-            flags & !O_NONBLOCK
-        };
-        if want != flags {
-            fcntl(fd, F_SETFL, want);
-        }
-    }
-}
-
-/// Sleeps until `fd` is writable (or in error), capped at `timeout` — a
-/// single-fd `poll(2)`. Best-effort: the caller's next write surfaces
-/// whatever condition ended the wait, so the result is advisory only.
-pub fn poll_out_fd(fd: RawFd, timeout: std::time::Duration) {
-    #[repr(C)]
-    struct PollFd {
-        fd: i32,
-        events: i16,
-        revents: i16,
-    }
-    const POLLOUT: i16 = 0x4;
-    extern "C" {
-        fn poll(fds: *mut PollFd, nfds: u64, timeout_ms: i32) -> i32;
-    }
-    let mut pfd = PollFd {
-        fd,
-        events: POLLOUT,
-        revents: 0,
-    };
-    let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
-    unsafe { poll(&mut pfd, 1, ms) };
 }
 
 #[cfg(test)]

@@ -8,10 +8,12 @@
 //!
 //! * **Send path**: `send_seq` encodes only the fixed 32-byte header
 //!   ([`encode_header_stamped`]) and enqueues `(header, payload Bytes)` on the
-//!   destination link's coalescing queue. The poller drains each queue with
-//!   one `write_vectored` call spanning up to [`MAX_IOV`] `IoSlice`s —
-//!   header and payload go to the socket straight from where they already
-//!   live; no frame buffer is ever materialised.
+//!   destination link's coalescing queue, waking the poller only if it
+//!   sleeps; the sender never touches a socket. The poller is the only thread
+//!   that writes one: it drains each queue with one `write_vectored` call
+//!   spanning up to [`MAX_IOV`] `IoSlice`s — header and payload go to the
+//!   socket straight from where they already live; no frame buffer is ever
+//!   materialised.
 //! * **Receive path**: small frames are parsed out of a per-connection
 //!   staging buffer; payloads of [`DIRECT_READ_MIN`] bytes or more are read
 //!   directly into a [`BufPool`] lease which is frozen into the delivered
@@ -49,8 +51,8 @@
 //! FIN-ing, so a clean shutdown never strands flushed-but-unsent frames.
 //!
 //! Accounting is send-side only and charged once, by the shared
-//! [`EndpointCore`], when a frame is *committed* (enqueued, claimed for an
-//! inline write, or pushed into a co-resident inbox): the ledger reflects
+//! [`EndpointCore`], when a frame is *committed* (enqueued on its link, or
+//! pushed into a co-resident inbox): the ledger reflects
 //! frames committed to the wire, exactly as the in-process transport counts
 //! sends, so the bitwise-equivalence suites see identical ledgers. Loop-back
 //! (same physical node) frames are never counted; between two processes on
@@ -59,7 +61,7 @@
 use super::net::{self, Hello, HelloGate, TcpFabricSpec, ACCEPT_POLL};
 use super::sys;
 use super::{
-    Backoff, EndpointCore, Envelope, LinkHealth, Message, PollerDiag, TrafficCounters, Transport,
+    Backoff, EndpointCore, Envelope, LinkHealth, Message, TrafficCounters, Transport,
     TransportError,
 };
 use crate::metrics;
@@ -91,18 +93,6 @@ const DIRECT_READ_MIN: usize = 8 * 1024;
 /// bytes arrive via staging (one copy into the lease) before the header
 /// parses and the remainder streams straight into the lease.
 const REFILL_READ_BYTES: usize = DIRECT_READ_MIN;
-
-/// Payloads at least this large take the claiming inline-write path: the
-/// sender thread writes the frame to the socket itself (zero-copy, kernel
-/// wakes it directly on flow control) instead of handing off to the poller.
-/// Smaller frames always enqueue so the poller can coalesce up to
-/// [`MAX_IOV`]/2 of them into one vectored write — per-frame syscalls
-/// dominate small-frame throughput, batching wins there.
-const INLINE_WRITE_MIN: usize = DIRECT_READ_MIN;
-
-/// Cap on one kernel-level writability wait of an inline writer. A cap, not
-/// a pace: the kernel wakes the writer the moment socket space opens.
-const INLINE_WRITE_WAIT: Duration = Duration::from_millis(100);
 
 /// Upper bound on `IoSlice`s per vectored write (well under any OS IOV_MAX).
 const MAX_IOV: usize = 64;
@@ -149,20 +139,6 @@ struct LinkQueue {
     /// Set when the link was declared dead; the next send clears it and
     /// revives the redial state machine.
     dead: Option<String>,
-    /// A sender thread holds the inline-write claim: it is mid-way through
-    /// writing one frame directly to the socket (outside this lock). While
-    /// set, the poller must not flush this link and other senders must
-    /// enqueue behind the in-flight frame.
-    writer_busy: bool,
-}
-
-/// A link claimed for an inline write: the dup'd socket, the link epoch the
-/// write runs under, and the frame to write.
-struct InlineClaim {
-    dup_fd: RawFd,
-    epoch: u64,
-    hdr: [u8; FRAME_HEADER_BYTES],
-    payload: Bytes,
 }
 
 /// Sender-facing half of a link: the queue plus the condvar the poller
@@ -175,11 +151,6 @@ struct LinkShared {
     /// taking every queue lock every loop (which scaled O(endpoints²) in
     /// lock traffic across the process).
     depth: AtomicU64,
-    /// Bumped every time the live outbound socket is retired
-    /// ([`EventLoop::break_link`]). An inline writer snapshots it before
-    /// writing; a mismatch afterwards means its partial bytes went to a dead
-    /// socket, so the frame must be rewound and rewritten whole.
-    epoch: AtomicU64,
 }
 
 impl LinkShared {
@@ -189,11 +160,9 @@ impl LinkShared {
                 frames: VecDeque::new(),
                 bytes: 0,
                 dead: None,
-                writer_busy: false,
             }),
             space: Condvar::new(),
             depth: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
         }
     }
 }
@@ -464,9 +433,8 @@ impl TcpTransport {
         let coresident = resolve_coresident(&shared);
 
         // Publish the outbound fds *before* the poller exists: `sever_link`
-        // and the inline send fast path consult these slots, and both may run
-        // the instant `connect` returns — they must not race the poller
-        // thread's own registration pass.
+        // consults these slots and may run the instant `connect` returns — it
+        // must not race the poller thread's own registration pass.
         for (peer, stream) in out_streams.iter().enumerate() {
             if let Some(stream) = stream {
                 *shared.out_fds[peer].lock().expect("out fd lock") = Some(stream.as_raw_fd());
@@ -518,20 +486,14 @@ impl TcpTransport {
         let TransportError::Timeout(mut diag) = err else {
             return err;
         };
-        let frames = shared.pending_frames.load(Ordering::Relaxed);
-        let bytes = shared.pending_bytes.load(Ordering::Relaxed);
-        diag.poller = Some(PollerDiag {
-            pending_tx_frames: frames,
-            pending_tx_bytes: bytes,
+        diag.link = Some(LinkHealth {
+            queued_frames: shared.pending_frames.load(Ordering::Relaxed),
+            queued_bytes: shared.pending_bytes.load(Ordering::Relaxed),
             last_ready: shared
                 .last_ready
                 .lock()
                 .expect("last ready lock")
                 .map(|(peer, dir, at)| (peer, dir, at.elapsed())),
-        });
-        diag.link = Some(LinkHealth {
-            queued_frames: frames,
-            queued_bytes: bytes,
             last_tx_age: match shared.last_tx_ns.load(Ordering::Relaxed) {
                 0 => None,
                 ns => Some(Duration::from_nanos(
@@ -545,18 +507,18 @@ impl TcpTransport {
     }
 
     /// Commits one frame to the link for `to`: waits out backpressure, then
-    /// either enqueues it for the poller (`Ok(None)`) or claims the idle link
-    /// for an inline write by the calling thread, handing the frame back in
-    /// the claim. `Closed` once shutdown began — nothing is enqueued, stamped
-    /// or accounted then.
+    /// enqueues it for the poller, which owns every write. `Closed` once
+    /// shutdown began — nothing is enqueued, stamped or accounted then.
     fn commit(
         &self,
         to: usize,
-        link: &LinkShared,
         hdr: [u8; FRAME_HEADER_BYTES],
         payload: Bytes,
-    ) -> Result<Option<InlineClaim>, TransportError> {
+    ) -> Result<(), TransportError> {
         let shared = &self.shared;
+        let link = shared.links[to]
+            .as_ref()
+            .expect("a socket-borne peer has a link");
         let frame_len = (FRAME_HEADER_BYTES + payload.len()) as u64;
         let mut q = link.q.lock().expect("link queue");
         while q.bytes >= MAX_LINK_PENDING_BYTES
@@ -577,29 +539,8 @@ impl TcpTransport {
         // non-empty queue and restarts the redial state machine with a
         // fresh reconnect budget.
         q.dead = None;
-        // Inline fast path for large frames: with nothing queued ahead
-        // and no other inline writer active, this thread claims the link
-        // and writes the frame to the socket itself — no poller handoff,
-        // no wake, no copy, and on flow control the kernel wakes this
-        // thread directly. The dup pins the socket *object* (not just the
-        // descriptor number) so the write can proceed outside all locks
-        // even if the poller retires the original fd concurrently.
-        if payload.len() >= INLINE_WRITE_MIN && q.frames.is_empty() && !q.writer_busy {
-            let slot = shared.out_fds[to].lock().expect("out fd lock");
-            if let Some(fd) = *slot {
-                if let Ok(dup_fd) = sys::dup_fd(fd) {
-                    q.writer_busy = true;
-                    return Ok(Some(InlineClaim {
-                        dup_fd,
-                        epoch: link.epoch.load(Ordering::SeqCst),
-                        hdr,
-                        payload,
-                    }));
-                }
-            }
-        }
-        // Queued path: the poller owns the write, coalescing this frame
-        // with its neighbours into one vectored syscall.
+        // The poller coalesces this frame with its neighbours into one
+        // vectored syscall.
         q.frames.push_back(QueuedFrame {
             hdr,
             payload,
@@ -619,95 +560,7 @@ impl TcpTransport {
         if shared.sleeping.load(Ordering::SeqCst) {
             shared.poller.waker().wake();
         }
-        Ok(None)
-    }
-
-    /// The claimed inline write of one large frame: loops `writev` on the
-    /// dup'd fd, sleeping in a single-fd `poll(2)` on flow control, until the
-    /// frame is fully written, the socket errors, or shutdown begins. Runs
-    /// outside every lock; on exit it releases the claim and requeues any
-    /// remainder at the *front* of the queue so per-link order holds.
-    fn inline_write(&self, link: &LinkShared, claim: InlineClaim) {
-        let InlineClaim {
-            dup_fd,
-            epoch,
-            hdr,
-            payload,
-        } = claim;
-        let total = FRAME_HEADER_BYTES + payload.len();
-        let mut written = 0usize;
-        let mut broken = false;
-        // Holding the claim means nothing else writes this socket, so the
-        // shared O_NONBLOCK flag can be dropped for the duration: a blocked
-        // write then sleeps *inside* the syscall (one `writev` rides out any
-        // number of flow-control stalls) instead of paying a poll+writev
-        // pair per stall. Restored before the claim is released.
-        sys::set_nonblocking_fd(dup_fd, false);
-        while written < total && !self.shared.down.load(Ordering::SeqCst) {
-            let hdr_at = written.min(FRAME_HEADER_BYTES);
-            let pay_at = written - hdr_at;
-            let iov = [
-                IoSlice::new(&hdr[hdr_at..]),
-                IoSlice::new(&payload[pay_at..]),
-            ];
-            match sys::writev_fd(dup_fd, &iov) {
-                Ok(0) => {
-                    broken = true;
-                    break;
-                }
-                Ok(n) => written += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // Only reachable if the blocking flip failed; wait for
-                    // space at the kernel and retry.
-                    sys::poll_out_fd(dup_fd, INLINE_WRITE_WAIT);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    // Breakage surfaces to the poller through its own
-                    // readiness events; it owns the break/redial machine.
-                    broken = true;
-                    break;
-                }
-            }
-        }
-        sys::set_nonblocking_fd(dup_fd, true);
-        sys::close_fd(dup_fd);
-        let mut q = link.q.lock().expect("link queue");
-        q.writer_busy = false;
-        if written < total {
-            // The epoch check decides whether the partial bytes reached the
-            // *current* socket. If the link broke meanwhile, the peer
-            // discards the partial frame at EOF, so rewind and rewrite
-            // whole after redial — resuming mid-frame on a fresh socket
-            // would corrupt the stream.
-            let resume_at = if broken || link.epoch.load(Ordering::SeqCst) != epoch {
-                0
-            } else {
-                written
-            };
-            let frame_len = total as u64;
-            q.frames.push_front(QueuedFrame {
-                hdr,
-                payload,
-                written: resume_at,
-            });
-            q.bytes += frame_len;
-            link.depth.fetch_add(1, Ordering::Relaxed);
-            self.shared.pending_frames.fetch_add(1, Ordering::Relaxed);
-            self.shared
-                .pending_bytes
-                .fetch_add(frame_len, Ordering::Relaxed);
-        }
-        let backlog = !q.frames.is_empty();
-        drop(q);
-        // Frames enqueued behind the claim (or our own remainder) now need
-        // the poller.
-        if backlog {
-            self.shared.dirty.store(true, Ordering::SeqCst);
-            if self.shared.sleeping.load(Ordering::SeqCst) {
-                self.shared.poller.waker().wake();
-            }
-        }
+        Ok(())
     }
 }
 
@@ -753,21 +606,11 @@ impl Transport for TcpTransport {
             }
             return Ok(());
         }
-        let link = shared.links[to]
-            .as_ref()
-            .expect("a socket-borne peer has a link");
         let hdr = encode_header_stamped(&msg, core.me() as u32, seq, epoch);
-        let claim = self.commit(to, link, hdr, msg.into_payload())?;
-        // The commit point: the frame is enqueued or claimed. A send refused
-        // above is never accounted.
+        self.commit(to, hdr, msg.into_payload())?;
+        // The commit point: the frame is enqueued. A send refused above is
+        // never accounted.
         core.note_sent(to, frame_len);
-        if let Some(claim) = claim {
-            // Claimed inline write, outside every lock.
-            self.inline_write(link, claim);
-            if telemetry::is_enabled() {
-                telemetry::counter("tx.queue", to as u64, 0);
-            }
-        }
         Ok(())
     }
 
@@ -1180,12 +1023,11 @@ impl EventLoop {
     /// Drains one link's queue with vectored writes until empty, the socket
     /// blocks (register write interest), or the link breaks.
     ///
-    /// The queue lock is never held across a syscall: each round *steals* a
-    /// batch of frames under the lock (taking the same `writer_busy` claim
-    /// inline writers use, so senders enqueue behind the batch and never
-    /// touch the socket), writes outside it, then reconciles. Senders on a
-    /// hot link stay lock-free-in-practice instead of futex-sleeping behind
-    /// every poller write.
+    /// The only code that writes a socket. The queue lock is never held
+    /// across a syscall: each round *steals* a batch of frames under the lock
+    /// (senders enqueue behind it), writes outside it, then reconciles.
+    /// Senders on a hot link stay lock-free-in-practice instead of
+    /// futex-sleeping behind every poller write.
     fn flush_link(&mut self, peer: usize) {
         loop {
             let OutState::Up(stream) = &mut self.out[peer] else {
@@ -1197,11 +1039,6 @@ impl EventLoop {
             };
             let mut batch: VecDeque<QueuedFrame> = {
                 let mut q = link.q.lock().expect("link queue");
-                if q.writer_busy {
-                    // An inline writer owns the socket; frames queued behind
-                    // its in-flight frame wait. The writer wakes us when done.
-                    return;
-                }
                 if q.frames.is_empty() {
                     drop(q);
                     if self.wants_writable[peer] {
@@ -1217,7 +1054,6 @@ impl EventLoop {
                 for _ in 0..take {
                     batch.push_back(q.frames.pop_front().expect("batch under len"));
                 }
-                q.writer_busy = true;
                 batch
             };
             self.shared.m_writev_batch.record(batch.len() as u64);
@@ -1242,7 +1078,6 @@ impl EventLoop {
             }
             let res = stream.write_vectored(&iov);
             let mut q = link.q.lock().expect("link queue");
-            q.writer_busy = false;
             if let Ok(n) = res {
                 if n > 0 {
                     advance_batch(&self.shared, link, &mut q, &mut batch, n);
@@ -1306,11 +1141,6 @@ impl EventLoop {
             self.shared.poller.deregister(stream.as_raw_fd());
             drop(stream);
             drop(slot);
-        }
-        if let Some(link) = &self.shared.links[peer] {
-            // Invalidate any in-flight inline write: its bytes went to the
-            // socket just retired, so its frame must rewind to offset 0.
-            link.epoch.fetch_add(1, Ordering::SeqCst);
         }
         self.wants_writable[peer] = false;
         if let Some(link) = &self.shared.links[peer] {
@@ -1768,6 +1598,85 @@ mod tests {
         });
     }
 
+    /// Frame `i` of the sever test: 1–3 MiB, every byte derived from `i`.
+    fn big_frame(i: u64) -> Bytes {
+        let len = (1 << 20) + i as usize * (2 << 20) / 15;
+        let data: Vec<u8> = (0..len)
+            .map(|j| (j as u64 * 31 + i * 7 + (j >> 12) as u64) as u8)
+            .collect();
+        Bytes::from(data)
+    }
+
+    /// Waits (at most 5 s) until the head frame queued on `ep`'s link to
+    /// `to` is partly on the socket; `false` if the whole queue reached the
+    /// socket first.
+    fn await_partial_head(ep: &TcpTransport, to: usize) -> bool {
+        let link = ep.shared.links[to].as_ref().expect("a socket-borne link");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while Instant::now() < deadline && link.depth.load(Ordering::Relaxed) > 0 {
+            let q = link.q.lock().unwrap();
+            if q.frames.front().is_some_and(|f| f.written > 0) {
+                return true;
+            }
+            drop(q);
+            std::thread::yield_now();
+        }
+        false
+    }
+
+    #[test]
+    fn severed_link_rewrites_multi_mib_frames_whole() {
+        const FRAMES: u64 = 16;
+        let eps = mesh(&[0, 1]);
+        let (e0, e1) = (&eps[0], &eps[1]);
+        let send = |i: u64| {
+            let msg = Message::GradChunk {
+                iter: i,
+                layer: 1,
+                chunk: LAYER_GRANULAR_CHUNK,
+                codec: crate::wire::Codec::Identity,
+                data: big_frame(i),
+            };
+            e0.send(1, msg).unwrap();
+        };
+        // Sever after the 4th and after the 10th frame. Holding endpoint 1's
+        // inbox blocks its poller at the next delivery, so the socket backs
+        // up. The first sever usually finds frames 0–3 wholly in the
+        // kernel's socket buffers (each must arrive once, none rewritten);
+        // the second, with 11 MiB behind the stalled reader, cuts the head
+        // frame, which must be rewound and rewritten whole.
+        let mut cut_mid_frame = 0;
+        for segment in [0..4, 4..10] {
+            let stall = e1.shared.inbox.lock().unwrap();
+            segment.for_each(send);
+            cut_mid_frame += usize::from(await_partial_head(e0, 1));
+            e0.sever_link(1).unwrap();
+            drop(stall);
+        }
+        (10..FRAMES).for_each(send);
+        // Order across connection generations is not guaranteed, so compare
+        // as a set.
+        let mut got = Vec::new();
+        while got.len() < FRAMES as usize {
+            let env = e1
+                .recv_timeout(Duration::from_secs(20))
+                .expect("every frame arrives despite the severs");
+            got.push((env.msg.iter(), env.msg.payload().clone()));
+        }
+        got.sort_unstable_by_key(|(i, _)| *i);
+        for (i, (iter, data)) in (0..FRAMES).zip(&got) {
+            assert_eq!(*iter, i, "frame {i} exactly once");
+            assert!(*data == big_frame(i), "frame {i} byte-exact");
+        }
+        assert!(
+            e1.recv_timeout(Duration::from_millis(200)).is_err(),
+            "no frame delivered twice"
+        );
+        assert!(e0.reconnect_count() >= 1, "the link was redialed");
+        assert!(cut_mid_frame >= 1, "no sever landed mid-frame");
+        shutdown_all(eps);
+    }
+
     #[test]
     fn recv_timeout_attaches_poller_context() {
         with_fabric(&[0, 1], |mut ep| {
@@ -1775,11 +1684,9 @@ mod tests {
             let TransportError::Timeout(diag) = err else {
                 panic!("expected Timeout");
             };
-            let p = diag
-                .poller
-                .expect("event-loop transport reports poller state");
-            assert_eq!(p.pending_tx_frames, 0, "nothing was queued");
-            assert_eq!(p.pending_tx_bytes, 0);
+            let l = diag.link.expect("event-loop transport reports link state");
+            assert_eq!(l.queued_frames, 0, "nothing was queued");
+            assert_eq!(l.queued_bytes, 0);
             ep.shutdown().unwrap();
         });
     }

@@ -158,7 +158,7 @@ fn coresident_frame_is_the_senders_own_bytes_on_both() {
 
 /// Endpoint 2 is fed at once by its co-resident endpoint 0 and by endpoint 1
 /// across nodes, each from its own thread, in sizes on both sides of the TCP
-/// transport's 8 KiB inline-write threshold: each sender's frames arrive in
+/// receiver's 8 KiB direct-read threshold: each sender's frames arrive in
 /// its send order.
 fn coresident_and_cross_node_frames_keep_per_pair_order<T: Transport>((eps, _): Fabric<T>) {
     const FRAMES: u64 = 300;

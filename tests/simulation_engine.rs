@@ -251,15 +251,18 @@ fn dropping_the_straggler_recovers_throughput() {
 #[test]
 fn straggler_drop_works_for_sfb_layers_too() {
     let vgg = zoo::vgg19();
-    let mut cfg = SimConfig::system(System::Poseidon, 8, 10.0);
-    cfg.straggler = Some((0, 3.0));
-    cfg.drop_stragglers = true;
-    let r = simulate(&vgg, &cfg);
-    assert!(r.schemes.iter().any(|(_, s)| *s == CommScheme::Sfb));
-    // With the straggler's contributions dropped, the other 7 nodes are
-    // barely slowed.
-    let clean = simulate(&vgg, &SimConfig::system(System::Poseidon, 8, 10.0));
-    assert!(r.iter_time_s < 1.25 * clean.iter_time_s);
+    // At P = 2 the survivor needs no peer SF batch at all.
+    for nodes in [8, 2] {
+        let mut cfg = SimConfig::system(System::Poseidon, nodes, 10.0);
+        cfg.straggler = Some((0, 3.0));
+        cfg.drop_stragglers = true;
+        let r = simulate(&vgg, &cfg);
+        assert!(r.schemes.iter().any(|(_, s)| *s == CommScheme::Sfb));
+        // With the straggler's contributions dropped, the other nodes are
+        // barely slowed.
+        let clean = simulate(&vgg, &SimConfig::system(System::Poseidon, nodes, 10.0));
+        assert!(r.iter_time_s < 1.25 * clean.iter_time_s, "{nodes} nodes");
+    }
 }
 
 #[test]
