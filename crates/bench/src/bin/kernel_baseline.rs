@@ -103,21 +103,18 @@ fn main() {
     let mut gemm_rows = Vec::new();
     let mut out = vec![0.0f32; c_out * l];
     let s = time(200, || {
-        out.fill(0.0);
         weights.matmul_rows_into(&col, 0..c_out, &mut out);
         std::hint::black_box(&out);
     });
     gemm_rows.push(("nn_32x800x256", s));
     let mut out = vec![0.0f32; c_out * d];
     let s = time(200, || {
-        out.fill(0.0);
         g.matmul_nt_rows_into(&col, 0..c_out, &mut out);
         std::hint::black_box(&out);
     });
     gemm_rows.push(("nt_32x256x800", s));
     let mut out = vec![0.0f32; d * l];
     let s = time(200, || {
-        out.fill(0.0);
         weights.matmul_tn_rows_into(&g, 0..d, &mut out);
         std::hint::black_box(&out);
     });

@@ -6,10 +6,12 @@
 //! One sample is lowered to `col`, a `D × L` matrix with `D = c_in·kh·kw`
 //! rows and `L = h_out·w_out` columns: row `(ch, ky, kx)` holds, for every
 //! output position, the input pixel that kernel tap reads (zero where the
-//! tap falls into the padding). At stride 1 each `(ch, ky, kx, oy)` segment
-//! of a row is one contiguous span of an input row, so the lowering is a
-//! `copy_from_slice`/`fill` per segment and its adjoint a vector add. Then
-//! forward is `W·col` written straight into the sample's output row,
+//! tap falls into the padding). Each input channel is lowered through a
+//! plane that holds it inside a zero border of `pad`, so at stride 1 every
+//! `(ch, ky, kx, oy)` segment of a row is one `w_out`-wide span of a plane
+//! row, padding included: the lowering is one fixed-width row copy per
+//! segment and its adjoint, the scatter, one row add onto a zeroed plane.
+//! Then forward is `W·col` written straight into the sample's output row,
 //! `dW_s = G·colᵀ` and `dcol = Wᵀ·G`, all on the packed GEMM.
 //!
 //! Fold orders (the bitwise contract): a forward element sums its taps in
@@ -40,10 +42,9 @@ pub struct Conv2d {
     pad: usize,
     params: ParamBlock,
     cached_input: Option<Matrix>,
-    /// One `D × L` column buffer per compute thread, kept across steps so
-    /// no pass allocates (and page-faults) it again. It holds `col`, and in
-    /// backward, once `dW_s` has consumed that, `dcol`.
-    cols: Vec<Vec<f32>>,
+    /// One scratch set per compute thread, kept across steps so no pass
+    /// allocates (and page-faults) it again.
+    scratch: Vec<Scratch>,
     /// Per-sample `dW` and `db` partials, kept across steps likewise.
     grad_parts: Vec<(Matrix, Matrix)>,
     /// Only `input_grad` matters here: the weight gradient is the layer's
@@ -51,10 +52,21 @@ pub struct Conv2d {
     needs: BackwardNeeds,
 }
 
+/// What one compute thread reuses from sample to sample.
+#[derive(Default)]
+struct Scratch {
+    /// The `D × L` column buffer: `col`, and in backward, once `dW_s` has
+    /// consumed that, `dcol`.
+    col: Vec<f32>,
+    /// One input channel inside a zero border of `pad` (see
+    /// [`Conv2d::lower`] and [`Conv2d::scatter`]).
+    plane: Vec<f32>,
+}
+
 /// What one compute thread owns during a backward pass: its rows of the
 /// input gradient (none when that is not needed), its samples' gradient
-/// partials and its column buffer.
-type BackwardPart<'a> = (&'a mut [f32], &'a mut [(Matrix, Matrix)], &'a mut Vec<f32>);
+/// partials and its scratch.
+type BackwardPart<'a> = (&'a mut [f32], &'a mut [(Matrix, Matrix)], &'a mut Scratch);
 
 impl Conv2d {
     /// Creates a convolution over `in_shape` with `c_out` square `k×k`
@@ -90,7 +102,7 @@ impl Conv2d {
             pad,
             params,
             cached_input: None,
-            cols: Vec::new(),
+            scratch: Vec::new(),
             grad_parts: Vec::new(),
             needs: BackwardNeeds::ALL,
         }
@@ -101,11 +113,18 @@ impl Conv2d {
         self.in_shape
     }
 
-    /// Takes the column buffers out of the layer, at least `threads` of them.
-    fn take_cols(&mut self, threads: usize) -> Vec<Vec<f32>> {
-        let mut cols = std::mem::take(&mut self.cols);
-        cols.resize_with(cols.len().max(threads), Vec::new);
-        cols
+    /// Takes the scratch sets out of the layer, at least `threads` of them,
+    /// each sized for this layer.
+    fn take_scratch(&mut self, threads: usize) -> Vec<Scratch> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.resize_with(scratch.len().max(threads), Scratch::default);
+        let (d, l) = self.col_shape();
+        let (hp, wp) = self.plane_shape();
+        for part in &mut scratch {
+            part.col.resize(d * l, 0.0);
+            part.plane.resize(hp * wp, 0.0);
+        }
+        scratch
     }
 
     /// `(D, L)`: rows and columns of the column matrix.
@@ -116,91 +135,77 @@ impl Conv2d {
         )
     }
 
-    /// The output columns whose tap `kx` reads inside the input row; the
-    /// columns before and after it read padding.
-    fn ox_range(&self, kx: usize) -> Range<usize> {
-        // ix = ox·stride + kx − pad must land in 0..w.
-        let hi = (self.in_shape.w + self.pad)
-            .checked_sub(kx + 1)
-            .map_or(0, |room| (room / self.stride + 1).min(self.out_shape.w));
-        let lo = self.pad.saturating_sub(kx).div_ceil(self.stride);
-        lo.min(hi)..hi
+    /// Side of the zero-padded plane one input channel is lowered through:
+    /// `(h + 2·pad, w + 2·pad)`.
+    fn plane_shape(&self) -> (usize, usize) {
+        let TensorShape { h, w, .. } = self.in_shape;
+        (h + 2 * self.pad, w + 2 * self.pad)
     }
 
-    /// The input row that tap row `ky` reads for output row `oy`, unless it
-    /// is padding.
-    fn input_row(&self, oy: usize, ky: usize) -> Option<usize> {
-        (oy * self.stride + ky)
-            .checked_sub(self.pad)
-            .filter(|&iy| iy < self.in_shape.h)
-    }
-
-    /// Lowers one sample into `col` (`D × L`). Every element is written —
-    /// padding positions get an explicit zero — so the buffer is reused
+    /// Lowers one sample into `col` (`D × L`). Each channel is first copied
+    /// into the interior of `plane`, whose border is zeroed once per sample
+    /// (only [`Self::scatter`] writes it); then tap `(ky, kx)`'s row of
+    /// `col` is, for every output row `oy`, `w_out` entries of plane row
+    /// `oy·stride + ky` from column `kx` on — padding taps read the border's
+    /// zeros — and every element of `col` is written: the buffer is reused
     /// across samples without clearing.
-    fn lower(&self, sample: &[f32], col: &mut [f32]) {
-        let TensorShape { c, h, w } = self.in_shape;
-        let (ho, wo) = (self.out_shape.h, self.out_shape.w);
-        let mut segs = col.chunks_exact_mut(wo);
-        for ch in 0..c {
+    fn lower(&self, sample: &[f32], plane: &mut [f32], col: &mut [f32]) {
+        let TensorShape { h, w, .. } = self.in_shape;
+        let (l, wo) = (self.col_shape().1, self.out_shape.w);
+        let (wp, pad, stride) = (self.plane_shape().1, self.pad, self.stride);
+        let mut taps = col.chunks_exact_mut(l);
+        plane.fill(0.0);
+        for chan in sample.chunks_exact(h * w) {
+            let interior = plane[pad * wp..].chunks_exact_mut(wp);
+            for (dst, src) in interior.zip(chan.chunks_exact(w)) {
+                dst[pad..pad + w].copy_from_slice(src);
+            }
             for ky in 0..self.kh {
                 for kx in 0..self.kw {
-                    let ox = self.ox_range(kx);
-                    for oy in 0..ho {
-                        let seg = segs.next().expect("col is D × L");
-                        let Some(iy) = self.input_row(oy, ky).filter(|_| !ox.is_empty()) else {
-                            seg.fill(0.0);
-                            continue;
-                        };
-                        let ix = ox.start * self.stride + kx - self.pad;
-                        let row = &sample[(ch * h + iy) * w..][ix..w];
-                        seg[..ox.start].fill(0.0);
-                        if self.stride == 1 {
-                            seg[ox.clone()].copy_from_slice(&row[..ox.len()]);
+                    let tap = taps.next().expect("col is D × L");
+                    let rows = plane[ky * wp + kx..].chunks(wp).step_by(stride);
+                    for (seg, row) in tap.chunks_exact_mut(wo).zip(rows) {
+                        if stride == 1 {
+                            copy_row(seg, &row[..wo]);
                         } else {
-                            let taps = row.iter().step_by(self.stride);
-                            for (o, &v) in seg[ox.clone()].iter_mut().zip(taps) {
+                            for (o, &v) in seg.iter_mut().zip(row.iter().step_by(stride)) {
                                 *o = v;
                             }
                         }
-                        seg[ox.end..].fill(0.0);
                     }
                 }
             }
         }
     }
 
-    /// Adds `dcol` (`D × L`) back onto the input-sample gradient `out`: the
-    /// adjoint of [`Self::lower`], taps descending (see the module doc).
-    fn scatter(&self, dcol: &[f32], out: &mut [f32]) {
-        let TensorShape { c, h, w } = self.in_shape;
-        let (ho, wo) = (self.out_shape.h, self.out_shape.w);
-        for ch in 0..c {
-            for ky in (0..self.kh).rev() {
-                for kx in (0..self.kw).rev() {
-                    let ox = self.ox_range(kx);
-                    if ox.is_empty() {
-                        continue;
-                    }
-                    let d = (ch * self.kh + ky) * self.kw + kx;
-                    let ix = ox.start * self.stride + kx - self.pad;
-                    for oy in 0..ho {
-                        let Some(iy) = self.input_row(oy, ky) else {
-                            continue;
-                        };
-                        let seg = &dcol[(d * ho + oy) * wo..][ox.clone()];
-                        let row = &mut out[(ch * h + iy) * w..][ix..w];
-                        if self.stride == 1 {
-                            for (o, &g) in row.iter_mut().zip(seg) {
-                                *o += g;
-                            }
-                        } else {
-                            for (o, &g) in row.iter_mut().step_by(self.stride).zip(seg) {
-                                *o += g;
-                            }
+    /// Writes the input-sample gradient `out` from `dcol` (`D × L`): the
+    /// adjoint of [`Self::lower`]. Per channel, every tap row of `dcol` is
+    /// added onto a zeroed `plane` where `lower` read it, taps descending
+    /// (see the module doc), and the plane's interior is copied out; what
+    /// the border collected belongs to padding and is dropped.
+    fn scatter(&self, dcol: &[f32], plane: &mut [f32], out: &mut [f32]) {
+        let TensorShape { h, w, .. } = self.in_shape;
+        let (l, wo) = (self.col_shape().1, self.out_shape.w);
+        let (wp, pad, stride) = (self.plane_shape().1, self.pad, self.stride);
+        let chans = out.chunks_exact_mut(h * w);
+        for (chan, taps) in chans.zip(dcol.chunks_exact(self.kh * self.kw * l)) {
+            plane.fill(0.0);
+            for (t, tap) in taps.chunks_exact(l).enumerate().rev() {
+                let (ky, kx) = (t / self.kw, t % self.kw);
+                let rows = plane[ky * wp + kx..].chunks_mut(wp).step_by(stride);
+                for (row, seg) in rows.zip(tap.chunks_exact(wo)) {
+                    if stride == 1 {
+                        add_row(&mut row[..wo], seg);
+                    } else {
+                        for (o, &g) in row.iter_mut().step_by(stride).zip(seg) {
+                            *o += g;
                         }
                     }
                 }
+            }
+            let interior = plane[pad * wp..].chunks_exact(wp);
+            for (dst, src) in chan.chunks_exact_mut(w).zip(interior) {
+                dst.copy_from_slice(&src[pad..pad + w]);
             }
         }
     }
@@ -213,19 +218,18 @@ impl Conv2d {
         input: &Matrix,
         grad_out: &Matrix,
         range: Range<usize>,
-        (grad_in, parts, col): BackwardPart<'_>,
+        (grad_in, parts, scratch): BackwardPart<'_>,
     ) {
         let (d, l) = self.col_shape();
         let in_len = self.in_shape.len();
         let weights = self.params.weights.as_slice();
-        col.resize(d * l, 0.0);
+        let Scratch { col, plane } = scratch;
         let mut grad_in = grad_in.chunks_exact_mut(in_len);
         for (s, (gw, gb)) in range.zip(parts) {
-            self.lower(input.row(s), col);
+            self.lower(input.row(s), plane, col);
             // This sample's output gradient is already `c_out × L`.
             let g = grad_out.row(s);
             // dW_s = G · colᵀ  (c_out × D).
-            gw.clear();
             kernel::gemm(self.c_out, d, l, g, l, 1, col, 1, l, gw.as_mut_slice());
             // db_s = row sums of G.
             for (b, grow) in gb.as_mut_slice().iter_mut().zip(g.chunks_exact(l)) {
@@ -235,9 +239,8 @@ impl Conv2d {
             // scattered back to the input — unless nobody reads that
             // gradient and no rows of it were handed out.
             if let Some(gi) = grad_in.next() {
-                col.fill(0.0);
                 kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, col);
-                self.scatter(col, gi);
+                self.scatter(col, plane, gi);
             }
         }
     }
@@ -251,6 +254,33 @@ pub(crate) fn conv_out_dim(input: usize, k: usize, stride: usize, pad: usize) ->
         return 0;
     }
     (padded - k) / stride + 1
+}
+
+/// `dst = src`, eight elements per fixed-width step: a tap row is `w_out`
+/// long, too short for a `memcpy` call to pay off.
+fn copy_row(dst: &mut [f32], src: &[f32]) {
+    let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+    let (src8, src_tail) = src.as_chunks::<8>();
+    for (d, s) in dst8.iter_mut().zip(src8) {
+        *d = *s;
+    }
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
+        *d = *s;
+    }
+}
+
+/// `dst += src` element-wise, eight elements per fixed-width step. Each
+/// step reads both operands whole before it stores, which is what lets the
+/// compiler vectorise it without proving that the rows do not overlap.
+fn add_row(dst: &mut [f32], src: &[f32]) {
+    let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
+    let (src8, src_tail) = src.as_chunks::<8>();
+    for (d, s) in dst8.iter_mut().zip(src8) {
+        *d = std::array::from_fn(|i| d[i] + s[i]);
+    }
+    for (d, s) in dst_tail.iter_mut().zip(src_tail) {
+        *d += s;
+    }
 }
 
 impl Layer for Conv2d {
@@ -280,19 +310,19 @@ impl Layer for Conv2d {
         let c_out = self.c_out;
         let mut out = Matrix::zeros(k, c_out * l);
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
-        let mut cols = self.take_cols(ranges.len());
+        let mut scratch = self.take_scratch(ranges.len());
         let rows = parallel::split_by_ranges(out.as_mut_slice(), &ranges, c_out * l);
         let chunks = ranges
             .into_iter()
-            .zip(rows.into_iter().zip(&mut cols))
+            .zip(rows.into_iter().zip(&mut scratch))
             .collect();
         let this = &*self;
-        parallel::par_chunks(chunks, |range, (rows, col): (&mut [f32], &mut Vec<f32>)| {
+        parallel::par_chunks(chunks, |range, (rows, part): (&mut [f32], &mut Scratch)| {
             let weights = this.params.weights.as_slice();
-            col.resize(d * l, 0.0);
+            let Scratch { col, plane } = part;
             for (s, orow) in range.zip(rows.chunks_exact_mut(c_out * l)) {
-                this.lower(input.row(s), col);
-                // (c_out × D) · (D × L), accumulated onto the zeroed output
+                this.lower(input.row(s), plane, col);
+                // (c_out × D) · (D × L), written straight into the output
                 // row; then the bias, in place.
                 kernel::gemm(c_out, l, d, weights, d, 1, col, l, 1, orow);
                 for (ochan, &b) in orow.chunks_exact_mut(l).zip(this.params.bias.row(0)) {
@@ -302,7 +332,7 @@ impl Layer for Conv2d {
                 }
             }
         });
-        self.cols = cols;
+        self.scratch = scratch;
         self.cached_input = Some(input.clone());
         out
     }
@@ -332,15 +362,15 @@ impl Layer for Conv2d {
             (Matrix::zeros(c_out, d), Matrix::zeros(1, c_out))
         });
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
-        let mut cols = self.take_cols(ranges.len());
+        let mut scratch = self.take_scratch(ranges.len());
         // Without an input gradient every thread gets an empty slice of it.
         let gi_width = if self.needs.input_grad { in_len } else { 0 };
         let gi = parallel::split_by_ranges(grad_in.as_mut_slice(), &ranges, gi_width);
         let ps = parallel::split_by_ranges(&mut parts, &ranges, 1);
         let chunks: Vec<(Range<usize>, BackwardPart<'_>)> = ranges
             .into_iter()
-            .zip(gi.into_iter().zip(ps).zip(&mut cols))
-            .map(|(range, ((gi, ps), col))| (range, (gi, ps, col)))
+            .zip(gi.into_iter().zip(ps).zip(&mut scratch))
+            .map(|(range, ((gi, ps), part))| (range, (gi, ps, part)))
             .collect();
         let this = &*self;
         parallel::par_chunks(chunks, |range, part| {
@@ -354,7 +384,7 @@ impl Layer for Conv2d {
         self.params.grad_weights = parts[0].0.clone();
         self.params.grad_bias = parts[0].1.clone();
         self.grad_parts = parts;
-        self.cols = cols;
+        self.scratch = scratch;
         self.cached_input = Some(input);
         grad_in
     }

@@ -54,7 +54,7 @@ const fn case(
     }
 }
 
-const CASES: [Case; 11] = [
+const CASES: [Case; 15] = [
     // The three `mini_vgg` layers of the `vgg_hybrid_tcp` workload.
     case((3, 32, 32), 32, 5, 1, 2, 16),
     case((32, 16, 16), 32, 5, 1, 2, 16),
@@ -75,6 +75,14 @@ const CASES: [Case; 11] = [
     case((2, 2, 2), 4, 5, 3, 2, 5),
     // Wide and flat: one output row, `L = 38`.
     case((3, 3, 40), 10, 3, 1, 0, 2),
+    // Stride-1 tap rows are copied and added eight lanes at a time plus a
+    // tail: output widths 1 and 7 (tail only) and 33 (four steps and a
+    // tail of one).
+    case((2, 4, 3), 3, 3, 1, 0, 3),
+    case((3, 6, 7), 4, 3, 1, 1, 2),
+    case((2, 5, 33), 5, 3, 1, 1, 2),
+    // Stride 2 under padding 2 with a 3×3 kernel.
+    case((3, 8, 10), 4, 3, 2, 2, 3),
 ];
 
 fn lcg(n: usize, seed: u64) -> Vec<f32> {

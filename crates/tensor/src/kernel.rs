@@ -1,6 +1,6 @@
 //! Cache-blocked, panel-packed f32 GEMM kernel.
 //!
-//! One routine computes `C += A·B` over views of row-major storage that are
+//! One routine computes `C = A·B` over views of row-major storage that are
 //! either row-major or transposed in place (one unit stride per operand), so
 //! the three public multiply flavours (`A·B`, `Aᵀ·B`, `A·Bᵀ`) are a single
 //! kernel with swapped strides — no transpose is ever materialised outside
@@ -10,31 +10,38 @@
 //! dimension is split into `KC`-deep slabs, `B` slabs are packed into
 //! `NR`-wide column panels and `A` slabs into `MR`-tall row panels, and a
 //! fixed-size, branch-free microkernel accumulates an `MR × NR` register
-//! tile. Packing is one routine with two bodies, chosen from the operand's
+//! tile. Packing is one routine with three bodies, chosen from the operand's
 //! strides: where a panel's lanes are contiguous in memory it copies one
-//! panel row per depth step, where the depth is contiguous it gathers one
-//! element per lane into each panel row. The panels live in thread-local
-//! scratch that is reused from call to call; every element the microkernel
-//! reads is rewritten by the pack before it, so a reused panel cannot leak
-//! into a result. The microkernel contains only ordinary `*`/`+` arithmetic on
-//! fixed-size arrays; it is compiled three times — baseline, AVX2 and
-//! AVX-512 — and the widest version the CPU supports is selected at runtime.
-//! The `#[target_feature]` copies merely give the autovectorizer wider
-//! registers: there are no intrinsics, and no FMA contraction, so all three
-//! produce bitwise identical results.
+//! panel row per depth step, where the depth is contiguous it transposes
+//! 4 × 4 blocks in registers, and a ragged last panel is gathered and padded
+//! with zeros. The panels live in thread-local scratch that is reused from
+//! call to call; every element the microkernel reads is rewritten by the
+//! pack before it, so a reused panel cannot leak into a result. The
+//! microkernel contains only ordinary `*`/`+` arithmetic on fixed-size
+//! arrays; it is compiled three times — baseline, AVX2 and AVX-512 — and the
+//! widest version the CPU supports is selected at runtime. A ragged edge
+//! tile runs that same microkernel on a local, zero-padded `MR × NR` copy of
+//! its part of `C`. The `#[target_feature]` copies merely give the
+//! autovectorizer wider registers: there are no intrinsics in the
+//! arithmetic, and no FMA contraction, so all three produce bitwise
+//! identical results.
 //!
 //! # Determinism and float semantics
 //!
-//! The microkernel seeds its accumulator tile from `C` and writes the tile
-//! back, and the shared dimension advances in the middle loop, so each
-//! output element accumulates its `k` products **strictly in ascending-k
-//! order**, one multiply and one add per product — exactly the fold order
-//! of the naive triple loop. The blocked kernel is therefore bitwise
-//! identical to the naive reference on every shape (the tests assert
-//! this), and NaN/Inf propagate like plain IEEE arithmetic: there is no
+//! The microkernel seeds its accumulator tile with `+0.0` on the first
+//! `k`-slab and from `C` on every later one, writes the tile back, and the
+//! shared dimension advances in the middle loop, so each output element
+//! accumulates its `k` products **strictly in ascending-k order** starting
+//! from `+0.0`, one multiply and one add per product — exactly the fold
+//! order of the naive triple loop. The blocked kernel is therefore bitwise
+//! identical to the naive reference on every shape (the tests assert this),
+//! and NaN/Inf propagate like plain IEEE arithmetic: there is no
 //! zero-skipping fast path.
 
-use crate::isa::{detect_isa, Isa};
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use crate::isa::Isa;
+pub use crate::isa::Tier;
 use std::cell::RefCell;
 
 /// Depth of one packed slab of the shared dimension.
@@ -45,20 +52,23 @@ const MC: usize = 96;
 const NC: usize = 1024;
 
 /// A microkernel: multiplies one packed `A` row panel by one packed `B`
-/// column panel, accumulating into the `C` tile at the head of the third
-/// argument (`ldc` row stride).
+/// column panel into the `C` tile at the head of the third argument (`ldc`
+/// row stride), onto the tile's contents when the last argument is `true`
+/// and onto `+0.0` otherwise.
 ///
 /// # Safety
 ///
 /// Implementations compiled with `#[target_feature]` must only be invoked
 /// after the corresponding CPU feature has been detected at runtime.
-type MicroKernel = unsafe fn(&[f32], &[f32], &mut [f32], usize);
+type MicroKernel = unsafe fn(&[f32], &[f32], &mut [f32], usize, bool);
 
-/// `C += A·B` for views with one unit stride each.
+/// `C = A·B` for views with one unit stride each, on the widest [`Tier`]
+/// this CPU runs.
 ///
 /// * `A` is `m × k`: element `(i, p)` lives at `a[i*a_rs + p*a_cs]`.
 /// * `B` is `k × n`: element `(p, j)` lives at `b[p*b_rs + j*b_cs]`.
-/// * `C` is `m × n`, row-major and contiguous (`c.len() == m*n`).
+/// * `C` is `m × n`, row-major and contiguous (`c.len() == m*n`); what it
+///   holds on entry is never read.
 ///
 /// Passing `(a_rs, a_cs) = (1, lda)` reads `A` transposed in place; the same
 /// trick on `B` yields `A·Bᵀ`.
@@ -71,6 +81,24 @@ type MicroKernel = unsafe fn(&[f32], &[f32], &mut [f32], usize);
 /// slice indexing), or if `c.len() != m*n`.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_rs: usize,
+    a_cs: usize,
+    b: &[f32],
+    b_rs: usize,
+    b_cs: usize,
+    c: &mut [f32],
+) {
+    gemm_on(Tier::widest(), m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, c);
+}
+
+/// [`gemm`] through one named compiled copy of the microkernel.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_on(
+    tier: Tier,
     m: usize,
     n: usize,
     k: usize,
@@ -96,7 +124,12 @@ pub fn gemm(
         b_rs == 1 || b_cs == 1,
         "gemm: operand B has strides ({b_rs}, {b_cs}); one of them must be 1"
     );
-    if m == 0 || n == 0 || k == 0 {
+    if k == 0 {
+        // The empty sum.
+        c.fill(0.0);
+        return;
+    }
+    if m == 0 || n == 0 {
         return;
     }
     // A panel's lanes are rows of `A` and columns of `B`; its depth is `k`.
@@ -110,9 +143,7 @@ pub fn gemm(
         lane: b_cs,
         depth: b_rs,
     };
-    match detect_isa() {
-        // Safety: `detect_isa` returned a variant only if the matching CPU
-        // feature is present, which is the contract of each microkernel.
+    match tier.isa() {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => gemm_blocked::<8, 32>(m, n, k, view_a, view_b, c, mk_avx512),
         #[cfg(target_arch = "x86_64")]
@@ -123,7 +154,7 @@ pub fn gemm(
 
 /// A read-only operand as the packers see it: the element in panel lane `x`
 /// at depth `p` lives at `data[x*lane + p*depth]`, and one of the two
-/// strides is 1 (asserted by [`gemm`]).
+/// strides is 1 (asserted by [`gemm_on`]).
 #[derive(Clone, Copy)]
 struct View<'a> {
     data: &'a [f32],
@@ -139,7 +170,8 @@ thread_local! {
     static PANELS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
-/// The blocked driver, generic over the microkernel tile shape.
+/// The blocked driver, generic over the microkernel tile shape. `mk` must
+/// be a microkernel of the tier [`gemm_on`] was handed.
 fn gemm_blocked<const MR: usize, const NR: usize>(
     m: usize,
     n: usize,
@@ -174,7 +206,15 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
                 while ic < m {
                     let mc = (m - ic).min(MC);
                     pack::<MR>(apack, a, ic, mc, pc, kc);
-                    run_tiles::<MR, NR>(apack, bpack, c, n, ic, mc, jc, nc, kc, mk);
+                    let block = Block {
+                        ic,
+                        mc,
+                        jc,
+                        nc,
+                        kc,
+                        onto_c: pc > 0,
+                    };
+                    run_tiles::<MR, NR>(apack, bpack, c, n, block, mk);
                     ic += MC;
                 }
                 pc += KC;
@@ -214,39 +254,117 @@ fn pack<const W: usize>(
             (w - 1) * src.lane + (kc - 1) * src.depth < data.len(),
             "gemm: operand view addresses past the end of its buffer"
         );
-        for (p, row) in panel.chunks_exact_mut(W).enumerate() {
-            let at = p * src.depth;
-            if w < W {
+        if w < W {
+            for (p, row) in panel.chunks_exact_mut(W).enumerate() {
+                let at = p * src.depth;
                 for (x, slot) in row[..w].iter_mut().enumerate() {
                     *slot = data[at + x * src.lane];
                 }
                 row[w..].fill(0.0);
-            } else if src.lane == 1 {
-                // The panel's lanes are contiguous in memory: a row copy.
-                row.copy_from_slice(&data[at..at + W]);
-            } else {
-                // The depth is contiguous (`src.depth == 1`): gather one
-                // element from each lane's run, writing whole panel rows.
-                for (x, slot) in row.iter_mut().enumerate() {
-                    *slot = data[at + x * src.lane];
-                }
             }
+        } else if src.lane == 1 {
+            // The panel's lanes are contiguous in memory: a row copy.
+            for (p, row) in panel.chunks_exact_mut(W).enumerate() {
+                let at = p * src.depth;
+                row.copy_from_slice(&data[at..at + W]);
+            }
+        } else {
+            // The depth is contiguous (`src.depth == 1`): each lane's run
+            // becomes a panel column.
+            pack_transposed::<W>(panel, data, src.lane, kc);
         }
     }
 }
 
-/// Sweeps the microkernel over every `MR × NR` tile of the packed block.
-#[allow(clippy::too_many_arguments)]
-fn run_tiles<const MR: usize, const NR: usize>(
-    apack: &[f32],
-    bpack: &[f32],
-    c: &mut [f32],
-    ldc: usize,
+/// Packs one full `W`-lane panel of a depth-contiguous operand: lane `x`'s
+/// `kc` values are `data[x*lane..][..kc]`, and they become column `x` of
+/// the `kc × W` panel. Four lanes by four depth steps at a time are loaded
+/// as four vectors, transposed in registers and stored as four panel-row
+/// pieces; the depth steps past the last multiple of four are gathered.
+///
+/// # Panics
+///
+/// Panics unless `panel` is `kc × W` and `data` reaches lane `W - 1` at
+/// depth `kc - 1` — the bounds every load below relies on.
+#[cfg(target_arch = "x86_64")]
+fn pack_transposed<const W: usize>(panel: &mut [f32], data: &[f32], lane: usize, kc: usize) {
+    use std::arch::x86_64::{
+        _mm_loadu_ps, _mm_movehl_ps, _mm_movelh_ps, _mm_storeu_ps, _mm_unpackhi_ps, _mm_unpacklo_ps,
+    };
+    const { assert!(W.is_multiple_of(4), "panel widths are multiples of 4") };
+    assert_eq!(panel.len(), kc * W, "gemm: panel is kc x W");
+    assert!(
+        (W - 1) * lane + kc - 1 < data.len(),
+        "gemm: operand view addresses past the end of its buffer"
+    );
+    let quads = kc / 4 * 4;
+    let src = data.as_ptr();
+    for (p, rows) in panel[..quads * W].chunks_exact_mut(4 * W).enumerate() {
+        let p = 4 * p;
+        let dst = rows.as_mut_ptr();
+        for x in (0..W).step_by(4) {
+            let run = |j: usize| (x + j) * lane + p;
+            // SAFETY: SSE is part of every x86_64 CPU. Lane `x + j < W` at
+            // depths `p..p + 4 <= kc` ends at `(x + j) * lane + p + 3 <=
+            // (W - 1) * lane + kc - 1`, inside `data` by the assertion
+            // above; panel row `j < 4` of `rows` (4 rows of `W`) holds
+            // columns `x..x + 4 <= W` at `j * W + x`, inside `rows`. The
+            // unaligned loads and stores take any alignment.
+            unsafe {
+                let [r0, r1, r2, r3] = [0, 1, 2, 3].map(|j| _mm_loadu_ps(src.add(run(j))));
+                let (t0, t1) = (_mm_unpacklo_ps(r0, r1), _mm_unpacklo_ps(r2, r3));
+                let (t2, t3) = (_mm_unpackhi_ps(r0, r1), _mm_unpackhi_ps(r2, r3));
+                _mm_storeu_ps(dst.add(x), _mm_movelh_ps(t0, t1));
+                _mm_storeu_ps(dst.add(W + x), _mm_movehl_ps(t1, t0));
+                _mm_storeu_ps(dst.add(2 * W + x), _mm_movelh_ps(t2, t3));
+                _mm_storeu_ps(dst.add(3 * W + x), _mm_movehl_ps(t3, t2));
+            }
+        }
+    }
+    for (p, row) in panel.chunks_exact_mut(W).enumerate().skip(quads) {
+        for (x, slot) in row.iter_mut().enumerate() {
+            *slot = data[x * lane + p];
+        }
+    }
+}
+
+/// Packs one full `W`-lane panel of a depth-contiguous operand by gathering
+/// one element from each lane's run into each panel row.
+#[cfg(not(target_arch = "x86_64"))]
+fn pack_transposed<const W: usize>(panel: &mut [f32], data: &[f32], lane: usize, _kc: usize) {
+    for (p, row) in panel.chunks_exact_mut(W).enumerate() {
+        for (x, slot) in row.iter_mut().enumerate() {
+            *slot = data[x * lane + p];
+        }
+    }
+}
+
+/// Where one packed block sits in `C`, how deep its slab is, and whether
+/// an earlier slab already wrote it.
+#[derive(Clone, Copy)]
+struct Block {
     ic: usize,
     mc: usize,
     jc: usize,
     nc: usize,
     kc: usize,
+    onto_c: bool,
+}
+
+/// Sweeps the microkernel over every `MR × NR` tile of the packed block.
+fn run_tiles<const MR: usize, const NR: usize>(
+    apack: &[f32],
+    bpack: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    Block {
+        ic,
+        mc,
+        jc,
+        nc,
+        kc,
+        onto_c,
+    }: Block,
     mk: MicroKernel,
 ) {
     let mut r0 = 0;
@@ -261,10 +379,26 @@ fn run_tiles<const MR: usize, const NR: usize>(
             let bpanel = &bpack[bpanel_idx * kc * NR..(bpanel_idx + 1) * kc * NR];
             let coff = (ic + r0) * ldc + jc + j0;
             if mr == MR && nr == NR {
-                // Safety: `mk` matches the ISA verified by `detect_isa`.
-                unsafe { mk(apanel, bpanel, &mut c[coff..], ldc) };
+                // SAFETY: `mk` is the microkernel of the tier `gemm_on` was
+                // handed, and a `Tier` exists only for a detected ISA.
+                unsafe { mk(apanel, bpanel, &mut c[coff..], ldc, onto_c) };
             } else {
-                microkernel_edge::<MR, NR>(apanel, bpanel, &mut c[coff..], ldc, mr, nr);
+                // A ragged tile: the same microkernel on a local tile whose
+                // lanes past `mr × nr` are never written back. A padding
+                // zero times a NaN stays in such a dead lane.
+                let mut tile = [[0.0f32; NR]; MR];
+                let rows = c[coff..].chunks_mut(ldc).take(mr);
+                if onto_c {
+                    for (t, row) in tile.iter_mut().zip(rows) {
+                        t[..nr].copy_from_slice(&row[..nr]);
+                    }
+                }
+                // SAFETY: as for the full tile above.
+                unsafe { mk(apanel, bpanel, tile.as_flattened_mut(), NR, onto_c) };
+                let rows = c[coff..].chunks_mut(ldc).take(mr);
+                for (row, t) in rows.zip(&tile) {
+                    row[..nr].copy_from_slice(&t[..nr]);
+                }
             }
             j0 += NR;
             bpanel_idx += 1;
@@ -275,18 +409,22 @@ fn run_tiles<const MR: usize, const NR: usize>(
 }
 
 /// The register-tiled inner loop on a full `MR × NR` tile. The accumulator
-/// is seeded from `C` and written back whole, so the per-element fold order
-/// is ascending k with one mul and one add per product.
+/// is seeded from `C` when `onto_c` and with `+0.0` otherwise, and written
+/// back whole, so the per-element fold order is ascending k with one mul
+/// and one add per product.
 #[inline(always)]
 fn microkernel_body<const MR: usize, const NR: usize>(
     apanel: &[f32],
     bpanel: &[f32],
     c: &mut [f32],
     ldc: usize,
+    onto_c: bool,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate() {
-        row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+    if onto_c {
+        for (r, row) in acc.iter_mut().enumerate() {
+            row.copy_from_slice(&c[r * ldc..r * ldc + NR]);
+        }
     }
     for (ak, bk) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
         for (r, row) in acc.iter_mut().enumerate() {
@@ -303,8 +441,12 @@ fn microkernel_body<const MR: usize, const NR: usize>(
 
 /// Baseline microkernel (no feature requirements; `unsafe fn` only to share
 /// the [`MicroKernel`] signature).
-unsafe fn mk_baseline(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize) {
-    microkernel_body::<4, 16>(apanel, bpanel, c, ldc);
+///
+/// # Safety
+///
+/// None: every CPU of the target runs it.
+unsafe fn mk_baseline(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, onto_c: bool) {
+    microkernel_body::<4, 16>(apanel, bpanel, c, ldc, onto_c);
 }
 
 /// AVX2 compilation of the identical arithmetic (wider autovectorization,
@@ -315,8 +457,8 @@ unsafe fn mk_baseline(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize)
 /// Caller must have verified `avx2` via `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn mk_avx2(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize) {
-    microkernel_body::<4, 16>(apanel, bpanel, c, ldc);
+unsafe fn mk_avx2(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, onto_c: bool) {
+    microkernel_body::<4, 16>(apanel, bpanel, c, ldc, onto_c);
 }
 
 /// AVX-512 compilation of the identical arithmetic.
@@ -326,35 +468,6 @@ unsafe fn mk_avx2(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize) {
 /// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-unsafe fn mk_avx512(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize) {
-    microkernel_body::<8, 32>(apanel, bpanel, c, ldc);
-}
-
-/// Ragged edge tiles: same arithmetic through a local tile, touching only
-/// the `mr × nr` valid region of `C`. Zero-padded packing lanes multiply
-/// into accumulator lanes that are never written back (a padding zero times
-/// a NaN stays in a dead lane, so padding cannot leak into results).
-fn microkernel_edge<const MR: usize, const NR: usize>(
-    apanel: &[f32],
-    bpanel: &[f32],
-    c: &mut [f32],
-    ldc: usize,
-    mr: usize,
-    nr: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, row) in acc.iter_mut().enumerate().take(mr) {
-        row[..nr].copy_from_slice(&c[r * ldc..r * ldc + nr]);
-    }
-    for (ak, bk) in apanel.chunks_exact(MR).zip(bpanel.chunks_exact(NR)) {
-        for (r, row) in acc.iter_mut().enumerate() {
-            let a = ak[r];
-            for (j, x) in row.iter_mut().enumerate() {
-                *x += a * bk[j];
-            }
-        }
-    }
-    for (r, row) in acc.iter().enumerate().take(mr) {
-        c[r * ldc..r * ldc + nr].copy_from_slice(&row[..nr]);
-    }
+unsafe fn mk_avx512(apanel: &[f32], bpanel: &[f32], c: &mut [f32], ldc: usize, onto_c: bool) {
+    microkernel_body::<8, 32>(apanel, bpanel, c, ldc, onto_c);
 }

@@ -214,9 +214,10 @@ impl Matrix {
         out
     }
 
-    /// Accumulates rows `rows` of `self * other` into `out`, which must hold
+    /// Writes rows `rows` of `self * other` into `out`, which must hold
     /// exactly `rows.len() * other.cols()` elements (the corresponding output
-    /// rows). An empty range is a no-op.
+    /// rows; what they hold on entry is never read). An empty range is a
+    /// no-op.
     ///
     /// # Panics
     ///
@@ -256,7 +257,7 @@ impl Matrix {
         out
     }
 
-    /// Accumulates rows `rows` of `selfᵀ * other` into `out` (output rows
+    /// Writes rows `rows` of `selfᵀ * other` into `out` (output rows
     /// correspond to *columns* of `self`). `out` must hold exactly
     /// `rows.len() * other.cols()` elements; an empty range is a no-op.
     pub fn matmul_tn_rows_into(&self, other: &Matrix, rows: Range<usize>, out: &mut [f32]) {
@@ -299,9 +300,9 @@ impl Matrix {
         out
     }
 
-    /// Accumulates rows `rows` of `self * otherᵀ` into `out`, which must
-    /// hold exactly `rows.len() * other.rows()` elements; an empty range is
-    /// a no-op.
+    /// Writes rows `rows` of `self * otherᵀ` into `out`, which must hold
+    /// exactly `rows.len() * other.rows()` elements; an empty range is a
+    /// no-op.
     pub fn matmul_nt_rows_into(&self, other: &Matrix, rows: Range<usize>, out: &mut [f32]) {
         assert_eq!(
             self.cols, other.cols,

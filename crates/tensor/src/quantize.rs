@@ -12,7 +12,10 @@
 //! large matrices — but statistically lossy, which Figure 11 of the paper
 //! (and our reproduction of it) shows as slower convergence.
 
-use crate::isa::{detect_isa, Isa};
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+use crate::isa::Isa;
+pub use crate::isa::Tier;
 use crate::Matrix;
 
 /// f64 lanes per scale sum: element `i` of a chunk adds into lane
@@ -263,35 +266,6 @@ fn group_mean(lanes: &[f64; SUM_LANES], cnt: usize) -> f32 {
     }
 }
 
-/// One compiled copy of the 1-bit codec loops the running CPU can execute.
-/// Values come only from [`Tier::available`], so holding one is the proof
-/// that its instruction set was detected on this CPU. Production code always runs the
-/// widest; the differential tests walk all of them against the baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Tier(Isa);
-
-impl Tier {
-    /// Every tier this CPU runs, baseline first, widest last.
-    pub fn available() -> Vec<Tier> {
-        let detected = Isa::ALL.iter().filter(|isa| isa.detected());
-        detected.map(|&isa| Tier(isa)).collect()
-    }
-
-    fn widest() -> Tier {
-        Tier(detect_isa())
-    }
-
-    pub fn name(self) -> &'static str {
-        match self.0 {
-            Isa::Baseline => "baseline",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => "avx2",
-            #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => "avx512",
-        }
-    }
-}
-
 /// 1-bit encodes the chunk's effective gradient as a `1 × n` matrix straight
 /// into `out` — bit for bit what [`OneBitQuantizer::quantize`] then
 /// [`QuantizedGrad::to_bytes`] produce, in **one** pass over the chunk.
@@ -325,7 +299,7 @@ pub fn encode_in_place_on(
     assert_eq!(out.len(), wire_bytes(n), "1-bit payload length");
     let cols = u32::try_from(n).expect("1-bit chunk exceeds u32 elements");
     let (hdr, bits) = out.split_at_mut(HEADER_BYTES);
-    let sums = match tier.0 {
+    let sums = match tier.isa() {
         Isa::Baseline => encode_body(eff, *carry, vals, bits, sign_bits),
         // SAFETY: a `Tier` is only ever built around an `Isa` whose feature
         // was detected on this CPU — `avx2` here, which is all the copy needs.
@@ -550,7 +524,7 @@ impl<'a> PackedSigns<'a> {
             self.elems
         );
         let bits = &self.bits[start / 8..];
-        match tier.0 {
+        match tier.isa() {
             Isa::Baseline => apply_body(bits, self.scales, out, select, f),
             // SAFETY: `tier` holds `Isa::Avx2` only if `avx2` was detected.
             #[cfg(target_arch = "x86_64")]

@@ -2,17 +2,21 @@
 //!
 //! All three multiply flavours and their `*_rows_into` ranges, over shapes
 //! that straddle every blocking boundary of `poseidon_tensor::kernel` — the
-//! microkernel tile (`m` around 8, `n` around 32), one `KC` slab (`k` around
-//! 256) and one `NC` pass (`n = 1025`) — with NaN and ±Inf planted in the
-//! ragged edge tiles. Everything runs on one thread and every product is
+//! microkernel tile (`m` around 8, `n` around 32; `m = 10` and `n = 75`
+//! leave ragged tiles on every tier), one `KC` slab (`k` around 256) and one
+//! `NC` pass (`n = 1025`) — with NaN and ±Inf planted in the ragged edge
+//! tiles. Each flavour also runs through `kernel::gemm_on` on every compiled
+//! ISA tier this CPU executes, into a `C` filled with NaN that the kernel
+//! must never read. Everything runs on one thread and every product is
 //! computed twice in a row, so a pack panel reused from a previous, larger,
 //! NaN-bearing call would show up as a difference.
 
+use poseidon_tensor::kernel::{self, Tier};
 use poseidon_tensor::Matrix;
 
-const MS: [usize; 6] = [1, 7, 8, 9, 32, 97];
+const MS: [usize; 7] = [1, 7, 8, 9, 10, 32, 97];
 const KS: [usize; 6] = [1, 32, 255, 256, 257, 600];
-const NS: [usize; 5] = [1, 31, 32, 33, 1025];
+const NS: [usize; 6] = [1, 31, 32, 33, 75, 1025];
 
 /// Deterministic values in ±0.5 with a few exact zeros and negative zeros.
 fn lcg_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
@@ -59,8 +63,24 @@ fn poison(a: &mut Matrix, b: &mut Matrix) {
 
 type Product = fn(&Matrix, &Matrix) -> Matrix;
 type RowsInto = fn(&Matrix, &Matrix, std::ops::Range<usize>, &mut [f32]);
+/// How a flavour hands its stored operands to `kernel::gemm_on`:
+/// `(m, n, k, [a_rs, a_cs, b_rs, b_cs])`.
+type Strides = fn(&Matrix, &Matrix) -> (usize, usize, usize, [usize; 4]);
+
+fn nn_strides(a: &Matrix, b: &Matrix) -> (usize, usize, usize, [usize; 4]) {
+    (a.rows(), b.cols(), a.cols(), [a.cols(), 1, b.cols(), 1])
+}
+
+fn tn_strides(at: &Matrix, b: &Matrix) -> (usize, usize, usize, [usize; 4]) {
+    (at.cols(), b.cols(), at.rows(), [1, at.cols(), b.cols(), 1])
+}
+
+fn nt_strides(a: &Matrix, bt: &Matrix) -> (usize, usize, usize, [usize; 4]) {
+    (a.rows(), bt.rows(), a.cols(), [a.cols(), 1, 1, bt.cols()])
+}
 
 /// Checks one flavour on operands `a`, `b` whose product has `m` rows.
+#[allow(clippy::too_many_arguments)]
 fn check(
     name: &str,
     a: &Matrix,
@@ -69,6 +89,7 @@ fn check(
     fast: Product,
     naive: Product,
     rows: RowsInto,
+    strides: Strides,
 ) {
     let want = naive(a, b);
     assert_eq!(want.rows(), m);
@@ -80,6 +101,17 @@ fn check(
             got.as_slice(),
             want.as_slice(),
             &format!("{name} round {round}"),
+        );
+    }
+    for tier in Tier::available() {
+        let (m, n, k, [a_rs, a_cs, b_rs, b_cs]) = strides(a, b);
+        let mut c = vec![f32::NAN; m * n];
+        let (a, b) = (a.as_slice(), b.as_slice());
+        kernel::gemm_on(tier, m, n, k, a, a_rs, a_cs, b, b_rs, b_cs, &mut c);
+        assert_same(
+            &c,
+            want.as_slice(),
+            &format!("{name} on the {} tier", tier.name()),
         );
     }
     // A strict sub-range, the empty range, and the full range.
@@ -113,6 +145,7 @@ fn sweep(poisoned: bool) {
                     Matrix::matmul,
                     Matrix::matmul_naive,
                     Matrix::matmul_rows_into,
+                    nn_strides,
                 );
 
                 let (mut at, mut b) = (lcg_matrix(k, m, seed + 2), lcg_matrix(k, n, seed + 3));
@@ -127,6 +160,7 @@ fn sweep(poisoned: bool) {
                     Matrix::matmul_tn,
                     Matrix::matmul_tn_naive,
                     Matrix::matmul_tn_rows_into,
+                    tn_strides,
                 );
 
                 let (mut a, mut bt) = (lcg_matrix(m, k, seed + 4), lcg_matrix(n, k, seed + 5));
@@ -141,6 +175,7 @@ fn sweep(poisoned: bool) {
                     Matrix::matmul_nt,
                     Matrix::matmul_nt_naive,
                     Matrix::matmul_nt_rows_into,
+                    nt_strides,
                 );
             }
         }

@@ -26,6 +26,13 @@ echo "== tier-1: cargo build --release && cargo test =="
 cargo build --release
 cargo test -q
 
+echo "== bitwise oracles under --release =="
+# Tier-1 runs these in the dev profile. The benchmark measures the release
+# build: the ISA-dispatched GEMM, the transposing packs and the codec loops
+# as the optimiser leaves them, which is what must keep every bit.
+cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
+cargo test --release -q -p poseidon-nn --test conv_oracle
+
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 
