@@ -203,13 +203,7 @@ fn parse_args() -> Result<Args, String> {
             "--timeout-s" => args.timeout_s = val.parse().map_err(|e| bad(&e))?,
             "--trace-out" => args.trace_out = Some(val),
             "--fault-plan" => args.fault_plan = Some(FaultPlan::parse(&val).map_err(|e| bad(&e))?),
-            "--reliable" => {
-                args.reliable = match val.as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("--reliable takes on|off, got {other:?}")),
-                }
-            }
+            "--reliable" => args.reliable = on_off(&flag, &val)?,
             "--metrics-addr" => args.metrics_addr = Some(val),
             "--straggler" => {
                 let (w, ms) = val
@@ -628,7 +622,10 @@ struct Generation {
 /// connect until every peer is up, so spawn-then-wait is mandatory), then
 /// collects, merges ledgers and asserts the workers' replicas are bitwise
 /// identical.
-#[allow(clippy::too_many_arguments)]
+///
+/// Each child runs the launcher's own arguments followed by the
+/// generation's overrides; parsing is last-flag-wins, so the overrides
+/// decide and every other flag reaches the child as the user spelled it.
 fn run_generation(
     a: &Args,
     start_iter: usize,
@@ -636,115 +633,28 @@ fn run_generation(
     export: bool,
     restore: bool,
     ckpt_dir: Option<&str>,
-    trace: bool,
 ) -> Result<Generation, String> {
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let switch = |on: bool| if on { "on" } else { "off" };
     let n = 2 * a.workers;
     let mut children = Vec::with_capacity(n);
     for me in 0..n {
         let child = Command::new(&exe)
+            .args(&argv)
             .args([
-                "--workers".into(),
-                a.workers.to_string(),
-                "--iters".into(),
-                iters.to_string(),
-                "--start-iter".into(),
-                start_iter.to_string(),
-                "--batch".into(),
-                a.batch.to_string(),
-                "--lr".into(),
-                a.lr.to_string(),
-                "--momentum".into(),
-                a.momentum.to_string(),
-                "--policy".into(),
-                match a.policy {
-                    SchemePolicy::AlwaysPs => "ps".to_string(),
-                    SchemePolicy::Hybrid => "hybrid".to_string(),
-                    SchemePolicy::AlwaysSfbForFc => "sfb".to_string(),
-                    SchemePolicy::AdamSf => "adam".to_string(),
-                    SchemePolicy::OneBit => "onebit".to_string(),
-                    SchemePolicy::AlwaysRing => "ring".to_string(),
-                    SchemePolicy::AlwaysTree => "tree".to_string(),
-                    SchemePolicy::TopoAware(_) => {
-                        unreachable!("TopoAware has no CLI spelling; pick ring/tree/hybrid")
-                    }
-                },
-                "--codec".into(),
-                match a.codec {
-                    CodecPolicy::Identity => "identity".to_string(),
-                    CodecPolicy::Always(c) => c.to_string(),
-                    CodecPolicy::CostAware => "cost".to_string(),
-                },
-                "--pair-elems".into(),
-                a.pair_elems.to_string(),
-                "--base-port".into(),
-                a.base_port.to_string(),
-                "--seed".into(),
-                a.seed.to_string(),
-                "--layers".into(),
-                csv(&a.layers),
-                "--samples".into(),
-                a.samples.to_string(),
-                "--timeout-s".into(),
-                a.timeout_s.to_string(),
-                "--straggler-factor".into(),
-                a.straggler_factor.to_string(),
-                "--endpoint".into(),
-                me.to_string(),
+                "--iters",
+                &iters.to_string(),
+                "--start-iter",
+                &start_iter.to_string(),
+                "--endpoint",
+                &me.to_string(),
+                "--export-state",
+                switch(export),
+                "--restore",
+                switch(restore),
             ])
-            .args(
-                a.metrics_addr
-                    .iter()
-                    .flat_map(|m| ["--metrics-addr".to_string(), m.clone()]),
-            )
-            .args(
-                a.straggler
-                    .iter()
-                    .flat_map(|(w, ms)| ["--straggler".to_string(), format!("{w}:{ms}")]),
-            )
-            .args(if trace {
-                a.trace_out
-                    .iter()
-                    .flat_map(|p| ["--trace-out".to_string(), p.clone()])
-                    .collect()
-            } else {
-                Vec::new()
-            })
-            .args(
-                a.fault_plan
-                    .iter()
-                    .flat_map(|p| ["--fault-plan".to_string(), p.to_string()]),
-            )
-            .args(if a.reliable {
-                vec!["--reliable".to_string(), "on".to_string()]
-            } else {
-                Vec::new()
-            })
-            .args(if a.membership.events.is_empty() {
-                Vec::new()
-            } else {
-                vec!["--membership-plan".to_string(), a.membership.to_string()]
-            })
-            .args(
-                a.serve_addr
-                    .iter()
-                    .flat_map(|s| ["--serve-addr".to_string(), s.clone()]),
-            )
-            .args(
-                ckpt_dir
-                    .iter()
-                    .flat_map(|d| ["--ckpt-dir".to_string(), d.to_string()]),
-            )
-            .args(if export {
-                vec!["--export-state".to_string(), "on".to_string()]
-            } else {
-                Vec::new()
-            })
-            .args(if restore {
-                vec!["--restore".to_string(), "on".to_string()]
-            } else {
-                Vec::new()
-            })
+            .args(ckpt_dir.iter().flat_map(|d| ["--ckpt-dir", d]))
             .stdout(Stdio::piped())
             .spawn()
             .map_err(|e| format!("spawn endpoint {me}: {e}"))?;
@@ -802,23 +712,23 @@ fn run_generation(
     }
 
     // Merge the per-process Chrome trace parts into one file and validate
-    // its structure (balanced spans, monotonic timestamps per track).
-    if trace {
-        if let Some(base) = &a.trace_out {
-            let parts = (0..n)
-                .map(|me| {
-                    let path = trace_part_path(base, me);
-                    std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            let merged = chrome::merge_chrome_json(&parts)?;
-            let stats = chrome::validate(&merged)?;
-            std::fs::write(base, &merged).map_err(|e| format!("writing {base}: {e}"))?;
-            println!(
-                "trace=valid events={} spans={} tracks={} pids={} file={base}",
-                stats.events, stats.spans, stats.tracks, stats.pids
-            );
-        }
+    // its structure (balanced spans, monotonic timestamps per track). Each
+    // generation overwrites the last one's, so the file holds the final
+    // generation.
+    if let Some(base) = &a.trace_out {
+        let parts = (0..n)
+            .map(|me| {
+                let path = trace_part_path(base, me);
+                std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let merged = chrome::merge_chrome_json(&parts)?;
+        let stats = chrome::validate(&merged)?;
+        std::fs::write(base, &merged).map_err(|e| format!("writing {base}: {e}"))?;
+        println!(
+            "trace=valid events={} spans={} tracks={} pids={} file={base}",
+            stats.events, stats.spans, stats.tracks, stats.pids
+        );
     }
 
     Ok(Generation { reports, traffic })
@@ -860,24 +770,13 @@ fn launch(a: &Args) -> Result<(), String> {
     for (g, &cut) in cuts.iter().enumerate() {
         let export = g + 1 < n_gens || a.export_state;
         let restore = start > begin || a.restore;
-        // The merged Chrome trace covers the final generation (earlier parts
-        // would be overwritten by later ones anyway).
-        let trace = a.trace_out.is_some() && g + 1 == n_gens;
         if n_gens > 1 {
             println!(
                 "generation={g} start_iter={start} iters={} export={export} restore={restore}",
                 cut - start
             );
         }
-        let gen = run_generation(
-            a,
-            start,
-            cut - start,
-            export,
-            restore,
-            ckpt_dir.as_deref(),
-            trace,
-        )?;
+        let gen = run_generation(a, start, cut - start, export, restore, ckpt_dir.as_deref())?;
         traffic.accumulate(&gen.traffic);
         last = Some(gen);
         start = cut;

@@ -207,12 +207,12 @@ mod tests {
             "poseidon_tx_bytes_total",
             &[("endpoint", "0"), ("peer", "1")],
         )
-        .store(4096);
+        .add(4096);
         reg.counter(
             "poseidon_tx_bytes_total",
             &[("endpoint", "0"), ("peer", "2")],
         )
-        .store(128);
+        .add(128);
         reg.gauge("poseidon_tx_queue_peak", &[("peer", "1")])
             .store(7);
         let h = reg.histogram("poseidon_sync_wait_ns", &[("layer", "0"), ("worker", "1")]);
@@ -251,14 +251,14 @@ poseidon_tx_queue_peak{peer=\"1\"} 7
     fn label_values_are_escaped() {
         let reg = Registry::new();
         reg.counter("poseidon_test_total", &[("what", "a\"b\\c\nd")])
-            .store(1);
+            .inc();
         let text = reg.snapshot().render();
         assert!(text.contains(r#"what="a\"b\\c\nd""#), "{text}");
     }
 
     #[test]
     fn http_responder_serves_the_global_registry() {
-        crate::metrics::counter("poseidon_expose_test_total", &[]).store(42);
+        crate::metrics::counter("poseidon_expose_test_total", &[]).add(42);
         let server = MetricsServer::serve("127.0.0.1:0").expect("bind");
         let addr = server.addr();
         let mut stream = TcpStream::connect(addr).expect("connect");

@@ -11,12 +11,23 @@
 //! 2. **ns-class record path.** Recording is a handful of relaxed atomic
 //!    RMWs on pre-resolved handles; the registry mutex is only taken when a
 //!    handle is first created (per link / per worker, never per frame) and
-//!    at snapshot time. `metrics_bench` pins the cost and `check.sh` gates
-//!    the instrumented-vs-bare training overhead under 2%.
+//!    at snapshot time.
 //! 3. **A pure observer.** Instruments record values the training path
 //!    already computed; numerics are bitwise identical with metrics on or
-//!    off (`crates/core/tests/metrics_determinism.rs`). [`set_enabled`]
-//!    exists only so the bench can measure the bare path.
+//!    off (`crates/core/tests/metrics_determinism.rs`).
+//!
+//! **One home per count.** Every count the program reads back (chaos
+//! reports, timeout diagnostics, the health verdict, the poisoned,
+//! stale-epoch, link and pool totals) is the registry cell its event
+//! increments. A reader that needs its own count holds an *owned* cell
+//! ([`Registry::owned_counter`], [`Registry::owned_histogram`]), one of any
+//! number under its key (two meshes in one process both have an endpoint 0).
+//! A snapshot sums a key's counters and merges its histograms: each run's
+//! report is exact, each family cumulative per process.
+//!
+//! **The gate.** [`set_enabled`] silences gauges and [`Histogram::record`]
+//! for the bench and the determinism proof. Counters are never gated, nor
+//! is [`Histogram::observe`], which the health verdict's histogram uses.
 //!
 //! # Instruments
 //!
@@ -31,21 +42,21 @@
 //!
 //! # Name schema
 //!
-//! Families follow Prometheus conventions — `poseidon_` prefix, `_total`
-//! suffix on counters, unit suffix on histograms (`_ns`): per-iteration
-//! `poseidon_step_time_ns` / `poseidon_busy_time_ns` / `poseidon_apply_ns`
-//! `{worker}`, per-layer `poseidon_sync_wait_ns` `{worker,layer}`,
-//! `poseidon_wfbp_drained_frames_total` `{worker}` (frames a worker handled
-//! between the layers of backward rather than after it), shard
-//! `poseidon_serve_ns` `{shard}`; transport `poseidon_{tx,rx}_{frames,
-//! bytes}_total` `{endpoint,peer}`, `poseidon_tx_queue_peak` high-water,
-//! `poseidon_writev_batch_frames`, `poseidon_reconnects_total` and
-//! `poseidon_redials_total`; reliability `poseidon_retransmits_total`,
-//! `poseidon_nacks_total`, `poseidon_dup_drops_total`; codec
-//! `poseidon_codec_bytes_pre_total` / `poseidon_codec_bytes_post_total`
-//! `{codec}` and `poseidon_poisoned_frames_total`; pool
-//! `poseidon_pool_{hits,misses}_total` and `poseidon_pool_resident_bytes`
-//! (bridged from [`crate::pool::BufPool::stats`] at snapshot time).
+//! `poseidon_` prefix, `_total` on counters, a unit on histograms; (o) marks
+//! owned families. Runtime: `{worker}` `poseidon_step_time_ns`,
+//! `poseidon_busy_time_ns` (o), `poseidon_apply_ns`,
+//! `poseidon_wfbp_drained_frames_total`; `poseidon_sync_wait_ns{worker,layer}`,
+//! `poseidon_serve_ns{shard}`, `poseidon_poisoned_frames_total`. Transport:
+//! `poseidon_{tx,rx}_{frames,bytes}_total{endpoint,peer}`; per `{endpoint}`
+//! `poseidon_{tx,rx}_queue_peak_frames`, `poseidon_writev_batch_frames`,
+//! `poseidon_reconnects_total` (o, re-dials that connected),
+//! `poseidon_reaccepts_total` (o, re-dials the acceptor adopted),
+//! `poseidon_redials_total` (o, redial attempts), `poseidon_dup_hellos_total`
+//! (o), `poseidon_dial_retries_total` (initial mesh);
+//! `poseidon_stale_epoch_frames_total`. Reliability, (o) `{endpoint}`:
+//! `poseidon_{retransmits,dup_drops,nacks,acks,probes,reorders}_total`.
+//! Codec: `poseidon_codec_bytes_{pre,post}_total{codec}`. Pool:
+//! `poseidon_pool_{hits,misses}_total` (o), `poseidon_pool_resident_{bufs,bytes}`.
 //!
 //! The simulator replays its virtual-clock trace into the same families
 //! ([`metrics_from_trace`]), so netsim runs and real runs are diffable.
@@ -61,9 +72,10 @@ pub const HIST_BUCKETS: usize = 64;
 
 static ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Turns the gated record path on or off. Metrics are **on by default**
-/// (they are the live-introspection plane); disabling exists for overhead
-/// measurement and the determinism proof, not for production use.
+/// Turns the gated record paths (gauges, [`Histogram::record`]) on or off.
+/// Metrics are **on by default** (they are the live-introspection plane);
+/// disabling exists for overhead measurement and the determinism proof, not
+/// for production use. Counters ignore it.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::SeqCst);
 }
@@ -97,7 +109,7 @@ pub fn bucket_le(i: usize) -> u64 {
 
 /// A monotonically increasing counter. Clones share the underlying cell, so
 /// a handle resolved once (per link, per worker) records with one relaxed
-/// RMW and no registry traffic.
+/// RMW and no registry traffic. Not gated: the program reads counts back.
 #[derive(Clone, Debug, Default)]
 pub struct Counter(Arc<AtomicU64>);
 
@@ -107,24 +119,16 @@ impl Counter {
         Self::default()
     }
 
-    /// Adds `by` (gated on [`is_enabled`]).
+    /// Adds `by`.
     #[inline]
     pub fn add(&self, by: u64) {
-        if is_enabled() {
-            self.0.fetch_add(by, Ordering::Relaxed);
-        }
+        self.0.fetch_add(by, Ordering::Relaxed);
     }
 
-    /// Adds 1 (gated on [`is_enabled`]).
+    /// Adds 1.
     #[inline]
     pub fn inc(&self) {
         self.add(1);
-    }
-
-    /// Replaces the value unconditionally. Bridges (pool stats, trace
-    /// replay) use this; instrumented code paths use [`Counter::add`].
-    pub fn store(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -198,8 +202,7 @@ impl Default for HistogramCore {
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    /// A free-standing histogram not attached to any registry (the worker
-    /// keeps private per-run ones for the health verdict).
+    /// A free-standing histogram not attached to any registry.
     pub fn new() -> Self {
         Self::default()
     }
@@ -212,8 +215,8 @@ impl Histogram {
         }
     }
 
-    /// Records `v` unconditionally (trace replay and per-run private
-    /// histograms, which must not flicker with the global gate).
+    /// Records `v` unconditionally (trace replay, and owned histograms the
+    /// program reads back, which must not flicker with the global gate).
     #[inline]
     pub fn observe(&self, v: u64) {
         let c = &self.0;
@@ -297,6 +300,17 @@ impl HistogramSnapshot {
         }
     }
 
+    /// Adds `other`'s records into this distribution.
+    pub(crate) fn merge(&mut self, other: &HistogramSnapshot) {
+        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
+            *b += o;
+        }
+        self.sum += other.sum;
+        self.count += other.count;
+        self.min = self.min.min(other.min);
+        self.max = self.max.max(other.max);
+    }
+
     /// The distribution recorded *since* `earlier` was taken from the same
     /// histogram: per-bucket and sum/count subtraction. The global registry
     /// is cumulative across runs in one process, so per-run views are
@@ -330,11 +344,20 @@ pub enum MetricKind {
     Histogram,
 }
 
-#[derive(Clone, Debug)]
+/// The cells registered under one key. A counter or histogram key holds its
+/// shared cell first, then every owned cell registered under it.
+#[derive(Debug)]
 enum Slot {
-    Counter(Counter),
+    Counter(Vec<Counter>),
     Gauge(Gauge),
-    Histogram(Histogram),
+    Histogram(Vec<Histogram>),
+}
+
+/// Registers a fresh owned cell among `cells` and returns it.
+fn adopt<C: Clone + Default>(cells: &mut Vec<C>) -> C {
+    let cell = C::default();
+    cells.push(cell.clone());
+    cell
 }
 
 type Labels = Vec<(&'static str, String)>;
@@ -342,7 +365,9 @@ type Labels = Vec<(&'static str, String)>;
 /// A set of named, labelled instruments. Handle resolution takes the one
 /// mutex; the handles themselves record lock-free. Keys are sorted
 /// (`BTreeMap`), so exposition order is deterministic — the golden test
-/// depends on it.
+/// depends on it. Resolving a key registered as another kind panics.
+/// Owned cells stay registered for the registry's life: one per endpoint
+/// or worker a run builds, never one per frame.
 #[derive(Default)]
 pub struct Registry {
     slots: Mutex<BTreeMap<(&'static str, Labels), Slot>>,
@@ -352,6 +377,14 @@ fn own_labels(labels: &[(&'static str, &str)]) -> Labels {
     labels.iter().map(|&(k, v)| (k, v.to_string())).collect()
 }
 
+fn counter_slot() -> Slot {
+    Slot::Counter(vec![Counter::new()])
+}
+
+fn histogram_slot() -> Slot {
+    Slot::Histogram(vec![Histogram::new()])
+}
+
 impl Registry {
     /// An empty registry (tests and the trace-replay bridge; live code uses
     /// [`global`]).
@@ -359,67 +392,89 @@ impl Registry {
         Self::default()
     }
 
-    /// Resolves (creating on first use) the counter `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same name+labels was registered as another kind.
-    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
+    /// Runs `pick` on the slot of `name{labels}`, creating it with `fresh`
+    /// on first use; `pick` answers `None` for a slot of another kind.
+    fn resolve<R>(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        fresh: fn() -> Slot,
+        pick: impl FnOnce(&mut Slot) -> Option<R>,
+    ) -> R {
         let mut slots = self.slots.lock().expect("metrics registry poisoned");
         let slot = slots
             .entry((name, own_labels(labels)))
-            .or_insert_with(|| Slot::Counter(Counter::new()));
-        match slot {
-            Slot::Counter(c) => c.clone(),
-            _ => panic!("metric {name} already registered as a different kind"),
-        }
+            .or_insert_with(fresh);
+        pick(slot).unwrap_or_else(|| panic!("metric {name} already registered as a different kind"))
+    }
+
+    /// Resolves (creating on first use) the shared counter `name{labels}`.
+    pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
+        self.resolve(name, labels, counter_slot, |slot| match slot {
+            Slot::Counter(cells) => Some(cells[0].clone()),
+            _ => None,
+        })
+    }
+
+    /// Registers a fresh counter under `name{labels}` that only the caller
+    /// reads; snapshots sum every cell of the key.
+    pub fn owned_counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Counter {
+        self.resolve(name, labels, counter_slot, |slot| match slot {
+            Slot::Counter(cells) => Some(adopt(cells)),
+            _ => None,
+        })
     }
 
     /// Resolves (creating on first use) the gauge `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same name+labels was registered as another kind.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Gauge {
-        let mut slots = self.slots.lock().expect("metrics registry poisoned");
-        let slot = slots
-            .entry((name, own_labels(labels)))
-            .or_insert_with(|| Slot::Gauge(Gauge::new()));
-        match slot {
-            Slot::Gauge(g) => g.clone(),
-            _ => panic!("metric {name} already registered as a different kind"),
-        }
+        let fresh = || Slot::Gauge(Gauge::new());
+        self.resolve(name, labels, fresh, |slot| match slot {
+            Slot::Gauge(g) => Some(g.clone()),
+            _ => None,
+        })
     }
 
-    /// Resolves (creating on first use) the histogram `name{labels}`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the same name+labels was registered as another kind.
+    /// Resolves (creating on first use) the shared histogram `name{labels}`.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Histogram {
-        let mut slots = self.slots.lock().expect("metrics registry poisoned");
-        let slot = slots
-            .entry((name, own_labels(labels)))
-            .or_insert_with(|| Slot::Histogram(Histogram::new()));
-        match slot {
-            Slot::Histogram(h) => h.clone(),
-            _ => panic!("metric {name} already registered as a different kind"),
-        }
+        self.resolve(name, labels, histogram_slot, |slot| match slot {
+            Slot::Histogram(cells) => Some(cells[0].clone()),
+            _ => None,
+        })
+    }
+
+    /// Registers a fresh histogram under `name{labels}` that only the caller
+    /// reads; snapshots merge every cell of the key.
+    pub fn owned_histogram(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> Histogram {
+        self.resolve(name, labels, histogram_slot, |slot| match slot {
+            Slot::Histogram(cells) => Some(adopt(cells)),
+            _ => None,
+        })
     }
 
     /// A point-in-time copy of every instrument, grouped into families by
-    /// name (sorted; samples sorted by labels).
+    /// name (sorted; samples sorted by labels). A key's counters are summed
+    /// and its histograms merged.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let slots = self.slots.lock().expect("metrics registry poisoned");
         let mut families: Vec<Family> = Vec::new();
         for ((name, labels), slot) in slots.iter() {
             let (kind, value) = match slot {
-                Slot::Counter(c) => (MetricKind::Counter, SampleValue::Int(c.get())),
-                Slot::Gauge(g) => (MetricKind::Gauge, SampleValue::Int(g.get())),
-                Slot::Histogram(h) => (
-                    MetricKind::Histogram,
-                    SampleValue::Hist(Box::new(h.snapshot())),
+                Slot::Counter(cells) => (
+                    MetricKind::Counter,
+                    SampleValue::Int(cells.iter().map(Counter::get).sum()),
                 ),
+                Slot::Gauge(g) => (MetricKind::Gauge, SampleValue::Int(g.get())),
+                Slot::Histogram(cells) => {
+                    let mut merged = HistogramSnapshot::empty();
+                    for h in cells {
+                        merged.merge(&h.snapshot());
+                    }
+                    (MetricKind::Histogram, SampleValue::Hist(Box::new(merged)))
+                }
             };
             let sample = Sample {
                 labels: labels.clone(),
@@ -539,18 +594,12 @@ pub fn histogram(name: &'static str, labels: &[(&'static str, &str)]) -> Histogr
     global().histogram(name, labels)
 }
 
-/// Snapshots the global registry, first bridging the buffer-pool counters
-/// ([`crate::pool::BufPool::stats`]) into their families — the pool keeps
-/// its own atomics, so mirroring at snapshot time costs the hot path
+/// Snapshots the global registry, first setting the buffer pool's residency
+/// gauges from [`crate::pool::BufPool::stats`] — a level the pool reads off
+/// its free lists, so sampling it at snapshot time costs the hot path
 /// nothing.
 pub fn snapshot() -> MetricsSnapshot {
     let ps = crate::pool::BufPool::global().stats();
-    global()
-        .counter("poseidon_pool_hits_total", &[])
-        .store(ps.hits);
-    global()
-        .counter("poseidon_pool_misses_total", &[])
-        .store(ps.misses);
     global()
         .gauge("poseidon_pool_resident_bufs", &[])
         .store(ps.resident);
@@ -596,7 +645,7 @@ impl PeerCounters {
         Self { tx, rx }
     }
 
-    /// Notes one frame of `bytes` sent to `peer` (gated, two relaxed adds).
+    /// Notes one frame of `bytes` sent to `peer` (two relaxed adds).
     #[inline]
     pub fn note_tx(&self, peer: usize, bytes: u64) {
         if let Some((frames, b)) = self.tx.get(peer) {
@@ -654,10 +703,8 @@ pub fn metrics_from_trace(traces: &[crate::telemetry::Trace]) -> MetricsSnapshot
                 };
                 let peer = ev.a.to_string();
                 let labels: [(&'static str, &str); 1] = [("peer", &peer)];
-                let f = reg.counter(frames, &labels);
-                f.store(f.get() + 1);
-                let b = reg.counter(bytes, &labels);
-                b.store(b.get() + ev.b);
+                reg.counter(frames, &labels).inc();
+                reg.counter(bytes, &labels).add(ev.b);
             }
         }
     }
@@ -667,14 +714,6 @@ pub fn metrics_from_trace(traces: &[crate::telemetry::Trace]) -> MetricsSnapshot
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The enabled gate is process-global; tests that flip it or depend on
-    // gated recording serialise on one lock so the in-binary thread pool
-    // cannot interleave a disabled window into another test.
-    fn gate_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     #[test]
     fn bucket_scheme_covers_u64() {
@@ -732,11 +771,9 @@ mod tests {
 
     #[test]
     fn registry_hands_out_shared_handles() {
-        let _g = gate_lock();
         let reg = Registry::new();
         let a = reg.counter("poseidon_test_total", &[("peer", "1")]);
         let b = reg.counter("poseidon_test_total", &[("peer", "1")]);
-        a.store(0);
         a.add(2);
         b.add(3);
         assert_eq!(a.get(), 5, "clones share the cell");
@@ -746,18 +783,43 @@ mod tests {
     }
 
     #[test]
+    fn owned_cells_count_apart_and_sum_in_snapshots() {
+        let reg = Registry::new();
+        let key: [(&'static str, &str); 1] = [("endpoint", "0")];
+        let shared = reg.counter("poseidon_test_total", &key);
+        let a = reg.owned_counter("poseidon_test_total", &key);
+        let b = reg.owned_counter("poseidon_test_total", &key);
+        shared.add(1);
+        a.add(2);
+        b.add(4);
+        assert_eq!((shared.get(), a.get(), b.get()), (1, 2, 4), "cells apart");
+        assert_eq!(reg.counter("poseidon_test_total", &key).get(), 1);
+        assert_eq!(reg.snapshot().value("poseidon_test_total", &key), Some(7));
+
+        let h = reg.owned_histogram("poseidon_test_ns", &key);
+        let other = reg.owned_histogram("poseidon_test_ns", &key);
+        h.observe(10);
+        other.observe(1000);
+        assert_eq!(h.snapshot().count, 1, "an owner reads its own records");
+        let snap = reg.snapshot();
+        let merged = snap.histogram("poseidon_test_ns", &key).expect("family");
+        assert_eq!((merged.count, merged.sum), (2, 1010));
+        assert_eq!((merged.min, merged.max), (10, 1000));
+    }
+
+    #[test]
     fn disabled_gate_freezes_gated_paths_only() {
-        let _g = gate_lock();
         let c = Counter::new();
         let g = Gauge::new();
         let h = Histogram::new();
         set_enabled(false);
         c.inc();
         g.set(9);
+        g.set_max(9);
         h.record(9);
         h.observe(3); // unconditional path still records
         set_enabled(true);
-        assert_eq!(c.get(), 0);
+        assert_eq!(c.get(), 1, "counters still count");
         assert_eq!(g.get(), 0);
         assert_eq!(h.snapshot().count, 1);
         assert_eq!(h.snapshot().sum, 3);

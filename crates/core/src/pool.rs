@@ -29,6 +29,7 @@
 //! telemetry as the `pool.occupancy` counter (emitted by the transport when
 //! tracing is enabled).
 
+use crate::metrics::{self, Counter};
 use bytes::Bytes;
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 
@@ -62,8 +63,9 @@ pub struct PoolStats {
 /// A size-classed pool of reusable byte buffers. See the module docs.
 pub struct BufPool {
     classes: Vec<PoolClass>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
+    /// This pool's owned cells of `poseidon_pool_{hits,misses}_total`.
+    hits: Counter,
+    misses: Counter,
 }
 
 impl BufPool {
@@ -75,10 +77,11 @@ impl BufPool {
                 bufs: Mutex::new(Vec::new()),
             })
             .collect();
+        let cell = |name| metrics::global().owned_counter(name, &[]);
         Arc::new(BufPool {
             classes,
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
+            hits: cell("poseidon_pool_hits_total"),
+            misses: cell("poseidon_pool_misses_total"),
         })
     }
 
@@ -112,7 +115,6 @@ impl BufPool {
     /// per large frame — would be pure waste. Callers that do not provably
     /// overwrite the whole lease must use `get` instead.
     pub fn get_dirty(self: &Arc<Self>, len: usize) -> PooledBuf {
-        use std::sync::atomic::Ordering;
         let class = Self::class_of(len);
         let data = match class {
             Some(c) => {
@@ -121,18 +123,18 @@ impl BufPool {
                     // Recycled buffers are stored at full class length, so a
                     // hit reuses the initialised bytes as-is: no writes at all.
                     Some(buf) => {
-                        self.hits.fetch_add(1, Ordering::Relaxed);
+                        self.hits.inc();
                         debug_assert_eq!(buf.len(), self.classes[c].size);
                         buf
                     }
                     None => {
-                        self.misses.fetch_add(1, Ordering::Relaxed);
+                        self.misses.inc();
                         vec![0u8; self.classes[c].size]
                     }
                 }
             }
             None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
+                self.misses.inc();
                 vec![0u8; len]
             }
         };
@@ -152,7 +154,6 @@ impl BufPool {
 
     /// Current pool counters.
     pub fn stats(&self) -> PoolStats {
-        use std::sync::atomic::Ordering;
         let mut resident = 0u64;
         let mut resident_bytes = 0u64;
         for c in &self.classes {
@@ -161,8 +162,8 @@ impl BufPool {
             resident_bytes += n * c.size as u64;
         }
         PoolStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             resident,
             resident_bytes,
         }

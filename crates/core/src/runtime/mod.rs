@@ -45,40 +45,38 @@ use crate::faults::{FaultPlan, FiredFault};
 use crate::membership::MembershipSchedule;
 use crate::runtime::server::ServerPlan;
 use crate::telemetry::{self, TelemetryConfig};
-use crate::transport::{
-    self, Envelope, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport, TransportError,
-};
+use crate::transport::{self, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::Model;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Process-wide count of frames dropped because their payload failed codec
-/// decode (a "poisoned" frame). Decode corruption is surfaced — counted here,
-/// emitted as a `frame.poisoned` telemetry instant and a stderr diagnostic —
-/// instead of aborting the process at the decode site; a run that then starves
-/// still fails within `comm_timeout` with the usual starvation diagnosis.
-static POISONED_FRAMES: AtomicU64 = AtomicU64::new(0);
+/// The process-wide count of frames dropped because their payload failed
+/// codec decode (a "poisoned" frame). Decode corruption is surfaced —
+/// counted here, emitted as a `frame.poisoned` telemetry instant and a
+/// stderr diagnostic — instead of aborting the process at the decode site; a
+/// run that then starves still fails within `comm_timeout` with the usual
+/// starvation diagnosis.
+fn poisoned_counter() -> crate::metrics::Counter {
+    crate::metrics::counter("poseidon_poisoned_frames_total", &[])
+}
 
 /// Total poisoned (undecodable) frames dropped by workers and shards since
-/// process start.
+/// process start (`poseidon_poisoned_frames_total`).
 pub fn poisoned_frames() -> u64 {
-    POISONED_FRAMES.load(Ordering::Relaxed)
+    poisoned_counter().get()
 }
 
 /// Records one poisoned frame: bumps the process-wide counter and names the
 /// link and decode error on stderr/telemetry. The caller drops the frame.
+/// Cold path (a frame just failed to decode), so the registry lookup is fine.
 pub(crate) fn note_poisoned_frame(
     endpoint: usize,
     from: usize,
     what: &str,
     err: &crate::wire::CodecError,
 ) {
-    POISONED_FRAMES.fetch_add(1, Ordering::Relaxed);
-    // Cold path (a frame just failed to decode) — the inline registry lookup
-    // is fine here.
-    crate::metrics::counter("poseidon_poisoned_frames_total", &[]).inc();
+    poisoned_counter().inc();
     if telemetry::is_enabled() {
         telemetry::instant("frame.poisoned", endpoint as u64, from as u64);
     }
@@ -171,17 +169,11 @@ impl ChaosReport {
 
     /// One endpoint's report, read off its fault log and recovery counters.
     fn of_endpoint(log: &Mutex<Vec<FiredFault>>, stats: &ReliabilityStats) -> Self {
-        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         let mut fired = log.lock().expect("fault log lock").clone();
         fired.sort_by_key(|f| (f.from, f.to, f.frame));
         Self {
             fired,
-            retransmits: load(&stats.retransmits),
-            dups_dropped: load(&stats.dups_dropped),
-            nacks_sent: load(&stats.nacks_sent),
-            acks_sent: load(&stats.acks_sent),
-            probes_sent: load(&stats.probes_sent),
-            reorders_stashed: load(&stats.reorders_stashed),
+            ..Self::from(stats)
         }
     }
 
@@ -195,6 +187,21 @@ impl ChaosReport {
         self.acks_sent += other.acks_sent;
         self.probes_sent += other.probes_sent;
         self.reorders_stashed += other.reorders_stashed;
+    }
+}
+
+/// One endpoint's recovery counts, with no fault log.
+impl From<&ReliabilityStats> for ChaosReport {
+    fn from(stats: &ReliabilityStats) -> Self {
+        Self {
+            fired: Vec::new(),
+            retransmits: stats.retransmits.get(),
+            dups_dropped: stats.dups_dropped.get(),
+            nacks_sent: stats.nacks_sent.get(),
+            acks_sent: stats.acks_sent.get(),
+            probes_sent: stats.probes_sent.get(),
+            reorders_stashed: stats.reorders_stashed.get(),
+        }
     }
 }
 
@@ -243,9 +250,10 @@ pub struct RuntimeConfig {
     /// never affects results (kernels are bitwise thread-count independent).
     pub compute: ComputeConfig,
     /// How long a worker or shard waits on its transport before declaring a
-    /// peer lost. A stalled run fails with a diagnosable
-    /// [`TransportError::Timeout`] naming the starved endpoint instead of
-    /// hanging forever.
+    /// peer lost: one `recv_timeout` of this budget. A stalled run fails with
+    /// a diagnosable
+    /// [`TransportError::Timeout`](crate::transport::TransportError::Timeout)
+    /// naming the starved endpoint instead of hanging forever.
     pub comm_timeout: Duration,
     /// Telemetry recorder knobs. Disabled by default; enabling records
     /// per-layer compute spans, WFBP sync windows and transport counters into
@@ -357,37 +365,6 @@ pub struct TrainResult<M: Model> {
     /// to a later segment's [`RuntimeConfig::resume`] to continue the run
     /// bitwise-identically.
     pub checkpoint: Option<crate::checkpoint::TrainingCheckpoint>,
-}
-
-/// How many slices a blocking receive's `comm_timeout` budget is cut into.
-/// Each expired slice is surfaced as a `comm.retry` telemetry instant and
-/// retried, letting the layers below (reliability probes, TCP redials) keep
-/// working; the budget itself is unchanged, so a genuinely dead peer still
-/// produces a verdict within `comm_timeout`.
-pub(crate) const COMM_RETRY_ROUNDS: u32 = 4;
-
-/// Blocking receive with `comm_timeout` sliced into [`COMM_RETRY_ROUNDS`]
-/// retry rounds. Returns the last round's [`TransportError::Timeout`] (its
-/// [`TimeoutDiag`](crate::transport::TimeoutDiag) carries the recovery
-/// attempt count) once the whole budget is spent.
-pub(crate) fn recv_with_retry<T: Transport>(
-    endpoint: &T,
-    timeout: Duration,
-) -> Result<Envelope, TransportError> {
-    let slice = (timeout / COMM_RETRY_ROUNDS).max(Duration::from_millis(1));
-    let mut last = None;
-    for round in 1..=COMM_RETRY_ROUNDS {
-        match endpoint.recv_timeout(slice) {
-            Err(TransportError::Timeout(diag)) => {
-                if round < COMM_RETRY_ROUNDS && telemetry::is_enabled() {
-                    telemetry::instant("comm.retry", endpoint.endpoint_id() as u64, round as u64);
-                }
-                last = Some(TransportError::Timeout(diag));
-            }
-            other => return other,
-        }
-    }
-    Err(last.expect("at least one retry round ran"))
 }
 
 /// Validates the consistency configuration, returning the SSP staleness

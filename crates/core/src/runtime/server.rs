@@ -307,7 +307,7 @@ fn must_recv<T: Transport>(
     done: usize,
     expected: usize,
 ) -> Envelope {
-    match crate::runtime::recv_with_retry(endpoint, timeout) {
+    match endpoint.recv_timeout(timeout) {
         Ok(env) => env,
         Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
             "shard endpoint {} starved after {done}/{expected} messages — a worker died \

@@ -261,7 +261,7 @@ impl<T: Transport> Exchange<'_, T> {
             return p;
         }
         let (me, iter) = (self.me, self.iter);
-        match crate::runtime::recv_with_retry(self.endpoint, self.run.cfg.comm_timeout) {
+        match self.endpoint.recv_timeout(self.run.cfg.comm_timeout) {
             Ok(env) => (env.from, env.msg),
             Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
                 "worker {me} starved at iteration {iter} with {}/{} layers synced — a peer \
@@ -440,18 +440,14 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     let head = SoftmaxCrossEntropy;
 
     // Metrics handles resolved once per worker, so recording inside the
-    // loop never touches the registry mutex. The busy histogram is also
-    // kept privately (unconditional `observe`) because the health verdict
-    // must not flicker with the global metrics gate.
+    // loop never touches the registry mutex. The health verdict reads the
+    // busy histogram, this worker's own cell, so it records ungated.
     let worker_label = me.to_string();
-    let m_step = metrics::histogram("poseidon_step_time_ns", &[("worker", &worker_label)]);
-    let m_busy = metrics::histogram("poseidon_busy_time_ns", &[("worker", &worker_label)]);
-    let m_apply = metrics::histogram("poseidon_apply_ns", &[("worker", &worker_label)]);
-    let m_drained = metrics::counter(
-        "poseidon_wfbp_drained_frames_total",
-        &[("worker", &worker_label)],
-    );
-    let busy_local = metrics::Histogram::new();
+    let worker: [(&'static str, &str); 1] = [("worker", &worker_label)];
+    let m_step = metrics::histogram("poseidon_step_time_ns", &worker);
+    let m_busy = metrics::global().owned_histogram("poseidon_busy_time_ns", &worker);
+    let m_apply = metrics::histogram("poseidon_apply_ns", &worker);
+    let m_drained = metrics::counter("poseidon_wfbp_drained_frames_total", &worker);
 
     // One syncer per trainable layer — each carries its scheme, its codec
     // (with per-chunk error-feedback state for lossy codecs).
@@ -600,9 +596,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         // Busy window: everything this worker computed for the step
         // (injected delay included — that is exactly what a straggler looks
         // like to the mesh).
-        let busy_ns = iter_started.elapsed().as_nanos() as u64;
-        m_busy.record(busy_ns);
-        busy_local.observe(busy_ns);
+        m_busy.observe(iter_started.elapsed().as_nanos() as u64);
 
         // Receive what is still outstanding until the completion vector is
         // all ones.
@@ -690,7 +684,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         losses,
         test_errors,
         net,
-        busy_p50_ns: busy_local.snapshot().quantile(0.5),
+        busy_p50_ns: m_busy.snapshot().quantile(0.5),
         wall,
         checkpoint,
         chaos: None,

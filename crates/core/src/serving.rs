@@ -236,7 +236,7 @@ fn answer(mut stream: TcpStream, cell: &SnapshotCell, infer: &InferFn) -> std::i
             let k = outputs.len() / n;
             metrics::counter("poseidon_serve_requests_total", &[("status", "ok")]).inc();
             metrics::histogram("poseidon_serve_latency_ns", &[])
-                .observe(start.elapsed().as_nanos() as u64);
+                .record(start.elapsed().as_nanos() as u64);
             write_reply(&mut stream, SERVE_OK, snap.iter, snap.epoch, k, &outputs)
         }
         None => {

@@ -166,12 +166,10 @@ pub fn summarize(traces: &[Trace]) -> Report {
     let mut timeouts = 0u64;
     let mut max_queue = 0u64;
     // Chaos-plane counters: injected faults and the recovery work that
-    // healed them (reliability-layer retransmits, socket reconnects,
-    // runtime receive retries).
+    // healed them (reliability-layer retransmits, socket reconnects).
     let mut faults = 0u64;
     let mut retransmits = 0u64;
     let mut reconnects = 0u64;
-    let mut comm_retries = 0u64;
     let mut poisoned_frames = 0u64;
 
     for trace in traces {
@@ -212,7 +210,6 @@ pub fn summarize(traces: &[Trace]) -> Report {
                     (EventKind::Instant, "retransmit") => retransmits += 1,
                     (EventKind::Instant, "reconnect")
                     | (EventKind::Instant, "reconnect.accept") => reconnects += 1,
-                    (EventKind::Instant, "comm.retry") => comm_retries += 1,
                     (EventKind::Instant, "frame.poisoned") => poisoned_frames += 1,
                     (EventKind::Instant, name) if name.starts_with("fault.") => faults += 1,
                     (EventKind::Counter, "rx.queue") => max_queue = max_queue.max(ev.b),
@@ -301,11 +298,10 @@ pub fn summarize(traces: &[Trace]) -> Report {
             "transport health: {dial_retries} dial retries, {timeouts} recv timeouts, peak reader queue depth {max_queue}"
         ));
     }
-    if faults + retransmits + reconnects + comm_retries + poisoned_frames > 0 {
+    if faults + retransmits + reconnects + poisoned_frames > 0 {
         report.note(format!(
             "chaos & recovery: {faults} injected faults, {retransmits} retransmits, \
-             {reconnects} socket reconnects, {comm_retries} receive retries, \
-             {poisoned_frames} poisoned frames dropped"
+             {reconnects} socket reconnects, {poisoned_frames} poisoned frames dropped"
         ));
     }
 
@@ -366,7 +362,6 @@ mod tests {
                 ev(30, EventKind::Instant, "retransmit", 0, 2, 3),
                 ev(40, EventKind::Instant, "reconnect", 0, 2, 1),
                 ev(50, EventKind::Instant, "reconnect.accept", 0, 0, 1),
-                ev(60, EventKind::Instant, "comm.retry", 0, 0, 1),
                 ev(70, EventKind::Instant, "frame.poisoned", 0, 0, 1),
             ],
             dropped: 0,
@@ -375,7 +370,7 @@ mod tests {
         assert!(
             text.contains(
                 "chaos & recovery: 2 injected faults, 1 retransmits, \
-                 2 socket reconnects, 1 receive retries, 1 poisoned frames dropped"
+                 2 socket reconnects, 1 poisoned frames dropped"
             ),
             "{text}"
         );

@@ -257,14 +257,17 @@ pub struct Envelope {
     pub msg: Message,
 }
 
-/// Process-wide count of data frames dropped at a transport's receive path
-/// because they carried a membership epoch older than the receiver's — a
-/// straggler from before a reconfiguration that must never be applied.
-static STALE_EPOCH_FRAMES: AtomicU64 = AtomicU64::new(0);
+/// The process-wide count of data frames dropped at a transport's receive
+/// path because they carried a membership epoch older than the receiver's —
+/// a straggler from before a reconfiguration that must never be applied.
+fn stale_epoch_counter() -> crate::metrics::Counter {
+    crate::metrics::counter("poseidon_stale_epoch_frames_total", &[])
+}
 
-/// Data frames dropped for carrying a stale membership epoch, process-wide.
+/// Data frames dropped for carrying a stale membership epoch, process-wide
+/// (`poseidon_stale_epoch_frames_total`).
 pub fn stale_epoch_frames() -> u64 {
-    STALE_EPOCH_FRAMES.load(Ordering::Relaxed)
+    stale_epoch_counter().get()
 }
 
 /// True when `env` must be dropped instead of delivered: a *data* frame
@@ -277,10 +280,9 @@ fn stale_epoch(env: &Envelope, current: u32) -> bool {
     !env.msg.is_control() && env.epoch < current
 }
 
-/// Counts one dropped stale-epoch frame (global static + metrics counter).
+/// Counts one dropped stale-epoch frame.
 fn note_stale_epoch_frame(endpoint: usize, frame_epoch: u32, current: u32) {
-    STALE_EPOCH_FRAMES.fetch_add(1, Ordering::Relaxed);
-    crate::metrics::counter("poseidon_stale_epoch_frames_total", &[]).add(1);
+    stale_epoch_counter().inc();
     telemetry::instant(
         "transport.stale_epoch",
         endpoint as u64,
@@ -310,14 +312,14 @@ pub struct LastFrame {
 pub struct TimeoutDiag {
     /// The endpoint that timed out.
     pub endpoint: usize,
-    /// The `recv_timeout` budget that expired.
+    /// The caller's whole `recv_timeout` budget, which expired.
     pub waited: Duration,
     /// The last frame this endpoint ever received (`None` if the peer never
     /// said anything at all).
     pub last_frame: Option<LastFrame>,
-    /// Recovery attempts this endpoint made before giving up: dial retries,
-    /// socket reconnects, and runtime retry rounds all count here, so a
-    /// dead-peer verdict states how hard the survivor tried.
+    /// Redial attempts this endpoint's poller made on broken socket links
+    /// (`poseidon_redials_total`), so a dead-peer verdict states how hard
+    /// the survivor tried. Always 0 on the in-process fabric.
     pub attempts: u64,
     /// Metrics snapshot of the stalled link at the moment of the timeout
     /// (`None` on transports that don't track link state).
@@ -450,7 +452,6 @@ pub(crate) struct EndpointCore {
     /// The most recent delivered frame, so a later timeout can report who
     /// went quiet and when. Uncontended: only the receive path touches it.
     last: Mutex<Option<LastSeen>>,
-    attempts: AtomicU64,
 }
 
 /// `(from node, frame tag, iter, layer, arrival time)` of the last envelope.
@@ -468,7 +469,6 @@ impl EndpointCore {
             epoch: AtomicU32::new(0),
             dequeued: AtomicU64::new(0),
             last: Mutex::new(None),
-            attempts: AtomicU64::new(0),
         }
     }
 
@@ -500,12 +500,6 @@ impl EndpointCore {
     /// put in derives its receive-queue depth from the difference).
     pub(crate) fn dequeued(&self) -> u64 {
         self.dequeued.load(Ordering::Relaxed)
-    }
-
-    /// Notes one recovery attempt (dial retry, reconnect) so a later
-    /// timeout diagnostic can report how hard this endpoint tried.
-    pub(crate) fn note_attempt(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Accounts one frame of `bytes` committed to endpoint `to`: per-peer
@@ -605,7 +599,7 @@ impl EndpointCore {
             endpoint: self.me,
             waited,
             last_frame,
-            attempts: self.attempts.load(Ordering::Relaxed),
+            attempts: 0,
             link: None,
         }))
     }

@@ -22,6 +22,7 @@
 //! is strictly newer than the last one adopted for that peer.
 
 use super::{Backoff, TransportError};
+use crate::metrics::{self, Counter};
 use crate::telemetry;
 use crate::wire::FRAME_VERSION;
 use std::io::{Read, Write};
@@ -140,6 +141,10 @@ pub(crate) fn dial(
     let addr = spec.addrs[peer];
     let mut backoff = Backoff::new(spec.backoff_base, spec.backoff_cap);
     let mut attempts: u64 = 0;
+    let retries = metrics::counter(
+        "poseidon_dial_retries_total",
+        &[("endpoint", &me.to_string())],
+    );
     loop {
         let remaining = deadline
             .checked_duration_since(Instant::now())
@@ -152,9 +157,7 @@ pub(crate) fn dial(
             Ok(stream) => return Ok(stream),
             Err(_) => {
                 attempts += 1;
-                // Cold path (a dial just failed and we are about to sleep), so
-                // the registry lookup per retry is fine.
-                crate::metrics::counter("poseidon_redials_total", &[]).inc();
+                retries.inc();
                 telemetry::instant("dial.retry", peer as u64, attempts);
                 std::thread::sleep(backoff.next_delay().min(remaining));
             }
@@ -203,19 +206,19 @@ pub(crate) fn validate_hello(stream: &mut TcpStream, me: usize) -> Result<Hello,
 /// registration idempotent: [`admit`](HelloGate::admit) accepts a HELLO only
 /// if its generation is strictly newer than the last admitted one for that
 /// peer. Duplicate HELLOs (a dial race, or a redial racing its old stream's
-/// teardown) are counted and dropped.
+/// teardown) are counted in `dups` and dropped.
 #[derive(Debug)]
 pub(crate) struct HelloGate {
     last_gen: std::sync::Mutex<Vec<u32>>,
-    dups: std::sync::atomic::AtomicU64,
+    pub dups: Counter,
 }
 
 impl HelloGate {
-    /// A gate for `n` peers, none yet admitted.
-    pub fn new(n: usize) -> Self {
+    /// A gate for `n` peers, none yet admitted, counting rejects in `dups`.
+    pub fn new(n: usize, dups: Counter) -> Self {
         Self {
             last_gen: std::sync::Mutex::new(vec![0; n]),
-            dups: std::sync::atomic::AtomicU64::new(0),
+            dups,
         }
     }
 
@@ -224,16 +227,11 @@ impl HelloGate {
     pub fn admit(&self, hello: Hello) -> bool {
         let mut last = self.last_gen.lock().expect("hello gate lock");
         if hello.peer >= last.len() || hello.generation <= last[hello.peer] {
-            self.dups.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.dups.inc();
             return false;
         }
         last[hello.peer] = hello.generation;
         true
-    }
-
-    /// Duplicate/stale HELLOs rejected so far.
-    pub fn dup_count(&self) -> u64 {
-        self.dups.load(std::sync::atomic::Ordering::Relaxed)
     }
 }
 
@@ -243,7 +241,7 @@ mod tests {
 
     #[test]
     fn hello_gate_is_idempotent_per_peer_generation() {
-        let gate = HelloGate::new(3);
+        let gate = HelloGate::new(3, Counter::new());
         let h = |peer, generation| Hello { peer, generation };
         assert!(gate.admit(h(1, 1)), "first generation admitted");
         assert!(!gate.admit(h(1, 1)), "duplicate HELLO rejected");
@@ -251,6 +249,6 @@ mod tests {
         assert!(!gate.admit(h(1, 1)), "stale generation rejected");
         assert!(gate.admit(h(2, 5)), "peers are independent");
         assert!(!gate.admit(h(7, 1)), "out-of-range peer rejected");
-        assert_eq!(gate.dup_count(), 3);
+        assert_eq!(gate.dups.get(), 3);
     }
 }

@@ -44,9 +44,9 @@
 //! fault-free run.
 
 use super::{Envelope, Message, Transport, TransportError};
+use crate::metrics::{self, Counter};
 use crate::telemetry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -70,32 +70,38 @@ impl Default for ReliabilityConfig {
     }
 }
 
-/// Shared counters of the reliability machinery, for chaos-test assertions
-/// and the launcher's stats lines. All relaxed: they are read after the run.
-#[derive(Debug, Default)]
+/// One endpoint's repair counts, for chaos reports and the launcher's stats
+/// lines. Each is an owned cell of an `{endpoint}` metrics family: this
+/// endpoint's actions only, however many meshes share the endpoint id.
+#[derive(Debug)]
 pub struct ReliabilityStats {
     /// Data frames retransmitted in response to nacks (incl. probes).
-    pub retransmits: AtomicU64,
+    pub retransmits: Counter,
     /// Duplicate data frames dropped before delivery.
-    pub dups_dropped: AtomicU64,
+    pub dups_dropped: Counter,
     /// Gap nacks sent (deduplicated per gap).
-    pub nacks_sent: AtomicU64,
+    pub nacks_sent: Counter,
     /// Cumulative acks sent (one per received data frame).
-    pub acks_sent: AtomicU64,
+    pub acks_sent: Counter,
     /// Tail-loss probe nacks sent on receive-slice expiry.
-    pub probes_sent: AtomicU64,
+    pub probes_sent: Counter,
     /// Out-of-order frames stashed for in-order delivery.
-    pub reorders_stashed: AtomicU64,
+    pub reorders_stashed: Counter,
 }
 
 impl ReliabilityStats {
-    /// Sum of all recovery actions — non-zero iff the layer ever had to
-    /// repair anything.
-    pub fn recovery_actions(&self) -> u64 {
-        self.retransmits.load(Ordering::Relaxed)
-            + self.dups_dropped.load(Ordering::Relaxed)
-            + self.nacks_sent.load(Ordering::Relaxed)
-            + self.reorders_stashed.load(Ordering::Relaxed)
+    /// Registers endpoint `endpoint`'s owned cells.
+    fn new(endpoint: usize) -> Self {
+        let ep = endpoint.to_string();
+        let cell = |name| metrics::global().owned_counter(name, &[("endpoint", &ep)]);
+        Self {
+            retransmits: cell("poseidon_retransmits_total"),
+            dups_dropped: cell("poseidon_dup_drops_total"),
+            nacks_sent: cell("poseidon_nacks_total"),
+            acks_sent: cell("poseidon_acks_total"),
+            probes_sent: cell("poseidon_probes_total"),
+            reorders_stashed: cell("poseidon_reorders_total"),
+        }
     }
 }
 
@@ -144,11 +150,6 @@ pub struct ReliableTransport<T: Transport> {
     cfg: ReliabilityConfig,
     state: Mutex<State>,
     stats: Arc<ReliabilityStats>,
-    /// Metrics-plane mirrors of the recovery counters, resolved once at
-    /// wrap time so repair actions record registry-free.
-    m_retransmits: crate::metrics::Counter,
-    m_nacks: crate::metrics::Counter,
-    m_dup_drops: crate::metrics::Counter,
 }
 
 impl<T: Transport> ReliableTransport<T> {
@@ -160,16 +161,11 @@ impl<T: Transport> ReliableTransport<T> {
             links_out: (0..n).map(|_| LinkOut::default()).collect(),
             links_in: (0..n).map(|_| LinkIn::default()).collect(),
         };
-        let ep = inner.endpoint_id().to_string();
-        let labels: [(&'static str, &str); 1] = [("endpoint", &ep)];
         Self {
-            m_retransmits: crate::metrics::counter("poseidon_retransmits_total", &labels),
-            m_nacks: crate::metrics::counter("poseidon_nacks_total", &labels),
-            m_dup_drops: crate::metrics::counter("poseidon_dup_drops_total", &labels),
+            stats: Arc::new(ReliabilityStats::new(inner.endpoint_id())),
             inner,
             cfg,
             state: Mutex::new(state),
-            stats: Arc::new(ReliabilityStats::default()),
         }
     }
 
@@ -203,8 +199,7 @@ impl<T: Transport> ReliableTransport<T> {
                     .map(|(s, m)| (*s, m.clone()))
                     .collect();
                 for (s, m) in resend {
-                    self.stats.retransmits.fetch_add(1, Ordering::Relaxed);
-                    self.m_retransmits.inc();
+                    self.stats.retransmits.inc();
                     telemetry::instant("retransmit", src as u64, s as u64);
                     // Best-effort: a send failure here means the link is
                     // down; the peer will nack again after its next probe.
@@ -222,19 +217,17 @@ impl<T: Transport> ReliableTransport<T> {
                 if env.seq < link.expect {
                     // Already delivered; the ack that should have stopped
                     // this duplicate may have been in flight. Re-ack.
-                    self.stats.dups_dropped.fetch_add(1, Ordering::Relaxed);
-                    self.m_dup_drops.inc();
+                    self.stats.dups_dropped.inc();
                     self.ack(src, link.expect);
                     return;
                 }
                 if env.seq > link.expect {
-                    self.stats.reorders_stashed.fetch_add(1, Ordering::Relaxed);
+                    self.stats.reorders_stashed.inc();
                     let expect = link.expect;
                     link.stash.insert(env.seq, env);
                     if link.last_nacked != expect {
                         link.last_nacked = expect;
-                        self.stats.nacks_sent.fetch_add(1, Ordering::Relaxed);
-                        self.m_nacks.inc();
+                        self.stats.nacks_sent.inc();
                         let _ = self.inner.send(
                             src,
                             Message::Nack {
@@ -259,7 +252,7 @@ impl<T: Transport> ReliableTransport<T> {
 
     /// Sends the cumulative ack `upto = expect - 1` to `src`.
     fn ack(&self, src: usize, expect: u32) {
-        self.stats.acks_sent.fetch_add(1, Ordering::Relaxed);
+        self.stats.acks_sent.inc();
         let _ = self.inner.send(
             src,
             Message::Ack {
@@ -274,7 +267,7 @@ impl<T: Transport> ReliableTransport<T> {
         for peer in 0..st.links_in.len() {
             let expect = st.links_in[peer].expect;
             st.links_in[peer].last_nacked = expect;
-            self.stats.probes_sent.fetch_add(1, Ordering::Relaxed);
+            self.stats.probes_sent.inc();
             let _ = self.inner.send(
                 peer,
                 Message::Nack {
@@ -383,11 +376,12 @@ impl<T: Transport> Transport for ReliableTransport<T> {
                 }
                 Err(TransportError::Timeout(mut diag)) => {
                     if Instant::now() >= deadline {
-                        // Surface this layer's repair effort on the verdict:
-                        // the inner transport cannot know its retransmit
-                        // count, so fill (or create) the link snapshot here.
+                        // The inner transport saw only its last slice: the
+                        // verdict states the caller's whole budget, and this
+                        // layer's repair effort, which only it counts.
+                        diag.waited = timeout;
                         diag.link.get_or_insert_with(Default::default).retransmits =
-                            self.stats.retransmits.load(Ordering::Relaxed);
+                            self.stats.retransmits.get();
                         return Err(TransportError::Timeout(diag));
                     }
                     let mut st = self.state.lock().expect("reliable state lock");
@@ -428,6 +422,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::ChaosReport;
     use crate::transport::fabric;
     use bytes::Bytes;
 
@@ -464,9 +459,9 @@ mod tests {
         // Pump the acks back into a's state machine.
         while a.try_recv().unwrap().is_some() {}
         assert!(a.drained(), "all five frames acknowledged");
-        assert_eq!(b.stats().acks_sent.load(Ordering::Relaxed), 5);
-        assert_eq!(a.stats().recovery_actions(), 0);
-        assert_eq!(b.stats().recovery_actions(), 0);
+        assert_eq!(b.stats().acks_sent.get(), 5);
+        assert_eq!(ChaosReport::from(&*a.stats()).recovery_actions(), 0);
+        assert_eq!(ChaosReport::from(&*b.stats()).recovery_actions(), 0);
     }
 
     #[test]
@@ -482,8 +477,8 @@ mod tests {
             let env = b.recv_timeout(Duration::from_secs(2)).unwrap();
             assert_eq!(env.msg.iter(), i, "delivery must be seq-ordered");
         }
-        assert_eq!(b.stats().reorders_stashed.load(Ordering::Relaxed), 2);
-        assert_eq!(b.stats().nacks_sent.load(Ordering::Relaxed), 1, "one gap");
+        assert_eq!(b.stats().reorders_stashed.get(), 2);
+        assert_eq!(b.stats().nacks_sent.get(), 1, "one gap");
         // The raw sender received that nack asking for seq 1.
         let nack = raw_a.recv().unwrap();
         assert!(matches!(nack.msg, Message::Nack { expect: 1 }));
@@ -506,7 +501,7 @@ mod tests {
             1
         );
         assert!(b.try_recv().unwrap().is_none(), "duplicate never delivered");
-        assert_eq!(b.stats().dups_dropped.load(Ordering::Relaxed), 1);
+        assert_eq!(b.stats().dups_dropped.get(), 1);
     }
 
     #[test]
@@ -526,7 +521,7 @@ mod tests {
         assert_eq!(f0.seq, 1);
         // a consumes ack + nack and retransmits seq 2.
         while a.try_recv().unwrap().is_some() {}
-        assert_eq!(a.stats().retransmits.load(Ordering::Relaxed), 1);
+        assert_eq!(a.stats().retransmits.get(), 1);
         let again = rb.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!(again.seq, 2);
         assert_eq!(again.msg.iter(), 1);
@@ -539,9 +534,55 @@ mod tests {
         let a = ReliableTransport::new(eps.remove(0), quick());
         let start = Instant::now();
         let err = a.recv_timeout(Duration::from_millis(90)).unwrap_err();
-        assert!(matches!(err, TransportError::Timeout(_)), "{err:?}");
+        let TransportError::Timeout(diag) = err else {
+            panic!("expected a timeout, got {err:?}");
+        };
         assert!(start.elapsed() < Duration::from_secs(2), "bounded");
+        // The verdict states the caller's budget, not the last probe slice.
+        assert_eq!(diag.waited, Duration::from_millis(90));
         // Three-ish slices expired, each probing the peer.
-        assert!(a.stats().probes_sent.load(Ordering::Relaxed) >= 2);
+        assert!(a.stats().probes_sent.get() >= 2);
+    }
+
+    /// Two meshes in one process share endpoint ids: each layer's stats
+    /// read its own repairs only, while the registry family sums them.
+    #[test]
+    fn stats_are_per_endpoint_while_families_sum() {
+        let retransmits = |snap: &crate::metrics::MetricsSnapshot| {
+            snap.value("poseidon_retransmits_total", &[("endpoint", "0")])
+                .unwrap_or(0)
+        };
+        let before = retransmits(&metrics::snapshot());
+
+        // The repairing pair: endpoint 1 plays a network that lost seq 2 and
+        // nacks for it.
+        let (mut eps, _) = fabric(2);
+        let raw = eps.remove(1);
+        let repairing = ReliableTransport::new(eps.remove(0), quick());
+        repairing.send(1, grad(0)).unwrap();
+        repairing.send(1, grad(1)).unwrap();
+        raw.send(0, Message::Nack { expect: 2 }).unwrap();
+        while repairing.try_recv().unwrap().is_some() {}
+
+        // The clean pair, same endpoint ids, on its own fabric.
+        let (mut eps, _) = fabric(2);
+        let b = ReliableTransport::new(eps.remove(1), quick());
+        let a = ReliableTransport::new(eps.remove(0), quick());
+        a.send(1, grad(0)).unwrap();
+        b.recv_timeout(Duration::from_secs(2)).unwrap();
+        while a.try_recv().unwrap().is_some() {}
+
+        assert_eq!(repairing.stats().retransmits.get(), 1);
+        assert_eq!(
+            a.stats().retransmits.get(),
+            0,
+            "the clean pair repaired nothing"
+        );
+        assert_eq!(ChaosReport::from(&*a.stats()).recovery_actions(), 0);
+        assert_eq!(ChaosReport::from(&*b.stats()).recovery_actions(), 0);
+        assert_eq!(b.stats().acks_sent.get(), 1);
+        let snap = metrics::snapshot();
+        assert!(retransmits(&snap) > before, "the family counts the repair");
+        assert!(snap.family("poseidon_acks_total").is_some());
     }
 }

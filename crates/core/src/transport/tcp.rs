@@ -200,8 +200,6 @@ struct Shared {
     /// Set by senders after enqueueing; the poller swaps it before sleeping
     /// and skips the sleep when work arrived in the gap.
     dirty: AtomicBool,
-    reaccepts: AtomicU64,
-    reconnects: AtomicU64,
     /// Frames queued across all links (timeout diagnostics).
     pending_frames: AtomicU64,
     /// Bytes queued across all links (timeout diagnostics).
@@ -210,12 +208,18 @@ struct Shared {
     last_ready: Mutex<Option<(usize, &'static str, Instant)>>,
     poller: sys::Poller,
     /// Metrics-plane handles, resolved once at connect so the frame paths
-    /// record registry-free: queue high-water gauges, the writev batch-size
-    /// distribution, and the reconnect counter.
+    /// record registry-free: queue high-water gauges and the writev
+    /// batch-size distribution.
     m_tx_queue_peak: metrics::Gauge,
     m_rx_queue_peak: metrics::Gauge,
     m_writev_batch: metrics::Histogram,
-    m_reconnects: metrics::Counter,
+    /// This endpoint's link-repair counts, owned registry cells: redials
+    /// that connected (`poseidon_reconnects_total`), re-dials of peers this
+    /// acceptor adopted (`poseidon_reaccepts_total`), and redial attempts
+    /// (`poseidon_redials_total`).
+    reconnected: metrics::Counter,
+    reaccepted: metrics::Counter,
+    redial_attempts: metrics::Counter,
     /// Base instant of the `last_tx_ns` stamp (elapsed ns + 1, so 0 means
     /// "never") — send-side link staleness for timeout diagnostics.
     started: Instant,
@@ -353,6 +357,8 @@ impl TcpTransport {
         let (inbox_tx, inbox) = channel();
         let poller = sys::Poller::new()
             .map_err(|e| TransportError::Handshake(format!("create poller: {e}")))?;
+        let ep = me.to_string();
+        let labels: [(&'static str, &str); 1] = [("endpoint", &ep)];
         let shared = Arc::new(Shared {
             core: EndpointCore::new(me, Arc::from(spec.node_of_endpoint.as_slice()), counters),
             spec: spec.clone(),
@@ -360,35 +366,26 @@ impl TcpTransport {
             adoptions: Mutex::new(Vec::new()),
             out_fds: (0..n).map(|_| Mutex::new(None)).collect(),
             gens: (0..n).map(|_| AtomicU32::new(1)).collect(),
-            gate: HelloGate::new(n),
+            gate: HelloGate::new(
+                n,
+                metrics::global().owned_counter("poseidon_dup_hellos_total", &labels),
+            ),
             reader_err: Mutex::new(None),
             inbox: Mutex::new(Some(inbox_tx)),
             delivered: AtomicU64::new(0),
             down: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
-            reaccepts: AtomicU64::new(0),
-            reconnects: AtomicU64::new(0),
             pending_frames: AtomicU64::new(0),
             pending_bytes: AtomicU64::new(0),
             last_ready: Mutex::new(None),
             poller,
-            m_tx_queue_peak: metrics::gauge(
-                "poseidon_tx_queue_peak_frames",
-                &[("endpoint", &me.to_string())],
-            ),
-            m_rx_queue_peak: metrics::gauge(
-                "poseidon_rx_queue_peak_frames",
-                &[("endpoint", &me.to_string())],
-            ),
-            m_writev_batch: metrics::histogram(
-                "poseidon_writev_batch_frames",
-                &[("endpoint", &me.to_string())],
-            ),
-            m_reconnects: metrics::counter(
-                "poseidon_reconnects_total",
-                &[("endpoint", &me.to_string())],
-            ),
+            m_tx_queue_peak: metrics::gauge("poseidon_tx_queue_peak_frames", &labels),
+            m_rx_queue_peak: metrics::gauge("poseidon_rx_queue_peak_frames", &labels),
+            m_writev_batch: metrics::histogram("poseidon_writev_batch_frames", &labels),
+            reconnected: metrics::global().owned_counter("poseidon_reconnects_total", &labels),
+            reaccepted: metrics::global().owned_counter("poseidon_reaccepts_total", &labels),
+            redial_attempts: metrics::global().owned_counter("poseidon_redials_total", &labels),
             started: Instant::now(),
             last_tx_ns: AtomicU64::new(0),
         });
@@ -459,25 +456,26 @@ impl TcpTransport {
 
     /// Successful outbound reconnects so far.
     pub fn reconnect_count(&self) -> u64 {
-        self.shared.reconnects.load(Ordering::Relaxed)
+        self.shared.reconnected.get()
     }
 
     /// Inbound streams re-accepted after the initial mesh.
     pub fn reaccept_count(&self) -> u64 {
-        self.shared.reaccepts.load(Ordering::Relaxed)
+        self.shared.reaccepted.get()
     }
 
     /// Duplicate/stale HELLOs the (peer, generation) gate rejected.
     pub fn dup_hello_count(&self) -> u64 {
-        self.shared.gate.dup_count()
+        self.shared.gate.dups.get()
     }
 
     /// What a failed receive should say. A reader that hit a protocol
     /// violation explains the silence better than "timeout" or "closed";
-    /// otherwise a timeout gains the context only this transport has: is
-    /// traffic stuck in our write queues, when did readiness last arrive,
-    /// and how stale is the link in each direction (retransmits are filled
-    /// in by the reliable layer, which owns that counter).
+    /// otherwise a timeout gains the context only this transport has: how
+    /// often the poller redialed, is traffic stuck in our write queues, when
+    /// did readiness last arrive, and how stale is the link in each
+    /// direction (retransmits are filled in by the reliable layer, which
+    /// owns that counter).
     fn enrich(&self, err: TransportError) -> TransportError {
         let shared = &self.shared;
         if let Some(e) = shared.reader_err.lock().expect("reader error lock").clone() {
@@ -486,6 +484,7 @@ impl TcpTransport {
         let TransportError::Timeout(mut diag) = err else {
             return err;
         };
+        diag.attempts = shared.redial_attempts.get();
         diag.link = Some(LinkHealth {
             queued_frames: shared.pending_frames.load(Ordering::Relaxed),
             queued_bytes: shared.pending_bytes.load(Ordering::Relaxed),
@@ -1162,7 +1161,7 @@ impl EventLoop {
             }
         };
         d.attempts += 1;
-        self.shared.core.note_attempt();
+        self.shared.redial_attempts.inc();
         let generation = self.shared.gens[peer].fetch_add(1, Ordering::Relaxed) + 1;
         let addr = self.shared.spec.addrs[peer];
         match net::dial_once(
@@ -1172,8 +1171,7 @@ impl EventLoop {
             REDIAL_ATTEMPT_TIMEOUT,
         ) {
             Ok(stream) => {
-                self.shared.reconnects.fetch_add(1, Ordering::Relaxed);
-                self.shared.m_reconnects.inc();
+                self.shared.reconnected.inc();
                 telemetry::instant("reconnect", peer as u64, d.attempts);
                 self.out[peer] = OutState::Up(stream);
                 self.wants_writable[peer] = false;
@@ -1493,8 +1491,7 @@ fn acceptor_loop(
                 if hello.peer >= shared.spec.node_of_endpoint.len() || !shared.gate.admit(hello) {
                     continue;
                 }
-                shared.reaccepts.fetch_add(1, Ordering::Relaxed);
-                shared.m_reconnects.inc();
+                shared.reaccepted.inc();
                 telemetry::instant("reconnect.accept", hello.peer as u64, 0);
                 shared
                     .adoptions
@@ -1582,6 +1579,9 @@ mod tests {
                     std::thread::sleep(Duration::from_millis(5));
                 }
                 assert_eq!(ep.reconnect_count(), 1, "exactly one reconnect");
+                let snap = metrics::snapshot();
+                let dialer = snap.value("poseidon_reconnects_total", &[("endpoint", "0")]);
+                assert!(dialer >= Some(1), "the family counts the redial");
             } else {
                 let mut iters = Vec::new();
                 while iters.len() < 2 {
@@ -1593,6 +1593,9 @@ mod tests {
                 iters.sort_unstable();
                 assert_eq!(iters, vec![0, 1]);
                 assert_eq!(ep.reaccept_count(), 1, "acceptor adopted the redial");
+                let snap = metrics::snapshot();
+                let acceptor = snap.value("poseidon_reaccepts_total", &[("endpoint", "1")]);
+                assert!(acceptor >= Some(1), "the family counts the re-accept");
             }
             ep.shutdown().unwrap();
         });

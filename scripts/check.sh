@@ -110,8 +110,9 @@ test -n "$ONEBIT_HEX" && test "$ONEBIT_HEX" != "$PS_HEX" \
 echo "== chaos smoke: scripted faults heal bitwise over TCP =="
 # The chaos plane through the public launcher: --fault-plan reaches every
 # process's run_endpoint, which wraps its socket endpoint as
-# Reliable(Faulty(tcp)). Faults must fire and be repaired, and the replicas
-# must equal the fault-free PS run's.
+# Reliable(Faulty(tcp)). Faults must fire and be repaired — each child's
+# repair counts travel through its report lines into the launcher's total —
+# and the replicas must equal the fault-free PS run's.
 PORT=$((PORT + 1000))
 timeout 300 cargo run -q --release -p poseidon-bench --bin poseidon-node -- \
     --workers 2 --iters 4 --policy ps --base-port "$PORT" \
@@ -120,14 +121,18 @@ timeout 300 cargo run -q --release -p poseidon-bench --bin poseidon-node -- \
 grep -q "replicas=bitwise-identical" "$SMOKE/chaos.txt"
 grep -q "faults_fired_total=[1-9]" "$SMOKE/chaos.txt" \
     || { echo "--fault-plan fired no fault; chaos plane inert"; exit 1; }
+grep -q "recovery_actions_total=[1-9]" "$SMOKE/chaos.txt" \
+    || { echo "the launcher reports no repair; recovery counts lost"; exit 1; }
 CHAOS_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/chaos.txt" | head -1)
 test -n "$CHAOS_HEX" && test "$CHAOS_HEX" = "$PS_HEX" \
     || { echo "chaos replicas differ from the fault-free PS run"; exit 1; }
 
 echo "== metrics bench: record-path and end-to-end overhead (printed) =="
-# The on/off numbers of the always-on metrics plane. Printed, not gated: on
-# this class of host the on/off ratio of alternated runs spreads about ±10%,
-# wider than the 2% budget it would gate.
+# The always-on metrics plane's record cost — a counter add, and gauges and
+# histograms with the gate on and off (counters have no off path) — and the
+# on/off end-to-end overhead. Printed, not gated: on this class of host the
+# on/off ratio of alternated runs spreads about ±10%, wider than the 2%
+# budget it would gate.
 timeout 300 cargo run -q --release -p poseidon-bench --bin metrics_bench
 
 echo "== elastic smoke: reconfiguration is bitwise-invisible =="
