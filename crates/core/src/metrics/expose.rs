@@ -103,31 +103,39 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// How often the listener thread polls its stop flag between accepts.
+/// How often a responder's thread polls its stop flag between accepts.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
-/// A pull-based metrics endpoint: binds `addr`, spawns one listener thread,
-/// and answers every HTTP request with the global registry rendered as
-/// Prometheus text. Dropping the server stops the thread.
-pub struct MetricsServer {
+/// A one-thread TCP responder: binds an address and hands every accepted
+/// connection to its handler, inline and in arrival order — requests are
+/// rare and bounded, and one thread keeps the footprint fixed. Dropping it
+/// stops the thread and releases the port. The metrics scrape endpoint and
+/// the serving front door are its two handlers.
+pub(crate) struct Responder {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl MetricsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9100"`) and starts serving scrapes of
-    /// the global registry.
-    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
+impl Responder {
+    /// Binds `addr` and answers each connection with `handle` on a thread
+    /// named `"{name} {addr}"`.
+    pub(crate) fn serve(
+        addr: &str,
+        name: &str,
+        handle: impl Fn(TcpStream) + Send + 'static,
+    ) -> std::io::Result<Responder> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name(format!("metrics {addr}"))
-            .spawn(move || listen_loop(listener, &stop2))?;
-        Ok(MetricsServer {
+        let thread = {
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name(format!("{name} {addr}"))
+                .spawn(move || listen_loop(&listener, &stop, handle))?
+        };
+        Ok(Responder {
             addr,
             stop,
             thread: Some(thread),
@@ -135,12 +143,12 @@ impl MetricsServer {
     }
 
     /// The bound address (exact port when `serve` was given port 0).
-    pub fn addr(&self) -> SocketAddr {
+    pub(crate) fn addr(&self) -> SocketAddr {
         self.addr
     }
 }
 
-impl Drop for MetricsServer {
+impl Drop for Responder {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
@@ -149,19 +157,33 @@ impl Drop for MetricsServer {
     }
 }
 
-fn listen_loop(listener: TcpListener, stop: &AtomicBool) {
+fn listen_loop(listener: &TcpListener, stop: &AtomicBool, handle: impl Fn(TcpStream)) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
-            Ok((stream, _)) => {
-                // Serve inline: scrapes are rare and cheap, and one thread
-                // keeps the responder's footprint fixed.
-                let _ = answer(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
+            Ok((stream, _)) => handle(stream),
             Err(_) => std::thread::sleep(ACCEPT_POLL),
         }
+    }
+}
+
+/// A pull-based metrics endpoint: binds `addr`, spawns one listener thread,
+/// and answers every HTTP request with the global registry rendered as
+/// Prometheus text. Dropping the server stops the thread.
+pub struct MetricsServer(Responder);
+
+impl MetricsServer {
+    /// Binds `addr` (e.g. `"127.0.0.1:9100"`) and starts serving scrapes of
+    /// the global registry.
+    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
+        Responder::serve(addr, "metrics", |stream| {
+            let _ = answer(stream);
+        })
+        .map(MetricsServer)
+    }
+
+    /// The bound address (exact port when `serve` was given port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.0.addr()
     }
 }
 

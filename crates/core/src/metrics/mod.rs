@@ -50,9 +50,10 @@
 //! `poseidon_{tx,rx}_{frames,bytes}_total{endpoint,peer}`; per `{endpoint}`
 //! `poseidon_{tx,rx}_queue_peak_frames`, `poseidon_writev_batch_frames`,
 //! `poseidon_reconnects_total` (o, re-dials that connected),
-//! `poseidon_reaccepts_total` (o, re-dials the acceptor adopted),
+//! `poseidon_reaccepts_total` (o, HELLOs admitted after the initial mesh),
 //! `poseidon_redials_total` (o, redial attempts), `poseidon_dup_hellos_total`
-//! (o), `poseidon_dial_retries_total` (initial mesh);
+//! (o), `poseidon_bad_hellos_total` (o, malformed, cut short, overdue or
+//! over the waiting cap), `poseidon_dial_retries_total` (initial mesh);
 //! `poseidon_stale_epoch_frames_total`. Reliability, (o) `{endpoint}`:
 //! `poseidon_{retransmits,dup_drops,nacks,acks,probes,reorders}_total`.
 //! Codec: `poseidon_codec_bytes_{pre,post}_total{codec}`. Pool:

@@ -24,9 +24,9 @@
 //! carry `n = k = 0`.
 
 use crate::metrics;
+use crate::metrics::expose::Responder;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -105,72 +105,33 @@ pub struct ServeReply {
     pub k: usize,
 }
 
-/// How often the listener thread polls its stop flag between accepts.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 /// Per-connection socket timeout.
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The inference front door: binds an address, spawns one listener thread,
 /// and answers every request against the cell's current snapshot. Dropping
 /// the server stops the thread and releases the port.
-pub struct ServingServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
+pub struct ServingServer(Responder);
 
 impl ServingServer {
     /// Binds `addr` (e.g. `"127.0.0.1:0"`) and starts answering requests
-    /// with `infer` applied to `cell`'s latest snapshot.
+    /// with `infer` applied to `cell`'s latest snapshot. One request per
+    /// connection with bounded sizes, served inline, keeps the front door's
+    /// interference with training predictable.
     pub fn serve(
         addr: &str,
         cell: Arc<SnapshotCell>,
         infer: Arc<InferFn>,
     ) -> std::io::Result<ServingServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name(format!("serving {addr}"))
-            .spawn(move || listen_loop(listener, &stop2, &cell, infer.as_ref()))?;
-        Ok(ServingServer {
-            addr,
-            stop,
-            thread: Some(thread),
+        Responder::serve(addr, "serving", move |stream| {
+            let _ = answer(stream, &cell, infer.as_ref());
         })
+        .map(ServingServer)
     }
 
     /// The bound address (exact port when `serve` was given port 0).
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-}
-
-impl Drop for ServingServer {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn listen_loop(listener: TcpListener, stop: &AtomicBool, cell: &SnapshotCell, infer: &InferFn) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // Serve inline: one request per connection, bounded sizes.
-                // A single thread keeps the front door's footprint fixed and
-                // its interference with training predictable.
-                let _ = answer(stream, cell, infer);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
+        self.0.addr()
     }
 }
 
@@ -307,6 +268,7 @@ pub fn query(addr: &str, n: usize, d: usize, inputs: &[f32]) -> std::io::Result<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     /// A toy "model": output k=1, each row's output = dot(row, params[..d]).
     fn dot_infer() -> Arc<InferFn> {

@@ -208,7 +208,7 @@ impl Message {
     }
 
     /// The payload bytes the frame for this message carries (empty for
-    /// control frames). Pairs with [`wire::encode_header_seq`] so the
+    /// control frames). Pairs with [`wire::encode_header_stamped`] so the
     /// vectored write path can ship header and payload as two `IoSlice`s
     /// without materialising the frame.
     pub fn payload(&self) -> &Bytes {

@@ -1,5 +1,5 @@
 //! Socket plumbing of the TCP transport: the fabric spec, the connection
-//! HELLO, and the dial/accept helpers.
+//! HELLO, and the dial helpers.
 //!
 //! [`TcpTransport`](super::TcpTransport) builds a full mesh of
 //! *unidirectional* connections: endpoint `a` dials `b` and uses that stream
@@ -15,17 +15,16 @@
 //!               incremented on every redial attempt)
 //! ```
 //!
-//! The generation makes acceptor-side registration *idempotent per
-//! (peer, generation)*: a peer that redials while its old stream is still
-//! draining — or whose HELLO gets duplicated by a dial race — cannot install
-//! two live readers. The acceptor adopts a stream only when its generation
-//! is strictly newer than the last one adopted for that peer.
+//! The accepting poller parses it ([`validate_hello`]) and passes it through
+//! its [`HelloGate`], which makes registration *idempotent per (peer,
+//! generation)*: a redial racing its old stream's teardown, or a HELLO
+//! duplicated by a dial race, cannot install two live readers.
 
 use super::{Backoff, TransportError};
 use crate::metrics::{self, Counter};
 use crate::telemetry;
 use crate::wire::FRAME_VERSION;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -33,9 +32,6 @@ use std::time::{Duration, Instant};
 pub(crate) const HELLO_MAGIC: u32 = 0x5053_444E;
 /// Size of the HELLO preamble every dial writes.
 pub(crate) const HELLO_BYTES: usize = 16;
-
-/// Poll interval of a persistent acceptor between nonblocking accepts.
-pub(crate) const ACCEPT_POLL: Duration = Duration::from_millis(5);
 
 /// Static description of a TCP fabric: where every endpoint listens and
 /// which physical node it lives on. All participants must construct the
@@ -111,6 +107,16 @@ pub(crate) struct Hello {
     pub generation: u32,
 }
 
+/// The HELLO endpoint `me` opens connection `generation` with.
+pub(crate) fn hello_bytes(me: usize, generation: u32) -> [u8; HELLO_BYTES] {
+    let mut hello = [0u8; HELLO_BYTES];
+    hello[0..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
+    hello[4..8].copy_from_slice(&(FRAME_VERSION as u32).to_le_bytes());
+    hello[8..12].copy_from_slice(&(me as u32).to_le_bytes());
+    hello[12..16].copy_from_slice(&generation.to_le_bytes());
+    hello
+}
+
 /// One connect + HELLO attempt. An error anywhere (refused, reset mid-HELLO)
 /// means "try again later".
 pub(crate) fn dial_once(
@@ -121,12 +127,7 @@ pub(crate) fn dial_once(
 ) -> std::io::Result<TcpStream> {
     let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
     stream.set_nodelay(true)?;
-    let mut hello = [0u8; HELLO_BYTES];
-    hello[0..4].copy_from_slice(&HELLO_MAGIC.to_le_bytes());
-    hello[4..8].copy_from_slice(&(FRAME_VERSION as u32).to_le_bytes());
-    hello[8..12].copy_from_slice(&(me as u32).to_le_bytes());
-    hello[12..16].copy_from_slice(&generation.to_le_bytes());
-    stream.write_all(&hello)?;
+    stream.write_all(&hello_bytes(me, generation))?;
     Ok(stream)
 }
 
@@ -165,51 +166,30 @@ pub(crate) fn dial(
     }
 }
 
-/// Validates one inbound HELLO; returns the peer endpoint id and generation.
-pub(crate) fn validate_hello(stream: &mut TcpStream, me: usize) -> Result<Hello, TransportError> {
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .map_err(|e| TransportError::Handshake(format!("read timeout: {e}")))?;
-    let mut hello = [0u8; HELLO_BYTES];
-    stream
-        .read_exact(&mut hello)
-        .map_err(|e| TransportError::Handshake(format!("read hello: {e}")))?;
-    let magic = u32::from_le_bytes(hello[0..4].try_into().expect("4 bytes"));
-    let version = u32::from_le_bytes(hello[4..8].try_into().expect("4 bytes"));
-    let peer = u32::from_le_bytes(hello[8..12].try_into().expect("4 bytes")) as usize;
-    let generation = u32::from_le_bytes(hello[12..16].try_into().expect("4 bytes"));
-    if magic != HELLO_MAGIC {
-        return Err(TransportError::Handshake(format!(
-            "bad hello magic {magic:#010x}"
-        )));
-    }
-    if version != FRAME_VERSION as u32 {
-        return Err(TransportError::Handshake(format!(
-            "peer speaks wire version {version}, we speak {FRAME_VERSION}"
-        )));
-    }
-    if peer == me {
-        return Err(TransportError::Handshake(format!(
-            "self hello from endpoint {peer}"
-        )));
-    }
-    stream
-        .set_read_timeout(None)
-        .map_err(|e| TransportError::Handshake(format!("clear timeout: {e}")))?;
-    stream
-        .set_nodelay(true)
-        .map_err(|e| TransportError::Handshake(format!("nodelay: {e}")))?;
-    Ok(Hello { peer, generation })
+/// Parses one inbound HELLO for endpoint `me` of a fabric of `endpoints`:
+/// the magic, our wire version, and a dialer id in range that is not our
+/// own. `None` rejects it.
+pub(crate) fn validate_hello(
+    hello: &[u8; HELLO_BYTES],
+    me: usize,
+    endpoints: usize,
+) -> Option<Hello> {
+    let word = |at: usize| u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"));
+    let peer = word(8) as usize;
+    (word(0) == HELLO_MAGIC && word(4) == FRAME_VERSION as u32 && peer < endpoints && peer != me)
+        .then(|| Hello {
+            peer,
+            generation: word(12),
+        })
 }
 
-/// Tracks the newest connection generation adopted per peer, making stream
-/// registration idempotent: [`admit`](HelloGate::admit) accepts a HELLO only
-/// if its generation is strictly newer than the last admitted one for that
-/// peer. Duplicate HELLOs (a dial race, or a redial racing its old stream's
-/// teardown) are counted in `dups` and dropped.
+/// The poller's record of the newest connection generation admitted per
+/// peer: [`admit`](HelloGate::admit) accepts a HELLO only if its generation
+/// is strictly newer than the last admitted one for that peer, and counts
+/// the rest in `dups`.
 #[derive(Debug)]
 pub(crate) struct HelloGate {
-    last_gen: std::sync::Mutex<Vec<u32>>,
+    last_gen: Vec<u32>,
     pub dups: Counter,
 }
 
@@ -217,15 +197,20 @@ impl HelloGate {
     /// A gate for `n` peers, none yet admitted, counting rejects in `dups`.
     pub fn new(n: usize, dups: Counter) -> Self {
         Self {
-            last_gen: std::sync::Mutex::new(vec![0; n]),
+            last_gen: vec![0; n],
             dups,
         }
     }
 
+    /// Whether a HELLO from `peer` has been admitted yet.
+    pub fn heard(&self, peer: usize) -> bool {
+        self.last_gen[peer] > 0
+    }
+
     /// Admits `hello` if its generation is newer than anything seen from
     /// that peer; counts and rejects it otherwise.
-    pub fn admit(&self, hello: Hello) -> bool {
-        let mut last = self.last_gen.lock().expect("hello gate lock");
+    pub fn admit(&mut self, hello: Hello) -> bool {
+        let last = &mut self.last_gen;
         if hello.peer >= last.len() || hello.generation <= last[hello.peer] {
             self.dups.inc();
             return false;
@@ -241,7 +226,7 @@ mod tests {
 
     #[test]
     fn hello_gate_is_idempotent_per_peer_generation() {
-        let gate = HelloGate::new(3, Counter::new());
+        let mut gate = HelloGate::new(3, Counter::new());
         let h = |peer, generation| Hello { peer, generation };
         assert!(gate.admit(h(1, 1)), "first generation admitted");
         assert!(!gate.admit(h(1, 1)), "duplicate HELLO rejected");
@@ -250,5 +235,19 @@ mod tests {
         assert!(gate.admit(h(2, 5)), "peers are independent");
         assert!(!gate.admit(h(7, 1)), "out-of-range peer rejected");
         assert_eq!(gate.dups.get(), 3);
+        assert!(gate.heard(1) && !gate.heard(0), "only admitted peers heard");
+    }
+
+    #[test]
+    fn hello_parse_rejects_magic_version_range_and_self() {
+        let parsed = validate_hello(&hello_bytes(2, 9), 0, 3).expect("a valid HELLO");
+        assert_eq!((parsed.peer, parsed.generation), (2, 9));
+        assert!(validate_hello(&hello_bytes(0, 1), 0, 3).is_none(), "self");
+        assert!(validate_hello(&hello_bytes(3, 1), 0, 3).is_none(), "range");
+        for at in [0, 4] {
+            let mut bad = hello_bytes(1, 1);
+            bad[at] ^= 0xFF;
+            assert!(validate_hello(&bad, 0, 3).is_none(), "byte {at}");
+        }
     }
 }

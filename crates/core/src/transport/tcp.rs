@@ -2,10 +2,14 @@
 //! every peer socket in nonblocking mode.
 //!
 //! This is the zero-copy core of the comm plane (DESIGN.md §2.4). It runs
-//! exactly **two** threads regardless of fabric size — an acceptor and a
-//! poller, never one per peer — and moves payload bytes without intermediate
-//! copies:
+//! exactly **one** thread regardless of fabric size — the poller, never one
+//! per peer — and moves payload bytes without intermediate copies:
 //!
+//! * **Accept path**: the listener is one more socket in the readiness set.
+//!   An accepted connection holds only its 16-byte HELLO until the poller's
+//!   [`HelloGate`] admits it; the HELLO is read without blocking, and a bad
+//!   one (malformed, overdue after [`HELLO_TIMEOUT`], or the oldest past
+//!   [`MAX_PENDING_HELLOS`] waiting) is dropped and counted, never fatal.
 //! * **Send path**: `send_seq` encodes only the fixed 32-byte header
 //!   ([`encode_header_stamped`]) and enqueues `(header, payload Bytes)` on the
 //!   destination link's coalescing queue, waking the poller only if it
@@ -25,7 +29,7 @@
 //!   payload `Bytes` included, pushed straight into its inbox through the
 //!   poller's own delivery routine — the receiver reads the sender's buffer.
 //!   Peers find each other in a process-wide registry keyed by the bound
-//!   listening address, unique among live endpoints because the acceptor
+//!   listening address, unique among live endpoints because the poller
 //!   holds the listener for the endpoint's whole life. An endpoint registers
 //!   before its first dial, resolves its co-resident peers once the initial
 //!   mesh is up (each has registered by then, because it dialed us; its
@@ -58,7 +62,7 @@
 //! (same physical node) frames are never counted; between two processes on
 //! one node they still cross a socket.
 
-use super::net::{self, Hello, HelloGate, TcpFabricSpec, ACCEPT_POLL};
+use super::net::{self, HelloGate, TcpFabricSpec, HELLO_BYTES};
 use super::sys;
 use super::{
     Backoff, EndpointCore, Envelope, LinkHealth, Message, TrafficCounters, Transport,
@@ -73,10 +77,10 @@ use std::collections::VecDeque;
 use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread::JoinHandle;
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 /// Per-connection staging buffer for inbound frame reassembly. Any frame
@@ -113,9 +117,19 @@ const REDIAL_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Budget for flushing live queues during shutdown before FIN.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
 
+/// How long an accepted connection may take to deliver its whole HELLO.
+const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Accepted connections that may wait for their HELLO at once; a new one
+/// over the cap closes the oldest.
+const MAX_PENDING_HELLOS: usize = 16;
+
 /// Poll-token namespace for inbound connections; outbound links use their
 /// peer index directly (always `< 2^32` endpoints).
 const INBOUND_BASE: u64 = 1 << 32;
+
+/// Poll token of the listening socket.
+const LISTEN_TOKEN: u64 = sys::Poller::WAKE_TOKEN - 1;
 
 /// One frame awaiting (or mid-way through) its vectored write. `written`
 /// counts bytes already on the socket, possibly reaching into the payload.
@@ -167,9 +181,9 @@ impl LinkShared {
     }
 }
 
-/// State shared between the transport handle, the acceptor, and the poller.
-/// Owns the [`sys::Poller`] so its waker fd stays valid for as long as any
-/// sender might signal it.
+/// State shared between the transport handle and the poller. Owns the
+/// [`sys::Poller`] so its waker fd stays valid for as long as any sender
+/// might signal it.
 struct Shared {
     /// Identity, ledgers, epoch fence and last-frame tracker — everything
     /// that is not specific to sockets.
@@ -177,15 +191,13 @@ struct Shared {
     spec: TcpFabricSpec,
     /// Write queue per peer (`None` for our own slot).
     links: Vec<Option<LinkShared>>,
-    /// Streams the acceptor validated and gated, awaiting poller adoption.
-    adoptions: Mutex<Vec<(Hello, TcpStream)>>,
     /// Raw fd of each live outbound socket, for the synchronous
     /// `sever_link`. The poller clears a slot *before* dropping the stream,
     /// so a sever can never hit a reused descriptor.
     out_fds: Vec<Mutex<Option<RawFd>>>,
-    /// Connection generation per peer, bumped on every redial attempt.
-    gens: Vec<AtomicU32>,
-    gate: HelloGate,
+    /// Peers none of whose HELLOs the poller has admitted yet; `connect`
+    /// returns once this reaches zero, and the initial mesh is up.
+    unheard: AtomicUsize,
     reader_err: Mutex<Option<TransportError>>,
     /// The inbox's only sender, shared by the poller and co-resident
     /// senders; `None` from shutdown on, which closes the inbox.
@@ -213,13 +225,13 @@ struct Shared {
     m_tx_queue_peak: metrics::Gauge,
     m_rx_queue_peak: metrics::Gauge,
     m_writev_batch: metrics::Histogram,
-    /// This endpoint's link-repair counts, owned registry cells: redials
-    /// that connected (`poseidon_reconnects_total`), re-dials of peers this
-    /// acceptor adopted (`poseidon_reaccepts_total`), and redial attempts
-    /// (`poseidon_redials_total`).
+    /// This endpoint's link-repair counts, owned registry cells:
+    /// `poseidon_{reconnects,reaccepts,redials,dup_hellos,bad_hellos}_total`.
     reconnected: metrics::Counter,
     reaccepted: metrics::Counter,
     redial_attempts: metrics::Counter,
+    dup_hellos: metrics::Counter,
+    bad_hellos: metrics::Counter,
     /// Base instant of the `last_tx_ns` stamp (elapsed ns + 1, so 0 means
     /// "never") — send-side link staleness for timeout diagnostics.
     started: Instant,
@@ -311,8 +323,8 @@ fn resolve_coresident(shared: &Arc<Shared>) -> Vec<Option<Weak<Shared>>> {
 
 /// A TCP transport endpoint driven by a single readiness event loop.
 ///
-/// Thread budget is O(1) in fabric size: one persistent acceptor plus one
-/// poller, whatever `endpoints()` says — never a thread per inbound peer.
+/// Thread budget is O(1) in fabric size: one poller, whatever `endpoints()`
+/// says — never a thread per peer.
 pub struct TcpTransport {
     shared: Arc<Shared>,
     /// Per peer, the co-resident endpoint its frames are handed to in
@@ -321,7 +333,6 @@ pub struct TcpTransport {
     /// Our registry entry; withdrawn first thing on shutdown or drop.
     registration: Option<Registration>,
     inbox: Receiver<Envelope>,
-    acceptor: Option<JoinHandle<()>>,
     poller_thread: Option<JoinHandle<()>>,
     down: bool,
 }
@@ -354,22 +365,21 @@ impl TcpTransport {
         let counters = shared_counters
             .unwrap_or_else(|| Arc::new(TrafficCounters::new(spec.physical_nodes())));
 
+        listener
+            .set_nonblocking(true)
+            .map_err(|e| TransportError::Handshake(format!("nonblocking listener: {e}")))?;
         let (inbox_tx, inbox) = channel();
         let poller = sys::Poller::new()
             .map_err(|e| TransportError::Handshake(format!("create poller: {e}")))?;
         let ep = me.to_string();
         let labels: [(&'static str, &str); 1] = [("endpoint", &ep)];
+        let owned = |name| metrics::global().owned_counter(name, &labels);
         let shared = Arc::new(Shared {
             core: EndpointCore::new(me, Arc::from(spec.node_of_endpoint.as_slice()), counters),
             spec: spec.clone(),
             links: (0..n).map(|i| (i != me).then(LinkShared::new)).collect(),
-            adoptions: Mutex::new(Vec::new()),
             out_fds: (0..n).map(|_| Mutex::new(None)).collect(),
-            gens: (0..n).map(|_| AtomicU32::new(1)).collect(),
-            gate: HelloGate::new(
-                n,
-                metrics::global().owned_counter("poseidon_dup_hellos_total", &labels),
-            ),
+            unheard: AtomicUsize::new(n - 1),
             reader_err: Mutex::new(None),
             inbox: Mutex::new(Some(inbox_tx)),
             delivered: AtomicU64::new(0),
@@ -383,9 +393,11 @@ impl TcpTransport {
             m_tx_queue_peak: metrics::gauge("poseidon_tx_queue_peak_frames", &labels),
             m_rx_queue_peak: metrics::gauge("poseidon_rx_queue_peak_frames", &labels),
             m_writev_batch: metrics::histogram("poseidon_writev_batch_frames", &labels),
-            reconnected: metrics::global().owned_counter("poseidon_reconnects_total", &labels),
-            reaccepted: metrics::global().owned_counter("poseidon_reaccepts_total", &labels),
-            redial_attempts: metrics::global().owned_counter("poseidon_redials_total", &labels),
+            reconnected: owned("poseidon_reconnects_total"),
+            reaccepted: owned("poseidon_reaccepts_total"),
+            redial_attempts: owned("poseidon_redials_total"),
+            dup_hellos: owned("poseidon_dup_hellos_total"),
+            bad_hellos: owned("poseidon_bad_hellos_total"),
             started: Instant::now(),
             last_tx_ns: AtomicU64::new(0),
         });
@@ -397,37 +409,13 @@ impl TcpTransport {
             .ok()
             .map(|addr| Registration::new(addr, &shared));
 
-        // The acceptor accepts the initial mesh (reported through `init_tx`)
-        // and then *keeps accepting* for the life of the endpoint, gating
-        // every HELLO and queueing adopted streams for the poller.
-        let (init_tx, init_rx) = channel();
-        let acceptor = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || acceptor_loop(listener, &shared, init_tx, deadline))
-        };
-
+        // Our listener is bound, so while we dial, the kernel completes our
+        // peers' inbound handshakes and buffers their HELLOs until the
+        // poller accepts them.
         let mut out_streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        let mut dial_err = None;
         for peer in (0..n).filter(|&p| p != me) {
-            match net::dial(spec, me, peer, deadline) {
-                Ok(stream) => out_streams[peer] = Some(stream),
-                Err(e) => {
-                    dial_err = Some(e);
-                    break;
-                }
-            }
+            out_streams[peer] = Some(net::dial(spec, me, peer, deadline)?);
         }
-        if let Some(e) = dial_err {
-            drop(registration);
-            shared.down.store(true, Ordering::SeqCst);
-            let _ = acceptor.join();
-            return Err(e);
-        }
-
-        let accepted = init_rx
-            .recv()
-            .map_err(|_| TransportError::Handshake("acceptor thread panicked".into()))??;
-        let coresident = resolve_coresident(&shared);
 
         // Publish the outbound fds *before* the poller exists: `sever_link`
         // consults these slots and may run the instant `connect` returns — it
@@ -440,18 +428,32 @@ impl TcpTransport {
 
         let poller_thread = {
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || EventLoop::new(shared, out_streams, accepted).run())
+            let connector = std::thread::current();
+            std::thread::spawn(move || {
+                EventLoop::new(shared, listener, out_streams, connector).run()
+            })
         };
-
-        Ok(Self {
+        let mut ep = Self {
             shared,
-            coresident,
+            coresident: Vec::new(),
             registration,
             inbox,
-            acceptor: Some(acceptor),
             poller_thread: Some(poller_thread),
             down: false,
-        })
+        };
+
+        // The poller unparks us once every peer's first HELLO is admitted.
+        while ep.shared.unheard.load(Ordering::SeqCst) > 0 {
+            let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
+                let heard = n - 1 - ep.shared.unheard.load(Ordering::SeqCst);
+                let _ = ep.shutdown();
+                let why = format!("endpoint {me}: heard {heard} of {} peers by timeout", n - 1);
+                return Err(TransportError::Handshake(why));
+            };
+            std::thread::park_timeout(wait);
+        }
+        ep.coresident = resolve_coresident(&ep.shared);
+        Ok(ep)
     }
 
     /// Successful outbound reconnects so far.
@@ -459,14 +461,14 @@ impl TcpTransport {
         self.shared.reconnected.get()
     }
 
-    /// Inbound streams re-accepted after the initial mesh.
+    /// Inbound streams admitted after the initial mesh.
     pub fn reaccept_count(&self) -> u64 {
         self.shared.reaccepted.get()
     }
 
     /// Duplicate/stale HELLOs the (peer, generation) gate rejected.
     pub fn dup_hello_count(&self) -> u64 {
-        self.shared.gate.dups.get()
+        self.shared.dup_hellos.get()
     }
 
     /// What a failed receive should say. A reader that hit a protocol
@@ -660,21 +662,11 @@ impl Transport for TcpTransport {
     }
 
     fn shutdown(&mut self) -> Result<(), TransportError> {
-        if self.down {
+        if !self.signal_down() {
             return Ok(());
         }
-        self.down = true;
-        self.registration = None;
-        self.shared.down.store(true, Ordering::SeqCst);
-        // Unblock senders stuck in backpressure, then the poller itself; it
-        // drains live queues (bounded by DRAIN_BUDGET), FINs, and exits.
-        for link in self.shared.links.iter().flatten() {
-            link.space.notify_all();
-        }
-        self.shared.poller.waker().wake();
-        if let Some(handle) = self.acceptor.take() {
-            let _ = handle.join();
-        }
+        // The poller drains live queues (bounded by DRAIN_BUDGET), FINs, and
+        // exits.
         if let Some(handle) = self.poller_thread.take() {
             let _ = handle.join();
         }
@@ -684,19 +676,28 @@ impl Transport for TcpTransport {
     }
 }
 
+impl TcpTransport {
+    /// Withdraws our registry entry, then unblocks senders stuck in
+    /// backpressure and the poller itself. `false` if already done.
+    fn signal_down(&mut self) -> bool {
+        if std::mem::replace(&mut self.down, true) {
+            return false;
+        }
+        self.registration = None;
+        self.shared.down.store(true, Ordering::SeqCst);
+        for link in self.shared.links.iter().flatten() {
+            link.space.notify_all();
+        }
+        self.shared.poller.waker().wake();
+        true
+    }
+}
+
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        if !self.down {
-            // Best-effort teardown on panic paths: signal both threads but
-            // do not block joining them.
-            self.down = true;
-            self.registration = None;
-            self.shared.down.store(true, Ordering::SeqCst);
-            for link in self.shared.links.iter().flatten() {
-                link.space.notify_all();
-            }
-            self.shared.poller.waker().wake();
-        }
+        // Best-effort teardown on panic paths: signal the poller but do not
+        // block joining it.
+        self.signal_down();
     }
 }
 
@@ -748,7 +749,33 @@ struct DirectRead {
     have: usize,
 }
 
-/// One inbound connection and its reassembly state.
+/// One accepted connection: its HELLO being read, then the admitted peer's
+/// frames.
+enum Inbound {
+    Hello(HelloConn),
+    Frames(InConn),
+}
+
+impl Inbound {
+    fn stream(&self) -> &TcpStream {
+        match self {
+            Inbound::Hello(h) => &h.stream,
+            Inbound::Frames(c) => &c.stream,
+        }
+    }
+}
+
+/// An accepted connection whose HELLO is still arriving. It holds only the
+/// HELLO's bytes: the staging buffer comes with admission.
+struct HelloConn {
+    stream: TcpStream,
+    hello: [u8; HELLO_BYTES],
+    have: usize,
+    /// Past this instant the HELLO is bad and the connection closes.
+    deadline: Instant,
+}
+
+/// One admitted inbound connection and its reassembly state.
 struct InConn {
     stream: TcpStream,
     peer: usize,
@@ -767,25 +794,41 @@ enum Close {
     Poison(crate::wire::FrameError),
 }
 
-/// The poller: owns every socket, services readiness, flushes queues, and
-/// runs the per-link redial state machine.
+/// The poller: owns the listener and every socket, admits HELLOs, services
+/// readiness, flushes queues, and runs the per-link redial state machine.
 struct EventLoop {
     shared: Arc<Shared>,
+    listener: TcpListener,
+    gate: HelloGate,
+    /// Our connection generation per peer, bumped on every redial attempt.
+    gens: Vec<u32>,
+    /// The thread blocked in `connect`, unparked once every peer is heard.
+    connector: Thread,
     out: Vec<OutState>,
     /// Whether EPOLLOUT interest is currently registered per link.
     wants_writable: Vec<bool>,
-    conns: Vec<Option<InConn>>,
+    conns: Vec<Option<Inbound>>,
 }
 
 impl EventLoop {
     fn new(
         shared: Arc<Shared>,
+        listener: TcpListener,
         out_streams: Vec<Option<TcpStream>>,
-        initial_inbound: Vec<(usize, TcpStream)>,
+        connector: Thread,
     ) -> EventLoop {
         let n = out_streams.len();
+        // A listener the poller cannot watch admits no peer, and `connect`
+        // times out.
+        let _ = shared
+            .poller
+            .register(listener.as_raw_fd(), LISTEN_TOKEN, true, false);
         let mut lp = EventLoop {
+            gate: HelloGate::new(n, shared.dup_hellos.clone()),
             shared,
+            listener,
+            gens: vec![1; n],
+            connector,
             out: out_streams
                 .into_iter()
                 .map(|s| s.map_or(OutState::Dead, OutState::Up))
@@ -796,9 +839,6 @@ impl EventLoop {
         for peer in 0..n {
             lp.register_outbound(peer);
         }
-        for (peer, stream) in initial_inbound {
-            lp.adopt(peer, stream);
-        }
         lp
     }
 
@@ -807,12 +847,11 @@ impl EventLoop {
         let mut events: Vec<sys::PollEvent> = Vec::new();
         let mut last_occupancy = Instant::now();
         while !self.shared.down.load(Ordering::SeqCst) {
-            self.adopt_pending();
             let now = Instant::now();
             self.sweep(now);
-            // Sleep until the next redial deadline, capped at the tick.
-            // Parked links have no deadline: they dial only when traffic
-            // arrives, and the sender's wake covers that.
+            // Sleep until the next redial or HELLO deadline, capped at the
+            // tick. Parked links have no deadline: they dial only when
+            // traffic arrives, and the sender's wake covers that.
             let mut timeout = POLL_TICK;
             for st in &self.out {
                 if let OutState::Down(d) = st {
@@ -820,6 +859,9 @@ impl EventLoop {
                         timeout = timeout.min(d.next.saturating_duration_since(now));
                     }
                 }
+            }
+            if let Some((earliest, _)) = self.waiting().min() {
+                timeout = timeout.min(earliest.saturating_duration_since(now));
             }
             // Sleep/wake protocol: announce we are about to sleep, then
             // consume the dirty flag. Work that raced in skips the sleep;
@@ -852,51 +894,110 @@ impl EventLoop {
         self.drain_and_close();
     }
 
-    /// Pulls acceptor-validated streams into the event loop.
-    fn adopt_pending(&mut self) {
-        let pending: Vec<(Hello, TcpStream)> = self
-            .shared
-            .adoptions
-            .lock()
-            .expect("adoptions lock")
-            .drain(..)
-            .collect();
-        for (hello, stream) in pending {
-            self.adopt(hello.peer, stream);
+    /// Accepts every queued connection under a free slot token and reads
+    /// its HELLO at once: it usually arrived with the handshake. Past
+    /// [`MAX_PENDING_HELLOS`] connections still waiting, the oldest closes.
+    fn accept_all(&mut self) {
+        loop {
+            let stream = match self.listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => return,
+            };
+            let slot = self.conns.iter().position(Option::is_none);
+            let slot = slot.unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+            let (fd, token) = (stream.as_raw_fd(), INBOUND_BASE | slot as u64);
+            if stream.set_nonblocking(true).is_err()
+                || self.shared.poller.register(fd, token, true, false).is_err()
+            {
+                continue;
+            }
+            self.conns[slot] = Some(Inbound::Hello(HelloConn {
+                stream,
+                hello: [0; HELLO_BYTES],
+                have: 0,
+                deadline: Instant::now() + HELLO_TIMEOUT,
+            }));
+            self.read_hello(slot);
+            if self.waiting().count() > MAX_PENDING_HELLOS {
+                let (_, oldest) = self.waiting().min().expect("over the cap");
+                self.reject(oldest);
+            }
         }
     }
 
-    /// Registers one inbound stream under a free slot token.
-    fn adopt(&mut self, peer: usize, stream: TcpStream) {
-        if stream.set_nonblocking(true).is_err() {
+    /// Deadline and slot of every connection still waiting for its HELLO.
+    fn waiting(&self) -> impl Iterator<Item = (Instant, usize)> + '_ {
+        self.conns
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, c)| match c {
+                Some(Inbound::Hello(h)) => Some((h.deadline, slot)),
+                _ => None,
+            })
+    }
+
+    /// Reads what is missing of a HELLO — never a frame byte past it — and
+    /// admits a whole, valid one through the gate: the connection gets its
+    /// staging buffer, and counts towards the initial mesh (a peer's first)
+    /// or as a re-accept (any after the mesh is up).
+    fn read_hello(&mut self, slot: usize) {
+        let Some(Some(Inbound::Hello(h))) = self.conns.get_mut(slot) else {
             return;
-        }
-        let slot = match self.conns.iter().position(|c| c.is_none()) {
-            Some(slot) => slot,
-            None => {
-                self.conns.push(None);
-                self.conns.len() - 1
-            }
         };
-        let token = INBOUND_BASE | slot as u64;
-        if self
-            .shared
-            .poller
-            .register(stream.as_raw_fd(), token, true, false)
-            .is_err()
-        {
-            return;
+        while h.have < HELLO_BYTES {
+            match h.stream.read(&mut h.hello[h.have..]) {
+                Ok(0) => return self.reject(slot),
+                Ok(got) => h.have += got,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return self.reject(slot),
+            }
         }
-        let from_node = self.shared.spec.node_of_endpoint[peer];
-        self.conns[slot] = Some(InConn {
-            stream,
-            peer,
-            from_node,
-            buf: vec![0u8; STAGING_BYTES],
-            start: 0,
-            end: 0,
-            direct: None,
-        });
+        let endpoints = self.shared.spec.addrs.len();
+        let Some(hello) = net::validate_hello(&h.hello, self.shared.core.me(), endpoints) else {
+            return self.reject(slot);
+        };
+        let first = !self.gate.heard(hello.peer);
+        if !self.gate.admit(hello) {
+            return self.close(slot); // a duplicate, counted by the gate
+        }
+        if first {
+            if self.shared.unheard.fetch_sub(1, Ordering::SeqCst) == 1 {
+                self.connector.unpark(); // the initial mesh is up
+            }
+        } else if self.shared.unheard.load(Ordering::SeqCst) == 0 {
+            self.shared.reaccepted.inc();
+            telemetry::instant("reconnect.accept", hello.peer as u64, 0);
+        }
+        if let Some(Inbound::Hello(h)) = self.conns[slot].take() {
+            self.conns[slot] = Some(Inbound::Frames(InConn {
+                stream: h.stream,
+                peer: hello.peer,
+                from_node: self.shared.spec.node_of_endpoint[hello.peer],
+                buf: vec![0u8; STAGING_BYTES],
+                start: 0,
+                end: 0,
+                direct: None,
+            }));
+        }
+    }
+
+    /// Closes a connection whose HELLO was bad: malformed, cut short,
+    /// overdue, or the oldest over the waiting cap.
+    fn reject(&mut self, slot: usize) {
+        self.shared.bad_hellos.inc();
+        self.close(slot);
+    }
+
+    /// Deregisters and drops one inbound connection.
+    fn close(&mut self, slot: usize) {
+        if let Some(conn) = self.conns[slot].take() {
+            self.shared.poller.deregister(conn.stream().as_raw_fd());
+        }
     }
 
     /// Moves an `Up` outbound stream into nonblocking mode and registers it
@@ -928,6 +1029,9 @@ impl EventLoop {
     }
 
     fn handle_event(&mut self, ev: sys::PollEvent) {
+        if ev.token == LISTEN_TOKEN {
+            return self.accept_all();
+        }
         if ev.token < INBOUND_BASE {
             let peer = ev.token as usize;
             if peer >= self.out.len() {
@@ -945,30 +1049,35 @@ impl EventLoop {
             return;
         }
         let slot = (ev.token - INBOUND_BASE) as usize;
-        let Some(conn) = self.conns.get_mut(slot).and_then(|c| c.as_mut()) else {
-            return;
+        let conn = match self.conns.get_mut(slot) {
+            Some(Some(Inbound::Frames(conn))) => conn,
+            Some(Some(Inbound::Hello(_))) => return self.read_hello(slot),
+            _ => return,
         };
         *self.shared.last_ready.lock().expect("last ready lock") =
             Some((conn.peer, "rx", Instant::now()));
-        match service_inbound(conn, &self.shared) {
-            Ok(()) => {}
-            Err(close) => {
-                if let Close::Poison(e) = close {
-                    let mut slot_err = self.shared.reader_err.lock().expect("reader error lock");
-                    if slot_err.is_none() {
-                        *slot_err = Some(TransportError::Frame(e));
-                    }
+        if let Err(close) = service_inbound(conn, &self.shared) {
+            if let Close::Poison(e) = close {
+                let mut slot_err = self.shared.reader_err.lock().expect("reader error lock");
+                if slot_err.is_none() {
+                    *slot_err = Some(TransportError::Frame(e));
                 }
-                let fd = conn.stream.as_raw_fd();
-                self.shared.poller.deregister(fd);
-                self.conns[slot] = None;
             }
+            self.close(slot);
         }
     }
 
-    /// Per-iteration link maintenance: flush what is flushable, redial what
-    /// is due, revive dead links with queued traffic.
+    /// Per-iteration link maintenance: close overdue HELLOs, flush what is
+    /// flushable, redial what is due, revive dead links with queued traffic.
     fn sweep(&mut self, now: Instant) {
+        let overdue: Vec<usize> = self
+            .waiting()
+            .filter(|&(d, _)| now >= d)
+            .map(|w| w.1)
+            .collect();
+        for slot in overdue {
+            self.reject(slot);
+        }
         for peer in 0..self.out.len() {
             if peer == self.shared.core.me() {
                 continue;
@@ -1162,7 +1271,8 @@ impl EventLoop {
         };
         d.attempts += 1;
         self.shared.redial_attempts.inc();
-        let generation = self.shared.gens[peer].fetch_add(1, Ordering::Relaxed) + 1;
+        self.gens[peer] += 1;
+        let generation = self.gens[peer];
         let addr = self.shared.spec.addrs[peer];
         match net::dial_once(
             addr,
@@ -1269,11 +1379,12 @@ impl EventLoop {
                 self.shared.poller.deregister(stream.as_raw_fd());
             }
         }
+        self.shared.poller.deregister(self.listener.as_raw_fd());
         for conn in self.conns.iter().flatten() {
-            self.shared.poller.deregister(conn.stream.as_raw_fd());
+            self.shared.poller.deregister(conn.stream().as_raw_fd());
         }
-        // Dropping `self` closes every socket; the handle closes the inbox
-        // once this thread is joined.
+        // Dropping `self` closes the listener and every socket; the handle
+        // closes the inbox once this thread is joined.
     }
 }
 
@@ -1411,106 +1522,6 @@ fn deliver(
         .map_err(|()| Close::Benign) // local endpoint shut down first
 }
 
-/// Accepts the initial mesh: `expected` distinct peers, each through the
-/// generation gate, until `deadline`.
-fn accept_initial(
-    listener: &TcpListener,
-    me: usize,
-    expected: usize,
-    gate: &HelloGate,
-    deadline: Instant,
-) -> Result<Vec<(usize, TcpStream)>, TransportError> {
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| TransportError::Handshake(format!("nonblocking accept: {e}")))?;
-    let mut peers: Vec<(usize, TcpStream)> = Vec::with_capacity(expected);
-    while peers.len() < expected {
-        if Instant::now() >= deadline {
-            return Err(TransportError::Handshake(format!(
-                "endpoint {me}: accepted {} of {expected} peers before timeout",
-                peers.len()
-            )));
-        }
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                stream
-                    .set_nonblocking(false)
-                    .map_err(|e| TransportError::Handshake(format!("blocking stream: {e}")))?;
-                let hello = net::validate_hello(&mut stream, me)?;
-                // A duplicate HELLO (dial race) is dropped; a newer
-                // generation replaces the stale stream.
-                if !gate.admit(hello) {
-                    continue;
-                }
-                if let Some(slot) = peers.iter_mut().find(|(p, _)| *p == hello.peer) {
-                    slot.1 = stream;
-                } else {
-                    peers.push((hello.peer, stream));
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => {
-                return Err(TransportError::Handshake(format!("accept: {e}")));
-            }
-        }
-    }
-    Ok(peers)
-}
-
-/// The persistent acceptor: phase 1 collects the initial mesh and reports it
-/// through `init_tx`; phase 2 keeps the door open for reconnects, pushing
-/// each gated stream to the poller for adoption.
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: &Arc<Shared>,
-    init_tx: Sender<Result<Vec<(usize, TcpStream)>, TransportError>>,
-    deadline: Instant,
-) {
-    let me = shared.core.me();
-    telemetry::set_thread_track(format!("accept e{me}"));
-    let expected = shared.spec.addrs.len() - 1;
-    let initial = accept_initial(&listener, me, expected, &shared.gate, deadline);
-    let ok = initial.is_ok();
-    let _ = init_tx.send(initial);
-    if !ok {
-        return;
-    }
-    while !shared.down.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                // A malformed reconnect HELLO is dropped, not fatal: the
-                // established mesh keeps running.
-                let Ok(hello) = net::validate_hello(&mut stream, me) else {
-                    continue;
-                };
-                if hello.peer >= shared.spec.node_of_endpoint.len() || !shared.gate.admit(hello) {
-                    continue;
-                }
-                shared.reaccepted.inc();
-                telemetry::instant("reconnect.accept", hello.peer as u64, 0);
-                shared
-                    .adoptions
-                    .lock()
-                    .expect("adoptions lock")
-                    .push((hello, stream));
-                shared.dirty.store(true, Ordering::SeqCst);
-                shared.poller.waker().wake();
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1592,10 +1603,10 @@ mod tests {
                 }
                 iters.sort_unstable();
                 assert_eq!(iters, vec![0, 1]);
-                assert_eq!(ep.reaccept_count(), 1, "acceptor adopted the redial");
+                assert_eq!(ep.reaccept_count(), 1, "the poller admitted the redial");
                 let snap = metrics::snapshot();
-                let acceptor = snap.value("poseidon_reaccepts_total", &[("endpoint", "1")]);
-                assert!(acceptor >= Some(1), "the family counts the re-accept");
+                let accepted = snap.value("poseidon_reaccepts_total", &[("endpoint", "1")]);
+                assert!(accepted >= Some(1), "the family counts the re-accept");
             }
             ep.shutdown().unwrap();
         });
@@ -1728,6 +1739,67 @@ mod tests {
         });
     }
 
+    /// Severs endpoint 0's link to endpoint 1 and sends: the redial and the
+    /// frame must land within a second.
+    fn assert_redial_lands(eps: &[TcpTransport]) {
+        eps[0].sever_link(1).unwrap();
+        eps[0].send(1, grad(3, 16)).unwrap();
+        let env = eps[1]
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the redial lands within 1 s");
+        assert_eq!(env.msg.iter(), 3);
+    }
+
+    #[test]
+    fn a_stalled_hello_does_not_hold_back_a_redial() {
+        let eps = mesh(&[0, 1]);
+        let mut stalled = TcpStream::connect(eps[1].shared.spec.addrs[1]).unwrap();
+        stalled.write_all(&net::hello_bytes(0, 9)[..3]).unwrap();
+        assert_redial_lands(&eps);
+        shutdown_all(eps);
+    }
+
+    #[test]
+    fn a_hello_flood_closes_the_oldest_and_admits_the_redial() {
+        let eps = mesh(&[0, 1]);
+        let addr = eps[1].shared.spec.addrs[1];
+        let mut silent: Vec<TcpStream> = (0..MAX_PENDING_HELLOS + 2)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        assert_redial_lands(&eps);
+        let oldest = &mut silent[0];
+        oldest
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(oldest.read(&mut byte).expect("closed over the cap"), 0);
+        shutdown_all(eps);
+    }
+
+    #[test]
+    fn bad_and_stalled_hellos_in_the_backlog_do_not_fail_connect() {
+        let (listeners, addrs) = super::super::bind_ephemeral(2).expect("bind");
+        let spec = quick_spec(addrs, vec![0, 1]);
+        // First in endpoint 1's accept backlog, before either connects.
+        let mut garbage = TcpStream::connect(spec.addrs[1]).unwrap();
+        garbage.write_all(&[0xAB; HELLO_BYTES]).unwrap();
+        let mut stalled = TcpStream::connect(spec.addrs[1]).unwrap();
+        let eps = mesh_on(&spec, listeners);
+        let meshed = Instant::now();
+        stalled
+            .set_read_timeout(Some(HELLO_TIMEOUT + POLL_TICK))
+            .unwrap();
+        let mut byte = [0u8; 1];
+        assert_eq!(stalled.read(&mut byte).expect("closed at its deadline"), 0);
+        assert!(meshed.elapsed() <= HELLO_TIMEOUT + POLL_TICK);
+        let bad = metrics::snapshot().value("poseidon_bad_hellos_total", &[("endpoint", "1")]);
+        assert!(bad >= Some(2), "both bad HELLOs counted: {bad:?}");
+        eps[0].send(1, grad(4, 16)).unwrap();
+        let env = eps[1].recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(env.msg.iter(), 4);
+        shutdown_all(eps);
+    }
+
     #[test]
     fn connect_times_out_without_peers() {
         let (listeners, addrs) = super::super::bind_ephemeral(2).expect("bind");
@@ -1828,7 +1900,7 @@ mod tests {
         assert!(addrs.iter().all(|&a| registered(a)));
         drop(first);
         assert!(!addrs.iter().any(|&a| registered(a)), "still registered");
-        // The ports free up once the old acceptors notice the drop.
+        // The ports free up once the old pollers notice the drop.
         let deadline = Instant::now() + Duration::from_secs(10);
         let listeners = addrs
             .iter()

@@ -224,17 +224,7 @@ pub struct FrameHeader {
 ///
 /// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`].
 pub fn encode_frame(msg: &Message) -> Bytes {
-    encode_frame_seq(msg, 0, 0)
-}
-
-/// Encodes a message as one self-describing frame stamped with the sending
-/// endpoint `src` and per-link sequence number `seq`.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`].
-pub fn encode_frame_seq(msg: &Message, src: u32, seq: u32) -> Bytes {
-    encode_frame_stamped(msg, src, seq, 0)
+    encode_frame_stamped(msg, 0, 0, 0)
 }
 
 /// Encodes a message as one self-describing frame stamped with `src`, `seq`
@@ -250,16 +240,6 @@ pub fn encode_frame_stamped(msg: &Message, src: u32, seq: u32, epoch: u32) -> By
     buf.put_slice(&header);
     buf.put_slice(data);
     buf.freeze()
-}
-
-/// [`encode_header_stamped`] at membership epoch 0 — the spelling for
-/// fixed-membership paths.
-///
-/// # Panics
-///
-/// Panics if the payload exceeds [`MAX_FRAME_PAYLOAD`].
-pub fn encode_header_seq(msg: &Message, src: u32, seq: u32) -> [u8; FRAME_HEADER_BYTES] {
-    encode_header_stamped(msg, src, seq, 0)
 }
 
 /// Encodes only the fixed header of the frame for `msg`; the payload is the
@@ -745,7 +725,7 @@ mod tests {
     #[test]
     fn seq_and_src_roundtrip_through_the_header() {
         let msg = sample_messages().remove(0);
-        let frame = encode_frame_seq(&msg, 7, 0xDEAD_BEEF);
+        let frame = encode_frame_stamped(&msg, 7, 0xDEAD_BEEF, 0);
         let mut hdr = [0u8; FRAME_HEADER_BYTES];
         hdr.copy_from_slice(&frame[..FRAME_HEADER_BYTES]);
         let parsed = parse_header(&hdr).expect("clean header");
@@ -774,12 +754,9 @@ mod tests {
             let (decoded, _) = decode_frame(&frame).expect("clean frame");
             assert_eq!(encode_frame(&decoded), encode_frame(&msg));
         }
-        // The epoch-0 spellings are bitwise equivalent.
+        // The unstamped spelling is bitwise the all-zero stamp.
         let msg = sample_messages().remove(0);
-        assert_eq!(
-            encode_frame_seq(&msg, 7, 9),
-            encode_frame_stamped(&msg, 7, 9, 0)
-        );
+        assert_eq!(encode_frame(&msg), encode_frame_stamped(&msg, 0, 0, 0));
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! Thread-budget proof for the TCP transport: one endpoint costs a constant
-//! number of threads (poller + acceptor) no matter how many peers it meshes
-//! with. Counted straight from `/proc/self/status`, so the test is
-//! Linux-only — and alone in its binary, so no other test's threads land in
-//! the measurement.
+//! Thread-budget proof for the TCP transport: one endpoint costs one thread
+//! (its poller, which also accepts and reads every HELLO) no matter how many
+//! peers it meshes with. Counted straight from `/proc/self/status`, so the
+//! test is Linux-only — and alone in its binary, so no other test's threads
+//! land in the measurement.
 
 #![cfg(target_os = "linux")]
 
@@ -52,11 +52,11 @@ fn prove_ring(eps: &[TcpTransport]) {
     }
 }
 
-/// A 33-endpoint mesh (32 peers per endpoint) costs a fixed two threads per
-/// endpoint — poller + acceptor — not one per peer, and shutdown joins every
-/// one of them.
+/// A 33-endpoint mesh (32 peers per endpoint) costs one thread per
+/// endpoint — its poller — not one per peer, and shutdown joins every one
+/// of them.
 #[test]
-fn evented_mesh_at_32_peers_is_two_threads_per_endpoint() {
+fn evented_mesh_at_32_peers_is_one_thread_per_endpoint() {
     const ENDPOINTS: usize = 33;
     let baseline = thread_count();
     let nodes: Vec<usize> = (0..ENDPOINTS).collect();
@@ -64,9 +64,9 @@ fn evented_mesh_at_32_peers_is_two_threads_per_endpoint() {
     let steady = thread_count();
     let delta = steady - baseline;
     assert!(
-        delta <= 2 * ENDPOINTS,
+        delta <= ENDPOINTS,
         "evented mesh spawned {delta} threads for {ENDPOINTS} endpoints; \
-         budget is 2 per endpoint (poller + acceptor)"
+         budget is 1 per endpoint (the poller)"
     );
     assert!(
         delta >= ENDPOINTS,
@@ -80,6 +80,6 @@ fn evented_mesh_at_32_peers_is_two_threads_per_endpoint() {
     let after = thread_count();
     assert!(
         after <= baseline + 1,
-        "shutdown must join poller and acceptor threads ({after} live, baseline {baseline})"
+        "shutdown must join every poller thread ({after} live, baseline {baseline})"
     );
 }

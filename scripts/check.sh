@@ -20,11 +20,23 @@ echo "== tier-1: cargo build --release && cargo test =="
 # transport contract on both fabrics (co-resident TCP frames: the sender's
 # own bytes, per-pair order mixed with cross-node frames, the in-process
 # ledger and tx frame counters, sever as a no-op; plus the registry hygiene
-# unit tests in transport/tcp.rs) and the crates/bench process suites
-# (tcp_loopback, trace_roundtrip, tcp_sever_reconnect, metrics_scrape,
-# elastic_serving).
+# and hostile-HELLO unit tests in transport/tcp.rs — stalled, garbage and
+# flooding peers), the one-thread-per-endpoint budget (poller_threads) and
+# the crates/bench process suites (tcp_loopback, trace_roundtrip,
+# tcp_sever_reconnect, metrics_scrape, elastic_serving).
 cargo build --release
 cargo test -q
+
+echo "== connect and accept paths, five runs in a row =="
+# One poller per endpoint accepts, reads every HELLO and serves frames. A
+# race on that path shows up as a flake rather than a steady failure, so
+# its suites run five times over; `timeout` bounds a wedged mesh.
+for run in 1 2 3 4 5; do
+    echo "-- run $run of 5"
+    timeout 300 cargo test -q -p poseidon --lib transport::
+    timeout 300 cargo test -q -p poseidon --test transport_contract
+    timeout 300 cargo test -q -p poseidon --test poller_threads
+done
 
 echo "== bitwise oracles under --release =="
 # Tier-1 runs these in the dev profile. The benchmark measures the release
