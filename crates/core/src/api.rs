@@ -9,9 +9,9 @@
 //! |---|---|---|
 //! | `BestScheme(layer)` | Coordinator | [`crate::coordinator::Coordinator::best_scheme`] |
 //! | `Query(properties)` | Coordinator | [`crate::coordinator::Coordinator::query`] |
-//! | `Send` (syncer) | Syncer | issued by the worker loop in [`crate::runtime`] the moment a layer's backward completes; the per-layer state machine is [`crate::syncer::Syncer`] |
-//! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::on_param_chunk`] / [`crate::syncer::Syncer::on_peer_sf`] / [`crate::syncer::Syncer::on_param_matrix`] / [`crate::syncer::Syncer::on_collective`], completing via [`crate::syncer::Syncer::is_complete`]; the worker calls them for whatever has arrived between the layers of backward, and for the rest after it |
-//! | `Move` (syncer) | Syncer | GPU→CPU: [`crate::syncer::Syncer::encode_push_grad`] encodes a KV pair, and [`crate::syncer::Syncer::send_collective`] a ring/tree segment, straight from the layer's gradient storage; CPU→GPU: a PS chunk lands in the replica inside [`crate::syncer::Syncer::on_param_chunk`], every other scheme applies its [`crate::syncer::SyncOutcome`] ([`crate::syncer::write_params_flat`], [`crate::syncer::reconstruct_sf_batches`], [`crate::syncer::apply_delta`]) |
+//! | `Send` (syncer) | Syncer | [`crate::syncer::Syncer::send`]: the worker loop in [`crate::runtime`] calls it the moment a layer's backward completes, and transmits the frames it hands back to the [`crate::syncer::Dest`] each names |
+//! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::receive`]: validates, decodes and stages one frame (a PS chunk via [`crate::syncer::Syncer::on_param_chunk`], a ring/tree hop via [`crate::syncer::Syncer::on_collective`]) or refuses it as poisoned, completing via [`crate::syncer::Syncer::is_complete`]; the worker calls it for whatever has arrived between the layers of backward, and for the rest after it |
+//! | `Move` (syncer) | Syncer | GPU→CPU: inside [`crate::syncer::Syncer::send`], [`crate::syncer::Syncer::encode_push_grad`] encodes a KV pair and [`crate::syncer::Syncer::send_collective`] a ring/tree segment, straight from the layer's gradient storage; CPU→GPU: a PS chunk lands in the replica inside `receive`, every other scheme's round through [`crate::syncer::Syncer::apply`] ([`crate::syncer::write_params_flat`], [`crate::syncer::apply_delta`], or [`crate::syncer::reconstruct_sf_batches`] and the momentum step) |
 //! | `Send` (KV store) | KV store | the broadcast a shard performs when a pair's update count reaches `P` — the `Ok(true)` of [`crate::kvstore::ShardState::stage`], then [`crate::kvstore::ShardState::fold`] and one pooled encoding of the fresh master (the `Some(params)` return of the dense wrapper [`crate::kvstore::ShardState::receive_grad`]) |
 //! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardState::stage`] (BSP; a wire frame is staged as its bytes) and [`crate::kvstore::ShardState::receive_grad_async`] (bounded-async extension) |
 //!

@@ -37,11 +37,8 @@ pub struct LayerCheckpoint {
     pub layer: u32,
     /// Flattened parameters (weights then bias, the canonical flat order).
     pub params: Vec<f32>,
-    /// SFB/momentum velocity replica `(rows, cols, weights, bias)`, if this
-    /// layer accumulated one.
-    pub sf_velocity: Option<(u32, u32, Vec<f32>, Vec<f32>)>,
-    /// The layer syncer's persistent state (collective velocity segments and
-    /// compressor residuals).
+    /// The layer syncer's persistent state (SFB velocity, collective
+    /// velocity segments and compressor residuals).
     pub syncer: SyncerState,
 }
 
@@ -161,6 +158,16 @@ pub fn decode_pair_state(mut buf: &[u8]) -> Option<(Vec<f32>, Vec<f32>, Vec<f32>
 }
 
 fn put_syncer(buf: &mut BytesMut, st: &SyncerState) {
+    match &st.sf_velocity {
+        None => buf.put_u8(0),
+        Some((rows, cols, vw, vb)) => {
+            buf.put_u8(1);
+            buf.put_u32_le(*rows);
+            buf.put_u32_le(*cols);
+            put_f32s(buf, vw);
+            put_f32s(buf, vb);
+        }
+    }
     buf.put_u32_le(st.velocity.len() as u32);
     for v in &st.velocity {
         put_opt_f32s(buf, v);
@@ -176,6 +183,23 @@ fn put_syncer(buf: &mut BytesMut, st: &SyncerState) {
 }
 
 fn get_syncer(buf: &mut &[u8]) -> Option<SyncerState> {
+    if buf.remaining() < 1 {
+        return None;
+    }
+    let sf_velocity = match buf.get_u8() {
+        0 => None,
+        1 => {
+            if buf.remaining() < 8 {
+                return None;
+            }
+            let rows = buf.get_u32_le();
+            let cols = buf.get_u32_le();
+            let vw = get_f32s(buf)?;
+            let vb = get_f32s(buf)?;
+            Some((rows, cols, vw, vb))
+        }
+        _ => return None,
+    };
     let mut lists: Vec<Vec<Option<Vec<f32>>>> = Vec::with_capacity(3);
     for _ in 0..3 {
         if buf.remaining() < 4 {
@@ -192,6 +216,7 @@ fn get_syncer(buf: &mut &[u8]) -> Option<SyncerState> {
     let push_residuals = lists.pop()?;
     let velocity = lists.pop()?;
     Some(SyncerState {
+        sf_velocity,
         velocity,
         push_residuals,
         seg_residuals,
@@ -206,16 +231,6 @@ fn put_worker(buf: &mut BytesMut, w: &WorkerCheckpoint) {
     for l in &w.layers {
         buf.put_u32_le(l.layer);
         put_f32s(buf, &l.params);
-        match &l.sf_velocity {
-            None => buf.put_u8(0),
-            Some((rows, cols, vw, vb)) => {
-                buf.put_u8(1);
-                buf.put_u32_le(*rows);
-                buf.put_u32_le(*cols);
-                put_f32s(buf, vw);
-                put_f32s(buf, vb);
-            }
-        }
         put_syncer(buf, &l.syncer);
     }
 }
@@ -235,28 +250,10 @@ fn get_worker(buf: &mut &[u8]) -> Option<WorkerCheckpoint> {
         }
         let layer = buf.get_u32_le();
         let params = get_f32s(buf)?;
-        if buf.remaining() < 1 {
-            return None;
-        }
-        let sf_velocity = match buf.get_u8() {
-            0 => None,
-            1 => {
-                if buf.remaining() < 8 {
-                    return None;
-                }
-                let rows = buf.get_u32_le();
-                let cols = buf.get_u32_le();
-                let vw = get_f32s(buf)?;
-                let vb = get_f32s(buf)?;
-                Some((rows, cols, vw, vb))
-            }
-            _ => return None,
-        };
         let syncer = get_syncer(buf)?;
         layers.push(LayerCheckpoint {
             layer,
             params,
-            sf_velocity,
             syncer,
         });
     }
@@ -423,8 +420,8 @@ mod tests {
                     LayerCheckpoint {
                         layer: 0,
                         params: vec![1.0, -2.5, 3.25],
-                        sf_velocity: Some((2, 1, vec![0.5, -0.5], vec![0.125, 0.0])),
                         syncer: SyncerState {
+                            sf_velocity: Some((2, 1, vec![0.5, -0.5], vec![0.125, 0.0])),
                             velocity: vec![Some(vec![1.0]), None],
                             push_residuals: vec![None],
                             seg_residuals: vec![Some(vec![-0.25, 0.75])],
@@ -433,7 +430,6 @@ mod tests {
                     LayerCheckpoint {
                         layer: 2,
                         params: vec![],
-                        sf_velocity: None,
                         syncer: SyncerState::default(),
                     },
                 ],

@@ -152,6 +152,12 @@ impl Coordinator {
         &self.table
     }
 
+    /// The home shard of a layer Adam syncs whole: it takes every worker's
+    /// sufficient factors for `layer` and pulls the fresh matrix back.
+    pub fn adam_shard(&self, layer: usize) -> usize {
+        layer % self.cluster.servers
+    }
+
     /// Algorithm 1, filtered through the configured policy: the communication
     /// scheme for layer `l`.
     ///

@@ -446,7 +446,7 @@ pub(crate) fn build_run_plan<'a, M: Model>(reference: &M, cfg: &'a RuntimeConfig
                     plans[chunk.shard].chunks.push((idx as u32, *chunk, codec));
                 }
             }
-            CommScheme::AdamSf => plans[l % p].layer_granular.push(l),
+            CommScheme::AdamSf => plans[coordinator.adam_shard(l)].layer_granular.push(l),
             // Peer-to-peer schemes; no server state.
             CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => {}
         }

@@ -39,7 +39,7 @@ use crate::metrics::Histogram;
 use crate::syncer;
 use crate::telemetry;
 use crate::transport::{Envelope, Message, Transport, TransportError};
-use crate::wire::{self, Codec, LAYER_GRANULAR_CHUNK};
+use crate::wire::{self, Codec, CodecError, LAYER_GRANULAR_CHUNK};
 use poseidon_nn::Model;
 use poseidon_tensor::compress::{make_compressor, Compressor};
 use std::collections::{HashMap, VecDeque};
@@ -259,8 +259,14 @@ pub(crate) fn run_server<M: Model, T: Transport>(
                         data,
                     } => {
                         assert_eq!(iter, it as u64, "handoff stamped with the wrong boundary");
-                        let (params, velocity, residual) =
-                            checkpoint::decode_pair_state(&data).expect("corrupt handoff payload");
+                        let Some((params, velocity, residual)) =
+                            checkpoint::decode_pair_state(&data)
+                        else {
+                            let bad = CodecError::Malformed("handoff pair state");
+                            let me = endpoint.endpoint_id();
+                            crate::runtime::note_poisoned_frame(me, env.from, "Handoff", &bad);
+                            continue;
+                        };
                         shard.install(PairState {
                             key: (layer, chunk),
                             params,
@@ -454,8 +460,14 @@ impl Shard<'_> {
                 let (m, n) = self.run.coordinator.layers()[layer as usize]
                     .fc_shape
                     .expect("layer-granular schemes need FC shape");
-                let batch =
-                    poseidon_tensor::bytesio::decode_sf_batch(&data).expect("corrupt SF payload");
+                let batch = match syncer::decode_sf_batch(&data, (m, n)) {
+                    Ok(batch) => batch,
+                    Err(e) => {
+                        let me = endpoint.endpoint_id();
+                        crate::runtime::note_poisoned_frame(me, env.from, "SfPush", &e);
+                        return false;
+                    }
+                };
                 let (grad_w, grad_b) =
                     syncer::reconstruct_sf_batches(std::slice::from_ref(&batch), m, n);
                 let key = (layer, LAYER_GRANULAR_CHUNK);

@@ -1,17 +1,17 @@
-//! The worker: Algorithm 2 of the paper.
+//! The worker: Algorithm 2 of the paper, for every scheme alike.
 //!
 //! Per iteration: forward, then backward with every layer's whole sync —
 //! Send → Receive → Move — scheduled against the back-propagation of the
 //! layers below it (wait-free backpropagation). The per-layer gradient
-//! callback fires that layer's `Send`s and then drains, without blocking,
-//! whatever has arrived for the layers already done: a PS chunk decodes into
-//! the replica, a complete set of SFB factors is reconstructed and applied, a
-//! collective frame is hop-added and forwarded — into layers the backward
-//! pass has finished with and lends out for exactly that
-//! ([`poseidon_nn::Finished`]). What is still outstanding when the bottom
-//! layer is done is received by a blocking tail, through the same
-//! [`Exchange::dispatch`], until every syncer reports complete (the
-//! completion vector `C` is all ones).
+//! callback fires that layer's [`Syncer::send`] and then drains, without
+//! blocking, whatever has arrived for the layers already done: each frame
+//! goes to [`Syncer::receive`], and a round that completes to
+//! [`Syncer::apply`], into layers the backward pass has finished with and
+//! lends out for exactly that ([`poseidon_nn::Finished`]). What is still
+//! outstanding when the bottom layer is done is received by a blocking tail,
+//! through the same [`Exchange::dispatch`], until every syncer reports
+//! complete (the completion vector `C` is all ones). How a scheme does any
+//! of it is the syncer's business; the worker routes the frames.
 //!
 //! A neighbour that is ahead can deliver a frame for a layer whose own `Send`
 //! has not fired here yet (a ring REDUCE, a peer's factors): it is parked with
@@ -23,25 +23,20 @@
 //! endpoint (the `poseidon-node` process runtime). A peer that stops talking
 //! surfaces as a [`TransportError::Timeout`] panic naming this worker, its
 //! iteration and its sync progress — never a silent hang. A frame whose
-//! payload fails codec decode is poisoned: counted, diagnosed and dropped,
-//! never a process abort at the decode site.
+//! payload fails validation is poisoned: counted, diagnosed and dropped,
+//! never a process abort.
 
 use super::{NodeOutcome, RunPlan, SspClock};
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
-use crate::config::CommScheme;
 use crate::metrics;
 use crate::serving::{Snapshot, SnapshotCell};
-use crate::syncer::{self, CollectiveSend, SyncOutcome, Syncer};
+use crate::syncer::{self, Dest, Syncer};
 use crate::telemetry;
 use crate::transport::{Message, Transport, TransportError};
-use crate::wire;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::loss::SoftmaxCrossEntropy;
 use poseidon_nn::{BackwardNeeds, Finished, Layer, Model, ParamBlock};
-use poseidon_tensor::bytesio;
-use poseidon_tensor::Matrix;
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -57,33 +52,18 @@ pub(crate) struct WorkerConfig {
     pub snapshots: Option<Arc<SnapshotCell>>,
 }
 
-/// Sends or panics with enough context to name the broken link.
-fn must_send<T: Transport>(endpoint: &T, me: usize, to: usize, msg: Message) {
+/// Transmits one frame a syncer handed out, or panics with enough context
+/// to name the broken link: a worker id is its endpoint, a shard id is
+/// whichever endpoint owns that shard's pairs at `epoch`.
+fn route<T: Transport>(run: &RunPlan<'_>, endpoint: &T, epoch: u32, to: Dest, msg: Message) {
+    let to = match to {
+        Dest::Worker(worker) => worker,
+        Dest::Shard(shard) => run.cfg.workers + run.schedule.owner(shard, epoch),
+    };
     if let Err(e) = endpoint.send(to, msg) {
-        panic!("worker {me}: send to endpoint {to} failed: {e}");
-    }
-}
-
-/// Transmits the collective frames a syncer handed back for `layer`.
-fn send_collective_frames<T: Transport>(
-    endpoint: &T,
-    me: usize,
-    (iter, layer): (u64, usize),
-    codec: wire::Codec,
-    sends: Vec<CollectiveSend>,
-) {
-    for send in sends {
-        must_send(
-            endpoint,
-            me,
-            send.to_worker,
-            Message::Collective {
-                iter,
-                layer: layer as u32,
-                route: send.route,
-                codec,
-                data: send.data,
-            },
+        panic!(
+            "worker {}: send to endpoint {to} failed: {e}",
+            endpoint.endpoint_id()
         );
     }
 }
@@ -128,10 +108,7 @@ impl<M: Model> Replica<'_, '_, M> {
 struct Exchange<'a, T: Transport> {
     run: &'a RunPlan<'a>,
     endpoint: &'a T,
-    me: usize,
-    layers: HashMap<usize, LayerSync>,
-    /// SFB velocity buffers (identical on every replica).
-    sf_velocity: HashMap<usize, (Matrix, Vec<f32>)>,
+    layers: BTreeMap<usize, LayerSync>,
     /// Frames that arrived early for the next iteration (peers can run one
     /// iteration ahead of us).
     stashed: VecDeque<(usize, Message)>,
@@ -145,7 +122,6 @@ struct Exchange<'a, T: Transport> {
     epoch: u32,
     /// Layers whose sync completed this iteration.
     completed: usize,
-    m_apply: metrics::Histogram,
 }
 
 impl<T: Transport> Exchange<'_, T> {
@@ -162,78 +138,21 @@ impl<T: Transport> Exchange<'_, T> {
     /// Layer `l`'s `Send`, the moment `bˡ` is done; opens its sync window
     /// and releases the frames that were parked for it.
     fn send(&mut self, l: usize, layer: &dyn Layer) {
-        let (run, endpoint, epoch) = (self.run, self.endpoint, self.epoch);
-        let (me, workers, iter) = (self.me, run.cfg.workers, self.iter as u64);
+        let (run, endpoint, epoch, iter) = (self.run, self.endpoint, self.epoch, self.iter);
         let Some(state) = self.layers.get_mut(&l) else {
             return;
         };
-        let s = &mut state.syncer;
-        let params = layer.params().expect("trainable layer");
-        match s.scheme() {
-            CommScheme::Ps => {
-                let codec = s.codec();
-                for idx in 0..s.chunks().len() {
-                    let payload = s.encode_push_grad(idx, params);
-                    must_send(
-                        endpoint,
-                        me,
-                        workers + run.schedule.owner(s.chunks()[idx].shard, epoch),
-                        Message::GradChunk {
-                            iter,
-                            layer: l as u32,
-                            chunk: idx as u32,
-                            codec,
-                            data: payload,
-                        },
-                    );
-                }
-            }
-            CommScheme::Sfb => {
-                let batch = layer
-                    .sufficient_factors()
-                    .expect("SFB requires sufficient factors");
-                let payload = bytesio::encode_sf_batch(&batch);
-                for peer in (0..workers).filter(|&peer| peer != me) {
-                    must_send(
-                        endpoint,
-                        me,
-                        peer,
-                        Message::SfPush {
-                            iter,
-                            layer: l as u32,
-                            data: payload.clone(),
-                        },
-                    );
-                }
-                s.set_own_sf(batch);
-            }
-            CommScheme::AdamSf => {
-                let batch = layer
-                    .sufficient_factors()
-                    .expect("Adam requires sufficient factors");
-                must_send(
-                    endpoint,
-                    me,
-                    workers + run.schedule.owner(l % workers, epoch),
-                    Message::SfPush {
-                        iter,
-                        layer: l as u32,
-                        data: bytesio::encode_sf_batch(&batch),
-                    },
-                );
-            }
-            CommScheme::Ring | CommScheme::Tree => {
-                let sends = s.send_collective(params, run.scale_at(self.iter));
-                send_collective_frames(endpoint, me, (iter, l), s.codec(), sends);
-            }
-        }
+        let emit = |to, msg| route(run, endpoint, epoch, to, msg);
+        state
+            .syncer
+            .send(layer, iter as u64, run.scale_at(iter), emit);
         // The layer's sync window opens the instant its gradient left
         // (WFBP); it closes when the outcome is applied in `dispatch`. The
         // span lives on the layer's own lane because windows of different
         // layers overlap.
         if telemetry::is_enabled() {
-            telemetry::instant("grad.ready", l as u64, iter);
-            telemetry::span_begin_lane("wfbp.sync", l as u32, l as u64, iter);
+            telemetry::instant("grad.ready", l as u64, iter as u64);
+            telemetry::span_begin_lane("wfbp.sync", l as u32, l as u64, iter as u64);
         }
         state.started = Some(Instant::now());
         state.sent = true;
@@ -260,7 +179,7 @@ impl<T: Transport> Exchange<'_, T> {
         if let Some(p) = self.pending.pop_front() {
             return p;
         }
-        let (me, iter) = (self.me, self.iter);
+        let (me, iter) = (self.endpoint.endpoint_id(), self.iter);
         match self.endpoint.recv_timeout(self.run.cfg.comm_timeout) {
             Ok(env) => (env.from, env.msg),
             Err(e @ (TransportError::Timeout(_) | TransportError::Closed)) => panic!(
@@ -273,10 +192,10 @@ impl<T: Transport> Exchange<'_, T> {
         }
     }
 
-    /// Takes one received frame to its syncer and, when that completes the
-    /// layer, applies the outcome to the replica — unless the frame goes
-    /// elsewhere instead: control traffic (dropped), a frame stashed for the
-    /// next iteration or parked until its layer's `Send`, a poisoned payload.
+    /// Takes one received frame to its layer's syncer, and a round it
+    /// completes into the replica — unless the frame goes elsewhere: control
+    /// traffic and poisoned payloads are dropped, a frame for the next
+    /// iteration is stashed, one for an unsent layer parked.
     fn dispatch<M: Model>(&mut self, from: usize, msg: Message, replica: &mut Replica<'_, '_, M>) {
         // Control traffic is consumed by the reliability layer; any that
         // surfaces here (a peer acking over a bare transport) carries no
@@ -284,28 +203,21 @@ impl<T: Transport> Exchange<'_, T> {
         if msg.is_control() {
             return;
         }
-        let (me, iter) = (self.me, self.iter);
+        let (run, endpoint, epoch, iter) = (self.run, self.endpoint, self.epoch, self.iter);
         let msg_iter = msg.iter() as usize;
         if msg_iter > iter {
             self.stashed.push_back((from, msg));
             return;
         }
         assert_eq!(msg_iter, iter, "stale message from a past iteration");
-        let layer = match &msg {
-            Message::GradChunk { layer, .. }
-            | Message::ParamChunk { layer, .. }
-            | Message::SfPush { layer, .. }
-            | Message::ParamMatrix { layer, .. }
-            | Message::Collective { layer, .. } => *layer as usize,
-            Message::Handoff { .. } => {
-                // Shard-to-shard state transfer; a worker is never a
-                // handoff destination. Arriving here means a routing bug.
-                panic!("worker {me} received a shard handoff frame")
-            }
-            Message::Ack { .. } | Message::Nack { .. } => {
-                unreachable!("control frames are filtered before dispatch")
-            }
-        };
+        // Shard-to-shard state transfer; a worker is never a handoff
+        // destination. Arriving here means a routing bug.
+        assert!(
+            !matches!(msg, Message::Handoff { .. }),
+            "worker {} received a shard handoff frame",
+            endpoint.endpoint_id()
+        );
+        let layer = msg.layer() as usize;
         let state = self
             .layers
             .get_mut(&layer)
@@ -314,105 +226,16 @@ impl<T: Transport> Exchange<'_, T> {
             state.parked.push((from, msg));
             return;
         }
-        let s = &mut state.syncer;
+        let (s, what) = (&mut state.syncer, msg.tag_name());
         let was_complete = s.is_complete();
-        match msg {
-            Message::ParamChunk {
-                chunk, codec, data, ..
-            } => {
-                // Lands in the layer's parameters at the chunk's offset
-                // right here; the apply span and histogram wrap each
-                // chunk, so a layer's apply time is the sum over them.
-                let params = replica.params_mut(layer);
-                telemetry::span_begin("apply", layer as u64, iter as u64);
-                let apply_started = Instant::now();
-                let applied = s.on_param_chunk(chunk as usize, codec, &data, params);
-                telemetry::span_end("apply", layer as u64, iter as u64);
-                self.m_apply
-                    .record(apply_started.elapsed().as_nanos() as u64);
-                if let Err(e) = applied {
-                    crate::runtime::note_poisoned_frame(
-                        self.endpoint.endpoint_id(),
-                        from,
-                        "param chunk",
-                        &e,
-                    );
-                    return;
-                }
-            }
-            Message::ParamMatrix { data, .. } => {
-                s.on_param_matrix(wire::decode_f32s(&data).expect("corrupt param matrix"));
-            }
-            Message::SfPush { data, .. } => {
-                s.on_peer_sf(
-                    from,
-                    bytesio::decode_sf_batch(&data).expect("corrupt SF payload"),
-                );
-            }
-            Message::Collective { route, data, .. } => {
-                let codec = s.codec();
-                match s.on_collective(from, route, data) {
-                    Ok(sends) => send_collective_frames(
-                        self.endpoint,
-                        me,
-                        (iter as u64, layer),
-                        codec,
-                        sends,
-                    ),
-                    Err(e) => {
-                        crate::runtime::note_poisoned_frame(
-                            self.endpoint.endpoint_id(),
-                            from,
-                            "collective",
-                            &e,
-                        );
-                        return;
-                    }
-                }
-            }
-            Message::GradChunk { .. } => {
-                panic!("worker {me} received an unexpected gradient chunk")
-            }
-            Message::Handoff { .. } => {
-                unreachable!("handoff frames are rejected before dispatch")
-            }
-            Message::Ack { .. } | Message::Nack { .. } => {
-                unreachable!("control frames are filtered before dispatch")
-            }
+        let params = replica.params_mut(layer);
+        let emit = |to, msg| route(run, endpoint, epoch, to, msg);
+        if let Err(e) = s.receive(from, msg, params, emit) {
+            crate::runtime::note_poisoned_frame(endpoint.endpoint_id(), from, what, &e);
+            return;
         }
         if !was_complete && s.is_complete() {
-            // PS layers have nothing left to apply: their chunks landed
-            // in the replica as they arrived.
-            if let Some(outcome) = s.take_outcome() {
-                telemetry::span_begin("apply", layer as u64, iter as u64);
-                let apply_started = Instant::now();
-                let params = replica.params_mut(layer);
-                match outcome {
-                    SyncOutcome::FreshParams(flat) => syncer::write_params_flat(params, &flat),
-                    SyncOutcome::ApplyDelta(segments) => syncer::apply_delta(params, &segments),
-                    SyncOutcome::SfApply(batches) => {
-                        let (rows, cols) = params.weights.shape();
-                        let (grad_w, grad_b) = syncer::reconstruct_sf_batches(&batches, rows, cols);
-                        let (vw, vb) = self
-                            .sf_velocity
-                            .entry(layer)
-                            .or_insert_with(|| (Matrix::zeros(rows, cols), vec![0.0; rows]));
-                        let (w, b) = (&mut params.weights, &mut params.bias);
-                        let (momentum, scale) = (self.run.cfg.momentum, self.run.scale_at(iter));
-                        momentum_step(
-                            w.as_mut_slice(),
-                            vw.as_mut_slice(),
-                            grad_w.as_slice(),
-                            momentum,
-                            scale,
-                        );
-                        momentum_step(b.as_mut_slice(), vb, &grad_b, momentum, scale);
-                    }
-                }
-                telemetry::span_end("apply", layer as u64, iter as u64);
-                self.m_apply
-                    .record(apply_started.elapsed().as_nanos() as u64);
-            }
+            s.apply(params, iter as u64, run.scale_at(iter));
             telemetry::span_end_lane("wfbp.sync", layer as u32, layer as u64, iter as u64);
             if let Some(t0) = state.started.take() {
                 state.wait.record(t0.elapsed().as_nanos() as u64);
@@ -449,19 +272,16 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     let m_apply = metrics::histogram("poseidon_apply_ns", &worker);
     let m_drained = metrics::counter("poseidon_wfbp_drained_frames_total", &worker);
 
-    // One syncer per trainable layer — each carries its scheme, its codec
-    // (with per-chunk error-feedback state for lossy codecs).
-    let mut layers: HashMap<usize, LayerSync> = HashMap::new();
-    for (l, scheme) in coordinator.scheme_assignment() {
-        let info = &coordinator.layers()[l];
-        let chunks = coordinator.chunk_table().layer_chunks(l);
+    // One syncer per trainable layer, built from the plan.
+    let mut layers = BTreeMap::new();
+    for (l, _) in coordinator.scheme_assignment() {
         let layer_label = l.to_string();
         layers.insert(
             l,
             LayerSync {
-                syncer: Syncer::new(l, scheme, chunks, info.param_elems, workers, me)
+                syncer: Syncer::for_layer(coordinator, l, me)
                     .with_momentum(cfg.momentum)
-                    .with_codec(coordinator.best_codec(l)),
+                    .with_apply_histogram(m_apply.clone()),
                 sent: false,
                 parked: Vec::new(),
                 started: None,
@@ -473,18 +293,15 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         );
     }
     let num_syncers = layers.len();
-    let mut sf_velocity: HashMap<usize, (Matrix, Vec<f32>)> = HashMap::new();
 
     // What each slot's backward has to produce follows from where the slot
     // sits and how its update travels: nobody reads the gradient a slot fed
-    // by the model input would pass further down, and a layer whose update
-    // leaves as sufficient factors never ships its dense weight gradient.
+    // by the model input would pass further down, and the syncer knows
+    // whether its layer ships the dense weight gradient at all.
     for id in 0..net.num_slots() {
         let needs = BackwardNeeds {
             input_grad: !net.reads_input(id),
-            weight_grad: !layers
-                .get(&id)
-                .is_some_and(|l| matches!(l.syncer.scheme(), CommScheme::Sfb | CommScheme::AdamSf)),
+            weight_grad: layers.get(&id).is_none_or(|l| l.syncer.needs_weight_grad()),
         };
         if let Some(layer) = net.slot_mut(id) {
             layer.set_backward_needs(needs);
@@ -492,8 +309,9 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 
     // Resume: overwrite the fresh replica with the checkpointed one —
-    // params, SFB velocity, and every syncer's lossy-codec stream state —
-    // so the segmented run is bitwise-identical to an uninterrupted one.
+    // params, and every syncer's persistent state (velocities, lossy-codec
+    // streams) — so the segmented run is bitwise-identical to an
+    // uninterrupted one.
     if let Some(ck) = local.restore {
         assert_eq!(
             ck.next_iter, cfg.start_iter as u64,
@@ -511,9 +329,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                 .and_then(|x| x.params_mut())
                 .expect("checkpointed layer is trainable");
             syncer::write_params_flat(params, &lc.params);
-            if let Some((rows, cols, vw, vb)) = lc.sf_velocity {
-                sf_velocity.insert(l, (Matrix::from_vec(rows as usize, cols as usize, vw), vb));
-            }
             layers
                 .get_mut(&l)
                 .expect("checkpointed layer has a syncer")
@@ -525,15 +340,12 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     let mut ex = Exchange {
         run,
         endpoint: &endpoint,
-        me,
         layers,
-        sf_velocity,
         stashed: VecDeque::new(),
         pending: VecDeque::new(),
         iter: cfg.start_iter,
         epoch: 0,
         completed: 0,
-        m_apply,
     };
 
     let started = Instant::now();
@@ -634,11 +446,7 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 
     let wall = started.elapsed();
-    let Exchange {
-        layers,
-        sf_velocity,
-        ..
-    } = ex;
+    let layers = ex.layers;
     endpoint
         .shutdown()
         .unwrap_or_else(|e| panic!("worker {me}: transport shutdown failed: {e}"));
@@ -651,30 +459,24 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 
     // Export: the complete per-layer state a future segment needs to resume
-    // bitwise-identically — replica params, SFB velocity, syncer stream
-    // state (collective velocity + lossy-codec residuals).
+    // bitwise-identically — replica params and each syncer's persistent
+    // state (SFB and collective velocity, lossy-codec residuals).
     let checkpoint = cfg.export_state.then(|| {
         let next_iter = cfg.start_iter + cfg.iterations;
-        let mut layer_ids: Vec<usize> = layers.keys().copied().collect();
-        layer_ids.sort_unstable();
         WorkerCheckpoint {
             worker: me as u32,
             next_iter: next_iter as u64,
             epoch: run.schedule.epoch_at(next_iter),
-            layers: layer_ids
-                .into_iter()
-                .map(|l| LayerCheckpoint {
+            layers: layers
+                .iter()
+                .map(|(&l, sync)| LayerCheckpoint {
                     layer: l as u32,
                     params: syncer::flatten_params(
                         net.slot(l)
                             .and_then(|x| x.params())
                             .expect("trainable layer"),
                     ),
-                    sf_velocity: sf_velocity.get(&l).map(|(vw, vb)| {
-                        let (rows, cols) = vw.shape();
-                        (rows as u32, cols as u32, vw.as_slice().to_vec(), vb.clone())
-                    }),
-                    syncer: layers[&l].syncer.export_state(),
+                    syncer: sync.syncer.export_state(),
                 })
                 .collect(),
         }
@@ -691,66 +493,10 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     }
 }
 
-/// One momentum-SGD step over a parameter slice, in a single pass:
-/// `v ← momentum·v + scale·g`, then `w ← w + v`. Each element sees the same
-/// three roundings, in the same order, as `Matrix::scale` → `Matrix::axpy` →
-/// `Matrix::add_assign` over the whole matrix (Rust never contracts `*` and
-/// `+` into an FMA), so the replica's bits do not depend on the fusion.
-fn momentum_step(w: &mut [f32], v: &mut [f32], g: &[f32], momentum: f32, scale: f32) {
-    assert!(w.len() == v.len() && v.len() == g.len(), "length mismatch");
-    for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
-        *v *= momentum;
-        *v += scale * g;
-        *w += *v;
-    }
-}
-
 /// Top-1 error of `net` on `data` (whole set, one batch of all samples).
 pub fn evaluate_error<M: Model>(net: &mut M, data: &Dataset) -> f32 {
     let (x, y) = data.minibatch(0, data.len());
     let logits = net.forward(&x);
     let out = SoftmaxCrossEntropy.evaluate(&logits, &y);
     1.0 - out.correct as f32 / data.len() as f32
-}
-
-#[cfg(test)]
-mod tests {
-    use super::momentum_step;
-    use poseidon_tensor::Matrix;
-
-    #[test]
-    fn momentum_step_is_scale_axpy_add_assign_bit_for_bit() {
-        let ramp = |n: usize, seed: u32| -> Vec<f32> {
-            (0..n as u32)
-                .map(|i| ((i.wrapping_mul(2654435761) ^ seed) % 2003) as f32 / 977.0 - 1.0)
-                .collect()
-        };
-        let (rows, cols) = (7, 13);
-        let mut grad = ramp(rows * cols, 3);
-        grad[5] = f32::NAN;
-        grad[6] = f32::INFINITY;
-        grad[7] = -0.0;
-        for (momentum, scale) in [(0.9f32, -0.05f32), (0.0, -0.05), (0.9, 0.0), (0.0, 0.0)] {
-            let mut w = Matrix::from_vec(rows, cols, ramp(rows * cols, 1));
-            let mut v = Matrix::from_vec(rows, cols, ramp(rows * cols, 2));
-            let g = Matrix::from_vec(rows, cols, grad.clone());
-            let (mut w_fused, mut v_fused) = (w.clone(), v.clone());
-            // Two steps, so the second starts from a velocity holding NaN/Inf.
-            for _ in 0..2 {
-                v.scale(momentum);
-                v.axpy(scale, &g);
-                w.add_assign(&v);
-                momentum_step(
-                    w_fused.as_mut_slice(),
-                    v_fused.as_mut_slice(),
-                    g.as_slice(),
-                    momentum,
-                    scale,
-                );
-            }
-            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&w), bits(&w_fused), "weights, m={momentum} s={scale}");
-            assert_eq!(bits(&v), bits(&v_fused), "velocity, m={momentum} s={scale}");
-        }
-    }
 }

@@ -187,8 +187,11 @@ impl Ev {
 /// Per-layer synchronisation plan derived from the coordinator.
 #[derive(Debug)]
 struct LayerPlan {
-    /// Index into the model's layers (trace labels, Adam's owner shard).
+    /// Index into the model's layers (trace labels).
     layer: usize,
+    /// The shard an Adam layer pushes its factors to and pulls from
+    /// ([`Coordinator::adam_shard`]).
+    adam_shard: usize,
     /// Position of the layer's first chunk in the coordinator's chunk table:
     /// `base + chunk` is that chunk's slot in the per-chunk progress tables
     /// (an SFB or Adam layer uses `base` alone).
@@ -475,6 +478,7 @@ fn simulate_inner(
         };
         plans.push(LayerPlan {
             layer: l,
+            adam_shard: coordinator.adam_shard(l),
             base,
             scheme,
             codec,
@@ -778,7 +782,7 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                     let ready = state.local_aggregate(w, now, plan.sf_bytes);
                     let ready = state.staged(w, ready, plan.sf_bytes);
                     let arrive = Ev::new(Kind::GradArrive, d, 0, 0);
-                    state.send(queue, ready, w, layer % p, plan.sf_bytes, arrive);
+                    state.send(queue, ready, w, plan.adam_shard, plan.sf_bytes, arrive);
                 }
             }
         }
@@ -801,7 +805,7 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                     let recon = p as f64 * 2.0 * state.batch as f64 * m as f64 * n as f64
                         / state.cfg.transform_flops;
                     let fold = p as f64 * plan.dense_bytes as f64 / state.cfg.apply_bytes_per_s;
-                    (layer % p, recon + fold)
+                    (plan.adam_shard, recon + fold)
                 }
                 CommScheme::Sfb => unreachable!("SFB has no server-side apply"),
                 CommScheme::Ring | CommScheme::Tree => {
@@ -822,7 +826,7 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                     let (shard, bytes, _) = plan.chunks[chunk];
                     (shard, bytes)
                 }
-                CommScheme::AdamSf => (layer % p, plan.dense_bytes + MSG_OVERHEAD),
+                CommScheme::AdamSf => (plan.adam_shard, plan.dense_bytes + MSG_OVERHEAD),
                 CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => unreachable!(),
             };
             state.pull_remaining[plan.base + chunk] = p as u32;

@@ -2,30 +2,37 @@
 //!
 //! "The client library will create a syncer for each NN layer during network
 //! assembling (so that each layer one-to-one maps to one syncer), accounting
-//! for its parameter synchronisation." A syncer's life per iteration is
-//! `Move(GPU→CPU) → Send → Receive → Move(CPU→GPU)`; in this in-process
-//! runtime the two `Move`s become encoding a gradient slice and applying a
-//! parameter payload — one pass each, straight from the layer's gradient
-//! storage and into its parameter storage, on the PS path and on the
-//! collectives alike — and `Send`/`Receive` are tracked here so the worker
-//! knows when the layer is fully synchronised (the entry in the client's
-//! completion vector `C`).
+//! for its parameter synchronisation." A syncer is the one place a scheme's
+//! worker side lives, behind three calls the worker makes alike for every
+//! scheme: [`Syncer::send`] (`Move(GPU→CPU)` + `Send`: the layer's frames,
+//! each addressed to a [`Dest`]), [`Syncer::receive`] (one frame validated,
+//! decoded and staged, or refused as poisoned) and [`Syncer::apply`]
+//! (`Move(CPU→GPU)`: the completed round into the replica).
+//! [`Syncer::is_complete`] is the layer's entry in the client's completion
+//! vector `C`.
 //!
-//! This module is pure bookkeeping — no I/O — so it is exhaustively unit
-//! tested; the [`crate::runtime`] threads drive it with real messages.
+//! This module does no I/O — it builds frames and the runtime moves them — so
+//! it is exhaustively unit tested; the [`crate::runtime`] threads drive it
+//! with real messages.
 
 use crate::chunk::{split_at_bias, Chunk};
 use crate::config::{Codec, CommScheme};
+use crate::coordinator::Coordinator;
+use crate::metrics::Histogram;
 use crate::pool::BufPool;
+use crate::telemetry;
+use crate::transport::Message;
 use crate::wire::{self, CodecError, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
 use bytes::Bytes;
-use poseidon_nn::ParamBlock;
+use poseidon_nn::{Layer, ParamBlock};
+use poseidon_tensor::bytesio;
 use poseidon_tensor::compress::{decode_into, decompress, make_compressor, validate, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
+use std::time::Instant;
 
-/// What a completed syncer hands back to the worker's `Move(CPU→GPU)` step.
-/// PS layers hand back nothing: every `ParamChunk` was applied to the
-/// replica the moment it arrived ([`Syncer::on_param_chunk`]).
+/// What a completed syncer's round amounts to, before [`Syncer::apply`]
+/// moves it into the replica. PS layers have none: every `ParamChunk` was
+/// applied to the replica the moment it arrived ([`Syncer::on_param_chunk`]).
 #[derive(Debug)]
 pub enum SyncOutcome<'a> {
     /// Fresh parameters from the Adam matrix pull (flattened weights ++
@@ -45,13 +52,15 @@ pub enum SyncOutcome<'a> {
 /// boundary for checkpoint/restore.
 ///
 /// Everything here survives iterations: the collective schemes' client-side
-/// velocity replicas and every error-feedback compressor residual. A syncer
-/// rebuilt from this state compresses and folds bitwise-identically to one
-/// that never stopped. `None` entries mean "not yet materialised" (a lazily
-/// created compressor that never ran, a velocity segment before its first
-/// fold).
+/// velocity replicas, SFB's momentum velocity and every error-feedback
+/// compressor residual. A syncer rebuilt from this state compresses, folds
+/// and steps bitwise-identically to one that never stopped. `None` entries
+/// mean "not yet materialised" (a lazily created compressor that never ran,
+/// a velocity before its first fold or step).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SyncerState {
+    /// SFB's velocity replica `(rows, cols, weights, bias)`.
+    pub sf_velocity: Option<(u32, u32, Vec<f32>, Vec<f32>)>,
     /// Per-segment collective velocity replicas.
     pub velocity: Vec<Option<Vec<f32>>>,
     /// Per-chunk PS push-compressor residuals.
@@ -74,6 +83,16 @@ pub struct CollectiveSend {
     pub data: Bytes,
 }
 
+/// Where a frame a syncer hands out goes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dest {
+    /// A worker, by id (its transport endpoint).
+    Worker(usize),
+    /// A home shard, by id: whichever endpoint owns its pairs at the
+    /// current membership epoch.
+    Shard(usize),
+}
+
 /// Per-layer synchronisation state for one worker.
 #[derive(Debug)]
 pub struct Syncer {
@@ -92,8 +111,8 @@ pub struct Syncer {
     /// directly. Kept between iterations.
     scratch: Vec<f32>,
     received_matrix: Option<Vec<f32>>,
-    own_sf: Option<SfBatch>,
-    peer_sf: Vec<Option<SfBatch>>,
+    /// SFB: every worker's factor batch this iteration, ours included.
+    sf_batches: Vec<Option<SfBatch>>,
     // --- collective (ring/tree) state ---
     /// Momentum coefficient µ replicated client-side; must match the PS
     /// shards' for bitwise parity across schemes.
@@ -121,6 +140,13 @@ pub struct Syncer {
     push_comp: Vec<Option<Box<dyn Compressor>>>,
     /// Per-segment hop compressors (error-feedback state), collective path.
     seg_comp: Vec<Option<Box<dyn Compressor>>>,
+    /// SFB: the momentum velocity `(weights, bias)`, identical on every
+    /// replica. Persistent across iterations.
+    sf_velocity: Option<(Matrix, Vec<f32>)>,
+    /// Adam: the shard this layer's factors go to ([`Self::for_layer`]).
+    adam_shard: Option<usize>,
+    /// Times each write into the replica (`poseidon_apply_ns`).
+    m_apply: Histogram,
 }
 
 impl Syncer {
@@ -173,8 +199,7 @@ impl Syncer {
             chunk_done: vec![false; n_chunks],
             scratch: Vec::new(),
             received_matrix: None,
-            own_sf: None,
-            peer_sf: vec![None; workers],
+            sf_batches: vec![None; workers],
             momentum: 0.0,
             velocity: vec![None; n_segs],
             own_contrib: vec![Vec::new(); n_segs],
@@ -189,7 +214,25 @@ impl Syncer {
             push_comp: (0..n_chunks).map(|_| None).collect(),
             seg_comp: (0..n_segs).map(|_| None).collect(),
             segs,
+            sf_velocity: None,
+            adam_shard: None,
+            m_apply: Histogram::new(),
         }
+    }
+
+    /// The syncer the coordinator's plan gives `layer` on worker `me`.
+    pub fn for_layer(coordinator: &Coordinator, layer: usize, me: usize) -> Self {
+        let mut s = Self::new(
+            layer,
+            coordinator.best_scheme(layer),
+            coordinator.chunk_table().layer_chunks(layer),
+            coordinator.layers()[layer].param_elems,
+            coordinator.cluster().workers,
+            me,
+        )
+        .with_codec(coordinator.best_codec(layer));
+        s.adam_shard = Some(coordinator.adam_shard(layer));
+        s
     }
 
     /// Sets the momentum coefficient µ the collective schemes replicate
@@ -216,9 +259,10 @@ impl Syncer {
         self
     }
 
-    /// This layer's gradient codec.
-    pub fn codec(&self) -> Codec {
-        self.codec
+    /// Times each write into the replica into `hist` (builder-style).
+    pub fn with_apply_histogram(mut self, hist: Histogram) -> Self {
+        self.m_apply = hist;
+        self
     }
 
     /// Encodes one PS push chunk with this layer's codec into a pooled
@@ -259,17 +303,13 @@ impl Syncer {
     /// compressor residuals) at an iteration boundary.
     pub fn export_state(&self) -> SyncerState {
         SyncerState {
+            sf_velocity: self.sf_velocity.as_ref().map(|(vw, vb)| {
+                let (rows, cols) = vw.shape();
+                (rows as u32, cols as u32, vw.as_slice().to_vec(), vb.clone())
+            }),
             velocity: self.velocity.clone(),
-            push_residuals: self
-                .push_comp
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.residual()))
-                .collect(),
-            seg_residuals: self
-                .seg_comp
-                .iter()
-                .map(|c| c.as_ref().map(|c| c.residual()))
-                .collect(),
+            push_residuals: residuals(&self.push_comp),
+            seg_residuals: residuals(&self.seg_comp),
         }
     }
 
@@ -284,59 +324,21 @@ impl Syncer {
     /// Panics if the state's shape does not match this syncer's chunk and
     /// segment layout.
     pub fn import_state(&mut self, st: SyncerState) {
-        assert_eq!(
-            st.velocity.len(),
-            self.velocity.len(),
-            "layer {}: velocity segment count mismatch",
-            self.layer
-        );
-        for (seg, v) in st.velocity.iter().enumerate() {
-            if let Some(v) = v {
-                assert_eq!(v.len(), self.segs[seg].1, "velocity segment length");
-            }
+        let sf = st
+            .sf_velocity
+            .map(|(m, n, vw, vb)| (Matrix::from_vec(m as _, n as _, vw), vb));
+        let segs = self.segs.iter().map(|&(_, len)| len);
+        assert_eq!(st.velocity.len(), segs.len(), "velocity segment count");
+        for (v, len) in st.velocity.iter().zip(segs.clone()) {
+            assert!(
+                v.as_ref().is_none_or(|v| v.len() == len),
+                "velocity segment length"
+            );
         }
-        self.velocity = st.velocity;
-        assert_eq!(
-            st.push_residuals.len(),
-            self.push_comp.len(),
-            "layer {}: push compressor count mismatch",
-            self.layer
-        );
-        for (idx, r) in st.push_residuals.into_iter().enumerate() {
-            self.push_comp[idx] = r.map(|res| {
-                let mut comp = make_compressor(self.codec, self.chunks[idx].len);
-                comp.set_residual(&res);
-                comp
-            });
-        }
-        assert_eq!(
-            st.seg_residuals.len(),
-            self.seg_comp.len(),
-            "layer {}: segment compressor count mismatch",
-            self.layer
-        );
-        for (seg, r) in st.seg_residuals.into_iter().enumerate() {
-            self.seg_comp[seg] = r.map(|res| {
-                let mut comp = make_compressor(self.codec, self.segs[seg].1);
-                comp.set_residual(&res);
-                comp
-            });
-        }
-    }
-
-    /// The layer this syncer serves.
-    pub fn layer(&self) -> usize {
-        self.layer
-    }
-
-    /// The communication scheme in force.
-    pub fn scheme(&self) -> CommScheme {
-        self.scheme
-    }
-
-    /// The layer's KV pairs.
-    pub fn chunks(&self) -> &[Chunk] {
-        &self.chunks
+        (self.sf_velocity, self.velocity) = (sf, st.velocity);
+        let chunks = self.chunks.iter().map(|c| c.len);
+        self.push_comp = restore(self.codec, st.push_residuals, chunks);
+        self.seg_comp = restore(self.codec, st.seg_residuals, segs);
     }
 
     /// `f32` elements of buffer this syncer holds on to between iterations:
@@ -348,23 +350,183 @@ impl Syncer {
         velocity.chain(own).sum::<usize>() + self.scratch.capacity()
     }
 
+    /// Whether the layer's backward must produce the dense weight gradient:
+    /// not when its update travels as sufficient factors.
+    pub fn needs_weight_grad(&self) -> bool {
+        !matches!(self.scheme, CommScheme::Sfb | CommScheme::AdamSf)
+    }
+
+    /// `Send`, once the layer's backward is done: hands `emit` the layer's
+    /// frames for iteration `iter` one at a time, so each is on its way
+    /// while the next encodes. Collectives scale the gradient by `scale`.
+    pub fn send(
+        &mut self,
+        layer: &dyn Layer,
+        iter: u64,
+        scale: f32,
+        mut emit: impl FnMut(Dest, Message),
+    ) {
+        let id = self.layer as u32;
+        let params = layer.params().expect("a trainable layer");
+        match self.scheme {
+            CommScheme::Ps => {
+                for idx in 0..self.chunks.len() {
+                    let msg = Message::GradChunk {
+                        iter,
+                        layer: id,
+                        chunk: idx as u32,
+                        codec: self.codec,
+                        data: self.encode_push_grad(idx, params),
+                    };
+                    emit(Dest::Shard(self.chunks[idx].shard), msg);
+                }
+            }
+            CommScheme::Sfb | CommScheme::AdamSf => {
+                let batch = layer.sufficient_factors().expect("an FC layer");
+                let data = bytesio::encode_sf_batch(&batch);
+                let msg = Message::SfPush {
+                    iter,
+                    layer: id,
+                    data,
+                };
+                let to: Vec<Dest> = if self.scheme == CommScheme::AdamSf {
+                    vec![Dest::Shard(self.adam_shard.expect("built by for_layer"))]
+                } else {
+                    (0..self.workers)
+                        .filter(|&w| w != self.me)
+                        .map(Dest::Worker)
+                        .collect()
+                };
+                for to in to {
+                    emit(to, msg.clone());
+                }
+                if self.scheme == CommScheme::Sfb {
+                    self.set_own_sf(batch);
+                }
+            }
+            CommScheme::Ring | CommScheme::Tree => {
+                for send in self.send_collective(params, scale) {
+                    let (to, msg) = self.collective_frame(iter, send);
+                    emit(to, msg);
+                }
+            }
+        }
+    }
+
+    /// `Receive`: validates and decodes one frame of this layer, then stages
+    /// it or — a PS chunk — writes it into `params` where it lies. A
+    /// collective frame's onward hops go to `emit`.
+    ///
+    /// # Errors
+    ///
+    /// The [`CodecError`] of a payload that fails validation (a poisoned
+    /// frame): nothing is staged or written.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a protocol violation (see the `on_*` handlers).
+    pub fn receive(
+        &mut self,
+        from: usize,
+        msg: Message,
+        params: &mut ParamBlock,
+        mut emit: impl FnMut(Dest, Message),
+    ) -> Result<(), CodecError> {
+        let iter = msg.iter();
+        match msg {
+            Message::ParamChunk {
+                chunk, codec, data, ..
+            } => self.timed_apply(iter, |s| {
+                s.on_param_chunk(chunk as usize, codec, &data, params)
+            }),
+            Message::ParamMatrix { data, .. } => {
+                let fresh = decompress(Codec::Identity, &data, self.param_elems)?;
+                self.on_param_matrix(fresh);
+                Ok(())
+            }
+            Message::SfPush { data, .. } => {
+                let batch = decode_sf_batch(&data, params.weights.shape())?;
+                self.on_peer_sf(from, batch);
+                Ok(())
+            }
+            Message::Collective { route, data, .. } => {
+                for send in self.on_collective(from, route, data)? {
+                    let (to, msg) = self.collective_frame(iter, send);
+                    emit(to, msg);
+                }
+                Ok(())
+            }
+            other => panic!("layer {}: unexpected {}", self.layer, other.tag_name()),
+        }
+    }
+
+    /// `Move(CPU→GPU)`: applies iteration `iter`'s completed round to
+    /// `params` — Adam's fresh parameters, the collective's delta, or SFB's
+    /// reconstruction through the momentum step at update scale `scale`. A
+    /// PS layer's chunks already landed as they arrived.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-PS round is not complete.
+    pub fn apply(&mut self, params: &mut ParamBlock, iter: u64, scale: f32) {
+        if self.scheme == CommScheme::Ps {
+            return;
+        }
+        self.timed_apply(iter, |s| match s.take_outcome().expect("not a PS round") {
+            SyncOutcome::FreshParams(flat) => write_params_flat(params, &flat),
+            SyncOutcome::ApplyDelta(segments) => apply_delta(params, &segments),
+            SyncOutcome::SfApply(batches) => s.sf_step(params, &batches, scale),
+        });
+    }
+
+    /// SFB's update: every worker's factors reconstructed and stepped into
+    /// `p` through the replicated momentum velocity.
+    fn sf_step(&mut self, p: &mut ParamBlock, batches: &[SfBatch], scale: f32) {
+        let ((rows, cols), mu) = (p.weights.shape(), self.momentum);
+        let (grad_w, grad_b) = reconstruct_sf_batches(batches, rows, cols);
+        let (vw, vb) = self
+            .sf_velocity
+            .get_or_insert_with(|| (Matrix::zeros(rows, cols), vec![0.0; rows]));
+        let (w, b) = (p.weights.as_mut_slice(), p.bias.as_mut_slice());
+        momentum_step(w, vw.as_mut_slice(), grad_w.as_slice(), mu, scale);
+        momentum_step(b, vb, &grad_b, mu, scale);
+    }
+
+    /// Runs one write into the replica under the `apply` span and histogram.
+    fn timed_apply<R>(&mut self, iter: u64, write: impl FnOnce(&mut Self) -> R) -> R {
+        let layer = self.layer as u64;
+        telemetry::span_begin("apply", layer, iter);
+        let started = Instant::now();
+        let out = write(self);
+        telemetry::span_end("apply", layer, iter);
+        self.m_apply.record(started.elapsed().as_nanos() as u64);
+        out
+    }
+
+    /// The frame that carries a collective hop, and where it goes.
+    fn collective_frame(&self, iter: u64, send: CollectiveSend) -> (Dest, Message) {
+        let msg = Message::Collective {
+            iter,
+            layer: self.layer as u32,
+            route: send.route,
+            codec: self.codec,
+            data: send.data,
+        };
+        (Dest::Worker(send.to_worker), msg)
+    }
+
     /// Resets the per-iteration state (the completion-vector entry goes back
     /// to 0).
     pub fn begin_iteration(&mut self) {
         self.chunk_done.fill(false);
         self.received_matrix = None;
-        self.own_sf = None;
-        for p in &mut self.peer_sf {
-            *p = None;
-        }
+        self.sf_batches.fill(None);
         // Collective per-iteration state only — the velocity is the optimiser
         // state and lives across iterations (next round's µ·v).
         self.own_ready.fill(false);
         self.seg_done.fill(false);
         for seg in &mut self.gathered {
-            for o in seg {
-                *o = None;
-            }
+            seg.fill(None);
         }
     }
 
@@ -714,12 +876,12 @@ impl Syncer {
 
     /// Records our own sufficient-factor batch at `Send` time (SFB includes
     /// the local contribution when reconstructing).
-    pub fn set_own_sf(&mut self, batch: SfBatch) {
+    fn set_own_sf(&mut self, batch: SfBatch) {
         assert!(
             matches!(self.scheme, CommScheme::Sfb),
             "own SF only meaningful for SFB"
         );
-        self.own_sf = Some(batch);
+        self.sf_batches[self.me] = Some(batch);
     }
 
     /// Applies a parameter chunk from a PS shard to the replica right away,
@@ -777,31 +939,26 @@ impl Syncer {
     }
 
     /// Handles a dense parameter matrix (Adam pull).
-    pub fn on_param_matrix(&mut self, values: Vec<f32>) {
+    fn on_param_matrix(&mut self, values: Vec<f32>) {
         assert!(
             matches!(self.scheme, CommScheme::AdamSf),
             "layer {}: unexpected param matrix under {}",
             self.layer,
             self.scheme
         );
-        assert_eq!(
-            values.len(),
-            self.param_elems,
-            "param matrix length mismatch"
-        );
         assert!(self.received_matrix.is_none(), "duplicate param matrix");
         self.received_matrix = Some(values);
     }
 
     /// Handles a peer's sufficient-factor batch.
-    pub fn on_peer_sf(&mut self, from_worker: usize, batch: SfBatch) {
+    fn on_peer_sf(&mut self, from_worker: usize, batch: SfBatch) {
         assert!(matches!(self.scheme, CommScheme::Sfb), "unexpected SF push");
         assert_ne!(from_worker, self.me, "received our own SF broadcast");
         assert!(
-            self.peer_sf[from_worker].is_none(),
+            self.sf_batches[from_worker].is_none(),
             "duplicate SF batch from worker {from_worker}"
         );
-        self.peer_sf[from_worker] = Some(batch);
+        self.sf_batches[from_worker] = Some(batch);
     }
 
     /// `true` when everything this iteration needs has arrived — the layer's
@@ -810,19 +967,15 @@ impl Syncer {
         match self.scheme {
             CommScheme::Ps => self.chunk_done.iter().all(|&d| d),
             CommScheme::AdamSf => self.received_matrix.is_some(),
-            CommScheme::Sfb => {
-                self.own_sf.is_some()
-                    && (0..self.workers)
-                        .filter(|&w| w != self.me)
-                        .all(|w| self.peer_sf[w].is_some())
-            }
+            CommScheme::Sfb => self.sf_batches.iter().all(Option::is_some),
             CommScheme::Ring | CommScheme::Tree => self.seg_done.iter().all(|&d| d),
         }
     }
 
     /// Consumes the iteration's received state into a [`SyncOutcome`] —
     /// `None` for a PS layer, whose chunks were applied as they arrived.
-    /// Panics if the syncer is not complete.
+    /// [`Self::apply`] moves it into the replica. Panics if the syncer is
+    /// not complete.
     pub fn take_outcome(&mut self) -> Option<SyncOutcome<'_>> {
         assert!(
             self.is_complete(),
@@ -834,17 +987,12 @@ impl Syncer {
             CommScheme::AdamSf => {
                 SyncOutcome::FreshParams(self.received_matrix.take().expect("complete"))
             }
-            CommScheme::Sfb => {
-                let mut batches = Vec::with_capacity(self.workers);
-                for w in 0..self.workers {
-                    if w == self.me {
-                        batches.push(self.own_sf.take().expect("complete"));
-                    } else {
-                        batches.push(self.peer_sf[w].take().expect("complete"));
-                    }
-                }
-                SyncOutcome::SfApply(batches)
-            }
+            CommScheme::Sfb => SyncOutcome::SfApply(
+                self.sf_batches
+                    .iter_mut()
+                    .map(|b| b.take().expect("complete"))
+                    .collect(),
+            ),
             // The velocity is persistent optimiser state (next round's
             // µ·v): lent, not taken.
             CommScheme::Ring | CommScheme::Tree => SyncOutcome::ApplyDelta(
@@ -856,6 +1004,31 @@ impl Syncer {
             ),
         })
     }
+}
+
+/// Each stream's error-feedback residual (`None`: it never compressed).
+fn residuals(comps: &[Option<Box<dyn Compressor>>]) -> Vec<Option<Vec<f32>>> {
+    comps
+        .iter()
+        .map(|c| c.as_ref().map(|c| c.residual()))
+        .collect()
+}
+
+/// The compressors `residuals` were exported from, where one existed, for
+/// streams of `lens` elements.
+fn restore(
+    codec: Codec,
+    residuals: Vec<Option<Vec<f32>>>,
+    lens: impl ExactSizeIterator<Item = usize>,
+) -> Vec<Option<Box<dyn Compressor>>> {
+    assert_eq!(residuals.len(), lens.len(), "compressor count mismatch");
+    let restore = |(res, len): (Option<Vec<f32>>, usize)| {
+        let res = res?;
+        let mut comp = make_compressor(codec, len);
+        comp.set_residual(&res);
+        Some(comp)
+    };
+    residuals.into_iter().zip(lens).map(restore).collect()
 }
 
 /// Flattens a parameter block to `weights (row-major) ++ bias`.
@@ -985,6 +1158,31 @@ pub fn reconstruct_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> 
     }
     let grad = Matrix::from_vec(count, rows, u).matmul_tn(&Matrix::from_vec(count, cols, v));
     (grad, bias_grad)
+}
+
+/// Decodes a sufficient-factor batch for a layer whose weights are `shape`.
+/// A payload that does not decode, or whose factors have another shape
+/// (which [`reconstruct_sf_batches`] would panic on), is refused.
+pub(crate) fn decode_sf_batch(data: &[u8], shape: (usize, usize)) -> Result<SfBatch, CodecError> {
+    let batch = bytesio::decode_sf_batch(data).map_err(|_| CodecError::Malformed("SF batch"))?;
+    match batch.shape() {
+        Some(got) if got != shape => Err(CodecError::Malformed("SF batch of another shape")),
+        _ => Ok(batch),
+    }
+}
+
+/// One momentum-SGD step over a parameter slice, in a single pass:
+/// `v ← momentum·v + scale·g`, then `w ← w + v`. Each element sees the same
+/// three roundings, in the same order, as `Matrix::scale` → `Matrix::axpy` →
+/// `Matrix::add_assign` over the whole matrix (Rust never contracts `*` and
+/// `+` into an FMA), so the replica's bits do not depend on the fusion.
+fn momentum_step(w: &mut [f32], v: &mut [f32], g: &[f32], momentum: f32, scale: f32) {
+    assert!(w.len() == v.len() && v.len() == g.len(), "length mismatch");
+    for ((w, v), &g) in w.iter_mut().zip(v).zip(g) {
+        *v *= momentum;
+        *v += scale * g;
+        *w += *v;
+    }
 }
 
 #[cfg(test)]
@@ -1446,5 +1644,41 @@ mod tests {
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 1, 0);
         let _ = s.on_collective(1, route, wire::encode_f32s(&[1.0]));
         let _ = s.on_collective(1, route, wire::encode_f32s(&[1.0]));
+    }
+
+    #[test]
+    fn momentum_step_is_scale_axpy_add_assign_bit_for_bit() {
+        let ramp = |n: usize, seed: u32| -> Vec<f32> {
+            (0..n as u32)
+                .map(|i| ((i.wrapping_mul(2654435761) ^ seed) % 2003) as f32 / 977.0 - 1.0)
+                .collect()
+        };
+        let (rows, cols) = (7, 13);
+        let mut grad = ramp(rows * cols, 3);
+        grad[5] = f32::NAN;
+        grad[6] = f32::INFINITY;
+        grad[7] = -0.0;
+        for (momentum, scale) in [(0.9f32, -0.05f32), (0.0, -0.05), (0.9, 0.0), (0.0, 0.0)] {
+            let mut w = Matrix::from_vec(rows, cols, ramp(rows * cols, 1));
+            let mut v = Matrix::from_vec(rows, cols, ramp(rows * cols, 2));
+            let g = Matrix::from_vec(rows, cols, grad.clone());
+            let (mut w_fused, mut v_fused) = (w.clone(), v.clone());
+            // Two steps, so the second starts from a velocity holding NaN/Inf.
+            for _ in 0..2 {
+                v.scale(momentum);
+                v.axpy(scale, &g);
+                w.add_assign(&v);
+                momentum_step(
+                    w_fused.as_mut_slice(),
+                    v_fused.as_mut_slice(),
+                    g.as_slice(),
+                    momentum,
+                    scale,
+                );
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&w), bits(&w_fused), "weights, m={momentum} s={scale}");
+            assert_eq!(bits(&v), bits(&v_fused), "velocity, m={momentum} s={scale}");
+        }
     }
 }

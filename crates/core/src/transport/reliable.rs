@@ -143,6 +143,13 @@ struct State {
     links_in: Vec<LinkIn>,
 }
 
+impl State {
+    /// True when every sent frame has been acknowledged.
+    fn drained(&self) -> bool {
+        self.links_out.iter().all(|l| l.unacked.is_empty())
+    }
+}
+
 /// A [`Transport`] adapter adding sequencing, acknowledgement, and
 /// retransmission; see the module docs for the protocol.
 pub struct ReliableTransport<T: Transport> {
@@ -277,10 +284,47 @@ impl<T: Transport> ReliableTransport<T> {
         }
     }
 
-    /// True when every sent frame has been acknowledged.
+    /// [`State::drained`], for the tests.
+    #[cfg(test)]
     fn drained(&self) -> bool {
-        let st = self.state.lock().expect("reliable state lock");
-        st.links_out.iter().all(|l| l.unacked.is_empty())
+        self.state.lock().expect("reliable state lock").drained()
+    }
+
+    /// The one receive loop: hands inner frames to the state machine until
+    /// `until` yields, probing every peer on an idle slice when `probing`.
+    /// With a `deadline`, an idle slice that ends past it returns the inner
+    /// transport's timeout; without one the loop never times out.
+    fn pump<R>(
+        &self,
+        deadline: Option<Instant>,
+        probing: bool,
+        mut until: impl FnMut(&mut State) -> Option<R>,
+    ) -> Result<R, TransportError> {
+        loop {
+            if let Some(done) = until(&mut self.state.lock().expect("reliable state lock")) {
+                return Ok(done);
+            }
+            let slice = deadline.map_or(self.cfg.probe_interval, |d| {
+                d.saturating_duration_since(Instant::now())
+                    .min(self.cfg.probe_interval)
+                    .max(Duration::from_millis(1))
+            });
+            match self.inner.recv_timeout(slice) {
+                Ok(env) => {
+                    let mut st = self.state.lock().expect("reliable state lock");
+                    self.process(&mut st, env);
+                }
+                Err(TransportError::Timeout(diag)) => {
+                    if deadline.is_some_and(|d| Instant::now() >= d) {
+                        return Err(TransportError::Timeout(diag));
+                    }
+                    if probing {
+                        self.probe(&mut self.state.lock().expect("reliable state lock"));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
     }
 }
 
@@ -322,25 +366,7 @@ impl<T: Transport> Transport for ReliableTransport<T> {
     }
 
     fn recv(&self) -> Result<Envelope, TransportError> {
-        loop {
-            {
-                let mut st = self.state.lock().expect("reliable state lock");
-                if let Some(env) = st.ready.pop_front() {
-                    return Ok(env);
-                }
-            }
-            match self.inner.recv_timeout(self.cfg.probe_interval) {
-                Ok(env) => {
-                    let mut st = self.state.lock().expect("reliable state lock");
-                    self.process(&mut st, env);
-                }
-                Err(TransportError::Timeout(_)) => {
-                    let mut st = self.state.lock().expect("reliable state lock");
-                    self.probe(&mut st);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        self.pump(None, true, |st| st.ready.pop_front())
     }
 
     fn try_recv(&self) -> Result<Option<Envelope>, TransportError> {
@@ -358,38 +384,19 @@ impl<T: Transport> Transport for ReliableTransport<T> {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, TransportError> {
         let deadline = Instant::now() + timeout;
-        loop {
-            {
-                let mut st = self.state.lock().expect("reliable state lock");
-                if let Some(env) = st.ready.pop_front() {
-                    return Ok(env);
+        self.pump(Some(deadline), true, |st| st.ready.pop_front())
+            .map_err(|e| match e {
+                // The inner transport saw only its last slice: the verdict
+                // states the caller's whole budget, and this layer's repair
+                // effort, which only it counts.
+                TransportError::Timeout(mut diag) => {
+                    diag.waited = timeout;
+                    diag.link.get_or_insert_with(Default::default).retransmits =
+                        self.stats.retransmits.get();
+                    TransportError::Timeout(diag)
                 }
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            let slice = remaining
-                .min(self.cfg.probe_interval)
-                .max(Duration::from_millis(1));
-            match self.inner.recv_timeout(slice) {
-                Ok(env) => {
-                    let mut st = self.state.lock().expect("reliable state lock");
-                    self.process(&mut st, env);
-                }
-                Err(TransportError::Timeout(mut diag)) => {
-                    if Instant::now() >= deadline {
-                        // The inner transport saw only its last slice: the
-                        // verdict states the caller's whole budget, and this
-                        // layer's repair effort, which only it counts.
-                        diag.waited = timeout;
-                        diag.link.get_or_insert_with(Default::default).retransmits =
-                            self.stats.retransmits.get();
-                        return Err(TransportError::Timeout(diag));
-                    }
-                    let mut st = self.state.lock().expect("reliable state lock");
-                    self.probe(&mut st);
-                }
-                Err(e) => return Err(e),
-            }
-        }
+                e => e,
+            })
     }
 
     fn set_epoch(&self, epoch: u32) {
@@ -405,16 +412,8 @@ impl<T: Transport> Transport for ReliableTransport<T> {
         // answering nacks (and acking the peer's own stragglers, so *its*
         // linger can finish) until our buffers drain or the bound expires.
         let deadline = Instant::now() + self.cfg.linger;
-        while !self.drained() && Instant::now() < deadline {
-            match self.inner.recv_timeout(Duration::from_millis(10)) {
-                Ok(env) => {
-                    let mut st = self.state.lock().expect("reliable state lock");
-                    self.process(&mut st, env);
-                }
-                Err(TransportError::Timeout(_)) => {}
-                Err(_) => break,
-            }
-        }
+        let done = |st: &mut State| (st.drained() || Instant::now() >= deadline).then_some(());
+        let _ = self.pump(Some(deadline), false, done);
         self.inner.shutdown()
     }
 }

@@ -79,11 +79,6 @@ impl<T> FlowNetwork<T> {
         &mut self.ledger
     }
 
-    /// Number of flows still draining.
-    pub fn active_flows(&self) -> usize {
-        self.flows.iter().filter(|f| !f.done).count()
-    }
-
     /// Adds a flow of `bytes` from `src` to `dst`, eligible to transmit from
     /// `start` (clamped to now). Zero-byte and loop-back flows complete
     /// immediately at `start` (returned by the next [`Self::advance`] at or

@@ -132,21 +132,6 @@ impl Network {
         let (_, rx_done) = self.nics[dst.0].rx.reserve(start + lat, dur);
         rx_done
     }
-
-    /// Earliest time `node` could begin a new outbound transfer.
-    pub fn tx_free_at(&self, node: NodeId) -> f64 {
-        self.nics[node.0].tx.busy_until()
-    }
-
-    /// Earliest time `node`'s receive queue drains.
-    pub fn rx_free_at(&self, node: NodeId) -> f64 {
-        self.nics[node.0].rx.busy_until()
-    }
-
-    /// Total busy time of `node`'s tx queue (for utilisation reports).
-    pub fn tx_busy(&self, node: NodeId) -> f64 {
-        self.nics[node.0].tx.total_busy()
-    }
 }
 
 #[cfg(test)]

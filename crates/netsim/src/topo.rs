@@ -235,16 +235,6 @@ impl HierNetwork {
         let (_, f5) = self.devs[dst.0].rx.reserve(s4, d_intra);
         worst.max(f4).max(f5) + lat
     }
-
-    /// Earliest time device `dev` could begin a new outbound transfer.
-    pub fn tx_free_at(&self, dev: NodeId) -> f64 {
-        self.devs[dev.0].tx.busy_until()
-    }
-
-    /// Earliest time the shared core drains.
-    pub fn core_free_at(&self) -> f64 {
-        self.core.busy_until()
-    }
 }
 
 #[cfg(test)]

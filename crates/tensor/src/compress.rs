@@ -98,14 +98,6 @@ impl Codec {
             Codec::TopK { permille } => 8 + 8 * topk_k(elems, permille),
         }
     }
-
-    /// Wire bytes relative to the dense f32 payload (`payload_bytes / 4n`).
-    pub fn wire_ratio(self, elems: usize) -> f64 {
-        if elems == 0 {
-            return 1.0;
-        }
-        self.payload_bytes(elems) as f64 / (4 * elems) as f64
-    }
 }
 
 impl std::fmt::Display for Codec {

@@ -76,16 +76,6 @@ impl Matrix {
         Self { rows, cols, data }
     }
 
-    /// Creates a `1 × n` row vector from a slice.
-    pub fn row_vector(v: &[f32]) -> Self {
-        Self::from_vec(1, v.len(), v.to_vec())
-    }
-
-    /// Creates an `n × 1` column vector from a slice.
-    pub fn col_vector(v: &[f32]) -> Self {
-        Self::from_vec(v.len(), 1, v.to_vec())
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

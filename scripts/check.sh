@@ -38,12 +38,16 @@ for run in 1 2 3 4 5; do
     timeout 300 cargo test -q -p poseidon --test poller_threads
 done
 
-echo "== bitwise oracles under --release =="
+echo "== bitwise oracles and data paths under --release =="
 # Tier-1 runs these in the dev profile. The benchmark measures the release
 # build: the ISA-dispatched GEMM, the transposing packs and the codec loops
-# as the optimiser leaves them, which is what must keep every bit.
+# as the optimiser leaves them, and the syncer's apply code (the in-place
+# chunk writes, SFB's momentum step, the collective delta) on the PS,
+# collective and WFBP-drain paths, which is what must keep every bit.
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-nn --test conv_oracle
+cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
+    --test wfbp_drain --test distributed_equivalence
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
