@@ -12,8 +12,8 @@
 //! | `Send` (syncer) | Syncer | [`crate::syncer::Syncer::send`]: the worker loop in [`crate::runtime`] calls it the moment a layer's backward completes, and transmits the frames it hands back to the [`crate::syncer::Dest`] each names |
 //! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::receive`]: validates, decodes and stages one frame (a PS chunk via [`crate::syncer::Syncer::on_param_chunk`], a ring/tree hop via [`crate::syncer::Syncer::on_collective`]) or refuses it as poisoned, completing via [`crate::syncer::Syncer::is_complete`]; the worker calls it for whatever has arrived between the layers of backward, and for the rest after it |
 //! | `Move` (syncer) | Syncer | GPU→CPU: inside [`crate::syncer::Syncer::send`], [`crate::syncer::Syncer::encode_push_grad`] encodes a KV pair and [`crate::syncer::Syncer::send_collective`] a ring/tree segment, straight from the layer's gradient storage; CPU→GPU: a PS chunk lands in the replica inside `receive`, every other scheme's round through [`crate::syncer::Syncer::apply`] ([`crate::syncer::write_params_flat`], [`crate::syncer::apply_delta`], or [`crate::syncer::reconstruct_sf_batches`] and the momentum step) |
-//! | `Send` (KV store) | KV store | the broadcast a shard performs when a pair's update count reaches `P` — the `Ok(true)` of [`crate::kvstore::ShardState::stage`], then [`crate::kvstore::ShardState::fold`] and one pooled encoding of the fresh master (the `Some(params)` return of the dense wrapper [`crate::kvstore::ShardState::receive_grad`]) |
-//! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardState::stage`] (BSP; a wire frame is staged as its bytes) and [`crate::kvstore::ShardState::receive_grad_async`] (bounded-async extension) |
+//! | `Send` (KV store) | KV store | [`crate::kvstore::ShardServer::serve`], once a pair's update count reaches `P` (the `Ok(true)` of [`crate::kvstore::ShardState::stage`]): the round's reply goes to every worker through its `emit` callback — the fresh master encoded in the fold's walk ([`crate::kvstore::ShardState::fold_apply_encode`]), the compressed velocity ahead of [`crate::kvstore::ShardState::apply_delta`] for a lossy pair, or an Adam layer's fresh matrix |
+//! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardServer::serve`]: stages one frame as its bytes ([`crate::kvstore::ShardState::stage`]; Adam's factors reconstructed dense first), applies it at once under SSP ([`crate::kvstore::ShardState::receive_grad_async`], the bounded-async extension), or refuses it as poisoned |
 //!
 //! Other Section-4 behaviours and where they live:
 //!
@@ -23,10 +23,11 @@
 //!   1" → the blocking tail of the worker's receive path in
 //!   [`crate::runtime`].
 //! * Per-KV-pair update counts and broadcast-on-complete →
-//!   [`crate::kvstore::ShardState`].
+//!   [`crate::kvstore::ShardState`], served by [`crate::kvstore::ShardServer`].
 //! * Checkpointing "current parameter states for fault tolerance" →
-//!   [`crate::kvstore::ShardState::export_pair`] /
-//!   [`crate::kvstore::ShardState::install_pair`] through
+//!   [`crate::kvstore::ShardServer::export`] /
+//!   [`crate::kvstore::ShardServer::install`] (master, velocity and reply
+//!   residual) through
 //!   [`crate::checkpoint::encode_shard`] /
 //!   [`crate::checkpoint::decode_shard`].
 //! * Straggler dropping → the simulator's

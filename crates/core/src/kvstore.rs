@@ -15,12 +15,26 @@
 //! A gradient is staged *as it arrived*: a wire frame stays its refcounted
 //! [`Bytes`] (validated at receipt, never decoded to a vector) and is folded
 //! straight from those bytes into the pair's velocity.
+//!
+//! [`ShardServer`] is the one place a scheme's shard side lives: the table
+//! of pairs a shard may hold, and what serving each takes — the PS fold and
+//! reply (identity, or lossy with its error-feedback residual), SSP's
+//! apply-on-arrival, Adam's reconstruction — behind calls the shard loop
+//! makes alike for every scheme.
 
+use crate::checkpoint::{self, PairState};
+use crate::config::{CommScheme, Consistency};
+use crate::coordinator::Coordinator;
+use crate::membership::MembershipSchedule;
 use crate::pool::BufPool;
-use crate::wire::{self, Codec, CodecError};
+use crate::syncer::{self, Dest};
+use crate::transport::Message;
+use crate::wire::{self, Codec, CodecError, LAYER_GRANULAR_CHUNK};
 use bytes::Bytes;
-use poseidon_tensor::compress::{Compressor, FrameCursor, IdentityCompressor};
-use std::collections::HashMap;
+use poseidon_tensor::compress::{make_compressor, Compressor, FrameCursor, IdentityCompressor};
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Key of one KV pair: `(layer index, chunk index within the layer)`.
 pub type KvKey = (u32, u32);
@@ -365,9 +379,311 @@ impl ShardState {
     }
 }
 
+/// How a pair's round is answered.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Reply {
+    /// A PS chunk's `ParamChunk` under this codec: the fresh master
+    /// (identity) or the compressed velocity (lossy).
+    Chunk(Codec),
+    /// The fresh master of a layer Adam syncs whole, FC weights `rows ×
+    /// cols`, as a `ParamMatrix`.
+    Matrix(usize, usize),
+}
+
+/// The KV store's side of every scheme: the pairs one shard may hold, their
+/// masters, and what serving each of them takes. The shard loop calls it
+/// alike for every scheme: [`Self::serve`] per frame, [`Self::hand_off`] and
+/// [`Self::take_over`] at a membership boundary, [`Self::export`] and
+/// [`Self::install`] for a checkpoint.
+pub struct ShardServer {
+    state: ShardState,
+    me: usize,
+    /// Under SSP a gradient is applied on arrival and answered to its sender.
+    ssp: bool,
+    schedule: Arc<MembershipSchedule>,
+    /// The ownership universe — this shard's home pairs under a trivial
+    /// schedule, every PS pair of the mesh under an elastic one — by key:
+    /// its home shard, its range of the layer's flat `weights ++ bias`, its
+    /// reply. Which pairs it holds is the schedule's call, epoch by epoch.
+    table: BTreeMap<KvKey, (usize, Range<usize>, Reply)>,
+    /// Lossy pairs' reply compressors (error feedback), made by the first reply.
+    reply_comp: HashMap<KvKey, Box<dyn Compressor>>,
+}
+
+impl ShardServer {
+    /// Shard `me` of the coordinator's plan under `schedule`, folding with
+    /// momentum `µ` under `consistency`; it holds no pair yet.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an elastic schedule meets a layer synced whole (Adam), or
+    /// SSP a lossy reply codec (error feedback needs the BSP barrier).
+    pub fn new(
+        coordinator: &Coordinator,
+        me: usize,
+        schedule: &Arc<MembershipSchedule>,
+        momentum: f32,
+        consistency: Consistency,
+    ) -> Self {
+        let (elastic, ssp) = (!schedule.is_trivial(), consistency != Consistency::Bsp);
+        let mut table = BTreeMap::new();
+        for (l, scheme) in coordinator.scheme_assignment() {
+            match scheme {
+                CommScheme::Ps => {
+                    let codec = coordinator.best_codec(l);
+                    assert!(
+                        !ssp || codec == Codec::Identity,
+                        "SSP supports the identity codec only; lossy error feedback needs the \
+                         BSP barrier"
+                    );
+                    let chunks = coordinator.chunk_table().layer_chunks(l);
+                    for (idx, c) in chunks.into_iter().enumerate() {
+                        let pair = (c.shard, c.range(), Reply::Chunk(codec));
+                        table.insert((l as u32, idx as u32), pair);
+                    }
+                }
+                CommScheme::AdamSf => {
+                    assert!(
+                        !elastic,
+                        "elastic membership does not support layer-granular (AdamSf) shards"
+                    );
+                    let info = &coordinator.layers()[l];
+                    let (rows, cols) = info.fc_shape.expect("layer-granular schemes need FC shape");
+                    let home = coordinator.adam_shard(l);
+                    let pair = (home, 0..info.param_elems, Reply::Matrix(rows, cols));
+                    table.insert((l as u32, LAYER_GRANULAR_CHUNK), pair);
+                }
+                // Peer-to-peer schemes; no server state.
+                CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => {}
+            }
+        }
+        if !elastic {
+            table.retain(|_, (home, ..)| *home == me);
+        }
+        let workers = coordinator.cluster().workers;
+        Self {
+            state: ShardState::with_momentum(workers, 0.0, momentum),
+            me,
+            ssp,
+            schedule: Arc::clone(schedule),
+            table,
+            reply_comp: HashMap::new(),
+        }
+    }
+
+    /// The pairs this shard holds at `epoch`, ascending.
+    pub fn owned(&self, epoch: u32) -> Vec<KvKey> {
+        self.keys(|home| self.schedule.owner(home, epoch) == self.me)
+    }
+
+    /// The pairs of home shard `home`, ascending: what a change of its owner
+    /// moves.
+    pub fn home_keys(&self, home: usize) -> Vec<KvKey> {
+        self.keys(|h| h == home)
+    }
+
+    fn keys(&self, home: impl Fn(usize) -> bool) -> Vec<KvKey> {
+        let keys = self.table.iter().filter(|(_, pair)| home(pair.0));
+        keys.map(|(&key, _)| key).collect()
+    }
+
+    /// Installs the initial master of every pair held at `epoch`, cut from
+    /// `layer_params(l)`: layer `l`'s flat `weights ++ bias`.
+    pub fn init(&mut self, epoch: u32, layer_params: impl Fn(usize) -> Vec<f32>) {
+        for key in self.owned(epoch) {
+            let range = self.table[&key].1.clone();
+            self.state
+                .init_pair(key, layer_params(key.0 as usize)[range].to_vec());
+        }
+    }
+
+    /// Serves one non-control frame from worker `from` at update scale
+    /// `scale`: stages it (SSP: applies it) and answers a round it completes
+    /// through `emit`. A PS identity reply is the fresh master, encoded in the
+    /// fold's walk into one buffer all `P` workers share; a lossy one is the
+    /// velocity compressed with error feedback, on its way before the master
+    /// advances by its *decoded* bytes; SSP answers the sender alone. An Adam
+    /// round folds the workers' factors, reconstructed dense.
+    ///
+    /// # Errors
+    ///
+    /// The [`CodecError`] of a poisoned frame — a payload that fails
+    /// validation, a pair this shard does not hold, a kind a shard never
+    /// serves: nothing is staged from it.
+    pub fn serve(
+        &mut self,
+        from: usize,
+        msg: Message,
+        scale: f32,
+        mut emit: impl FnMut(Dest, Message),
+    ) -> Result<(), CodecError> {
+        self.state.set_update_scale(scale);
+        match msg {
+            Message::GradChunk {
+                iter,
+                layer,
+                chunk,
+                codec,
+                data: payload,
+            } => {
+                let key = (layer, chunk);
+                let (elems, Reply::Chunk(reply)) = self.held(key)? else {
+                    return Err(CodecError::Malformed("gradient of a layer synced whole"));
+                };
+                let reply_with = move |data| Message::ParamChunk {
+                    iter,
+                    layer,
+                    chunk,
+                    codec: reply,
+                    data,
+                };
+                let grad = Staged::Frame { codec, payload };
+                if self.ssp {
+                    let fresh =
+                        wire::encode_f32s_pooled(self.state.receive_grad_async(key, &grad)?);
+                    emit(Dest::Worker(from), reply_with(fresh));
+                    return Ok(());
+                }
+                if !self.state.stage(from, key, grad)? {
+                    return Ok(());
+                }
+                let data = if reply == Codec::Identity {
+                    self.state.fold_apply_encode(key)
+                } else {
+                    let comp = self.reply_comp.entry(key);
+                    let comp = comp.or_insert_with(|| make_compressor(reply, elems));
+                    wire::compress_pooled(comp.as_mut(), self.state.fold(key))
+                };
+                for w in 0..self.state.workers {
+                    emit(Dest::Worker(w), reply_with(data.clone()));
+                }
+                if reply != Codec::Identity {
+                    self.state.apply_delta(key, reply, &data);
+                }
+            }
+            Message::SfPush { iter, layer, data } => {
+                let key = (layer, LAYER_GRANULAR_CHUNK);
+                let (_, Reply::Matrix(rows, cols)) = self.held(key)? else {
+                    return Err(CodecError::Malformed("factors of a PS layer"));
+                };
+                let batch = syncer::decode_sf_batch(&data, (rows, cols))?;
+                let (w, b) = syncer::reconstruct_sf_batches(&[batch], rows, cols);
+                let dense = Staged::Dense([w.as_slice(), &b].concat());
+                if self.state.stage(from, key, dense)? {
+                    let data = self.state.fold_apply_encode(key);
+                    for w in 0..self.state.workers {
+                        let data = data.clone();
+                        emit(Dest::Worker(w), Message::ParamMatrix { iter, layer, data });
+                    }
+                }
+            }
+            _ => return Err(CodecError::Malformed("a frame kind a shard never serves")),
+        }
+        Ok(())
+    }
+
+    /// The element count and reply of pair `key`, if this shard holds it.
+    fn held(&self, key: KvKey) -> Result<(usize, Reply), CodecError> {
+        match self.table.get(&key) {
+            Some((_, range, reply)) if self.state.pair(key).is_some() => Ok((range.len(), *reply)),
+            _ => Err(CodecError::Malformed("frame for a pair not held here")),
+        }
+    }
+
+    /// One held pair's full state — master, optimizer velocity and reply
+    /// residual — for a handoff or a checkpoint.
+    pub fn export(&self, key: KvKey) -> PairState {
+        let (params, velocity) = self.state.export_pair(key).expect("a held pair");
+        let residual = self
+            .reply_comp
+            .get(&key)
+            .map_or_else(Vec::new, |c| c.residual());
+        PairState {
+            key,
+            params,
+            velocity,
+            residual,
+        }
+    }
+
+    /// Installs an exported pair; a lossy reply stream continues exactly
+    /// where the exporter left it.
+    ///
+    /// # Errors
+    ///
+    /// A pair outside this shard's table, or of another length.
+    pub fn install(&mut self, pair: PairState) -> Result<(), CodecError> {
+        let Some((_, range, reply)) = self.table.get(&pair.key) else {
+            return Err(CodecError::Malformed("pair outside this shard's table"));
+        };
+        let (len, reply) = (range.len(), *reply);
+        let fits = |v: &[f32]| v.is_empty() || v.len() == len;
+        if pair.params.len() != len || !fits(&pair.velocity) || !fits(&pair.residual) {
+            return Err(CodecError::Malformed("pair state of another length"));
+        }
+        if let (false, Reply::Chunk(codec)) = (pair.residual.is_empty(), reply) {
+            let mut comp = make_compressor(codec, len);
+            comp.set_residual(&pair.residual);
+            self.reply_comp.insert(pair.key, comp);
+        }
+        self.state
+            .install_pair(pair.key, pair.params, pair.velocity);
+        Ok(())
+    }
+
+    /// Hands every pair of home shard `home` to its new owner — one
+    /// `Handoff` frame each, stamped with boundary `iter`, to
+    /// [`Dest::Shard`]`(home)` — and drops it here.
+    pub fn hand_off(&mut self, home: usize, iter: u64, mut emit: impl FnMut(Dest, Message)) {
+        for (layer, chunk) in self.home_keys(home) {
+            let pair = self.export((layer, chunk));
+            self.state.remove_pair(pair.key);
+            self.reply_comp.remove(&pair.key);
+            let data = checkpoint::encode_pair_state(&pair.params, &pair.velocity, &pair.residual);
+            emit(
+                Dest::Shard(home),
+                Message::Handoff {
+                    iter,
+                    layer,
+                    chunk,
+                    data,
+                },
+            );
+        }
+    }
+
+    /// Installs the pair a `Handoff` frame carries.
+    ///
+    /// # Errors
+    ///
+    /// A frame of another kind, a payload that does not decode, or a pair
+    /// [`Self::install`] refuses.
+    pub fn take_over(&mut self, msg: Message) -> Result<(), CodecError> {
+        let bad = CodecError::Malformed("handoff pair state");
+        let Message::Handoff {
+            layer, chunk, data, ..
+        } = msg
+        else {
+            return Err(bad);
+        };
+        let (params, velocity, residual) = checkpoint::decode_pair_state(&data).ok_or(bad)?;
+        let key = (layer, chunk);
+        self.install(PairState {
+            key,
+            params,
+            velocity,
+            residual,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{ClusterConfig, CodecPolicy, Partition, SchemePolicy};
+    use crate::coordinator::LayerInfo;
+    use poseidon_tensor::bytesio::encode_sf_batch;
+    use poseidon_tensor::{SfBatch, SufficientFactor};
 
     #[test]
     fn broadcast_fires_only_when_all_workers_reported() {
@@ -673,5 +989,168 @@ mod tests {
         let mut shard = ShardState::new(1, -1.0);
         shard.init_pair((0, 0), vec![0.0, 0.0]);
         shard.receive_grad(0, (0, 0), &[1.0]);
+    }
+
+    /// Shard 0's server for one `3 × 4` FC layer (15 parameters, one pair)
+    /// over two colocated nodes, holding nothing yet.
+    fn fc_server(policy: SchemePolicy, codec: Codec, consistency: Consistency) -> ShardServer {
+        let layers = vec![LayerInfo {
+            name: "fc".into(),
+            param_elems: 15,
+            fc_shape: Some((3, 4)),
+        }];
+        let (cluster, partition) = (
+            ClusterConfig::colocated(2, 1),
+            Partition::KvPairs { pair_elems: 64 },
+        );
+        let coordinator = Coordinator::from_layers(layers, cluster, policy, partition)
+            .with_codec_policy(CodecPolicy::Always(codec));
+        let momentum = if consistency == Consistency::Bsp {
+            0.9
+        } else {
+            0.0
+        };
+        ShardServer::new(
+            &coordinator,
+            0,
+            &MembershipSchedule::trivial(2),
+            momentum,
+            consistency,
+        )
+    }
+
+    /// The layer's initial parameters.
+    fn ramp() -> Vec<f32> {
+        (0..15).map(|i| i as f32 * 0.25 - 1.0).collect()
+    }
+
+    fn init(mut server: ShardServer) -> ShardServer {
+        server.init(0, |_| ramp());
+        server
+    }
+
+    /// Worker `w`'s gradient for the layer's one pair at `iter`.
+    fn grad(iter: u64, w: usize) -> Message {
+        let vals: Vec<f32> = (0..15)
+            .map(|i| ((i * 7 + w * 5 + iter as usize * 3) % 11) as f32 - 5.0)
+            .collect();
+        let data = wire::encode_f32s(&vals);
+        let (layer, chunk, codec) = (0, 0, Codec::Identity);
+        Message::GradChunk {
+            iter,
+            layer,
+            chunk,
+            codec,
+            data,
+        }
+    }
+
+    /// Everything `server` emits serving `msg` from worker `from`.
+    fn serve(server: &mut ShardServer, from: usize, msg: Message) -> Vec<(Dest, Message)> {
+        let mut out = Vec::new();
+        server
+            .serve(from, msg, -0.125, |to, msg| out.push((to, msg)))
+            .unwrap();
+        out
+    }
+
+    #[test]
+    fn a_lossy_pair_handed_off_between_rounds_replies_as_if_it_never_moved() {
+        let lossy = || fc_server(SchemePolicy::AlwaysPs, Codec::OneBit, Consistency::Bsp);
+        let (mut stay, mut moved) = (init(lossy()), init(lossy()));
+        for iter in 0..5 {
+            if iter == 2 {
+                assert!(
+                    !moved.export((0, 0)).residual.is_empty(),
+                    "nothing to carry"
+                );
+                let mut fresh = lossy();
+                moved.hand_off(0, iter, |to, msg| {
+                    assert_eq!(to, Dest::Shard(0));
+                    fresh.take_over(msg).unwrap();
+                });
+                moved = fresh;
+            }
+            let round =
+                |s: &mut ShardServer| [serve(s, 1, grad(iter, 1)), serve(s, 0, grad(iter, 0))];
+            let (a, b) = (round(&mut stay), round(&mut moved));
+            assert_eq!(a[1].len(), 2, "one reply per worker, once the round is in");
+            assert_eq!(a, b, "iteration {iter}");
+        }
+        assert_eq!(stay.export((0, 0)), moved.export((0, 0)));
+    }
+
+    #[test]
+    fn an_ssp_frame_is_answered_to_its_sender_only() {
+        let ssp = Consistency::Ssp { staleness: 1 };
+        let mut server = init(fc_server(SchemePolicy::AlwaysPs, Codec::Identity, ssp));
+        let mut reference = ShardState::new(2, -0.125);
+        reference.init_pair((0, 0), ramp());
+        let Message::GradChunk { codec, data, .. } = grad(0, 1) else {
+            unreachable!()
+        };
+        let fresh = reference.receive_grad_async(
+            (0, 0),
+            &Staged::Frame {
+                codec,
+                payload: data,
+            },
+        );
+        let data = wire::encode_f32s(fresh.unwrap());
+        let (layer, chunk, codec) = (0, 0, Codec::Identity);
+        let reply = Message::ParamChunk {
+            iter: 0,
+            layer,
+            chunk,
+            codec,
+            data,
+        };
+        assert_eq!(
+            serve(&mut server, 1, grad(0, 1)),
+            vec![(Dest::Worker(1), reply)]
+        );
+    }
+
+    #[test]
+    fn an_adam_round_fans_out_the_fold_of_the_reconstructed_gradients() {
+        let adam = fc_server(SchemePolicy::AdamSf, Codec::Identity, Consistency::Bsp);
+        let (mut server, key) = (init(adam), (0, LAYER_GRANULAR_CHUNK));
+        let mut reference = ShardState::with_momentum(2, -0.125, 0.9);
+        reference.init_pair(key, ramp());
+        let mut replies = Vec::new();
+        for w in 0..2 {
+            let (u, v) = (vec![w as f32 + 0.5, -1.0, 2.0], vec![0.25, -0.5, 1.0, 3.0]);
+            let batch = SfBatch::from_factors(vec![SufficientFactor::new(u, v)]);
+            let (gw, gb) = syncer::reconstruct_sf_batches(std::slice::from_ref(&batch), 3, 4);
+            let dense = Staged::Dense([gw.as_slice(), &gb].concat());
+            assert_eq!(reference.stage(w, key, dense), Ok(w == 1));
+            let data = encode_sf_batch(&batch);
+            replies = serve(
+                &mut server,
+                w,
+                Message::SfPush {
+                    iter: 0,
+                    layer: 0,
+                    data,
+                },
+            );
+            assert_eq!(
+                replies.is_empty(),
+                w == 0,
+                "the round completes with worker 1"
+            );
+        }
+        let data = reference.fold_apply_encode(key);
+        let matrix = |w| {
+            (
+                Dest::Worker(w),
+                Message::ParamMatrix {
+                    iter: 0,
+                    layer: 0,
+                    data: data.clone(),
+                },
+            )
+        };
+        assert_eq!(replies, vec![matrix(0), matrix(1)]);
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! There is one runtime path. Both entry points build the same `RunPlan`
 //! from the model and the [`RuntimeConfig`] — scheme assignment, chunk
-//! tables, each shard's ownership universe — and hand it, with one
+//! table, membership schedule — and hand it, with one
 //! endpoint's transport, to the one endpoint runner (`node.rs`): it wraps
 //! the chaos plane when [`RuntimeConfig::faults`] asks for it, takes the
 //! endpoint's slice of [`RuntimeConfig::resume`], and runs the worker or the
@@ -43,40 +43,36 @@ use crate::config::{
 use crate::coordinator::Coordinator;
 use crate::faults::{FaultPlan, FiredFault};
 use crate::membership::MembershipSchedule;
-use crate::runtime::server::ServerPlan;
+use crate::syncer::Dest;
 use crate::telemetry::{self, TelemetryConfig};
-use crate::transport::{self, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport};
+use crate::transport::{
+    self, Message, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport,
+};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::Model;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// The process-wide count of frames dropped because their payload failed
-/// codec decode (a "poisoned" frame). Decode corruption is surfaced —
-/// counted here, emitted as a `frame.poisoned` telemetry instant and a
-/// stderr diagnostic — instead of aborting the process at the decode site; a
-/// run that then starves still fails within `comm_timeout` with the usual
-/// starvation diagnosis.
-fn poisoned_counter() -> crate::metrics::Counter {
-    crate::metrics::counter("poseidon_poisoned_frames_total", &[])
-}
-
-/// Total poisoned (undecodable) frames dropped by workers and shards since
-/// process start (`poseidon_poisoned_frames_total`).
+/// Total poisoned frames dropped by workers and shards since process start
+/// (`poseidon_poisoned_frames_total`). A frame is poisoned when its payload
+/// fails validation or its header fits nothing the receiver holds: it is
+/// counted, emitted as a `frame.poisoned` telemetry instant and a stderr
+/// diagnostic, and dropped, instead of aborting the process; a run that then
+/// starves still fails within `comm_timeout` with the usual diagnosis.
 pub fn poisoned_frames() -> u64 {
-    poisoned_counter().get()
+    crate::metrics::counter("poseidon_poisoned_frames_total", &[]).get()
 }
 
 /// Records one poisoned frame: bumps the process-wide counter and names the
-/// link and decode error on stderr/telemetry. The caller drops the frame.
-/// Cold path (a frame just failed to decode), so the registry lookup is fine.
+/// link and the error on stderr/telemetry. The caller drops the frame. Cold
+/// path (a frame was just refused), so the registry lookup is fine.
 pub(crate) fn note_poisoned_frame(
     endpoint: usize,
     from: usize,
     what: &str,
     err: &crate::wire::CodecError,
 ) {
-    poisoned_counter().inc();
+    crate::metrics::counter("poseidon_poisoned_frames_total", &[]).inc();
     if telemetry::is_enabled() {
         telemetry::instant("frame.poisoned", endpoint as u64, from as u64);
     }
@@ -390,10 +386,6 @@ fn ssp_mode(cfg: &RuntimeConfig) -> Option<u64> {
 pub(crate) struct RunPlan<'a> {
     pub cfg: &'a RuntimeConfig,
     pub coordinator: Coordinator,
-    /// Each shard's serving plan, by shard id.
-    pub plans: Vec<ServerPlan>,
-    /// `-learning_rate / P`.
-    pub update_scale: f32,
     /// `Some(staleness)` under SSP.
     pub ssp: Option<u64>,
     /// The resolved membership schedule every participant routes by.
@@ -401,12 +393,27 @@ pub(crate) struct RunPlan<'a> {
 }
 
 impl RunPlan<'_> {
-    /// `update_scale · lr multiplier`: the f32 product a gradient of
+    /// `-learning_rate / P · lr multiplier`: the f32 product a gradient of
     /// iteration `iter` is scaled by — on the PS shard, and client-side by
     /// the schemes that fold without one.
     pub fn scale_at(&self, iter: usize) -> f32 {
-        self.update_scale * self.cfg.lr_schedule.multiplier(iter)
+        let update_scale = -self.cfg.learning_rate / self.cfg.workers as f32;
+        update_scale * self.cfg.lr_schedule.multiplier(iter)
     }
+}
+
+/// Transmits one frame a worker's syncer or a shard handed out, or panics
+/// naming the broken link: a worker id is its endpoint, a shard id whichever
+/// endpoint owns that shard's pairs at `epoch`.
+fn route<T: Transport>(run: &RunPlan<'_>, endpoint: &T, epoch: u32, to: Dest, msg: Message) {
+    let to = match to {
+        Dest::Worker(worker) => worker,
+        Dest::Shard(shard) => run.cfg.workers + run.schedule.owner(shard, epoch),
+    };
+    let me = endpoint.endpoint_id();
+    endpoint
+        .send(to, msg)
+        .unwrap_or_else(|e| panic!("endpoint {me}: send to endpoint {to} failed: {e}"));
 }
 
 /// Builds the shared run plan deterministically from the reference replica.
@@ -429,48 +436,9 @@ pub(crate) fn build_run_plan<'a, M: Model>(reference: &M, cfg: &'a RuntimeConfig
         assert!(ssp.is_none(), "checkpoint/restore requires BSP");
     }
 
-    let mut plans: Vec<ServerPlan> = (0..p).map(|_| ServerPlan::default()).collect();
-    for (l, scheme) in coordinator.scheme_assignment() {
-        match scheme {
-            CommScheme::Ps => {
-                let codec = coordinator.best_codec(l);
-                if ssp.is_some() {
-                    assert_eq!(
-                        codec,
-                        Codec::Identity,
-                        "SSP supports the identity codec only; lossy error feedback needs the \
-                         BSP barrier"
-                    );
-                }
-                for (idx, chunk) in coordinator.chunk_table().layer_chunks(l).iter().enumerate() {
-                    plans[chunk.shard].chunks.push((idx as u32, *chunk, codec));
-                }
-            }
-            CommScheme::AdamSf => plans[coordinator.adam_shard(l)].layer_granular.push(l),
-            // Peer-to-peer schemes; no server state.
-            CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => {}
-        }
-    }
-    // Elastic membership: every shard's ownership universe is every PS chunk
-    // — a shard inactive at epoch 0 owns nothing, so its home pairs start
-    // out with whoever owns them.
-    if !schedule.is_trivial() {
-        assert!(
-            plans.iter().all(|plan| plan.layer_granular.is_empty()),
-            "elastic membership does not support layer-granular (AdamSf) shards"
-        );
-        let mut all: Vec<_> = plans.iter().flat_map(|plan| plan.chunks.clone()).collect();
-        all.sort_unstable_by_key(|&(idx, chunk, _)| (chunk.layer, idx));
-        for plan in &mut plans {
-            plan.chunks.clone_from(&all);
-        }
-    }
-
     RunPlan {
         cfg,
         coordinator,
-        plans,
-        update_scale: -cfg.learning_rate / p as f32,
         ssp,
         schedule,
     }

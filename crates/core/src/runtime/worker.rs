@@ -23,16 +23,18 @@
 //! endpoint (the `poseidon-node` process runtime). A peer that stops talking
 //! surfaces as a [`TransportError::Timeout`] panic naming this worker, its
 //! iteration and its sync progress — never a silent hang. A frame whose
-//! payload fails validation is poisoned: counted, diagnosed and dropped,
-//! never a process abort.
+//! payload fails validation, or whose header fits no layer or kind this
+//! worker takes, is poisoned: counted, diagnosed and dropped, never a
+//! process abort.
 
-use super::{NodeOutcome, RunPlan, SspClock};
+use super::{note_poisoned_frame, route, NodeOutcome, RunPlan, SspClock};
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
 use crate::metrics;
 use crate::serving::{Snapshot, SnapshotCell};
-use crate::syncer::{self, Dest, Syncer};
+use crate::syncer::{self, Syncer};
 use crate::telemetry;
 use crate::transport::{Message, Transport, TransportError};
+use crate::wire::CodecError;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::loss::SoftmaxCrossEntropy;
 use poseidon_nn::{BackwardNeeds, Finished, Layer, Model, ParamBlock};
@@ -50,22 +52,6 @@ pub(crate) struct WorkerConfig {
     /// Where to publish a parameter [`Snapshot`] after every iteration (the
     /// serving front door reads these).
     pub snapshots: Option<Arc<SnapshotCell>>,
-}
-
-/// Transmits one frame a syncer handed out, or panics with enough context
-/// to name the broken link: a worker id is its endpoint, a shard id is
-/// whichever endpoint owns that shard's pairs at `epoch`.
-fn route<T: Transport>(run: &RunPlan<'_>, endpoint: &T, epoch: u32, to: Dest, msg: Message) {
-    let to = match to {
-        Dest::Worker(worker) => worker,
-        Dest::Shard(shard) => run.cfg.workers + run.schedule.owner(shard, epoch),
-    };
-    if let Err(e) = endpoint.send(to, msg) {
-        panic!(
-            "worker {}: send to endpoint {to} failed: {e}",
-            endpoint.endpoint_id()
-        );
-    }
 }
 
 /// One trainable layer's side of the exchange.
@@ -210,18 +196,16 @@ impl<T: Transport> Exchange<'_, T> {
             return;
         }
         assert_eq!(msg_iter, iter, "stale message from a past iteration");
-        // Shard-to-shard state transfer; a worker is never a handoff
-        // destination. Arriving here means a routing bug.
-        assert!(
-            !matches!(msg, Message::Handoff { .. }),
-            "worker {} received a shard handoff frame",
-            endpoint.endpoint_id()
-        );
         let layer = msg.layer() as usize;
-        let state = self
-            .layers
-            .get_mut(&layer)
-            .expect("message for unknown layer");
+        // A handoff moves pairs between shards: no worker takes one.
+        let state = match self.layers.get_mut(&layer) {
+            Some(state) if !matches!(msg, Message::Handoff { .. }) => state,
+            _ => {
+                let e = CodecError::Malformed("a frame no layer of this worker takes");
+                note_poisoned_frame(endpoint.endpoint_id(), from, msg.tag_name(), &e);
+                return;
+            }
+        };
         if !state.sent {
             state.parked.push((from, msg));
             return;
@@ -231,7 +215,7 @@ impl<T: Transport> Exchange<'_, T> {
         let params = replica.params_mut(layer);
         let emit = |to, msg| route(run, endpoint, epoch, to, msg);
         if let Err(e) = s.receive(from, msg, params, emit) {
-            crate::runtime::note_poisoned_frame(endpoint.endpoint_id(), from, what, &e);
+            note_poisoned_frame(endpoint.endpoint_id(), from, what, &e);
             return;
         }
         if !was_complete && s.is_complete() {

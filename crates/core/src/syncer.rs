@@ -83,6 +83,10 @@ pub struct CollectiveSend {
     pub data: Bytes,
 }
 
+/// A frame of a kind the layer's scheme never receives.
+const WRONG_KIND: CodecError =
+    CodecError::Malformed("a frame kind the layer's scheme never receives");
+
 /// Where a frame a syncer hands out goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dest {
@@ -419,8 +423,9 @@ impl Syncer {
     ///
     /// # Errors
     ///
-    /// The [`CodecError`] of a payload that fails validation (a poisoned
-    /// frame): nothing is staged or written.
+    /// The [`CodecError`] of a poisoned frame — a payload that fails
+    /// validation, a kind the layer's scheme never receives, a chunk or
+    /// segment the layer does not have: nothing is staged or written.
     ///
     /// # Panics
     ///
@@ -441,13 +446,11 @@ impl Syncer {
             }),
             Message::ParamMatrix { data, .. } => {
                 let fresh = decompress(Codec::Identity, &data, self.param_elems)?;
-                self.on_param_matrix(fresh);
-                Ok(())
+                self.on_param_matrix(fresh)
             }
             Message::SfPush { data, .. } => {
                 let batch = decode_sf_batch(&data, params.weights.shape())?;
-                self.on_peer_sf(from, batch);
-                Ok(())
+                self.on_peer_sf(from, batch)
             }
             Message::Collective { route, data, .. } => {
                 for send in self.on_collective(from, route, data)? {
@@ -456,7 +459,7 @@ impl Syncer {
                 }
                 Ok(())
             }
-            other => panic!("layer {}: unexpected {}", self.layer, other.tag_name()),
+            _ => Err(WRONG_KIND),
         }
     }
 
@@ -630,14 +633,15 @@ impl Syncer {
     ///
     /// # Errors
     ///
-    /// Returns the [`CodecError`] of a payload that fails to decode (a
-    /// poisoned frame); the segment stays incomplete and the caller decides
-    /// whether to count and drop or abort.
+    /// Returns the [`CodecError`] of a poisoned frame — a payload that fails
+    /// to decode, a route whose phase or segment this layer does not have,
+    /// or a layer that is not a collective's; the segment stays incomplete
+    /// and the caller decides whether to count and drop or abort.
     ///
     /// # Panics
     ///
     /// Panics on a protocol violation: wrong sender for the route, duplicate
-    /// segment, length mismatch, or a ring REDUCE handed over before
+    /// segment, or a ring REDUCE handed over before
     /// [`Self::send_collective`] produced this worker's contribution. A
     /// faster neighbour's REDUCE does reach a worker that early — receives
     /// are drained between the layers of backward — so the worker parks
@@ -649,20 +653,16 @@ impl Syncer {
         route: u32,
         payload: Bytes,
     ) -> Result<Vec<CollectiveSend>, CodecError> {
-        assert!(
-            matches!(self.scheme, CommScheme::Ring | CommScheme::Tree),
-            "layer {}: unexpected collective frame under {}",
-            self.layer,
-            self.scheme
-        );
+        if !matches!(self.scheme, CommScheme::Ring | CommScheme::Tree) {
+            return Err(WRONG_KIND);
+        }
         let (phase, origin, seg) = wire::unpack_collective(route);
-        assert!(
-            seg < self.segs.len(),
-            "collective segment {seg} out of range"
-        );
-        let (_, len) = self.segs[seg];
-        if self.codec == Codec::Identity {
-            assert_eq!(payload.len(), len * 4, "collective payload length mismatch");
+        let Some(&(_, len)) = self.segs.get(seg) else {
+            return Err(CodecError::Malformed("collective segment out of range"));
+        };
+        if self.codec == Codec::Identity && payload.len() != len * 4 {
+            let got = payload.len() / 4;
+            return Err(CodecError::LengthMismatch { expect: len, got });
         }
         let mut out = Vec::new();
         match (self.scheme, phase) {
@@ -808,7 +808,7 @@ impl Syncer {
                     });
                 }
             }
-            _ => unreachable!("unknown collective phase {phase}"),
+            _ => return Err(CodecError::Malformed("unknown collective phase")),
         }
         Ok(out)
     }
@@ -890,11 +890,12 @@ impl Syncer {
     /// codec carries the compressed aggregated update (Seide et al.'s double
     /// quantization, generalised to any [`Codec`]) and is accumulated into
     /// them. A payload that fails to decode (a poisoned frame) is refused
-    /// whole: nothing is written and the chunk stays outstanding.
+    /// whole: nothing is written and the chunk stays outstanding, and so is
+    /// a chunk index past the layer's table or a layer that is not PS.
     ///
     /// # Panics
     ///
-    /// Panics on an out-of-range index or a duplicate.
+    /// Panics on a duplicate.
     pub fn on_param_chunk(
         &mut self,
         chunk_idx: usize,
@@ -902,14 +903,14 @@ impl Syncer {
         payload: &[u8],
         params: &mut ParamBlock,
     ) -> Result<(), CodecError> {
+        if self.scheme != CommScheme::Ps {
+            return Err(WRONG_KIND);
+        }
+        let Some(&done) = self.chunk_done.get(chunk_idx) else {
+            return Err(CodecError::Malformed("chunk index past the layer's table"));
+        };
         assert!(
-            matches!(self.scheme, CommScheme::Ps),
-            "layer {} ({}): unexpected param chunk",
-            self.layer,
-            self.scheme
-        );
-        assert!(
-            !self.chunk_done[chunk_idx],
+            !done,
             "duplicate chunk {chunk_idx} for layer {}",
             self.layer
         );
@@ -939,26 +940,27 @@ impl Syncer {
     }
 
     /// Handles a dense parameter matrix (Adam pull).
-    fn on_param_matrix(&mut self, values: Vec<f32>) {
-        assert!(
-            matches!(self.scheme, CommScheme::AdamSf),
-            "layer {}: unexpected param matrix under {}",
-            self.layer,
-            self.scheme
-        );
+    fn on_param_matrix(&mut self, values: Vec<f32>) -> Result<(), CodecError> {
+        if self.scheme != CommScheme::AdamSf {
+            return Err(WRONG_KIND);
+        }
         assert!(self.received_matrix.is_none(), "duplicate param matrix");
         self.received_matrix = Some(values);
+        Ok(())
     }
 
     /// Handles a peer's sufficient-factor batch.
-    fn on_peer_sf(&mut self, from_worker: usize, batch: SfBatch) {
-        assert!(matches!(self.scheme, CommScheme::Sfb), "unexpected SF push");
+    fn on_peer_sf(&mut self, from_worker: usize, batch: SfBatch) -> Result<(), CodecError> {
+        if self.scheme != CommScheme::Sfb {
+            return Err(WRONG_KIND);
+        }
         assert_ne!(from_worker, self.me, "received our own SF broadcast");
         assert!(
             self.sf_batches[from_worker].is_none(),
             "duplicate SF batch from worker {from_worker}"
         );
         self.sf_batches[from_worker] = Some(batch);
+        Ok(())
     }
 
     /// `true` when everything this iteration needs has arrived — the layer's
@@ -1261,11 +1263,11 @@ mod tests {
         let mut s = Syncer::new(2, CommScheme::Sfb, vec![], 6, 3, 1);
         let batch =
             |v: f32| SfBatch::from_factors(vec![SufficientFactor::new(vec![v, v], vec![1.0])]);
-        s.on_peer_sf(0, batch(1.0));
+        s.on_peer_sf(0, batch(1.0)).unwrap();
         assert!(!s.is_complete(), "missing own batch and worker 2");
         s.set_own_sf(batch(2.0));
         assert!(!s.is_complete());
-        s.on_peer_sf(2, batch(3.0));
+        s.on_peer_sf(2, batch(3.0)).unwrap();
         assert!(s.is_complete());
         match s.take_outcome().unwrap() {
             SyncOutcome::SfApply(batches) => {
@@ -1282,7 +1284,7 @@ mod tests {
     #[test]
     fn adam_syncer_takes_one_matrix() {
         let mut s = Syncer::new(1, CommScheme::AdamSf, vec![], 4, 2, 0);
-        s.on_param_matrix(vec![1.0, 2.0, 3.0, 4.0]);
+        s.on_param_matrix(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert!(s.is_complete());
         match s.take_outcome().unwrap() {
             SyncOutcome::FreshParams(flat) => assert_eq!(flat.len(), 4),
@@ -1320,7 +1322,7 @@ mod tests {
     #[should_panic(expected = "our own SF broadcast")]
     fn own_broadcast_echo_panics() {
         let mut s = Syncer::new(0, CommScheme::Sfb, vec![], 2, 2, 1);
-        s.on_peer_sf(
+        let _ = s.on_peer_sf(
             1,
             SfBatch::from_factors(vec![SufficientFactor::new(vec![1.0], vec![1.0])]),
         );

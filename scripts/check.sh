@@ -41,13 +41,16 @@ done
 echo "== bitwise oracles and data paths under --release =="
 # Tier-1 runs these in the dev profile. The benchmark measures the release
 # build: the ISA-dispatched GEMM, the transposing packs and the codec loops
-# as the optimiser leaves them, and the syncer's apply code (the in-place
+# as the optimiser leaves them, the syncer's apply code (the in-place
 # chunk writes, SFB's momentum step, the collective delta) on the PS,
-# collective and WFBP-drain paths, which is what must keep every bit.
+# collective and WFBP-drain paths, and the shard's `ShardServer` (the reply
+# encode, the residual's export/install on checkpoint and handoff, the
+# poisoned-frame paths), which is what must keep every bit.
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-nn --test conv_oracle
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
-    --test wfbp_drain --test distributed_equivalence
+    --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
+    --test poisoned_payloads
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -1,10 +1,11 @@
-//! Poisoned peer payloads are counted and dropped, never a panic.
+//! Poisoned peer frames are counted and dropped, never a panic.
 //!
 //! Each case runs the `2P` endpoints of a mesh as `run_endpoint` threads over
 //! the in-process fabric. One endpoint's transport hands it a corrupted copy
-//! of the first frame of one kind, just before the genuine frame. The
-//! endpoint must count the copy in `poseidon_poisoned_frames_total`, drop it,
-//! stage nothing from it and carry on with the genuine frame, so every
+//! of the first frame of one kind, just before the genuine frame: a payload
+//! that fails validation, or a header that fits nothing the receiver holds.
+//! The endpoint must count the copy in `poseidon_poisoned_frames_total`, drop
+//! it, stage nothing from it and carry on with the genuine frame, so every
 //! replica ends bitwise equal to the clean run's.
 
 use poseidon::config::{Partition, SchemePolicy};
@@ -15,6 +16,7 @@ use poseidon::runtime::{
 use poseidon::transport::{
     fabric_with_nodes, Envelope, Message, TrafficCounters, Transport, TransportError,
 };
+use poseidon::wire::{pack_collective, unpack_collective};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
 use poseidon_nn::presets;
@@ -288,5 +290,66 @@ fn elastic_shard_drops_a_truncated_handoff() {
     };
     poisoned_frame_is_dropped(&cfg, WORKERS, |msg| {
         truncated(msg, |m| matches!(m, Message::Handoff { .. }), 1)
+    });
+}
+
+#[test]
+fn ps_worker_drops_a_param_chunk_for_a_layer_past_the_model() {
+    poisoned_frame_is_dropped(&config(SchemePolicy::AlwaysPs), 1, |msg| {
+        let mut bad = msg.clone();
+        let Message::ParamChunk { layer, .. } = &mut bad else {
+            return None;
+        };
+        *layer = 1000;
+        Some(bad)
+    });
+}
+
+#[test]
+fn shard_drops_a_grad_chunk_past_its_table() {
+    poisoned_frame_is_dropped(&config(SchemePolicy::AlwaysPs), WORKERS, |msg| {
+        let mut bad = msg.clone();
+        let Message::GradChunk { chunk, .. } = &mut bad else {
+            return None;
+        };
+        *chunk = 10_000;
+        Some(bad)
+    });
+}
+
+#[test]
+fn worker_drops_a_grad_chunk() {
+    // A shard's reply turned back into the push a worker never receives.
+    poisoned_frame_is_dropped(&config(SchemePolicy::AlwaysPs), 0, |msg| {
+        let Message::ParamChunk {
+            iter,
+            layer,
+            chunk,
+            codec,
+            data,
+        } = msg.clone()
+        else {
+            return None;
+        };
+        Some(Message::GradChunk {
+            iter,
+            layer,
+            chunk,
+            codec,
+            data,
+        })
+    });
+}
+
+#[test]
+fn ring_worker_drops_a_collective_for_a_segment_out_of_range() {
+    poisoned_frame_is_dropped(&config(SchemePolicy::AlwaysRing), 1, |msg| {
+        let mut bad = msg.clone();
+        let Message::Collective { route, .. } = &mut bad else {
+            return None;
+        };
+        let (phase, origin, _) = unpack_collective(*route);
+        *route = pack_collective(phase, origin, 0xFFFF);
+        Some(bad)
     });
 }
