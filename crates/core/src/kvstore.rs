@@ -16,6 +16,17 @@
 //! [`Bytes`] (validated at receipt, never decoded to a vector) and is folded
 //! straight from those bytes into the pair's velocity.
 //!
+//! Who owns each buffer of a round: a staged frame's bytes belong to
+//! whoever made them — the pool lease a remote frame was read into, or a
+//! co-resident worker's own gradient storage, lent for the round
+//! ([`crate::syncer::Syncer::send`]) — and the fold drops them. A pair's
+//! master is a copy-on-write `Arc`: the identity reply is a view of it
+//! (`ShardState::identity_reply`) that all `P` workers' `ParamChunk`s
+//! share, and the master's next write copies it first only if such a view
+//! is still held. Under BSP none is: a round completes only after every
+//! worker has applied the last one. An SSP reply still on its way, or a
+//! retransmit copy under a fault plan, costs that one copy.
+//!
 //! [`ShardServer`] is the one place a scheme's shard side lives: the table
 //! of pairs a shard may hold, and what serving each takes — the PS fold and
 //! reply (identity, or lossy with its error-feedback residual), SSP's
@@ -26,12 +37,11 @@ use crate::checkpoint::{self, PairState};
 use crate::config::{CommScheme, Consistency};
 use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
-use crate::pool::BufPool;
 use crate::syncer::{self, Dest};
 use crate::transport::Message;
 use crate::wire::{self, Codec, CodecError, LAYER_GRANULAR_CHUNK};
 use bytes::Bytes;
-use poseidon_tensor::compress::{make_compressor, Compressor, FrameCursor, IdentityCompressor};
+use poseidon_tensor::compress::{make_compressor, Compressor, FrameCursor};
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
 use std::sync::Arc;
@@ -42,8 +52,9 @@ pub type KvKey = (u32, u32);
 /// One worker's gradient for a KV pair, held until the round folds.
 #[derive(Debug)]
 pub enum Staged {
-    /// A gradient frame's payload exactly as it came off the wire. Pins one
-    /// pool buffer per (pair, worker) until the fold drops it.
+    /// A gradient frame's payload exactly as it came off the wire. Pins its
+    /// backing buffer — a pool lease, or a co-resident worker's gradient
+    /// storage — until the fold drops it.
     Frame { codec: Codec, payload: Bytes },
     /// An already-dense gradient (the Adam SF reconstruction, tests).
     Dense(Vec<f32>),
@@ -107,7 +118,10 @@ pub struct ShardState {
     /// gradient, and stays exact when the learning rate is rescheduled
     /// mid-run.
     momentum: f32,
-    params: HashMap<KvKey, Vec<f32>>,
+    /// Masters, copy-on-write: an identity reply is a view of its master
+    /// (`identity_reply`), and the next write copies the master
+    /// first only if such a view is still held.
+    params: HashMap<KvKey, Arc<Vec<f32>>>,
     velocity: HashMap<KvKey, Vec<f32>>,
     pending: HashMap<KvKey, Vec<Option<Staged>>>,
 }
@@ -135,7 +149,7 @@ impl ShardState {
 
     /// Installs the initial master copy of a KV pair.
     pub fn init_pair(&mut self, key: KvKey, values: Vec<f32>) {
-        self.params.insert(key, values);
+        self.params.insert(key, Arc::new(values));
     }
 
     /// Number of KV pairs hosted.
@@ -145,13 +159,31 @@ impl ShardState {
 
     /// Read-only view of a KV pair's master copy.
     pub fn pair(&self, key: KvKey) -> Option<&[f32]> {
-        self.params.get(&key).map(Vec::as_slice)
+        self.params.get(&key).map(|m| m.as_slice())
     }
 
-    fn master_mut(&mut self, key: KvKey) -> &mut Vec<f32> {
+    /// The pair's master as an identity reply payload: a view of the master
+    /// itself (`wire::identity_view`), shared by every worker it goes to.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair was never initialised.
+    pub(crate) fn identity_reply(&self, key: KvKey) -> Bytes {
+        wire::identity_view(self.master(key))
+    }
+
+    fn master(&self, key: KvKey) -> &Arc<Vec<f32>> {
         self.params
-            .get_mut(&key)
+            .get(&key)
             .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"))
+    }
+
+    /// The master to write: copied first if a reply still views it.
+    fn master_mut(&mut self, key: KvKey) -> &mut Vec<f32> {
+        let master = self.params.get_mut(&key);
+        Arc::make_mut(
+            master.unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard")),
+        )
     }
 
     /// Receives one worker's dense gradient for a KV pair: [`Self::stage`],
@@ -186,7 +218,7 @@ impl ShardState {
     /// As [`Self::receive_grad`].
     pub fn stage(&mut self, worker: usize, key: KvKey, grad: Staged) -> Result<bool, CodecError> {
         assert!(worker < self.workers, "worker {worker} out of range");
-        let elems = self.master_mut(key).len();
+        let elems = self.master(key).len();
         match &grad {
             Staged::Frame { codec, payload } => {
                 poseidon_tensor::compress::validate(*codec, payload, elems)?
@@ -216,35 +248,33 @@ impl ShardState {
     /// in the same order as `P + 1` whole passes. Panics if the round is not
     /// complete.
     pub fn fold(&mut self, key: KvKey) -> &[f32] {
-        self.fold_blocks(key, |_, _, _| {});
+        self.fold_blocks(key, |_, _| {});
         &self.velocity[&key]
     }
 
-    /// The identity reply of a completed round in one blocked walk: each
-    /// [`FOLD_BLOCK`] is folded as [`Self::fold`] folds it, then gets
-    /// `θ += v` and is encoded into the reply lease before the walk moves
-    /// on. Bit for bit [`Self::fold`], [`Self::apply_velocity`] and
-    /// [`wire::encode_f32s_pooled`] of the fresh master, in one pass over
-    /// `v` and `θ` instead of three.
+    /// The identity reply of a completed round: one blocked walk in which
+    /// each [`FOLD_BLOCK`] is folded as [`Self::fold`] folds it and then
+    /// gets `θ += v` before the walk moves on, and the fresh master's
+    /// `identity_reply`. Bit for bit [`Self::fold`],
+    /// [`Self::apply_velocity`] and [`wire::encode_f32s_pooled`] of the
+    /// master, in one pass over `v` and `θ` and no copy of `θ`.
     pub fn fold_apply_encode(&mut self, key: KvKey) -> Bytes {
-        let len = self.master_mut(key).len();
-        let mut lease = BufPool::global().get_dirty(Codec::Identity.payload_bytes(len));
-        self.fold_blocks(key, |at, v, theta| {
+        self.fold_blocks(key, |v, theta| {
             for (t, v) in theta.iter_mut().zip(v) {
                 *t += v;
             }
-            IdentityCompressor.compress_into(theta, &mut lease[4 * at..4 * (at + theta.len())]);
         });
-        lease.freeze()
+        self.identity_reply(key)
     }
 
     /// Folds the completed round block by block, handing each folded
-    /// velocity block, the master block beside it and their offset to
-    /// `then` before the walk moves on. Panics if the round is not complete.
-    fn fold_blocks(&mut self, key: KvKey, mut then: impl FnMut(usize, &[f32], &mut [f32])) {
+    /// velocity block and the master block beside it to `then` before the
+    /// walk moves on; the master is copied first if a reply still views it.
+    /// Panics if the round is not complete.
+    fn fold_blocks(&mut self, key: KvKey, mut then: impl FnMut(&[f32], &mut [f32])) {
         let slots = self.pending.remove(&key).expect("round not complete");
         let (momentum, scale) = (self.momentum, self.update_scale);
-        let master = self.params.get_mut(&key).expect("a staged pair is hosted");
+        let master = Arc::make_mut(self.params.get_mut(&key).expect("a staged pair is hosted"));
         let len = master.len();
         let velocity = self.velocity.entry(key).or_insert_with(|| vec![0.0; len]);
         let mut grads: Vec<GradCursor<'_>> = slots
@@ -255,7 +285,7 @@ impl ShardState {
             })
             .collect();
         let blocks = velocity.chunks_mut(FOLD_BLOCK);
-        for (i, (block, theta)) in blocks.zip(master.chunks_mut(FOLD_BLOCK)).enumerate() {
+        for (block, theta) in blocks.zip(master.chunks_mut(FOLD_BLOCK)) {
             if momentum != 0.0 {
                 for v in block.iter_mut() {
                     *v *= momentum;
@@ -266,17 +296,15 @@ impl ShardState {
             for grad in &mut grads {
                 grad.axpy_next(scale, block);
             }
-            then(i * FOLD_BLOCK, block, theta);
+            then(block, theta);
         }
     }
 
     /// `θ += v` with the pair's folded velocity; returns the fresh master.
     pub fn apply_velocity(&mut self, key: KvKey) -> &[f32] {
         let velocity = self.velocity.get(&key).expect("pair never folded");
-        let master = self
-            .params
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("KV pair {key:?} not initialised on this shard"));
+        let master = self.params.get_mut(&key);
+        let master = Arc::make_mut(master.expect("a folded pair is hosted"));
         for (p, v) in master.iter_mut().zip(velocity) {
             *p += v;
         }
@@ -319,7 +347,7 @@ impl ShardState {
     /// folded yet (the new owner starts it at zeros, exactly like this shard
     /// would have).
     pub fn export_pair(&self, key: KvKey) -> Option<(Vec<f32>, Vec<f32>)> {
-        let params = self.params.get(&key)?.clone();
+        let params = self.params.get(&key)?.to_vec();
         let velocity = self.velocity.get(&key).cloned().unwrap_or_default();
         Some((params, velocity))
     }
@@ -344,7 +372,7 @@ impl ShardState {
             );
             self.velocity.insert(key, velocity);
         }
-        self.params.insert(key, params);
+        self.params.insert(key, Arc::new(params));
     }
 
     /// Drops a pair whose ownership moved to another shard.
@@ -539,9 +567,11 @@ impl ShardServer {
                 };
                 let grad = Staged::Frame { codec, payload };
                 if self.ssp {
-                    let fresh =
-                        wire::encode_f32s_pooled(self.state.receive_grad_async(key, &grad)?);
-                    emit(Dest::Worker(from), reply_with(fresh));
+                    self.state.receive_grad_async(key, &grad)?;
+                    emit(
+                        Dest::Worker(from),
+                        reply_with(self.state.identity_reply(key)),
+                    );
                     return Ok(());
                 }
                 if !self.state.stage(from, key, grad)? {
@@ -1078,6 +1108,49 @@ mod tests {
             assert_eq!(a, b, "iteration {iter}");
         }
         assert_eq!(stay.export((0, 0)), moved.export((0, 0)));
+    }
+
+    /// The payload of a served `ParamChunk`.
+    fn payload(reply: &(Dest, Message)) -> &Bytes {
+        match &reply.1 {
+            Message::ParamChunk { data, .. } => data,
+            other => panic!("a parameter chunk, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_identity_reply_views_the_master_and_one_held_across_a_round_keeps_its_bytes() {
+        let identity = || fc_server(SchemePolicy::AlwaysPs, Codec::Identity, Consistency::Bsp);
+        let (mut plain, mut holding) = (init(identity()), init(identity()));
+        let round = |s: &mut ShardServer, iter| {
+            assert!(serve(s, 1, grad(iter, 1)).is_empty());
+            serve(s, 0, grad(iter, 0))
+        };
+        let master = |s: &ShardServer| s.state.pair((0, 0)).unwrap().as_ptr() as usize;
+        let at_start = master(&holding);
+        let mut held = None;
+        for iter in 0..4 {
+            let replies = round(&mut holding, iter);
+            assert_eq!(replies, round(&mut plain, iter), "iteration {iter}");
+            let want = wire::encode_f32s(holding.state.pair((0, 0)).unwrap());
+            for reply in &replies {
+                assert_eq!(payload(reply), &want, "iteration {iter}");
+                assert_eq!(payload(reply).as_ptr() as usize, master(&holding));
+            }
+            // Unheld replies cost no copy: the master stays where it was
+            // until iteration 2's reply is kept past the next fold.
+            assert_eq!(master(&holding) == at_start, iter < 3, "iteration {iter}");
+            if iter == 2 {
+                held = Some((payload(&replies[0]).clone(), want.to_vec()));
+            }
+        }
+        let (reply, bytes) = held.expect("a reply was held");
+        assert_eq!(
+            reply.to_vec(),
+            bytes,
+            "the held reply kept its round's bytes"
+        );
+        assert_eq!(reply.as_ptr() as usize, at_start);
     }
 
     #[test]

@@ -123,7 +123,7 @@ impl<T: Transport> Exchange<'_, T> {
 
     /// Layer `l`'s `Send`, the moment `bˡ` is done; opens its sync window
     /// and releases the frames that were parked for it.
-    fn send(&mut self, l: usize, layer: &dyn Layer) {
+    fn send(&mut self, l: usize, layer: &mut dyn Layer) {
         let (run, endpoint, epoch, iter) = (self.run, self.endpoint, self.epoch, self.iter);
         let Some(state) = self.layers.get_mut(&l) else {
             return;

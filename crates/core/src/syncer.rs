@@ -11,6 +11,15 @@
 //! [`Syncer::is_complete`] is the layer's entry in the client's completion
 //! vector `C`.
 //!
+//! Who owns the gradient: an identity PS push on a little-endian host does
+//! not copy it. [`Syncer::send`] moves the layer's weight gradient into a
+//! shared buffer, each chunk frame that lies in the weights is a view of
+//! its range, and [`Syncer::apply`] gives the buffer back to the layer when
+//! the round completes. A frame still held then — a retransmit copy, say —
+//! keeps the buffer, and the layer gets a fresh one, which its next
+//! backward writes over. Chunks that touch the bias, every lossy codec and
+//! the collectives encode into pool leases as before.
+//!
 //! This module does no I/O — it builds frames and the runtime moves them — so
 //! it is exhaustively unit tested; the [`crate::runtime`] threads drive it
 //! with real messages.
@@ -28,6 +37,7 @@ use poseidon_nn::{Layer, ParamBlock};
 use poseidon_tensor::bytesio;
 use poseidon_tensor::compress::{decode_into, decompress, make_compressor, validate, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a completed syncer's round amounts to, before [`Syncer::apply`]
@@ -149,6 +159,10 @@ pub struct Syncer {
     sf_velocity: Option<(Matrix, Vec<f32>)>,
     /// Adam: the shard this layer's factors go to ([`Self::for_layer`]).
     adam_shard: Option<usize>,
+    /// PS identity: the layer's weight gradient `(rows, cols, storage)`
+    /// while this round's push frames view it; [`Self::apply`] gives it
+    /// back.
+    lent: Option<(usize, usize, Arc<Vec<f32>>)>,
     /// Times each write into the replica (`poseidon_apply_ns`).
     m_apply: Histogram,
 }
@@ -220,6 +234,7 @@ impl Syncer {
             segs,
             sf_velocity: None,
             adam_shard: None,
+            lent: None,
             m_apply: Histogram::new(),
         }
     }
@@ -278,7 +293,12 @@ impl Syncer {
     /// [`Self::encode_push`] of chunk `chunk_idx` read straight from the
     /// layer's gradient storage (the flat layout is `weights ++ bias`).
     pub fn encode_push_grad(&mut self, chunk_idx: usize, p: &ParamBlock) -> Bytes {
-        let (w, b) = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+        self.encode_push_from(chunk_idx, p.grad_weights.as_slice(), p.grad_bias.as_slice())
+    }
+
+    /// [`Self::encode_push`] of chunk `chunk_idx` of the flat gradient
+    /// `w ++ b`, read where it lies.
+    fn encode_push_from(&mut self, chunk_idx: usize, w: &[f32], b: &[f32]) -> Bytes {
         let (wr, br) = self.chunks[chunk_idx].split_at_bias(w.len());
         let vals = if br.is_empty() {
             &w[wr]
@@ -363,24 +383,41 @@ impl Syncer {
     /// `Send`, once the layer's backward is done: hands `emit` the layer's
     /// frames for iteration `iter` one at a time, so each is on its way
     /// while the next encodes. Collectives scale the gradient by `scale`.
+    ///
+    /// An identity PS push on a little-endian host lends the layer's weight
+    /// gradient to its frames instead of encoding it: the storage moves
+    /// into a shared buffer, a chunk that lies in the weights is a view of
+    /// its range (`wire::identity_view`), and [`Self::apply`] gives the
+    /// storage back once the round is in. A chunk that touches the bias is
+    /// encoded as before.
     pub fn send(
         &mut self,
-        layer: &dyn Layer,
+        layer: &mut dyn Layer,
         iter: u64,
         scale: f32,
         mut emit: impl FnMut(Dest, Message),
     ) {
         let id = self.layer as u32;
-        let params = layer.params().expect("a trainable layer");
         match self.scheme {
             CommScheme::Ps => {
+                let params = layer.params_mut().expect("a trainable layer");
+                let lent = self.lend_grad_weights(params);
+                let view = lent.as_ref().map(wire::identity_view);
+                let w = lent
+                    .as_deref()
+                    .map_or(params.grad_weights.as_slice(), Vec::as_slice);
                 for idx in 0..self.chunks.len() {
+                    let (wr, br) = self.chunks[idx].split_at_bias(w.len());
+                    let data = match &view {
+                        Some(view) if br.is_empty() => view.slice(4 * wr.start..4 * wr.end),
+                        _ => self.encode_push_from(idx, w, params.grad_bias.as_slice()),
+                    };
                     let msg = Message::GradChunk {
                         iter,
                         layer: id,
                         chunk: idx as u32,
                         codec: self.codec,
-                        data: self.encode_push_grad(idx, params),
+                        data,
                     };
                     emit(Dest::Shard(self.chunks[idx].shard), msg);
                 }
@@ -409,6 +446,7 @@ impl Syncer {
                 }
             }
             CommScheme::Ring | CommScheme::Tree => {
+                let params = layer.params().expect("a trainable layer");
                 for send in self.send_collective(params, scale) {
                     let (to, msg) = self.collective_frame(iter, send);
                     emit(to, msg);
@@ -473,6 +511,7 @@ impl Syncer {
     /// Panics if a non-PS round is not complete.
     pub fn apply(&mut self, params: &mut ParamBlock, iter: u64, scale: f32) {
         if self.scheme == CommScheme::Ps {
+            self.give_back_grad_weights(params);
             return;
         }
         self.timed_apply(iter, |s| match s.take_outcome().expect("not a PS round") {
@@ -480,6 +519,42 @@ impl Syncer {
             SyncOutcome::ApplyDelta(segments) => apply_delta(params, &segments),
             SyncOutcome::SfApply(batches) => s.sf_step(params, &batches, scale),
         });
+    }
+
+    /// Moves `p`'s weight gradient into the shared buffer this round's
+    /// identity push frames view, leaving a 1 × 1 placeholder in its place;
+    /// `None`, and `p` untouched, where the push encodes instead: a lossy
+    /// codec, a big-endian host, or no chunk that lies in the weights.
+    fn lend_grad_weights(&mut self, p: &mut ParamBlock) -> Option<Arc<Vec<f32>>> {
+        let w_len = p.grad_weights.len();
+        let in_weights = |c: &Chunk| c.split_at_bias(w_len).1.is_empty();
+        if self.codec != Codec::Identity
+            || cfg!(target_endian = "big")
+            || !self.chunks.iter().any(in_weights)
+        {
+            return None;
+        }
+        assert!(
+            self.lent.is_none(),
+            "layer {}: weight gradient lent twice in one round",
+            self.layer
+        );
+        let (rows, cols) = p.grad_weights.shape();
+        let grad = std::mem::replace(&mut p.grad_weights, Matrix::zeros(1, 1));
+        let buf = Arc::new(grad.into_vec());
+        self.lent = Some((rows, cols, Arc::clone(&buf)));
+        Some(buf)
+    }
+
+    /// Gives `p` back the weight gradient this round's push frames viewed.
+    /// A frame still held somewhere (a retransmit copy, a frame not yet
+    /// dropped) keeps that storage; the layer gets a fresh buffer of the
+    /// same shape instead, which its next backward writes over.
+    fn give_back_grad_weights(&mut self, p: &mut ParamBlock) {
+        if let Some((rows, cols, buf)) = self.lent.take() {
+            let grad = Arc::try_unwrap(buf).unwrap_or_else(|_| vec![0.0; rows * cols]);
+            p.grad_weights = Matrix::from_vec(rows, cols, grad);
+        }
     }
 
     /// SFB's update: every worker's factors reconstructed and stepped into

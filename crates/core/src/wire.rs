@@ -55,10 +55,13 @@
 //! ([`decode_codec_into`], [`accumulate_codec`]). Sufficient-factor batches
 //! use [`poseidon_tensor::bytesio`].
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 use crate::transport::Message;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 pub use poseidon_tensor::compress::{Codec, CodecError};
 use poseidon_tensor::compress::{Compressor, FrameCursor};
+use std::sync::Arc;
 
 /// First two bytes of every frame.
 pub const FRAME_MAGIC: [u8; 2] = *b"PN";
@@ -453,6 +456,35 @@ pub fn encode_f32s(vals: &[f32]) -> Bytes {
 /// [`compress_pooled`], so the registry and this spelling share one loop.
 pub fn encode_f32s_pooled(vals: &[f32]) -> Bytes {
     compress_pooled(&mut poseidon_tensor::compress::IdentityCompressor, vals)
+}
+
+/// The identity payload of a whole shared `f32` buffer. On a little-endian
+/// host an `f32`'s bytes in memory are its wire bytes, so this is a view of
+/// `buf` itself: no copy, and `buf` stays shared — [`Arc::make_mut`] copies
+/// and [`Arc::try_unwrap`] fails — until the last view of it drops. A
+/// big-endian host encodes it into a pooled lease instead.
+pub(crate) fn identity_view(buf: &Arc<Vec<f32>>) -> Bytes {
+    if cfg!(target_endian = "little") {
+        Bytes::from_owner(SharedF32s(Arc::clone(buf)))
+    } else {
+        encode_f32s_pooled(buf)
+    }
+}
+
+/// A shared `f32` buffer seen as its bytes: what [`identity_view`]s view.
+struct SharedF32s(Arc<Vec<f32>>);
+
+impl AsRef<[u8]> for SharedF32s {
+    fn as_ref(&self) -> &[u8] {
+        let vals = self.0.as_slice();
+        // SAFETY: `vals` is an initialised `[f32]` borrowed for as long as
+        // `&self`, so nothing writes it while the view lives; every byte of
+        // an initialised `f32` is a valid `u8`, `u8` needs no alignment, and
+        // `size_of_val(vals)` bytes from its start are exactly its storage.
+        unsafe {
+            std::slice::from_raw_parts(vals.as_ptr().cast::<u8>(), std::mem::size_of_val(vals))
+        }
+    }
 }
 
 /// Compresses `vals` through `comp` straight into a pooled lease: the buffer

@@ -135,6 +135,16 @@ impl ParamBlock {
     }
 }
 
+/// A gradient buffer to write a fresh gradient over: `m` itself when it is
+/// `rows × cols`, otherwise a zero matrix of that shape in its place (the
+/// held one was lent out and not given back).
+pub(crate) fn held(m: &mut Matrix, rows: usize, cols: usize) -> &mut Matrix {
+    if m.shape() != (rows, cols) {
+        *m = Matrix::zeros(rows, cols);
+    }
+    m
+}
+
 /// Which of a backward pass's products somebody reads.
 ///
 /// Whoever drives the model derives both from what it already knows — the

@@ -20,7 +20,7 @@
 //! pixel receives its contributions in ascending `(oy, ox)` — for a fixed
 //! pixel a larger tap offset means a smaller output coordinate.
 
-use crate::layer::{BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
+use crate::layer::{held, BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
 use poseidon_tensor::{kernel, Matrix};
 use rand::Rng;
@@ -381,8 +381,13 @@ impl Layer for Conv2d {
             a.0.add_assign(&b.0);
             a.1.add_assign(&b.1);
         });
-        self.params.grad_weights = parts[0].0.clone();
-        self.params.grad_bias = parts[0].1.clone();
+        // Copied over the held gradients, which a syncer may have lent out
+        // and given back since the last step.
+        let (gw, gb) = &parts[0];
+        let held_gw = held(&mut self.params.grad_weights, c_out, d);
+        held_gw.as_mut_slice().copy_from_slice(gw.as_slice());
+        let held_gb = held(&mut self.params.grad_bias, 1, c_out);
+        held_gb.as_mut_slice().copy_from_slice(gb.as_slice());
         self.grad_parts = parts;
         self.scratch = scratch;
         self.cached_input = Some(input);

@@ -1,7 +1,7 @@
 //! Fully-connected layer — the layer class whose gradients decompose into
 //! sufficient factors.
 
-use crate::layer::{BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
+use crate::layer::{held, BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
 use poseidon_tensor::{Matrix, SfBatch, SufficientFactor};
 use rand::Rng;
@@ -109,28 +109,27 @@ impl Layer for FullyConnected {
         assert_eq!(grad_out.rows(), input.rows(), "batch size mismatch");
         assert_eq!(grad_out.cols(), self.out_features, "grad width mismatch");
 
-        // ∂L/∂W = δᵀ · x  (out × in), parallel over weight rows. Each
+        // ∂L/∂W = δᵀ · x  (out × in), parallel over weight rows, written
+        // over the held buffer: the GEMM writes every element. A buffer of
+        // another shape (one lent out and not given back) is replaced. Each
         // element sums over samples in ascending order whatever the
         // partition, keeping gradients thread-count independent.
+        let (rows, cols) = (self.out_features, self.in_features);
         if self.needs.weight_grad {
-            let mut gw = Matrix::zeros(self.out_features, self.in_features);
-            parallel::par_row_chunks(
-                self.out_features,
-                self.in_features,
-                gw.as_mut_slice(),
-                |range, chunk| grad_out.matmul_tn_rows_into(input, range, chunk),
-            );
-            self.params.grad_weights = gw;
+            let gw = held(&mut self.params.grad_weights, rows, cols);
+            parallel::par_row_chunks(rows, cols, gw.as_mut_slice(), |range, chunk| {
+                grad_out.matmul_tn_rows_into(input, range, chunk)
+            });
         }
 
         // ∂L/∂b = column sums of δ (cheap; kept serial).
-        let mut gb = Matrix::zeros(1, self.out_features);
+        let gb = held(&mut self.params.grad_bias, 1, rows);
+        gb.clear();
         for r in 0..grad_out.rows() {
             for (g, &d) in gb.row_mut(0).iter_mut().zip(grad_out.row(r)) {
                 *g += d;
             }
         }
-        self.params.grad_bias = gb;
 
         // ∂L/∂x = δ · W  (K × in), parallel over sample rows.
         let grad_in = if self.needs.input_grad {

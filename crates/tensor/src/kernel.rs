@@ -26,6 +26,14 @@
 //! arithmetic, and no FMA contraction, so all three produce bitwise
 //! identical results.
 //!
+//! A product of at most 16 rows with a depth-contiguous `B` — an FC layer's
+//! `x·Wᵀ` at a batch of 16 — skips the blocked loops. There the transposing
+//! `B` pack would stream the whole weight matrix through a second copy to
+//! feed 16 rows of arithmetic. Instead `A` is packed once into 16-lane depth
+//! rows, each output column keeps one accumulator across those rows, and
+//! `B` is broadcast straight from its contiguous runs, so the weights are
+//! read once. That body is compiled per tier in the same way.
+//!
 //! # Determinism and float semantics
 //!
 //! The microkernel seeds its accumulator tile with `+0.0` on the first
@@ -33,10 +41,11 @@
 //! shared dimension advances in the middle loop, so each output element
 //! accumulates its `k` products **strictly in ascending-k order** starting
 //! from `+0.0`, one multiply and one add per product — exactly the fold
-//! order of the naive triple loop. The blocked kernel is therefore bitwise
-//! identical to the naive reference on every shape (the tests assert this),
-//! and NaN/Inf propagate like plain IEEE arithmetic: there is no
-//! zero-skipping fast path.
+//! order of the naive triple loop. The small-`m` body folds each element
+//! the same way in one pass. Both are therefore bitwise identical to the
+//! naive reference on every shape (the tests assert this), and NaN/Inf
+//! propagate like plain IEEE arithmetic: there is no zero-skipping fast
+//! path.
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -143,6 +152,16 @@ pub fn gemm_on(
         lane: b_cs,
         depth: b_rs,
     };
+    if m <= SMALL_M && view_b.depth == 1 {
+        let body: SmallMBody = match tier.isa() {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => small_m_avx512,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => small_m_avx2,
+            Isa::Baseline => small_m_baseline,
+        };
+        return gemm_small_m(m, n, k, view_a, view_b, c, body);
+    }
     match tier.isa() {
         #[cfg(target_arch = "x86_64")]
         Isa::Avx512 => gemm_blocked::<8, 32>(m, n, k, view_a, view_b, c, mk_avx512),
@@ -166,7 +185,8 @@ thread_local! {
     /// The calling thread's `A` and `B` pack panels, grown on demand and
     /// kept between calls: a conv layer issues three GEMMs per sample, and
     /// allocating and zero-filling up to 1 MiB for each cost as much as the
-    /// arithmetic at `m = 32`.
+    /// arithmetic at `m = 32`. The small-`m` body packs its `A` into the
+    /// first.
     static PANELS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
@@ -222,6 +242,146 @@ fn gemm_blocked<const MR: usize, const NR: usize>(
             jc += NC;
         }
     });
+}
+
+/// Rows of `A` up to which a product with a depth-contiguous `B` skips the
+/// blocked loops: the register-tiled body holds one output column's `m`
+/// rows in one accumulator of this many lanes.
+const SMALL_M: usize = 16;
+
+/// A small-`m` body: `C = A·B` from `A` packed as one [`SMALL_M`]-lane row
+/// per depth step and a depth-contiguous `B`, for `m` rows and `n` columns.
+///
+/// # Safety
+///
+/// As for [`MicroKernel`].
+type SmallMBody = unsafe fn(&[[f32; SMALL_M]], View<'_>, usize, usize, &mut [f32]);
+
+/// The product of `m ≤ SMALL_M` rows and a depth-contiguous `B` (the
+/// `x·Wᵀ` of an FC layer at a batch of 16): `A` is packed once into `k`
+/// lane rows, zero past row `m`, and `B` is read where it lies, each of its
+/// values once, so the weights stream through once per product instead of
+/// through the transposing pack. `body` must be a small-`m` body of the
+/// tier [`gemm_on`] was handed.
+fn gemm_small_m(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: View<'_>,
+    b: View<'_>,
+    c: &mut [f32],
+    body: SmallMBody,
+) {
+    PANELS.with_borrow_mut(|(apack, _)| {
+        if apack.len() < k * SMALL_M {
+            apack.resize(k * SMALL_M, 0.0);
+        }
+        let (lanes, _) = apack[..k * SMALL_M].as_chunks_mut::<SMALL_M>();
+        for (p, lane) in lanes.iter_mut().enumerate() {
+            for (i, x) in lane.iter_mut().enumerate() {
+                *x = if i < m {
+                    a.data[i * a.lane + p * a.depth]
+                } else {
+                    0.0
+                };
+            }
+        }
+        // SAFETY: `body` is the small-`m` body of the tier `gemm_on` was
+        // handed, and a `Tier` exists only for a detected ISA.
+        unsafe { body(lanes, b, m, n, c) };
+    });
+}
+
+/// The small-`m` arithmetic, `NJ` output columns at a time: column `j`'s
+/// accumulator holds its `SMALL_M` rows, starts at `+0.0` and adds
+/// `A(·, p)·B(p, j)` for `p = 0, 1, …, k-1` — one multiply and one add per
+/// product, the naive loop's fold. `B(p, j)` is broadcast from column `j`'s
+/// contiguous run. Lanes past row `m` multiply padding zeros and are never
+/// written back, so the NaN that `0·∞` leaves there goes nowhere.
+#[inline(always)]
+fn small_m_body<const NJ: usize>(
+    lanes: &[[f32; SMALL_M]],
+    b: View<'_>,
+    m: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    let k = lanes.len();
+    let column = |j: usize| &b.data[j * b.lane..][..k];
+    let mut j0 = 0;
+    while j0 < n {
+        let nj = (n - j0).min(NJ);
+        let mut acc = [[0.0f32; SMALL_M]; NJ];
+        if nj == NJ {
+            acc = small_m_columns(lanes, std::array::from_fn(|x| column(j0 + x)));
+        } else {
+            for (x, acc) in acc[..nj].iter_mut().enumerate() {
+                [*acc] = small_m_columns(lanes, [column(j0 + x)]);
+            }
+        }
+        for (x, acc) in acc[..nj].iter().enumerate() {
+            for (i, &v) in acc[..m].iter().enumerate() {
+                c[i * n + j0 + x] = v;
+            }
+        }
+        j0 += NJ;
+    }
+}
+
+/// `Σₚ A(·, p)·cols[x][p]` for each column `x`, over every depth step `p`
+/// in ascending order from `+0.0`.
+#[inline(always)]
+fn small_m_columns<const NJ: usize>(
+    lanes: &[[f32; SMALL_M]],
+    cols: [&[f32]; NJ],
+) -> [[f32; SMALL_M]; NJ] {
+    let mut acc = [[0.0f32; SMALL_M]; NJ];
+    for (p, a) in lanes.iter().enumerate() {
+        for (acc, col) in acc.iter_mut().zip(&cols) {
+            let w = col[p];
+            for (x, &a) in acc.iter_mut().zip(a) {
+                *x += a * w;
+            }
+        }
+    }
+    acc
+}
+
+/// Baseline small-`m` body (no feature requirements).
+///
+/// # Safety
+///
+/// None: every CPU of the target runs it.
+unsafe fn small_m_baseline(
+    lanes: &[[f32; SMALL_M]],
+    b: View<'_>,
+    m: usize,
+    n: usize,
+    c: &mut [f32],
+) {
+    small_m_body::<2>(lanes, b, m, n, c);
+}
+
+/// AVX2 compilation of the identical small-`m` arithmetic.
+///
+/// # Safety
+///
+/// Caller must have verified `avx2` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn small_m_avx2(lanes: &[[f32; SMALL_M]], b: View<'_>, m: usize, n: usize, c: &mut [f32]) {
+    small_m_body::<4>(lanes, b, m, n, c);
+}
+
+/// AVX-512 compilation of the identical small-`m` arithmetic.
+///
+/// # Safety
+///
+/// Caller must have verified `avx512f` via `is_x86_feature_detected!`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn small_m_avx512(lanes: &[[f32; SMALL_M]], b: View<'_>, m: usize, n: usize, c: &mut [f32]) {
+    small_m_body::<8>(lanes, b, m, n, c);
 }
 
 /// Rounds `x` up to a multiple of `to`.

@@ -111,6 +111,11 @@ impl Matrix {
         &mut self.data
     }
 
+    /// The backing row-major data, without a copy.
+    pub fn into_vec(self) -> Vec<f32> {
+        self.data
+    }
+
     /// Immutable view of row `r`.
     pub fn row(&self, r: usize) -> &[f32] {
         &self.data[r * self.cols..(r + 1) * self.cols]

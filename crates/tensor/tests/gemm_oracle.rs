@@ -192,6 +192,91 @@ fn nan_and_inf_in_edge_tiles_propagate_like_the_naive_fold() {
     sweep(true);
 }
 
+/// Every row count of the small-`m` body (`m ≤ 16`) on both `B` layouts —
+/// `A·Bᵀ` reads `B` depth-contiguous and takes the body, `A·B` reads it
+/// lane-contiguous and takes the blocked loops — over ragged `n` (around
+/// the AVX-512 body's eight columns) and ragged `k` (around one `KC` slab),
+/// clean and with NaN / ±Inf planted.
+#[test]
+fn every_small_row_count_matches_the_naive_fold_on_both_b_layouts() {
+    for m in 1..=16 {
+        for &k in &[1usize, 5, 255, 257] {
+            for &n in &[1usize, 7, 8, 9, 19] {
+                for poisoned in [false, true] {
+                    let seed = (m * 7919 + k * 31 + n) as u64;
+                    let shape = format!("{m}x{k}x{n}{}", if poisoned { " poisoned" } else { "" });
+                    let (mut a, mut bt) = (lcg_matrix(m, k, seed), lcg_matrix(n, k, seed + 1));
+                    if poisoned {
+                        poison(&mut a, &mut bt);
+                    }
+                    check(
+                        &format!("matmul_nt {shape}"),
+                        &a,
+                        &bt,
+                        m,
+                        Matrix::matmul_nt,
+                        Matrix::matmul_nt_naive,
+                        Matrix::matmul_nt_rows_into,
+                        nt_strides,
+                    );
+                    let b = bt.transposed();
+                    check(
+                        &format!("matmul {shape}"),
+                        &a,
+                        &b,
+                        m,
+                        Matrix::matmul,
+                        Matrix::matmul_naive,
+                        Matrix::matmul_rows_into,
+                        nn_strides,
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The small-`m` body pads `A` to 16 lanes, so the lanes past row `m`
+/// multiply every `B` value too: an infinity in `B` makes them NaN, and
+/// rows of the operand's storage past `m` may hold anything. Neither may
+/// reach `C`, which the kernel must not read either (it starts as NaN).
+#[test]
+fn nan_and_inf_past_the_last_row_never_reach_c() {
+    for m in 1..16 {
+        for &(k, n) in &[(3usize, 9usize), (64, 17), (300, 8)] {
+            let seed = (m * 131 + k + n) as u64;
+            // Storage for 16 rows; rows `m..` are NaN and ±Inf.
+            let mut storage = lcg_matrix(16, k, seed);
+            for (r, row) in (m..16).zip([f32::NAN, f32::INFINITY, f32::NEG_INFINITY].iter().cycle())
+            {
+                storage.row_mut(r).fill(*row);
+            }
+            let a = Matrix::from_vec(m, k, storage.as_slice()[..m * k].to_vec());
+            // Every column of `Bᵀ` holds an infinity, so every padding lane
+            // computes `0·∞ = NaN`.
+            let mut bt = lcg_matrix(n, k, seed + 1);
+            for j in 0..n {
+                bt[(j, (j * 7) % k)] = if j % 2 == 0 {
+                    f32::INFINITY
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+            let want = a.matmul_nt_naive(&bt);
+            for tier in Tier::available() {
+                let mut c = vec![f32::NAN; m * n];
+                let b = bt.as_slice();
+                kernel::gemm_on(tier, m, n, k, storage.as_slice(), k, 1, b, 1, k, &mut c);
+                assert_same(
+                    &c,
+                    want.as_slice(),
+                    &format!("{m}x{k}x{n} on the {} tier", tier.name()),
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn a_panel_dirtied_by_a_poisoned_product_does_not_leak_into_the_next() {
     // Largest shapes first, full of NaN, so both thread-local panels end up

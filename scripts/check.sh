@@ -43,14 +43,19 @@ echo "== bitwise oracles and data paths under --release =="
 # build: the ISA-dispatched GEMM, the transposing packs and the codec loops
 # as the optimiser leaves them, the syncer's apply code (the in-place
 # chunk writes, SFB's momentum step, the collective delta) on the PS,
-# collective and WFBP-drain paths, and the shard's `ShardServer` (the reply
-# encode, the residual's export/install on checkpoint and handoff, the
-# poisoned-frame paths), which is what must keep every bit.
+# collective and WFBP-drain paths, and the shard's `ShardServer` (the
+# residual's export/install on checkpoint and handoff, the poisoned-frame
+# paths), which is what must keep every bit. The dense PS round shares
+# buffers instead of copying them — a push frame views the layer's
+# gradient, an identity reply views the shard's master — so the syncer and
+# KV-store unit tests that pin who may write a shared buffer, and when,
+# run under release timing too.
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-nn --test conv_oracle
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
     --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
     --test poisoned_payloads
+cargo test --release -q -p poseidon --lib -- kvstore:: syncer::
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -563,6 +563,99 @@ fn pushes_encode_from_gradient_storage_exactly_like_the_flat_slice() {
     }
 }
 
+/// The address range of a layer's weight gradient storage.
+fn grad_storage(net: &Network) -> std::ops::Range<usize> {
+    let gw = net
+        .slot(0)
+        .and_then(|l| l.params())
+        .unwrap()
+        .grad_weights
+        .as_slice();
+    let start = gw.as_ptr() as usize;
+    start..start + std::mem::size_of_val(gw)
+}
+
+/// An identity push lends the layer's weight gradient to its frames: each
+/// `GradChunk` that lies in the weights is a view of the gradient storage
+/// (the straddling one is encoded), every payload is the flat gradient's
+/// bytes, and once the round is applied the layer holds the same storage
+/// again, iteration after iteration. A frame still held when the round
+/// completes keeps its storage: the layer gets a fresh buffer, and the next
+/// backward leaves the held frame's bytes as they were.
+#[test]
+fn identity_push_frames_view_the_gradient_and_the_round_gives_it_back() {
+    let _globals = exclusive();
+    let chunks = straddling_chunks();
+    let mut net = tiny_factory();
+    let mut syncer = Syncer::new(0, CommScheme::Ps, chunks.clone(), 15, 2, 0);
+    let mut rng = Lcg(0x1E4D);
+    let first = grad_storage(&net);
+    let mut held = None;
+    for iter in 0..4u64 {
+        syncer.begin_iteration();
+        net.forward(&Matrix::from_vec(2, 4, rng.vec(8)));
+        net.backward(&Matrix::from_vec(2, 3, rng.vec(6)));
+        let storage = grad_storage(&net);
+        assert_eq!(
+            storage == first,
+            held.is_none(),
+            "iteration {iter}: the layer's own buffer, until a held frame keeps it"
+        );
+        let flat = flatten_grads(net.slot(0).and_then(|l| l.params()).unwrap());
+        let mut frames = Vec::new();
+        let layer = net.slot_mut(0).unwrap();
+        syncer.send(layer, iter, 1.0, |_, msg| frames.push(msg));
+        assert_eq!(frames.len(), chunks.len());
+        for msg in &frames {
+            let Message::GradChunk { chunk, data, .. } = msg else {
+                panic!("a PS push, got {msg:?}")
+            };
+            let range = chunks[*chunk as usize].range();
+            assert_eq!(
+                data,
+                &wire::encode_f32s(&flat[range.clone()]),
+                "chunk {chunk}"
+            );
+            let at = data.as_ptr() as usize;
+            let inside = storage.contains(&at) && at + data.len() <= storage.end;
+            assert_eq!(inside, range.end <= 12, "iteration {iter} chunk {chunk}");
+        }
+        if iter == 2 {
+            let Message::GradChunk { data, .. } = &frames[0] else {
+                unreachable!()
+            };
+            held = Some((data.clone(), data.to_vec()));
+        }
+        drop(frames);
+        // The shard's replies complete the round.
+        let params = net.slot_mut(0).and_then(|l| l.params_mut()).unwrap();
+        for (idx, c) in chunks.iter().enumerate() {
+            let msg = Message::ParamChunk {
+                iter,
+                layer: 0,
+                chunk: idx as u32,
+                codec: Codec::Identity,
+                data: wire::encode_f32s(&rng.vec(c.len)),
+            };
+            syncer.receive(0, msg, params, |_, _| {}).unwrap();
+        }
+        assert!(syncer.is_complete());
+        syncer.apply(params, iter, 1.0);
+        let given_back = grad_storage(&net);
+        assert_eq!(
+            given_back == storage,
+            iter != 2,
+            "iteration {iter}: the buffer comes back unless a frame holds it"
+        );
+    }
+    let (frame, bytes) = held.expect("a frame was held");
+    assert_eq!(
+        frame.to_vec(),
+        bytes,
+        "the held frame's bytes did not change"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // (d) hostile frames against a live shard
 
