@@ -10,9 +10,10 @@
 //!   every segment to its owner shard (`GradChunk`), the shard folds all `P`
 //!   contributions and broadcasts the result back (`ParamChunk`).
 //! - `ring`: `P` endpoints. Worker 0 seeds each segment down the id-ordered
-//!   chain (`Collective`/REDUCE); every hop fuse-adds its own contribution
-//!   in place ([`poseidon::wire::add_f32s_pooled`]); the last worker
-//!   originates the DISTRIBUTE lap.
+//!   chain (`Collective`/REDUCE); every hop adds its own contribution to the
+//!   partial in one pass into a fresh pooled lease
+//!   ([`poseidon::wire::add_f32s_pooled`]); the last worker originates the
+//!   DISTRIBUTE lap.
 //! - `tree`: `P` endpoints. Non-roots send origin-tagged segments towards
 //!   worker 0 through the binary tree; the root folds and broadcasts down.
 //!

@@ -11,14 +11,21 @@
 //! [`Syncer::is_complete`] is the layer's entry in the client's completion
 //! vector `C`.
 //!
-//! Who owns the gradient: an identity PS push on a little-endian host does
-//! not copy it. [`Syncer::send`] moves the layer's weight gradient into a
-//! shared buffer, each chunk frame that lies in the weights is a view of
-//! its range, and [`Syncer::apply`] gives the buffer back to the layer when
-//! the round completes. A frame still held then — a retransmit copy, say —
-//! keeps the buffer, and the layer gets a fresh one, which its next
-//! backward writes over. Chunks that touch the bias, every lossy codec and
-//! the collectives encode into pool leases as before.
+//! Who owns the gradient: an identity PS push, and the identity ring's
+//! head (worker 0), on a little-endian host do not copy it. [`Syncer::send`]
+//! moves the layer's weight gradient into a shared buffer, each chunk or
+//! segment frame that lies in the weights is a view of its range, and
+//! [`Syncer::apply`] gives the buffer back to the layer when the round
+//! completes. A frame still held then — a retransmit copy, say — keeps the
+//! buffer, and the layer gets a fresh one, which its next backward writes
+//! over. Frames that touch the bias, every lossy codec and the tree encode
+//! into pool leases as before.
+//!
+//! Where a round lands: a PS chunk, and a collective segment's new
+//! velocity, step the replica the moment they arrive, inside
+//! [`Syncer::receive`]. The identity ring's last hop folds, frames and
+//! steps in one pass; every replica keeps a segment's velocity as the
+//! DISTRIBUTE frame that carried it.
 //!
 //! This module does no I/O — it builds frames and the runtime moves them — so
 //! it is exhaustively unit tested; the [`crate::runtime`] threads drive it
@@ -31,28 +38,25 @@ use crate::metrics::Histogram;
 use crate::pool::BufPool;
 use crate::telemetry;
 use crate::transport::Message;
-use crate::wire::{self, CodecError, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
+use crate::wire::{self, CodecError, Seed, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
 use bytes::Bytes;
 use poseidon_nn::{Layer, ParamBlock};
 use poseidon_tensor::bytesio;
-use poseidon_tensor::compress::{decode_into, decompress, make_compressor, validate, Compressor};
+use poseidon_tensor::compress::{decode_into, decompress, make_compressor, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
 /// What a completed syncer's round amounts to, before [`Syncer::apply`]
-/// moves it into the replica. PS layers have none: every `ParamChunk` was
-/// applied to the replica the moment it arrived ([`Syncer::on_param_chunk`]).
+/// moves it into the replica. PS and collective layers have none: every
+/// `ParamChunk` ([`Syncer::on_param_chunk`]) and every collective segment's
+/// velocity stepped the replica the moment it arrived.
 #[derive(Debug)]
-pub enum SyncOutcome<'a> {
+pub enum SyncOutcome {
     /// Fresh parameters from the Adam matrix pull (flattened weights ++
     /// bias); overwrite the replica's parameters.
     FreshParams(Vec<f32>),
-    /// A pre-scaled parameter *delta* from a collective, as `(offset,
-    /// values)` segments of the flattened weights ++ bias lent from the
-    /// syncer's velocity; add it to the replica's parameters
-    /// ([`apply_delta`]).
-    ApplyDelta(Vec<(usize, &'a [f32])>),
     /// All workers' sufficient-factor batches in worker-id order (including
     /// our own); reconstruct and apply `scale · Σ` locally.
     SfApply(Vec<SfBatch>),
@@ -77,20 +81,6 @@ pub struct SyncerState {
     pub push_residuals: Vec<Option<Vec<f32>>>,
     /// Per-segment collective hop-compressor residuals.
     pub seg_residuals: Vec<Option<Vec<f32>>>,
-}
-
-/// One collective frame for the runtime to transmit: `data` travels to worker
-/// `to_worker` as a [`crate::transport::Message::Collective`] with the packed
-/// `route` (phase ⊕ origin ⊕ segment, [`crate::wire::pack_collective`]).
-#[derive(Debug, Clone)]
-pub struct CollectiveSend {
-    /// Destination worker id (== its transport endpoint under the runtimes'
-    /// worker-first endpoint numbering).
-    pub to_worker: usize,
-    /// Packed collective route.
-    pub route: u32,
-    /// Wire payload: the segment's little-endian f32 values.
-    pub data: Bytes,
 }
 
 /// A frame of a kind the layer's scheme never receives.
@@ -134,14 +124,15 @@ pub struct Syncer {
     /// Offset-ordered `(offset, len)` segments for the collective schemes:
     /// the layer's KV chunks, or one whole-layer segment when it has none.
     segs: Vec<(usize, usize)>,
-    /// Per-segment scaled velocity `v` — the client-side replica of the PS
-    /// shard's velocity buffer. Persistent across iterations.
-    velocity: Vec<Option<Vec<f32>>>,
-    /// Per-segment own scaled contribution `c_me = scale·g_me`; the buffers
-    /// are kept between iterations, `own_ready` says which hold this
-    /// iteration's values and have not been folded yet.
-    own_contrib: Vec<Vec<f32>>,
-    own_ready: Vec<bool>,
+    /// Per-segment scaled velocity `v` as identity wire bytes — the
+    /// client-side replica of the PS shard's velocity buffer, kept as the
+    /// identity DISTRIBUTE frame that carried it. Persistent across
+    /// iterations.
+    velocity: Vec<Option<Bytes>>,
+    /// The update scale of this round's `Send`: `Some` once it has fired.
+    /// The hop or fold that adds this worker's contribution forms
+    /// `scale·g` from the layer's gradient storage then.
+    round_scale: Option<f32>,
     /// Per-segment completion flag this iteration.
     seg_done: Vec<bool>,
     /// Tree root only: decoded origin-tagged contributions, `[seg][origin]`.
@@ -220,8 +211,7 @@ impl Syncer {
             sf_batches: vec![None; workers],
             momentum: 0.0,
             velocity: vec![None; n_segs],
-            own_contrib: vec![Vec::new(); n_segs],
-            own_ready: vec![false; n_segs],
+            round_scale: None,
             seg_done: vec![false; n_segs],
             gathered: if matches!(scheme, CommScheme::Tree) && me == 0 {
                 vec![vec![None; workers]; n_segs]
@@ -331,7 +321,14 @@ impl Syncer {
                 let (rows, cols) = vw.shape();
                 (rows as u32, cols as u32, vw.as_slice().to_vec(), vb.clone())
             }),
-            velocity: self.velocity.clone(),
+            velocity: self
+                .velocity
+                .iter()
+                .map(|v| {
+                    v.as_deref()
+                        .map(|v| wire::decode_f32s(v).expect("f32 bytes"))
+                })
+                .collect(),
             push_residuals: residuals(&self.push_comp),
             seg_residuals: residuals(&self.seg_comp),
         }
@@ -359,19 +356,28 @@ impl Syncer {
                 "velocity segment length"
             );
         }
-        (self.sf_velocity, self.velocity) = (sf, st.velocity);
+        self.sf_velocity = sf;
+        self.velocity = (st.velocity.into_iter())
+            .map(|v| v.as_deref().map(wire::encode_f32s))
+            .collect();
         let chunks = self.chunks.iter().map(|c| c.len);
         self.push_comp = restore(self.codec, st.push_residuals, chunks);
         self.seg_comp = restore(self.codec, st.seg_residuals, segs);
     }
 
     /// `f32` elements of buffer this syncer holds on to between iterations:
-    /// the collective velocity, this worker's kept contribution and the
-    /// staging scratch. Constant once every buffer has been used.
+    /// the kept velocity frames and the staging scratch. Constant once every
+    /// buffer has been used.
     pub fn retained_elems(&self) -> usize {
-        let velocity = self.velocity.iter().flatten().map(Vec::capacity);
-        let own = self.own_contrib.iter().map(Vec::capacity);
-        velocity.chain(own).sum::<usize>() + self.scratch.capacity()
+        let velocity = self.velocity.iter().flatten().map(|v| v.len() / 4);
+        velocity.sum::<usize>() + self.scratch.capacity()
+    }
+
+    /// Segment `seg`'s kept velocity as identity wire bytes — under the
+    /// identity codec, the very DISTRIBUTE frame that carried it — or `None`
+    /// before its first fold.
+    pub fn kept_velocity(&self, seg: usize) -> Option<&[u8]> {
+        self.velocity[seg].as_deref()
     }
 
     /// Whether the layer's backward must produce the dense weight gradient:
@@ -384,12 +390,13 @@ impl Syncer {
     /// frames for iteration `iter` one at a time, so each is on its way
     /// while the next encodes. Collectives scale the gradient by `scale`.
     ///
-    /// An identity PS push on a little-endian host lends the layer's weight
-    /// gradient to its frames instead of encoding it: the storage moves
-    /// into a shared buffer, a chunk that lies in the weights is a view of
-    /// its range (`wire::identity_view`), and [`Self::apply`] gives the
-    /// storage back once the round is in. A chunk that touches the bias is
-    /// encoded as before.
+    /// An identity PS push, and the identity ring's head, on a little-endian
+    /// host lend the layer's weight gradient to their frames instead of
+    /// encoding it: the storage moves into a shared buffer, a chunk or
+    /// segment that lies in the weights is a view of its range
+    /// (`wire::identity_view`), and [`Self::apply`] gives the storage back
+    /// once the round is in. A frame that touches the bias is encoded as
+    /// before.
     pub fn send(
         &mut self,
         layer: &mut dyn Layer,
@@ -446,9 +453,8 @@ impl Syncer {
                 }
             }
             CommScheme::Ring | CommScheme::Tree => {
-                let params = layer.params().expect("a trainable layer");
-                for send in self.send_collective(params, scale) {
-                    let (to, msg) = self.collective_frame(iter, send);
+                let params = layer.params_mut().expect("a trainable layer");
+                for (to, msg) in self.send_collective(params, iter, scale) {
                     emit(to, msg);
                 }
             }
@@ -456,8 +462,8 @@ impl Syncer {
     }
 
     /// `Receive`: validates and decodes one frame of this layer, then stages
-    /// it or — a PS chunk — writes it into `params` where it lies. A
-    /// collective frame's onward hops go to `emit`.
+    /// it or — a PS chunk, a collective segment's velocity — steps `params`
+    /// by it where it lies. A collective frame's onward hops go to `emit`.
     ///
     /// # Errors
     ///
@@ -491,8 +497,7 @@ impl Syncer {
                 self.on_peer_sf(from, batch)
             }
             Message::Collective { route, data, .. } => {
-                for send in self.on_collective(from, route, data)? {
-                    let (to, msg) = self.collective_frame(iter, send);
+                for (to, msg) in self.on_collective(from, route, data, params, iter)? {
                     emit(to, msg);
                 }
                 Ok(())
@@ -502,29 +507,31 @@ impl Syncer {
     }
 
     /// `Move(CPU→GPU)`: applies iteration `iter`'s completed round to
-    /// `params` — Adam's fresh parameters, the collective's delta, or SFB's
-    /// reconstruction through the momentum step at update scale `scale`. A
-    /// PS layer's chunks already landed as they arrived.
+    /// `params` — Adam's fresh parameters, or SFB's reconstruction through
+    /// the momentum step at update scale `scale` — and gives back a weight
+    /// gradient this round's frames viewed. A PS chunk and a collective
+    /// segment already stepped the replica as they arrived.
     ///
     /// # Panics
     ///
-    /// Panics if a non-PS round is not complete.
+    /// Panics if the round is not complete.
     pub fn apply(&mut self, params: &mut ParamBlock, iter: u64, scale: f32) {
-        if self.scheme == CommScheme::Ps {
-            self.give_back_grad_weights(params);
+        self.give_back_grad_weights(params);
+        let Some(outcome) = self.take_outcome() else {
             return;
-        }
-        self.timed_apply(iter, |s| match s.take_outcome().expect("not a PS round") {
+        };
+        self.timed_apply(iter, |s| match outcome {
             SyncOutcome::FreshParams(flat) => write_params_flat(params, &flat),
-            SyncOutcome::ApplyDelta(segments) => apply_delta(params, &segments),
             SyncOutcome::SfApply(batches) => s.sf_step(params, &batches, scale),
         });
     }
 
     /// Moves `p`'s weight gradient into the shared buffer this round's
-    /// identity push frames view, leaving a 1 × 1 placeholder in its place;
-    /// `None`, and `p` untouched, where the push encodes instead: a lossy
-    /// codec, a big-endian host, or no chunk that lies in the weights.
+    /// identity frames view, leaving a 1 × 1 placeholder in its place;
+    /// `None`, and `p` untouched, where the frames are encoded instead: a
+    /// lossy codec, a big-endian host, or no chunk that lies in the weights.
+    /// A collective's segments are its chunks, or one whole-layer segment,
+    /// which touches the bias.
     fn lend_grad_weights(&mut self, p: &mut ParamBlock) -> Option<Arc<Vec<f32>>> {
         let w_len = p.grad_weights.len();
         let in_weights = |c: &Chunk| c.split_at_bias(w_len).1.is_empty();
@@ -546,7 +553,7 @@ impl Syncer {
         Some(buf)
     }
 
-    /// Gives `p` back the weight gradient this round's push frames viewed.
+    /// Gives `p` back the weight gradient this round's frames viewed.
     /// A frame still held somewhere (a retransmit copy, a frame not yet
     /// dropped) keeps that storage; the layer gets a fresh buffer of the
     /// same shape instead, which its next backward writes over.
@@ -581,16 +588,18 @@ impl Syncer {
         out
     }
 
-    /// The frame that carries a collective hop, and where it goes.
-    fn collective_frame(&self, iter: u64, send: CollectiveSend) -> (Dest, Message) {
+    /// The frame that carries a collective hop of iteration `iter` to
+    /// worker `to_worker`, along the packed `route` (phase ⊕ origin ⊕
+    /// segment, [`wire::pack_collective`]).
+    fn hop(&self, iter: u64, to_worker: usize, route: u32, data: Bytes) -> (Dest, Message) {
         let msg = Message::Collective {
             iter,
             layer: self.layer as u32,
-            route: send.route,
+            route,
             codec: self.codec,
-            data: send.data,
+            data,
         };
-        (Dest::Worker(send.to_worker), msg)
+        (Dest::Worker(to_worker), msg)
     }
 
     /// Resets the per-iteration state (the completion-vector entry goes back
@@ -601,7 +610,7 @@ impl Syncer {
         self.sf_batches.fill(None);
         // Collective per-iteration state only — the velocity is the optimiser
         // state and lives across iterations (next round's µ·v).
-        self.own_ready.fill(false);
+        self.round_scale = None;
         self.seg_done.fill(false);
         for seg in &mut self.gathered {
             seg.fill(None);
@@ -614,125 +623,157 @@ impl Syncer {
         [2 * w + 1, 2 * w + 2].into_iter().filter(move |&c| c < p)
     }
 
-    /// The collective `Send`: forms this worker's contribution `c = scale·g`
-    /// (the same f32 product the PS shard forms) straight from the layer's
-    /// gradient storage and returns the collective frames to transmit. Ring
-    /// worker 0 seeds each segment's chain with `µ·v + c₀` (the exact PS fold
-    /// prefix) and tree non-roots push their origin-tagged `c` towards the
-    /// root, both written in one pass into the wire buffer; every other
-    /// worker keeps `c` for the hop or fold that adds it in.
-    pub fn send_collective(&mut self, p: &ParamBlock, scale: f32) -> Vec<CollectiveSend> {
-        assert!(
-            matches!(self.scheme, CommScheme::Ring | CommScheme::Tree),
-            "layer {}: send_collective under {}",
-            self.layer,
-            self.scheme
-        );
+    /// The collective `Send`. The identity ring's head (worker 0) sends its
+    /// raw gradient `g₀` — views of the lent weight gradient where a segment
+    /// lies in the weights — and the hop after it seeds the fold from it;
+    /// under a lossy codec the head sends the fold's prefix `µ·v + scale·g₀`
+    /// instead, compressed with the segment's error feedback. Tree non-roots
+    /// push their origin-tagged `c = scale·g` towards the root. Every other
+    /// worker sends nothing: the hop or fold that adds its contribution
+    /// forms `scale·g` from the layer's gradient storage then.
+    fn send_collective(
+        &mut self,
+        p: &mut ParamBlock,
+        iter: u64,
+        scale: f32,
+    ) -> Vec<(Dest, Message)> {
         assert!(
             self.workers > 1,
             "collective schemes need at least two workers"
         );
         assert_eq!(p.num_params(), self.param_elems, "gradient length mismatch");
-        // Who this worker's `c` travels to right away, if anybody.
-        let first_hop = match (self.scheme, self.me) {
-            (CommScheme::Ring, 0) => Some(1),
-            (CommScheme::Tree, me) if me > 0 => Some((me - 1) / 2),
-            _ => None,
-        };
-        let (gw, gb) = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+        self.round_scale = Some(scale);
         let mut out = Vec::new();
-        for seg in 0..self.segs.len() {
-            let (off, len) = self.segs[seg];
-            // The segment's gradient where it lies: a run of the weight
-            // gradient, then a run of the bias gradient (either may be empty).
-            let (wr, br) = split_at_bias(off..off + len, gw.len());
-            let runs = [(0, &gw[wr.clone()]), (wr.len(), &gb[br])];
-            let Some(to_worker) = first_hop else {
-                let own = &mut self.own_contrib[seg];
-                own.resize(len, 0.0);
-                for (at, g) in runs {
-                    write_scaled(&mut own[at..at + g.len()], Seed::Plain, scale, g);
+        match (self.scheme, self.me) {
+            (CommScheme::Ring, 0) => {
+                let lent = self.lend_grad_weights(p);
+                let view = lent.as_ref().map(wire::identity_view);
+                let gw = lent
+                    .as_deref()
+                    .map_or(p.grad_weights.as_slice(), Vec::as_slice);
+                let gb = p.grad_bias.as_slice();
+                for seg in 0..self.segs.len() {
+                    let (off, len) = self.segs[seg];
+                    let (wr, br) = split_at_bias(off..off + len, gw.len());
+                    let data = match &view {
+                        Some(view) if br.is_empty() => view.slice(4 * wr.start..4 * wr.end),
+                        _ if self.codec == Codec::Identity => {
+                            // Dirty lease: the runs cover every byte.
+                            let mut lease = BufPool::global().get_dirty(len * 4);
+                            for (at, g) in runs(off..off + len, gw, gb) {
+                                lease[4 * at..4 * (at + g.len())].put(g.iter().copied());
+                            }
+                            lease.freeze()
+                        }
+                        _ => {
+                            let v = self.fold_start(seg);
+                            let seed = Seed::over(self.momentum, v.as_deref());
+                            self.encode_contribution(seg, (gw, gb), seed, scale)
+                        }
+                    };
+                    let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, seg);
+                    out.push(self.hop(iter, 1, route, data));
                 }
-                self.own_ready[seg] = true;
-                continue;
-            };
-            // Zeros when µ = 0 or before the first fold — the shard's
-            // `velocity.fill(0.0)`.
-            let velocity = self.velocity[seg]
-                .as_deref()
-                .filter(|_| self.momentum != 0.0);
-            // Only the ring's worker 0 is first into a fold.
-            let seed = |at: usize, n: usize| match velocity {
-                _ if self.me != 0 => Seed::Plain,
-                Some(v) => Seed::Momentum(self.momentum, &v[at..at + n]),
-                None => Seed::Zero,
-            };
-            let data = if self.codec == Codec::Identity {
-                // Dirty lease: the runs cover every byte.
-                let mut lease = BufPool::global().get_dirty(len * 4);
-                for (at, g) in runs {
-                    let dst = &mut lease[at * 4..(at + g.len()) * 4];
-                    write_scaled(dst, seed(at, g.len()), scale, g);
+            }
+            (CommScheme::Ring, _) => {}
+            (CommScheme::Tree, 0) => {
+                for seg in 0..self.segs.len() {
+                    self.try_fold_root(seg, p, iter, &mut out);
                 }
-                lease.freeze()
-            } else {
-                self.scratch.resize(len, 0.0);
-                for (at, g) in runs {
-                    let dst = &mut self.scratch[at..at + g.len()];
-                    write_scaled(dst, seed(at, g.len()), scale, g);
+            }
+            // Tree non-roots.
+            (_, me) => {
+                let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+                for seg in 0..self.segs.len() {
+                    let data = self.encode_contribution(seg, grads, Seed::Plain, scale);
+                    let route = wire::pack_collective(COLLECTIVE_REDUCE, me, seg);
+                    out.push(self.hop(iter, (me - 1) / 2, route, data));
                 }
-                Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
-            };
-            out.push(CollectiveSend {
-                to_worker,
-                route: wire::pack_collective(COLLECTIVE_REDUCE, self.me, seg),
-                data,
-            });
-        }
-        if matches!(self.scheme, CommScheme::Tree) && self.me == 0 {
-            for seg in 0..self.segs.len() {
-                self.try_fold_root(seg, &mut out);
             }
         }
         out
     }
 
-    /// Handles a collective (ring/tree) frame, returning frames to forward.
+    /// What the fold of segment `seg` starts from: the kept velocity when
+    /// µ ≠ 0 and a fold has run, zeros (`None`) otherwise — the shard's
+    /// `velocity.fill(0.0)`.
+    fn fold_start(&self, seg: usize) -> Option<Bytes> {
+        self.velocity[seg].clone().filter(|_| self.momentum != 0.0)
+    }
+
+    /// Segment `seg`'s contribution `scale·g` out of the flat gradient
+    /// `w ++ b`, seeded as `seed` says, as one frame: written in one pass
+    /// into a pooled lease under the identity codec, staged and compressed
+    /// with the segment's error feedback under a lossy one.
+    fn encode_contribution(
+        &mut self,
+        seg: usize,
+        (w, b): (&[f32], &[f32]),
+        seed: Seed<'_>,
+        scale: f32,
+    ) -> Bytes {
+        let (off, len) = self.segs[seg];
+        let runs = runs(off..off + len, w, b);
+        if self.codec == Codec::Identity {
+            // Dirty lease: the runs cover every byte.
+            let mut lease = BufPool::global().get_dirty(len * 4);
+            for (at, g) in runs {
+                let bytes = 4 * at..4 * (at + g.len());
+                write_scaled(&mut lease[bytes.clone()], seed.at(bytes), scale, g);
+            }
+            return lease.freeze();
+        }
+        self.scratch.resize(len, 0.0);
+        for (at, g) in runs {
+            let seed = seed.at(4 * at..4 * (at + g.len()));
+            write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
+        }
+        Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
+    }
+
+    /// Handles a collective (ring/tree) frame of iteration `iter`, returning
+    /// frames to forward. A segment's new velocity steps `p` where the
+    /// segment lies the moment it is known.
     ///
-    /// Under a lossy codec each ring hop decompresses the incoming partial,
-    /// adds its own contribution and recompresses with its per-segment
-    /// error-feedback state; the chain's terminal stores the decode of its
-    /// *own* encoding so every replica ends on the same bytes. Identity keeps
-    /// the fused pooled-add fast path, bitwise identical to the pre-codec
-    /// wire.
+    /// Under the identity codec each ring hop is one pass: it reads the
+    /// partial off the wire and `scale·g` out of `p`'s gradient storage and
+    /// writes the sums into the next frame; the hop after the head seeds the
+    /// fold from the head's raw gradient, and the last hop also steps `p` by
+    /// the sums and keeps its frame as the velocity. Under a lossy codec
+    /// each hop decompresses the incoming partial, adds its contribution and
+    /// recompresses with its per-segment error-feedback state; the chain's
+    /// terminal keeps the decode of its *own* encoding so every replica ends
+    /// on the same bytes.
     ///
     /// # Errors
     ///
     /// Returns the [`CodecError`] of a poisoned frame — a payload that fails
     /// to decode, a route whose phase or segment this layer does not have,
-    /// or a layer that is not a collective's; the segment stays incomplete
-    /// and the caller decides whether to count and drop or abort.
+    /// or a layer that is not a collective's; nothing is written and the
+    /// segment stays incomplete, and the caller decides whether to count and
+    /// drop or abort.
     ///
     /// # Panics
     ///
     /// Panics on a protocol violation: wrong sender for the route, duplicate
-    /// segment, or a ring REDUCE handed over before
-    /// [`Self::send_collective`] produced this worker's contribution. A
-    /// faster neighbour's REDUCE does reach a worker that early — receives
-    /// are drained between the layers of backward — so the worker parks
-    /// every frame of a layer until that layer's own `Send` has fired and
-    /// replays them, in arrival order, right after it.
-    pub fn on_collective(
+    /// segment, or a ring REDUCE handed over before this layer's `Send`
+    /// fired. A faster neighbour's REDUCE does reach a worker that early —
+    /// receives are drained between the layers of backward — so the worker
+    /// parks every frame of a layer until that layer's own `Send` has fired
+    /// and replays them, in arrival order, right after it.
+    fn on_collective(
         &mut self,
         from_worker: usize,
         route: u32,
         payload: Bytes,
-    ) -> Result<Vec<CollectiveSend>, CodecError> {
+        p: &mut ParamBlock,
+        iter: u64,
+    ) -> Result<Vec<(Dest, Message)>, CodecError> {
         if !matches!(self.scheme, CommScheme::Ring | CommScheme::Tree) {
             return Err(WRONG_KIND);
         }
         let (phase, origin, seg) = wire::unpack_collective(route);
-        let Some(&(_, len)) = self.segs.get(seg) else {
+        let Some(&(off, len)) = self.segs.get(seg) else {
             return Err(CodecError::Malformed("collective segment out of range"));
         };
         if self.codec == Codec::Identity && payload.len() != len * 4 {
@@ -753,67 +794,54 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate ring REDUCE for segment {seg}"
                 );
-                assert!(
-                    self.own_ready[seg],
-                    "ring REDUCE for segment {seg} before this layer's Send"
-                );
-                let own = &self.own_contrib[seg];
-                if self.codec == Codec::Identity {
-                    // Fused `partial += c_me` straight on the wire payload
-                    // into a pooled buffer — no decode/encode round-trip per
-                    // hop.
-                    if self.me == self.workers - 1 {
-                        // Chain complete: the sums are the new velocity. The
-                        // same pass keeps them and writes the DISTRIBUTE
-                        // frame that travels the other way.
-                        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
-                        let summed = wire::add_f32s_pooled_keep(&payload, own, v)
-                            .expect("length checked above");
-                        self.seg_done[seg] = true;
-                        out.push(CollectiveSend {
-                            to_worker: (self.me + 1) % self.workers,
-                            route: wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg),
-                            data: summed,
+                let Some(scale) = self.round_scale else {
+                    panic!("ring REDUCE for segment {seg} before this layer's Send")
+                };
+                let terminal = self.me == self.workers - 1;
+                let data = if self.codec == Codec::Identity {
+                    // The hop after the head seeds the fold from the head's
+                    // raw gradient; every later hop adds to the partial.
+                    let v = self.fold_start(seg);
+                    let seed = (self.me == 1).then(|| Seed::over(self.momentum, v.as_deref()));
+                    // Dirty lease: the runs cover every byte.
+                    let mut lease = BufPool::global().get_dirty(len * 4);
+                    let range = off..off + len;
+                    if terminal {
+                        // Chain complete: the same pass steps the replica.
+                        self.timed_apply(iter, |_| {
+                            ring_hop(&mut lease, &payload, seed, scale, range, p, true)
                         });
                     } else {
-                        out.push(CollectiveSend {
-                            to_worker: self.me + 1,
-                            route,
-                            data: wire::add_f32s_pooled(&payload, own)
-                                .expect("length checked above"),
-                        });
+                        ring_hop(&mut lease, &payload, seed, scale, range, p, false);
                     }
-                    self.own_ready[seg] = false;
+                    let data = lease.freeze();
+                    if terminal {
+                        self.keep(seg, data.clone());
+                    }
+                    data
                 } else {
-                    // Decompress–add–recompress: validate *before* consuming
-                    // the contribution so a poisoned frame leaves the round
-                    // resumable.
+                    // Decompress–add–recompress: a poisoned frame surfaces
+                    // before anything is written.
                     let mut summed = decompress(self.codec, &payload, len)?;
-                    for (s, c) in summed.iter_mut().zip(own) {
-                        *s += c;
+                    let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+                    for (at, g) in runs(off..off + len, grads.0, grads.1) {
+                        for (s, g) in summed[at..at + g.len()].iter_mut().zip(g) {
+                            *s += scale * g;
+                        }
                     }
-                    self.own_ready[seg] = false;
                     let data = Self::compress(self.codec, &mut self.seg_comp[seg], &summed);
-                    if self.me == self.workers - 1 {
-                        // The terminal's velocity is the decode of its own
-                        // encoding — the exact values every other replica
-                        // will decode from the DISTRIBUTE pass.
-                        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
-                        decode_into(self.codec, &data, v).expect("own encoding");
-                        self.seg_done[seg] = true;
-                        out.push(CollectiveSend {
-                            to_worker: (self.me + 1) % self.workers,
-                            route: wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg),
-                            data,
-                        });
-                    } else {
-                        out.push(CollectiveSend {
-                            to_worker: self.me + 1,
-                            route,
-                            data,
-                        });
+                    if terminal {
+                        let v = self.distributed(seg, &data).expect("own encoding");
+                        self.land(iter, seg, v, p);
                     }
-                }
+                    data
+                };
+                let (to, route) = if terminal {
+                    (0, wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg))
+                } else {
+                    (self.me + 1, route)
+                };
+                out.push(self.hop(iter, to, route, data));
             }
             (CommScheme::Ring, COLLECTIVE_DISTRIBUTE) => {
                 let last = self.workers - 1;
@@ -827,16 +855,13 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate ring DISTRIBUTE for segment {seg}"
                 );
-                self.receive_velocity(seg, &payload)?;
+                let v = self.distributed(seg, &payload)?;
+                self.land(iter, seg, v, p);
                 let next = self.me + 1;
                 if next != last {
                     // Forward the folded velocity unchanged (shared `Bytes`,
                     // no copy); the chain stops just before its originator.
-                    out.push(CollectiveSend {
-                        to_worker: next,
-                        route,
-                        data: payload,
-                    });
+                    out.push(self.hop(iter, next, route, payload));
                 }
             }
             (CommScheme::Tree, COLLECTIVE_REDUCE) => {
@@ -852,15 +877,11 @@ impl Syncer {
                     // Decode on arrival so a poisoned frame surfaces here,
                     // before the fold consumes any sibling state.
                     self.gathered[seg][origin] = Some(decompress(self.codec, &payload, len)?);
-                    self.try_fold_root(seg, &mut out);
+                    self.try_fold_root(seg, p, iter, &mut out);
                 } else {
                     // Interior node: relay the origin-tagged frame unchanged
                     // towards the root (shared `Bytes`, no copy).
-                    out.push(CollectiveSend {
-                        to_worker: (self.me - 1) / 2,
-                        route,
-                        data: payload,
-                    });
+                    out.push(self.hop(iter, (self.me - 1) / 2, route, payload));
                 }
             }
             (CommScheme::Tree, COLLECTIVE_DISTRIBUTE) => {
@@ -874,13 +895,10 @@ impl Syncer {
                     !self.seg_done[seg],
                     "duplicate tree DISTRIBUTE for segment {seg}"
                 );
-                self.receive_velocity(seg, &payload)?;
+                let v = self.distributed(seg, &payload)?;
+                self.land(iter, seg, v, p);
                 for child in self.tree_children(self.me) {
-                    out.push(CollectiveSend {
-                        to_worker: child,
-                        route,
-                        data: payload.clone(),
-                    });
+                    out.push(self.hop(iter, child, route, payload.clone()));
                 }
             }
             _ => return Err(CodecError::Malformed("unknown collective phase")),
@@ -888,64 +906,82 @@ impl Syncer {
         Ok(out)
     }
 
-    /// A DISTRIBUTE payload is segment `seg`'s new velocity: decodes it over
-    /// the kept buffer, which a rejected payload leaves as it was.
-    fn receive_velocity(&mut self, seg: usize, payload: &[u8]) -> Result<(), CodecError> {
+    /// The velocity a DISTRIBUTE payload of segment `seg` carries, as
+    /// identity wire bytes: the payload itself under the identity codec
+    /// (whose length the caller checked), its decode under a lossy one. A
+    /// payload that does not decode is refused.
+    fn distributed(&mut self, seg: usize, payload: &Bytes) -> Result<Bytes, CodecError> {
+        if self.codec == Codec::Identity {
+            return Ok(payload.clone());
+        }
         let (_, len) = self.segs[seg];
-        validate(self.codec, payload, len)?;
-        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
-        decode_into(self.codec, payload, v).expect("validated above");
-        self.seg_done[seg] = true;
-        Ok(())
+        self.scratch.resize(len, 0.0);
+        decode_into(self.codec, payload, &mut self.scratch)?;
+        Ok(wire::encode_f32s_pooled(&self.scratch))
     }
 
-    /// Root-side tree fold: once every origin's contribution and our own are
-    /// in for `seg`, replay the shard's exact fold (`v ← µ·v` or zeros, then
-    /// `v += c_w` in worker-id order) in place on the kept velocity and
-    /// broadcast it down.
-    fn try_fold_root(&mut self, seg: usize, out: &mut Vec<CollectiveSend>) {
+    /// Segment `seg`'s round is in, and `v` (identity wire bytes) is its new
+    /// velocity: steps `p` by it where the segment lies (`θ += v`, under the
+    /// apply span) and keeps it.
+    fn land(&mut self, iter: u64, seg: usize, v: Bytes, p: &mut ParamBlock) {
+        let (off, len) = self.segs[seg];
+        self.timed_apply(iter, |_| {
+            let params = (p.weights.as_mut_slice(), p.bias.as_mut_slice());
+            for (at, w) in runs_mut(off..off + len, params.0, params.1) {
+                wire::add_into(w, &v[4 * at..4 * (at + w.len())]);
+            }
+        });
+        self.keep(seg, v);
+    }
+
+    /// Keeps `v` as segment `seg`'s velocity, which completes the segment.
+    fn keep(&mut self, seg: usize, v: Bytes) {
+        self.velocity[seg] = Some(v);
+        self.seg_done[seg] = true;
+    }
+
+    /// Root-side tree fold: once every origin's contribution is in and our
+    /// own `Send` has fired for `seg`, replay the shard's exact fold
+    /// (`µ·v + scale·g₀` or `0.0 + scale·g₀`, then `+= c_w` in worker-id
+    /// order), step the replica by it and broadcast it down.
+    fn try_fold_root(
+        &mut self,
+        seg: usize,
+        p: &mut ParamBlock,
+        iter: u64,
+        out: &mut Vec<(Dest, Message)>,
+    ) {
         debug_assert_eq!(self.me, 0, "only the root folds");
-        if self.seg_done[seg]
-            || !self.own_ready[seg]
-            || (1..self.workers).any(|o| self.gathered[seg][o].is_none())
-        {
+        let Some(scale) = self.round_scale else {
+            return;
+        };
+        if self.seg_done[seg] || (1..self.workers).any(|o| self.gathered[seg][o].is_none()) {
             return;
         }
-        let (_, len) = self.segs[seg];
-        let own = &self.own_contrib[seg];
-        let seeded = self.momentum != 0.0 && self.velocity[seg].is_some();
-        let v = self.velocity[seg].get_or_insert_with(|| vec![0.0; len]);
-        if seeded {
-            for (v, c) in v.iter_mut().zip(own) {
-                *v = self.momentum * *v + c;
-            }
-        } else {
-            // `0.0 + c`, not `c`: see [`Seed::Zero`].
-            for (v, c) in v.iter_mut().zip(own) {
-                *v = 0.0 + c;
-            }
+        let (off, len) = self.segs[seg];
+        let v = self.fold_start(seg);
+        let seed = Seed::over(self.momentum, v.as_deref());
+        self.scratch.resize(len, 0.0);
+        let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
+        for (at, g) in runs(off..off + len, grads.0, grads.1) {
+            let seed = seed.at(4 * at..4 * (at + g.len()));
+            write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
         }
-        self.own_ready[seg] = false;
         for origin in 1..self.workers {
             let b = self.gathered[seg][origin].take().expect("checked above");
-            for (v, src) in v.iter_mut().zip(&b) {
+            for (v, src) in self.scratch.iter_mut().zip(&b) {
                 *v += src;
             }
         }
-        let data = Self::compress(self.codec, &mut self.seg_comp[seg], v);
+        let data = Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch);
         // Under a lossy codec the root, like every other replica, applies
         // what the wire carries — the decode of its own encoding — so all
         // replicas stay bitwise identical.
-        if self.codec != Codec::Identity {
-            decode_into(self.codec, &data, v).expect("own encoding");
-        }
-        self.seg_done[seg] = true;
+        let v = self.distributed(seg, &data).expect("own encoding");
+        self.land(iter, seg, v, p);
+        let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg);
         for child in self.tree_children(0) {
-            out.push(CollectiveSend {
-                to_worker: child,
-                route: wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg),
-                data: data.clone(),
-            });
+            out.push(self.hop(iter, child, route, data.clone()));
         }
     }
 
@@ -1050,17 +1086,17 @@ impl Syncer {
     }
 
     /// Consumes the iteration's received state into a [`SyncOutcome`] —
-    /// `None` for a PS layer, whose chunks were applied as they arrived.
-    /// [`Self::apply`] moves it into the replica. Panics if the syncer is
-    /// not complete.
-    pub fn take_outcome(&mut self) -> Option<SyncOutcome<'_>> {
+    /// `None` for a PS or collective layer, whose round stepped the replica
+    /// as it arrived. [`Self::apply`] moves it into the replica. Panics if
+    /// the syncer is not complete.
+    pub fn take_outcome(&mut self) -> Option<SyncOutcome> {
         assert!(
             self.is_complete(),
             "layer {} syncer not complete",
             self.layer
         );
         Some(match self.scheme {
-            CommScheme::Ps => return None,
+            CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => return None,
             CommScheme::AdamSf => {
                 SyncOutcome::FreshParams(self.received_matrix.take().expect("complete"))
             }
@@ -1068,15 +1104,6 @@ impl Syncer {
                 self.sf_batches
                     .iter_mut()
                     .map(|b| b.take().expect("complete"))
-                    .collect(),
-            ),
-            // The velocity is persistent optimiser state (next round's
-            // µ·v): lent, not taken.
-            CommScheme::Ring | CommScheme::Tree => SyncOutcome::ApplyDelta(
-                self.segs
-                    .iter()
-                    .zip(&self.velocity)
-                    .map(|(&(off, _), v)| (off, v.as_deref().expect("complete")))
                     .collect(),
             ),
         })
@@ -1136,38 +1163,53 @@ pub fn write_params_flat(p: &mut ParamBlock, flat: &[f32]) {
     p.bias.as_mut_slice().copy_from_slice(&flat[w..]);
 }
 
-/// Adds a pre-scaled delta, given as `(offset, values)` segments of the flat
-/// `weights ++ bias` layout, to a parameter block where it lies.
-///
-/// # Panics
-///
-/// Panics if a segment reaches past the block.
-pub fn apply_delta(p: &mut ParamBlock, segments: &[(usize, &[f32])]) {
-    let (w, b) = (p.weights.as_mut_slice(), p.bias.as_mut_slice());
-    for &(off, delta) in segments {
-        let (wr, br) = split_at_bias(off..off + delta.len(), w.len());
-        let (dw, db) = delta.split_at(wr.len());
-        for (v, d) in w[wr].iter_mut().zip(dw) {
-            *v += d;
-        }
-        for (v, d) in b[br].iter_mut().zip(db) {
-            *v += d;
-        }
-    }
+/// The runs of the flat range `r` of a `weights ++ bias` layer over its
+/// weights `w` and bias `b`, each with where it starts in `r`. Either may
+/// be empty.
+fn runs<'a>(r: Range<usize>, w: &'a [f32], b: &'a [f32]) -> [(usize, &'a [f32]); 2] {
+    let (wr, br) = split_at_bias(r, w.len());
+    [(0, &w[wr.clone()]), (wr.len(), &b[br])]
 }
 
-/// How a contribution `c = scale·g` enters a wire buffer or a kept one.
-#[derive(Clone, Copy)]
-enum Seed<'a> {
-    /// As it is: somebody else's fold adds it in.
-    Plain,
-    /// First into a fold over a zero velocity: `0.0 + c`, the f32 op the
-    /// shard runs on its zero-filled velocity. Never `c` itself —
-    /// `0.0 + (-0.0)` is `+0.0`, assignment isn't.
-    Zero,
-    /// First into a fold over `µ·v`: `µ·v + c`, every product and the sum
-    /// rounded on its own like the shard's `v ← µ·v; v += c`.
-    Momentum(f32, &'a [f32]),
+/// [`runs`] of parameters to write.
+fn runs_mut<'a>(
+    r: Range<usize>,
+    w: &'a mut [f32],
+    b: &'a mut [f32],
+) -> [(usize, &'a mut [f32]); 2] {
+    let (wr, br) = split_at_bias(r, w.len());
+    let at = wr.len();
+    [(0, &mut w[wr]), (at, &mut b[br])]
+}
+
+/// One identity ring hop over the segment at `range` of `p`, in one pass
+/// per run ([`wire::fold_run`]): `dst` gets the partial in `payload` (or
+/// `seed` applied to the head's raw gradient it carries) plus `scale·g`
+/// from `p`'s gradient storage, and with `step`, `p`'s parameters are
+/// stepped by the sums in the same pass.
+fn ring_hop(
+    dst: &mut [u8],
+    payload: &[u8],
+    seed: Option<Seed<'_>>,
+    scale: f32,
+    range: Range<usize>,
+    p: &mut ParamBlock,
+    step: bool,
+) {
+    let ParamBlock {
+        weights,
+        bias,
+        grad_weights,
+        grad_bias,
+    } = p;
+    let grads = runs(range.clone(), grad_weights.as_slice(), grad_bias.as_slice());
+    let params = runs_mut(range, weights.as_mut_slice(), bias.as_mut_slice());
+    for ((at, g), (_, w)) in grads.into_iter().zip(params) {
+        let bytes = 4 * at..4 * (at + g.len());
+        let seed = seed.map(|s| s.at(bytes.clone()));
+        let w = step.then_some(w);
+        wire::fold_run(&mut dst[bytes.clone()], &payload[bytes], seed, scale, g, w);
+    }
 }
 
 /// Somewhere a run of `f32`s goes: a value buffer, or wire bytes
@@ -1186,8 +1228,8 @@ impl F32Sink for [f32] {
 
 impl F32Sink for [u8] {
     fn put(&mut self, vals: impl Iterator<Item = f32>) {
-        for (d, v) in self.chunks_exact_mut(4).zip(vals) {
-            d.copy_from_slice(&v.to_le_bytes());
+        for (d, v) in self.as_chunks_mut::<4>().0.iter_mut().zip(vals) {
+            *d = v.to_le_bytes();
         }
     }
 }
@@ -1198,8 +1240,8 @@ fn write_scaled<S: F32Sink + ?Sized>(dst: &mut S, seed: Seed<'_>, scale: f32, g:
         Seed::Plain => dst.put(g.iter().map(|g| scale * g)),
         Seed::Zero => dst.put(g.iter().map(|g| 0.0 + scale * g)),
         Seed::Momentum(mu, v) => {
-            assert_eq!(v.len(), g.len(), "velocity run length");
-            dst.put(v.iter().zip(g).map(|(v, g)| mu * v + scale * g))
+            assert_eq!(v.len(), 4 * g.len(), "velocity run length");
+            dst.put(wire::le_f32s(v).zip(g).map(|(v, g)| mu * v + scale * g))
         }
     }
 }
@@ -1430,33 +1472,93 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// A `1 × (n − 1)` block whose flat gradient is `flat`: any chunk that
-    /// covers the last element straddles the weights/bias boundary.
-    fn block_with_grads(flat: &[f32]) -> ParamBlock {
-        let cols = flat.len() - 1;
-        let mut p = ParamBlock::new(1, cols);
-        p.grad_weights = Matrix::from_vec(1, cols, flat[..cols].to_vec());
-        p.grad_bias = Matrix::from_vec(1, 1, flat[cols..].to_vec());
-        p
+    /// A layer that is nothing but its parameters, so a test drives a
+    /// syncer through the calls the worker makes.
+    struct Block(ParamBlock);
+
+    impl Layer for Block {
+        fn name(&self) -> &str {
+            "block"
+        }
+
+        fn kind(&self) -> poseidon_nn::LayerKind {
+            poseidon_nn::LayerKind::FullyConnected
+        }
+
+        fn output_shape(&self) -> poseidon_nn::TensorShape {
+            poseidon_nn::TensorShape::flat(self.0.bias.len())
+        }
+
+        fn forward(&mut self, _: &Matrix) -> Matrix {
+            unreachable!("a block only holds parameters")
+        }
+
+        fn backward(&mut self, _: &Matrix) -> Matrix {
+            unreachable!("a block only holds parameters")
+        }
+
+        fn params(&self) -> Option<&ParamBlock> {
+            Some(&self.0)
+        }
+
+        fn params_mut(&mut self) -> Option<&mut ParamBlock> {
+            Some(&mut self.0)
+        }
     }
 
-    /// The flat delta a completed collective syncer hands back.
-    fn take_delta(s: &mut Syncer, elems: usize) -> Vec<f32> {
-        let mut flat = vec![f32::NAN; elems];
-        match s.take_outcome().unwrap() {
-            SyncOutcome::ApplyDelta(segs) => {
-                for (off, v) in segs {
-                    flat[off..off + v.len()].copy_from_slice(v);
-                }
-            }
-            other => panic!("wrong outcome {other:?}"),
+    /// A `1 × (n − 1)` block whose flat gradient is `flat`: any chunk that
+    /// covers the last element straddles the weights/bias boundary.
+    fn block_with_grads(flat: &[f32]) -> Block {
+        let cols = flat.len() - 1;
+        let mut p = ParamBlock::new(1, cols);
+        set_grads(&mut p, flat);
+        Block(p)
+    }
+
+    /// Overwrites `p`'s flat gradient `grad_weights ++ grad_bias`.
+    fn set_grads(p: &mut ParamBlock, flat: &[f32]) {
+        let cols = flat.len() - 1;
+        p.grad_weights = Matrix::from_vec(1, cols, flat[..cols].to_vec());
+        p.grad_bias = Matrix::from_vec(1, 1, flat[cols..].to_vec());
+    }
+
+    fn collective(iter: u64, route: u32, data: Bytes) -> Message {
+        Message::Collective {
+            iter,
+            layer: 0,
+            route,
+            codec: Codec::Identity,
+            data,
         }
-        flat
+    }
+
+    /// One round of `syncers` over `blocks`, whose gradients hold the
+    /// round's values: every `Send`, then every frame in send order through
+    /// `receive`, then `apply` — the order the runtimes follow.
+    fn round(syncers: &mut [Syncer], blocks: &mut [Block], iter: u64, scale: f32) {
+        let mut inflight = VecDeque::new();
+        for (w, (s, b)) in syncers.iter_mut().zip(blocks.iter_mut()).enumerate() {
+            s.begin_iteration();
+            s.send(b, iter, scale, |to, msg| inflight.push_back((w, to, msg)));
+        }
+        while let Some((from, to, msg)) = inflight.pop_front() {
+            let Dest::Worker(to) = to else {
+                panic!("a collective frame goes to a worker")
+            };
+            let emit = |next, msg| inflight.push_back((to, next, msg));
+            syncers[to]
+                .receive(from, msg, &mut blocks[to].0, emit)
+                .unwrap();
+        }
+        for (s, b) in syncers.iter_mut().zip(blocks.iter_mut()) {
+            assert!(s.is_complete(), "collective exchange stalled");
+            s.apply(&mut b.0, iter, scale);
+        }
     }
 
     /// Drives `workers` collective syncers through three full exchanges and
-    /// checks the applied parameters stay bitwise identical to a PS shard
-    /// folding the same raw gradients (the cross-scheme exactness invariant).
+    /// checks every replica stays bitwise identical to a PS shard folding
+    /// the same raw gradients (the cross-scheme exactness invariant).
     fn collective_matches_shard(scheme: CommScheme, workers: usize, momentum: f32) {
         let elems = 7;
         let chunks = vec![chunk(0, 0, 0, 4), chunk(0, 1, 4, 3)];
@@ -1464,10 +1566,16 @@ mod tests {
         let mut shard = ShardState::with_momentum(workers, scale, momentum);
         shard.init_pair((0, 0), vec![0.25; 4]);
         shard.init_pair((0, 1), vec![0.25; 3]);
-        let mut params = vec![0.25f32; elems];
         let mut syncers: Vec<Syncer> = (0..workers)
             .map(|w| {
                 Syncer::new(0, scheme, chunks.clone(), elems, workers, w).with_momentum(momentum)
+            })
+            .collect();
+        let mut blocks: Vec<Block> = (0..workers)
+            .map(|_| {
+                let mut b = block_with_grads(&vec![0.0; elems]);
+                write_params_flat(&mut b.0, &[0.25; 7]);
+                b
             })
             .collect();
         for it in 0..3usize {
@@ -1478,39 +1586,10 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            // Backward for every worker, then drain the in-flight frames —
-            // the same send-before-receive order the runtimes follow.
-            let mut inflight: VecDeque<(usize, usize, u32, Bytes)> = VecDeque::new();
-            for (w, s) in syncers.iter_mut().enumerate() {
-                s.begin_iteration();
-                for send in s.send_collective(&block_with_grads(&grads[w]), scale) {
-                    inflight.push_back((send.to_worker, w, send.route, send.data));
-                }
+            for (b, g) in blocks.iter_mut().zip(&grads) {
+                set_grads(&mut b.0, g);
             }
-            while let Some((to, from, route, data)) = inflight.pop_front() {
-                for send in syncers[to].on_collective(from, route, data).unwrap() {
-                    inflight.push_back((send.to_worker, to, send.route, send.data));
-                }
-            }
-            let mut deltas = Vec::new();
-            for s in &mut syncers {
-                assert!(s.is_complete(), "collective exchange stalled");
-                deltas.push(take_delta(s, elems));
-            }
-            for d in &deltas[1..] {
-                assert_eq!(f32_bits(d), f32_bits(&deltas[0]), "replicas diverged");
-            }
-            // Applied where it lies, the delta lands exactly like the flat add.
-            let mut block = block_with_grads(&vec![0.0; elems]);
-            write_params_flat(&mut block, &params);
-            match syncers[0].take_outcome().unwrap() {
-                SyncOutcome::ApplyDelta(segs) => apply_delta(&mut block, &segs),
-                other => panic!("wrong outcome {other:?}"),
-            }
-            for (p, d) in params.iter_mut().zip(&deltas[0]) {
-                *p += d;
-            }
-            assert_eq!(f32_bits(&flatten_params(&block)), f32_bits(&params));
+            round(&mut syncers, &mut blocks, it as u64, scale);
             for (w, g) in grads.iter().enumerate() {
                 shard.receive_grad(w, (0, 0), &g[..4]);
                 shard.receive_grad(w, (0, 1), &g[4..]);
@@ -1518,11 +1597,14 @@ mod tests {
             let mut master = Vec::new();
             master.extend_from_slice(shard.pair((0, 0)).unwrap());
             master.extend_from_slice(shard.pair((0, 1)).unwrap());
-            assert_eq!(
-                f32_bits(&params),
-                f32_bits(&master),
-                "{scheme} P={workers} µ={momentum} diverged from the PS fold at iteration {it}"
-            );
+            for (w, b) in blocks.iter().enumerate() {
+                assert_eq!(
+                    f32_bits(&flatten_params(&b.0)),
+                    f32_bits(&master),
+                    "{scheme} P={workers} µ={momentum}: worker {w} diverged from the PS fold \
+                     at iteration {it}"
+                );
+            }
         }
     }
 
@@ -1546,28 +1628,40 @@ mod tests {
     fn collective_layer_without_chunks_uses_one_segment() {
         let mut a = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 0);
         let mut b = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 1);
-        let seeds = a.send_collective(&block_with_grads(&[1.0, 2.0, 3.0]), 1.0);
-        assert!(b
-            .send_collective(&block_with_grads(&[0.5, 0.5, 0.5]), 1.0)
-            .is_empty());
+        let (mut pa, mut pb) = (
+            block_with_grads(&[1.0, 2.0, 3.0]),
+            block_with_grads(&[0.5; 3]),
+        );
+        let mut seeds = Vec::new();
+        a.send(&mut pa, 0, 1.0, |to, msg| seeds.push((to, msg)));
+        b.send(&mut pb, 0, 1.0, |_, _| {
+            panic!("a ring's non-head sends nothing")
+        });
         assert_eq!(seeds.len(), 1, "single whole-layer segment");
-        let fwd = b
-            .on_collective(0, seeds[0].route, seeds[0].data.clone())
+        let (to, msg) = seeds.pop().unwrap();
+        assert_eq!(to, Dest::Worker(1));
+        let mut fwd = Vec::new();
+        b.receive(0, msg, &mut pb.0, |to, msg| fwd.push((to, msg)))
             .unwrap();
         assert!(b.is_complete());
         assert_eq!(fwd.len(), 1, "DISTRIBUTE back to worker 0");
-        let done = a
-            .on_collective(1, fwd[0].route, fwd[0].data.clone())
-            .unwrap();
-        assert!(done.is_empty(), "DISTRIBUTE stops before its originator");
+        let (to, msg) = fwd.pop().unwrap();
+        assert_eq!(to, Dest::Worker(0));
+        a.receive(1, msg, &mut pa.0, |_, _| {
+            panic!("DISTRIBUTE stops before its originator")
+        })
+        .unwrap();
         assert!(a.is_complete());
-        assert_eq!(take_delta(&mut a, 3), vec![1.5, 2.5, 3.5]);
+        for (s, p) in [(&mut a, &mut pa), (&mut b, &mut pb)] {
+            s.apply(&mut p.0, 0, 1.0);
+            assert_eq!(flatten_params(&p.0), vec![1.5, 2.5, 3.5]);
+        }
     }
 
     /// Drives `workers` lossy-codec collective syncers through several
-    /// exchanges: all replicas must land on bitwise-identical deltas (they
-    /// all decode the same terminal encoding), even though the delta itself
-    /// is an approximation of the exact fold.
+    /// exchanges: all replicas must land on bitwise-identical parameters
+    /// (they all step by the same terminal encoding), even though the step
+    /// itself is an approximation of the exact fold.
     fn lossy_collective_replicas_agree(scheme: CommScheme, codec: Codec, workers: usize) {
         let elems = 9;
         let chunks = vec![chunk(0, 0, 0, 5), chunk(0, 1, 5, 4)];
@@ -1579,31 +1673,23 @@ mod tests {
                     .with_codec(codec)
             })
             .collect();
+        let mut blocks: Vec<Block> = (0..workers)
+            .map(|_| block_with_grads(&vec![0.0; elems]))
+            .collect();
         for it in 0..4usize {
-            let mut inflight: VecDeque<(usize, usize, u32, Bytes)> = VecDeque::new();
-            for (w, s) in syncers.iter_mut().enumerate() {
-                s.begin_iteration();
+            for (w, b) in blocks.iter_mut().enumerate() {
                 let grad: Vec<f32> = (0..elems)
                     .map(|i| ((w * 31 + i * 7 + it * 13) % 17) as f32 * 0.3 - 2.0)
                     .collect();
-                for send in s.send_collective(&block_with_grads(&grad), scale) {
-                    inflight.push_back((send.to_worker, w, send.route, send.data));
-                }
+                set_grads(&mut b.0, &grad);
             }
-            while let Some((to, from, route, data)) = inflight.pop_front() {
-                for send in syncers[to].on_collective(from, route, data).unwrap() {
-                    inflight.push_back((send.to_worker, to, send.route, send.data));
-                }
-            }
-            let mut deltas = Vec::new();
-            for s in &mut syncers {
-                assert!(s.is_complete(), "lossy collective exchange stalled");
-                deltas.push(take_delta(s, elems));
-            }
-            for d in &deltas[1..] {
+            round(&mut syncers, &mut blocks, it as u64, scale);
+            let want = f32_bits(&flatten_params(&blocks[0].0));
+            assert!(want.iter().any(|&b| b != 0), "the replicas moved");
+            for b in &blocks[1..] {
                 assert_eq!(
-                    f32_bits(d),
-                    f32_bits(&deltas[0]),
+                    f32_bits(&flatten_params(&b.0)),
+                    want,
                     "{scheme}/{codec} P={workers} replicas diverged at iteration {it}"
                 );
             }
@@ -1631,14 +1717,17 @@ mod tests {
     #[test]
     fn corrupt_collective_payload_surfaces_not_panics() {
         let mut b = Syncer::new(0, CommScheme::Ring, vec![], 4, 2, 1).with_codec(Codec::OneBit);
-        let _ = b.send_collective(&block_with_grads(&[0.1, 0.2, 0.3, 0.4]), 1.0);
+        let mut p = block_with_grads(&[0.1, 0.2, 0.3, 0.4]);
+        b.send(&mut p, 0, 1.0, |_, _| {});
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, 0);
-        let err = b.on_collective(0, route, Bytes::from(vec![1u8, 2, 3]));
+        let msg = collective(0, route, Bytes::from(vec![1u8, 2, 3]));
+        let err = b.receive(0, msg, &mut p.0, |_, _| panic!("nothing forwarded"));
         assert!(err.is_err(), "truncated payload must surface, got {err:?}");
         assert!(
             !b.is_complete(),
             "poisoned frame must not complete a segment"
         );
+        assert_eq!(flatten_params(&p.0), vec![0.0; 4], "nothing written");
     }
 
     #[test]
@@ -1688,15 +1777,51 @@ mod tests {
 
     #[test]
     fn export_import_state_carries_collective_velocity() {
-        let mut a = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 1).with_momentum(0.9);
-        a.velocity[0] = Some(vec![1.5, -2.0, 0.25]);
-        let st = a.export_state();
-        assert_eq!(st.velocity[0].as_deref(), Some(&[1.5, -2.0, 0.25][..]));
-        let mut b = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 1).with_momentum(0.9);
-        b.import_state(st);
-        assert_eq!(b.velocity, a.velocity);
+        // Two ring rounds at µ = 0.9, so the velocity carries into the fold.
+        let chunks = vec![chunk(0, 0, 0, 2), chunk(0, 1, 2, 2)];
+        let mk = |w| Syncer::new(0, CommScheme::Ring, chunks.clone(), 4, 2, w).with_momentum(0.9);
+        let grads = |it: usize, w: usize| -> Vec<f32> {
+            (0..4)
+                .map(|i| (i * 3 + w * 5 + it) as f32 * 0.5 - 2.0)
+                .collect()
+        };
+        let mut syncers = vec![mk(0), mk(1)];
+        let mut blocks: Vec<Block> = (0..2).map(|w| block_with_grads(&grads(0, w))).collect();
+        for it in 0..2 {
+            for (w, b) in blocks.iter_mut().enumerate() {
+                set_grads(&mut b.0, &grads(it, w));
+            }
+            round(&mut syncers, &mut blocks, it as u64, -0.1);
+        }
+        let st = syncers[1].export_state();
+        assert_eq!(st, syncers[0].export_state(), "every replica keeps v");
+        assert!(st.velocity.iter().all(Option::is_some));
         // Untouched compressor slots stay lazily absent.
-        assert!(b.seg_comp[0].is_none());
+        assert!(st.seg_residuals.iter().all(Option::is_none));
+        let mut restored: Vec<Syncer> = (0..2)
+            .map(|w| {
+                let mut s = mk(w);
+                s.import_state(syncers[w].export_state());
+                s
+            })
+            .collect();
+        assert_eq!(restored[0].export_state(), st);
+        assert!(restored[0].seg_comp.iter().all(Option::is_none));
+        // A round after the restore folds µ·v exactly as one without it.
+        let mut twins: Vec<Block> = blocks.iter().map(|b| Block(b.0.clone())).collect();
+        for (w, (b, t)) in blocks.iter_mut().zip(&mut twins).enumerate() {
+            set_grads(&mut b.0, &grads(2, w));
+            set_grads(&mut t.0, &grads(2, w));
+        }
+        round(&mut syncers, &mut blocks, 2, -0.1);
+        round(&mut restored, &mut twins, 2, -0.1);
+        for (b, t) in blocks.iter().zip(&twins) {
+            assert_eq!(
+                f32_bits(&flatten_params(&b.0)),
+                f32_bits(&flatten_params(&t.0))
+            );
+        }
+        assert_eq!(restored[1].export_state(), syncers[1].export_state());
     }
 
     #[test]
@@ -1709,18 +1834,23 @@ mod tests {
     #[should_panic(expected = "wrong predecessor")]
     fn ring_reduce_from_wrong_sender_panics() {
         let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, 2);
-        s.send_collective(&block_with_grads(&[0.0, 0.0]), 1.0);
+        let mut p = block_with_grads(&[0.0, 0.0]);
+        s.send(&mut p, 0, 1.0, |_, _| {});
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, 0);
-        let _ = s.on_collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
+        let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
+        let _ = s.receive(0, msg, &mut p.0, |_, _| {});
     }
 
     #[test]
     #[should_panic(expected = "duplicate tree contribution")]
     fn duplicate_tree_contribution_panics() {
-        let mut s = Syncer::new(0, CommScheme::Tree, vec![], 1, 3, 0);
+        let mut s = Syncer::new(0, CommScheme::Tree, vec![], 2, 3, 0);
+        let mut p = block_with_grads(&[0.0, 0.0]);
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 1, 0);
-        let _ = s.on_collective(1, route, wire::encode_f32s(&[1.0]));
-        let _ = s.on_collective(1, route, wire::encode_f32s(&[1.0]));
+        for _ in 0..2 {
+            let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
+            let _ = s.receive(1, msg, &mut p.0, |_, _| {});
+        }
     }
 
     #[test]

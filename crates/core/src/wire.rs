@@ -603,26 +603,119 @@ pub fn add_f32s_pooled_with(
     Some(lease.freeze())
 }
 
-/// [`add_f32s_pooled`] for the hop that ends a reduce chain: the same pass
-/// also stores every sum in `sums`, so the chain's result is kept and framed
-/// without a second look at either.
+/// The little-endian `f32`s of identity wire bytes, in order.
+pub(crate) fn le_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    bytes
+        .as_chunks::<4>()
+        .0
+        .iter()
+        .map(|b| f32::from_le_bytes(*b))
+}
+
+/// How a contribution `c = scale·g` enters a fold.
+#[derive(Clone, Copy)]
+pub(crate) enum Seed<'a> {
+    /// As it is: somebody else's fold adds it in.
+    Plain,
+    /// First into a fold over a zero velocity: `0.0 + c`, the f32 op the
+    /// shard runs on its zero-filled velocity. Never `c` itself —
+    /// `0.0 + (-0.0)` is `+0.0`, assignment isn't.
+    Zero,
+    /// First into a fold over `µ·v`, `v` given as its identity wire bytes:
+    /// `µ·v + c`, every product and the sum rounded on its own like the
+    /// shard's `v ← µ·v; v += c`.
+    Momentum(f32, &'a [u8]),
+}
+
+impl<'a> Seed<'a> {
+    /// The head of a fold over the velocity `v` (identity wire bytes), or
+    /// over zeros where there is none.
+    pub(crate) fn over(mu: f32, v: Option<&'a [u8]>) -> Seed<'a> {
+        v.map_or(Seed::Zero, |v| Seed::Momentum(mu, v))
+    }
+
+    /// The seed for the elements at `bytes` of the fold's wire layout.
+    pub(crate) fn at(self, bytes: std::ops::Range<usize>) -> Seed<'a> {
+        match self {
+            Seed::Momentum(mu, v) => Seed::Momentum(mu, &v[bytes]),
+            seed => seed,
+        }
+    }
+}
+
+/// One ring hop over a run of a segment, in one pass over every buffer it
+/// touches: writes `sum = head + scale·g` into `dst` as wire bytes and, with
+/// `params`, steps them by it (`θ += sum`) in the same pass — the hop that
+/// ends the chain. `head` is the partial sum in `payload`, or, with `seed`,
+/// the seeded contribution of the raw gradient `payload` carries from the
+/// chain's head (`seed` applied to `scale·payload`). Every element sees the
+/// shard's roundings in the shard's order.
 ///
-/// Returns `None` when the lengths disagree.
-pub fn add_f32s_pooled_keep(payload: &[u8], own: &[f32], sums: &mut [f32]) -> Option<Bytes> {
-    if payload.len() != own.len() * 4 || sums.len() != own.len() {
-        return None;
+/// # Panics
+///
+/// Panics if the lengths disagree.
+pub(crate) fn fold_run(
+    dst: &mut [u8],
+    payload: &[u8],
+    seed: Option<Seed<'_>>,
+    scale: f32,
+    g: &[f32],
+    params: Option<&mut [f32]>,
+) {
+    assert!(
+        dst.len() == g.len() * 4 && payload.len() == dst.len(),
+        "ring hop run length"
+    );
+    let p = le_f32s(payload);
+    match seed {
+        None => sum_run(dst, p, scale, g, params),
+        Some(Seed::Plain) => sum_run(dst, p.map(|p| scale * p), scale, g, params),
+        Some(Seed::Zero) => sum_run(dst, p.map(|p| 0.0 + scale * p), scale, g, params),
+        Some(Seed::Momentum(mu, v)) => {
+            assert_eq!(v.len(), payload.len(), "velocity run length");
+            let heads = le_f32s(v).zip(p).map(|(v, p)| mu * v + scale * p);
+            sum_run(dst, heads, scale, g, params)
+        }
     }
-    let mut lease = crate::pool::BufPool::global().get_dirty(payload.len());
-    for (((dst, src), v), sum) in lease
-        .chunks_exact_mut(4)
-        .zip(payload.chunks_exact(4))
-        .zip(own)
-        .zip(sums)
-    {
-        *sum = f32::from_le_bytes([src[0], src[1], src[2], src[3]]) + v;
-        dst.copy_from_slice(&sum.to_le_bytes());
+}
+
+/// [`fold_run`]'s pass once its heads are known.
+fn sum_run(
+    dst: &mut [u8],
+    heads: impl Iterator<Item = f32>,
+    scale: f32,
+    g: &[f32],
+    params: Option<&mut [f32]>,
+) {
+    let sums = heads.zip(g).map(|(h, g)| h + scale * g);
+    let dst = dst.as_chunks_mut::<4>().0.iter_mut();
+    match params {
+        None => {
+            for (d, s) in dst.zip(sums) {
+                *d = s.to_le_bytes();
+            }
+        }
+        Some(params) => {
+            assert_eq!(params.len(), g.len(), "parameter run length");
+            for ((d, s), w) in dst.zip(sums).zip(params) {
+                *d = s.to_le_bytes();
+                *w += s;
+            }
+        }
     }
-    Some(lease.freeze())
+}
+
+/// Steps `params` by a delta given as identity wire bytes, straight from
+/// them: `θ += v`.
+///
+/// # Panics
+///
+/// Panics if the lengths disagree.
+pub(crate) fn add_into(params: &mut [f32], delta: &[u8]) {
+    assert_eq!(delta.len(), params.len() * 4, "delta run length");
+    for (w, v) in params.iter_mut().zip(le_f32s(delta)) {
+        *w += v;
+    }
 }
 
 /// Decodes a buffer produced by [`encode_f32s`] — the identity codec's
@@ -836,6 +929,45 @@ mod tests {
         // Length mismatch and misalignment refuse instead of corrupting.
         assert!(add_f32s_pooled(&payload, &b[..3]).is_none());
         assert!(add_f32s_pooled(&payload[..payload.len() - 1], &b).is_none());
+    }
+
+    #[test]
+    fn fold_run_is_the_shard_fold_bit_for_bit() {
+        let g0 = [1.5f32, -0.0, 0.0, f32::MAX, -2.25, 3.0];
+        let g1 = [0.5f32, -0.0, 0.0, f32::MAX, 2.25, -0.0];
+        let v = [0.25f32, -0.0, 1.0, 2.0, -3.0, 0.0];
+        let (mu, scale) = (0.9f32, -0.5f32);
+        let (payload, vb) = (encode_f32s(&g0), encode_f32s(&v));
+        let head =
+            |f: fn(f32, f32) -> f32| -> Vec<f32> { (0..6).map(|i| f(v[i], g0[i])).collect() };
+        let cases = [
+            (None, head(|_, p| p)),
+            (Some(Seed::Plain), head(|_, p| -0.5 * p)),
+            (Some(Seed::Zero), head(|_, p| 0.0 + -0.5 * p)),
+            (
+                Some(Seed::Momentum(mu, &vb)),
+                head(|v, p| 0.9 * v + -0.5 * p),
+            ),
+        ];
+        for (case, (seed, head)) in cases.into_iter().enumerate() {
+            let want: Vec<f32> = (0..6).map(|i| head[i] + scale * g1[i]).collect();
+            let mut dst = vec![0xA5u8; 24];
+            fold_run(&mut dst, &payload, seed, scale, &g1, None);
+            assert_eq!(dst, encode_f32s(&want).to_vec(), "case {case}");
+            let mut params = v;
+            let mut dst = vec![0u8; 24];
+            fold_run(&mut dst, &payload, seed, scale, &g1, Some(&mut params));
+            assert_eq!(dst, encode_f32s(&want).to_vec(), "case {case}, stepping");
+            let stepped: Vec<u32> = (0..6).map(|i| (v[i] + want[i]).to_bits()).collect();
+            assert_eq!(params.map(f32::to_bits).to_vec(), stepped, "case {case}");
+            let mut again = v;
+            add_into(&mut again, &encode_f32s(&want));
+            assert_eq!(
+                again.map(f32::to_bits),
+                params.map(f32::to_bits),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

@@ -42,19 +42,22 @@ echo "== bitwise oracles and data paths under --release =="
 # Tier-1 runs these in the dev profile. The benchmark measures the release
 # build: the ISA-dispatched GEMM, the transposing packs and the codec loops
 # as the optimiser leaves them, the syncer's apply code (the in-place
-# chunk writes, SFB's momentum step, the collective delta) on the PS,
-# collective and WFBP-drain paths, and the shard's `ShardServer` (the
-# residual's export/install on checkpoint and handoff, the poisoned-frame
-# paths), which is what must keep every bit. The dense PS round shares
-# buffers instead of copying them — a push frame views the layer's
-# gradient, an identity reply views the shard's master — so the syncer and
-# KV-store unit tests that pin who may write a shared buffer, and when,
-# run under release timing too.
+# chunk writes, SFB's momentum step, the collective segment steps and the
+# ring's fused fold-and-step) on the PS, collective and WFBP-drain paths,
+# and the shard's `ShardServer` (the residual's export/install on
+# checkpoint and handoff, the poisoned-frame paths), which is what must
+# keep every bit. The dense PS round and the identity ring share buffers
+# instead of copying them — a push frame and a ring head's REDUCE frame
+# view the layer's gradient, an identity reply views the shard's master,
+# every replica keeps a DISTRIBUTE frame as its velocity — so the syncer
+# and KV-store unit tests that pin who may write a shared buffer, and when,
+# run under release timing too, and so does the chaos suite, whose
+# `Reliable` retransmit copies hold those frames past their round.
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-nn --test conv_oracle
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
     --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
-    --test poisoned_payloads
+    --test poisoned_payloads --test chaos_recovery
 cargo test --release -q -p poseidon --lib -- kvstore:: syncer::
 
 echo "== cargo clippy (warnings are errors) =="
@@ -97,8 +100,8 @@ for policy in ps ring; do
     grep -q "replicas=bitwise-identical" "$SMOKE/$policy.txt"
     PORT=$((PORT + 1000))
 done
-PS_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/ps.txt" | head -1)
-RING_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/ring.txt" | head -1)
+PS_HEX=$(grep -m1 -o 'params=[0-9a-f]*' "$SMOKE/ps.txt")
+RING_HEX=$(grep -m1 -o 'params=[0-9a-f]*' "$SMOKE/ring.txt")
 test -n "$PS_HEX" && test "$PS_HEX" = "$RING_HEX" \
     || { echo "ring replicas differ from the PS baseline"; exit 1; }
 
@@ -127,7 +130,7 @@ timeout 300 cargo run -q --release -p poseidon-bench --bin poseidon-node -- \
     --workers 2 --iters 4 --policy ps --codec onebit --base-port "$PORT" \
     > "$SMOKE/onebit.txt"
 grep -q "replicas=bitwise-identical" "$SMOKE/onebit.txt"
-ONEBIT_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/onebit.txt" | head -1)
+ONEBIT_HEX=$(grep -m1 -o 'params=[0-9a-f]*' "$SMOKE/onebit.txt")
 test -n "$ONEBIT_HEX" && test "$ONEBIT_HEX" != "$PS_HEX" \
     || { echo "--codec onebit produced the dense params; codec plane inert"; exit 1; }
 
@@ -147,7 +150,7 @@ grep -q "faults_fired_total=[1-9]" "$SMOKE/chaos.txt" \
     || { echo "--fault-plan fired no fault; chaos plane inert"; exit 1; }
 grep -q "recovery_actions_total=[1-9]" "$SMOKE/chaos.txt" \
     || { echo "the launcher reports no repair; recovery counts lost"; exit 1; }
-CHAOS_HEX=$(grep -o 'params=[0-9a-f]*' "$SMOKE/chaos.txt" | head -1)
+CHAOS_HEX=$(grep -m1 -o 'params=[0-9a-f]*' "$SMOKE/chaos.txt")
 test -n "$CHAOS_HEX" && test "$CHAOS_HEX" = "$PS_HEX" \
     || { echo "chaos replicas differ from the fault-free PS run"; exit 1; }
 

@@ -1,24 +1,25 @@
-//! The collective data path touches each ring or tree byte once: the `Send`
-//! writes `µ·v + scale·g` from the layer's gradient storage straight into the
-//! wire buffer (or `scale·g` into a buffer kept for the hop), the hop that
-//! ends a chain adds into the kept velocity while it frames it, DISTRIBUTE
-//! decodes into that velocity, and the delta is applied from its segments
-//! where they lie. None of that may change a single bit, allocate per step,
-//! or leak a pooled lease. As in `ps_wire_path.rs`, every check is
-//! differential against the slow, obviously-correct spelling — flatten,
-//! scale, fold a zero-seeded vector in worker order, add the flat delta —
-//! through public API only.
+//! The collective data path touches each ring or tree byte as few times as
+//! the fold allows: the ring's head lends its raw gradient to its REDUCE
+//! frames, the hop after it seeds the fold from that gradient, every hop
+//! reads `scale·g` straight from gradient storage, the hop that ends the
+//! chain folds, frames and steps its replica in one pass, and every replica
+//! steps from the DISTRIBUTE frame and keeps it as the velocity. None of
+//! that may change a single bit, allocate per step, or leak a pooled lease.
+//! As in `ps_wire_path.rs`, every check is differential against the slow,
+//! obviously-correct spelling — flatten, scale, fold a zero-seeded vector in
+//! worker order, add the flat delta — through public API only, driving each
+//! syncer through the calls the worker makes: `send`, `receive`, `apply`.
 
 use poseidon::chunk::Chunk;
 use poseidon::config::{CommScheme, Partition, SchemePolicy};
 use poseidon::pool::BufPool;
 use poseidon::runtime::{train, RuntimeConfig};
-use poseidon::syncer::{
-    apply_delta, flatten_grads, flatten_params, write_params_flat, SyncOutcome, Syncer,
-};
+use poseidon::syncer::{flatten_grads, flatten_params, write_params_flat, Dest, Syncer};
+use poseidon::transport::Message;
+use poseidon::wire;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
-use poseidon_nn::{presets, ParamBlock};
+use poseidon_nn::{presets, Model, Network, ParamBlock};
 use poseidon_tensor::Matrix;
 use std::collections::VecDeque;
 use std::sync::{Mutex, MutexGuard};
@@ -69,11 +70,21 @@ fn segments() -> Vec<Chunk> {
         .collect()
 }
 
-/// A block whose gradient holds fresh values, with signed zeros among them:
-/// `0.0 + scale·(-0.0)` and `scale·(-0.0)` differ in the sign bit, and the
-/// head of a fold must produce the former.
-fn block_with_grads(rng: &mut Lcg) -> ParamBlock {
-    let mut p = ParamBlock::new(ROWS, COLS);
+/// One worker's replica: a single 5 → 3 FC layer.
+fn replica(init: &[f32]) -> Network {
+    let mut net = presets::mlp(&[COLS, ROWS], 1);
+    write_params_flat(params(&mut net), init);
+    net
+}
+
+fn params(net: &mut Network) -> &mut ParamBlock {
+    net.slot_mut(0).and_then(|l| l.params_mut()).unwrap()
+}
+
+/// Writes fresh gradient values, with signed zeros among them, over the
+/// layer's gradient storage: `0.0 + scale·(-0.0)` and `scale·(-0.0)` differ
+/// in the sign bit, and the head of a fold must produce the former.
+fn fill_grads(p: &mut ParamBlock, rng: &mut Lcg) {
     let mut fill = |m: &mut Matrix| {
         for (i, g) in m.as_mut_slice().iter_mut().enumerate() {
             *g = match i % 5 {
@@ -85,7 +96,50 @@ fn block_with_grads(rng: &mut Lcg) -> ParamBlock {
     };
     fill(&mut p.grad_weights);
     fill(&mut p.grad_bias);
-    p
+}
+
+/// A frame in flight: `(from, to, message)`.
+type Frame = (usize, usize, Message);
+
+/// One round of iteration `iter` through the worker's calls in the
+/// worker's order: every layer's `Send`, then every frame in send order
+/// through `receive`, and `apply` the moment a syncer completes. `watch`
+/// sees every frame just before its receiver takes it, and the receiver's
+/// syncer just after.
+fn round(
+    syncers: &mut [Syncer],
+    nets: &mut [Network],
+    iter: u64,
+    scale: f32,
+    mut watch: impl FnMut(&Frame, &Syncer),
+) {
+    let mut inflight: VecDeque<Frame> = VecDeque::new();
+    let to_worker = |to| match to {
+        Dest::Worker(w) => w,
+        Dest::Shard(s) => panic!("a collective frame addressed to shard {s}"),
+    };
+    for (w, (s, net)) in syncers.iter_mut().zip(nets.iter_mut()).enumerate() {
+        s.begin_iteration();
+        let layer = net.slot_mut(0).unwrap();
+        s.send(layer, iter, scale, |to, msg| {
+            inflight.push_back((w, to_worker(to), msg))
+        });
+    }
+    while let Some(frame) = inflight.pop_front() {
+        let (from, to, msg) = (frame.0, frame.1, frame.2.clone());
+        let (s, p) = (&mut syncers[to], params(&mut nets[to]));
+        let emit = |next, msg| inflight.push_back((to, to_worker(next), msg));
+        s.receive(from, msg, p, emit).unwrap();
+        watch(&frame, s);
+        drop(frame);
+        if s.is_complete() {
+            s.apply(p, iter, scale);
+        }
+    }
+    assert!(
+        syncers.iter().all(Syncer::is_complete),
+        "an exchange stalled"
+    );
 }
 
 /// Drives `workers` collective syncers through `steps` exchanges, frames
@@ -98,25 +152,21 @@ fn assert_collective_matches_reference(scheme: CommScheme, workers: usize, momen
         .map(|w| Syncer::new(0, scheme, segments(), ELEMS, workers, w).with_momentum(momentum))
         .collect();
     let init: Vec<f32> = (0..ELEMS).map(|_| rng.next_f32()).collect();
-    let mut replicas: Vec<ParamBlock> = (0..workers)
-        .map(|_| {
-            let mut p = ParamBlock::new(ROWS, COLS);
-            write_params_flat(&mut p, &init);
-            p
-        })
-        .collect();
+    let mut nets: Vec<Network> = (0..workers).map(|_| replica(&init)).collect();
     let mut want_params = init;
     let mut want_velocity = vec![0.0f32; ELEMS];
     for step in 0..4 {
         let scale = -0.05 / (step + 1) as f32;
-        let grads: Vec<ParamBlock> = (0..workers).map(|_| block_with_grads(&mut rng)).collect();
+        for net in &mut nets {
+            fill_grads(params(net), &mut rng);
+        }
 
         // The slow spelling: the shard's fold over flat scaled gradients.
         for v in &mut want_velocity {
             *v = if momentum != 0.0 { momentum * *v } else { 0.0 };
         }
-        for g in &grads {
-            for (v, g) in want_velocity.iter_mut().zip(flatten_grads(g)) {
+        for net in &mut nets {
+            for (v, g) in want_velocity.iter_mut().zip(flatten_grads(params(net))) {
                 *v += scale * g;
             }
         }
@@ -124,28 +174,22 @@ fn assert_collective_matches_reference(scheme: CommScheme, workers: usize, momen
             *p += v;
         }
 
-        let mut inflight = VecDeque::new();
-        for (w, s) in syncers.iter_mut().enumerate() {
-            s.begin_iteration();
-            for send in s.send_collective(&grads[w], scale) {
-                inflight.push_back((send.to_worker, w, send.route, send.data));
-            }
-        }
-        while let Some((to, from, route, data)) = inflight.pop_front() {
-            for send in syncers[to].on_collective(from, route, data).unwrap() {
-                inflight.push_back((send.to_worker, to, send.route, send.data));
-            }
-        }
-        for (w, (s, replica)) in syncers.iter_mut().zip(&mut replicas).enumerate() {
-            assert!(s.is_complete(), "{what}: worker {w} stalled at step {step}");
-            match s.take_outcome().expect("a collective hands back its delta") {
-                SyncOutcome::ApplyDelta(segments) => apply_delta(replica, &segments),
-                other => panic!("{what}: wrong outcome {other:?}"),
-            }
+        round(&mut syncers, &mut nets, step as u64, scale, |_, _| {});
+        for (w, (s, net)) in syncers.iter().zip(&mut nets).enumerate() {
             assert_eq!(
-                bits(&flatten_params(replica)),
+                bits(&flatten_params(params(net))),
                 bits(&want_params),
                 "{what}: worker {w} after step {step}"
+            );
+            // The velocity itself, not only the step it made: a fold head of
+            // `c` instead of `0.0 + c` differs only in the sign of a zero.
+            let kept: Vec<u8> = (0..segments().len())
+                .flat_map(|seg| s.kept_velocity(seg).expect("a fold ran").to_vec())
+                .collect();
+            assert_eq!(
+                kept,
+                wire::encode_f32s(&want_velocity).to_vec(),
+                "{what}: worker {w}'s velocity after step {step}"
             );
         }
     }
@@ -163,6 +207,93 @@ fn collectives_fold_from_gradient_storage_exactly_like_the_flat_reference() {
     }
 }
 
+/// The address range of a layer's weight gradient storage.
+fn grad_storage(net: &mut Network) -> std::ops::Range<usize> {
+    let gw = params(net).grad_weights.as_slice();
+    let start = gw.as_ptr() as usize;
+    start..start + std::mem::size_of_val(gw)
+}
+
+/// The ring's head lends its weight gradient to its REDUCE frames: each
+/// segment that lies in the weights is a view of the gradient storage (the
+/// others are encoded), every payload is the raw flat gradient's bytes, and
+/// once the round is in the layer holds the same storage again, iteration
+/// after iteration. A frame still held then keeps its storage: the layer
+/// gets a fresh buffer, and the next round leaves the held frame's bytes as
+/// they were. Every replica keeps the DISTRIBUTE frame itself as the
+/// segment's velocity: the last hop the frame it sends, the others the
+/// frame they receive.
+#[test]
+fn ring_head_frames_view_the_gradient_and_replicas_keep_the_distribute_frame() {
+    let _globals = exclusive();
+    let mut rng = Lcg(0x21E4D);
+    let mut syncers: Vec<Syncer> = (0..2)
+        .map(|w| Syncer::new(0, CommScheme::Ring, segments(), ELEMS, 2, w).with_momentum(0.9))
+        .collect();
+    let init: Vec<f32> = (0..ELEMS).map(|_| rng.next_f32()).collect();
+    let mut nets: Vec<Network> = (0..2).map(|_| replica(&init)).collect();
+    let first = grad_storage(&mut nets[0]);
+    let mut held = None;
+    for iter in 0..4u64 {
+        for net in &mut nets {
+            fill_grads(params(net), &mut rng);
+        }
+        let storage = grad_storage(&mut nets[0]);
+        assert_eq!(
+            storage == first,
+            held.is_none(),
+            "iteration {iter}: the layer's own buffer, until a held frame keeps it"
+        );
+        let flat = flatten_grads(params(&mut nets[0]));
+        let (mut reduces, mut distributes) = (0, 0);
+        round(&mut syncers, &mut nets, iter, -0.05, |(from, _, msg), s| {
+            let Message::Collective { route, data, .. } = msg else {
+                panic!("a collective frame, got {msg:?}")
+            };
+            let (phase, _, seg) = wire::unpack_collective(*route);
+            if phase == wire::COLLECTIVE_REDUCE {
+                reduces += 1;
+                let range = segments()[seg].range();
+                assert_eq!(
+                    data,
+                    &wire::encode_f32s(&flat[range.clone()]),
+                    "segment {seg}: the head's raw gradient"
+                );
+                let at = data.as_ptr() as usize;
+                let inside = storage.contains(&at) && at + data.len() <= storage.end;
+                assert_eq!(inside, range.end <= 15, "iteration {iter} segment {seg}");
+                if iter == 2 && seg == 0 {
+                    held = Some((data.clone(), data.to_vec()));
+                }
+            } else {
+                distributes += 1;
+                assert_eq!(*from, 1, "the last hop originates DISTRIBUTE");
+                let kept = s.kept_velocity(seg).expect("kept");
+                assert_eq!(kept.as_ptr(), data.as_ptr(), "segment {seg}: kept as is");
+                assert_eq!(kept.len(), data.len());
+            }
+        });
+        assert_eq!((reduces, distributes), (3, 3));
+        // Both replicas keep the same bytes: the frame the last hop sent.
+        for seg in 0..3 {
+            let kept: Vec<_> = syncers.iter().map(|s| s.kept_velocity(seg)).collect();
+            assert_eq!(kept[0].unwrap().as_ptr(), kept[1].unwrap().as_ptr());
+        }
+        let given_back = grad_storage(&mut nets[0]);
+        assert_eq!(
+            given_back == storage,
+            iter != 2,
+            "iteration {iter}: the buffer comes back unless a frame holds it"
+        );
+    }
+    let (frame, bytes) = held.expect("a frame was held");
+    assert_eq!(
+        frame.to_vec(),
+        bytes,
+        "the held frame's bytes did not change"
+    );
+}
+
 /// Fifty exchanges: what a syncer keeps between iterations is allocated by
 /// the second one and never grows after, on every position of a ring and a
 /// tree.
@@ -175,20 +306,13 @@ fn kept_buffers_do_not_grow_with_the_step_count() {
         let mut syncers: Vec<Syncer> = (0..workers)
             .map(|w| Syncer::new(0, scheme, segments(), ELEMS, workers, w).with_momentum(0.9))
             .collect();
+        let mut nets: Vec<Network> = (0..workers).map(|_| replica(&[0.0; ELEMS])).collect();
         let mut settled: Vec<usize> = Vec::new();
         for step in 0..50 {
-            let mut inflight = VecDeque::new();
-            for (w, s) in syncers.iter_mut().enumerate() {
-                s.begin_iteration();
-                for send in s.send_collective(&block_with_grads(&mut rng), -0.01) {
-                    inflight.push_back((send.to_worker, w, send.route, send.data));
-                }
+            for net in &mut nets {
+                fill_grads(params(net), &mut rng);
             }
-            while let Some((to, from, route, data)) = inflight.pop_front() {
-                for send in syncers[to].on_collective(from, route, data).unwrap() {
-                    inflight.push_back((send.to_worker, to, send.route, send.data));
-                }
-            }
+            round(&mut syncers, &mut nets, step, -0.01, |_, _| {});
             let kept: Vec<usize> = syncers.iter().map(Syncer::retained_elems).collect();
             match step {
                 0 => {}
@@ -197,8 +321,8 @@ fn kept_buffers_do_not_grow_with_the_step_count() {
             }
         }
         for (w, kept) in settled.into_iter().enumerate() {
-            // A velocity and at most one contribution per segment, give or
-            // take the allocator's rounding of the tiny ones.
+            // A velocity frame per segment, and the tree root's staging for
+            // one segment.
             assert!(
                 (ELEMS..3 * ELEMS).contains(&kept),
                 "{scheme}: worker {w} keeps {kept} elements for a layer of {ELEMS}"
