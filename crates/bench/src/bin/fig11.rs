@@ -62,28 +62,30 @@ fn main() {
     .map(|s| s.to_string())
     .collect();
     let step = iters / 10;
-    let rows: Vec<Vec<String>> = (1..=10)
-        .map(|k| {
-            let it = k * step;
-            let window = |r: &TrainResult<poseidon_nn::Network>| {
-                let lo = it.saturating_sub(step);
-                let s: f32 = r.losses[lo..it].iter().sum();
-                s / (it - lo) as f32
-            };
-            let err = |r: &TrainResult<poseidon_nn::Network>| {
-                r.test_errors
-                    .iter()
-                    .find(|&&(i, _)| i == it)
-                    .map(|&(_, e)| format!("{e:.3}"))
-                    .unwrap_or_else(|| "-".into())
-            };
-            vec![
-                it.to_string(),
-                format!("{:.3}", window(&exact)),
-                format!("{:.3}", window(&onebit)),
-                err(&exact),
-                err(&onebit),
-            ]
+    let window = |r: &TrainResult<poseidon_nn::Network>, it: usize| {
+        let lo = it.saturating_sub(step);
+        let s: f32 = r.losses[lo..it].iter().sum();
+        s / (it - lo) as f32
+    };
+    let err = |r: &TrainResult<poseidon_nn::Network>, it: usize| {
+        let e = r.test_errors.iter().find(|&&(i, _)| i == it);
+        e.map(|&(_, e)| e)
+    };
+    let checkpoints: Vec<usize> = (1..=10).map(|k| k * step).collect();
+    let loss: Vec<Pair> = checkpoints
+        .iter()
+        .map(|&it| (it, Some(window(&exact, it)), Some(window(&onebit, it))))
+        .collect();
+    let errs: Vec<Pair> = checkpoints
+        .iter()
+        .map(|&it| (it, err(&exact, it), err(&onebit, it)))
+        .collect();
+    let shown = |v: Option<f32>| v.map_or_else(|| "-".into(), printed);
+    let rows: Vec<Vec<String>> = loss
+        .iter()
+        .zip(&errs)
+        .map(|(&(it, le, lo), &(_, ee, eo))| {
+            vec![it.to_string(), shown(le), shown(lo), shown(ee), shown(eo)]
         })
         .collect();
     println!("{}", render_table(&header, &rows));
@@ -94,6 +96,52 @@ fn main() {
     println!("Paper shape: the 1-bit variant converges more slowly in both loss and");
     println!("test error — with the solver's momentum (0.9, as in Caffe's");
     println!("cifar10_quick), the quantization residual behaves like delayed updates");
-    println!("that momentum amplifies, exactly the paper's conjecture. Poseidon's");
-    println!("exact synchronous updates converge fastest at every checkpoint.");
+    println!("that momentum amplifies, exactly the paper's conjecture. In this run:");
+    println!("{}", verdict("loss", &loss));
+    println!("{}", verdict("test error", &errs));
+}
+
+/// One checkpoint of one metric: `(iteration, exact, 1-bit)`.
+type Pair = (usize, Option<f32>, Option<f32>);
+
+/// A table value as printed.
+fn printed(v: f32) -> String {
+    format!("{v:.3}")
+}
+
+/// Where exact synchronisation leads on `what`, judged on the values as
+/// the table prints them: the checkpoints where it is lower, where the two
+/// print the same, and where the 1-bit variant is lower.
+fn verdict(what: &str, rows: &[Pair]) -> String {
+    let (mut lead, mut tie, mut behind) = (Vec::new(), Vec::new(), Vec::new());
+    for &(it, exact, onebit) in rows {
+        let (Some(e), Some(o)) = (exact, onebit) else {
+            continue;
+        };
+        match (printed(e) == printed(o), e < o) {
+            (true, _) => tie.push(it),
+            (false, true) => lead.push(it),
+            (false, false) => behind.push(it),
+        }
+    }
+    let list = |its: &[usize]| {
+        let its: Vec<String> = its.iter().map(usize::to_string).collect();
+        its.join(", ")
+    };
+    let total = lead.len() + tie.len() + behind.len();
+    let mut line = match lead.len() {
+        0 => format!("Exact leads on {what} at no checkpoint"),
+        n if n == total => format!("Exact leads on {what} at every checkpoint"),
+        n => format!(
+            "Exact leads on {what} at {n} of {total} checkpoints ({})",
+            list(&lead)
+        ),
+    };
+    if !tie.is_empty() {
+        line += &format!("; tied at {}", list(&tie));
+    }
+    if !behind.is_empty() {
+        line += &format!("; behind at {}", list(&behind));
+    }
+    line + "."
 }

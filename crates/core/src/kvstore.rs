@@ -37,7 +37,8 @@ use crate::checkpoint::{self, PairState};
 use crate::config::{CommScheme, Consistency};
 use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
-use crate::syncer::{self, Dest};
+use crate::route::{self, Dest};
+use crate::syncer;
 use crate::transport::Message;
 use crate::wire::{self, Codec, CodecError, LAYER_GRANULAR_CHUNK};
 use bytes::Bytes;
@@ -584,7 +585,7 @@ impl ShardServer {
                     let comp = comp.or_insert_with(|| make_compressor(reply, elems));
                     wire::compress_pooled(comp.as_mut(), self.state.fold(key))
                 };
-                for w in 0..self.state.workers {
+                for w in route::replies(self.state.workers) {
                     emit(Dest::Worker(w), reply_with(data.clone()));
                 }
                 if reply != Codec::Identity {
@@ -601,7 +602,7 @@ impl ShardServer {
                 let dense = Staged::Dense([w.as_slice(), &b].concat());
                 if self.state.stage(from, key, dense)? {
                     let data = self.state.fold_apply_encode(key);
-                    for w in 0..self.state.workers {
+                    for w in route::replies(self.state.workers) {
                         let data = data.clone();
                         emit(Dest::Worker(w), Message::ParamMatrix { iter, layer, data });
                     }

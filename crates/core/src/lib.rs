@@ -32,7 +32,8 @@
 //! Supporting modules: [`wire`] (the versioned frame codec every transport
 //! speaks), [`chunk`] (fixed-size KV-pair partitioning of parameters),
 //! [`kvstore`] (bulk-synchronous shard state machine), [`syncer`] (per-layer
-//! Send/Receive/Move), [`config`] (cluster and scheme configuration),
+//! Send/Receive/Move), [`route`] (where every scheme's frames go, for the
+//! syncers, the shards and the simulator alike), [`config`] (cluster and scheme configuration),
 //! [`faults`] (deterministic fault injection for chaos testing the comm
 //! plane), [`membership`] (elastic shard-ownership epochs and the scripted
 //! reconfiguration plan DSL), [`checkpoint`] (bitwise snapshot/restore of
@@ -55,6 +56,7 @@ pub mod kvstore;
 pub mod membership;
 pub mod metrics;
 pub mod pool;
+pub mod route;
 pub mod runtime;
 pub mod serving;
 pub mod sim;

@@ -43,7 +43,7 @@ use crate::config::{
 use crate::coordinator::Coordinator;
 use crate::faults::{FaultPlan, FiredFault};
 use crate::membership::MembershipSchedule;
-use crate::syncer::Dest;
+use crate::route::Dest;
 use crate::telemetry::{self, TelemetryConfig};
 use crate::transport::{
     self, Message, ReliabilityConfig, ReliabilityStats, TrafficCounters, Transport,

@@ -10,6 +10,14 @@
 //! every layer's synchronisation have finished on every node (the completion
 //! vector of Section 4.1).
 //!
+//! The engine decides no route. Where each frame goes, and what a
+//! collective frame does where it lands, comes from [`crate::route`] — the
+//! table the live syncers and shards follow too; the handlers below price
+//! and schedule what it returns. They own time, the NICs, staging, the
+//! overlap rules, the stash of a frame that outran the local backward, and
+//! the straggler drop, and they price a frame by what it carries
+//! ([`Payload`]), never by its scheme.
+//!
 //! Every reported statistic is a function of the order in which the queue
 //! pops — `(time, insertion order)`, see [`poseidon_netsim::EventQueue`] —
 //! so the handlers below must keep issuing the same `schedule_at` calls in
@@ -23,8 +31,10 @@ use crate::config::Codec;
 use crate::config::CommScheme;
 use crate::config::Scheduler;
 use crate::coordinator::Coordinator;
+use crate::route::{self, Dest, Hop, Payload, Route};
 use crate::sim::profile::{LayerTimes, SimConfig};
 use crate::telemetry::{Event, EventKind, Trace, Track};
+use crate::wire::{COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
 use poseidon_netsim::{EventQueue, FlowNetwork, LinkConfig, Network, NodeId, Resource};
 use poseidon_nn::zoo::ModelSpec;
 
@@ -139,9 +149,10 @@ enum Kind {
     /// The layer's gradients are complete on worker `node`; begin its part of
     /// the synchronisation.
     SyncReady,
-    /// One worker's gradient `chunk` arrived at its shard.
+    /// One worker's gradient `chunk`, or an Adam layer's factors, arrived
+    /// at shard `node`.
     GradArrive,
-    /// The shard finished applying `chunk`'s aggregated update.
+    /// Shard `node` finished applying `chunk`'s aggregated update.
     ApplyDone,
     /// Fresh parameters of `chunk` arrived back at worker `node`.
     PullArrive,
@@ -149,16 +160,9 @@ enum Kind {
     SfArrive,
     /// Worker `node` finished reconstructing the layer from factors (SFB).
     ReconDone,
-    /// A ring partial sum for `chunk` arrived at worker `node` (REDUCE hop).
-    RingReduce,
-    /// The folded ring value for `chunk` arrived at worker `node`
-    /// (DISTRIBUTE).
-    RingShare,
-    /// A tree contribution for `chunk` arrived at `node` en route to the
-    /// root (interior nodes relay without folding, as in the live runtime).
-    TreeGather,
-    /// The root's folded value for `chunk` arrived at `node` (broadcast).
-    TreeCast,
+    /// A collective frame of this wire phase for segment `chunk` arrived at
+    /// worker `node`; [`Route::hop`] says what it does there.
+    Hop(u8),
 }
 
 /// One scheduled event: 16 bytes, so a queue node is 32.
@@ -189,14 +193,12 @@ impl Ev {
 struct LayerPlan {
     /// Index into the model's layers (trace labels).
     layer: usize,
-    /// The shard an Adam layer pushes its factors to and pulls from
-    /// ([`Coordinator::adam_shard`]).
-    adam_shard: usize,
+    /// Where the layer's frames go: what the engine prices and schedules.
+    route: Route,
     /// Position of the layer's first chunk in the coordinator's chunk table:
     /// `base + chunk` is that chunk's slot in the per-chunk progress tables
     /// (an SFB or Adam layer uses `base` alone).
     base: usize,
-    scheme: CommScheme,
     /// The gradient codec this layer's frames ride (identity unless the
     /// codec policy compresses it); wire bytes below are priced through it.
     codec: Codec,
@@ -234,22 +236,22 @@ struct SimState<'a> {
     // Progress of one iteration, reset by `begin_iteration`. Three index
     // spaces, all sized from the plan: a chunk's slot `plan.base + chunk`,
     // `dense layer · P + worker` (`lw`), and `slot · P + worker`.
-    /// Pushes received per slot. Exactly the required ones arrive: a
-    /// dropped straggler never sends on a non-collective layer.
-    grad_counts: Vec<u32>,
+    /// Frames gathered per slot: pushes at its shard — exactly the required
+    /// ones arrive, as a dropped straggler never sends on a non-collective
+    /// layer — or contributions at the tree root.
+    gathered: Vec<u32>,
     /// Pulls still in flight per slot.
     pull_remaining: Vec<u32>,
-    /// Contributions gathered at the tree root per slot.
-    tree_counts: Vec<u32>,
-    /// Chunks a (layer, worker) still waits for; `UNSET` until its
-    /// `SyncReady` — or, for a dropped straggler, its first pull — sets it.
+    /// Chunks a (layer, worker) still waits for; `UNSET` until the first
+    /// lands there.
     chunks_remaining: Vec<u32>,
     /// Peer SF batches received per (layer, worker).
     sf_counts: Vec<u32>,
     /// Local gradient ready time per (layer, worker) — collective schemes;
     /// `NAN` until the worker's `SyncReady`.
     coll_ready: Vec<f64>,
-    /// Ring REDUCE hops that arrived before the local gradient was ready:
+    /// Collective frames that need the local gradient and arrived before it
+    /// was ready — a ring REDUCE hop, a tree root's last contribution:
     /// arrival time per (slot, worker), `NAN` when nothing is stashed. Empty
     /// unless some layer rides a collective.
     coll_pending: Vec<f64>,
@@ -270,13 +272,26 @@ impl SimState<'_> {
         self.done_count = 0;
         let active_nodes = (0..self.p).filter(|&w| !self.is_dropped(w)).count();
         self.expected_done = self.plans.len() * active_nodes;
-        self.grad_counts.fill(0);
         self.pull_remaining.fill(0);
-        self.tree_counts.fill(0);
+        self.gathered.fill(0);
         self.chunks_remaining.fill(UNSET);
         self.sf_counts.fill(0);
         self.coll_ready.fill(f64::NAN);
         self.coll_pending.fill(f64::NAN);
+    }
+
+    /// Worker `w`'s payload of `bytes`, ready at `ready`, leaving for the
+    /// wire: aggregated onto the leader GPU, moved to the host and, under a
+    /// lossy `codec`, compressed over its `dense` bytes (error feedback +
+    /// encode) on the transform stream.
+    fn stage_out(&mut self, w: usize, ready: f64, bytes: u64, dense: u64, codec: Codec) -> f64 {
+        let ready = self.local_aggregate(w, ready, bytes);
+        let ready = self.staged(w, ready, bytes);
+        if codec == Codec::Identity {
+            return ready;
+        }
+        let qdur = 2.0 * dense as f64 / self.cfg.transform_flops;
+        self.cpu[w].reserve(ready, qdur).1
     }
 
     /// An unoverlapped engine's synchronous GPU↔CPU copy of `bytes` on
@@ -453,8 +468,11 @@ fn simulate_inner(
     let table = coordinator.chunk_table().chunks();
     let mut next = 0usize;
     let mut plans: Vec<LayerPlan> = Vec::new();
-    for (l, scheme) in coordinator.scheme_assignment() {
-        let info = &coordinator.layers()[l];
+    for (l, info) in coordinator.layers().iter().enumerate() {
+        if !info.is_trainable() {
+            continue;
+        }
+        let route = Route::for_layer(&coordinator, l);
         let dense_bytes = info.param_elems as u64 * 4;
         let sf_bytes = info
             .fc_shape
@@ -463,24 +481,23 @@ fn simulate_inner(
         let codec = coordinator.best_codec(l);
         let base = next;
         next += table[base..].iter().take_while(|c| c.layer == l).count();
-        let chunks: Vec<(usize, u64, u64)> = match scheme {
+        let chunks: Vec<(usize, u64, u64)> = match route.payload() {
             // Collectives reuse the PS chunk table as their segment tiling,
             // exactly like the live Syncer does; wire bytes are priced
             // through the layer's codec, the dense bytes drive fold costs.
-            CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => table[base..next]
+            Payload::Chunks | Payload::Segments => table[base..next]
                 .iter()
                 .map(|c| {
                     let wire = codec.payload_bytes(c.len) as u64 + MSG_OVERHEAD;
                     (c.shard, wire, c.bytes())
                 })
                 .collect(),
-            CommScheme::AdamSf | CommScheme::Sfb => Vec::new(),
+            Payload::Factors => Vec::new(),
         };
         plans.push(LayerPlan {
             layer: l,
-            adam_shard: coordinator.adam_shard(l),
+            route,
             base,
-            scheme,
             codec,
             dense_bytes,
             stage_bytes: dense_bytes / chunks.len().max(1) as u64,
@@ -496,7 +513,7 @@ fn simulate_inner(
     );
     let any_collective = plans
         .iter()
-        .any(|plan| matches!(plan.scheme, CommScheme::Ring | CommScheme::Tree));
+        .any(|plan| plan.route.payload() == Payload::Segments);
 
     let mut state = SimState {
         cfg,
@@ -518,9 +535,8 @@ fn simulate_inner(
         memcpy: vec![Resource::new(); p],
         cpu: vec![Resource::new(); p],
         pcie: vec![Resource::new(); p],
-        grad_counts: vec![0; slots],
         pull_remaining: vec![0; slots],
-        tree_counts: vec![0; slots],
+        gathered: vec![0; slots],
         chunks_remaining: vec![UNSET; plans.len() * p],
         sf_counts: vec![0; plans.len() * p],
         coll_ready: vec![f64::NAN; plans.len() * p],
@@ -601,7 +617,7 @@ fn simulate_inner(
             // Collectives have no partial-participation mode: every worker is
             // a link in the chain/tree, so a straggler still sends (and gates
             // the fold) even when its iteration completion is discounted.
-            let collective = matches!(plan.scheme, CommScheme::Ring | CommScheme::Tree);
+            let collective = plan.route.payload() == Payload::Segments;
             for (w, done) in bwd_done.iter().enumerate() {
                 if state.is_dropped(w) && !collective {
                     // The dropped straggler's sends never happen; it lags
@@ -679,11 +695,22 @@ fn simulate_inner(
             .collect(),
         schemes: plans
             .iter()
-            .map(|plan| (coordinator.layers()[plan.layer].name.clone(), plan.scheme))
+            .map(|plan| {
+                let name = coordinator.layers()[plan.layer].name.clone();
+                (name, plan.route.scheme())
+            })
             .collect(),
     };
     let trace = state.tracer.take().map(|tr| tr.into_trace(p, spec.name));
     (report, trace)
+}
+
+/// The node a frame's destination lives on: worker `w` runs on node `w`,
+/// and shard `s` is colocated on node `s`.
+fn node_of(to: Dest) -> usize {
+    match to {
+        Dest::Worker(n) | Dest::Shard(n) => n,
+    }
 }
 
 fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) {
@@ -699,138 +726,96 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                 tr.push(w, EventKind::Instant, "grad.ready", 0, a, iter, now);
                 tr.push(w, EventKind::Begin, "wfbp.sync", lane, a, iter, now);
             }
-            let lw = state.lw(d, w);
-            match plan.scheme {
-                CommScheme::Ps => {
-                    state.chunks_remaining[lw] = plan.chunks.len() as u32;
-                    for (c, &(shard, bytes, dense)) in plan.chunks.iter().enumerate() {
-                        let mut ready = state.local_aggregate(w, now, plan.stage_bytes);
-                        ready = state.staged(w, ready, plan.stage_bytes);
-                        if plan.codec != Codec::Identity {
-                            // Compression pass (error feedback + encode)
-                            // before send, on the transform stream.
-                            let qdur = 2.0 * dense as f64 / state.cfg.transform_flops;
-                            ready = state.cpu[w].reserve(ready, qdur).1;
-                        }
-                        let arrive = Ev::new(Kind::GradArrive, d, c, 0);
-                        state.send(queue, ready, w, shard, bytes, arrive);
+            let sends = plan.route.sends(w, plan.chunks.len(), |c| plan.chunks[c].0);
+            match plan.route.payload() {
+                Payload::Chunks => {
+                    for (to, c) in sends {
+                        let (_, bytes, dense) = plan.chunks[c];
+                        let ready = state.stage_out(w, now, plan.stage_bytes, dense, plan.codec);
+                        let arrive = Ev::new(Kind::GradArrive, d, c, node_of(to));
+                        state.send(queue, ready, w, node_of(to), bytes, arrive);
                     }
                 }
-                CommScheme::Sfb => {
-                    state.chunks_remaining[lw] = 1;
-                    let ready = state.local_aggregate(w, now, plan.sf_bytes);
-                    let ready = state.staged(w, ready, plan.sf_bytes);
-                    for v in (0..p).filter(|&v| v != w) {
-                        let arrive = Ev::new(Kind::SfArrive, d, 0, v);
-                        state.send(queue, ready, w, v, plan.sf_bytes, arrive);
+                Payload::Factors => {
+                    let ready = state.stage_out(w, now, plan.sf_bytes, 0, plan.codec);
+                    for (to, _) in sends {
+                        let kind = match to {
+                            Dest::Shard(_) => Kind::GradArrive,
+                            Dest::Worker(_) => Kind::SfArrive,
+                        };
+                        let arrive = Ev::new(kind, d, 0, node_of(to));
+                        state.send(queue, ready, w, node_of(to), plan.sf_bytes, arrive);
                     }
-                    if state.required_sf(w) == 0 {
+                    if plan.route.to_peers() && state.required_sf(w) == 0 {
                         // Nothing to receive (a single node, or the one
                         // survivor of a dropped straggler at P = 2): no
                         // arrival will trigger reconstruction.
                         queue.schedule_at(now, Ev::new(Kind::ReconDone, d, 0, w));
                     }
                 }
-                CommScheme::Ring | CommScheme::Tree => {
-                    if state.chunks_remaining[lw] == UNSET {
-                        state.chunks_remaining[lw] = plan.chunks.len() as u32;
-                    }
-                    let mut ready = state.local_aggregate(w, now, plan.dense_bytes);
-                    ready = state.staged(w, ready, plan.dense_bytes);
-                    if plan.codec != Codec::Identity {
-                        // Compression pass before seeding / contributing.
-                        let qdur = 2.0 * plan.dense_bytes as f64 / state.cfg.transform_flops;
-                        ready = state.cpu[w].reserve(ready, qdur).1;
-                    }
+                Payload::Segments => {
+                    // The contribution is formed once, over the whole layer.
+                    let dense = plan.dense_bytes;
+                    let ready = state.stage_out(w, now, dense, dense, plan.codec);
+                    let lw = state.lw(d, w);
                     state.coll_ready[lw] = ready;
-                    match (plan.scheme, w) {
-                        (CommScheme::Ring, 0) => {
-                            // Worker 0 seeds the chain towards worker 1.
-                            for (c, &(_, bytes, _)) in plan.chunks.iter().enumerate() {
-                                let hop = Ev::new(Kind::RingReduce, d, c, 1);
-                                state.send(queue, ready, 0, 1, bytes, hop);
-                            }
-                        }
-                        (CommScheme::Ring, _) => {
-                            // Replay REDUCE hops that outran our backward.
-                            for c in 0..plan.chunks.len() {
-                                let stash = &mut state.coll_pending[(plan.base + c) * p + w];
-                                let t = std::mem::replace(stash, f64::NAN);
-                                if !t.is_nan() {
-                                    ring_reduce_arrive(state, queue, t.max(ready), d, c, w);
-                                }
-                            }
-                        }
-                        (_, 0) => {
-                            // Tree root: fold any chunk whose contributions
-                            // all arrived before our own gradient was ready.
-                            for c in 0..plan.chunks.len() {
-                                try_tree_fold(state, queue, ready, d, c);
-                            }
-                        }
-                        _ => {
-                            let parent = (w - 1) / 2;
-                            for (c, &(_, bytes, _)) in plan.chunks.iter().enumerate() {
-                                let up = Ev::new(Kind::TreeGather, d, c, parent);
-                                state.send(queue, ready, w, parent, bytes, up);
-                            }
+                    for (to, c) in sends {
+                        let (_, bytes, _) = plan.chunks[c];
+                        let hop = Ev::new(Kind::Hop(COLLECTIVE_REDUCE), d, c, node_of(to));
+                        state.send(queue, ready, w, node_of(to), bytes, hop);
+                    }
+                    // Replay frames that outran our backward.
+                    for c in 0..plan.chunks.len() {
+                        let stash = &mut state.coll_pending[(plan.base + c) * p + w];
+                        let t = std::mem::replace(stash, f64::NAN);
+                        if !t.is_nan() {
+                            fold_hop(state, queue, t.max(ready), d, c, w);
                         }
                     }
-                }
-                CommScheme::AdamSf => {
-                    state.chunks_remaining[lw] = 1;
-                    let ready = state.local_aggregate(w, now, plan.sf_bytes);
-                    let ready = state.staged(w, ready, plan.sf_bytes);
-                    let arrive = Ev::new(Kind::GradArrive, d, 0, 0);
-                    state.send(queue, ready, w, plan.adam_shard, plan.sf_bytes, arrive);
                 }
             }
         }
         Kind::GradArrive => {
             let required = state.required_pushes() as u32;
-            let count = &mut state.grad_counts[plan.base + chunk];
+            let count = &mut state.gathered[plan.base + chunk];
             *count += 1;
             if *count < required {
                 return;
             }
-            let (shard, apply_dur) = match plan.scheme {
-                CommScheme::Ps => {
-                    let (shard, _, dense) = plan.chunks[chunk];
+            let shard = node;
+            let apply_dur = match plan.route.payload() {
+                Payload::Chunks => {
+                    let (_, _, dense) = plan.chunks[chunk];
                     // Dense fold of P gradients (a lossy codec decompresses
                     // to dense before folding, so same cost).
-                    (shard, p as f64 * dense as f64 / state.cfg.apply_bytes_per_s)
+                    p as f64 * dense as f64 / state.cfg.apply_bytes_per_s
                 }
-                CommScheme::AdamSf => {
+                Payload::Factors => {
                     let (m, n) = plan.fc_shape.expect("Adam needs FC shape");
                     let recon = p as f64 * 2.0 * state.batch as f64 * m as f64 * n as f64
                         / state.cfg.transform_flops;
                     let fold = p as f64 * plan.dense_bytes as f64 / state.cfg.apply_bytes_per_s;
-                    (plan.adam_shard, recon + fold)
+                    recon + fold
                 }
-                CommScheme::Sfb => unreachable!("SFB has no server-side apply"),
-                CommScheme::Ring | CommScheme::Tree => {
-                    unreachable!("collectives never push to a shard")
-                }
+                Payload::Segments => unreachable!("collectives never push to a shard"),
             };
             let (astart, done) = state.cpu[shard].reserve(now, apply_dur);
             if let Some(tr) = state.tracer.as_mut() {
                 tr.span(p + shard, "serve.apply", 0, layer as u64, astart, done);
             }
-            queue.schedule_at(done, Ev::new(Kind::ApplyDone, d, chunk, 0));
+            queue.schedule_at(done, Ev::new(Kind::ApplyDone, d, chunk, shard));
         }
         Kind::ApplyDone => {
-            let (shard, pull_bytes) = match plan.scheme {
+            let shard = node;
+            let pull_bytes = match plan.route.payload() {
                 // Lossy PS replies with the compressed delta: same wire
                 // bytes as the push direction.
-                CommScheme::Ps => {
-                    let (shard, bytes, _) = plan.chunks[chunk];
-                    (shard, bytes)
-                }
-                CommScheme::AdamSf => (plan.adam_shard, plan.dense_bytes + MSG_OVERHEAD),
-                CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => unreachable!(),
+                Payload::Chunks => plan.chunks[chunk].1,
+                // Adam's reply is the whole fresh matrix.
+                _ => plan.dense_bytes + MSG_OVERHEAD,
             };
             state.pull_remaining[plan.base + chunk] = p as u32;
-            for w in 0..p {
+            for w in route::replies(p) {
                 let pull = Ev::new(Kind::PullArrive, d, chunk, w);
                 state.send(queue, now, shard, w, pull_bytes, pull);
             }
@@ -863,57 +848,61 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
             queue.schedule_at(done, Ev::new(Kind::ReconDone, d, 0, node));
         }
         Kind::ReconDone => state.layer_synced(plan, node, now),
-        Kind::RingReduce => {
-            let ready = state.coll_ready[state.lw(d, node)];
-            if ready.is_nan() {
-                // The predecessor ran ahead of this worker's backward; stash
-                // the hop until our own contribution exists (satellite of the
-                // live runtime's frame-stashing discipline).
-                state.coll_pending[(plan.base + chunk) * p + node] = now;
-            } else {
-                ring_reduce_arrive(state, queue, now.max(ready), d, chunk, node);
-            }
-        }
-        Kind::RingShare => {
+        Kind::Hop(phase) => {
             let (_, bytes, _) = plan.chunks[chunk];
-            state.chunk_landed(d, node, now);
-            let next = node + 1;
-            if next != p - 1 {
-                // Stop one short of the originator (worker P−1 already holds
-                // the folded value).
-                let share = Ev::new(Kind::RingShare, d, chunk, next);
-                state.send(queue, now, node, next, bytes, share);
-            }
-        }
-        Kind::TreeGather => {
-            if node == 0 {
-                state.tree_counts[plan.base + chunk] += 1;
-                try_tree_fold(state, queue, now, d, chunk);
-            } else {
-                // Interior nodes relay origin-tagged payloads unchanged.
-                let (_, bytes, _) = plan.chunks[chunk];
-                let parent = (node - 1) / 2;
-                let up = Ev::new(Kind::TreeGather, d, chunk, parent);
-                state.send(queue, now, node, parent, bytes, up);
-            }
-        }
-        Kind::TreeCast => {
-            let (_, bytes, _) = plan.chunks[chunk];
-            state.chunk_landed(d, node, now);
-            for child in [2 * node + 1, 2 * node + 2] {
-                if child < p {
-                    let cast = Ev::new(Kind::TreeCast, d, chunk, child);
-                    state.send(queue, now, node, child, bytes, cast);
+            match plan.route.hop(phase, node).expect("a hop its route sends") {
+                Hop::Add(_) | Hop::Fold(_) => contribute(state, queue, now, d, chunk, node),
+                Hop::Gather(_) => {
+                    let gathered = &mut state.gathered[plan.base + chunk];
+                    *gathered += 1;
+                    // The root's own contribution makes the last of P.
+                    if (*gathered as usize) + 1 == p {
+                        contribute(state, queue, now, d, chunk, node);
+                    }
+                }
+                Hop::Relay(parent) => {
+                    // Relay the origin-tagged payload unchanged.
+                    let up = Ev::new(Kind::Hop(phase), d, chunk, parent);
+                    state.send(queue, now, node, parent, bytes, up);
+                }
+                Hop::Land(next) => {
+                    state.chunk_landed(d, node, now);
+                    for to in next {
+                        let on = Ev::new(Kind::Hop(phase), d, chunk, to);
+                        state.send(queue, now, node, to, bytes, on);
+                    }
                 }
             }
         }
     }
 }
 
-/// A ring REDUCE hop lands at `at`, whose local gradient is ready: fuse-add
-/// the partial on the transform stream, then forward (or, at the chain's
-/// end, fold and originate the DISTRIBUTE pass).
-fn ring_reduce_arrive(
+/// A collective frame that needs worker `at`'s own contribution — a ring
+/// REDUCE hop, or the last contribution the tree root gathers — is due at
+/// `now`: fold it once the local gradient is ready, stashing it until then
+/// (the live runtime's park discipline).
+fn contribute(
+    state: &mut SimState<'_>,
+    queue: &mut EventQueue<Ev>,
+    now: f64,
+    d: usize,
+    chunk: usize,
+    at: usize,
+) {
+    let ready = state.coll_ready[state.lw(d, at)];
+    if ready.is_nan() {
+        let slot = state.plans[d].base + chunk;
+        state.coll_pending[slot * state.p + at] = now;
+    } else {
+        fold_hop(state, queue, now.max(ready), d, chunk, at);
+    }
+}
+
+/// Worker `at`, whose local gradient is ready, folds `chunk`'s collective
+/// frame on the transform stream — one add on a ring hop, all `P`
+/// contributions at the tree root — then forwards the partial or, where the
+/// fold completes, lands it and originates the DISTRIBUTE pass.
+fn fold_hop(
     state: &mut SimState<'_>,
     queue: &mut EventQueue<Ev>,
     now: f64,
@@ -923,52 +912,31 @@ fn ring_reduce_arrive(
 ) {
     let p = state.p;
     let plan = &state.plans[d];
+    let hop = plan.route.hop(COLLECTIVE_REDUCE, at).expect("a REDUCE hop");
     let (_, bytes, dense) = plan.chunks[chunk];
-    let dur = dense as f64 / state.cfg.apply_bytes_per_s;
+    let adds = match hop {
+        Hop::Gather(_) => p,
+        _ => 1,
+    };
+    let dur = adds as f64 * dense as f64 / state.cfg.apply_bytes_per_s;
     let done = state.cpu[at].reserve(now, dur).1;
     if let Some(tr) = state.tracer.as_mut() {
         tr.span(p + at, "coll.fold", 0, plan.layer as u64, now, done);
     }
-    if at == p - 1 {
-        // Chain complete: this worker holds the folded update; the broadcast
-        // pass walks the ring from worker 0.
-        state.chunk_landed(d, at, done);
-        let share = Ev::new(Kind::RingShare, d, chunk, 0);
-        state.send(queue, done, at, 0, bytes, share);
-    } else {
-        let hop = Ev::new(Kind::RingReduce, d, chunk, at + 1);
-        state.send(queue, done, at, at + 1, bytes, hop);
-    }
-}
-
-/// Folds a tree chunk at the root once its own gradient and all `P−1`
-/// origin contributions are present, then starts the downward broadcast.
-fn try_tree_fold(
-    state: &mut SimState<'_>,
-    queue: &mut EventQueue<Ev>,
-    now: f64,
-    d: usize,
-    chunk: usize,
-) {
-    let p = state.p;
-    let plan = &state.plans[d];
-    let ready = state.coll_ready[state.lw(d, 0)];
-    if ready.is_nan() || (state.tree_counts[plan.base + chunk] as usize) < p - 1 {
-        return;
-    }
-    state.tree_counts[plan.base + chunk] = 0;
-    let (_, bytes, dense) = plan.chunks[chunk];
-    let dur = p as f64 * dense as f64 / state.cfg.apply_bytes_per_s;
-    let start = now.max(ready);
-    let done = state.cpu[0].reserve(start, dur).1;
-    if let Some(tr) = state.tracer.as_mut() {
-        tr.span(p, "coll.fold", 0, plan.layer as u64, start, done);
-    }
-    state.chunk_landed(d, 0, done);
-    for child in [1, 2] {
-        if child < p {
-            let cast = Ev::new(Kind::TreeCast, d, chunk, child);
-            state.send(queue, done, 0, child, bytes, cast);
+    match hop {
+        Hop::Add(next) => {
+            let on = Ev::new(Kind::Hop(COLLECTIVE_REDUCE), d, chunk, next);
+            state.send(queue, done, at, next, bytes, on);
+        }
+        Hop::Fold(to) | Hop::Gather(to) => {
+            state.chunk_landed(d, at, done);
+            for w in to {
+                let share = Ev::new(Kind::Hop(COLLECTIVE_DISTRIBUTE), d, chunk, w);
+                state.send(queue, done, at, w, bytes, share);
+            }
+        }
+        Hop::Relay(_) | Hop::Land(_) => {
+            unreachable!("only a ring hop or the tree root folds")
         }
     }
 }

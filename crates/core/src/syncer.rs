@@ -27,6 +27,12 @@
 //! steps in one pass; every replica keeps a segment's velocity as the
 //! DISTRIBUTE frame that carried it.
 //!
+//! Where the frames go is not decided here: every destination, every
+//! collective hop and every expected sender comes from the layer's
+//! [`Route`] ([`crate::route`]), the table the shard and the simulator
+//! replay too; a syncer computes what travels. A collective frame from a
+//! worker its route does not come from is refused like a poisoned payload.
+//!
 //! This module does no I/O — it builds frames and the runtime moves them — so
 //! it is exhaustively unit tested; the [`crate::runtime`] threads drive it
 //! with real messages.
@@ -36,6 +42,8 @@ use crate::config::{Codec, CommScheme};
 use crate::coordinator::Coordinator;
 use crate::metrics::Histogram;
 use crate::pool::BufPool;
+pub use crate::route::Dest;
+use crate::route::{self, Hop, Payload, Route};
 use crate::telemetry;
 use crate::transport::Message;
 use crate::wire::{self, CodecError, Seed, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDUCE};
@@ -87,21 +95,12 @@ pub struct SyncerState {
 const WRONG_KIND: CodecError =
     CodecError::Malformed("a frame kind the layer's scheme never receives");
 
-/// Where a frame a syncer hands out goes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Dest {
-    /// A worker, by id (its transport endpoint).
-    Worker(usize),
-    /// A home shard, by id: whichever endpoint owns its pairs at the
-    /// current membership epoch.
-    Shard(usize),
-}
-
 /// Per-layer synchronisation state for one worker.
 #[derive(Debug)]
 pub struct Syncer {
     layer: usize,
-    scheme: CommScheme,
+    /// Where this layer's frames go ([`crate::route`]).
+    route: Route,
     param_elems: usize,
     /// Offset-ordered chunks of this layer (PS/1-bit paths).
     chunks: Vec<Chunk>,
@@ -148,8 +147,6 @@ pub struct Syncer {
     /// SFB: the momentum velocity `(weights, bias)`, identical on every
     /// replica. Persistent across iterations.
     sf_velocity: Option<(Matrix, Vec<f32>)>,
-    /// Adam: the shard this layer's factors go to ([`Self::for_layer`]).
-    adam_shard: Option<usize>,
     /// PS identity: the layer's weight gradient `(rows, cols, storage)`
     /// while this round's push frames view it; [`Self::apply`] gives it
     /// back.
@@ -173,34 +170,17 @@ impl Syncer {
         me: usize,
     ) -> Self {
         assert!(me < workers, "worker id out of range");
+        let route = Route::new(scheme, workers);
         let n_chunks = chunks.len();
-        let collective = matches!(scheme, CommScheme::Ring | CommScheme::Tree);
-        let segs: Vec<(usize, usize)> = if collective {
-            if chunks.is_empty() {
-                vec![(0, param_elems)]
-            } else {
-                let mut expect = 0usize;
-                let segs = chunks
-                    .iter()
-                    .map(|c| {
-                        assert_eq!(c.offset, expect, "collective segments must tile the layer");
-                        expect += c.len;
-                        (c.offset, c.len)
-                    })
-                    .collect();
-                assert_eq!(
-                    expect, param_elems,
-                    "collective segments must cover the layer"
-                );
-                segs
-            }
-        } else {
-            Vec::new()
+        let segs = match route.payload() {
+            Payload::Segments => route::segments(&chunks, param_elems),
+            _ => Vec::new(),
         };
         let n_segs = segs.len();
+        let gathers = matches!(route.hop(COLLECTIVE_REDUCE, me), Some(Hop::Gather(_)));
         Self {
             layer,
-            scheme,
+            route,
             param_elems,
             chunks,
             workers,
@@ -213,7 +193,7 @@ impl Syncer {
             velocity: vec![None; n_segs],
             round_scale: None,
             seg_done: vec![false; n_segs],
-            gathered: if matches!(scheme, CommScheme::Tree) && me == 0 {
+            gathered: if gathers {
                 vec![vec![None; workers]; n_segs]
             } else {
                 Vec::new()
@@ -223,7 +203,6 @@ impl Syncer {
             seg_comp: (0..n_segs).map(|_| None).collect(),
             segs,
             sf_velocity: None,
-            adam_shard: None,
             lent: None,
             m_apply: Histogram::new(),
         }
@@ -240,7 +219,7 @@ impl Syncer {
             me,
         )
         .with_codec(coordinator.best_codec(layer));
-        s.adam_shard = Some(coordinator.adam_shard(layer));
+        s.route = Route::for_layer(coordinator, layer);
         s
     }
 
@@ -258,11 +237,10 @@ impl Syncer {
     /// Adam) reject lossy codecs — the factors *are* the compression.
     pub fn with_codec(mut self, codec: Codec) -> Self {
         assert!(
-            codec == Codec::Identity
-                || !matches!(self.scheme, CommScheme::Sfb | CommScheme::AdamSf),
+            codec == Codec::Identity || self.route.payload() != Payload::Factors,
             "layer {}: {} cannot ride codec {codec}",
             self.layer,
-            self.scheme
+            self.route.scheme()
         );
         self.codec = codec;
         self
@@ -383,7 +361,15 @@ impl Syncer {
     /// Whether the layer's backward must produce the dense weight gradient:
     /// not when its update travels as sufficient factors.
     pub fn needs_weight_grad(&self) -> bool {
-        !matches!(self.scheme, CommScheme::Sfb | CommScheme::AdamSf)
+        self.route.payload() != Payload::Factors
+    }
+
+    /// Where this worker's `Send` frames go, as `(destination, chunk or
+    /// segment)`.
+    fn sends(&self) -> Vec<(Dest, usize)> {
+        let n = self.chunks.len().max(self.segs.len());
+        let home = |c: usize| self.chunks[c].shard;
+        self.route.sends(self.me, n, home).collect()
     }
 
     /// `Send`, once the layer's backward is done: hands `emit` the layer's
@@ -405,15 +391,15 @@ impl Syncer {
         mut emit: impl FnMut(Dest, Message),
     ) {
         let id = self.layer as u32;
-        match self.scheme {
-            CommScheme::Ps => {
+        match self.route.payload() {
+            Payload::Chunks => {
                 let params = layer.params_mut().expect("a trainable layer");
                 let lent = self.lend_grad_weights(params);
                 let view = lent.as_ref().map(wire::identity_view);
                 let w = lent
                     .as_deref()
                     .map_or(params.grad_weights.as_slice(), Vec::as_slice);
-                for idx in 0..self.chunks.len() {
+                for (to, idx) in self.sends() {
                     let (wr, br) = self.chunks[idx].split_at_bias(w.len());
                     let data = match &view {
                         Some(view) if br.is_empty() => view.slice(4 * wr.start..4 * wr.end),
@@ -426,10 +412,10 @@ impl Syncer {
                         codec: self.codec,
                         data,
                     };
-                    emit(Dest::Shard(self.chunks[idx].shard), msg);
+                    emit(to, msg);
                 }
             }
-            CommScheme::Sfb | CommScheme::AdamSf => {
+            Payload::Factors => {
                 let batch = layer.sufficient_factors().expect("an FC layer");
                 let data = bytesio::encode_sf_batch(&batch);
                 let msg = Message::SfPush {
@@ -437,22 +423,14 @@ impl Syncer {
                     layer: id,
                     data,
                 };
-                let to: Vec<Dest> = if self.scheme == CommScheme::AdamSf {
-                    vec![Dest::Shard(self.adam_shard.expect("built by for_layer"))]
-                } else {
-                    (0..self.workers)
-                        .filter(|&w| w != self.me)
-                        .map(Dest::Worker)
-                        .collect()
-                };
-                for to in to {
+                for (to, _) in self.sends() {
                     emit(to, msg.clone());
                 }
-                if self.scheme == CommScheme::Sfb {
+                if self.route.scheme() == CommScheme::Sfb {
                     self.set_own_sf(batch);
                 }
             }
-            CommScheme::Ring | CommScheme::Tree => {
+            Payload::Segments => {
                 let params = layer.params_mut().expect("a trainable layer");
                 for (to, msg) in self.send_collective(params, iter, scale) {
                     emit(to, msg);
@@ -589,17 +567,21 @@ impl Syncer {
     }
 
     /// The frame that carries a collective hop of iteration `iter` to
-    /// worker `to_worker`, along the packed `route` (phase ⊕ origin ⊕
-    /// segment, [`wire::pack_collective`]).
-    fn hop(&self, iter: u64, to_worker: usize, route: u32, data: Bytes) -> (Dest, Message) {
-        let msg = Message::Collective {
+    /// worker `to`, along the packed `route` (phase ⊕ origin ⊕ segment,
+    /// [`wire::pack_collective`]).
+    fn hop(&self, iter: u64, to: usize, route: u32, data: Bytes) -> (Dest, Message) {
+        (Dest::Worker(to), self.frame(iter, route, data))
+    }
+
+    /// A collective frame of iteration `iter` along the packed `route`.
+    fn frame(&self, iter: u64, route: u32, data: Bytes) -> Message {
+        Message::Collective {
             iter,
             layer: self.layer as u32,
             route,
             codec: self.codec,
             data,
-        };
-        (Dest::Worker(to_worker), msg)
+        }
     }
 
     /// Resets the per-iteration state (the completion-vector entry goes back
@@ -615,12 +597,6 @@ impl Syncer {
         for seg in &mut self.gathered {
             seg.fill(None);
         }
-    }
-
-    /// Children of `w` in the binary worker tree rooted at worker 0.
-    fn tree_children(&self, w: usize) -> impl Iterator<Item = usize> {
-        let p = self.workers;
-        [2 * w + 1, 2 * w + 2].into_iter().filter(move |&c| c < p)
     }
 
     /// The collective `Send`. The identity ring's head (worker 0) sends its
@@ -643,55 +619,62 @@ impl Syncer {
         );
         assert_eq!(p.num_params(), self.param_elems, "gradient length mismatch");
         self.round_scale = Some(scale);
+        let (sends, ring) = (self.sends(), self.route.scheme() == CommScheme::Ring);
+        let lent = match ring && !sends.is_empty() {
+            true => self.lend_grad_weights(p),
+            false => None,
+        };
+        let view = lent.as_ref().map(wire::identity_view);
+        let gw = lent
+            .as_deref()
+            .map_or(p.grad_weights.as_slice(), Vec::as_slice);
+        let gb = p.grad_bias.as_slice();
         let mut out = Vec::new();
-        match (self.scheme, self.me) {
-            (CommScheme::Ring, 0) => {
-                let lent = self.lend_grad_weights(p);
-                let view = lent.as_ref().map(wire::identity_view);
-                let gw = lent
-                    .as_deref()
-                    .map_or(p.grad_weights.as_slice(), Vec::as_slice);
-                let gb = p.grad_bias.as_slice();
-                for seg in 0..self.segs.len() {
-                    let (off, len) = self.segs[seg];
-                    let (wr, br) = split_at_bias(off..off + len, gw.len());
-                    let data = match &view {
-                        Some(view) if br.is_empty() => view.slice(4 * wr.start..4 * wr.end),
-                        _ if self.codec == Codec::Identity => {
-                            // Dirty lease: the runs cover every byte.
-                            let mut lease = BufPool::global().get_dirty(len * 4);
-                            for (at, g) in runs(off..off + len, gw, gb) {
-                                lease[4 * at..4 * (at + g.len())].put(g.iter().copied());
-                            }
-                            lease.freeze()
-                        }
-                        _ => {
-                            let v = self.fold_start(seg);
-                            let seed = Seed::over(self.momentum, v.as_deref());
-                            self.encode_contribution(seg, (gw, gb), seed, scale)
-                        }
-                    };
-                    let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, seg);
-                    out.push(self.hop(iter, 1, route, data));
-                }
-            }
-            (CommScheme::Ring, _) => {}
-            (CommScheme::Tree, 0) => {
-                for seg in 0..self.segs.len() {
-                    self.try_fold_root(seg, p, iter, &mut out);
-                }
-            }
-            // Tree non-roots.
-            (_, me) => {
-                let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
-                for seg in 0..self.segs.len() {
-                    let data = self.encode_contribution(seg, grads, Seed::Plain, scale);
-                    let route = wire::pack_collective(COLLECTIVE_REDUCE, me, seg);
-                    out.push(self.hop(iter, (me - 1) / 2, route, data));
-                }
+        for (to, seg) in sends {
+            let data = match ring {
+                true => self.head_frame(seg, view.as_ref(), (gw, gb), scale),
+                false => self.encode_contribution(seg, (gw, gb), Seed::Plain, scale),
+            };
+            let route = wire::pack_collective(COLLECTIVE_REDUCE, self.me, seg);
+            out.push((to, self.frame(iter, route, data)));
+        }
+        if let Some(Hop::Gather(to)) = self.route.hop(COLLECTIVE_REDUCE, self.me) {
+            for seg in 0..self.segs.len() {
+                self.try_fold_root(seg, to.clone(), p, iter, &mut out);
             }
         }
         out
+    }
+
+    /// The ring head's REDUCE frame for segment `seg` of the flat gradient
+    /// `gw ++ gb`: a `view` of the lent weights where the segment lies in
+    /// them, a copy of `g₀` under the identity codec, the fold's prefix
+    /// under a lossy one.
+    fn head_frame(
+        &mut self,
+        seg: usize,
+        view: Option<&Bytes>,
+        (gw, gb): (&[f32], &[f32]),
+        scale: f32,
+    ) -> Bytes {
+        let (off, len) = self.segs[seg];
+        let (wr, br) = split_at_bias(off..off + len, gw.len());
+        match view {
+            Some(view) if br.is_empty() => view.slice(4 * wr.start..4 * wr.end),
+            _ if self.codec == Codec::Identity => {
+                // Dirty lease: the runs cover every byte.
+                let mut lease = BufPool::global().get_dirty(len * 4);
+                for (at, g) in runs(off..off + len, gw, gb) {
+                    lease[4 * at..4 * (at + g.len())].put(g.iter().copied());
+                }
+                lease.freeze()
+            }
+            _ => {
+                let v = self.fold_start(seg);
+                let seed = Seed::over(self.momentum, v.as_deref());
+                self.encode_contribution(seg, (gw, gb), seed, scale)
+            }
+        }
     }
 
     /// What the fold of segment `seg` starts from: the kept velocity when
@@ -731,36 +714,38 @@ impl Syncer {
         Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
     }
 
-    /// Handles a collective (ring/tree) frame of iteration `iter`, returning
-    /// frames to forward. A segment's new velocity steps `p` where the
-    /// segment lies the moment it is known.
+    /// Handles a collective (ring/tree) frame of iteration `iter` from
+    /// worker `from_worker`, doing what its route says it does here
+    /// ([`Route::hop`]) and returning the frames to forward. A segment's new
+    /// velocity steps `p` where the segment lies the moment it is known.
     ///
     /// Under the identity codec each ring hop is one pass: it reads the
     /// partial off the wire and `scale·g` out of `p`'s gradient storage and
-    /// writes the sums into the next frame; the hop after the head seeds the
-    /// fold from the head's raw gradient, and the last hop also steps `p` by
-    /// the sums and keeps its frame as the velocity. Under a lossy codec
-    /// each hop decompresses the incoming partial, adds its contribution and
-    /// recompresses with its per-segment error-feedback state; the chain's
-    /// terminal keeps the decode of its *own* encoding so every replica ends
-    /// on the same bytes.
+    /// writes the sums into the next frame; the hop that receives straight
+    /// from the head seeds the fold from the head's raw gradient, and the
+    /// last hop also steps `p` by the sums and keeps its frame as the
+    /// velocity. Under a lossy codec each hop decompresses the incoming
+    /// partial, adds its contribution and recompresses with its per-segment
+    /// error-feedback state; the chain's terminal keeps the decode of its
+    /// *own* encoding so every replica ends on the same bytes.
     ///
     /// # Errors
     ///
     /// Returns the [`CodecError`] of a poisoned frame — a payload that fails
     /// to decode, a route whose phase or segment this layer does not have,
+    /// a sender other than the one the route expects ([`Route::sender`]),
     /// or a layer that is not a collective's; nothing is written and the
     /// segment stays incomplete, and the caller decides whether to count and
     /// drop or abort.
     ///
     /// # Panics
     ///
-    /// Panics on a protocol violation: wrong sender for the route, duplicate
-    /// segment, or a ring REDUCE handed over before this layer's `Send`
-    /// fired. A faster neighbour's REDUCE does reach a worker that early —
-    /// receives are drained between the layers of backward — so the worker
-    /// parks every frame of a layer until that layer's own `Send` has fired
-    /// and replays them, in arrival order, right after it.
+    /// Panics on a protocol violation: a duplicate segment, or a ring
+    /// REDUCE handed over before this layer's `Send` fired. A faster
+    /// neighbour's REDUCE does reach a worker that early — receives are
+    /// drained between the layers of backward — so the worker parks every
+    /// frame of a layer until that layer's own `Send` has fired and replays
+    /// them, in arrival order, right after it.
     fn on_collective(
         &mut self,
         from_worker: usize,
@@ -769,10 +754,15 @@ impl Syncer {
         p: &mut ParamBlock,
         iter: u64,
     ) -> Result<Vec<(Dest, Message)>, CodecError> {
-        if !matches!(self.scheme, CommScheme::Ring | CommScheme::Tree) {
+        if self.route.payload() != Payload::Segments {
             return Err(WRONG_KIND);
         }
         let (phase, origin, seg) = wire::unpack_collective(route);
+        let Some(hop) = self.route.hop(phase, self.me) else {
+            return Err(CodecError::Malformed(
+                "a collective phase this worker never receives",
+            ));
+        };
         let Some(&(off, len)) = self.segs.get(seg) else {
             return Err(CodecError::Malformed("collective segment out of range"));
         };
@@ -780,16 +770,14 @@ impl Syncer {
             let got = payload.len() / 4;
             return Err(CodecError::LengthMismatch { expect: len, got });
         }
+        if self.route.sender(phase, origin, self.me) != Some(from_worker) {
+            return Err(CodecError::Malformed(
+                "a collective frame from off its route",
+            ));
+        }
         let mut out = Vec::new();
-        match (self.scheme, phase) {
-            (CommScheme::Ring, COLLECTIVE_REDUCE) => {
-                assert_ne!(self.me, 0, "worker 0 never receives ring REDUCE");
-                assert_eq!(
-                    from_worker,
-                    self.me - 1,
-                    "ring REDUCE from wrong predecessor"
-                );
-                assert_eq!(origin, 0, "ring frames originate at worker 0");
+        match hop {
+            Hop::Add(_) | Hop::Fold(_) => {
                 assert!(
                     !self.seg_done[seg],
                     "duplicate ring REDUCE for segment {seg}"
@@ -797,12 +785,14 @@ impl Syncer {
                 let Some(scale) = self.round_scale else {
                     panic!("ring REDUCE for segment {seg} before this layer's Send")
                 };
-                let terminal = self.me == self.workers - 1;
+                let terminal = matches!(hop, Hop::Fold(_));
                 let data = if self.codec == Codec::Identity {
-                    // The hop after the head seeds the fold from the head's
-                    // raw gradient; every later hop adds to the partial.
+                    // The hop that receives straight from the head seeds
+                    // the fold from its raw gradient; every later hop adds
+                    // to the partial.
                     let v = self.fold_start(seg);
-                    let seed = (self.me == 1).then(|| Seed::over(self.momentum, v.as_deref()));
+                    let seed =
+                        (from_worker == origin).then(|| Seed::over(self.momentum, v.as_deref()));
                     // Dirty lease: the runs cover every byte.
                     let mut lease = BufPool::global().get_dirty(len * 4);
                     let range = off..off + len;
@@ -836,74 +826,56 @@ impl Syncer {
                     }
                     data
                 };
-                let (to, route) = if terminal {
-                    (0, wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg))
-                } else {
-                    (self.me + 1, route)
-                };
-                out.push(self.hop(iter, to, route, data));
+                match hop {
+                    Hop::Fold(to) => self.distribute(iter, seg, to, &data, &mut out),
+                    Hop::Add(next) => out.push(self.hop(iter, next, route, data)),
+                    _ => unreachable!("a ring REDUCE adds or folds"),
+                }
             }
-            (CommScheme::Ring, COLLECTIVE_DISTRIBUTE) => {
-                let last = self.workers - 1;
-                assert_ne!(self.me, last, "the last worker originates DISTRIBUTE");
-                let expect_from = if self.me == 0 { last } else { self.me - 1 };
-                assert_eq!(
-                    from_worker, expect_from,
-                    "ring DISTRIBUTE from wrong predecessor"
+            Hop::Relay(parent) => {
+                // Relay the origin-tagged frame unchanged towards the root
+                // (shared `Bytes`, no copy).
+                out.push(self.hop(iter, parent, route, payload));
+            }
+            Hop::Gather(to) => {
+                assert!(
+                    self.gathered[seg][origin].is_none(),
+                    "duplicate tree contribution from origin {origin}"
                 );
+                // Decode on arrival so a poisoned frame surfaces here,
+                // before the fold consumes any sibling state.
+                self.gathered[seg][origin] = Some(decompress(self.codec, &payload, len)?);
+                self.try_fold_root(seg, to, p, iter, &mut out);
+            }
+            Hop::Land(next) => {
                 assert!(
                     !self.seg_done[seg],
-                    "duplicate ring DISTRIBUTE for segment {seg}"
+                    "duplicate DISTRIBUTE for segment {seg}"
                 );
                 let v = self.distributed(seg, &payload)?;
                 self.land(iter, seg, v, p);
-                let next = self.me + 1;
-                if next != last {
-                    // Forward the folded velocity unchanged (shared `Bytes`,
-                    // no copy); the chain stops just before its originator.
-                    out.push(self.hop(iter, next, route, payload));
+                // Forward the folded velocity unchanged (shared `Bytes`, no
+                // copy).
+                for to in next {
+                    out.push(self.hop(iter, to, route, payload.clone()));
                 }
             }
-            (CommScheme::Tree, COLLECTIVE_REDUCE) => {
-                assert!(
-                    origin > 0 && origin < self.workers,
-                    "bad tree origin {origin}"
-                );
-                if self.me == 0 {
-                    assert!(
-                        self.gathered[seg][origin].is_none(),
-                        "duplicate tree contribution from origin {origin}"
-                    );
-                    // Decode on arrival so a poisoned frame surfaces here,
-                    // before the fold consumes any sibling state.
-                    self.gathered[seg][origin] = Some(decompress(self.codec, &payload, len)?);
-                    self.try_fold_root(seg, p, iter, &mut out);
-                } else {
-                    // Interior node: relay the origin-tagged frame unchanged
-                    // towards the root (shared `Bytes`, no copy).
-                    out.push(self.hop(iter, (self.me - 1) / 2, route, payload));
-                }
-            }
-            (CommScheme::Tree, COLLECTIVE_DISTRIBUTE) => {
-                assert_ne!(self.me, 0, "the root originates tree DISTRIBUTE");
-                assert_eq!(
-                    from_worker,
-                    (self.me - 1) / 2,
-                    "tree DISTRIBUTE from non-parent"
-                );
-                assert!(
-                    !self.seg_done[seg],
-                    "duplicate tree DISTRIBUTE for segment {seg}"
-                );
-                let v = self.distributed(seg, &payload)?;
-                self.land(iter, seg, v, p);
-                for child in self.tree_children(self.me) {
-                    out.push(self.hop(iter, child, route, payload.clone()));
-                }
-            }
-            _ => return Err(CodecError::Malformed("unknown collective phase")),
         }
         Ok(out)
+    }
+
+    /// Originates segment `seg`'s DISTRIBUTE pass: `data` to every worker
+    /// in `to`.
+    fn distribute(
+        &self,
+        iter: u64,
+        seg: usize,
+        to: Range<usize>,
+        data: &Bytes,
+        out: &mut Vec<(Dest, Message)>,
+    ) {
+        let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg);
+        out.extend(to.map(|w| self.hop(iter, w, route, data.clone())));
     }
 
     /// The velocity a DISTRIBUTE payload of segment `seg` carries, as
@@ -940,22 +912,23 @@ impl Syncer {
         self.seg_done[seg] = true;
     }
 
-    /// Root-side tree fold: once every origin's contribution is in and our
-    /// own `Send` has fired for `seg`, replay the shard's exact fold
+    /// Root-side tree fold: once every other worker's contribution is in
+    /// and our own `Send` has fired for `seg`, replay the shard's exact fold
     /// (`µ·v + scale·g₀` or `0.0 + scale·g₀`, then `+= c_w` in worker-id
-    /// order), step the replica by it and broadcast it down.
+    /// order), step the replica by it and broadcast it down to `to`.
     fn try_fold_root(
         &mut self,
         seg: usize,
+        to: Range<usize>,
         p: &mut ParamBlock,
         iter: u64,
         out: &mut Vec<(Dest, Message)>,
     ) {
-        debug_assert_eq!(self.me, 0, "only the root folds");
         let Some(scale) = self.round_scale else {
             return;
         };
-        if self.seg_done[seg] || (1..self.workers).any(|o| self.gathered[seg][o].is_none()) {
+        let mut gathered = self.gathered[seg].iter().enumerate();
+        if self.seg_done[seg] || gathered.any(|(o, c)| o != self.me && c.is_none()) {
             return;
         }
         let (off, len) = self.segs[seg];
@@ -967,8 +940,7 @@ impl Syncer {
             let seed = seed.at(4 * at..4 * (at + g.len()));
             write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
         }
-        for origin in 1..self.workers {
-            let b = self.gathered[seg][origin].take().expect("checked above");
+        for b in self.gathered[seg].iter_mut().filter_map(Option::take) {
             for (v, src) in self.scratch.iter_mut().zip(&b) {
                 *v += src;
             }
@@ -979,17 +951,14 @@ impl Syncer {
         // replicas stay bitwise identical.
         let v = self.distributed(seg, &data).expect("own encoding");
         self.land(iter, seg, v, p);
-        let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, seg);
-        for child in self.tree_children(0) {
-            out.push(self.hop(iter, child, route, data.clone()));
-        }
+        self.distribute(iter, seg, to, &data, out);
     }
 
     /// Records our own sufficient-factor batch at `Send` time (SFB includes
     /// the local contribution when reconstructing).
     fn set_own_sf(&mut self, batch: SfBatch) {
         assert!(
-            matches!(self.scheme, CommScheme::Sfb),
+            self.route.scheme() == CommScheme::Sfb,
             "own SF only meaningful for SFB"
         );
         self.sf_batches[self.me] = Some(batch);
@@ -1014,7 +983,7 @@ impl Syncer {
         payload: &[u8],
         params: &mut ParamBlock,
     ) -> Result<(), CodecError> {
-        if self.scheme != CommScheme::Ps {
+        if self.route.scheme() != CommScheme::Ps {
             return Err(WRONG_KIND);
         }
         let Some(&done) = self.chunk_done.get(chunk_idx) else {
@@ -1052,7 +1021,7 @@ impl Syncer {
 
     /// Handles a dense parameter matrix (Adam pull).
     fn on_param_matrix(&mut self, values: Vec<f32>) -> Result<(), CodecError> {
-        if self.scheme != CommScheme::AdamSf {
+        if self.route.scheme() != CommScheme::AdamSf {
             return Err(WRONG_KIND);
         }
         assert!(self.received_matrix.is_none(), "duplicate param matrix");
@@ -1062,7 +1031,7 @@ impl Syncer {
 
     /// Handles a peer's sufficient-factor batch.
     fn on_peer_sf(&mut self, from_worker: usize, batch: SfBatch) -> Result<(), CodecError> {
-        if self.scheme != CommScheme::Sfb {
+        if self.route.scheme() != CommScheme::Sfb {
             return Err(WRONG_KIND);
         }
         assert_ne!(from_worker, self.me, "received our own SF broadcast");
@@ -1077,7 +1046,7 @@ impl Syncer {
     /// `true` when everything this iteration needs has arrived — the layer's
     /// entry in the completion vector can be set to 1.
     pub fn is_complete(&self) -> bool {
-        match self.scheme {
+        match self.route.scheme() {
             CommScheme::Ps => self.chunk_done.iter().all(|&d| d),
             CommScheme::AdamSf => self.received_matrix.is_some(),
             CommScheme::Sfb => self.sf_batches.iter().all(Option::is_some),
@@ -1095,7 +1064,7 @@ impl Syncer {
             "layer {} syncer not complete",
             self.layer
         );
-        Some(match self.scheme {
+        Some(match self.route.scheme() {
             CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => return None,
             CommScheme::AdamSf => {
                 SyncOutcome::FreshParams(self.received_matrix.take().expect("complete"))
@@ -1830,15 +1799,53 @@ mod tests {
         let _ = Syncer::new(0, CommScheme::Sfb, vec![], 4, 2, 0).with_codec(Codec::F16);
     }
 
+    /// Hands `s` — whose layer's `Send` has fired — one identity frame of
+    /// segment 0 along `route` from worker `from`, and checks it is refused
+    /// as poisoned: nothing forwarded, the parameters, the velocity and the
+    /// segment's completion untouched.
+    fn refuses_off_route(mut s: Syncer, p: &mut Block, from: usize, route: u32) {
+        let before = (flatten_params(&p.0), s.export_state());
+        let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
+        let err = s.receive(from, msg, &mut p.0, |to, _| {
+            panic!("a frame off its route was forwarded to {to:?}")
+        });
+        assert!(err.is_err(), "frame from worker {from} accepted");
+        assert!(!s.is_complete(), "a refused frame completes nothing");
+        assert_eq!((flatten_params(&p.0), s.export_state()), before);
+    }
+
     #[test]
-    #[should_panic(expected = "wrong predecessor")]
-    fn ring_reduce_from_wrong_sender_panics() {
-        let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, 2);
-        let mut p = block_with_grads(&[0.0, 0.0]);
+    fn ring_reduce_from_wrong_sender_is_poisoned() {
+        let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, 2).with_momentum(0.9);
+        let mut p = block_with_grads(&[0.5, 0.25]);
         s.send(&mut p, 0, 1.0, |_, _| {});
         let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, 0);
-        let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
-        let _ = s.receive(0, msg, &mut p.0, |_, _| {});
+        refuses_off_route(s, &mut p, 0, route);
+    }
+
+    #[test]
+    fn ring_distribute_from_wrong_sender_is_poisoned() {
+        // Worker 0 takes DISTRIBUTE from the chain's last worker, 2; worker
+        // 1 from worker 0.
+        for (me, from) in [(0, 1), (1, 2)] {
+            let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, me).with_momentum(0.9);
+            let mut p = block_with_grads(&[0.5, 0.25]);
+            s.send(&mut p, 0, 1.0, |_, _| {});
+            let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, 0);
+            refuses_off_route(s, &mut p, from, route);
+        }
+    }
+
+    #[test]
+    fn tree_distribute_from_a_non_parent_is_poisoned() {
+        // Worker 3's parent is 1; its sibling 4, the root and 2 are not.
+        for from in [0, 2, 4] {
+            let mut s = Syncer::new(0, CommScheme::Tree, vec![], 2, 5, 3).with_momentum(0.9);
+            let mut p = block_with_grads(&[0.5, 0.25]);
+            s.send(&mut p, 0, 1.0, |_, _| {});
+            let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, 0);
+            refuses_off_route(s, &mut p, from, route);
+        }
     }
 
     #[test]

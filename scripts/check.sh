@@ -52,13 +52,16 @@ echo "== bitwise oracles and data paths under --release =="
 # every replica keeps a DISTRIBUTE frame as its velocity — so the syncer
 # and KV-store unit tests that pin who may write a shared buffer, and when,
 # run under release timing too, and so does the chaos suite, whose
-# `Reliable` retransmit copies hold those frames past their round.
+# `Reliable` retransmit copies hold those frames past their round. Every
+# destination those paths use comes from `route.rs`, so its unit tests (the
+# routing completeness walk for P = 1..33) run here too, with the
+# simulator/runtime frame cross-check (`sim_runtime_frames`).
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-nn --test conv_oracle
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
     --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
-    --test poisoned_payloads --test chaos_recovery
-cargo test --release -q -p poseidon --lib -- kvstore:: syncer::
+    --test poisoned_payloads --test chaos_recovery --test sim_runtime_frames
+cargo test --release -q -p poseidon --lib -- kvstore:: syncer:: route::
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
