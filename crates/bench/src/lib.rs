@@ -79,31 +79,3 @@ pub fn write_sim_trace(model: &ModelSpec, cfg: &SimConfig, path: &str) {
         stats.events, stats.spans, stats.tracks
     );
 }
-
-/// One full speedup series for a system (used by the assertions in the
-/// figure binaries and the integration tests).
-pub fn speedups(model: &ModelSpec, system: System, nodes: &[usize], bw: f64) -> Vec<(usize, f64)> {
-    nodes
-        .iter()
-        .map(|&n| {
-            (
-                n,
-                simulate(model, &SimConfig::system(system, n, bw)).speedup,
-            )
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use poseidon_nn::zoo;
-
-    #[test]
-    fn speedups_produces_one_point_per_node_count() {
-        let s = speedups(&zoo::googlenet(), System::Poseidon, &[1, 2, 4], 40.0);
-        assert_eq!(s.len(), 3);
-        assert!((s[0].1 - 1.0).abs() < 0.05);
-        assert!(s[2].1 > s[1].1);
-    }
-}

@@ -570,11 +570,17 @@ pub fn decode_codec(codec: Codec, buf: &[u8], expect_elems: usize) -> Result<Vec
     Ok(vals)
 }
 
-/// Fused decode-add-encode for the ring-allreduce hot path, leasing the
-/// output from the **global** pool: interprets `payload` as little-endian
-/// f32s, adds `own` elementwise, and writes the sums straight into a
+/// Fused decode-add-encode, leasing the output from the **global** pool:
+/// interprets `payload` as little-endian f32s, adds `own` elementwise, and
+/// writes the sums straight into a
 /// [`get_dirty`](crate::pool::BufPool::get_dirty) lease — no intermediate
 /// `Vec<f32>` and no per-hop copy; every byte of the lease is overwritten.
+///
+/// The runtime's ring does not use this: a ring hop folds its
+/// contribution into the frame in one pass (`fold_run`). The only caller
+/// outside this module's tests is the benchmark's `syncer.ring_hop_add_GBps`
+/// probe (`benchmark/src/probes.rs`), so it stays until that probe moves
+/// (ROADMAP.md item 11).
 ///
 /// Returns `None` when the lengths disagree or `payload` is misaligned.
 pub fn add_f32s_pooled(payload: &[u8], own: &[f32]) -> Option<Bytes> {

@@ -4,14 +4,12 @@
 //! exactly their encoded frame length. Table 1's `(P1 + P2 − 2)/P2` factor
 //! depends on this — a colocated worker/shard pair's exchange is free.
 
+mod common;
+
 use bytes::Bytes;
-use poseidon::transport::{
-    bind_ephemeral, fabric_with_nodes, Message, TcpFabricSpec, TcpTransport, TrafficCounters,
-    Transport,
-};
+use poseidon::transport::{fabric_with_nodes, Envelope, Message, Transport};
 use poseidon::wire::FRAME_HEADER_BYTES;
 use poseidon_testkit::cases;
-use std::sync::Arc;
 use std::time::Duration;
 
 fn grad(iter: u64, payload: usize) -> Message {
@@ -72,28 +70,13 @@ fn inproc_loopback_uncounted_cross_node_exact() {
 /// never the ledger; remote traffic is counted at frame length.
 #[test]
 fn tcp_loopback_uncounted_cross_node_exact() {
-    let node_of_endpoint = [0usize, 0, 1];
-    let (listeners, addrs) = bind_ephemeral(3).expect("bind");
-    let spec = TcpFabricSpec {
-        addrs,
-        node_of_endpoint: node_of_endpoint.to_vec(),
-        connect_timeout: Duration::from_secs(10),
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-        reconnect_timeout: Duration::from_secs(5),
-    };
-    let counters = Arc::new(TrafficCounters::new(spec.physical_nodes()));
+    let (eps, counters) = common::tcp_mesh(&[0, 0, 1]);
     const PAYLOAD: usize = 96;
     const ROUNDS: u64 = 10;
 
     std::thread::scope(|s| {
-        for (me, listener) in listeners.into_iter().enumerate() {
-            let spec = spec.clone();
-            let counters = Arc::clone(&counters);
+        for (me, mut ep) in eps.into_iter().enumerate() {
             s.spawn(move || {
-                let mut ep =
-                    TcpTransport::connect_with_listener(&spec, me, listener, Some(counters))
-                        .expect("mesh");
                 match me {
                     0 => {
                         for i in 0..ROUNDS {
@@ -151,24 +134,10 @@ fn transports_agree_on_counted_bytes() {
     }
 
     // TCP run of the same plan.
-    let (listeners, addrs) = bind_ephemeral(3).expect("bind");
-    let spec = TcpFabricSpec {
-        addrs,
-        node_of_endpoint: node_of_endpoint.to_vec(),
-        connect_timeout: Duration::from_secs(10),
-        backoff_base: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-        reconnect_timeout: Duration::from_secs(5),
-    };
-    let tcp_counters = Arc::new(TrafficCounters::new(spec.physical_nodes()));
+    let (tcp_eps, tcp_counters) = common::tcp_mesh(&node_of_endpoint);
     std::thread::scope(|s| {
-        for (me, listener) in listeners.into_iter().enumerate() {
-            let spec = spec.clone();
-            let counters = Arc::clone(&tcp_counters);
+        for (me, mut ep) in tcp_eps.into_iter().enumerate() {
             s.spawn(move || {
-                let mut ep =
-                    TcpTransport::connect_with_listener(&spec, me, listener, Some(counters))
-                        .expect("mesh");
                 match me {
                     0 => {
                         for (i, &p) in payloads.iter().enumerate() {
@@ -208,4 +177,64 @@ fn transports_agree_on_counted_bytes() {
         tcp_counters.snapshot(),
         "full tx/rx ledgers must agree between transports"
     );
+}
+
+/// Ring traffic `i -> (i + 1) % E` over full meshes of 2, 8 and 32
+/// endpoints, one per node, small and large frames: every frame arrives from
+/// the right peer and in order, and every node's ledger holds exactly the
+/// frames it sent and received.
+#[test]
+fn tcp_ring_over_full_meshes_delivers_in_order_and_ledgers_exact_bytes() {
+    for endpoints in [2usize, 8, 32] {
+        for (payload, frames) in [(256usize, 500u64), (64 << 10, 50)] {
+            let nodes: Vec<usize> = (0..endpoints).collect();
+            let (eps, counters) = common::tcp_mesh(&nodes);
+            let data = Bytes::from(vec![0x5Au8; payload]);
+            let frame = |k: u64| Message::GradChunk {
+                iter: k,
+                layer: 0,
+                chunk: 0,
+                codec: poseidon::wire::Codec::Identity,
+                data: data.clone(),
+            };
+            std::thread::scope(|s| {
+                for (me, mut ep) in eps.into_iter().enumerate() {
+                    let frame = &frame;
+                    s.spawn(move || {
+                        let next = (me + 1) % endpoints;
+                        let prev = (me + endpoints - 1) % endpoints;
+                        let mut got = 0u64;
+                        let take = |env: Envelope, got: &mut u64| {
+                            assert_eq!(env.from, prev, "E={endpoints} endpoint {me}: wrong peer");
+                            assert_eq!(
+                                env.msg.iter(),
+                                *got,
+                                "E={endpoints} endpoint {me}: lost or reordered"
+                            );
+                            *got += 1;
+                        };
+                        for k in 0..frames {
+                            ep.send(next, frame(k)).unwrap();
+                            // Drain eagerly so inboxes stay bounded however
+                            // far ahead of its peer a sender runs.
+                            while let Some(env) = ep.try_recv().unwrap() {
+                                take(env, &mut got);
+                            }
+                        }
+                        while got < frames {
+                            let env = ep.recv_timeout(Duration::from_secs(60)).expect("starved");
+                            take(env, &mut got);
+                        }
+                        ep.shutdown().unwrap();
+                    });
+                }
+            });
+            let per_node = frames * frame(0).wire_bytes();
+            for node in 0..endpoints {
+                let at = format!("E={endpoints} payload={payload} node {node}");
+                assert_eq!(counters.tx_bytes(node), per_node, "{at} tx ledger");
+                assert_eq!(counters.rx_bytes(node), per_node, "{at} rx ledger");
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! frame lengths* ([`poseidon::wire`]) — the same buffers the TCP transport
 //! writes to its sockets — so this also pins the wire format's overhead.
 
-use poseidon::config::{ClusterConfig, Partition, SchemePolicy};
+use poseidon::config::{ClusterConfig, Codec, CodecPolicy, Partition, SchemePolicy};
 use poseidon::costmodel;
 use poseidon::runtime::{train, RuntimeConfig};
 use poseidon::transport::Message;
@@ -38,6 +38,18 @@ fn chunks(elems: usize) -> u64 {
     elems.div_ceil(PAIR) as u64
 }
 
+/// Layer parameter counts (weights + bias).
+const LAYER_ELEMS: [usize; 2] = [HID * IN + HID, OUT * HID + OUT];
+
+/// One copy of every layer's KV-chunk frames: a header and the chunk's f32s
+/// each.
+fn one_copy_of_every_chunk() -> u64 {
+    LAYER_ELEMS
+        .iter()
+        .map(|&elems| elems as u64 * 4 + chunks(elems) * HDR)
+        .sum()
+}
+
 /// The accounting must be frame-derived: a message's `wire_bytes()` is
 /// exactly the length of its encoded frame, no parallel formula to drift.
 #[test]
@@ -56,21 +68,44 @@ fn wire_bytes_equals_encoded_frame_length() {
 #[test]
 fn ps_traffic_matches_exact_message_accounting() {
     let result = run(SchemePolicy::AlwaysPs);
-    // Layer parameter counts (weights + bias).
-    let layer_elems = [HID * IN + HID, OUT * HID + OUT];
     // Every chunk is pushed by P workers and pulled to P workers; the owning
     // shard is colocated with one worker, so P-1 of each cross the network.
-    let mut expect = 0u64;
-    for elems in layer_elems {
-        let n_chunks = chunks(elems);
-        let payload = elems as u64 * 4 + n_chunks * HDR;
-        expect += 2 * (WORKERS as u64 - 1) * payload;
-    }
-    expect *= ITERS as u64;
+    let expect = 2 * (WORKERS as u64 - 1) * one_copy_of_every_chunk() * ITERS as u64;
     assert_eq!(
         result.traffic.total_bytes(),
         expect,
         "measured PS bytes differ from the exact per-frame accounting"
+    );
+}
+
+/// A collective layer's segments are its KV chunks, and every hop moves one
+/// segment's frame between two workers on different nodes.
+#[test]
+fn ring_traffic_matches_exact_message_accounting() {
+    let result = run(SchemePolicy::AlwaysRing);
+    // Each segment's REDUCE frame walks the P-1 links of the chain, and the
+    // folded DISTRIBUTE frame walks P-1 more to reach every other worker.
+    let hops = 2 * (WORKERS as u64 - 1);
+    assert_eq!(
+        result.traffic.total_bytes(),
+        hops * one_copy_of_every_chunk() * ITERS as u64,
+        "measured ring bytes differ from the exact per-frame accounting"
+    );
+}
+
+#[test]
+fn tree_traffic_matches_exact_message_accounting() {
+    let result = run(SchemePolicy::AlwaysTree);
+    // Each non-root worker's contribution climbs its depth in the binary tree
+    // (worker w sits floor(log2(w + 1)) hops below the root), and the root's
+    // folded DISTRIBUTE frame reaches each of the P-1 others once: 7 hops at
+    // P = 4.
+    let climb: u64 = (1..WORKERS).map(|w| u64::from((w + 1).ilog2())).sum();
+    let hops = climb + (WORKERS as u64 - 1);
+    assert_eq!(
+        result.traffic.total_bytes(),
+        hops * one_copy_of_every_chunk() * ITERS as u64,
+        "measured tree bytes differ from the exact per-frame accounting"
     );
 }
 
@@ -155,17 +190,63 @@ fn ps_traffic_is_balanced_across_nodes() {
     }
 }
 
+/// One deterministic PS training run per codec (Figure 11 territory) on a
+/// larger model than the accounting tests above, so chunk headers do not
+/// swamp the payloads a codec shrinks. Returns `(total wire bytes, losses)`.
+fn run_codec(codec: Codec) -> (u64, Vec<f32>) {
+    let data = Dataset::gaussian_clusters(TensorShape::flat(24), 6, 192, 0.35, 11);
+    let cfg = RuntimeConfig {
+        policy: SchemePolicy::AlwaysPs,
+        codec: match codec {
+            Codec::Identity => CodecPolicy::Identity,
+            c => CodecPolicy::Always(c),
+        },
+        partition: Partition::KvPairs { pair_elems: 256 },
+        ..RuntimeConfig::new(3, 8, 0.15, 12)
+    };
+    let result = train(&|| presets::mlp(&[24, 64, 48, 6], 9), &data, None, &cfg);
+    (result.traffic.total_bytes(), result.losses)
+}
+
+/// Every lossy codec must pay for its bytes with convergence intact: runs
+/// repeat exactly, every loss curve descends and lands near the dense final,
+/// and every lossy codec moves under 3/4 of the dense bytes (more means
+/// headers swamp payloads, a codec fell back to dense, or frames ship twice).
 #[test]
-fn onebit_moves_fewer_bytes_than_dense_ps() {
-    let dense = run(SchemePolicy::AlwaysPs);
-    let onebit = run(SchemePolicy::OneBit);
-    // 1 bit per element vs 32, but each KV chunk keeps its 32-byte frame
-    // header and adds the 16-byte quantizer header, so at PAIR-sized chunks
-    // the achievable ratio is ~4-5x rather than the asymptotic 32x.
-    assert!(
-        onebit.traffic.total_bytes() < dense.traffic.total_bytes() / 4,
-        "1-bit {} bytes should be far below dense {} bytes",
-        onebit.traffic.total_bytes(),
-        dense.traffic.total_bytes()
-    );
+fn lossy_codecs_move_fewer_bytes_and_still_converge() {
+    let codecs = [
+        Codec::Identity,
+        Codec::OneBit,
+        Codec::F16,
+        Codec::Bf16,
+        Codec::TopK { permille: 100 },
+    ];
+    let mut dense = None;
+    for codec in codecs {
+        let (bytes, losses) = run_codec(codec);
+        assert_eq!(
+            run_codec(codec),
+            (bytes, losses.clone()),
+            "{codec}: bytes or losses varied across repeats"
+        );
+        let (first, last) = (losses[0], *losses.last().expect("one iteration at least"));
+        assert!(
+            last.is_finite() && last < first,
+            "{codec} diverged (loss {first} -> {last})"
+        );
+        let (dense_bytes, dense_final) = *dense.get_or_insert((bytes, last));
+        assert!(
+            last <= dense_final * 2.0 + 1e-3,
+            "{codec} lost convergence parity (final {last} vs dense {dense_final})"
+        );
+        let ratio = bytes as f64 / dense_bytes as f64;
+        if codec != Codec::Identity {
+            assert!(ratio < 0.75, "{codec} moves {ratio:.4} of the dense bytes");
+        }
+        // 1 bit per element vs 32, but each KV chunk keeps its frame header
+        // and adds the quantizer's, so the ratio is far from 1/32.
+        if codec == Codec::OneBit {
+            assert!(ratio < 0.25, "1-bit moves {ratio:.4} of the dense bytes");
+        }
+    }
 }
