@@ -1,4 +1,4 @@
-//! Report formatting and speedup helpers shared by the experiment binaries.
+//! Report formatting and speedup helpers shared by the experiment harness.
 
 /// A speedup series: throughput at each node count relative to the 1-node
 /// baseline.
@@ -36,8 +36,9 @@ impl SpeedupSeries {
 }
 
 /// Renders aligned text rows: a header then one row per entry, columns padded
-/// to the widest cell. Used by every experiment binary so figures print as
-/// the same kind of table the paper's plots encode.
+/// to the widest cell. Used by every table and figure the `paper` driver
+/// prints, so figures print as the same kind of table the paper's plots
+/// encode.
 pub fn render_table(header: &[String], rows: &[Vec<String>]) -> String {
     let cols = header.len();
     let mut widths: Vec<usize> = header.iter().map(String::len).collect();

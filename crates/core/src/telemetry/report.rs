@@ -2,7 +2,7 @@
 //!
 //! [`Report`] is a small section/table/notes document rendered through
 //! [`crate::stats::render_table`] — the one table formatter in the repo —
-//! so every binary (`overhead`, `poseidon-node`, the example) prints
+//! so the `paper overhead` figure, `poseidon-node` and the example print
 //! breakdowns the same way. [`summarize`] derives the Poseidon-relevant
 //! digest from a set of [`Trace`]s: per-layer compute vs communication
 //! time with the fraction of communication hidden under compute (WFBP's

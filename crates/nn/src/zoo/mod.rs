@@ -16,6 +16,7 @@ mod spec;
 
 pub use builder::SpecBuilder;
 pub use models::{
-    alexnet, all_models, cifar10_quick, googlenet, inception_v3, resnet152, vgg19, vgg19_22k,
+    alexnet, all_models, by_name, cifar10_quick, googlenet, inception_v3, names, resnet152, vgg19,
+    vgg19_22k,
 };
 pub use spec::{LayerSpec, ModelSpec, SpecKind};

@@ -332,6 +332,33 @@ pub fn all_models() -> Vec<ModelSpec> {
     ]
 }
 
+/// The models a command line can name, by that name: the six ImageNet-scale
+/// networks (CIFAR-10 quick trains for real and is not simulated by name).
+const NAMED: [(&str, Constructor); 6] = [
+    ("googlenet", googlenet),
+    ("inception", inception_v3),
+    ("vgg19", vgg19),
+    ("vgg19-22k", vgg19_22k),
+    ("resnet152", resnet152),
+    ("alexnet", alexnet),
+];
+
+/// A model's constructor.
+type Constructor = fn() -> ModelSpec;
+
+/// Every name [`by_name`] accepts.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    NAMED.iter().map(|&(name, _)| name)
+}
+
+/// The model a command line names (`vgg19`, `vgg19-22k`, ...), if any.
+pub fn by_name(name: &str) -> Option<ModelSpec> {
+    NAMED
+        .iter()
+        .find(|&&(n, _)| n == name)
+        .map(|&(_, model)| model())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,6 +371,26 @@ mod tests {
             "{what}: {actual} deviates {:.1}% from paper's {expect}",
             rel * 100.0
         );
+    }
+
+    #[test]
+    fn by_name_knows_each_imagenet_model_by_one_name() {
+        let expect = [
+            ("googlenet", "GoogLeNet"),
+            ("inception", "Inception-V3"),
+            ("vgg19", "VGG19"),
+            ("vgg19-22k", "VGG19-22K"),
+            ("resnet152", "ResNet-152"),
+            ("alexnet", "AlexNet"),
+        ];
+        assert_eq!(names().collect::<Vec<_>>(), expect.map(|(name, _)| name));
+        for (name, model) in expect {
+            let spec = by_name(name).unwrap_or_else(|| panic!("{name} unknown"));
+            assert_eq!(spec.name, model);
+        }
+        for unknown in ["", "VGG19", "vgg", "vgg19 ", "cifar10-quick", "resnet-152"] {
+            assert!(by_name(unknown).is_none(), "{unknown:?} accepted");
+        }
     }
 
     #[test]

@@ -3,29 +3,19 @@
 //! paper's intro (is 10GbE enough for VGG19? what do I gain from HybComm?).
 //!
 //! Run: `cargo run --release --example cluster_planner -- [model]`
-//! where model is one of: googlenet, inception, vgg19, vgg19-22k, resnet152
-//! (default vgg19).
+//! where model is one of: googlenet, inception, vgg19, vgg19-22k, resnet152,
+//! alexnet (default vgg19).
 
 use poseidon::sim::{simulate, SimConfig, System};
-use poseidon_nn::zoo::{self, ModelSpec};
-
-fn model_by_name(name: &str) -> ModelSpec {
-    match name {
-        "googlenet" => zoo::googlenet(),
-        "inception" => zoo::inception_v3(),
-        "vgg19" => zoo::vgg19(),
-        "vgg19-22k" => zoo::vgg19_22k(),
-        "resnet152" => zoo::resnet152(),
-        other => {
-            eprintln!("unknown model '{other}', using vgg19");
-            zoo::vgg19()
-        }
-    }
-}
+use poseidon_nn::zoo;
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "vgg19".into());
-    let model = model_by_name(&name);
+    let Some(model) = zoo::by_name(&name) else {
+        let names: Vec<&str> = zoo::names().collect();
+        eprintln!("unknown model '{name}'; one of: {}", names.join(" "));
+        std::process::exit(2)
+    };
     println!(
         "{}: {:.1}M parameters, {:.0}% in FC layers, batch {}\n",
         model.name,
