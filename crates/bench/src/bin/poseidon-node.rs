@@ -25,10 +25,8 @@ use poseidon::health::{self, HealthConfig};
 use poseidon::membership::{MembershipPlan, MembershipSchedule};
 use poseidon::metrics::expose::MetricsServer;
 use poseidon::runtime::{
-    flatten_model_params, install_model_params, run_endpoint, FaultConfig, NodeOutcome,
-    RuntimeConfig,
+    flatten_model_params, run_endpoint, FaultConfig, NodeOutcome, RuntimeConfig,
 };
-use poseidon::serving::{InferFn, ServingServer, Snapshot, SnapshotCell};
 use poseidon::telemetry::{self, chrome, report, TelemetryConfig};
 use poseidon::transport::{
     ReliabilityConfig, TcpFabricSpec, TcpTransport, TrafficSnapshot, Transport,
@@ -36,10 +34,7 @@ use poseidon::transport::{
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
 use poseidon_nn::presets;
-use poseidon_nn::Network;
-use poseidon_tensor::Matrix;
 use std::process::{Command, ExitCode, Stdio};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 #[derive(Clone)]
@@ -64,7 +59,6 @@ struct Args {
     straggler: Option<(usize, u64)>,
     straggler_factor: f64,
     membership: MembershipPlan,
-    serve_addr: Option<String>,
     ckpt_dir: Option<String>,
     start_iter: usize,
     export_state: bool,
@@ -95,7 +89,6 @@ impl Default for Args {
             straggler: None,
             straggler_factor: HealthConfig::default().straggler_factor,
             membership: MembershipPlan::empty(),
-            serve_addr: None,
             ckpt_dir: None,
             start_iter: 0,
             export_state: false,
@@ -138,9 +131,6 @@ const USAGE: &str = "poseidon-node: multi-process distributed SGD over TCP
                     (action:shard@iter; 'restart:S@N' marks a checkpoint/
                     resume generation boundary the launcher drives; join/
                     leave events need a PS-only configuration)
-  --serve-addr A    live inference front door: worker endpoint N binds
-                    HOST:PORT+N and answers PSRV requests against the
-                    latest published snapshot while training continues
   --ckpt-dir PATH   directory for per-endpoint checkpoint slices
                     (e{N}.ckpt); the launcher picks a temp dir when the
                     membership plan has restarts and none is given
@@ -218,7 +208,6 @@ fn parse_args() -> Result<Args, String> {
             "--membership-plan" => {
                 args.membership = MembershipPlan::parse(&val).map_err(|e| bad(&e))?
             }
-            "--serve-addr" => args.serve_addr = Some(val),
             "--ckpt-dir" => args.ckpt_dir = Some(val),
             "--start-iter" => args.start_iter = val.parse().map_err(|e| bad(&e))?,
             "--export-state" => args.export_state = on_off(&flag, &val)?,
@@ -413,52 +402,6 @@ fn run_role(a: &Args, me: usize, spec: &TcpFabricSpec, endpoint: TcpTransport) -
             None => {
                 eprintln!("endpoint {me}: checkpoint {path} is corrupt or mis-typed");
                 return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Serving front door: worker endpoints publish per-iteration snapshots
-    // into a cell and answer inference against them on PORT+me (the metrics
-    // scrape port scheme). The guard keeps the listener alive for the run.
-    let mut _serving = None;
-    if me < a.workers {
-        if let Some(base) = a.serve_addr.as_deref() {
-            let addr = match metrics_addr_for(base, me) {
-                Ok(addr) => addr,
-                Err(e) => {
-                    eprintln!("endpoint {me}: {e}"); // reuses HOST:PORT+me parsing
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cell = SnapshotCell::new();
-            cfg.serve_snapshots = Some(Arc::clone(&cell));
-            let infer_layers = a.layers.clone();
-            // Rebuilding a replica per request would dominate serving cost;
-            // cache the last materialized parameter version by iteration.
-            let cache: Mutex<Option<(u64, Network)>> = Mutex::new(None);
-            let infer: Arc<InferFn> = Arc::new(move |snap: &Snapshot, n, d, inputs: &[f32]| {
-                if d != infer_layers[0] {
-                    return None;
-                }
-                let mut cached = cache.lock().expect("infer cache");
-                if cached.as_ref().is_none_or(|(it, _)| *it != snap.iter) {
-                    let mut net = presets::mlp(&infer_layers, seed);
-                    install_model_params(&mut net, &snap.params);
-                    *cached = Some((snap.iter, net));
-                }
-                let (_, net) = cached.as_mut().expect("just installed");
-                let out = net.forward(&Matrix::from_vec(n, d, inputs.to_vec()));
-                Some(out.as_slice().to_vec())
-            });
-            match ServingServer::serve(&addr, cell, infer) {
-                Ok(srv) => {
-                    println!("serve_addr={}", srv.addr());
-                    _serving = Some(srv);
-                }
-                Err(e) => {
-                    eprintln!("endpoint {me}: serving bind {addr}: {e}");
-                    return ExitCode::FAILURE;
-                }
             }
         }
     }

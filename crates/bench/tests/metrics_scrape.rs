@@ -7,46 +7,13 @@
 
 mod common;
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use common::scrape_until;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const WORKERS: usize = 2;
 /// Endpoints in the mesh: P workers + P colocated shards.
 const ENDPOINTS: usize = 2 * WORKERS;
-
-/// One plain HTTP/1.1 scrape of `addr`, returning the response body.
-fn scrape(addr: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-    stream.write_all(
-        format!("GET /metrics HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::other("no header/body split"))?;
-    if !head.starts_with("HTTP/1.1 200") {
-        return Err(std::io::Error::other(format!("bad status: {head}")));
-    }
-    Ok(body.to_string())
-}
-
-/// Scrapes `addr` until `want` succeeds on the body or the deadline passes.
-fn scrape_until(addr: &str, deadline: Instant, want: impl Fn(&str) -> bool) -> String {
-    let mut last_err = String::new();
-    while Instant::now() < deadline {
-        match scrape(addr) {
-            Ok(body) if want(&body) => return body,
-            Ok(_) => {}
-            Err(e) => last_err = e.to_string(),
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    panic!("scrape of {addr} never satisfied the predicate (last error: {last_err})");
-}
 
 fn kill(mut child: Child) -> ! {
     child.kill().ok();
@@ -126,13 +93,7 @@ fn every_endpoint_serves_prometheus_text_while_training() {
 
     // A second scrape of a worker observes progress: the step count grew.
     let w0 = format!("127.0.0.1:{metrics_port}");
-    let count_of = |body: &str| -> u64 {
-        body.lines()
-            .find(|l| l.starts_with("poseidon_step_time_ns_count"))
-            .and_then(|l| l.rsplit(' ').next())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
+    let count_of = |body: &str| common::sample(body, "poseidon_step_time_ns_count").unwrap_or(0);
     let first = count_of(&scrape_until(&w0, deadline, |b| count_of(b) > 0));
     scrape_until(&w0, deadline, |b| count_of(b) > first);
 

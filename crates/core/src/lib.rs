@@ -33,12 +33,11 @@
 //! speaks), [`chunk`] (fixed-size KV-pair partitioning of parameters),
 //! [`kvstore`] (bulk-synchronous shard state machine), [`syncer`] (per-layer
 //! Send/Receive/Move), [`route`] (where every scheme's frames go, for the
-//! syncers, the shards and the simulator alike), [`config`] (cluster and scheme configuration),
-//! [`faults`] (deterministic fault injection for chaos testing the comm
-//! plane), [`membership`] (elastic shard-ownership epochs and the scripted
-//! reconfiguration plan DSL), [`checkpoint`] (bitwise snapshot/restore of
-//! training state), [`serving`] (the live inference front door answering
-//! against snapshot-isolated parameter versions), [`telemetry`] (structured
+//! syncers, the shards and the simulator alike), [`config`] (cluster and
+//! scheme configuration), [`faults`] (deterministic fault injection for
+//! chaos testing the comm plane), [`membership`] (elastic shard-ownership
+//! epochs and the scripted reconfiguration plan DSL), [`checkpoint`]
+//! (bitwise snapshot/restore of training state), [`telemetry`] (structured
 //! tracing of the training path with Chrome-trace export), [`metrics`]
 //! (always-on live counters/histograms with Prometheus pull exposition),
 //! [`health`] (per-peer verdicts — straggler detection — over metrics
@@ -58,7 +57,6 @@ pub mod metrics;
 pub mod pool;
 pub mod route;
 pub mod runtime;
-pub mod serving;
 pub mod sim;
 pub mod stats;
 pub mod syncer;

@@ -103,28 +103,24 @@ pub fn render(snap: &MetricsSnapshot) -> String {
     out
 }
 
-/// How often a responder's thread polls its stop flag between accepts.
+/// How often the listener thread polls its stop flag between accepts.
 const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
-/// A one-thread TCP responder: binds an address and hands every accepted
-/// connection to its handler, inline and in arrival order — requests are
-/// rare and bounded, and one thread keeps the footprint fixed. Dropping it
-/// stops the thread and releases the port. The metrics scrape endpoint and
-/// the serving front door are its two handlers.
-pub(crate) struct Responder {
+/// A pull-based metrics endpoint: binds `addr`, spawns one listener thread,
+/// and answers every HTTP request with the global registry rendered as
+/// Prometheus text — inline and in arrival order, since scrapes are rare
+/// and bounded and one thread keeps the footprint fixed. Dropping the
+/// server stops the thread and releases the port.
+pub struct MetricsServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Responder {
-    /// Binds `addr` and answers each connection with `handle` on a thread
-    /// named `"{name} {addr}"`.
-    pub(crate) fn serve(
-        addr: &str,
-        name: &str,
-        handle: impl Fn(TcpStream) + Send + 'static,
-    ) -> std::io::Result<Responder> {
+impl MetricsServer {
+    /// Binds `addr` (e.g. `"127.0.0.1:9100"`) and starts serving scrapes of
+    /// the global registry on a thread named `"metrics {addr}"`.
+    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -132,10 +128,19 @@ impl Responder {
         let thread = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name(format!("{name} {addr}"))
-                .spawn(move || listen_loop(&listener, &stop, handle))?
+                .name(format!("metrics {addr}"))
+                .spawn(move || {
+                    while !stop.load(Ordering::SeqCst) {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                let _ = answer(stream);
+                            }
+                            Err(_) => std::thread::sleep(ACCEPT_POLL),
+                        }
+                    }
+                })?
         };
-        Ok(Responder {
+        Ok(MetricsServer {
             addr,
             stop,
             thread: Some(thread),
@@ -143,47 +148,17 @@ impl Responder {
     }
 
     /// The bound address (exact port when `serve` was given port 0).
-    pub(crate) fn addr(&self) -> SocketAddr {
+    pub fn addr(&self) -> SocketAddr {
         self.addr
     }
 }
 
-impl Drop for Responder {
+impl Drop for MetricsServer {
     fn drop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-fn listen_loop(listener: &TcpListener, stop: &AtomicBool, handle: impl Fn(TcpStream)) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => handle(stream),
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// A pull-based metrics endpoint: binds `addr`, spawns one listener thread,
-/// and answers every HTTP request with the global registry rendered as
-/// Prometheus text. Dropping the server stops the thread.
-pub struct MetricsServer(Responder);
-
-impl MetricsServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:9100"`) and starts serving scrapes of
-    /// the global registry.
-    pub fn serve(addr: &str) -> std::io::Result<MetricsServer> {
-        Responder::serve(addr, "metrics", |stream| {
-            let _ = answer(stream);
-        })
-        .map(MetricsServer)
-    }
-
-    /// The bound address (exact port when `serve` was given port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.0.addr()
     }
 }
 

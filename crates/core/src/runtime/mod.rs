@@ -32,7 +32,7 @@ mod worker;
 
 pub use crate::wire::LAYER_GRANULAR_CHUNK;
 pub use clock::SspClock;
-pub use node::{flatten_model_params, install_model_params, run_endpoint, NodeOutcome};
+pub use node::{flatten_model_params, run_endpoint, NodeOutcome};
 pub use worker::evaluate_error;
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -281,10 +281,6 @@ pub struct RuntimeConfig {
     /// Export the full training state (worker replicas + syncer stream
     /// state + shard masters) into [`TrainResult::checkpoint`].
     pub export_state: bool,
-    /// Publish worker 0's parameters after every iteration into this cell —
-    /// the serving front door ([`crate::serving`]) answers against it under
-    /// snapshot isolation while training continues.
-    pub serve_snapshots: Option<Arc<crate::serving::SnapshotCell>>,
 }
 
 impl RuntimeConfig {
@@ -318,7 +314,6 @@ impl RuntimeConfig {
             start_iter: 0,
             resume: None,
             export_state: false,
-            serve_snapshots: None,
         }
     }
 }
@@ -469,7 +464,7 @@ pub fn train<M: Model>(
     let clock = Arc::new(SspClock::new(p));
 
     // Endpoints 0..P are workers on nodes 0..P; endpoints P..2P are shards
-    // colocated on the same nodes. A snapshot cell has one writer: worker 0.
+    // colocated on the same nodes.
     let node_ids: Vec<usize> = (0..p).chain(0..p).collect();
     let (endpoints, traffic) = transport::fabric_with_nodes(&node_ids);
     let outcomes: Vec<NodeOutcome<M>> = std::thread::scope(|scope| {
@@ -477,13 +472,7 @@ pub fn train<M: Model>(
             .into_iter()
             .map(|endpoint| {
                 let (run, clock) = (&run, Arc::clone(&clock));
-                let snapshots = cfg
-                    .serve_snapshots
-                    .clone()
-                    .filter(|_| endpoint.endpoint_id() == 0);
-                scope.spawn(move || {
-                    node::run_node(run, net_factory(), data, eval, endpoint, clock, snapshots)
-                })
+                scope.spawn(move || node::run_node(run, net_factory(), data, eval, endpoint, clock))
             })
             .collect();
         handles
@@ -785,6 +774,21 @@ mod tests {
             mixed.traffic.total_bytes(),
             raw.traffic.total_bytes()
         );
+    }
+
+    /// Inverse of [`flatten_model_params`]: writes a canonical flat back into
+    /// a structurally identical model.
+    fn install_model_params<M: Model>(net: &mut M, flat: &[f32]) {
+        let mut off = 0;
+        for slot in 0..net.num_slots() {
+            if let Some(params) = net.slot_mut(slot).and_then(|l| l.params_mut()) {
+                let n = params.num_params();
+                assert!(off + n <= flat.len(), "flat parameter vector too short");
+                crate::syncer::write_params_flat(params, &flat[off..off + n]);
+                off += n;
+            }
+        }
+        assert_eq!(off, flat.len(), "flat parameter vector too long");
     }
 
     /// Satellite regression: a gradient frame whose payload fails codec

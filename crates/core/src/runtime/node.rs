@@ -18,7 +18,6 @@
 
 use super::{build_run_plan, server, worker, ChaosReport, RunPlan, RuntimeConfig, SspClock};
 use crate::faults::FaultyTransport;
-use crate::serving::SnapshotCell;
 use crate::syncer;
 use crate::telemetry;
 use crate::transport::{ReliableTransport, Transport};
@@ -100,19 +99,9 @@ pub fn run_endpoint<M: Model, T: Transport>(
         let role = if me < p { "worker" } else { "shard" };
         telemetry::set_process(me as u32, format!("poseidon-node e{me} ({role})"));
     }
-    // BSP never consults the clock; a private one satisfies the worker. In
-    // the per-process runtime every worker endpoint may serve (the caller
-    // decides by wiring a cell), not just worker 0.
+    // BSP never consults the clock; a private one satisfies the worker.
     let clock = Arc::new(SspClock::new(p));
-    run_node(
-        &run,
-        net,
-        data,
-        eval,
-        endpoint,
-        clock,
-        cfg.serve_snapshots.clone(),
-    )
+    run_node(&run, net, data, eval, endpoint, clock)
 }
 
 /// Runs one endpoint of `run` to completion, for [`train`](super::train)
@@ -128,11 +117,10 @@ pub(super) fn run_node<M: Model, T: Transport>(
     eval: Option<&Dataset>,
     endpoint: T,
     clock: Arc<SspClock>,
-    snapshots: Option<Arc<SnapshotCell>>,
 ) -> NodeOutcome<M> {
     let faults = &run.cfg.faults;
     if !faults.active() {
-        return run_role(run, net, data, eval, endpoint, clock, snapshots);
+        return run_role(run, net, data, eval, endpoint, clock);
     }
     // The fault layer breaks originals on the way out; the reliability layer
     // above it (whose retransmits pass the fault layer unfaulted) heals the
@@ -141,7 +129,7 @@ pub(super) fn run_node<M: Model, T: Transport>(
     let log = faulty.log();
     let reliable = ReliableTransport::new(faulty, faults.reliability.clone().unwrap_or_default());
     let stats = reliable.stats();
-    let mut outcome = run_role(run, net, data, eval, reliable, clock, snapshots);
+    let mut outcome = run_role(run, net, data, eval, reliable, clock);
     let (NodeOutcome::Worker { chaos, .. } | NodeOutcome::Server { chaos, .. }) = &mut outcome;
     *chaos = Some(ChaosReport::of_endpoint(&log, &stats));
     outcome
@@ -155,7 +143,6 @@ fn run_role<M: Model, T: Transport>(
     eval: Option<&Dataset>,
     endpoint: T,
     clock: Arc<SspClock>,
-    snapshots: Option<Arc<SnapshotCell>>,
 ) -> NodeOutcome<M> {
     let (p, me) = (run.cfg.workers, endpoint.endpoint_id());
     let resume = run.cfg.resume.as_ref();
@@ -170,7 +157,6 @@ fn run_role<M: Model, T: Transport>(
         let local = worker::WorkerConfig {
             eval: eval.filter(|_| me == 0).cloned(),
             restore,
-            snapshots,
         };
         // Worker `me` trains on shard `me` of the same deterministic
         // partition every participant computes.
@@ -198,25 +184,4 @@ pub fn flatten_model_params<M: Model>(net: &M) -> Vec<f32> {
         }
     }
     flat
-}
-
-/// Inverse of [`flatten_model_params`]: writes a canonical flat back into a
-/// structurally identical model (the serving front door reconstructs a
-/// replica from a published [`Snapshot`](crate::serving::Snapshot) this way).
-///
-/// # Panics
-///
-/// Panics when `flat` does not exactly cover the model's trainable
-/// parameters.
-pub fn install_model_params<M: Model>(net: &mut M, flat: &[f32]) {
-    let mut off = 0;
-    for slot in 0..net.num_slots() {
-        if let Some(params) = net.slot_mut(slot).and_then(|l| l.params_mut()) {
-            let n = params.num_params();
-            assert!(off + n <= flat.len(), "flat parameter vector too short");
-            syncer::write_params_flat(params, &flat[off..off + n]);
-            off += n;
-        }
-    }
-    assert_eq!(off, flat.len(), "flat parameter vector too long");
 }

@@ -30,7 +30,6 @@
 use super::{note_poisoned_frame, route, NodeOutcome, RunPlan, SspClock};
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
 use crate::metrics;
-use crate::serving::{Snapshot, SnapshotCell};
 use crate::syncer::{self, Syncer};
 use crate::telemetry;
 use crate::transport::{Message, Transport, TransportError};
@@ -49,9 +48,6 @@ pub(crate) struct WorkerConfig {
     pub eval: Option<Dataset>,
     /// Worker state exported by a previous segment, to resume from.
     pub restore: Option<WorkerCheckpoint>,
-    /// Where to publish a parameter [`Snapshot`] after every iteration (the
-    /// serving front door reads these).
-    pub snapshots: Option<Arc<SnapshotCell>>,
 }
 
 /// One trainable layer's side of the exchange.
@@ -415,17 +411,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
                 let err = evaluate_error(&mut net, eval_set);
                 test_errors.push((iter + 1, err));
             }
-        }
-
-        // Serving: publish this iteration's replica under snapshot
-        // isolation. In-flight requests keep reading the version they
-        // pinned; new requests see this one.
-        if let Some(cell) = &local.snapshots {
-            cell.publish(Snapshot {
-                iter: iter as u64,
-                epoch,
-                params: crate::runtime::flatten_model_params(&net),
-            });
         }
     }
 

@@ -28,7 +28,7 @@ echo "== tier-1: cargo build --release && cargo test =="
 # ring and tree bytes per frame and hop; each codec's byte ratio,
 # repeatability and convergence next to the dense run), the crates/bench
 # process suites (tcp_loopback, trace_roundtrip, tcp_sever_reconnect,
-# metrics_scrape, elastic_serving: every membership epoch answers) and the
+# metrics_scrape, elastic_membership: every membership epoch scraped) and the
 # paper's results diff (crates/bench/tests/paper.rs: table1, table3,
 # overhead, multigpu, fig5-fig8, fig10 and ablation regenerated and compared
 # byte for byte with results/<name>.txt).
