@@ -62,74 +62,34 @@
 //! (same physical node) frames are never counted; between two processes on
 //! one node they still cross a socket.
 
-use super::net::{self, HelloGate, TcpFabricSpec, HELLO_BYTES};
+mod event_loop;
+mod registry;
+
+use super::net::{self, TcpFabricSpec};
 use super::sys;
 use super::{
-    Backoff, EndpointCore, Envelope, LinkHealth, Message, TrafficCounters, Transport,
-    TransportError,
+    EndpointCore, Envelope, LinkHealth, Message, TrafficCounters, Transport, TransportError,
 };
 use crate::metrics;
-use crate::pool::BufPool;
 use crate::telemetry;
-use crate::wire::{assemble, encode_header_stamped, parse_header, FrameHeader, FRAME_HEADER_BYTES};
+use crate::wire::{encode_header_stamped, FRAME_HEADER_BYTES};
 use bytes::Bytes;
+use event_loop::EventLoop;
+use registry::{resolve_coresident, Registration};
 use std::collections::VecDeque;
-use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
-use std::thread::{JoinHandle, Thread};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Per-connection staging buffer for inbound frame reassembly. Any frame
-/// with a payload under [`DIRECT_READ_MIN`] is parsed wholly out of staging.
-const STAGING_BYTES: usize = 64 * 1024;
-
-/// Payloads at least this large switch to direct-read mode: the remaining
-/// bytes are read straight into the pooled lease that becomes the delivered
-/// payload, skipping the staging copy entirely.
-const DIRECT_READ_MIN: usize = 8 * 1024;
-
-/// Cap on a single staging refill read. Kept at [`DIRECT_READ_MIN`] so the
-/// bulk of a large payload is never pre-staged: at most this many of its
-/// bytes arrive via staging (one copy into the lease) before the header
-/// parses and the remainder streams straight into the lease.
-const REFILL_READ_BYTES: usize = DIRECT_READ_MIN;
-
-/// Upper bound on `IoSlice`s per vectored write (well under any OS IOV_MAX).
-const MAX_IOV: usize = 64;
 
 /// Bytes a single link queues before `send_seq` blocks awaiting drain.
 const MAX_LINK_PENDING_BYTES: u64 = 64 * 1024 * 1024;
 
 /// How often a blocked sender rechecks for shutdown while waiting for space.
 const BACKPRESSURE_RECHECK: Duration = Duration::from_millis(100);
-
-/// Poller safety-net tick: the longest the loop sleeps with no deadline.
-const POLL_TICK: Duration = Duration::from_millis(250);
-
-/// Per-attempt connect timeout of the poller's inline redial. Kept short so
-/// one dead peer cannot stall service of the live ones.
-const REDIAL_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Budget for flushing live queues during shutdown before FIN.
-const DRAIN_BUDGET: Duration = Duration::from_secs(2);
-
-/// How long an accepted connection may take to deliver its whole HELLO.
-const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Accepted connections that may wait for their HELLO at once; a new one
-/// over the cap closes the oldest.
-const MAX_PENDING_HELLOS: usize = 16;
-
-/// Poll-token namespace for inbound connections; outbound links use their
-/// peer index directly (always `< 2^32` endpoints).
-const INBOUND_BASE: u64 = 1 << 32;
-
-/// Poll token of the listening socket.
-const LISTEN_TOKEN: u64 = sys::Poller::WAKE_TOKEN - 1;
 
 /// One frame awaiting (or mid-way through) its vectored write. `written`
 /// counts bytes already on the socket, possibly reaching into the payload.
@@ -267,58 +227,6 @@ impl Shared {
         }
         tx.send(env).map_err(|_| ())
     }
-}
-
-/// Every registered endpoint of this process, by bound listening address:
-/// how a sender finds the peers it can hand frames to in memory.
-static REGISTRY: Mutex<Vec<(SocketAddr, Weak<Shared>)>> = Mutex::new(Vec::new());
-
-/// One endpoint's [`REGISTRY`] entry, withdrawn when dropped.
-struct Registration {
-    addr: SocketAddr,
-    shared: Weak<Shared>,
-}
-
-impl Registration {
-    /// Registers `shared` under `addr`. An entry already there belongs to an
-    /// endpoint whose listener is gone, so it is replaced.
-    fn new(addr: SocketAddr, shared: &Arc<Shared>) -> Registration {
-        let shared = Arc::downgrade(shared);
-        let mut registry = REGISTRY.lock().expect("registry lock");
-        registry.retain(|(a, _)| *a != addr);
-        registry.push((addr, Weak::clone(&shared)));
-        Registration { addr, shared }
-    }
-}
-
-impl Drop for Registration {
-    fn drop(&mut self) {
-        REGISTRY
-            .lock()
-            .expect("registry lock")
-            .retain(|(a, w)| *a != self.addr || !w.ptr_eq(&self.shared));
-    }
-}
-
-/// The endpoints `shared`'s frames can be handed to in memory, indexed by
-/// peer: itself, and every registered peer whose listening address, endpoint
-/// id and node map are the spec's and that shares its physical node.
-fn resolve_coresident(shared: &Arc<Shared>) -> Vec<Option<Weak<Shared>>> {
-    let (me, spec) = (shared.core.me(), &shared.spec);
-    let registry = REGISTRY.lock().expect("registry lock");
-    (0..spec.addrs.len())
-        .map(|peer| {
-            if peer == me {
-                return Some(Arc::downgrade(shared));
-            }
-            let (_, w) = registry.iter().find(|(a, _)| *a == spec.addrs[peer])?;
-            let p = w.upgrade()?;
-            (p.core.me() == peer
-                && p.core.node() == shared.core.node()
-                && p.spec.node_of_endpoint == spec.node_of_endpoint)
-                .then(|| Weak::clone(w))
-        })
-        .collect()
 }
 
 /// A TCP transport endpoint driven by a single readiness event loop.
@@ -701,832 +609,16 @@ impl Drop for TcpTransport {
     }
 }
 
-/// Outbound link state owned by the poller.
-enum OutState {
-    /// Connected; frames flush through vectored writes.
-    Up(TcpStream),
-    /// Broken; redialing on a backoff schedule until `deadline`.
-    Down(DownState),
-    /// Reconnect budget exhausted (or no link exists, e.g. our own slot).
-    /// A queued frame revives the link into `Down`.
-    Dead,
-}
-
-struct DownState {
-    backoff: Backoff,
-    /// Earliest instant of the next dial attempt.
-    next: Instant,
-    /// Past this instant the link is declared dead.
-    deadline: Instant,
-    attempts: u64,
-    /// What broke the link, for the dead verdict.
-    cause: String,
-    /// A link that broke with nothing queued parks instead of dialing: the
-    /// peer may simply have shut down, and dialing it would manufacture
-    /// phantom reconnects. Parked links ignore `next`/`deadline` entirely;
-    /// queued traffic unparks them with a fresh budget and dials at once.
-    parked: bool,
-}
-
-impl DownState {
-    fn fresh(spec: &TcpFabricSpec, now: Instant, cause: String) -> DownState {
-        DownState {
-            backoff: Backoff::new(spec.backoff_base, spec.backoff_cap),
-            next: now,
-            deadline: now + spec.reconnect_timeout,
-            attempts: 0,
-            cause,
-            parked: false,
-        }
-    }
-}
-
-/// An in-flight direct read: the frame header plus the pooled lease being
-/// filled straight off the socket.
-struct DirectRead {
-    header: FrameHeader,
-    lease: crate::pool::PooledBuf,
-    have: usize,
-}
-
-/// One accepted connection: its HELLO being read, then the admitted peer's
-/// frames.
-enum Inbound {
-    Hello(HelloConn),
-    Frames(InConn),
-}
-
-impl Inbound {
-    fn stream(&self) -> &TcpStream {
-        match self {
-            Inbound::Hello(h) => &h.stream,
-            Inbound::Frames(c) => &c.stream,
-        }
-    }
-}
-
-/// An accepted connection whose HELLO is still arriving. It holds only the
-/// HELLO's bytes: the staging buffer comes with admission.
-struct HelloConn {
-    stream: TcpStream,
-    hello: [u8; HELLO_BYTES],
-    have: usize,
-    /// Past this instant the HELLO is bad and the connection closes.
-    deadline: Instant,
-}
-
-/// One admitted inbound connection and its reassembly state.
-struct InConn {
-    stream: TcpStream,
-    peer: usize,
-    from_node: usize,
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    direct: Option<DirectRead>,
-}
-
-/// Why an inbound connection is being retired.
-enum Close {
-    /// EOF or I/O error — the peer is gone or reconnecting; not our error.
-    Benign,
-    /// The peer sent bytes that violate the wire protocol.
-    Poison(crate::wire::FrameError),
-}
-
-/// The poller: owns the listener and every socket, admits HELLOs, services
-/// readiness, flushes queues, and runs the per-link redial state machine.
-struct EventLoop {
-    shared: Arc<Shared>,
-    listener: TcpListener,
-    gate: HelloGate,
-    /// Our connection generation per peer, bumped on every redial attempt.
-    gens: Vec<u32>,
-    /// The thread blocked in `connect`, unparked once every peer is heard.
-    connector: Thread,
-    out: Vec<OutState>,
-    /// Whether EPOLLOUT interest is currently registered per link.
-    wants_writable: Vec<bool>,
-    conns: Vec<Option<Inbound>>,
-}
-
-impl EventLoop {
-    fn new(
-        shared: Arc<Shared>,
-        listener: TcpListener,
-        out_streams: Vec<Option<TcpStream>>,
-        connector: Thread,
-    ) -> EventLoop {
-        let n = out_streams.len();
-        // A listener the poller cannot watch admits no peer, and `connect`
-        // times out.
-        let _ = shared
-            .poller
-            .register(listener.as_raw_fd(), LISTEN_TOKEN, true, false);
-        let mut lp = EventLoop {
-            gate: HelloGate::new(n, shared.dup_hellos.clone()),
-            shared,
-            listener,
-            gens: vec![1; n],
-            connector,
-            out: out_streams
-                .into_iter()
-                .map(|s| s.map_or(OutState::Dead, OutState::Up))
-                .collect(),
-            wants_writable: vec![false; n],
-            conns: Vec::new(),
-        };
-        for peer in 0..n {
-            lp.register_outbound(peer);
-        }
-        lp
-    }
-
-    fn run(mut self) {
-        telemetry::set_thread_track(format!("poller e{}", self.shared.core.me()));
-        let mut events: Vec<sys::PollEvent> = Vec::new();
-        let mut last_occupancy = Instant::now();
-        while !self.shared.down.load(Ordering::SeqCst) {
-            let now = Instant::now();
-            self.sweep(now);
-            // Sleep until the next redial or HELLO deadline, capped at the
-            // tick. Parked links have no deadline: they dial only when
-            // traffic arrives, and the sender's wake covers that.
-            let mut timeout = POLL_TICK;
-            for st in &self.out {
-                if let OutState::Down(d) = st {
-                    if !d.parked {
-                        timeout = timeout.min(d.next.saturating_duration_since(now));
-                    }
-                }
-            }
-            if let Some((earliest, _)) = self.waiting().min() {
-                timeout = timeout.min(earliest.saturating_duration_since(now));
-            }
-            // Sleep/wake protocol: announce we are about to sleep, then
-            // consume the dirty flag. Work that raced in skips the sleep;
-            // work that lands after sees `sleeping` and fires the waker.
-            self.shared.sleeping.store(true, Ordering::SeqCst);
-            let wait_for = if self.shared.dirty.swap(false, Ordering::SeqCst) {
-                Duration::ZERO
-            } else {
-                timeout
-            };
-            let res = self.shared.poller.wait(&mut events, Some(wait_for));
-            self.shared.sleeping.store(false, Ordering::SeqCst);
-            if res.is_err() {
-                break; // the poll fd itself failed; nothing to salvage
-            }
-            let batch = std::mem::take(&mut events);
-            for &ev in &batch {
-                self.handle_event(ev);
-            }
-            events = batch;
-            if telemetry::is_enabled() && last_occupancy.elapsed() >= Duration::from_millis(250) {
-                last_occupancy = Instant::now();
-                telemetry::counter(
-                    "pool.occupancy",
-                    0,
-                    BufPool::global().stats().resident_bytes,
-                );
-            }
-        }
-        self.drain_and_close();
-    }
-
-    /// Accepts every queued connection under a free slot token and reads
-    /// its HELLO at once: it usually arrived with the handshake. Past
-    /// [`MAX_PENDING_HELLOS`] connections still waiting, the oldest closes.
-    fn accept_all(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            let slot = self.conns.iter().position(Option::is_none);
-            let slot = slot.unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-            let (fd, token) = (stream.as_raw_fd(), INBOUND_BASE | slot as u64);
-            if stream.set_nonblocking(true).is_err()
-                || self.shared.poller.register(fd, token, true, false).is_err()
-            {
-                continue;
-            }
-            self.conns[slot] = Some(Inbound::Hello(HelloConn {
-                stream,
-                hello: [0; HELLO_BYTES],
-                have: 0,
-                deadline: Instant::now() + HELLO_TIMEOUT,
-            }));
-            self.read_hello(slot);
-            if self.waiting().count() > MAX_PENDING_HELLOS {
-                let (_, oldest) = self.waiting().min().expect("over the cap");
-                self.reject(oldest);
-            }
-        }
-    }
-
-    /// Deadline and slot of every connection still waiting for its HELLO.
-    fn waiting(&self) -> impl Iterator<Item = (Instant, usize)> + '_ {
-        self.conns
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, c)| match c {
-                Some(Inbound::Hello(h)) => Some((h.deadline, slot)),
-                _ => None,
-            })
-    }
-
-    /// Reads what is missing of a HELLO — never a frame byte past it — and
-    /// admits a whole, valid one through the gate: the connection gets its
-    /// staging buffer, and counts towards the initial mesh (a peer's first)
-    /// or as a re-accept (any after the mesh is up).
-    fn read_hello(&mut self, slot: usize) {
-        let Some(Some(Inbound::Hello(h))) = self.conns.get_mut(slot) else {
-            return;
-        };
-        while h.have < HELLO_BYTES {
-            match h.stream.read(&mut h.hello[h.have..]) {
-                Ok(0) => return self.reject(slot),
-                Ok(got) => h.have += got,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.reject(slot),
-            }
-        }
-        let endpoints = self.shared.spec.addrs.len();
-        let Some(hello) = net::validate_hello(&h.hello, self.shared.core.me(), endpoints) else {
-            return self.reject(slot);
-        };
-        let first = !self.gate.heard(hello.peer);
-        if !self.gate.admit(hello) {
-            return self.close(slot); // a duplicate, counted by the gate
-        }
-        if first {
-            if self.shared.unheard.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.connector.unpark(); // the initial mesh is up
-            }
-        } else if self.shared.unheard.load(Ordering::SeqCst) == 0 {
-            self.shared.reaccepted.inc();
-            telemetry::instant("reconnect.accept", hello.peer as u64, 0);
-        }
-        if let Some(Inbound::Hello(h)) = self.conns[slot].take() {
-            self.conns[slot] = Some(Inbound::Frames(InConn {
-                stream: h.stream,
-                peer: hello.peer,
-                from_node: self.shared.spec.node_of_endpoint[hello.peer],
-                buf: vec![0u8; STAGING_BYTES],
-                start: 0,
-                end: 0,
-                direct: None,
-            }));
-        }
-    }
-
-    /// Closes a connection whose HELLO was bad: malformed, cut short,
-    /// overdue, or the oldest over the waiting cap.
-    fn reject(&mut self, slot: usize) {
-        self.shared.bad_hellos.inc();
-        self.close(slot);
-    }
-
-    /// Deregisters and drops one inbound connection.
-    fn close(&mut self, slot: usize) {
-        if let Some(conn) = self.conns[slot].take() {
-            self.shared.poller.deregister(conn.stream().as_raw_fd());
-        }
-    }
-
-    /// Moves an `Up` outbound stream into nonblocking mode and registers it
-    /// (hangup interest only; write interest is added on demand). On failure
-    /// the link goes `Down` and the redial path gets its turn.
-    fn register_outbound(&mut self, peer: usize) {
-        let OutState::Up(stream) = &self.out[peer] else {
-            return;
-        };
-        let fd = stream.as_raw_fd();
-        let ok = stream.set_nonblocking(true).is_ok()
-            && self
-                .shared
-                .poller
-                .register(fd, peer as u64, false, false)
-                .is_ok();
-        if ok {
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = Some(fd);
-        } else {
-            // The slot may have been pre-published at connect time; a link
-            // that failed registration must not leave a dangling fd behind.
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = None;
-            self.out[peer] = OutState::Down(DownState::fresh(
-                &self.shared.spec,
-                Instant::now(),
-                "could not register outbound socket".into(),
-            ));
-        }
-    }
-
-    fn handle_event(&mut self, ev: sys::PollEvent) {
-        if ev.token == LISTEN_TOKEN {
-            return self.accept_all();
-        }
-        if ev.token < INBOUND_BASE {
-            let peer = ev.token as usize;
-            if peer >= self.out.len() {
-                return;
-            }
-            *self.shared.last_ready.lock().expect("last ready lock") =
-                Some((peer, "tx", Instant::now()));
-            // Outbound sockets carry no inbound data, so readable means the
-            // peer closed its end (RDHUP) — either way the link is broken.
-            if ev.hangup || ev.readable {
-                self.break_link(peer, "peer hung up");
-            } else if ev.writable {
-                self.flush_link(peer);
-            }
-            return;
-        }
-        let slot = (ev.token - INBOUND_BASE) as usize;
-        let conn = match self.conns.get_mut(slot) {
-            Some(Some(Inbound::Frames(conn))) => conn,
-            Some(Some(Inbound::Hello(_))) => return self.read_hello(slot),
-            _ => return,
-        };
-        *self.shared.last_ready.lock().expect("last ready lock") =
-            Some((conn.peer, "rx", Instant::now()));
-        if let Err(close) = service_inbound(conn, &self.shared) {
-            if let Close::Poison(e) = close {
-                let mut slot_err = self.shared.reader_err.lock().expect("reader error lock");
-                if slot_err.is_none() {
-                    *slot_err = Some(TransportError::Frame(e));
-                }
-            }
-            self.close(slot);
-        }
-    }
-
-    /// Per-iteration link maintenance: close overdue HELLOs, flush what is
-    /// flushable, redial what is due, revive dead links with queued traffic.
-    fn sweep(&mut self, now: Instant) {
-        let overdue: Vec<usize> = self
-            .waiting()
-            .filter(|&(d, _)| now >= d)
-            .map(|w| w.1)
-            .collect();
-        for slot in overdue {
-            self.reject(slot);
-        }
-        for peer in 0..self.out.len() {
-            if peer == self.shared.core.me() {
-                continue;
-            }
-            // Lock-free depth probe: a stale zero is safe (the enqueueing
-            // sender sets `dirty` and wakes us), a stale non-zero just takes
-            // the queue lock once and finds it empty.
-            let queued = self.shared.links[peer]
-                .as_ref()
-                .is_some_and(|l| l.depth.load(Ordering::Relaxed) > 0);
-            match &self.out[peer] {
-                OutState::Up(_) => {
-                    // Skip when awaiting EPOLLOUT: the socket said "full".
-                    if queued && !self.wants_writable[peer] {
-                        self.flush_link(peer);
-                    }
-                }
-                OutState::Down(d) => {
-                    if queued {
-                        if d.parked {
-                            // Traffic arrived for a parked link: restart the
-                            // redial state machine with a fresh budget (the
-                            // parked window may be arbitrarily stale) and
-                            // dial immediately.
-                            let cause = d.cause.clone();
-                            self.out[peer] =
-                                OutState::Down(DownState::fresh(&self.shared.spec, now, cause));
-                            self.try_redial(peer, now);
-                        } else if now >= d.next {
-                            self.try_redial(peer, now);
-                        }
-                    } else if !d.parked && now >= d.next {
-                        let mut parked = DownState::fresh(&self.shared.spec, now, d.cause.clone());
-                        parked.parked = true;
-                        self.out[peer] = OutState::Down(parked);
-                    }
-                }
-                OutState::Dead => {
-                    if queued {
-                        self.out[peer] = OutState::Down(DownState::fresh(
-                            &self.shared.spec,
-                            now,
-                            "link previously declared dead".into(),
-                        ));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Drains one link's queue with vectored writes until empty, the socket
-    /// blocks (register write interest), or the link breaks.
-    ///
-    /// The only code that writes a socket. The queue lock is never held
-    /// across a syscall: each round *steals* a batch of frames under the lock
-    /// (senders enqueue behind it), writes outside it, then reconciles.
-    /// Senders on a hot link stay lock-free-in-practice instead of
-    /// futex-sleeping behind every poller write.
-    fn flush_link(&mut self, peer: usize) {
-        loop {
-            let OutState::Up(stream) = &mut self.out[peer] else {
-                return;
-            };
-            let fd = stream.as_raw_fd();
-            let Some(link) = self.shared.links[peer].as_ref() else {
-                return;
-            };
-            let mut batch: VecDeque<QueuedFrame> = {
-                let mut q = link.q.lock().expect("link queue");
-                if q.frames.is_empty() {
-                    drop(q);
-                    if self.wants_writable[peer] {
-                        self.wants_writable[peer] = false;
-                        let _ = self.shared.poller.modify(fd, peer as u64, false, false);
-                    }
-                    return;
-                }
-                // Pop, don't split: `split_off` would relocate the whole
-                // tail of a deep queue per batch.
-                let take = q.frames.len().min(MAX_IOV / 2);
-                let mut batch = VecDeque::with_capacity(take);
-                for _ in 0..take {
-                    batch.push_back(q.frames.pop_front().expect("batch under len"));
-                }
-                batch
-            };
-            self.shared.m_writev_batch.record(batch.len() as u64);
-            let mut iov: Vec<IoSlice<'_>> = Vec::with_capacity(MAX_IOV);
-            for (i, f) in batch.iter().enumerate() {
-                if i == 0 && f.written > 0 {
-                    // Resume the partially written head, maybe mid-payload.
-                    if f.written < FRAME_HEADER_BYTES {
-                        iov.push(IoSlice::new(&f.hdr[f.written..]));
-                        if !f.payload.is_empty() {
-                            iov.push(IoSlice::new(&f.payload));
-                        }
-                    } else {
-                        iov.push(IoSlice::new(&f.payload[f.written - FRAME_HEADER_BYTES..]));
-                    }
-                } else {
-                    iov.push(IoSlice::new(&f.hdr));
-                    if !f.payload.is_empty() {
-                        iov.push(IoSlice::new(&f.payload));
-                    }
-                }
-            }
-            let res = stream.write_vectored(&iov);
-            let mut q = link.q.lock().expect("link queue");
-            if let Ok(n) = res {
-                if n > 0 {
-                    advance_batch(&self.shared, link, &mut q, &mut batch, n);
-                }
-            }
-            // Unwritten frames go back where they came from: ahead of
-            // anything senders queued while the batch was out.
-            let drained = batch.is_empty();
-            while let Some(f) = batch.pop_back() {
-                q.frames.push_front(f);
-            }
-            match res {
-                Ok(0) => {
-                    drop(q);
-                    self.break_link(peer, "wrote zero bytes");
-                    return;
-                }
-                Ok(_) => {
-                    if !drained {
-                        // Socket took a partial batch; try again, it may
-                        // still have room.
-                        continue;
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    drop(q);
-                    if !self.wants_writable[peer] {
-                        self.wants_writable[peer] = true;
-                        let _ = self.shared.poller.modify(fd, peer as u64, false, true);
-                    }
-                    return;
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => {
-                    let cause = format!("write: {e}");
-                    drop(q);
-                    self.break_link(peer, &cause);
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Retires a broken outbound stream and arms the redial state machine.
-    /// The partially written head frame is rewound to be rewritten whole —
-    /// the peer discards partial frames at EOF, so boundaries stay intact.
-    /// A stale readiness event for a link already `Down`/`Dead` is a no-op.
-    fn break_link(&mut self, peer: usize, cause: &str) {
-        if !matches!(self.out[peer], OutState::Up(_)) {
-            return;
-        }
-        let now = Instant::now();
-        let prev = std::mem::replace(
-            &mut self.out[peer],
-            OutState::Down(DownState::fresh(&self.shared.spec, now, cause.to_string())),
-        );
-        if let OutState::Up(stream) = prev {
-            // Clear the sever slot *before* the fd can be reused.
-            let mut slot = self.shared.out_fds[peer].lock().expect("out fd lock");
-            *slot = None;
-            self.shared.poller.deregister(stream.as_raw_fd());
-            drop(stream);
-            drop(slot);
-        }
-        self.wants_writable[peer] = false;
-        if let Some(link) = &self.shared.links[peer] {
-            let mut q = link.q.lock().expect("link queue");
-            if let Some(f) = q.frames.front_mut() {
-                f.written = 0;
-            }
-        }
-    }
-
-    /// One inline dial attempt for a `Down` link. Success re-registers and
-    /// flushes; failure backs off, and past the deadline the link dies.
-    fn try_redial(&mut self, peer: usize, now: Instant) {
-        let mut d = match std::mem::replace(&mut self.out[peer], OutState::Dead) {
-            OutState::Down(d) => d,
-            other => {
-                self.out[peer] = other;
-                return;
-            }
-        };
-        d.attempts += 1;
-        self.shared.redial_attempts.inc();
-        self.gens[peer] += 1;
-        let generation = self.gens[peer];
-        let addr = self.shared.spec.addrs[peer];
-        match net::dial_once(
-            addr,
-            self.shared.core.me(),
-            generation,
-            REDIAL_ATTEMPT_TIMEOUT,
-        ) {
-            Ok(stream) => {
-                self.shared.reconnected.inc();
-                telemetry::instant("reconnect", peer as u64, d.attempts);
-                self.out[peer] = OutState::Up(stream);
-                self.wants_writable[peer] = false;
-                self.register_outbound(peer);
-                self.flush_link(peer);
-            }
-            Err(e) => {
-                if now >= d.deadline {
-                    let verdict = format!(
-                        "link to endpoint {peer} dead after {} attempts ({}; last: {e})",
-                        d.attempts, d.cause
-                    );
-                    self.kill_link(peer, verdict);
-                    self.out[peer] = OutState::Dead;
-                } else {
-                    let delay = d.backoff.next_delay();
-                    d.next = now + delay;
-                    self.out[peer] = OutState::Down(d);
-                }
-            }
-        }
-    }
-
-    /// Declares a link dead: queued frames are dropped, blocked senders are
-    /// released, and the verdict is recorded on the queue.
-    fn kill_link(&mut self, peer: usize, verdict: String) {
-        let Some(link) = self.shared.links[peer].as_ref() else {
-            return;
-        };
-        let mut q = link.q.lock().expect("link queue");
-        let dropped = q.frames.len() as u64;
-        link.depth.fetch_sub(dropped, Ordering::Relaxed);
-        self.shared
-            .pending_frames
-            .fetch_sub(dropped, Ordering::Relaxed);
-        self.shared
-            .pending_bytes
-            .fetch_sub(q.bytes, Ordering::Relaxed);
-        q.frames.clear();
-        q.bytes = 0;
-        q.dead = Some(verdict);
-        link.space.notify_all();
-        telemetry::instant("link.dead", peer as u64, dropped);
-    }
-
-    /// Shutdown epilogue: flush live queues within [`DRAIN_BUDGET`] (still
-    /// servicing inbound so peers draining *us* are not stalled), then FIN
-    /// outbound and retire every socket.
-    fn drain_and_close(mut self) {
-        let deadline = Instant::now() + DRAIN_BUDGET;
-        let mut events: Vec<sys::PollEvent> = Vec::new();
-        loop {
-            let mut pending = false;
-            for peer in 0..self.out.len() {
-                if peer == self.shared.core.me() || !matches!(self.out[peer], OutState::Up(_)) {
-                    continue;
-                }
-                self.flush_link(peer);
-                if matches!(self.out[peer], OutState::Up(_)) {
-                    if let Some(link) = &self.shared.links[peer] {
-                        if !link.q.lock().expect("link queue").frames.is_empty() {
-                            pending = true;
-                        }
-                    }
-                }
-            }
-            if !pending || Instant::now() >= deadline {
-                break;
-            }
-            if self
-                .shared
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .is_err()
-            {
-                break;
-            }
-            let batch = std::mem::take(&mut events);
-            for &ev in &batch {
-                self.handle_event(ev);
-            }
-            events = batch;
-        }
-        // Senders still parked on backpressure must observe the shutdown.
-        for link in self.shared.links.iter().flatten() {
-            link.space.notify_all();
-        }
-        // FIN every outbound stream: peers read to EOF, losing nothing that
-        // was flushed. Clearing the fd slots first keeps sever_link away
-        // from descriptors about to be closed.
-        for (peer, st) in self.out.iter().enumerate() {
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = None;
-            if let OutState::Up(stream) = st {
-                let _ = stream.shutdown(Shutdown::Write);
-                self.shared.poller.deregister(stream.as_raw_fd());
-            }
-        }
-        self.shared.poller.deregister(self.listener.as_raw_fd());
-        for conn in self.conns.iter().flatten() {
-            self.shared.poller.deregister(conn.stream().as_raw_fd());
-        }
-        // Dropping `self` closes the listener and every socket; the handle
-        // closes the inbox once this thread is joined.
-    }
-}
-
-/// Pops fully written frames (and advances the partial head) of a stolen
-/// write batch after a vectored write of `n` bytes, keeping the queue's
-/// byte/depth accounting (which still covers stolen frames) in step and
-/// signalling senders when space opens up.
-fn advance_batch(
-    shared: &Shared,
-    link: &LinkShared,
-    q: &mut LinkQueue,
-    batch: &mut VecDeque<QueuedFrame>,
-    mut n: usize,
-) {
-    while n > 0 {
-        let f = batch.front_mut().expect("advanced past batch");
-        let rem = f.len() - f.written;
-        if n >= rem {
-            n -= rem;
-            let flen = f.len() as u64;
-            q.bytes -= flen;
-            link.depth.fetch_sub(1, Ordering::Relaxed);
-            shared.pending_frames.fetch_sub(1, Ordering::Relaxed);
-            shared.pending_bytes.fetch_sub(flen, Ordering::Relaxed);
-            batch.pop_front();
-        } else {
-            f.written += n;
-            n = 0;
-        }
-    }
-    if q.bytes < MAX_LINK_PENDING_BYTES {
-        link.space.notify_all();
-    }
-}
-
-/// Reads and delivers every frame currently available on one inbound
-/// connection: staging-buffer parsing for small frames, direct-to-lease
-/// reads for payloads of [`DIRECT_READ_MIN`] bytes and up. Returns when the
-/// socket would block; `Err` retires the connection.
-fn service_inbound(conn: &mut InConn, shared: &Shared) -> Result<(), Close> {
-    loop {
-        // Finish an in-flight direct read first: the lease IS the payload.
-        if let Some(d) = conn.direct.as_mut() {
-            while d.have < d.lease.len() {
-                match conn.stream.read(&mut d.lease[d.have..]) {
-                    Ok(0) => return Err(Close::Benign), // died mid-frame
-                    Ok(got) => d.have += got,
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                    Err(_) => return Err(Close::Benign),
-                }
-            }
-            let d = conn.direct.take().expect("direct read present");
-            deliver(conn.from_node, shared, &d.header, d.lease.freeze())?;
-            continue;
-        }
-        // Parse whole frames out of staging.
-        while conn.end - conn.start >= FRAME_HEADER_BYTES {
-            let hdr: [u8; FRAME_HEADER_BYTES] = conn.buf
-                [conn.start..conn.start + FRAME_HEADER_BYTES]
-                .try_into()
-                .expect("header slice");
-            let header = parse_header(&hdr).map_err(Close::Poison)?;
-            let plen = header.payload_len;
-            let body_start = conn.start + FRAME_HEADER_BYTES;
-            let staged = conn.end - body_start;
-            if plen >= DIRECT_READ_MIN {
-                // Large payload: seed the lease with whatever is already
-                // staged and read the rest straight off the socket. The
-                // lease is dirty — every byte is overwritten by the staged
-                // copy plus the direct reads before it can be delivered.
-                let mut lease = BufPool::global().get_dirty(plen);
-                let take = staged.min(plen);
-                lease[..take].copy_from_slice(&conn.buf[body_start..body_start + take]);
-                conn.start = body_start + take;
-                if take == plen {
-                    deliver(conn.from_node, shared, &header, lease.freeze())?;
-                    continue;
-                }
-                conn.direct = Some(DirectRead {
-                    header,
-                    lease,
-                    have: take,
-                });
-                break;
-            }
-            if staged < plen {
-                break; // await the rest of this small frame
-            }
-            let mut lease = BufPool::global().get_dirty(plen);
-            lease.copy_from_slice(&conn.buf[body_start..body_start + plen]);
-            conn.start = body_start + plen;
-            deliver(conn.from_node, shared, &header, lease.freeze())?;
-        }
-        if conn.direct.is_some() {
-            continue;
-        }
-        // Compact the partial tail to the front and refill from the socket.
-        // The refill is capped at [`REFILL_READ_BYTES`] so a large payload
-        // queued behind this read lands mostly in its lease, not in staging.
-        if conn.start > 0 {
-            conn.buf.copy_within(conn.start..conn.end, 0);
-            conn.end -= conn.start;
-            conn.start = 0;
-        }
-        let cap = (conn.end + REFILL_READ_BYTES).min(conn.buf.len());
-        match conn.stream.read(&mut conn.buf[conn.end..cap]) {
-            // EOF: clean at a boundary, or the peer died mid-frame. The
-            // partial tail is discarded; a reconnecting sender rewrites
-            // whole frames, so no fragment survives. Benign either way.
-            Ok(0) => return Err(Close::Benign),
-            Ok(got) => conn.end += got,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(_) => return Err(Close::Benign),
-        }
-    }
-}
-
-/// Assembles and delivers one frame into the endpoint's inbox.
-fn deliver(
-    from_node: usize,
-    shared: &Shared,
-    header: &FrameHeader,
-    payload: Bytes,
-) -> Result<(), Close> {
-    shared
-        .deliver(Envelope {
-            from: from_node,
-            src: header.src as usize,
-            seq: header.seq,
-            epoch: header.epoch,
-            msg: assemble(header, payload),
-        })
-        .map_err(|()| Close::Benign) // local endpoint shut down first
-}
-
 #[cfg(test)]
 mod tests {
+    use super::event_loop::{HELLO_TIMEOUT, MAX_PENDING_HELLOS, POLL_TICK};
+    use super::net::HELLO_BYTES;
+    use super::registry::REGISTRY;
     use super::*;
     use crate::wire::LAYER_GRANULAR_CHUNK;
+    use std::io::{Read, Write};
     use std::net::Ipv4Addr;
+    use std::net::SocketAddr;
 
     fn grad(iter: u64, payload: usize) -> Message {
         Message::GradChunk {
