@@ -125,8 +125,8 @@ const USAGE: &str = "poseidon-node: multi-process distributed SGD over TCP
                     while it trains (curl any of them)
   --straggler W:MS  delay worker W by MS milliseconds per iteration (the
                     health plane should then name W in its verdict)
-  --straggler-factor F  flag workers whose busy-time p50 exceeds the mesh
-                    median by more than F                        [2]
+  --straggler-factor F  flag workers the floor of whose busy-time p50's
+                    log2 bucket exceeds the mesh median by more than F  [2]
   --membership-plan P  scripted shard elasticity, e.g. 'leave:1@2;join:1@4'
                     (action:shard@iter; 'restart:S@N' marks a checkpoint/
                     resume generation boundary the launcher drives; join/

@@ -13,7 +13,11 @@
 //! any injected delay), which is exactly what the runtime records into
 //! `poseidon_busy_time_ns{worker}`. The detector compares each worker's
 //! busy p50 against the mesh median and flags ratios above
-//! [`HealthConfig::straggler_factor`].
+//! [`HealthConfig::straggler_factor`]. Those p50s are log2 bucket bounds
+//! ([`HistogramSnapshot::quantile`](crate::metrics::HistogramSnapshot::quantile)),
+//! so two healthy workers one bucket apart read ×2.00006: a worker is
+//! flagged only when the *floor* of its p50's bucket exceeds the factor
+//! times the median, that is, when its true ratio must exceed the factor.
 //!
 //! Surfaced in [`TrainResult::health`](crate::runtime::TrainResult) and
 //! printed by the `poseidon-node` launcher (which reconstructs the same
@@ -25,8 +29,8 @@ use crate::metrics::MetricsSnapshot;
 /// [`RuntimeConfig`](crate::runtime::RuntimeConfig).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// A worker is a straggler when its busy-time p50 exceeds the mesh
-    /// median by this factor.
+    /// A worker is a straggler when the floor of its busy-time p50's log2
+    /// bucket exceeds the mesh median by this factor.
     pub straggler_factor: f64,
 }
 
@@ -47,7 +51,8 @@ pub struct PeerVerdict {
     pub busy_p50_ns: u64,
     /// Ratio of this worker's p50 to the mesh median.
     pub ratio: f64,
-    /// Whether the ratio exceeded the configured factor.
+    /// Whether the floor of the p50's bucket exceeded the factor times the
+    /// median.
     pub straggler: bool,
 }
 
@@ -105,6 +110,12 @@ fn median(mut vals: Vec<u64>) -> u64 {
     vals[(vals.len() - 1) / 2]
 }
 
+/// The lower bound of `v`'s log2 histogram bucket: the least a p50 read
+/// back as `v` can truly be.
+fn bucket_floor(v: u64) -> u64 {
+    v.checked_ilog2().map_or(0, |b| 1 << b)
+}
+
 /// Judges each `(worker, busy_p50_ns)` pair against the mesh median.
 pub fn detect(busy_p50: &[(usize, u64)], factor: f64) -> HealthReport {
     if busy_p50.is_empty() {
@@ -131,7 +142,7 @@ pub fn detect(busy_p50: &[(usize, u64)], factor: f64) -> HealthReport {
                 worker,
                 busy_p50_ns: p50,
                 ratio,
-                straggler: ratio > factor,
+                straggler: bucket_floor(p50) as f64 > factor * med as f64,
             }
         })
         .collect();
@@ -205,5 +216,21 @@ mod tests {
         }
         let report = from_snapshot(&reg.snapshot(), 2.0);
         assert_eq!(report.stragglers(), vec![1]);
+    }
+
+    /// Two healthy workers whose p50s land one log2 bucket apart (32767 and
+    /// 65535, ×2.00006) are not a straggler verdict.
+    #[test]
+    fn from_snapshot_one_bucket_apart_is_healthy() {
+        let reg = crate::metrics::Registry::new();
+        for (worker, busy) in [("0", 30_000), ("1", 33_000)] {
+            let h = reg.histogram("poseidon_busy_time_ns", &[("worker", worker)]);
+            for _ in 0..9 {
+                h.observe(busy);
+            }
+            h.observe(1_000_000);
+        }
+        let text = from_snapshot(&reg.snapshot(), 2.0).render();
+        assert!(text.contains("health=ok"), "{text}");
     }
 }

@@ -34,10 +34,10 @@
 //! makes alike for every scheme.
 
 use crate::checkpoint::{self, PairState};
-use crate::config::{CommScheme, Consistency};
+use crate::config::Consistency;
 use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
-use crate::route::{self, Dest};
+use crate::route::{self, Dest, Payload, Route};
 use crate::syncer;
 use crate::transport::Message;
 use crate::wire::{self, Codec, CodecError, LAYER_GRANULAR_CHUNK};
@@ -456,34 +456,34 @@ impl ShardServer {
     ) -> Self {
         let (elastic, ssp) = (!schedule.is_trivial(), consistency != Consistency::Bsp);
         let mut table = BTreeMap::new();
-        for (l, scheme) in coordinator.scheme_assignment() {
-            match scheme {
-                CommScheme::Ps => {
-                    let codec = coordinator.best_codec(l);
-                    assert!(
-                        !ssp || codec == Codec::Identity,
-                        "SSP supports the identity codec only; lossy error feedback needs the \
-                         BSP barrier"
-                    );
-                    let chunks = coordinator.chunk_table().layer_chunks(l);
-                    for (idx, c) in chunks.into_iter().enumerate() {
-                        let pair = (c.shard, c.range(), Reply::Chunk(codec));
-                        table.insert((l as u32, idx as u32), pair);
+        for (l, _) in coordinator.scheme_assignment() {
+            // A shard holds the pairs its layer's frames reach: the route's
+            // sends to a `Dest::Shard`, which are every worker's alike.
+            let route = Route::for_layer(coordinator, l);
+            let chunks = coordinator.chunk_table().layer_chunks(l);
+            for (dest, seg) in route.sends(0, chunks.len(), |seg| chunks[seg].shard) {
+                let Dest::Shard(home) = dest else { continue };
+                let codec = coordinator.best_codec(l);
+                assert!(
+                    !ssp || codec == Codec::Identity,
+                    "SSP supports the identity codec only; lossy error feedback needs the \
+                     BSP barrier"
+                );
+                let info = &coordinator.layers()[l];
+                let (chunk, range, reply) = match route.payload() {
+                    Payload::Chunks => (seg as u32, chunks[seg].range(), Reply::Chunk(codec)),
+                    // Adam's factors, the only other payload a shard is sent.
+                    Payload::Factors | Payload::Segments => {
+                        assert!(
+                            !elastic,
+                            "elastic membership does not support layer-granular (AdamSf) shards"
+                        );
+                        let (rows, cols) = info.fc_shape.expect("Adam layers have an FC shape");
+                        let reply = Reply::Matrix(rows, cols);
+                        (LAYER_GRANULAR_CHUNK, 0..info.param_elems, reply)
                     }
-                }
-                CommScheme::AdamSf => {
-                    assert!(
-                        !elastic,
-                        "elastic membership does not support layer-granular (AdamSf) shards"
-                    );
-                    let info = &coordinator.layers()[l];
-                    let (rows, cols) = info.fc_shape.expect("layer-granular schemes need FC shape");
-                    let home = coordinator.adam_shard(l);
-                    let pair = (home, 0..info.param_elems, Reply::Matrix(rows, cols));
-                    table.insert((l as u32, LAYER_GRANULAR_CHUNK), pair);
-                }
-                // Peer-to-peer schemes; no server state.
-                CommScheme::Sfb | CommScheme::Ring | CommScheme::Tree => {}
+                };
+                table.insert((l as u32, chunk), (home, range, reply));
             }
         }
         if !elastic {
@@ -1226,5 +1226,31 @@ mod tests {
             )
         };
         assert_eq!(replies, vec![matrix(0), matrix(1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "SSP supports the identity codec only")]
+    fn ssp_refuses_a_lossy_reply_codec() {
+        let ssp = Consistency::Ssp { staleness: 1 };
+        fc_server(SchemePolicy::AlwaysPs, Codec::OneBit, ssp);
+    }
+
+    #[test]
+    #[should_panic(expected = "elastic membership does not support layer-granular")]
+    fn an_elastic_schedule_refuses_adam() {
+        let layers = vec![LayerInfo {
+            name: "fc".into(),
+            param_elems: 15,
+            fc_shape: Some((3, 4)),
+        }];
+        let (cluster, partition) = (
+            ClusterConfig::colocated(2, 1),
+            Partition::KvPairs { pair_elems: 64 },
+        );
+        let coordinator =
+            Coordinator::from_layers(layers, cluster, SchemePolicy::AdamSf, partition);
+        let plan = crate::membership::MembershipPlan::parse("leave:1@5").unwrap();
+        let schedule = MembershipSchedule::resolve(&plan, 2).unwrap();
+        ShardServer::new(&coordinator, 0, &schedule, 0.9, Consistency::Bsp);
     }
 }

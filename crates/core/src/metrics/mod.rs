@@ -56,6 +56,9 @@
 //! over the waiting cap), `poseidon_dial_retries_total` (initial mesh);
 //! `poseidon_stale_epoch_frames_total`. Reliability, (o) `{endpoint}`:
 //! `poseidon_{retransmits,dup_drops,nacks,acks,probes,reorders}_total`.
+//! Exposition: `poseidon_bad_scrapes_total{addr}` (requests the metrics
+//! door closed unanswered: cut short, over its byte cap, overdue or the
+//! oldest over the waiting cap).
 //! Codec: `poseidon_codec_bytes_{pre,post}_total{codec}`. Pool:
 //! `poseidon_pool_{hits,misses}_total` (o), `poseidon_pool_resident_{bufs,bytes}`.
 //!

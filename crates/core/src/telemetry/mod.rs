@@ -12,8 +12,8 @@
 //!    bitwise identical with telemetry on or off (pinned by
 //!    `crates/core/tests/telemetry_determinism.rs`).
 //! 3. **Lock-free on the hot path.** Each thread appends events to its own
-//!    thread-local buffer (bounded: past [`TelemetryConfig::capacity_per_thread`]
-//!    events are counted as dropped, not recorded). The only lock is taken
+//!    thread-local buffer (bounded: past [`DEFAULT_CAPACITY`] events are
+//!    counted as dropped, not recorded). The only lock is taken
 //!    when a buffer is *flushed* into the global sink — at thread exit or at
 //!    [`drain`] — never per event.
 //!
@@ -47,42 +47,29 @@ mod json;
 pub mod report;
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-/// Recorder knobs, carried on
+/// The recorder switch, carried on
 /// [`RuntimeConfig`](crate::runtime::RuntimeConfig).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TelemetryConfig {
     /// Record events. Off by default; the training path is bitwise identical
     /// either way.
     pub enabled: bool,
-    /// Per-thread event buffer bound; events past it are dropped (and
-    /// counted in [`Track::dropped`]) rather than grown without limit.
-    pub capacity_per_thread: usize,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        Self {
-            enabled: false,
-            capacity_per_thread: DEFAULT_CAPACITY,
-        }
-    }
 }
 
 impl TelemetryConfig {
-    /// An enabled config with the default per-thread bound.
+    /// A config that records events.
     pub fn enabled() -> Self {
-        Self {
-            enabled: true,
-            ..Self::default()
-        }
+        Self { enabled: true }
     }
 }
 
-/// Default per-thread event bound (~24 MB/thread worst case).
+/// Per-thread event buffer bound (~24 MB/thread worst case); events past it
+/// are dropped, and counted in [`Track::dropped`], rather than grown without
+/// limit.
 pub const DEFAULT_CAPACITY: usize = 1 << 19;
 
 /// What one event records.
@@ -165,7 +152,6 @@ impl Trace {
 // ---------------------------------------------------------------------------
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_CAPACITY);
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -242,9 +228,8 @@ pub fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
-/// Applies `cfg`: sets the per-thread bound and turns recording on or off.
+/// Applies `cfg`: turns recording on or off.
 pub fn configure(cfg: &TelemetryConfig) {
-    CAPACITY.store(cfg.capacity_per_thread.max(1), Ordering::Relaxed);
     if cfg.enabled {
         enable();
     } else {
@@ -292,9 +277,8 @@ fn record(kind: EventKind, name: &'static str, lane: u32, a: u64, b: u64) {
         return;
     }
     let ts_ns = now_ns();
-    let cap = CAPACITY.load(Ordering::Relaxed);
     with_buf(|buf| {
-        if buf.events.len() >= cap {
+        if buf.events.len() >= DEFAULT_CAPACITY {
             buf.dropped += 1;
         } else {
             buf.events.push(Event {
@@ -494,19 +478,15 @@ mod tests {
     #[test]
     fn buffer_bound_counts_drops_instead_of_growing() {
         let _g = test_lock();
-        configure(&TelemetryConfig {
-            enabled: true,
-            capacity_per_thread: 4,
-        });
+        configure(&TelemetryConfig::enabled());
         let _ = drain();
-        for i in 0..10 {
-            instant("x", i, 0);
+        for i in 0..DEFAULT_CAPACITY + 6 {
+            instant("x", i as u64, 0);
         }
         disable();
-        CAPACITY.store(DEFAULT_CAPACITY, Ordering::Relaxed);
         let trace = drain();
         let track = trace.tracks.iter().find(|t| !t.events.is_empty()).unwrap();
-        assert_eq!(track.events.len(), 4);
+        assert_eq!(track.events.len(), DEFAULT_CAPACITY);
         assert_eq!(track.dropped, 6);
     }
 

@@ -22,6 +22,7 @@
 
 mod inproc;
 mod net;
+pub(crate) mod poll;
 mod reliable;
 pub(crate) mod sys;
 mod tcp;
@@ -141,7 +142,7 @@ impl Message {
     /// Bytes this message occupies on the wire — the length of its encoded
     /// frame (header plus payload), not a hand-maintained formula.
     pub fn wire_bytes(&self) -> u64 {
-        (wire::FRAME_HEADER_BYTES + self.payload_len()) as u64
+        (wire::FRAME_HEADER_BYTES + self.payload().len()) as u64
     }
 
     /// The iteration stamp carried by the message (control frames: their
@@ -201,10 +202,6 @@ impl Message {
     /// carry no training data and never reach the runtime.
     pub fn is_control(&self) -> bool {
         matches!(self, Message::Ack { .. } | Message::Nack { .. })
-    }
-
-    fn payload_len(&self) -> usize {
-        self.payload().len()
     }
 
     /// The payload bytes the frame for this message carries (empty for
@@ -411,8 +408,6 @@ pub enum TransportError {
     Closed,
     /// The TCP mesh could not be established.
     Handshake(String),
-    /// An I/O error on an established connection.
-    Io(String),
     /// A peer sent bytes that do not parse as a frame.
     Frame(FrameError),
 }
@@ -423,7 +418,6 @@ impl std::fmt::Display for TransportError {
             TransportError::Timeout(d) => write!(f, "timed out waiting for a message: {d}"),
             TransportError::Closed => write!(f, "transport closed"),
             TransportError::Handshake(e) => write!(f, "handshake failed: {e}"),
-            TransportError::Io(e) => write!(f, "transport i/o error: {e}"),
             TransportError::Frame(e) => write!(f, "wire protocol violation: {e}"),
         }
     }

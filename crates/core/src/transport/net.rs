@@ -169,11 +169,7 @@ pub(crate) fn dial(
 /// Parses one inbound HELLO for endpoint `me` of a fabric of `endpoints`:
 /// the magic, our wire version, and a dialer id in range that is not our
 /// own. `None` rejects it.
-pub(crate) fn validate_hello(
-    hello: &[u8; HELLO_BYTES],
-    me: usize,
-    endpoints: usize,
-) -> Option<Hello> {
+pub(crate) fn validate_hello(hello: &[u8], me: usize, endpoints: usize) -> Option<Hello> {
     let word = |at: usize| u32::from_le_bytes(hello[at..at + 4].try_into().expect("4 bytes"));
     let peer = word(8) as usize;
     (word(0) == HELLO_MAGIC && word(4) == FRAME_VERSION as u32 && peer < endpoints && peer != me)

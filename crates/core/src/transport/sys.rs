@@ -6,7 +6,8 @@
 //! descriptor with a `u64` token and an (IN, OUT) interest pair, wait for a
 //! batch of [`PollEvent`]s, and wake a sleeping waiter from another thread
 //! via a [`Waker`] (an `eventfd` on Linux, a self-pipe elsewhere). The
-//! event-loop transport ([`super::tcp`]) is the only consumer.
+//! event-loop transport's poller and the metrics door, each running the
+//! accept loop of [`super::poll`], are the consumers.
 //!
 //! Every `unsafe` block here is one libc call and states, in a `// SAFETY:`
 //! comment, why its pointers are valid and its descriptors are ours; the

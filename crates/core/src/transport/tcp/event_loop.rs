@@ -1,21 +1,15 @@
 //! The poller of one TCP endpoint: the accept path, the per-link redial
 //! state machine, the vectored write path and inbound frame reassembly.
 
-use super::net::{self, HelloGate, TcpFabricSpec, HELLO_BYTES};
-use super::{LinkQueue, LinkShared, QueuedFrame, Shared, MAX_LINK_PENDING_BYTES};
+use super::net::{HelloGate, HELLO_BYTES};
+use super::*;
 use crate::pool::BufPool;
-use crate::telemetry;
-use crate::transport::{sys, Backoff, Envelope, TransportError};
-use crate::wire::{assemble, parse_header, FrameHeader, FRAME_HEADER_BYTES};
-use bytes::Bytes;
-use std::collections::VecDeque;
+use crate::transport::poll::{Fill, CONN_BASE, LISTEN_TOKEN};
+use crate::transport::Backoff;
+use crate::wire::{assemble, parse_header, FrameHeader};
 use std::io::{ErrorKind, IoSlice, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::os::fd::AsRawFd;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::net::Shutdown;
 use std::thread::Thread;
-use std::time::{Duration, Instant};
 
 /// Per-connection staging buffer for inbound frame reassembly. Any frame
 /// with a payload under [`DIRECT_READ_MIN`] is parsed wholly out of staging.
@@ -45,19 +39,8 @@ const REDIAL_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
 /// Budget for flushing live queues during shutdown before FIN.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
 
-/// How long an accepted connection may take to deliver its whole HELLO.
-pub(super) const HELLO_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Accepted connections that may wait for their HELLO at once; a new one
-/// over the cap closes the oldest.
-pub(super) const MAX_PENDING_HELLOS: usize = 16;
-
-/// Poll-token namespace for inbound connections; outbound links use their
-/// peer index directly (always `< 2^32` endpoints).
-const INBOUND_BASE: u64 = 1 << 32;
-
-/// Poll token of the listening socket.
-const LISTEN_TOKEN: u64 = sys::Poller::WAKE_TOKEN - 1;
+/// The longest one wait for readiness lasts while draining.
+const DRAIN_POLL: Duration = Duration::from_millis(10);
 
 /// Outbound link state owned by the poller.
 enum OutState {
@@ -107,35 +90,9 @@ struct DirectRead {
     have: usize,
 }
 
-/// One accepted connection: its HELLO being read, then the admitted peer's
-/// frames.
-enum Inbound {
-    Hello(HelloConn),
-    Frames(InConn),
-}
-
-impl Inbound {
-    fn stream(&self) -> &TcpStream {
-        match self {
-            Inbound::Hello(h) => &h.stream,
-            Inbound::Frames(c) => &c.stream,
-        }
-    }
-}
-
-/// An accepted connection whose HELLO is still arriving. It holds only the
-/// HELLO's bytes: the staging buffer comes with admission.
-struct HelloConn {
-    stream: TcpStream,
-    hello: [u8; HELLO_BYTES],
-    have: usize,
-    /// Past this instant the HELLO is bad and the connection closes.
-    deadline: Instant,
-}
-
-/// One admitted inbound connection and its reassembly state.
-struct InConn {
-    stream: TcpStream,
+/// One admitted inbound connection's reassembly state. Until its HELLO is
+/// admitted, a connection holds only the HELLO's bytes ([`Door`]).
+pub(super) struct InConn {
     peer: usize,
     from_node: usize,
     buf: Vec<u8>,
@@ -156,7 +113,9 @@ enum Close {
 /// readiness, flushes queues, and runs the per-link redial state machine.
 pub(super) struct EventLoop {
     shared: Arc<Shared>,
-    listener: TcpListener,
+    /// The listener and the accepted connections, bad HELLOs counted in
+    /// `poseidon_bad_hellos_total`.
+    door: Door<InConn>,
     gate: HelloGate,
     /// Our connection generation per peer, bumped on every redial attempt.
     gens: Vec<u32>,
@@ -165,26 +124,20 @@ pub(super) struct EventLoop {
     out: Vec<OutState>,
     /// Whether EPOLLOUT interest is currently registered per link.
     wants_writable: Vec<bool>,
-    conns: Vec<Option<Inbound>>,
 }
 
 impl EventLoop {
     pub(super) fn new(
         shared: Arc<Shared>,
-        listener: TcpListener,
+        door: Door<InConn>,
         out_streams: Vec<Option<TcpStream>>,
         connector: Thread,
     ) -> EventLoop {
         let n = out_streams.len();
-        // A listener the poller cannot watch admits no peer, and `connect`
-        // times out.
-        let _ = shared
-            .poller
-            .register(listener.as_raw_fd(), LISTEN_TOKEN, true, false);
         let mut lp = EventLoop {
             gate: HelloGate::new(n, shared.dup_hellos.clone()),
             shared,
-            listener,
+            door,
             gens: vec![1; n],
             connector,
             out: out_streams
@@ -192,7 +145,6 @@ impl EventLoop {
                 .map(|s| s.map_or(OutState::Dead, OutState::Up))
                 .collect(),
             wants_writable: vec![false; n],
-            conns: Vec::new(),
         };
         for peer in 0..n {
             lp.register_outbound(peer);
@@ -206,20 +158,18 @@ impl EventLoop {
         let mut last_occupancy = Instant::now();
         while !self.shared.down.load(Ordering::SeqCst) {
             let now = Instant::now();
+            let due = self.door.sweep(&self.shared.poller, now);
             self.sweep(now);
             // Sleep until the next redial or HELLO deadline, capped at the
             // tick. Parked links have no deadline: they dial only when
             // traffic arrives, and the sender's wake covers that.
-            let mut timeout = POLL_TICK;
+            let mut timeout = due.map_or(POLL_TICK, |due| due.min(POLL_TICK));
             for st in &self.out {
                 if let OutState::Down(d) = st {
                     if !d.parked {
                         timeout = timeout.min(d.next.saturating_duration_since(now));
                     }
                 }
-            }
-            if let Some((earliest, _)) = self.waiting().min() {
-                timeout = timeout.min(earliest.saturating_duration_since(now));
             }
             // Sleep/wake protocol: announce we are about to sleep, then
             // consume the dirty flag. Work that raced in skips the sleep;
@@ -235,11 +185,9 @@ impl EventLoop {
             if res.is_err() {
                 break; // the poll fd itself failed; nothing to salvage
             }
-            let batch = std::mem::take(&mut events);
-            for &ev in &batch {
+            for &ev in &events {
                 self.handle_event(ev);
             }
-            events = batch;
             if telemetry::is_enabled() && last_occupancy.elapsed() >= Duration::from_millis(250) {
                 last_occupancy = Instant::now();
                 telemetry::counter(
@@ -252,76 +200,28 @@ impl EventLoop {
         self.drain_and_close();
     }
 
-    /// Accepts every queued connection under a free slot token and reads
-    /// its HELLO at once: it usually arrived with the handshake. Past
-    /// [`MAX_PENDING_HELLOS`] connections still waiting, the oldest closes.
-    fn accept_all(&mut self) {
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => stream,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            };
-            let slot = self.conns.iter().position(Option::is_none);
-            let slot = slot.unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-            let (fd, token) = (stream.as_raw_fd(), INBOUND_BASE | slot as u64);
-            if stream.set_nonblocking(true).is_err()
-                || self.shared.poller.register(fd, token, true, false).is_err()
-            {
-                continue;
-            }
-            self.conns[slot] = Some(Inbound::Hello(HelloConn {
-                stream,
-                hello: [0; HELLO_BYTES],
-                have: 0,
-                deadline: Instant::now() + HELLO_TIMEOUT,
-            }));
-            self.read_hello(slot);
-            if self.waiting().count() > MAX_PENDING_HELLOS {
-                let (_, oldest) = self.waiting().min().expect("over the cap");
-                self.reject(oldest);
-            }
-        }
-    }
-
-    /// Deadline and slot of every connection still waiting for its HELLO.
-    fn waiting(&self) -> impl Iterator<Item = (Instant, usize)> + '_ {
-        self.conns
-            .iter()
-            .enumerate()
-            .filter_map(|(slot, c)| match c {
-                Some(Inbound::Hello(h)) => Some((h.deadline, slot)),
-                _ => None,
-            })
-    }
-
     /// Reads what is missing of a HELLO — never a frame byte past it — and
     /// admits a whole, valid one through the gate: the connection gets its
     /// staging buffer, and counts towards the initial mesh (a peer's first)
-    /// or as a re-accept (any after the mesh is up).
+    /// or as a re-accept (any after the mesh is up). A HELLO that is
+    /// malformed or cut short is rejected.
     fn read_hello(&mut self, slot: usize) {
-        let Some(Some(Inbound::Hello(h))) = self.conns.get_mut(slot) else {
+        let poller = &self.shared.poller;
+        let Some(Some(conn)) = self.door.conns.get_mut(slot) else {
             return;
         };
-        while h.have < HELLO_BYTES {
-            match h.stream.read(&mut h.hello[h.have..]) {
-                Ok(0) => return self.reject(slot),
-                Ok(got) => h.have += got,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return self.reject(slot),
-            }
+        match conn.fill(HELLO_BYTES) {
+            Fill::Pending => return,
+            Fill::Closed => return self.door.reject(poller, slot),
+            Fill::Full => {}
         }
         let endpoints = self.shared.spec.addrs.len();
-        let Some(hello) = net::validate_hello(&h.hello, self.shared.core.me(), endpoints) else {
-            return self.reject(slot);
+        let Some(hello) = net::validate_hello(&conn.head, self.shared.core.me(), endpoints) else {
+            return self.door.reject(poller, slot);
         };
         let first = !self.gate.heard(hello.peer);
         if !self.gate.admit(hello) {
-            return self.close(slot); // a duplicate, counted by the gate
+            return self.door.close(poller, slot); // a duplicate, counted by the gate
         }
         if first {
             if self.shared.unheard.fetch_sub(1, Ordering::SeqCst) == 1 {
@@ -331,31 +231,15 @@ impl EventLoop {
             self.shared.reaccepted.inc();
             telemetry::instant("reconnect.accept", hello.peer as u64, 0);
         }
-        if let Some(Inbound::Hello(h)) = self.conns[slot].take() {
-            self.conns[slot] = Some(Inbound::Frames(InConn {
-                stream: h.stream,
-                peer: hello.peer,
-                from_node: self.shared.spec.node_of_endpoint[hello.peer],
-                buf: vec![0u8; STAGING_BYTES],
-                start: 0,
-                end: 0,
-                direct: None,
-            }));
-        }
-    }
-
-    /// Closes a connection whose HELLO was bad: malformed, cut short,
-    /// overdue, or the oldest over the waiting cap.
-    fn reject(&mut self, slot: usize) {
-        self.shared.bad_hellos.inc();
-        self.close(slot);
-    }
-
-    /// Deregisters and drops one inbound connection.
-    fn close(&mut self, slot: usize) {
-        if let Some(conn) = self.conns[slot].take() {
-            self.shared.poller.deregister(conn.stream().as_raw_fd());
-        }
+        let inbound = InConn {
+            peer: hello.peer,
+            from_node: self.shared.spec.node_of_endpoint[hello.peer],
+            buf: vec![0u8; STAGING_BYTES],
+            start: 0,
+            end: 0,
+            direct: None,
+        };
+        self.door.admit(slot, inbound);
     }
 
     /// Moves an `Up` outbound stream into nonblocking mode and registers it
@@ -365,13 +249,9 @@ impl EventLoop {
         let OutState::Up(stream) = &self.out[peer] else {
             return;
         };
-        let fd = stream.as_raw_fd();
+        let (fd, poller) = (stream.as_raw_fd(), &self.shared.poller);
         let ok = stream.set_nonblocking(true).is_ok()
-            && self
-                .shared
-                .poller
-                .register(fd, peer as u64, false, false)
-                .is_ok();
+            && poller.register(fd, peer as u64, false, false).is_ok();
         if ok {
             *self.shared.out_fds[peer].lock().expect("out fd lock") = Some(fd);
         } else {
@@ -388,9 +268,14 @@ impl EventLoop {
 
     fn handle_event(&mut self, ev: sys::PollEvent) {
         if ev.token == LISTEN_TOKEN {
-            return self.accept_all();
+            // Each new HELLO is read at once: it usually arrived with the
+            // handshake.
+            while let Some(slot) = self.door.accept_next(&self.shared.poller) {
+                self.read_hello(slot);
+            }
+            return;
         }
-        if ev.token < INBOUND_BASE {
+        if ev.token < CONN_BASE {
             let peer = ev.token as usize;
             if peer >= self.out.len() {
                 return;
@@ -406,36 +291,29 @@ impl EventLoop {
             }
             return;
         }
-        let slot = (ev.token - INBOUND_BASE) as usize;
-        let conn = match self.conns.get_mut(slot) {
-            Some(Some(Inbound::Frames(conn))) => conn,
-            Some(Some(Inbound::Hello(_))) => return self.read_hello(slot),
-            _ => return,
+        let slot = (ev.token - CONN_BASE) as usize;
+        let Some(Some(conn)) = self.door.conns.get_mut(slot) else {
+            return;
+        };
+        let Some(inbound) = conn.owner.as_mut() else {
+            return self.read_hello(slot);
         };
         *self.shared.last_ready.lock().expect("last ready lock") =
-            Some((conn.peer, "rx", Instant::now()));
-        if let Err(close) = service_inbound(conn, &self.shared) {
+            Some((inbound.peer, "rx", Instant::now()));
+        if let Err(close) = service_inbound(&conn.stream, inbound, &self.shared) {
             if let Close::Poison(e) = close {
                 let mut slot_err = self.shared.reader_err.lock().expect("reader error lock");
                 if slot_err.is_none() {
                     *slot_err = Some(TransportError::Frame(e));
                 }
             }
-            self.close(slot);
+            self.door.close(&self.shared.poller, slot);
         }
     }
 
-    /// Per-iteration link maintenance: close overdue HELLOs, flush what is
-    /// flushable, redial what is due, revive dead links with queued traffic.
+    /// Per-iteration link maintenance: flush what is flushable, redial what
+    /// is due, revive dead links with queued traffic.
     fn sweep(&mut self, now: Instant) {
-        let overdue: Vec<usize> = self
-            .waiting()
-            .filter(|&(d, _)| now >= d)
-            .map(|w| w.1)
-            .collect();
-        for slot in overdue {
-            self.reject(slot);
-        }
         for peer in 0..self.out.len() {
             if peer == self.shared.core.me() {
                 continue;
@@ -546,7 +424,7 @@ impl EventLoop {
             let mut q = link.q.lock().expect("link queue");
             if let Ok(n) = res {
                 if n > 0 {
-                    advance_batch(&self.shared, link, &mut q, &mut batch, n);
+                    advance_batch(link, &mut q, &mut batch, n);
                 }
             }
             // Unwritten frames go back where they came from: ahead of
@@ -630,14 +508,8 @@ impl EventLoop {
         d.attempts += 1;
         self.shared.redial_attempts.inc();
         self.gens[peer] += 1;
-        let generation = self.gens[peer];
-        let addr = self.shared.spec.addrs[peer];
-        match net::dial_once(
-            addr,
-            self.shared.core.me(),
-            generation,
-            REDIAL_ATTEMPT_TIMEOUT,
-        ) {
+        let (addr, me) = (self.shared.spec.addrs[peer], self.shared.core.me());
+        match net::dial_once(addr, me, self.gens[peer], REDIAL_ATTEMPT_TIMEOUT) {
             Ok(stream) => {
                 self.shared.reconnected.inc();
                 telemetry::instant("reconnect", peer as u64, d.attempts);
@@ -672,12 +544,6 @@ impl EventLoop {
         let mut q = link.q.lock().expect("link queue");
         let dropped = q.frames.len() as u64;
         link.depth.fetch_sub(dropped, Ordering::Relaxed);
-        self.shared
-            .pending_frames
-            .fetch_sub(dropped, Ordering::Relaxed);
-        self.shared
-            .pending_bytes
-            .fetch_sub(q.bytes, Ordering::Relaxed);
         q.frames.clear();
         q.bytes = 0;
         q.dead = Some(verdict);
@@ -698,30 +564,21 @@ impl EventLoop {
                     continue;
                 }
                 self.flush_link(peer);
-                if matches!(self.out[peer], OutState::Up(_)) {
-                    if let Some(link) = &self.shared.links[peer] {
-                        if !link.q.lock().expect("link queue").frames.is_empty() {
-                            pending = true;
-                        }
-                    }
-                }
+                let queued = self.shared.links[peer]
+                    .as_ref()
+                    .map(|l| l.depth.load(Ordering::Relaxed));
+                pending |= matches!(self.out[peer], OutState::Up(_)) && queued > Some(0);
             }
             if !pending || Instant::now() >= deadline {
                 break;
             }
-            if self
-                .shared
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .is_err()
-            {
+            let res = self.shared.poller.wait(&mut events, Some(DRAIN_POLL));
+            if res.is_err() {
                 break;
             }
-            let batch = std::mem::take(&mut events);
-            for &ev in &batch {
+            for &ev in &events {
                 self.handle_event(ev);
             }
-            events = batch;
         }
         // Senders still parked on backpressure must observe the shutdown.
         for link in self.shared.links.iter().flatten() {
@@ -737,12 +594,9 @@ impl EventLoop {
                 self.shared.poller.deregister(stream.as_raw_fd());
             }
         }
-        self.shared.poller.deregister(self.listener.as_raw_fd());
-        for conn in self.conns.iter().flatten() {
-            self.shared.poller.deregister(conn.stream().as_raw_fd());
-        }
-        // Dropping `self` closes the listener and every socket; the handle
-        // closes the inbox once this thread is joined.
+        // Dropping `self` closes the listener and every socket, which leaves
+        // the readiness set; the handle closes the inbox once this thread is
+        // joined.
     }
 }
 
@@ -751,7 +605,6 @@ impl EventLoop {
 /// byte/depth accounting (which still covers stolen frames) in step and
 /// signalling senders when space opens up.
 fn advance_batch(
-    shared: &Shared,
     link: &LinkShared,
     q: &mut LinkQueue,
     batch: &mut VecDeque<QueuedFrame>,
@@ -762,11 +615,8 @@ fn advance_batch(
         let rem = f.len() - f.written;
         if n >= rem {
             n -= rem;
-            let flen = f.len() as u64;
-            q.bytes -= flen;
+            q.bytes -= f.len() as u64;
             link.depth.fetch_sub(1, Ordering::Relaxed);
-            shared.pending_frames.fetch_sub(1, Ordering::Relaxed);
-            shared.pending_bytes.fetch_sub(flen, Ordering::Relaxed);
             batch.pop_front();
         } else {
             f.written += n;
@@ -782,12 +632,16 @@ fn advance_batch(
 /// connection: staging-buffer parsing for small frames, direct-to-lease
 /// reads for payloads of [`DIRECT_READ_MIN`] bytes and up. Returns when the
 /// socket would block; `Err` retires the connection.
-fn service_inbound(conn: &mut InConn, shared: &Shared) -> Result<(), Close> {
+fn service_inbound(
+    mut stream: &TcpStream,
+    conn: &mut InConn,
+    shared: &Shared,
+) -> Result<(), Close> {
     loop {
         // Finish an in-flight direct read first: the lease IS the payload.
         if let Some(d) = conn.direct.as_mut() {
             while d.have < d.lease.len() {
-                match conn.stream.read(&mut d.lease[d.have..]) {
+                match stream.read(&mut d.lease[d.have..]) {
                     Ok(0) => return Err(Close::Benign), // died mid-frame
                     Ok(got) => d.have += got,
                     Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
@@ -849,7 +703,7 @@ fn service_inbound(conn: &mut InConn, shared: &Shared) -> Result<(), Close> {
             conn.start = 0;
         }
         let cap = (conn.end + REFILL_READ_BYTES).min(conn.buf.len());
-        match conn.stream.read(&mut conn.buf[conn.end..cap]) {
+        match stream.read(&mut conn.buf[conn.end..cap]) {
             // EOF: clean at a boundary, or the peer died mid-frame. The
             // partial tail is discarded; a reconnecting sender rewrites
             // whole frames, so no fragment survives. Benign either way.

@@ -5,22 +5,26 @@
 //! exactly **one** thread regardless of fabric size — the poller, never one
 //! per peer — and moves payload bytes without intermediate copies:
 //!
-//! * **Accept path**: the listener is one more socket in the readiness set.
-//!   An accepted connection holds only its 16-byte HELLO until the poller's
-//!   [`HelloGate`] admits it; the HELLO is read without blocking, and a bad
-//!   one (malformed, overdue after [`HELLO_TIMEOUT`], or the oldest past
-//!   [`MAX_PENDING_HELLOS`] waiting) is dropped and counted, never fatal.
+//! * **Accept path**: the listener is one more socket in the readiness set,
+//!   accepted through the crate's one accept loop
+//!   ([`Door`], which the metrics door runs too). An
+//!   accepted connection holds only its 16-byte HELLO until the poller's
+//!   [`HelloGate`](super::net::HelloGate) admits it; the HELLO is read
+//!   without blocking, and a bad one (malformed, cut short, overdue after
+//!   [`HEAD_TIMEOUT`](super::poll::HEAD_TIMEOUT), or the oldest past
+//!   [`MAX_WAITING`](super::poll::MAX_WAITING) waiting) is dropped and
+//!   counted in `poseidon_bad_hellos_total`, never fatal.
 //! * **Send path**: `send_seq` encodes only the fixed 32-byte header
 //!   ([`encode_header_stamped`]) and enqueues `(header, payload Bytes)` on the
 //!   destination link's coalescing queue, waking the poller only if it
 //!   sleeps; the sender never touches a socket. The poller is the only thread
 //!   that writes one: it drains each queue with one `write_vectored` call
-//!   spanning up to [`MAX_IOV`] `IoSlice`s — header and payload go to the
+//!   spanning up to `MAX_IOV` `IoSlice`s — header and payload go to the
 //!   socket straight from where they already live; no frame buffer is ever
 //!   materialised.
 //! * **Receive path**: small frames are parsed out of a per-connection
-//!   staging buffer; payloads of [`DIRECT_READ_MIN`] bytes or more are read
-//!   directly into a [`BufPool`] lease which is frozen into the delivered
+//!   staging buffer; payloads of `DIRECT_READ_MIN` bytes or more are read
+//!   directly into a [`BufPool`](crate::pool::BufPool) lease which is frozen into the delivered
 //!   [`Bytes`] — the runtime consumes the same allocation the kernel wrote
 //!   into, and dropping it recycles the buffer for the next frame.
 //! * **Co-resident peers share memory**: a peer in this process *and* on
@@ -44,14 +48,14 @@
 //! Self-healing lives in the poller's per-link state machine: a broken link
 //! moves `Up → Down`, redials with the fabric's capped exponential backoff
 //! (a fresh connection *generation* in every HELLO, so the peer's
-//! [`HelloGate`] can drop duplicates idempotently), and is declared `Dead`
+//! `HelloGate` can drop duplicates idempotently), and is declared `Dead`
 //! only after `reconnect_timeout` — at which point queued frames are dropped
 //! and blocked senders are released. A later send revives the link and the
 //! cycle restarts.
 //!
 //! Backpressure is per link: a queue holds at most [`MAX_LINK_PENDING_BYTES`]
 //! before `send_seq` blocks on a condvar that the poller signals as bytes
-//! drain. Shutdown drains all live queues for up to [`DRAIN_BUDGET`] before
+//! drain. Shutdown drains all live queues for up to `DRAIN_BUDGET` before
 //! FIN-ing, so a clean shutdown never strands flushed-but-unsent frames.
 //!
 //! Accounting is send-side only and charged once, by the shared
@@ -61,11 +65,18 @@
 //! sends, so the bitwise-equivalence suites see identical ledgers. Loop-back
 //! (same physical node) frames are never counted; between two processes on
 //! one node they still cross a socket.
+//!
+//! The module map: this file is the sender handle ([`TcpTransport`], the
+//! state it shares with the poller, the link queues); `registry` is the
+//! process-wide registry of co-resident endpoints; `event_loop` is the
+//! poller, with the accept path, the link state machine, the write path
+//! and inbound frame reassembly.
 
 mod event_loop;
 mod registry;
 
 use super::net::{self, TcpFabricSpec};
+use super::poll::Door;
 use super::sys;
 use super::{
     EndpointCore, Envelope, LinkHealth, Message, TrafficCounters, Transport, TransportError,
@@ -172,10 +183,6 @@ struct Shared {
     /// Set by senders after enqueueing; the poller swaps it before sleeping
     /// and skips the sleep when work arrived in the gap.
     dirty: AtomicBool,
-    /// Frames queued across all links (timeout diagnostics).
-    pending_frames: AtomicU64,
-    /// Bytes queued across all links (timeout diagnostics).
-    pending_bytes: AtomicU64,
     /// `(peer, "rx"|"tx", when)` of the last readiness event served.
     last_ready: Mutex<Option<(usize, &'static str, Instant)>>,
     poller: sys::Poller,
@@ -186,12 +193,11 @@ struct Shared {
     m_rx_queue_peak: metrics::Gauge,
     m_writev_batch: metrics::Histogram,
     /// This endpoint's link-repair counts, owned registry cells:
-    /// `poseidon_{reconnects,reaccepts,redials,dup_hellos,bad_hellos}_total`.
+    /// `poseidon_{reconnects,reaccepts,redials,dup_hellos}_total`.
     reconnected: metrics::Counter,
     reaccepted: metrics::Counter,
     redial_attempts: metrics::Counter,
     dup_hellos: metrics::Counter,
-    bad_hellos: metrics::Counter,
     /// Base instant of the `last_tx_ns` stamp (elapsed ns + 1, so 0 means
     /// "never") — send-side link staleness for timeout diagnostics.
     started: Instant,
@@ -199,14 +205,6 @@ struct Shared {
 }
 
 impl Shared {
-    /// Counts one envelope into the inbox and returns the receive-queue
-    /// depth including it. Saturating: the two counters are read apart, so a
-    /// burst of loop-back traffic dequeued in between can overtake this
-    /// thread's view of `delivered`.
-    fn note_delivered(&self) -> u64 {
-        (self.delivered.fetch_add(1, Ordering::Relaxed) + 1).saturating_sub(self.core.dequeued())
-    }
-
     /// Notes that a frame left just now (`last_tx_ns`).
     fn stamp_tx(&self) {
         let ns = self.started.elapsed().as_nanos() as u64 + 1;
@@ -219,7 +217,11 @@ impl Shared {
     fn deliver(&self, env: Envelope) -> Result<(), ()> {
         let inbox = self.inbox.lock().expect("inbox lock");
         let tx = inbox.as_ref().ok_or(())?;
-        let queued = self.note_delivered();
+        // The receive-queue depth including this envelope. Saturating: the
+        // two counters are read apart, so a burst of loop-back traffic
+        // dequeued in between can overtake this thread's view of `delivered`.
+        let delivered = self.delivered.fetch_add(1, Ordering::Relaxed) + 1;
+        let queued = delivered.saturating_sub(self.core.dequeued());
         self.m_rx_queue_peak.set_max(queued);
         if telemetry::is_enabled() {
             telemetry::instant("rx.frame", env.from as u64, env.msg.wire_bytes());
@@ -273,9 +275,6 @@ impl TcpTransport {
         let counters = shared_counters
             .unwrap_or_else(|| Arc::new(TrafficCounters::new(spec.physical_nodes())));
 
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| TransportError::Handshake(format!("nonblocking listener: {e}")))?;
         let (inbox_tx, inbox) = channel();
         let poller = sys::Poller::new()
             .map_err(|e| TransportError::Handshake(format!("create poller: {e}")))?;
@@ -294,8 +293,6 @@ impl TcpTransport {
             down: AtomicBool::new(false),
             sleeping: AtomicBool::new(false),
             dirty: AtomicBool::new(false),
-            pending_frames: AtomicU64::new(0),
-            pending_bytes: AtomicU64::new(0),
             last_ready: Mutex::new(None),
             poller,
             m_tx_queue_peak: metrics::gauge("poseidon_tx_queue_peak_frames", &labels),
@@ -305,7 +302,6 @@ impl TcpTransport {
             reaccepted: owned("poseidon_reaccepts_total"),
             redial_attempts: owned("poseidon_redials_total"),
             dup_hellos: owned("poseidon_dup_hellos_total"),
-            bad_hellos: owned("poseidon_bad_hellos_total"),
             started: Instant::now(),
             last_tx_ns: AtomicU64::new(0),
         });
@@ -316,6 +312,8 @@ impl TcpTransport {
             .local_addr()
             .ok()
             .map(|addr| Registration::new(addr, &shared));
+        let door = Door::new(listener, &shared.poller, owned("poseidon_bad_hellos_total"))
+            .map_err(|e| TransportError::Handshake(format!("watch listener: {e}")))?;
 
         // Our listener is bound, so while we dial, the kernel completes our
         // peers' inbound handshakes and buffers their HELLOs until the
@@ -337,9 +335,7 @@ impl TcpTransport {
         let poller_thread = {
             let shared = Arc::clone(&shared);
             let connector = std::thread::current();
-            std::thread::spawn(move || {
-                EventLoop::new(shared, listener, out_streams, connector).run()
-            })
+            std::thread::spawn(move || EventLoop::new(shared, door, out_streams, connector).run())
         };
         let mut ep = Self {
             shared,
@@ -395,9 +391,14 @@ impl TcpTransport {
             return err;
         };
         diag.attempts = shared.redial_attempts.get();
+        let (mut queued_frames, mut queued_bytes) = (0, 0);
+        for link in shared.links.iter().flatten() {
+            queued_frames += link.depth.load(Ordering::Relaxed);
+            queued_bytes += link.q.lock().expect("link queue").bytes;
+        }
         diag.link = Some(LinkHealth {
-            queued_frames: shared.pending_frames.load(Ordering::Relaxed),
-            queued_bytes: shared.pending_bytes.load(Ordering::Relaxed),
+            queued_frames,
+            queued_bytes,
             last_ready: shared
                 .last_ready
                 .lock()
@@ -460,8 +461,6 @@ impl TcpTransport {
         let depth = q.frames.len() as u64;
         drop(q);
         shared.m_tx_queue_peak.set_max(depth);
-        shared.pending_frames.fetch_add(1, Ordering::Relaxed);
-        shared.pending_bytes.fetch_add(frame_len, Ordering::Relaxed);
         if telemetry::is_enabled() {
             telemetry::counter("tx.queue", to as u64, depth);
         }
@@ -611,10 +610,13 @@ impl Drop for TcpTransport {
 
 #[cfg(test)]
 mod tests {
-    use super::event_loop::{HELLO_TIMEOUT, MAX_PENDING_HELLOS, POLL_TICK};
+    use super::event_loop::POLL_TICK;
     use super::net::HELLO_BYTES;
     use super::registry::REGISTRY;
     use super::*;
+    use crate::transport::poll::{
+        HEAD_TIMEOUT as HELLO_TIMEOUT, MAX_WAITING as MAX_PENDING_HELLOS,
+    };
     use crate::wire::LAYER_GRANULAR_CHUNK;
     use std::io::{Read, Write};
     use std::net::Ipv4Addr;

@@ -1,9 +1,8 @@
 //! The process-wide registry of TCP endpoints, by bound listening address:
 //! how a sender finds the peers it hands frames to in memory.
 
-use super::Shared;
+use super::*;
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex, Weak};
 
 /// Every registered endpoint of this process, by bound listening address:
 /// how a sender finds the peers it can hand frames to in memory.

@@ -20,9 +20,10 @@ echo "== tier-1: cargo build --release && cargo test =="
 # transport contract on both fabrics (co-resident TCP frames: the sender's
 # own bytes, per-pair order mixed with cross-node frames, the in-process
 # ledger and tx frame counters, sever as a no-op; plus the registry hygiene
-# and hostile-HELLO unit tests in transport/tcp.rs — stalled, garbage and
-# flooding peers), ring traffic over full TCP meshes of 2, 8 and 32
-# endpoints (loopback_accounting: in-order delivery, exact ledgers), the
+# and hostile-HELLO unit tests in transport/tcp/mod.rs — stalled, garbage
+# and flooding peers — and the metrics door's in metrics/expose.rs), ring
+# traffic over full TCP meshes of 2, 8 and 32 endpoints
+# (loopback_accounting: in-order delivery, exact ledgers), the
 # one-thread-per-endpoint budget (poller_threads), the exact traffic of
 # every scheme and codec on the real runtime (traffic_cost_model: PS, SFB,
 # ring and tree bytes per frame and hop; each codec's byte ratio,
@@ -36,14 +37,17 @@ cargo build --release
 cargo test -q
 
 echo "== connect and accept paths, five runs in a row =="
-# One poller per endpoint accepts, reads every HELLO and serves frames. A
-# race on that path shows up as a flake rather than a steady failure, so
+# One poller per endpoint accepts, reads every HELLO and serves frames, and
+# the metrics door runs the same accept loop on its own poller (its
+# stalled, garbage and flooding peers are the `metrics::expose::` tests).
+# A race on that path shows up as a flake rather than a steady failure, so
 # its suites run five times over; `timeout` bounds a wedged mesh.
 for run in 1 2 3 4 5; do
     echo "-- run $run of 5"
     timeout 300 cargo test -q -p poseidon --lib transport::
     timeout 300 cargo test -q -p poseidon --test transport_contract
     timeout 300 cargo test -q -p poseidon --test poller_threads
+    timeout 300 cargo test -q -p poseidon --lib metrics::expose::
 done
 
 echo "== bitwise oracles and data paths under --release =="
