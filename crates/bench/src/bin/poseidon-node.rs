@@ -21,7 +21,7 @@
 use poseidon::checkpoint::{self, TrainingCheckpoint};
 use poseidon::config::{Codec, CodecPolicy, Partition, SchemePolicy};
 use poseidon::faults::FaultPlan;
-use poseidon::health::{self, HealthConfig};
+use poseidon::health;
 use poseidon::membership::{MembershipPlan, MembershipSchedule};
 use poseidon::metrics::expose::MetricsServer;
 use poseidon::runtime::{
@@ -87,7 +87,7 @@ impl Default for Args {
             reliable: false,
             metrics_addr: None,
             straggler: None,
-            straggler_factor: HealthConfig::default().straggler_factor,
+            straggler_factor: health::DEFAULT_STRAGGLER_FACTOR,
             membership: MembershipPlan::empty(),
             ckpt_dir: None,
             start_iter: 0,
@@ -251,9 +251,6 @@ fn runtime_config(a: &Args) -> RuntimeConfig {
             TelemetryConfig::default()
         },
         straggler_delay_ms: a.straggler,
-        health: HealthConfig {
-            straggler_factor: a.straggler_factor,
-        },
         // The chaos plane: `run_endpoint` wraps the socket endpoint as
         // Reliable(Faulty(tcp)) and reports what it did.
         faults: FaultConfig {

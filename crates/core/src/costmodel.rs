@@ -384,48 +384,6 @@ pub fn best_codec_topo(
     best.0
 }
 
-/// The full generalised Algorithm 1: the cheapest `(scheme, codec)` pair for
-/// a layer on a hierarchical topology. Schemes are priced at their own best
-/// codec, so a compressible PS layer can beat a raw collective and vice
-/// versa. Tie-breaking follows the scheme preference order (PS > SFB > ring >
-/// tree), then identity-first within a scheme.
-pub fn best_scheme_codec_topo(
-    param_elems: usize,
-    fc_shape: Option<(usize, usize)>,
-    cluster: &ClusterConfig,
-    topo: &Topology,
-) -> (CommScheme, Codec) {
-    if topo.total_devices() <= 1 || cluster.workers <= 1 {
-        return (CommScheme::Ps, Codec::Identity);
-    }
-    let priced = |scheme: CommScheme| {
-        let codec = best_codec_topo(param_elems, scheme, cluster, topo);
-        (
-            codec,
-            codec_time_topo(codec, param_elems, scheme, cluster, topo),
-        )
-    };
-    let (ps_codec, ps_t) = priced(CommScheme::Ps);
-    let mut best = (CommScheme::Ps, ps_codec, ps_t);
-    let mut consider = |scheme: CommScheme, codec: Codec, time: f64| {
-        if time < best.2 {
-            best = (scheme, codec, time);
-        }
-    };
-    if let Some((m, n)) = fc_shape {
-        consider(
-            CommScheme::Sfb,
-            Codec::Identity,
-            sfb_time_topo(m, n, cluster.batch_per_worker, topo),
-        );
-    }
-    let (ring_codec, ring_t) = priced(CommScheme::Ring);
-    consider(CommScheme::Ring, ring_codec, ring_t);
-    let (tree_codec, tree_t) = priced(CommScheme::Tree);
-    consider(CommScheme::Tree, tree_codec, tree_t);
-    (best.0, best.1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -764,33 +722,6 @@ mod tests {
         assert_eq!(
             codec_time_topo(Codec::Identity, elems, CommScheme::Ring, &cluster, &topo),
             ring_time_topo(elems, &topo)
-        );
-    }
-
-    #[test]
-    fn scheme_codec_pairing_is_consistent() {
-        // The joint choice must agree with pricing each part separately, and
-        // an SFB winner always rides identity.
-        let topo = oversubscribed();
-        let cluster = ClusterConfig::colocated(8, 32);
-        for (elems, fc) in [
-            (1_000usize, None),
-            (16 << 20, None),
-            (4096 * 4096, Some((4096usize, 4096usize))),
-        ] {
-            let (scheme, codec) = best_scheme_codec_topo(elems, fc, &cluster, &topo);
-            if scheme == CommScheme::Sfb {
-                assert_eq!(codec, Codec::Identity);
-            } else {
-                assert_eq!(codec, best_codec_topo(elems, scheme, &cluster, &topo));
-            }
-        }
-        // Single worker: always (PS, identity).
-        let solo = ClusterConfig::colocated(1, 32);
-        let flat1 = Topology::flat(1, poseidon_netsim::LinkConfig::gbe(10.0));
-        assert_eq!(
-            best_scheme_codec_topo(16 << 20, None, &solo, &flat1),
-            (CommScheme::Ps, Codec::Identity)
         );
     }
 

@@ -13,7 +13,9 @@
 //! any injected delay), which is exactly what the runtime records into
 //! `poseidon_busy_time_ns{worker}`. The detector compares each worker's
 //! busy p50 against the mesh median and flags ratios above
-//! [`HealthConfig::straggler_factor`]. Those p50s are log2 bucket bounds
+//! a factor: [`DEFAULT_STRAGGLER_FACTOR`] in
+//! [`train`](crate::runtime::train), the launcher's `--straggler-factor`
+//! across OS processes. Those p50s are log2 bucket bounds
 //! ([`HistogramSnapshot::quantile`](crate::metrics::HistogramSnapshot::quantile)),
 //! so two healthy workers one bucket apart read ×2.00006: a worker is
 //! flagged only when the *floor* of its p50's bucket exceeds the factor
@@ -25,22 +27,11 @@
 
 use crate::metrics::MetricsSnapshot;
 
-/// Health-plane knobs, carried on
-/// [`RuntimeConfig`](crate::runtime::RuntimeConfig).
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// A worker is a straggler when the floor of its busy-time p50's log2
-    /// bucket exceeds the mesh median by this factor.
-    pub straggler_factor: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            straggler_factor: 2.0,
-        }
-    }
-}
+/// The factor [`train`](crate::runtime::train) judges its verdicts
+/// against: a worker is a straggler when the floor of its busy-time p50's
+/// log2 bucket exceeds the mesh median by this factor. To judge a report
+/// at another factor, call [`detect`] again on its verdicts' p50s.
+pub const DEFAULT_STRAGGLER_FACTOR: f64 = 2.0;
 
 /// One worker's verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,6 +194,35 @@ mod tests {
         // hiding it (ratio 1.0). The lower median catches it.
         let report = detect(&[(0, 1_000_000), (1, 10_000_000)], 2.0);
         assert_eq!(report.stragglers(), vec![1]);
+    }
+
+    /// A report's own `(worker, busy_p50_ns)` pairs carry the whole
+    /// verdict: judged again at the same factor they reproduce it, and at
+    /// another factor they give that factor's verdict.
+    #[test]
+    fn detect_over_a_reports_p50s_rejudges_it() {
+        let report = detect(
+            &[
+                (3, 40_000_000),
+                (0, 1_000_000),
+                (2, 5_000_000),
+                (1, 2_200_000),
+            ],
+            2.0,
+        );
+        assert_eq!(report.stragglers(), vec![3]);
+        let busy: Vec<(usize, u64)> = report
+            .verdicts
+            .iter()
+            .map(|v| (v.worker, v.busy_p50_ns))
+            .collect();
+        assert_eq!(detect(&busy, report.straggler_factor), report);
+        // Worker 2's bucket floor (2^22) clears 1.5x the median (2.2 ms) but
+        // not 2x; worker 3's (2^25) clears 2x but not 16x.
+        let strict = detect(&busy, 1.5);
+        assert_eq!(strict.stragglers(), vec![2, 3]);
+        assert_eq!(strict.median_busy_p50_ns, report.median_busy_p50_ns);
+        assert!(detect(&busy, 16.0).stragglers().is_empty());
     }
 
     #[test]

@@ -326,17 +326,15 @@ poseidon_tx_queue_peak{peer=\"1\"} 7
             took < Duration::from_millis(500),
             "the scrape took {took:?}"
         );
-        if cfg!(target_os = "linux") {
-            let name = format!("metrics :{}", server.addr().port());
-            let named = std::fs::read_dir("/proc/self/task")
-                .expect("/proc/self/task")
-                .filter(|t| {
-                    let comm = std::fs::read_to_string(t.as_ref().unwrap().path().join("comm"));
-                    comm.is_ok_and(|c| c.trim_end() == name)
-                })
-                .count();
-            assert_eq!(named, 1, "threads named {name:?}");
-        }
+        let name = format!("metrics :{}", server.addr().port());
+        let named = std::fs::read_dir("/proc/self/task")
+            .expect("/proc/self/task")
+            .filter(|t| {
+                let comm = std::fs::read_to_string(t.as_ref().unwrap().path().join("comm"));
+                comm.is_ok_and(|c| c.trim_end() == name)
+            })
+            .count();
+        assert_eq!(named, 1, "threads named {name:?}");
     }
 
     /// Whether the door has closed `stream`: EOF, or a reset when the door

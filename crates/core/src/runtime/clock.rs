@@ -1,6 +1,6 @@
 //! The stale-synchronous-parallel (SSP) clock.
 //!
-//! Under SSP [Ho et al., 2013 — cited as [12] by the paper], a worker at
+//! Under SSP [Ho et al., 2013 — cited as \[12\] by the paper], a worker at
 //! iteration `t` may proceed only if the slowest worker has reached at least
 //! `t − staleness`; BSP is the special case `staleness = 0` with a hard
 //! barrier. This clock tracks every worker's iteration, blocks over-eager

@@ -201,7 +201,9 @@ impl From<&ReliabilityStats> for ChaosReport {
     }
 }
 
-/// Configuration of a distributed training run.
+/// Configuration of a distributed training run. The straggler verdict in
+/// [`TrainResult::health`] is judged at the constant
+/// [`DEFAULT_STRAGGLER_FACTOR`](crate::health::DEFAULT_STRAGGLER_FACTOR).
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Number of workers (`P1`); shards are colocated, so also `P2`.
@@ -261,11 +263,6 @@ pub struct RuntimeConfig {
     /// still produce bitwise-identical results (or abort bounded, for
     /// unrecoverable plans). See [`FaultConfig`].
     pub faults: FaultConfig,
-    /// Health-plane knobs (straggler detection threshold). The verdicts land
-    /// in [`TrainResult::health`]; detection reads per-worker busy-time
-    /// distributions recorded run-locally, so it works with the global
-    /// metrics gate off and never perturbs numerics.
-    pub health: crate::health::HealthConfig,
     /// Scripted elastic-membership plan (shard joins/leaves/restarts at
     /// logical iterations). Empty = fixed membership. Non-trivial plans
     /// require BSP and exclude layer-granular (AdamSf) shards; workers are
@@ -309,7 +306,6 @@ impl RuntimeConfig {
             comm_timeout: Duration::from_secs(30),
             telemetry: TelemetryConfig::default(),
             faults: FaultConfig::default(),
-            health: Default::default(),
             membership: crate::membership::MembershipPlan::empty(),
             start_iter: 0,
             resume: None,
@@ -348,8 +344,10 @@ pub struct TrainResult<M: Model> {
     /// work of every endpoint's reliability layer.
     pub fault_report: Option<ChaosReport>,
     /// Per-worker health verdicts: each worker's busy-time p50 judged
-    /// against the mesh median with
-    /// [`HealthConfig::straggler_factor`](crate::health::HealthConfig).
+    /// against the mesh median at
+    /// [`DEFAULT_STRAGGLER_FACTOR`](crate::health::DEFAULT_STRAGGLER_FACTOR).
+    /// The p50s are recorded run-locally, so the verdicts come with the
+    /// global metrics gate off too and never perturb numerics.
     pub health: crate::health::HealthReport,
     /// Full training state at `start_iter + iterations`, when
     /// [`RuntimeConfig::export_state`] was set (`None` otherwise). Feed it
@@ -540,7 +538,7 @@ pub fn train<M: Model>(
         worker_wall_s,
         trace,
         fault_report,
-        health: crate::health::detect(&busy_p50, cfg.health.straggler_factor),
+        health: crate::health::detect(&busy_p50, crate::health::DEFAULT_STRAGGLER_FACTOR),
         checkpoint: cfg.export_state.then(|| TrainingCheckpoint {
             next_iter: (cfg.start_iter + cfg.iterations) as u64,
             workers: worker_states,
@@ -1160,19 +1158,24 @@ mod tests {
 
         // Clean-mesh check at a generous factor: busy times here are
         // sub-millisecond, where CPU contention from the parallel test
-        // harness adds real skew — only pathological spread may flag.
+        // harness adds real skew — only pathological spread may flag. The
+        // run's p50s are judged again at 16x.
         let clean_cfg = RuntimeConfig {
             partition: Partition::KvPairs { pair_elems: 50 },
-            health: crate::health::HealthConfig {
-                straggler_factor: 16.0,
-            },
             ..RuntimeConfig::new(3, 8, 0.2, 4)
         };
         let clean = train(&factory, &dataset(), None, &clean_cfg);
+        let busy: Vec<(usize, u64)> = clean
+            .health
+            .verdicts
+            .iter()
+            .map(|v| (v.worker, v.busy_p50_ns))
+            .collect();
+        let clean = crate::health::detect(&busy, 16.0);
         assert!(
-            clean.health.stragglers().is_empty(),
+            clean.stragglers().is_empty(),
             "clean mesh flagged a straggler at 16x: {}",
-            clean.health.render()
+            clean.render()
         );
     }
 

@@ -1,10 +1,8 @@
 //! Thread-budget proof for the TCP transport: one endpoint costs one thread
 //! (its poller, which also accepts and reads every HELLO) no matter how many
-//! peers it meshes with. Counted straight from `/proc/self/status`, so the
-//! test is Linux-only — and alone in its binary, so no other test's threads
+//! peers it meshes with. Counted straight from `/proc/self/status` (the
+//! build is Linux-only), in a binary of its own, so no other test's threads
 //! land in the measurement.
-
-#![cfg(target_os = "linux")]
 
 mod common;
 

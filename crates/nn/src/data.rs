@@ -167,11 +167,6 @@ impl Dataset {
         }
     }
 
-    /// The CIFAR-10 sample shape (`3×32×32`), 10 classes.
-    pub fn cifar10_like(count: usize, seed: u64) -> Self {
-        Self::gaussian_clusters(TensorShape::new(3, 32, 32), 10, count, 0.6, seed)
-    }
-
     /// Generates a *spatially smooth* Gaussian-cluster image dataset.
     ///
     /// Class prototypes are low-resolution (`h/4 × w/4`) random patterns
@@ -283,14 +278,6 @@ mod tests {
         let d = Dataset::gaussian_clusters(TensorShape::flat(4), 7, 100, 0.3, 3);
         assert!(d.labels.iter().all(|&l| l < 7));
         assert_eq!(d.classes(), 7);
-    }
-
-    #[test]
-    fn cifar_like_shape() {
-        let d = Dataset::cifar10_like(20, 1);
-        assert_eq!(d.shape(), TensorShape::new(3, 32, 32));
-        assert_eq!(d.classes(), 10);
-        assert_eq!(d.len(), 20);
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl ParamBlock {
         self.grad_bias.clear();
     }
 
-    /// Applies `params += alpha * grads` using the *given* gradients, leaving
-    /// this block's own gradient buffers untouched. Used when the update comes
-    /// from the network (a remote aggregate) rather than local backprop.
-    pub fn apply_update(&mut self, grad_w: &Matrix, grad_b: &Matrix, alpha: f32) {
-        self.weights.axpy(alpha, grad_w);
-        self.bias.axpy(alpha, grad_b);
-    }
-
     /// Applies `params += alpha * own grads` (single-node SGD step).
     pub fn apply_own_grads(&mut self, alpha: f32) {
         // Split borrows: temporarily move gradients out to satisfy aliasing.
@@ -253,17 +245,6 @@ mod tests {
         assert!(p.bias.as_slice().iter().all(|&b| b == -1.0));
         // Gradients must survive the call (the syncer reads them afterwards).
         assert_eq!(p.grad_weights, Matrix::filled(2, 2, 1.0));
-    }
-
-    #[test]
-    fn apply_update_uses_external_grads() {
-        let mut p = ParamBlock::new(1, 1);
-        p.grad_weights = Matrix::filled(1, 1, 99.0); // must be ignored
-        let gw = Matrix::filled(1, 1, 2.0);
-        let gb = Matrix::filled(1, 1, 4.0);
-        p.apply_update(&gw, &gb, 0.25);
-        assert_eq!(p.weights[(0, 0)], 0.5);
-        assert_eq!(p.bias[(0, 0)], 1.0);
     }
 
     #[test]

@@ -1,17 +1,11 @@
 //! Concrete layer implementations.
 
-pub mod avgpool;
-pub mod batchnorm;
 pub mod conv;
-pub mod dropout;
 pub mod fc;
 pub mod pool;
 pub mod relu;
 
-pub use avgpool::AvgPool2d;
-pub use batchnorm::BatchNorm;
 pub use conv::Conv2d;
-pub use dropout::Dropout;
 pub use fc::FullyConnected;
 pub use pool::MaxPool2d;
 pub use relu::ReLU;

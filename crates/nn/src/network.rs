@@ -147,28 +147,6 @@ impl Network {
         }
     }
 
-    /// Copies all parameters from `other` (same architecture required).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer structure differs.
-    pub fn copy_params_from(&mut self, other: &Network) {
-        assert_eq!(
-            self.num_layers(),
-            other.num_layers(),
-            "layer count mismatch"
-        );
-        for l in 0..self.layers.len() {
-            match (self.layers[l].params_mut(), other.layers[l].params()) {
-                (Some(mine), Some(theirs)) => {
-                    mine.set_params(&theirs.weights, &theirs.bias);
-                }
-                (None, None) => {}
-                _ => panic!("trainable-layer mismatch at layer {l}"),
-            }
-        }
-    }
-
     /// Maximum absolute parameter difference to `other` (architecture must match).
     pub fn max_param_diff(&self, other: &Network) -> f32 {
         assert_eq!(
@@ -263,15 +241,6 @@ mod tests {
             last < first * 0.3,
             "loss {first} -> {last} should drop sharply"
         );
-    }
-
-    #[test]
-    fn copy_params_makes_networks_identical() {
-        let mut a = tiny_net(5);
-        let b = tiny_net(6);
-        assert!(a.max_param_diff(&b) > 0.0);
-        a.copy_params_from(&b);
-        assert_eq!(a.max_param_diff(&b), 0.0);
     }
 
     #[test]

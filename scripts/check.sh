@@ -90,8 +90,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (warnings are errors) =="
 # Doc links name real items: a link to something deleted or renamed, a bare
-# URL or a redundant link target fails here instead of rotting.
-RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
+# URL or a redundant link target fails here instead of rotting. Private items
+# are documented too, so their doc comments are held to the same links.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --document-private-items -q
 
 echo "== benchmark package tests =="
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
