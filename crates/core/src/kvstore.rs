@@ -583,7 +583,7 @@ impl ShardServer {
                 } else {
                     let comp = self.reply_comp.entry(key);
                     let comp = comp.or_insert_with(|| make_compressor(reply, elems));
-                    wire::compress_pooled(comp.as_mut(), self.state.fold(key))
+                    wire::encode_codec(comp.as_mut(), self.state.fold(key))
                 };
                 for w in route::replies(self.state.workers) {
                     emit(Dest::Worker(w), reply_with(data.clone()));

@@ -53,7 +53,8 @@
 //! `poseidon_reaccepts_total` (o, HELLOs admitted after the initial mesh),
 //! `poseidon_redials_total` (o, redial attempts), `poseidon_dup_hellos_total`
 //! (o), `poseidon_bad_hellos_total` (o, malformed, cut short, overdue or
-//! over the waiting cap), `poseidon_dial_retries_total` (initial mesh);
+//! over the waiting cap), `poseidon_dial_retries_total`
+//! (o, failed dials of the initial mesh);
 //! `poseidon_stale_epoch_frames_total`. Reliability, (o) `{endpoint}`:
 //! `poseidon_{retransmits,dup_drops,nacks,acks,probes,reorders}_total`.
 //! Exposition: `poseidon_bad_scrapes_total{addr}` (requests the metrics

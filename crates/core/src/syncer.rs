@@ -50,7 +50,7 @@ use crate::wire::{self, CodecError, Seed, COLLECTIVE_DISTRIBUTE, COLLECTIVE_REDU
 use bytes::Bytes;
 use poseidon_nn::{Layer, ParamBlock};
 use poseidon_tensor::bytesio;
-use poseidon_tensor::compress::{decode_into, decompress, make_compressor, Compressor};
+use poseidon_tensor::compress::{make_compressor, Compressor};
 use poseidon_tensor::{Matrix, SfBatch};
 use std::ops::Range;
 use std::sync::Arc;
@@ -288,7 +288,7 @@ impl Syncer {
             return wire::encode_f32s_pooled(vals);
         }
         let comp = comp.get_or_insert_with(|| make_compressor(codec, vals.len()));
-        wire::compress_pooled(comp.as_mut(), vals)
+        wire::encode_codec(comp.as_mut(), vals)
     }
 
     /// Exports the persistent cross-iteration state (velocity replicas and
@@ -467,7 +467,7 @@ impl Syncer {
                 s.on_param_chunk(chunk as usize, codec, &data, params)
             }),
             Message::ParamMatrix { data, .. } => {
-                let fresh = decompress(Codec::Identity, &data, self.param_elems)?;
+                let fresh = wire::decode_codec(Codec::Identity, &data, self.param_elems)?;
                 self.on_param_matrix(fresh)
             }
             Message::SfPush { data, .. } => {
@@ -796,6 +796,7 @@ impl Syncer {
                     // Dirty lease: the runs cover every byte.
                     let mut lease = BufPool::global().get_dirty(len * 4);
                     let range = off..off + len;
+                    wire::count_identity_read(len);
                     if terminal {
                         // Chain complete: the same pass steps the replica.
                         self.timed_apply(iter, |_| {
@@ -812,7 +813,7 @@ impl Syncer {
                 } else {
                     // Decompress–add–recompress: a poisoned frame surfaces
                     // before anything is written.
-                    let mut summed = decompress(self.codec, &payload, len)?;
+                    let mut summed = wire::decode_codec(self.codec, &payload, len)?;
                     let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
                     for (at, g) in runs(off..off + len, grads.0, grads.1) {
                         for (s, g) in summed[at..at + g.len()].iter_mut().zip(g) {
@@ -844,7 +845,7 @@ impl Syncer {
                 );
                 // Decode on arrival so a poisoned frame surfaces here,
                 // before the fold consumes any sibling state.
-                self.gathered[seg][origin] = Some(decompress(self.codec, &payload, len)?);
+                self.gathered[seg][origin] = Some(wire::decode_codec(self.codec, &payload, len)?);
                 self.try_fold_root(seg, to, p, iter, &mut out);
             }
             Hop::Land(next) => {
@@ -853,6 +854,9 @@ impl Syncer {
                     "duplicate DISTRIBUTE for segment {seg}"
                 );
                 let v = self.distributed(seg, &payload)?;
+                if self.codec == Codec::Identity {
+                    wire::count_identity_read(len);
+                }
                 self.land(iter, seg, v, p);
                 // Forward the folded velocity unchanged (shared `Bytes`, no
                 // copy).
@@ -888,7 +892,7 @@ impl Syncer {
         }
         let (_, len) = self.segs[seg];
         self.scratch.resize(len, 0.0);
-        decode_into(self.codec, payload, &mut self.scratch)?;
+        wire::decode_codec_into(self.codec, payload, &mut self.scratch)?;
         Ok(wire::encode_f32s_pooled(&self.scratch))
     }
 

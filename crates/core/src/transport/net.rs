@@ -1,5 +1,5 @@
 //! Socket plumbing of the TCP transport: the fabric spec, the connection
-//! HELLO, and the dial helpers.
+//! HELLO, and one dial attempt.
 //!
 //! [`TcpTransport`](super::TcpTransport) builds a full mesh of
 //! *unidirectional* connections: endpoint `a` dials `b` and uses that stream
@@ -11,8 +11,8 @@
 //! 0       4     magic "PSDN" (LE u32)
 //! 4       4     wire version u32 LE
 //! 8       4     dialer endpoint id u32 LE
-//! 12      4     connection generation u32 LE (1 = initial dial,
-//!               incremented on every redial attempt)
+//! 12      4     connection generation u32 LE (1 = first dial,
+//!               incremented on every further dial attempt)
 //! ```
 //!
 //! The accepting poller parses it ([`validate_hello`]) and passes it through
@@ -20,13 +20,11 @@
 //! generation)*: a redial racing its old stream's teardown, or a HELLO
 //! duplicated by a dial race, cannot install two live readers.
 
-use super::{Backoff, TransportError};
-use crate::metrics::{self, Counter};
-use crate::telemetry;
+use crate::metrics::Counter;
 use crate::wire::FRAME_VERSION;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// First four bytes of the connection HELLO ("PSDN").
 pub(crate) const HELLO_MAGIC: u32 = 0x5053_444E;
@@ -103,7 +101,7 @@ pub fn bind_ephemeral(n: usize) -> std::io::Result<(Vec<TcpListener>, Vec<Socket
 pub(crate) struct Hello {
     /// The dialing endpoint.
     pub peer: usize,
-    /// The dialer's connection generation (1 = initial mesh).
+    /// The dialer's connection generation (1 = first dial attempt).
     pub generation: u32,
 }
 
@@ -129,41 +127,6 @@ pub(crate) fn dial_once(
     stream.set_nodelay(true)?;
     stream.write_all(&hello_bytes(me, generation))?;
     Ok(stream)
-}
-
-/// Dials `peer` for the initial mesh (generation 1) with capped exponential
-/// backoff until its listener is up or `deadline` passes.
-pub(crate) fn dial(
-    spec: &TcpFabricSpec,
-    me: usize,
-    peer: usize,
-    deadline: Instant,
-) -> Result<TcpStream, TransportError> {
-    let addr = spec.addrs[peer];
-    let mut backoff = Backoff::new(spec.backoff_base, spec.backoff_cap);
-    let mut attempts: u64 = 0;
-    let retries = metrics::counter(
-        "poseidon_dial_retries_total",
-        &[("endpoint", &me.to_string())],
-    );
-    loop {
-        let remaining = deadline
-            .checked_duration_since(Instant::now())
-            .ok_or_else(|| {
-                TransportError::Handshake(format!(
-                    "endpoint {me}: timed out dialing {addr} after {attempts} attempts"
-                ))
-            })?;
-        match dial_once(addr, me, 1, remaining.min(Duration::from_secs(1))) {
-            Ok(stream) => return Ok(stream),
-            Err(_) => {
-                attempts += 1;
-                retries.inc();
-                telemetry::instant("dial.retry", peer as u64, attempts);
-                std::thread::sleep(backoff.next_delay().min(remaining));
-            }
-        }
-    }
 }
 
 /// Parses one inbound HELLO for endpoint `me` of a fabric of `endpoints`:

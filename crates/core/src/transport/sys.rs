@@ -229,25 +229,6 @@ impl Drop for Poller {
     }
 }
 
-/// Half-closes the write side of a raw socket fd (`shutdown(fd, SHUT_RDWR)`)
-/// without taking ownership — the synchronous core of
-/// [`Transport::sever_link`](super::Transport::sever_link), callable while
-/// the poller thread owns the `TcpStream` itself.
-pub fn shutdown_fd(fd: RawFd) -> io::Result<()> {
-    const SHUT_RDWR: i32 = 2;
-    extern "C" {
-        fn shutdown(fd: i32, how: i32) -> i32;
-    }
-    // SAFETY: no pointer arguments, and `shutdown` neither closes nor frees
-    // `fd`, so no memory is touched whatever `fd` names (a stale one is an
-    // error). The one caller, `sever_link`, holds the fd-slot lock that keeps
-    // the socket from being closed and its number reused meanwhile.
-    if unsafe { shutdown(fd, SHUT_RDWR) } < 0 {
-        return Err(io::Error::last_os_error());
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

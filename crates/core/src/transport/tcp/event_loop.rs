@@ -1,5 +1,6 @@
-//! The poller of one TCP endpoint: the accept path, the per-link redial
+//! The poller of one TCP endpoint: the accept path, the per-link dial
 //! state machine, the vectored write path and inbound frame reassembly.
+//! It is the only thread that dials, severs or closes a mesh socket.
 
 use super::net::{HelloGate, HELLO_BYTES};
 use super::*;
@@ -32,9 +33,9 @@ const MAX_IOV: usize = 64;
 /// Poller safety-net tick: the longest the loop sleeps with no deadline.
 pub(super) const POLL_TICK: Duration = Duration::from_millis(250);
 
-/// Per-attempt connect timeout of the poller's inline redial. Kept short so
+/// Per-attempt connect timeout of the poller's inline dial. Kept short so
 /// one dead peer cannot stall service of the live ones.
-const REDIAL_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
+const DIAL_ATTEMPT_TIMEOUT: Duration = Duration::from_millis(250);
 
 /// Budget for flushing live queues during shutdown before FIN.
 const DRAIN_BUDGET: Duration = Duration::from_secs(2);
@@ -46,7 +47,8 @@ const DRAIN_POLL: Duration = Duration::from_millis(10);
 enum OutState {
     /// Connected; frames flush through vectored writes.
     Up(TcpStream),
-    /// Broken; redialing on a backoff schedule until `deadline`.
+    /// Not connected: dialing on a backoff schedule, for the first time
+    /// (the initial mesh) or after a break.
     Down(DownState),
     /// Reconnect budget exhausted (or no link exists, e.g. our own slot).
     /// A queued frame revives the link into `Down`.
@@ -57,8 +59,10 @@ struct DownState {
     backoff: Backoff,
     /// Earliest instant of the next dial attempt.
     next: Instant,
-    /// Past this instant the link is declared dead.
-    deadline: Instant,
+    /// Past this instant the link is declared dead; `None` while it has
+    /// never been up (the initial mesh), which dials until `connect` gives
+    /// up, whether or not frames are queued.
+    deadline: Option<Instant>,
     attempts: u64,
     /// What broke the link, for the dead verdict.
     cause: String,
@@ -70,15 +74,31 @@ struct DownState {
 }
 
 impl DownState {
+    /// A link that broke at `now`: it dials at once, and dies
+    /// `reconnect_timeout` later.
     fn fresh(spec: &TcpFabricSpec, now: Instant, cause: String) -> DownState {
         DownState {
             backoff: Backoff::new(spec.backoff_base, spec.backoff_cap),
             next: now,
-            deadline: now + spec.reconnect_timeout,
+            deadline: Some(now + spec.reconnect_timeout),
             attempts: 0,
             cause,
             parked: false,
         }
+    }
+
+    /// A link of the initial mesh: it dials at once.
+    fn initial(spec: &TcpFabricSpec) -> DownState {
+        DownState {
+            deadline: None,
+            ..Self::fresh(spec, Instant::now(), "never up".into())
+        }
+    }
+
+    /// Whether the link was up before: only then is a dial a redial, and a
+    /// connection a reconnect.
+    fn was_up(&self) -> bool {
+        self.deadline.is_some()
     }
 }
 
@@ -110,16 +130,18 @@ enum Close {
 }
 
 /// The poller: owns the listener and every socket, admits HELLOs, services
-/// readiness, flushes queues, and runs the per-link redial state machine.
+/// readiness, flushes queues, serves severs, and runs the per-link dial
+/// state machine.
 pub(super) struct EventLoop {
     shared: Arc<Shared>,
     /// The listener and the accepted connections, bad HELLOs counted in
     /// `poseidon_bad_hellos_total`.
     door: Door<InConn>,
     gate: HelloGate,
-    /// Our connection generation per peer, bumped on every redial attempt.
+    /// Our connection generation per peer, bumped on every dial attempt.
     gens: Vec<u32>,
-    /// The thread blocked in `connect`, unparked once every peer is heard.
+    /// The thread blocked in `connect`, unparked once the initial mesh is
+    /// up.
     connector: Thread,
     out: Vec<OutState>,
     /// Whether EPOLLOUT interest is currently registered per link.
@@ -127,32 +149,27 @@ pub(super) struct EventLoop {
 }
 
 impl EventLoop {
-    pub(super) fn new(
-        shared: Arc<Shared>,
-        door: Door<InConn>,
-        out_streams: Vec<Option<TcpStream>>,
-        connector: Thread,
-    ) -> EventLoop {
-        let n = out_streams.len();
-        let mut lp = EventLoop {
+    /// A poller with every outbound link dialing for the initial mesh.
+    pub(super) fn new(shared: Arc<Shared>, door: Door<InConn>, connector: Thread) -> EventLoop {
+        let (n, me) = (shared.links.len(), shared.core.me());
+        let initial = |peer| match peer == me {
+            true => OutState::Dead,
+            false => OutState::Down(DownState::initial(&shared.spec)),
+        };
+        EventLoop {
             gate: HelloGate::new(n, shared.dup_hellos.clone()),
+            out: (0..n).map(initial).collect(),
             shared,
             door,
-            gens: vec![1; n],
+            gens: vec![0; n],
             connector,
-            out: out_streams
-                .into_iter()
-                .map(|s| s.map_or(OutState::Dead, OutState::Up))
-                .collect(),
             wants_writable: vec![false; n],
-        };
-        for peer in 0..n {
-            lp.register_outbound(peer);
         }
-        lp
     }
 
-    pub(super) fn run(mut self) {
+    /// Serves the endpoint until shutdown, then drains and closes. Returns
+    /// what the initial mesh still lacked when the loop stopped.
+    pub(super) fn run(mut self) -> Option<String> {
         telemetry::set_thread_track(format!("poller e{}", self.shared.core.me()));
         let mut events: Vec<sys::PollEvent> = Vec::new();
         let mut last_occupancy = Instant::now();
@@ -160,7 +177,7 @@ impl EventLoop {
             let now = Instant::now();
             let due = self.door.sweep(&self.shared.poller, now);
             self.sweep(now);
-            // Sleep until the next redial or HELLO deadline, capped at the
+            // Sleep until the next dial or HELLO deadline, capped at the
             // tick. Parked links have no deadline: they dial only when
             // traffic arrives, and the sender's wake covers that.
             let mut timeout = due.map_or(POLL_TICK, |due| due.min(POLL_TICK));
@@ -197,7 +214,31 @@ impl EventLoop {
                 );
             }
         }
+        let missing = self.missing();
         self.drain_and_close();
+        missing
+    }
+
+    /// The first peer the initial mesh lacks, not yet dialed or not yet
+    /// heard; `None` once the mesh is up.
+    fn missing(&self) -> Option<String> {
+        let me = self.shared.core.me();
+        let lacks = |peer: usize| match &self.out[peer] {
+            OutState::Down(d) if !d.was_up() => Some(format!(
+                "endpoint {peer} ({}) not dialed after {} attempts",
+                self.shared.spec.addrs[peer], d.attempts
+            )),
+            _ => (!self.gate.heard(peer)).then(|| format!("endpoint {peer} not heard")),
+        };
+        (0..self.out.len()).filter(|&p| p != me).find_map(lacks)
+    }
+
+    /// Counts one more link or HELLO of the initial mesh, and unparks the
+    /// connector once the mesh is up.
+    fn met_one(&self) {
+        if self.shared.unmet.fetch_sub(1, Ordering::SeqCst) == 1 {
+            self.connector.unpark();
+        }
     }
 
     /// Reads what is missing of a HELLO — never a frame byte past it — and
@@ -224,10 +265,8 @@ impl EventLoop {
             return self.door.close(poller, slot); // a duplicate, counted by the gate
         }
         if first {
-            if self.shared.unheard.fetch_sub(1, Ordering::SeqCst) == 1 {
-                self.connector.unpark(); // the initial mesh is up
-            }
-        } else if self.shared.unheard.load(Ordering::SeqCst) == 0 {
+            self.met_one();
+        } else if self.shared.unmet.load(Ordering::SeqCst) == 0 {
             self.shared.reaccepted.inc();
             telemetry::instant("reconnect.accept", hello.peer as u64, 0);
         }
@@ -240,30 +279,6 @@ impl EventLoop {
             direct: None,
         };
         self.door.admit(slot, inbound);
-    }
-
-    /// Moves an `Up` outbound stream into nonblocking mode and registers it
-    /// (hangup interest only; write interest is added on demand). On failure
-    /// the link goes `Down` and the redial path gets its turn.
-    fn register_outbound(&mut self, peer: usize) {
-        let OutState::Up(stream) = &self.out[peer] else {
-            return;
-        };
-        let (fd, poller) = (stream.as_raw_fd(), &self.shared.poller);
-        let ok = stream.set_nonblocking(true).is_ok()
-            && poller.register(fd, peer as u64, false, false).is_ok();
-        if ok {
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = Some(fd);
-        } else {
-            // The slot may have been pre-published at connect time; a link
-            // that failed registration must not leave a dangling fd behind.
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = None;
-            self.out[peer] = OutState::Down(DownState::fresh(
-                &self.shared.spec,
-                Instant::now(),
-                "could not register outbound socket".into(),
-            ));
-        }
     }
 
     fn handle_event(&mut self, ev: sys::PollEvent) {
@@ -311,8 +326,8 @@ impl EventLoop {
         }
     }
 
-    /// Per-iteration link maintenance: flush what is flushable, redial what
-    /// is due, revive dead links with queued traffic.
+    /// Per-iteration link maintenance: serve pending severs, flush what is
+    /// flushable, dial what is due, revive dead links with queued traffic.
     fn sweep(&mut self, now: Instant) {
         for peer in 0..self.out.len() {
             if peer == self.shared.core.me() {
@@ -327,12 +342,12 @@ impl EventLoop {
             match &self.out[peer] {
                 OutState::Up(_) => {
                     // Skip when awaiting EPOLLOUT: the socket said "full".
-                    if queued && !self.wants_writable[peer] {
+                    if !self.serve_sever(peer) && queued && !self.wants_writable[peer] {
                         self.flush_link(peer);
                     }
                 }
                 OutState::Down(d) => {
-                    if queued {
+                    if queued || !d.was_up() {
                         if d.parked {
                             // Traffic arrived for a parked link: restart the
                             // redial state machine with a fresh budget (the
@@ -341,9 +356,9 @@ impl EventLoop {
                             let cause = d.cause.clone();
                             self.out[peer] =
                                 OutState::Down(DownState::fresh(&self.shared.spec, now, cause));
-                            self.try_redial(peer, now);
+                            self.try_dial(peer, now);
                         } else if now >= d.next {
-                            self.try_redial(peer, now);
+                            self.try_dial(peer, now);
                         }
                     } else if !d.parked && now >= d.next {
                         let mut parked = DownState::fresh(&self.shared.spec, now, d.cause.clone());
@@ -383,6 +398,14 @@ impl EventLoop {
             };
             let mut batch: VecDeque<QueuedFrame> = {
                 let mut q = link.q.lock().expect("link queue");
+                // Read under the queue lock: a frame queued after a
+                // `sever_link` returned is in this queue only if the request
+                // is visible here too.
+                if link.sever.load(Ordering::SeqCst) {
+                    drop(q);
+                    self.serve_sever(peer);
+                    return;
+                }
                 if q.frames.is_empty() {
                     drop(q);
                     if self.wants_writable[peer] {
@@ -479,12 +502,7 @@ impl EventLoop {
             OutState::Down(DownState::fresh(&self.shared.spec, now, cause.to_string())),
         );
         if let OutState::Up(stream) = prev {
-            // Clear the sever slot *before* the fd can be reused.
-            let mut slot = self.shared.out_fds[peer].lock().expect("out fd lock");
-            *slot = None;
             self.shared.poller.deregister(stream.as_raw_fd());
-            drop(stream);
-            drop(slot);
         }
         self.wants_writable[peer] = false;
         if let Some(link) = &self.shared.links[peer] {
@@ -495,9 +513,31 @@ impl EventLoop {
         }
     }
 
-    /// One inline dial attempt for a `Down` link. Success re-registers and
-    /// flushes; failure backs off, and past the deadline the link dies.
-    fn try_redial(&mut self, peer: usize, now: Instant) {
+    /// Serves a pending `sever_link` on an `Up` link: shuts its connection
+    /// down, then breaks the link as a hangup would. `false` if none was
+    /// pending.
+    fn serve_sever(&mut self, peer: usize) -> bool {
+        // A load first: the sweep runs this on every link each turn, and a
+        // swap would write the line senders share with `depth`.
+        let pending = |l: &LinkShared| {
+            l.sever.load(Ordering::SeqCst) && l.sever.swap(false, Ordering::SeqCst)
+        };
+        if !self.shared.links[peer].as_ref().is_some_and(pending) {
+            return false;
+        }
+        if let OutState::Up(stream) = &self.out[peer] {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.break_link(peer, "severed");
+        true
+    }
+
+    /// One inline dial attempt for a `Down` link. Success watches the
+    /// connection and flushes; failure backs off, and past the deadline a
+    /// link that was up dies. Only a link that was up counts its dials as
+    /// redials and its connections as reconnects; the initial mesh's failed
+    /// dials are dial retries.
+    fn try_dial(&mut self, peer: usize, now: Instant) {
         let mut d = match std::mem::replace(&mut self.out[peer], OutState::Dead) {
             OutState::Down(d) => d,
             other => {
@@ -506,20 +546,46 @@ impl EventLoop {
             }
         };
         d.attempts += 1;
-        self.shared.redial_attempts.inc();
+        if d.was_up() {
+            self.shared.redial_attempts.inc();
+        }
+        // Every attempt is a new generation: one that connected and sent its
+        // HELLO, then failed to register, must not be a duplicate of the next.
         self.gens[peer] += 1;
         let (addr, me) = (self.shared.spec.addrs[peer], self.shared.core.me());
-        match net::dial_once(addr, me, self.gens[peer], REDIAL_ATTEMPT_TIMEOUT) {
+        let dialed = net::dial_once(addr, me, self.gens[peer], DIAL_ATTEMPT_TIMEOUT);
+        // A connection the poller cannot watch is a failed attempt. It
+        // watches for hangups only; write interest is added on demand.
+        let watched = dialed.and_then(|stream| {
+            stream.set_nonblocking(true)?;
+            let fd = stream.as_raw_fd();
+            self.shared.poller.register(fd, peer as u64, false, false)?;
+            Ok(stream)
+        });
+        match watched {
             Ok(stream) => {
-                self.shared.reconnected.inc();
-                telemetry::instant("reconnect", peer as u64, d.attempts);
+                // A sever asked for while the link was down has no
+                // connection to cut. One asked for once `connect` returns
+                // or the reconnect is counted applies to this connection.
+                if let Some(link) = &self.shared.links[peer] {
+                    link.sever.store(false, Ordering::SeqCst);
+                }
                 self.out[peer] = OutState::Up(stream);
                 self.wants_writable[peer] = false;
-                self.register_outbound(peer);
+                if d.was_up() {
+                    self.shared.reconnected.inc();
+                    telemetry::instant("reconnect", peer as u64, d.attempts);
+                } else {
+                    self.met_one();
+                }
                 self.flush_link(peer);
             }
             Err(e) => {
-                if now >= d.deadline {
+                if !d.was_up() {
+                    self.shared.dial_retries.inc();
+                    telemetry::instant("dial.retry", peer as u64, d.attempts);
+                }
+                if d.deadline.is_some_and(|deadline| now >= deadline) {
                     let verdict = format!(
                         "link to endpoint {peer} dead after {} attempts ({}; last: {e})",
                         d.attempts, d.cause
@@ -585,10 +651,8 @@ impl EventLoop {
             link.space.notify_all();
         }
         // FIN every outbound stream: peers read to EOF, losing nothing that
-        // was flushed. Clearing the fd slots first keeps sever_link away
-        // from descriptors about to be closed.
-        for (peer, st) in self.out.iter().enumerate() {
-            *self.shared.out_fds[peer].lock().expect("out fd lock") = None;
+        // was flushed.
+        for st in &self.out {
             if let OutState::Up(stream) = st {
                 let _ = stream.shutdown(Shutdown::Write);
                 self.shared.poller.deregister(stream.as_raw_fd());

@@ -45,13 +45,20 @@
 //!   pairs keep their idle HELLO sockets, and `sever_link` on them is the
 //!   in-process fabric's no-op.
 //!
-//! Self-healing lives in the poller's per-link state machine: a broken link
-//! moves `Up → Down`, redials with the fabric's capped exponential backoff
-//! (a fresh connection *generation* in every HELLO, so the peer's
-//! `HelloGate` can drop duplicates idempotently), and is declared `Dead`
-//! only after `reconnect_timeout` — at which point queued frames are dropped
-//! and blocked senders are released. A later send revives the link and the
-//! cycle restarts.
+//! The poller is the only thread that dials, severs or closes a mesh socket.
+//! Its per-link state machine dials the initial mesh: every link starts
+//! `Down`, never up, and dials with the fabric's capped exponential backoff
+//! whether or not frames are queued, until `connect` returns or gives up at
+//! `connect_timeout` (a failed attempt counts in
+//! `poseidon_dial_retries_total`). Self-healing is the same machine: a
+//! broken link moves `Up → Down`, redials (a fresh connection *generation*
+//! in every HELLO, so the peer's `HelloGate` can drop duplicates
+//! idempotently), and is declared `Dead` only after `reconnect_timeout` —
+//! at which point queued frames are dropped and blocked senders are
+//! released. A later send revives the link and the cycle restarts.
+//! `sever_link` records a request on the link and wakes the poller, which
+//! serves it before its next write on the link: it shuts its own stream
+//! down and breaks the link as a hangup would.
 //!
 //! Backpressure is per link: a queue holds at most [`MAX_LINK_PENDING_BYTES`]
 //! before `send_seq` blocks on a condvar that the poller signals as bytes
@@ -89,7 +96,7 @@ use event_loop::EventLoop;
 use registry::{resolve_coresident, Registration};
 use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
-use std::os::fd::{AsRawFd, RawFd};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -136,6 +143,9 @@ struct LinkShared {
     /// taking every queue lock every loop (which scaled O(endpoints²) in
     /// lock traffic across the process).
     depth: AtomicU64,
+    /// A pending `sever_link`: the poller shuts the link's connection down
+    /// before its next write on it.
+    sever: AtomicBool,
 }
 
 impl LinkShared {
@@ -148,6 +158,7 @@ impl LinkShared {
             }),
             space: Condvar::new(),
             depth: AtomicU64::new(0),
+            sever: AtomicBool::new(false),
         }
     }
 }
@@ -162,13 +173,10 @@ struct Shared {
     spec: TcpFabricSpec,
     /// Write queue per peer (`None` for our own slot).
     links: Vec<Option<LinkShared>>,
-    /// Raw fd of each live outbound socket, for the synchronous
-    /// `sever_link`. The poller clears a slot *before* dropping the stream,
-    /// so a sever can never hit a reused descriptor.
-    out_fds: Vec<Mutex<Option<RawFd>>>,
-    /// Peers none of whose HELLOs the poller has admitted yet; `connect`
-    /// returns once this reaches zero, and the initial mesh is up.
-    unheard: AtomicUsize,
+    /// Outbound links not yet up plus peers none of whose HELLOs the poller
+    /// has admitted yet; `connect` returns once this reaches zero, and the
+    /// initial mesh is up.
+    unmet: AtomicUsize,
     reader_err: Mutex<Option<TransportError>>,
     /// The inbox's only sender, shared by the poller and co-resident
     /// senders; `None` from shutdown on, which closes the inbox.
@@ -192,8 +200,9 @@ struct Shared {
     m_tx_queue_peak: metrics::Gauge,
     m_rx_queue_peak: metrics::Gauge,
     m_writev_batch: metrics::Histogram,
-    /// This endpoint's link-repair counts, owned registry cells:
-    /// `poseidon_{reconnects,reaccepts,redials,dup_hellos}_total`.
+    /// This endpoint's link counts, owned registry cells:
+    /// `poseidon_{dial_retries,reconnects,reaccepts,redials,dup_hellos}_total`.
+    dial_retries: metrics::Counter,
     reconnected: metrics::Counter,
     reaccepted: metrics::Counter,
     redial_attempts: metrics::Counter,
@@ -205,6 +214,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// Has the poller look at the links: it skips its next sleep, and a
+    /// sleeping poller is woken.
+    fn poke(&self) {
+        self.dirty.store(true, Ordering::SeqCst);
+        if self.sleeping.load(Ordering::SeqCst) {
+            self.poller.waker().wake();
+        }
+    }
+
     /// Notes that a frame left just now (`last_tx_ns`).
     fn stamp_tx(&self) {
         let ns = self.started.elapsed().as_nanos() as u64 + 1;
@@ -243,7 +261,9 @@ pub struct TcpTransport {
     /// Our registry entry; withdrawn first thing on shutdown or drop.
     registration: Option<Registration>,
     inbox: Receiver<Envelope>,
-    poller_thread: Option<JoinHandle<()>>,
+    /// The poller; it returns what the initial mesh still lacked when it
+    /// stopped.
+    poller_thread: Option<JoinHandle<Option<String>>>,
     down: bool,
 }
 
@@ -285,8 +305,7 @@ impl TcpTransport {
             core: EndpointCore::new(me, Arc::from(spec.node_of_endpoint.as_slice()), counters),
             spec: spec.clone(),
             links: (0..n).map(|i| (i != me).then(LinkShared::new)).collect(),
-            out_fds: (0..n).map(|_| Mutex::new(None)).collect(),
-            unheard: AtomicUsize::new(n - 1),
+            unmet: AtomicUsize::new(2 * (n - 1)),
             reader_err: Mutex::new(None),
             inbox: Mutex::new(Some(inbox_tx)),
             delivered: AtomicU64::new(0),
@@ -298,6 +317,7 @@ impl TcpTransport {
             m_tx_queue_peak: metrics::gauge("poseidon_tx_queue_peak_frames", &labels),
             m_rx_queue_peak: metrics::gauge("poseidon_rx_queue_peak_frames", &labels),
             m_writev_batch: metrics::histogram("poseidon_writev_batch_frames", &labels),
+            dial_retries: owned("poseidon_dial_retries_total"),
             reconnected: owned("poseidon_reconnects_total"),
             reaccepted: owned("poseidon_reaccepts_total"),
             redial_attempts: owned("poseidon_redials_total"),
@@ -315,27 +335,12 @@ impl TcpTransport {
         let door = Door::new(listener, &shared.poller, owned("poseidon_bad_hellos_total"))
             .map_err(|e| TransportError::Handshake(format!("watch listener: {e}")))?;
 
-        // Our listener is bound, so while we dial, the kernel completes our
-        // peers' inbound handshakes and buffers their HELLOs until the
-        // poller accepts them.
-        let mut out_streams: Vec<Option<TcpStream>> = (0..n).map(|_| None).collect();
-        for peer in (0..n).filter(|&p| p != me) {
-            out_streams[peer] = Some(net::dial(spec, me, peer, deadline)?);
-        }
-
-        // Publish the outbound fds *before* the poller exists: `sever_link`
-        // consults these slots and may run the instant `connect` returns — it
-        // must not race the poller thread's own registration pass.
-        for (peer, stream) in out_streams.iter().enumerate() {
-            if let Some(stream) = stream {
-                *shared.out_fds[peer].lock().expect("out fd lock") = Some(stream.as_raw_fd());
-            }
-        }
-
+        // The poller dials every peer and admits their HELLOs; it unparks us
+        // once the initial mesh is up.
         let poller_thread = {
             let shared = Arc::clone(&shared);
             let connector = std::thread::current();
-            std::thread::spawn(move || EventLoop::new(shared, door, out_streams, connector).run())
+            std::thread::spawn(move || EventLoop::new(shared, door, connector).run())
         };
         let mut ep = Self {
             shared,
@@ -345,13 +350,14 @@ impl TcpTransport {
             poller_thread: Some(poller_thread),
             down: false,
         };
-
-        // The poller unparks us once every peer's first HELLO is admitted.
-        while ep.shared.unheard.load(Ordering::SeqCst) > 0 {
+        while ep.shared.unmet.load(Ordering::SeqCst) > 0 {
             let Some(wait) = deadline.checked_duration_since(Instant::now()) else {
-                let heard = n - 1 - ep.shared.unheard.load(Ordering::SeqCst);
-                let _ = ep.shutdown();
-                let why = format!("endpoint {me}: heard {heard} of {} peers by timeout", n - 1);
+                ep.signal_down();
+                let missing = ep.poller_thread.take().and_then(|h| h.join().ok());
+                let why = missing
+                    .flatten()
+                    .unwrap_or_else(|| "mesh incomplete".into());
+                let why = format!("endpoint {me}: {why} by the connect deadline");
                 return Err(TransportError::Handshake(why));
             };
             std::thread::park_timeout(wait);
@@ -464,10 +470,7 @@ impl TcpTransport {
         if telemetry::is_enabled() {
             telemetry::counter("tx.queue", to as u64, depth);
         }
-        shared.dirty.store(true, Ordering::SeqCst);
-        if shared.sleeping.load(Ordering::SeqCst) {
-            shared.poller.waker().wake();
-        }
+        shared.poke();
         Ok(())
     }
 }
@@ -527,14 +530,13 @@ impl Transport for TcpTransport {
         if self.coresident.get(to).is_some_and(Option::is_some) {
             return Ok(());
         }
-        if let Some(slot) = self.shared.out_fds.get(to) {
-            // Holding the slot lock pins the fd: the poller clears the slot
-            // under this lock before dropping a stream.
-            let fd = slot.lock().expect("out fd lock");
-            if let Some(fd) = *fd {
-                let _ = sys::shutdown_fd(fd);
-                telemetry::instant("sever", to as u64, 0);
-            }
+        // The poller owns the socket: it serves the request before its next
+        // write on the link, so no frame sent after this returns travels on
+        // the severed connection.
+        if let Some(Some(link)) = self.shared.links.get(to) {
+            link.sever.store(true, Ordering::SeqCst);
+            telemetry::instant("sever", to as u64, 0);
+            self.shared.poke();
         }
         Ok(())
     }
@@ -704,6 +706,74 @@ mod tests {
             }
             ep.shutdown().unwrap();
         });
+    }
+
+    #[test]
+    fn every_sever_of_twenty_in_a_row_reconnects_and_loses_nothing() {
+        let eps = mesh(&[0, 1]);
+        for round in 0..20u64 {
+            eps[0].sever_link(1).unwrap();
+            eps[0].send(1, grad(round, 16)).unwrap();
+            let env = eps[1]
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the frame sent after the sever arrives");
+            assert_eq!(env.msg.iter(), round, "frames arrive once, in order");
+            // The frame travelled on a new connection, so its reconnect has
+            // been counted.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while eps[0].reconnect_count() <= round && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            assert_eq!(eps[0].reconnect_count(), round + 1, "round {round}");
+        }
+        assert!(
+            eps[1].recv_timeout(Duration::from_millis(200)).is_err(),
+            "no frame delivered twice"
+        );
+        shutdown_all(eps);
+    }
+
+    #[test]
+    fn a_late_listener_is_dialed_with_retries_and_no_reconnect() {
+        let (mut listeners, addrs) = super::super::bind_ephemeral(3).expect("bind");
+        let spec = quick_spec(addrs, vec![0, 1, 2]);
+        // Endpoint 2's port is closed while its peers start dialing it.
+        drop(listeners.pop());
+        let eps = std::thread::scope(|s| {
+            let early: Vec<_> = listeners
+                .into_iter()
+                .enumerate()
+                .map(|(me, l)| {
+                    let spec = &spec;
+                    s.spawn(move || {
+                        TcpTransport::connect_with_listener(spec, me, l, None).expect("mesh")
+                    })
+                })
+                .collect();
+            std::thread::sleep(Duration::from_millis(300));
+            let l = TcpListener::bind(spec.addrs[2]).expect("bind the late port again");
+            let late = TcpTransport::connect_with_listener(&spec, 2, l, None).expect("mesh");
+            let mut eps: Vec<_> = early.into_iter().map(|h| h.join().unwrap()).collect();
+            eps.push(late);
+            eps
+        });
+        let snap = metrics::snapshot();
+        for (me, ep) in eps.iter().enumerate().take(2) {
+            assert!(ep.shared.dial_retries.get() > 0, "endpoint {me} retried");
+            let family = snap.value(
+                "poseidon_dial_retries_total",
+                &[("endpoint", &me.to_string())],
+            );
+            assert!(family > Some(0), "endpoint {me}: {family:?}");
+        }
+        assert!(
+            eps.iter().all(|ep| ep.reconnect_count() == 0),
+            "no reconnect"
+        );
+        eps[0].send(2, grad(6, 16)).unwrap();
+        let env = eps[2].recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!((env.src, env.msg.iter()), (0, 6));
+        shutdown_all(eps);
     }
 
     /// Frame `i` of the sever test: 1–3 MiB, every byte derived from `i`.

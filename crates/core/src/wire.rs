@@ -51,9 +51,11 @@
 //!
 //! Payload codecs live behind the [`Codec`] registry
 //! ([`poseidon_tensor::compress`]); this module adds the pooled sender
-//! ([`compress_pooled`]) and the counted receive primitives
-//! ([`decode_codec_into`], [`accumulate_codec`]). Sufficient-factor batches
-//! use [`poseidon_tensor::bytesio`].
+//! ([`encode_codec`]) and the counted receive primitives
+//! ([`decode_codec_into`], [`accumulate_codec`], [`codec_cursor`],
+//! [`decode_codec`]): `poseidon_codec_bytes_{pre,post}_total` count every
+//! payload the protocol decodes, once, and nothing it encodes.
+//! Sufficient-factor batches use [`poseidon_tensor::bytesio`].
 
 #![deny(clippy::undocumented_unsafe_blocks)]
 
@@ -453,9 +455,9 @@ pub fn encode_f32s(vals: &[f32]) -> Bytes {
 
 /// Encodes a flat f32 slice into a recycled
 /// [`BufPool`](crate::pool::BufPool) lease: the identity codec through
-/// [`compress_pooled`], so the registry and this spelling share one loop.
+/// [`encode_codec`], so the registry and this spelling share one loop.
 pub fn encode_f32s_pooled(vals: &[f32]) -> Bytes {
-    compress_pooled(&mut poseidon_tensor::compress::IdentityCompressor, vals)
+    encode_codec(&mut poseidon_tensor::compress::IdentityCompressor, vals)
 }
 
 /// The identity payload of a whole shared `f32` buffer. On a little-endian
@@ -487,17 +489,23 @@ impl AsRef<[u8]> for SharedF32s {
     }
 }
 
-/// Compresses `vals` through `comp` straight into a pooled lease: the buffer
-/// comes from (and returns to) the global pool instead of the allocator, and
-/// no codec stages its payload anywhere else first. Every sender — gradient
-/// pushes, shard replies, collective hops — encodes through here.
-pub fn compress_pooled(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
+/// Sender-side entry point of the codec registry: compresses `vals`
+/// through `comp` straight into a pooled lease. The buffer comes from (and
+/// returns to) the global pool instead of the allocator, and no codec
+/// stages its payload anywhere else first. Every sender — gradient pushes,
+/// shard replies, collective hops — encodes through here, uncounted: the
+/// codec byte counters count decodes.
+pub fn encode_codec(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
     let len = comp.codec().payload_bytes(vals.len());
     // Dirty lease: `compress_into` overwrites every byte.
     let mut lease = crate::pool::BufPool::global().get_dirty(len);
     comp.compress_into(vals, &mut lease);
     lease.freeze()
 }
+
+/// [`encode_codec`] under its older name, which `tests/ps_wire_path.rs`
+/// calls.
+pub use self::encode_codec as compress_pooled;
 
 /// Per-codec dense/wire byte counters, resolved once per process and keyed
 /// by [`Codec::wire_id`] so the per-frame paths stay registry-free. The
@@ -522,12 +530,11 @@ fn count_codec_bytes(codec: Codec, elems: usize, wire_len: usize) {
     post.add(wire_len as u64);
 }
 
-/// Counted sender-side entry point of the codec registry:
-/// [`compress_pooled`] plus the `poseidon_codec_bytes_*` counters.
-pub fn encode_codec(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
-    let payload = compress_pooled(comp, vals);
-    count_codec_bytes(comp.codec(), vals.len(), payload.len());
-    payload
+/// Counts an identity payload of `elems` values that its receiver reads in
+/// place, with no decode call (a ring hop's fused fold, a DISTRIBUTE
+/// landing), as [`decode_codec_into`] would count it.
+pub(crate) fn count_identity_read(elems: usize) {
+    count_codec_bytes(Codec::Identity, elems, elems * 4);
 }
 
 /// Counted receive primitive for a payload that *replaces* its destination:

@@ -40,14 +40,18 @@ echo "== connect and accept paths, five runs in a row =="
 # One poller per endpoint accepts, reads every HELLO and serves frames, and
 # the metrics door runs the same accept loop on its own poller (its
 # stalled, garbage and flooding peers are the `metrics::expose::` tests).
-# A race on that path shows up as a flake rather than a steady failure, so
-# its suites run five times over; `timeout` bounds a wedged mesh.
+# The poller also dials every mesh link and serves every sever; the two
+# process suites are the ones whose peers bind late and whose severs cross
+# processes. A race on that path shows up as a flake rather than a steady
+# failure, so its suites run five times over; `timeout` bounds a wedged
+# mesh.
 for run in 1 2 3 4 5; do
     echo "-- run $run of 5"
     timeout 300 cargo test -q -p poseidon --lib transport::
     timeout 300 cargo test -q -p poseidon --test transport_contract
     timeout 300 cargo test -q -p poseidon --test poller_threads
     timeout 300 cargo test -q -p poseidon --lib metrics::expose::
+    timeout 300 cargo test -q -p poseidon-bench --test tcp_loopback --test tcp_sever_reconnect
 done
 
 echo "== bitwise oracles and data paths under --release =="
