@@ -111,7 +111,8 @@ pub struct Syncer {
     chunk_done: Vec<bool>,
     /// PS: staging for a chunk that straddles the weights/bias boundary, the
     /// one kind that cannot be encoded from or decoded into parameter storage
-    /// directly. Kept between iterations.
+    /// directly. SFB: one row block of the rebuilt weight gradient
+    /// ([`Self::sf_step`]). Kept between iterations.
     scratch: Vec<f32>,
     received_matrix: Option<Vec<f32>>,
     /// SFB: every worker's factor batch this iteration, ours included.
@@ -543,16 +544,34 @@ impl Syncer {
     }
 
     /// SFB's update: every worker's factors reconstructed and stepped into
-    /// `p` through the replicated momentum velocity.
+    /// `p` through the replicated momentum velocity. The weight gradient
+    /// `Uᵀ·V` is rebuilt [`SF_BLOCK`] elements (whole rows) at a time into
+    /// `scratch`, which stays in L2, and each block is stepped into the
+    /// weights and the velocity while it is there: the dense gradient is
+    /// never written out. Every element gets the same GEMM fold and the
+    /// same momentum step as through [`reconstruct_sf_batches`], so the
+    /// bits are the same.
     fn sf_step(&mut self, p: &mut ParamBlock, batches: &[SfBatch], scale: f32) {
         let ((rows, cols), mu) = (p.weights.shape(), self.momentum);
-        let (grad_w, grad_b) = reconstruct_sf_batches(batches, rows, cols);
+        let (factors, grad_b) = stack_sf_batches(batches, rows, cols);
         let (vw, vb) = self
             .sf_velocity
             .get_or_insert_with(|| (Matrix::zeros(rows, cols), vec![0.0; rows]));
-        let (w, b) = (p.weights.as_mut_slice(), p.bias.as_mut_slice());
-        momentum_step(w, vw.as_mut_slice(), grad_w.as_slice(), mu, scale);
-        momentum_step(b, vb, &grad_b, mu, scale);
+        let block = (SF_BLOCK / cols).max(1) * cols;
+        self.scratch.resize(block, 0.0);
+        let w = p.weights.as_mut_slice().chunks_mut(block);
+        for (r0, (w, vw)) in (0..)
+            .step_by(block / cols)
+            .zip(w.zip(vw.as_mut_slice().chunks_mut(block)))
+        {
+            let g = &mut self.scratch[..w.len()];
+            match &factors {
+                Some((u, v)) => u.matmul_tn_rows_into(v, r0..r0 + w.len() / cols, g),
+                None => g.fill(0.0),
+            }
+            momentum_step(w, vw, g, mu, scale);
+        }
+        momentum_step(p.bias.as_mut_slice(), vb, &grad_b, mu, scale);
     }
 
     /// Runs one write into the replica under the `apply` span and histogram.
@@ -1219,6 +1238,10 @@ fn write_scaled<S: F32Sink + ?Sized>(dst: &mut S, seed: Seed<'_>, scale: f32, g:
     }
 }
 
+/// Elements of the weight gradient [`Syncer::sf_step`] rebuilds per row
+/// block: 512 KiB, which stays in L2 beside the packed `V`.
+const SF_BLOCK: usize = 128 * 1024;
+
 /// Reconstructs the summed dense gradient of a set of SF batches: the weight
 /// gradient `Σ uvᵀ` and the bias gradient `Σ u`.
 ///
@@ -1233,10 +1256,27 @@ fn write_scaled<S: F32Sink + ?Sized>(dst: &mut S, seed: Seed<'_>, scale: f32, g:
 ///
 /// Panics if a factor's shape is not `(rows, cols)`.
 pub fn reconstruct_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> (Matrix, Vec<f32>) {
+    match stack_sf_batches(batches, rows, cols) {
+        (Some((u, v)), bias_grad) => (u.matmul_tn(&v), bias_grad),
+        (None, bias_grad) => (Matrix::zeros(rows, cols), bias_grad),
+    }
+}
+
+/// `U` and `V` of a set of SF batches, if they hold any factor.
+type Stacked = Option<(Matrix, Matrix)>;
+
+/// The factors of `batches` stacked worker-then-sample into `U`
+/// (`count × rows`, one `u` per row) and `V` (`count × cols`), `None` where
+/// there are none, and the bias gradient `Σ u` folded in that order.
+///
+/// # Panics
+///
+/// Panics if a factor's shape is not `(rows, cols)`.
+fn stack_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> (Stacked, Vec<f32>) {
     let count: usize = batches.iter().map(SfBatch::len).sum();
     let mut bias_grad = vec![0.0f32; rows];
     if count == 0 {
-        return (Matrix::zeros(rows, cols), bias_grad);
+        return (None, bias_grad);
     }
     let mut u = Vec::with_capacity(count * rows);
     let mut v = Vec::with_capacity(count * cols);
@@ -1248,8 +1288,11 @@ pub fn reconstruct_sf_batches(batches: &[SfBatch], rows: usize, cols: usize) -> 
             *b += x;
         }
     }
-    let grad = Matrix::from_vec(count, rows, u).matmul_tn(&Matrix::from_vec(count, cols, v));
-    (grad, bias_grad)
+    let stacked = (
+        Matrix::from_vec(count, rows, u),
+        Matrix::from_vec(count, cols, v),
+    );
+    (Some(stacked), bias_grad)
 }
 
 /// Decodes a sufficient-factor batch for a layer whose weights are `shape`.
@@ -1861,6 +1904,59 @@ mod tests {
         for _ in 0..2 {
             let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
             let _ = s.receive(1, msg, &mut p.0, |_, _| {});
+        }
+    }
+
+    #[test]
+    fn sf_step_in_row_blocks_is_reconstruct_then_momentum_step_bit_for_bit() {
+        let ramp = |n: usize, seed: u32| -> Vec<f32> {
+            (0..n as u32)
+                .map(|i| ((i.wrapping_mul(2654435761) ^ seed) % 2003) as f32 / 977.0 - 1.0)
+                .collect()
+        };
+        // 43 rows per block: two whole blocks and a ragged one of 14.
+        let (rows, cols) = (100, 3000);
+        assert_eq!(SF_BLOCK / cols, 43);
+        let factor = |worker: u32, k: u32| {
+            let mut u = ramp(rows, 10 * worker + k);
+            let mut v = ramp(cols, 100 + 10 * worker + k);
+            if (worker, k) == (1, 0) {
+                u[3] = f32::NAN;
+                u[50] = -0.0;
+                v[7] = f32::INFINITY;
+                v[2999] = f32::NEG_INFINITY;
+            }
+            SufficientFactor::new(u, v)
+        };
+        let batches: Vec<SfBatch> = (0..2)
+            .map(|worker| SfBatch::from_factors((0..3).map(|k| factor(worker, k)).collect()))
+            .collect();
+        let bits = |x: &[f32]| x.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (momentum, scale) in [(0.9f32, -0.05f32), (0.0, -0.05), (0.9, 0.0), (0.0, 0.0)] {
+            let mut s = Syncer::new(0, CommScheme::Sfb, vec![], rows * cols + rows, 2, 0)
+                .with_momentum(momentum);
+            let mut p = ParamBlock::new(rows, cols);
+            p.weights = Matrix::from_vec(rows, cols, ramp(rows * cols, 1));
+            p.bias = Matrix::from_vec(1, rows, ramp(rows, 2));
+            let (mut w, mut b) = (p.weights.clone(), p.bias.clone());
+            let (mut vw, mut vb) = (vec![0.0; rows * cols], vec![0.0; rows]);
+            // Two steps, so the second starts from a velocity holding NaN/Inf.
+            for _ in 0..2 {
+                s.sf_step(&mut p, &batches, scale);
+                let (gw, gb) = reconstruct_sf_batches(&batches, rows, cols);
+                momentum_step(w.as_mut_slice(), &mut vw, gw.as_slice(), momentum, scale);
+                momentum_step(b.as_mut_slice(), &mut vb, &gb, momentum, scale);
+            }
+            let what = format!("m={momentum} s={scale}");
+            let (svw, svb) = s.sf_velocity.as_ref().expect("velocity");
+            assert_eq!(
+                bits(p.weights.as_slice()),
+                bits(w.as_slice()),
+                "weights, {what}"
+            );
+            assert_eq!(bits(p.bias.as_slice()), bits(b.as_slice()), "bias, {what}");
+            assert_eq!(bits(svw.as_slice()), bits(&vw), "weight velocity, {what}");
+            assert_eq!(bits(svb), bits(&vb), "bias velocity, {what}");
         }
     }
 

@@ -261,12 +261,11 @@ pub fn set_process(pid: u32, name: impl Into<String>) {
     *process().lock().unwrap() = (pid, name.into());
 }
 
-/// Labels the *current thread's* track ("worker 0", "shard 3", ...). A
-/// no-op when disabled.
+/// Labels the *current thread's* track ("worker 0", "shard 3", ...),
+/// whether recording is on or not: a thread named before [`enable`] (a
+/// poller started by `connect`) keeps its name on the events it records
+/// later. A thread that records nothing still exports no track.
 pub fn set_thread_track(name: impl Into<String>) {
-    if !is_enabled() {
-        return;
-    }
     let name = name.into();
     with_buf(|buf| buf.name = name);
 }
@@ -488,6 +487,28 @@ mod tests {
         let track = trace.tracks.iter().find(|t| !t.events.is_empty()).unwrap();
         assert_eq!(track.events.len(), DEFAULT_CAPACITY);
         assert_eq!(track.dropped, 6);
+    }
+
+    #[test]
+    fn a_track_named_before_recording_starts_keeps_its_name() {
+        let _g = test_lock();
+        disable();
+        let _ = drain();
+        std::thread::spawn(|| {
+            set_thread_track("named while off");
+            enable();
+            span_begin("tx.frame", 0, 0);
+            span_end("tx.frame", 0, 0);
+        })
+        .join()
+        .unwrap();
+        std::thread::spawn(|| set_thread_track("never records"))
+            .join()
+            .unwrap();
+        disable();
+        let json = chrome::to_chrome_json(&[drain()]);
+        assert!(json.contains("\"named while off\""), "{json}");
+        assert!(!json.contains("never records"), "{json}");
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! 2-D convolution lowered to GEMM over a column matrix (the lowering Caffe
-//! uses, which is also why conv gradients are "indecomposable and sparse"
-//! from the communication architecture's point of view — they always travel
-//! via the parameter server).
+//! 2-D convolution as GEMM over the column matrix Caffe lowers to (that
+//! lowering is also why conv gradients are "indecomposable and sparse" from
+//! the communication architecture's point of view — they always travel via
+//! the parameter server).
 //!
-//! One sample is lowered to `col`, a `D × L` matrix with `D = c_in·kh·kw`
-//! rows and `L = h_out·w_out` columns: row `(ch, ky, kx)` holds, for every
-//! output position, the input pixel that kernel tap reads (zero where the
-//! tap falls into the padding). Each input channel is lowered through a
-//! plane that holds it inside a zero border of `pad`, so at stride 1 every
-//! `(ch, ky, kx, oy)` segment of a row is one `w_out`-wide span of a plane
-//! row, padding included: the lowering is one fixed-width row copy per
-//! segment and its adjoint, the scatter, one row add onto a zeroed plane.
-//! Then forward is `W·col` written straight into the sample's output row,
-//! `dW_s = G·colᵀ` and `dcol = Wᵀ·G`, all on the packed GEMM.
+//! One sample's column matrix `col` is `D × L`, with `D = c_in·kh·kw` rows
+//! and `L = h_out·w_out` columns: row `(ch, ky, kx)` holds, for every output
+//! position, the input pixel that kernel tap reads (zero where the tap falls
+//! into the padding). It is never written out. Each sample is copied once
+//! into the interior of a zero border of `pad` around every channel, and
+//! the GEMM's `B` pack gathers `col` (forward: `W·col`, written straight
+//! into the sample's output row) or `colᵀ` (`dW_s = G·colᵀ`) from that
+//! padded sample ([`kernel::gemm_lowered`]). The input gradient is
+//! `dcol = Wᵀ·G` into a `D × L` buffer, then scattered — the lowering's
+//! adjoint — onto a zeroed padded plane per channel, one row add per
+//! `(ch, ky, kx, oy)` segment at stride 1.
 //!
 //! Fold orders (the bitwise contract): a forward element sums its taps in
 //! ascending `(ch, ky, kx)`, `dW_s` sums over ascending output position, and
@@ -22,7 +23,8 @@
 
 use crate::layer::{held, BackwardNeeds, Layer, LayerKind, ParamBlock, TensorShape};
 use crate::parallel;
-use poseidon_tensor::{kernel, Matrix};
+use poseidon_tensor::kernel::{self, Lowered, PaddedSample};
+use poseidon_tensor::Matrix;
 use rand::Rng;
 use std::ops::Range;
 
@@ -55,11 +57,14 @@ pub struct Conv2d {
 /// What one compute thread reuses from sample to sample.
 #[derive(Default)]
 struct Scratch {
-    /// The `D × L` column buffer: `col`, and in backward, once `dW_s` has
-    /// consumed that, `dcol`.
-    col: Vec<f32>,
-    /// One input channel inside a zero border of `pad` (see
-    /// [`Conv2d::lower`] and [`Conv2d::scatter`]).
+    /// The sample inside a zero border of `pad` around every channel (see
+    /// [`Conv2d::pad_sample`]).
+    padded: Vec<f32>,
+    /// The `D × L` input-column gradient `dcol`; empty where no input
+    /// gradient is taken.
+    dcol: Vec<f32>,
+    /// One input channel's gradient inside a border of `pad` (see
+    /// [`Conv2d::scatter`]).
     plane: Vec<f32>,
 }
 
@@ -114,15 +119,18 @@ impl Conv2d {
     }
 
     /// Takes the scratch sets out of the layer, at least `threads` of them,
-    /// each sized for this layer.
-    fn take_scratch(&mut self, threads: usize) -> Vec<Scratch> {
+    /// each sized for this layer, with room for `dcol` when `input_grad`.
+    fn take_scratch(&mut self, threads: usize, input_grad: bool) -> Vec<Scratch> {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.resize_with(scratch.len().max(threads), Scratch::default);
         let (d, l) = self.col_shape();
         let (hp, wp) = self.plane_shape();
         for part in &mut scratch {
-            part.col.resize(d * l, 0.0);
-            part.plane.resize(hp * wp, 0.0);
+            part.padded.resize(self.in_shape.c * hp * wp, 0.0);
+            if input_grad {
+                part.dcol.resize(d * l, 0.0);
+                part.plane.resize(hp * wp, 0.0);
+            }
         }
         scratch
     }
@@ -135,54 +143,39 @@ impl Conv2d {
         )
     }
 
-    /// Side of the zero-padded plane one input channel is lowered through:
+    /// Side of one input channel inside its zero border:
     /// `(h + 2·pad, w + 2·pad)`.
     fn plane_shape(&self) -> (usize, usize) {
         let TensorShape { h, w, .. } = self.in_shape;
         (h + 2 * self.pad, w + 2 * self.pad)
     }
 
-    /// Lowers one sample into `col` (`D × L`). Each channel is first copied
-    /// into the interior of `plane`, whose border is zeroed once per sample
-    /// (only [`Self::scatter`] writes it); then tap `(ky, kx)`'s row of
-    /// `col` is, for every output row `oy`, `w_out` entries of plane row
-    /// `oy·stride + ky` from column `kx` on — padding taps read the border's
-    /// zeros — and every element of `col` is written: the buffer is reused
-    /// across samples without clearing.
-    fn lower(&self, sample: &[f32], plane: &mut [f32], col: &mut [f32]) {
-        let TensorShape { h, w, .. } = self.in_shape;
-        let (l, wo) = (self.col_shape().1, self.out_shape.w);
-        let (wp, pad, stride) = (self.plane_shape().1, self.pad, self.stride);
-        let mut taps = col.chunks_exact_mut(l);
-        plane.fill(0.0);
-        for chan in sample.chunks_exact(h * w) {
+    /// Copies one sample into the interior of `padded` (`c_in` planes of
+    /// [`Self::plane_shape`]) and hands it to the kernel as the operand
+    /// `col` is gathered from. Nothing else writes `padded`, and this writes
+    /// only its interior, so the border keeps the zeros it was allocated
+    /// with: padding taps read `+0.0`.
+    fn pad_sample<'a>(&self, sample: &[f32], padded: &'a mut [f32]) -> PaddedSample<'a> {
+        let TensorShape { c, h, w } = self.in_shape;
+        let ((hp, wp), pad) = (self.plane_shape(), self.pad);
+        for (plane, chan) in padded
+            .chunks_exact_mut(hp * wp)
+            .zip(sample.chunks_exact(h * w))
+        {
             let interior = plane[pad * wp..].chunks_exact_mut(wp);
             for (dst, src) in interior.zip(chan.chunks_exact(w)) {
-                dst[pad..pad + w].copy_from_slice(src);
-            }
-            for ky in 0..self.kh {
-                for kx in 0..self.kw {
-                    let tap = taps.next().expect("col is D × L");
-                    let rows = plane[ky * wp + kx..].chunks(wp).step_by(stride);
-                    for (seg, row) in tap.chunks_exact_mut(wo).zip(rows) {
-                        if stride == 1 {
-                            copy_row(seg, &row[..wo]);
-                        } else {
-                            for (o, &v) in seg.iter_mut().zip(row.iter().step_by(stride)) {
-                                *o = v;
-                            }
-                        }
-                    }
-                }
+                copy_row(&mut dst[pad..pad + w], src);
             }
         }
+        PaddedSample::new(padded, c, (hp, wp), (self.kh, self.kw), self.stride)
     }
 
     /// Writes the input-sample gradient `out` from `dcol` (`D × L`): the
-    /// adjoint of [`Self::lower`]. Per channel, every tap row of `dcol` is
-    /// added onto a zeroed `plane` where `lower` read it, taps descending
-    /// (see the module doc), and the plane's interior is copied out; what
-    /// the border collected belongs to padding and is dropped.
+    /// adjoint of the lowering. Per channel, every tap row of `dcol` is
+    /// added onto a zeroed `plane` where that tap reads the padded sample,
+    /// taps descending (see the module doc), and the plane's interior is
+    /// copied out; what the border collected belongs to padding and is
+    /// dropped.
     fn scatter(&self, dcol: &[f32], plane: &mut [f32], out: &mut [f32]) {
         let TensorShape { h, w, .. } = self.in_shape;
         let (l, wo) = (self.col_shape().1, self.out_shape.w);
@@ -223,24 +216,34 @@ impl Conv2d {
         let (d, l) = self.col_shape();
         let in_len = self.in_shape.len();
         let weights = self.params.weights.as_slice();
-        let Scratch { col, plane } = scratch;
+        let Scratch {
+            padded,
+            dcol,
+            plane,
+        } = scratch;
         let mut grad_in = grad_in.chunks_exact_mut(in_len);
         for (s, (gw, gb)) in range.zip(parts) {
-            self.lower(input.row(s), plane, col);
+            let sample = self.pad_sample(input.row(s), padded);
             // This sample's output gradient is already `c_out × L`.
             let g = grad_out.row(s);
             // dW_s = G · colᵀ  (c_out × D).
-            kernel::gemm(self.c_out, d, l, g, l, 1, col, 1, l, gw.as_mut_slice());
+            kernel::gemm_lowered(
+                self.c_out,
+                g,
+                l,
+                1,
+                Lowered::ColT(sample),
+                gw.as_mut_slice(),
+            );
             // db_s = row sums of G.
             for (b, grow) in gb.as_mut_slice().iter_mut().zip(g.chunks_exact(l)) {
                 *b = grow.iter().sum::<f32>();
             }
-            // dcol = Wᵀ · G  (D × L) over the buffer `col` no longer needs,
-            // scattered back to the input — unless nobody reads that
-            // gradient and no rows of it were handed out.
+            // dcol = Wᵀ · G  (D × L), scattered back to the input — unless
+            // nobody reads that gradient and no rows of it were handed out.
             if let Some(gi) = grad_in.next() {
-                kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, col);
-                self.scatter(col, plane, gi);
+                kernel::gemm(d, l, self.c_out, weights, 1, d, g, l, 1, dcol);
+                self.scatter(dcol, plane, gi);
             }
         }
     }
@@ -256,7 +259,7 @@ pub(crate) fn conv_out_dim(input: usize, k: usize, stride: usize, pad: usize) ->
     (padded - k) / stride + 1
 }
 
-/// `dst = src`, eight elements per fixed-width step: a tap row is `w_out`
+/// `dst = src`, eight elements per fixed-width step: an input row is `w`
 /// long, too short for a `memcpy` call to pay off.
 fn copy_row(dst: &mut [f32], src: &[f32]) {
     let (dst8, dst_tail) = dst.as_chunks_mut::<8>();
@@ -310,7 +313,7 @@ impl Layer for Conv2d {
         let c_out = self.c_out;
         let mut out = Matrix::zeros(k, c_out * l);
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
-        let mut scratch = self.take_scratch(ranges.len());
+        let mut scratch = self.take_scratch(ranges.len(), false);
         let rows = parallel::split_by_ranges(out.as_mut_slice(), &ranges, c_out * l);
         let chunks = ranges
             .into_iter()
@@ -319,12 +322,11 @@ impl Layer for Conv2d {
         let this = &*self;
         parallel::par_chunks(chunks, |range, (rows, part): (&mut [f32], &mut Scratch)| {
             let weights = this.params.weights.as_slice();
-            let Scratch { col, plane } = part;
             for (s, orow) in range.zip(rows.chunks_exact_mut(c_out * l)) {
-                this.lower(input.row(s), plane, col);
+                let sample = this.pad_sample(input.row(s), &mut part.padded);
                 // (c_out × D) · (D × L), written straight into the output
                 // row; then the bias, in place.
-                kernel::gemm(c_out, l, d, weights, d, 1, col, l, 1, orow);
+                kernel::gemm_lowered(c_out, weights, d, 1, Lowered::Col(sample), orow);
                 for (ochan, &b) in orow.chunks_exact_mut(l).zip(this.params.bias.row(0)) {
                     for o in ochan {
                         *o += b;
@@ -362,7 +364,7 @@ impl Layer for Conv2d {
             (Matrix::zeros(c_out, d), Matrix::zeros(1, c_out))
         });
         let ranges = parallel::chunk_ranges(k, parallel::compute_threads());
-        let mut scratch = self.take_scratch(ranges.len());
+        let mut scratch = self.take_scratch(ranges.len(), self.needs.input_grad);
         // Without an input gradient every thread gets an empty slice of it.
         let gi_width = if self.needs.input_grad { in_len } else { 0 };
         let gi = parallel::split_by_ranges(grad_in.as_mut_slice(), &ranges, gi_width);

@@ -131,7 +131,8 @@ impl Layer for FullyConnected {
             }
         }
 
-        // ∂L/∂x = δ · W  (K × in), parallel over sample rows.
+        // ∂L/∂x = δ · W  (K × in), parallel over sample rows; a chunk of at
+        // most 16 rows streams `W` once, row by row, instead of packing it.
         let grad_in = if self.needs.input_grad {
             let weights = &self.params.weights;
             let mut grad_in = Matrix::zeros(grad_out.rows(), self.in_features);

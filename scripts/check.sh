@@ -56,10 +56,15 @@ done
 
 echo "== bitwise oracles and data paths under --release =="
 # Tier-1 runs these in the dev profile. The benchmark measures the release
-# build: the ISA-dispatched GEMM, the transposing packs and the codec loops
-# as the optimiser leaves them, the syncer's apply code (the in-place
-# chunk writes, SFB's momentum step, the collective segment steps and the
-# ring's fused fold-and-step) on the PS, collective and WFBP-drain paths,
+# build: the ISA-dispatched GEMM, the transposing packs, the packs that
+# gather a convolution's columns from its padded sample and the small-`m`
+# body that streams a lane-contiguous `B` (the benchmark measures these in
+# the release build only, so the `kernel::` unit tests and the conv
+# layers' bits at 1, 2 and 7 threads — conv_oracle, parallel_determinism,
+# backward_contract — run here too), the codec loops as the optimiser
+# leaves them, the syncer's apply code (the in-place chunk writes, SFB's
+# row-blocked rebuild and momentum step, the collective segment steps and
+# the ring's fused fold-and-step) on the PS, collective and WFBP-drain paths,
 # and the shard's `ShardServer` (the residual's export/install on
 # checkpoint and handoff, the poisoned-frame paths), which is what must
 # keep every bit. The dense PS round and the identity ring share buffers
@@ -73,7 +78,9 @@ echo "== bitwise oracles and data paths under --release =="
 # routing completeness walk for P = 1..33) run here too, with the
 # simulator/runtime frame cross-check (`sim_runtime_frames`).
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
-cargo test --release -q -p poseidon-nn --test conv_oracle
+cargo test --release -q -p poseidon-tensor --lib kernel::
+cargo test --release -q -p poseidon-nn --test conv_oracle --test parallel_determinism \
+    --test backward_contract
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
     --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
     --test poisoned_payloads --test chaos_recovery --test sim_runtime_frames
