@@ -106,8 +106,7 @@ const USAGE: &str = "poseidon-node: multi-process distributed SGD over TCP
   --momentum F      classical momentum                      [0.0]
   --policy S        ps | hybrid | sfb | adam | onebit | ring | tree [hybrid]
   --codec S         gradient codec on PS/collective layers:
-                    identity | onebit | f16 | bf16 | topk[:permille] | cost
-                    (cost = let the cost model pick per layer)  [identity]
+                    identity | onebit                       [identity]
   --pair-elems N    KV-pair size in f32 elements            [37]
   --base-port N     first TCP port (2P consecutive used)    [45000]
   --seed N          model/data seed                         [5]
@@ -169,12 +168,9 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--codec" => {
-                args.codec = match val.as_str() {
-                    "cost" => CodecPolicy::CostAware,
-                    other => match other.parse::<Codec>().map_err(|e| bad(&e))? {
-                        Codec::Identity => CodecPolicy::Identity,
-                        c => CodecPolicy::Always(c),
-                    },
+                args.codec = match val.parse::<Codec>().map_err(|e| bad(&e))? {
+                    Codec::Identity => CodecPolicy::Identity,
+                    c => CodecPolicy::Always(c),
                 }
             }
             "--pair-elems" => args.pair_elems = val.parse().map_err(|e| bad(&e))?,

@@ -51,10 +51,6 @@ pub enum CodecPolicy {
     Identity,
     /// One codec for every codec-capable (PS/ring/tree) layer.
     Always(Codec),
-    /// Per-layer (scheme × codec) choice from the cost model: compress when
-    /// the bytes saved outweigh the encode/decode compute at the modelled
-    /// bandwidth ([`crate::costmodel::best_codec_topo`]).
-    CostAware,
 }
 
 /// Policy mapping layers to schemes.

@@ -8,9 +8,7 @@
 //! the KV-pair placement table.
 
 use crate::chunk::ChunkTable;
-use crate::config::{
-    ClusterConfig, Codec, CodecPolicy, CommScheme, Partition, SchemePolicy, Topology,
-};
+use crate::config::{ClusterConfig, Codec, CodecPolicy, CommScheme, Partition, SchemePolicy};
 use crate::costmodel;
 use poseidon_nn::zoo::ModelSpec;
 use poseidon_nn::{LayerKind, Model, Network};
@@ -254,20 +252,6 @@ impl Coordinator {
         match self.codec_policy {
             CodecPolicy::Identity => Codec::Identity,
             CodecPolicy::Always(codec) => codec,
-            CodecPolicy::CostAware => {
-                let flat;
-                let topo = match &self.policy {
-                    SchemePolicy::TopoAware(t) => t,
-                    _ => {
-                        flat = Topology::flat(
-                            self.cluster.nodes(),
-                            poseidon_netsim::LinkConfig::gbe(10.0),
-                        );
-                        &flat
-                    }
-                };
-                costmodel::best_codec_topo(info.param_elems, scheme, &self.cluster, topo)
-            }
         }
     }
 
@@ -421,14 +405,14 @@ mod tests {
     #[test]
     fn codec_policy_skips_factor_schemes() {
         // Hybrid sends VGG FC layers via SFB: factors are the compression, so
-        // Always(F16) must only reach the PS layers.
+        // Always(OneBit) must only reach the PS layers.
         let c = coordinator(SchemePolicy::Hybrid, 8, 32)
-            .with_codec_policy(CodecPolicy::Always(Codec::F16));
+            .with_codec_policy(CodecPolicy::Always(Codec::OneBit));
         for (l, codec) in c.codec_assignment() {
             if c.best_scheme(l) == CommScheme::Sfb {
                 assert_eq!(codec, Codec::Identity, "{}", c.layers()[l].name);
             } else {
-                assert_eq!(codec, Codec::F16, "{}", c.layers()[l].name);
+                assert_eq!(codec, Codec::OneBit, "{}", c.layers()[l].name);
             }
         }
     }
@@ -440,36 +424,6 @@ mod tests {
             .codec_assignment()
             .iter()
             .all(|&(_, cd)| cd == Codec::Identity));
-    }
-
-    #[test]
-    fn cost_aware_codec_compresses_big_layers_keeps_tiny_ones_raw() {
-        let layers = vec![
-            LayerInfo {
-                name: "bias_tiny".into(),
-                param_elems: 64,
-                fc_shape: None,
-            },
-            LayerInfo {
-                name: "conv_big".into(),
-                param_elems: 16 << 20,
-                fc_shape: None,
-            },
-        ];
-        let c = Coordinator::from_layers(
-            layers,
-            ClusterConfig::colocated(8, 32),
-            SchemePolicy::AlwaysPs,
-            Partition::default_kv_pairs(),
-        )
-        .with_codec_policy(CodecPolicy::CostAware);
-        let codecs = c.codec_assignment();
-        assert_eq!(
-            codecs[0].1,
-            Codec::Identity,
-            "64 floats are not worth an encode pass"
-        );
-        assert_ne!(codecs[1].1, Codec::Identity, "16M floats on 10G links are");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! fully-connected layer on a cluster of `P1` workers and `P2` server shards
 //! with per-worker batch size `K`. Multiply by 4 for bytes.
 
-use crate::config::{ClusterConfig, Codec, CommScheme, Topology};
-use poseidon_tensor::compress::TOPK_DEFAULT_PERMILLE;
+use crate::config::{ClusterConfig, CommScheme, Topology};
 
 /// Per-role communication load (in f32 values), one row of Table 1.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -277,110 +276,6 @@ pub fn best_scheme_topo(
     }
     consider(CommScheme::Ring, t.ring);
     consider(CommScheme::Tree, t.tree);
-    best.0
-}
-
-// ---------------------------------------------------------------------------
-// Per-codec terms: bytes saved vs reconstruction cost
-// ---------------------------------------------------------------------------
-//
-// A codec trades wire bytes for CPU passes over the dense tensor. Both sides
-// of that trade are linear in the layer size, so a purely linear model would
-// make the choice size-independent; the fixed per-pass overhead below (buffer
-// allocation, state lookup, kernel dispatch) is what keeps small tensors on
-// the raw path — compression only pays for large layers, exactly the regime
-// the paper's FC/conv split exposes.
-
-/// f32 values per second one codec transform pass (encode or decode) streams
-/// through — roughly a memory-bound 8 GB/s pass on one core.
-const CODEC_TRANSFORM_ELEMS_PER_S: f64 = 2e9;
-
-/// Fixed setup cost per transform pass (allocation, residual-state lookup,
-/// dispatch).
-const CODEC_PASS_OVERHEAD_S: f64 = 20e-6;
-
-/// The codecs Algorithm 1's generalisation prices against each other.
-/// Identity first: ties break toward the bitwise-exact wire.
-pub const CODEC_CANDIDATES: [Codec; 4] = [
-    Codec::Identity,
-    Codec::OneBit,
-    Codec::F16,
-    Codec::TopK {
-        permille: TOPK_DEFAULT_PERMILLE,
-    },
-];
-
-/// Dense-tensor transform passes a scheme's critical path spends per codec
-/// round trip.
-///
-/// PS: the worker encodes its push, a shard decodes its fan-in (P pushes of
-/// `1/P` of the layer each — one pass over the layer total) and the worker
-/// decodes the broadcast deltas — ≈ 3 passes. Ring: decompress–add–recompress
-/// on the reduce lap plus a decode on the distribute lap — ≈ 3. Tree: the
-/// root decodes every contribution in full (the price of the bitwise-ordered
-/// fold), so passes grow with the worker count. Top-k additionally pays a
-/// selection pass over the residual-accumulated tensor per encode.
-fn codec_passes(codec: Codec, scheme: CommScheme, cluster: &ClusterConfig) -> f64 {
-    let base = match scheme {
-        CommScheme::Ps | CommScheme::Ring => 3.0,
-        CommScheme::Tree => cluster.workers as f64 + 1.0,
-        CommScheme::Sfb | CommScheme::AdamSf => return 0.0,
-    };
-    match codec {
-        Codec::Identity => 0.0,
-        Codec::TopK { .. } => 2.0 * base,
-        _ => base,
-    }
-}
-
-/// Predicted sync time for one layer under `(scheme, codec)`: the scheme's
-/// topology time with the wire load scaled by the codec's payload ratio, plus
-/// the codec's CPU reconstruction cost.
-pub fn codec_time_topo(
-    codec: Codec,
-    param_elems: usize,
-    scheme: CommScheme,
-    cluster: &ClusterConfig,
-    topo: &Topology,
-) -> f64 {
-    // The scheme times are linear in bytes above their latency floor, so
-    // pricing the compressed payload is pricing an equivalent smaller tensor.
-    let wire_elems = codec.payload_bytes(param_elems).div_ceil(4);
-    let wire = match scheme {
-        CommScheme::Ps => ps_time_topo(wire_elems, topo),
-        CommScheme::Ring => ring_time_topo(wire_elems, topo),
-        CommScheme::Tree => tree_time_topo(wire_elems, topo),
-        // Factor schemes never re-encode (the factors are the compression);
-        // their codec is always identity and this term is not consulted.
-        CommScheme::Sfb | CommScheme::AdamSf => 0.0,
-    };
-    let passes = codec_passes(codec, scheme, cluster);
-    wire + passes * (CODEC_PASS_OVERHEAD_S + param_elems as f64 / CODEC_TRANSFORM_ELEMS_PER_S)
-}
-
-/// The cheapest codec for a layer of `param_elems` values already assigned to
-/// `scheme` on `topo`. Factor schemes (SFB/Adam) always return identity; ties
-/// break toward identity, then the [`CODEC_CANDIDATES`] order, so byte-count
-/// ties never flip the choice between runs.
-pub fn best_codec_topo(
-    param_elems: usize,
-    scheme: CommScheme,
-    cluster: &ClusterConfig,
-    topo: &Topology,
-) -> Codec {
-    if matches!(scheme, CommScheme::Sfb | CommScheme::AdamSf) || topo.total_devices() <= 1 {
-        return Codec::Identity;
-    }
-    let mut best = (
-        Codec::Identity,
-        codec_time_topo(Codec::Identity, param_elems, scheme, cluster, topo),
-    );
-    for codec in CODEC_CANDIDATES.into_iter().skip(1) {
-        let t = codec_time_topo(codec, param_elems, scheme, cluster, topo);
-        if t < best.1 {
-            best = (codec, t);
-        }
-    }
     best.0
 }
 
@@ -660,68 +555,6 @@ mod tests {
             "ring must cut oversubscribed-core traffic by ≥ a third: {} vs {}",
             ring.ledger().core_bytes(),
             ps.ledger().core_bytes()
-        );
-    }
-
-    #[test]
-    fn codec_choice_tracks_layer_size() {
-        // Flat 10 GbE, the paper's testbed: a 64-element bias is latency- and
-        // overhead-bound (raw wins); a 16M-element conv tensor is
-        // bandwidth-bound (a lossy codec wins).
-        let topo = Topology::flat(8, poseidon_netsim::LinkConfig::gbe(10.0));
-        let cluster = ClusterConfig::colocated(8, 32);
-        assert_eq!(
-            best_codec_topo(64, CommScheme::Ps, &cluster, &topo),
-            Codec::Identity
-        );
-        let big = best_codec_topo(16 << 20, CommScheme::Ps, &cluster, &topo);
-        assert_ne!(big, Codec::Identity, "16M floats at 10G must compress");
-    }
-
-    #[test]
-    fn factor_schemes_never_compress() {
-        let topo = Topology::flat(8, poseidon_netsim::LinkConfig::gbe(10.0));
-        let cluster = ClusterConfig::colocated(8, 32);
-        for scheme in [CommScheme::Sfb, CommScheme::AdamSf] {
-            assert_eq!(
-                best_codec_topo(16 << 20, scheme, &cluster, &topo),
-                Codec::Identity
-            );
-        }
-    }
-
-    #[test]
-    fn faster_links_shift_the_choice_toward_identity() {
-        // At some bandwidth the wire is no longer the bottleneck and the
-        // reconstruction CPU stops paying for itself.
-        let cluster = ClusterConfig::colocated(8, 32);
-        let elems = 1 << 20;
-        let slow = Topology::flat(8, poseidon_netsim::LinkConfig::gbe(1.0));
-        let fast = Topology::flat(8, poseidon_netsim::LinkConfig::gbe(400.0));
-        assert_ne!(
-            best_codec_topo(elems, CommScheme::Ps, &cluster, &slow),
-            Codec::Identity,
-            "1 GbE: compress"
-        );
-        assert_eq!(
-            best_codec_topo(elems, CommScheme::Ps, &cluster, &fast),
-            Codec::Identity,
-            "400 GbE: raw"
-        );
-    }
-
-    #[test]
-    fn codec_time_identity_matches_plain_scheme_time() {
-        let topo = oversubscribed();
-        let cluster = ClusterConfig::colocated(8, 32);
-        let elems = 1 << 22;
-        assert_eq!(
-            codec_time_topo(Codec::Identity, elems, CommScheme::Ps, &cluster, &topo),
-            ps_time_topo(elems, &topo)
-        );
-        assert_eq!(
-            codec_time_topo(Codec::Identity, elems, CommScheme::Ring, &cluster, &topo),
-            ring_time_topo(elems, &topo)
         );
     }
 

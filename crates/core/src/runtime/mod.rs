@@ -685,26 +685,24 @@ mod tests {
     #[test]
     fn lossy_ps_codecs_cut_traffic_and_stay_deterministic() {
         let identity = distributed(SchemePolicy::AlwaysPs, 3);
-        for codec in [Codec::OneBit, Codec::F16, Codec::TopK { permille: 100 }] {
-            let a = ps_with_codec(codec);
-            assert!(
-                a.losses.iter().all(|l| l.is_finite()),
-                "{codec}: non-finite loss"
-            );
-            assert!(
-                a.traffic.total_bytes() < identity.traffic.total_bytes(),
-                "{codec} moved {} bytes, identity moved {}",
-                a.traffic.total_bytes(),
-                identity.traffic.total_bytes()
-            );
-            let b = ps_with_codec(codec);
-            assert_eq!(
-                a.net.max_param_diff(&b.net),
-                0.0,
-                "{codec}: lossy BSP runs must be bitwise reproducible"
-            );
-            assert_eq!(a.losses, b.losses);
-        }
+        let a = ps_with_codec(Codec::OneBit);
+        assert!(
+            a.losses.iter().all(|l| l.is_finite()),
+            "onebit: non-finite loss"
+        );
+        assert!(
+            a.traffic.total_bytes() < identity.traffic.total_bytes(),
+            "onebit moved {} bytes, identity moved {}",
+            a.traffic.total_bytes(),
+            identity.traffic.total_bytes()
+        );
+        let b = ps_with_codec(Codec::OneBit);
+        assert_eq!(
+            a.net.max_param_diff(&b.net),
+            0.0,
+            "onebit: lossy BSP runs must be bitwise reproducible"
+        );
+        assert_eq!(a.losses, b.losses);
     }
 
     #[test]
@@ -712,7 +710,7 @@ mod tests {
         let mk = || {
             let cfg = RuntimeConfig {
                 policy: SchemePolicy::AlwaysRing,
-                codec: CodecPolicy::Always(Codec::Bf16),
+                codec: CodecPolicy::Always(Codec::OneBit),
                 partition: Partition::KvPairs { pair_elems: 50 },
                 ..RuntimeConfig::new(3, 8, 0.2, 5)
             };
@@ -727,11 +725,11 @@ mod tests {
         );
         assert_eq!(a.losses, b.losses);
         assert!(a.losses.iter().all(|l| l.is_finite()));
-        assert!(a.codecs.iter().all(|&(_, c)| c == Codec::Bf16));
+        assert!(a.codecs.iter().all(|&(_, c)| c == Codec::OneBit));
         let identity = distributed(SchemePolicy::AlwaysRing, 3);
         assert!(
             a.traffic.total_bytes() < identity.traffic.total_bytes(),
-            "bf16 ring moved {} bytes, identity moved {}",
+            "1-bit ring moved {} bytes, identity moved {}",
             a.traffic.total_bytes(),
             identity.traffic.total_bytes()
         );

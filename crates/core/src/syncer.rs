@@ -1361,17 +1361,20 @@ mod tests {
     #[test]
     fn lossy_param_chunk_is_a_delta_and_a_bad_one_writes_nothing() {
         let chunks = vec![chunk(0, 0, 0, 6)];
-        let mut s = Syncer::new(0, CommScheme::Ps, chunks, 6, 2, 0).with_codec(Codec::Bf16);
+        let mut s = Syncer::new(0, CommScheme::Ps, chunks, 6, 2, 0).with_codec(Codec::OneBit);
         let mut p = ParamBlock::new(2, 2);
         write_params_flat(&mut p, &[1.0; 6]);
         let delta = [0.5f32, -0.5, 2.0, 0.0, -1.0, 4.0];
-        let payload = make_compressor(Codec::Bf16, 6).compress(&delta);
-        let err = s.on_param_chunk(0, Codec::Bf16, &payload[..11], &mut p);
+        let payload = make_compressor(Codec::OneBit, 6).compress(&delta);
+        let err = s.on_param_chunk(0, Codec::OneBit, &payload[..11], &mut p);
         assert!(err.is_err() && !s.is_complete());
         assert_eq!(flatten_params(&p), vec![1.0; 6], "refused whole");
-        s.on_param_chunk(0, Codec::Bf16, &payload, &mut p).unwrap();
+        s.on_param_chunk(0, Codec::OneBit, &payload, &mut p)
+            .unwrap();
         assert!(s.is_complete());
-        assert_eq!(flatten_params(&p), vec![1.5, 0.5, 3.0, 1.0, 0.0, 5.0]);
+        let decoded = poseidon_tensor::compress::decompress(Codec::OneBit, &payload, 6).unwrap();
+        let want: Vec<f32> = decoded.iter().map(|d| 1.0 + d).collect();
+        assert_eq!(f32_bits(&flatten_params(&p)), f32_bits(&want));
     }
 
     #[test]
@@ -1714,19 +1717,9 @@ mod tests {
 
     #[test]
     fn lossy_collectives_keep_replicas_bitwise_identical() {
-        use poseidon_tensor::compress::TOPK_DEFAULT_PERMILLE;
-        for codec in [
-            Codec::OneBit,
-            Codec::F16,
-            Codec::Bf16,
-            Codec::TopK {
-                permille: TOPK_DEFAULT_PERMILLE,
-            },
-        ] {
-            for &workers in &[2usize, 3, 5] {
-                lossy_collective_replicas_agree(CommScheme::Ring, codec, workers);
-                lossy_collective_replicas_agree(CommScheme::Tree, codec, workers);
-            }
+        for &workers in &[2usize, 3, 5] {
+            lossy_collective_replicas_agree(CommScheme::Ring, Codec::OneBit, workers);
+            lossy_collective_replicas_agree(CommScheme::Tree, Codec::OneBit, workers);
         }
     }
 
@@ -1843,7 +1836,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot ride codec")]
     fn sfb_rejects_lossy_codec() {
-        let _ = Syncer::new(0, CommScheme::Sfb, vec![], 4, 2, 0).with_codec(Codec::F16);
+        let _ = Syncer::new(0, CommScheme::Sfb, vec![], 4, 2, 0).with_codec(Codec::OneBit);
     }
 
     /// Hands `s` — whose layer's `Send` has fired — one identity frame of

@@ -503,19 +503,13 @@ pub fn encode_codec(comp: &mut dyn Compressor, vals: &[f32]) -> Bytes {
     lease.freeze()
 }
 
-/// [`encode_codec`] under its older name, which `tests/ps_wire_path.rs`
-/// calls.
-pub use self::encode_codec as compress_pooled;
-
 /// Per-codec dense/wire byte counters, resolved once per process and keyed
-/// by [`Codec::wire_id`] so the per-frame paths stay registry-free. The
-/// `codec` label drops top-k's permille (encoder-side parameter) to keep the
-/// cardinality bounded by the enum.
+/// by [`Codec::wire_id`] so the per-frame paths stay registry-free.
 fn count_codec_bytes(codec: Codec, elems: usize, wire_len: usize) {
     static TABLE: std::sync::OnceLock<Vec<(crate::metrics::Counter, crate::metrics::Counter)>> =
         std::sync::OnceLock::new();
     let table = TABLE.get_or_init(|| {
-        ["identity", "onebit", "f16", "bf16", "topk"]
+        ["identity", "onebit"]
             .iter()
             .map(|name| {
                 (
@@ -775,7 +769,7 @@ mod tests {
                 iter: 11,
                 layer: 2,
                 route: pack_collective(COLLECTIVE_DISTRIBUTE, 3, 5),
-                codec: Codec::TopK { permille: 100 },
+                codec: Codec::OneBit,
                 data: encode_f32s(&[4.0, -8.0]),
             },
             Message::Handoff {
@@ -1027,13 +1021,7 @@ mod tests {
 
     #[test]
     fn codec_id_rides_the_layer_word() {
-        for codec in [
-            Codec::Identity,
-            Codec::OneBit,
-            Codec::F16,
-            Codec::Bf16,
-            Codec::TopK { permille: 100 },
-        ] {
+        for codec in [Codec::Identity, Codec::OneBit] {
             let msg = Message::GradChunk {
                 iter: 5,
                 layer: 1234,
@@ -1069,12 +1057,15 @@ mod tests {
     #[test]
     fn unknown_codec_id_is_rejected() {
         let frame = encode_frame(&sample_messages()[0]).to_vec();
-        let mut bad = frame;
-        bad[15] = 0xEE; // top byte of the layer word (LE) = codec id
-        assert!(matches!(
-            decode_frame(&bad),
-            Err(FrameError::BadCodec(0xEE))
-        ));
+        // The ids of retired codecs (f16, bf16, top-k) and one never used.
+        for id in [2, 3, 4, 0xEE] {
+            let mut bad = frame.clone();
+            bad[15] = id; // top byte of the layer word (LE) = codec id
+            assert!(
+                matches!(decode_frame(&bad), Err(FrameError::BadCodec(got)) if got == id),
+                "codec id {id}"
+            );
+        }
     }
 
     #[test]
@@ -1098,11 +1089,10 @@ mod tests {
     #[test]
     fn codec_registry_surfaces_corruption() {
         let vals = vec![0.25f32; 64];
-        for codec in [Codec::OneBit, Codec::F16, Codec::TopK { permille: 500 }] {
-            let mut comp = poseidon_tensor::compress::make_compressor(codec, vals.len());
-            let enc = encode_codec(comp.as_mut(), &vals);
-            assert!(decode_codec(codec, &enc, vals.len()).is_ok());
-            assert!(decode_codec(codec, &enc[..enc.len() - 1], vals.len()).is_err());
-        }
+        let codec = Codec::OneBit;
+        let mut comp = poseidon_tensor::compress::make_compressor(codec, vals.len());
+        let enc = encode_codec(comp.as_mut(), &vals);
+        assert!(decode_codec(codec, &enc, vals.len()).is_ok());
+        assert!(decode_codec(codec, &enc[..enc.len() - 1], vals.len()).is_err());
     }
 }

@@ -1,8 +1,8 @@
-//! Bitwise oracles of the lossy codecs' hot paths: the 1-bit encoder's scale
-//! definition, every compiled copy of its loops, its carried residual
-//! correction, and top-k's O(n) selection. Everything is differential against
-//! a slow spelling written out here or the scalar `OneBitQuantizer`, through
-//! public API only, on inputs committed in this file.
+//! Bitwise oracles of the 1-bit codec's hot paths: the encoder's scale
+//! definition, every compiled copy of its loops and its carried residual
+//! correction. Everything is differential against a slow spelling written out
+//! here or the scalar `OneBitQuantizer`, through public API only, on inputs
+//! committed in this file.
 
 use poseidon_tensor::compress::{accumulate, decode_into, make_compressor, Codec};
 use poseidon_tensor::quantize::{
@@ -336,97 +336,5 @@ fn a_zero_carry_is_an_exact_no_op() {
         let want = oracle.quantize(&Matrix::from_vec(1, n, vals.clone()));
         assert_eq!(comp.compress(&vals), want.to_bytes());
         assert_eq!(bits(&comp.residual()), bits(oracle.residual().as_slice()));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// top-k: selection ≡ the full sort
-
-/// Top-k as it was first written: rank *all* indices by the total order
-/// (|value| bits descending, index ascending), keep `k`, emit by index.
-struct FullSortTopK {
-    residual: Vec<f32>,
-    k: usize,
-}
-
-impl FullSortTopK {
-    fn compress(&mut self, vals: &[f32]) -> Vec<u8> {
-        for (r, v) in self.residual.iter_mut().zip(vals) {
-            *r += v;
-        }
-        let n = self.residual.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_by_key(|&i| {
-            (
-                std::cmp::Reverse(self.residual[i as usize].abs().to_bits()),
-                i,
-            )
-        });
-        let mut picked = order[..self.k].to_vec();
-        picked.sort_unstable();
-        let mut out = Vec::new();
-        out.extend_from_slice(&(n as u32).to_le_bytes());
-        out.extend_from_slice(&(self.k as u32).to_le_bytes());
-        for i in picked {
-            out.extend_from_slice(&i.to_le_bytes());
-            out.extend_from_slice(&self.residual[i as usize].to_le_bytes());
-            self.residual[i as usize] = 0.0;
-        }
-        out
-    }
-}
-
-#[test]
-fn topk_selection_equals_the_full_sort() {
-    let mut rng = Lcg(0x70B);
-    // Few distinct magnitudes: every cut falls inside a run of ties.
-    let tied = |rng: &mut Lcg, n: usize| -> Vec<f32> {
-        (0..n)
-            .map(|_| [0.5f32, -0.5, 1.0, -1.0, 0.0, -0.0][rng.next_u32() as usize % 6])
-            .collect()
-    };
-    let zeros = |rng: &mut Lcg, n: usize| -> Vec<f32> {
-        (0..n)
-            .map(|_| if rng.next_u32() & 1 == 0 { 0.0 } else { -0.0 })
-            .collect()
-    };
-    let cases: [(&str, usize, u16); 6] = [
-        ("k = 1", 1000, 1),
-        ("k = 1 of 1", 1, 1000),
-        ("k = n", 257, 1000),
-        ("k = n / 10", 1000, 100),
-        ("k = n / 2", 64, 500),
-        ("k = n - 1", 1000, 999),
-    ];
-    for (case, n, permille) in cases {
-        type Input = dyn Fn(&mut Lcg, usize) -> Vec<f32>;
-        let inputs: [(&str, &Input); 3] = [
-            ("distinct", &|rng: &mut Lcg, n| rng.vec(n)),
-            ("ties", &tied),
-            ("signed zeros", &zeros),
-        ];
-        for (family, input) in inputs {
-            let codec = Codec::TopK { permille };
-            let mut fast = make_compressor(codec, n);
-            let k = (codec.payload_bytes(n) - 8) / 8;
-            let mut slow = FullSortTopK {
-                residual: vec![0.0; n],
-                k,
-            };
-            for round in 0..3 {
-                let vals = input(&mut rng, n);
-                let what = format!("{case} (k={k}) {family} round {round}");
-                assert_eq!(
-                    fast.compress(&vals),
-                    slow.compress(&vals),
-                    "payload, {what}"
-                );
-                assert_eq!(
-                    bits(&fast.residual()),
-                    bits(&slow.residual),
-                    "residual, {what}"
-                );
-            }
-        }
     }
 }

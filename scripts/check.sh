@@ -16,7 +16,7 @@ cargo fmt --all -- --check
 echo "== tier-1: cargo build --release && cargo test =="
 # `cargo test` covers every crate (default-members): unit tests, the seeded
 # property suites, the bitwise suites (PS / collective data paths, WFBP
-# drain, conv / GEMM / codec oracles, the simulator fingerprint), the
+# drain, conv / GEMM / 1-bit codec oracles, the simulator fingerprint), the
 # transport contract on both fabrics (co-resident TCP frames: the sender's
 # own bytes, per-pair order mixed with cross-node frames, the in-process
 # ledger and tx frame counters, sever as a no-op; plus the registry hygiene
@@ -25,11 +25,12 @@ echo "== tier-1: cargo build --release && cargo test =="
 # traffic over full TCP meshes of 2, 8 and 32 endpoints
 # (loopback_accounting: in-order delivery, exact ledgers), the
 # one-thread-per-endpoint budget (poller_threads), the exact traffic of
-# every scheme and codec on the real runtime (traffic_cost_model: PS, SFB,
-# ring and tree bytes per frame and hop; each codec's byte ratio,
-# repeatability and convergence next to the dense run), the crates/bench
-# process suites (tcp_loopback, trace_roundtrip, tcp_sever_reconnect,
-# metrics_scrape, elastic_membership: every membership epoch scraped) and the
+# every scheme and of both codecs (identity, onebit) on the real runtime
+# (traffic_cost_model: PS, SFB, ring and tree bytes per frame and hop; the
+# 1-bit byte ratio, repeatability and convergence next to the dense run),
+# the crates/bench process suites (tcp_loopback, trace_roundtrip,
+# tcp_sever_reconnect, metrics_scrape, elastic_membership: every membership
+# epoch scraped; codec_flag: an unknown --codec is refused) and the
 # paper's results diff (crates/bench/tests/paper.rs: table1, table3,
 # overhead, multigpu, fig5-fig8, fig10 and ablation regenerated and compared
 # byte for byte with results/<name>.txt).

@@ -26,13 +26,7 @@ use poseidon_tensor::{Matrix, SfBatch, SufficientFactor};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
-const ALL_CODECS: [Codec; 5] = [
-    Codec::Identity,
-    Codec::OneBit,
-    Codec::F16,
-    Codec::Bf16,
-    Codec::TopK { permille: 100 },
-];
+const ALL_CODECS: [Codec; 2] = [Codec::Identity, Codec::OneBit];
 
 /// The process-wide buffer pool, codec byte counters and poisoned-frame
 /// count are read as deltas below; every test that moves one of them takes
@@ -129,8 +123,7 @@ fn accumulate_equals_decode_then_axpy_for_every_codec() {
                 assert_eq!(payload.len(), codec.payload_bytes(n), "{codec} n={n}");
                 validate(codec, &payload, n).unwrap();
                 let dense = decompress(codec, &payload, n).unwrap();
-                // Junk in the destination: every slot must be overwritten,
-                // top-k's unlisted ones with zeros.
+                // Junk in the destination: every slot must be overwritten.
                 let mut into = vec![f32::NAN; n];
                 decode_into(codec, &payload, &mut into).unwrap();
                 assert_eq!(bits(&into), bits(&dense), "{codec} n={n} round {round}");
@@ -159,18 +152,6 @@ fn assert_refused(codec: Codec, payload: &[u8], n: usize, why: &str) {
     assert_eq!(dst, vec![7.0f32; n], "destination written: {why}");
 }
 
-/// Top-k payload of `n` elements listing `entries` verbatim.
-fn topk_payload(n: u32, entries: &[(u32, f32)]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&n.to_le_bytes());
-    buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-    for (idx, val) in entries {
-        buf.extend_from_slice(&idx.to_le_bytes());
-        buf.extend_from_slice(&val.to_le_bytes());
-    }
-    buf
-}
-
 #[test]
 fn malformed_payloads_are_refused_before_anything_is_written() {
     let n = 100;
@@ -181,15 +162,6 @@ fn malformed_payloads_are_refused_before_anything_is_written() {
         assert_refused(codec, &good, n + 1, "one element too few");
         assert_refused(codec, &good, n - 1, "one element too many");
     }
-    let descending = topk_payload(n as u32, &[(9, 1.0), (4, 2.0)]);
-    assert_refused(Codec::TopK { permille: 100 }, &descending, n, "index order");
-    let out_of_range = topk_payload(n as u32, &[(4, 1.0), (100, 2.0)]);
-    assert_refused(
-        Codec::TopK { permille: 100 },
-        &out_of_range,
-        n,
-        "index range",
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +223,7 @@ fn assert_wire_fold_matches_reference(p: usize, momentum: f32, codec: Codec, arr
         let got_reply = if codec == Codec::Identity {
             wire::encode_f32s_pooled(shard.apply_velocity(key))
         } else {
-            let payload = wire::compress_pooled(shard_reply.as_mut(), delta);
+            let payload = wire::encode_codec(shard_reply.as_mut(), delta);
             shard.apply_delta(key, codec, &payload);
             payload
         };
@@ -265,19 +237,14 @@ fn assert_wire_fold_matches_reference(p: usize, momentum: f32, codec: Codec, arr
     }
 }
 
-/// One fold over gradients staged in *different* forms — identity, 1-bit,
-/// f16 and top-k frames and a dense vector, rotating through the workers
-/// round by round — plus a hand-built top-k frame whose entries all lie in
-/// the velocity's last fold block, against the textbook whole-pass loop over
-/// decoded vectors.
+/// One fold over gradients staged in *different* forms — identity and 1-bit
+/// frames and a dense vector, rotating through the workers round by round —
+/// against the textbook whole-pass loop over decoded vectors.
 fn assert_mixed_fold_matches_reference(p: usize, momentum: f32, n: usize) {
     let what = format!("mixed forms, P={p} µ={momentum} n={n}");
-    let topk = Codec::TopK { permille: 100 };
     let forms = [
         Some(Codec::Identity),
         Some(Codec::OneBit),
-        Some(topk),
-        Some(Codec::F16),
         None, // Staged::Dense
     ];
     let key = (1, 0);
@@ -293,7 +260,6 @@ fn assert_mixed_fold_matches_reference(p: usize, momentum: f32, n: usize) {
             forms.iter().map(stream).collect()
         })
         .collect();
-    let last_block = (n - 1) / FOLD_BLOCK * FOLD_BLOCK;
     let rounds = forms.len() + 1;
     for round in 0..rounds {
         let scale = if round + 1 == rounds {
@@ -303,18 +269,6 @@ fn assert_mixed_fold_matches_reference(p: usize, momentum: f32, n: usize) {
         };
         let staged: Vec<Staged> = (0..p)
             .map(|w| {
-                if round + 1 == rounds && w == 0 {
-                    // Nothing for this frame's cursor to do until the walk
-                    // reaches the last block.
-                    let mut entries = vec![(last_block as u32, 3.5f32)];
-                    if n - 1 > last_block {
-                        entries.push((n as u32 - 1, -1.25));
-                    }
-                    return Staged::Frame {
-                        codec: topk,
-                        payload: topk_payload(n as u32, &entries).into(),
-                    };
-                }
                 let form = (w + round) % forms.len();
                 let grad = rng.vec(n);
                 match (forms[form], &mut push[w][form]) {
@@ -395,8 +349,8 @@ fn wire_staged_fold_equals_the_reference_fold_bit_for_bit() {
 
 /// The shard's identity reply as one blocked walk (`fold_apply_encode`)
 /// against the three passes it fuses — `fold`, `apply_velocity`, then
-/// `encode_f32s_pooled` of the master — over rounds of identity, 1-bit and
-/// f16 frames mixed with `Staged::Dense`: the same reply bytes, master and
+/// `encode_f32s_pooled` of the master — over rounds of identity and 1-bit
+/// frames mixed with `Staged::Dense`: the same reply bytes, master and
 /// velocity, bit for bit, round after round.
 #[test]
 fn fused_identity_reply_equals_the_three_pass_reply_bit_for_bit() {
@@ -405,7 +359,6 @@ fn fused_identity_reply_equals_the_three_pass_reply_bit_for_bit() {
         Some(Codec::Identity),
         Some(Codec::OneBit),
         None, // Staged::Dense
-        Some(Codec::F16),
     ];
     let copy = |g: &Staged| match g {
         Staged::Frame { codec, payload } => Staged::Frame {
@@ -494,11 +447,7 @@ fn param_chunks_land_in_the_replica_at_their_offset_in_any_order() {
     let _globals = exclusive();
     let chunks = straddling_chunks();
     let mut rng = Lcg(0xC0DE);
-    for codec in [
-        Codec::Identity,
-        Codec::OneBit,
-        Codec::TopK { permille: 400 },
-    ] {
+    for codec in [Codec::Identity, Codec::OneBit] {
         let mut syncer = Syncer::new(0, CommScheme::Ps, chunks.clone(), 15, 2, 0).with_codec(codec);
         let mut block = ParamBlock::new(3, 4);
         let mut flat = rng.vec(15);
@@ -791,14 +740,10 @@ fn hostile_gradient_frames_are_dropped_counted_and_stage_nothing() {
             let grad = rng.vec(n);
             let good = wire::encode_f32s(&grad);
             let onebit = make_compressor(Codec::OneBit, n).compress(&grad);
-            let topk = Codec::TopK { permille: 100 };
             let hostile = vec![
                 (Codec::Identity, good.slice(..good.len() - 1)),
                 (Codec::Identity, wire::encode_f32s(&rng.vec(n + 1))),
                 (Codec::OneBit, onebit.slice(..onebit.len() - 8)),
-                (Codec::F16, good.clone()),
-                (topk, topk_payload(n as u32, &[(2, 1.0), (1, 1.0)]).into()),
-                (topk, topk_payload(n as u32 + 1, &[(0, 1.0)]).into()),
             ];
             for (codec, data) in hostile.into_iter().chain([(Codec::Identity, good)]) {
                 let msg = Message::GradChunk {
