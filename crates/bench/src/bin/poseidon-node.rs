@@ -168,10 +168,7 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--codec" => {
-                args.codec = match val.parse::<Codec>().map_err(|e| bad(&e))? {
-                    Codec::Identity => CodecPolicy::Identity,
-                    c => CodecPolicy::Always(c),
-                }
+                args.codec = CodecPolicy::Always(val.parse::<Codec>().map_err(|e| bad(&e))?)
             }
             "--pair-elems" => args.pair_elems = val.parse().map_err(|e| bad(&e))?,
             "--base-port" => args.base_port = val.parse().map_err(|e| bad(&e))?,

@@ -13,8 +13,8 @@
 //!
 //! Every simulator-backed output is deterministic and committed under
 //! `results/<name>.txt`; `crates/bench/tests/paper.rs` regenerates each and
-//! diffs it against its file. `fig9`, `fig11` and `ssp` train real networks
-//! on the threaded runtime (`ssp` also prints wall-clock seconds).
+//! diffs it against its file. `fig9` and `fig11` train real networks on the
+//! threaded runtime.
 
 mod ablation;
 mod sim;
@@ -32,7 +32,7 @@ pub use sim::Query;
 type Figure = fn(&mut Page);
 
 /// Every table and figure by name, in the order `paper all` prints them.
-const FIGURES: [(&str, Figure); 13] = [
+const FIGURES: [(&str, Figure); 12] = [
     ("table1", simulated::table1),
     ("table3", simulated::table3),
     ("overhead", simulated::overhead),
@@ -45,7 +45,6 @@ const FIGURES: [(&str, Figure); 13] = [
     ("fig10", simulated::fig10),
     ("fig11", training::fig11),
     ("ablation", ablation::ablation),
-    ("ssp", training::ssp),
 ];
 
 /// The one simulated run of a figure that `--trace-out` dumps.

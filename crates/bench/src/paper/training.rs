@@ -1,13 +1,10 @@
 //! The figures that train real networks on the threaded runtime: Figure 9
-//! (ResNet-152 scaling plus per-epoch error of a proxy CNN), Figure 11
-//! (exact vs 1-bit synchronisation) and the bounded-asynchronous `ssp`
-//! extension. The synthetic datasets substitute for ILSVRC12 and CIFAR-10
-//! (DESIGN.md); `ssp` prints wall-clock seconds.
+//! (ResNet-152 scaling plus per-epoch error of a proxy CNN) and Figure 11
+//! (exact vs 1-bit synchronisation). The synthetic datasets substitute for
+//! ILSVRC12 and CIFAR-10 (DESIGN.md).
 
-use std::time::Instant;
-
-use poseidon::config::{Consistency, SchemePolicy};
-use poseidon::runtime::{evaluate_error, train, LrSchedule, RuntimeConfig, TrainResult};
+use poseidon::config::SchemePolicy;
+use poseidon::runtime::{train, LrSchedule, RuntimeConfig, TrainResult};
 use poseidon::sim::System;
 use poseidon_nn::data::Dataset;
 use poseidon_nn::layer::TensorShape;
@@ -193,73 +190,4 @@ fn verdict(what: &str, rows: &[Pair]) -> String {
         line += &format!("; behind at {}", list(&behind));
     }
     line + "."
-}
-
-/// Bounded-asynchronous extension (Section 3: Poseidon's design "can easily
-/// be applied to asynchronous or bounded-asynchronous consistency models"):
-/// BSP vs stale-synchronous-parallel on the *real* threaded runtime, with
-/// per-iteration compute jitter on every worker.
-///
-/// Under BSP the unluckiest worker gates every iteration; under SSP the
-/// fast workers run up to `staleness` iterations ahead, recovering
-/// wall-clock throughput at a small statistical cost.
-pub(super) fn ssp(out: &mut Page) {
-    out.banner(
-        "SSP extension — BSP vs SSP on the threaded runtime under per-iteration compute jitter",
-    );
-    let all = Dataset::gaussian_clusters(TensorShape::flat(32), 5, 1200, 0.45, 61);
-    let (train_set, test_set) = all.split_at(1000);
-    let iters = 150;
-
-    let mut rows = Vec::new();
-    for (consistency, label) in [
-        (Consistency::Bsp, "BSP"),
-        (Consistency::Ssp { staleness: 0 }, "SSP s=0"),
-        (Consistency::Ssp { staleness: 2 }, "SSP s=2"),
-        (Consistency::Ssp { staleness: 8 }, "SSP s=8"),
-    ] {
-        let cfg = RuntimeConfig {
-            policy: SchemePolicy::AlwaysPs,
-            consistency,
-            jitter_us: Some(4000),
-            ..RuntimeConfig::new(4, 8, 0.1, iters)
-        };
-        let t0 = Instant::now();
-        let mut result = train(
-            &|| presets::mlp(&[32, 48, 24, 5], 71),
-            &train_set,
-            None,
-            &cfg,
-        );
-        let wall = t0.elapsed().as_secs_f64();
-        let err = evaluate_error(&mut result.net, &test_set);
-        let tail: f32 = result.losses[iters - 10..].iter().sum::<f32>() / 10.0;
-        let fast = result
-            .worker_wall_s
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        rows.push(vec![
-            label.to_string(),
-            format!("{wall:.2}"),
-            format!("{fast:.2}"),
-            format!("{tail:.3}"),
-            format!("{err:.3}"),
-            result.max_staleness_spread.to_string(),
-        ]);
-    }
-    let header = [
-        "consistency",
-        "wall s",
-        "fast-worker s",
-        "final loss",
-        "test err",
-        "max clock spread",
-    ];
-    out.table(&header, &rows);
-    out.line("Expected shape: with ~0-4ms of random per-iteration jitter per worker,");
-    out.line("every BSP barrier waits for the unluckiest worker (per-iteration cost ~");
-    out.line("max of 4 draws), while SSP lets workers ride through each other's bad");
-    out.line("draws — wall time drops toward the mean-rate floor as staleness grows,");
-    out.line("at equal statistical quality, with clock spread <= staleness + 1.");
 }

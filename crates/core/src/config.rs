@@ -82,27 +82,6 @@ pub enum SchemePolicy {
     TopoAware(Topology),
 }
 
-/// The consistency model coordinating workers across iterations.
-///
-/// The paper focuses on synchronous (BSP) training but notes that "Poseidon's
-/// design can easily be applied to asynchronous or bounded-asynchronous
-/// consistency models [12, 8]" — [`Consistency::Ssp`] is that extension: the
-/// stale-synchronous-parallel model of Ho et al., where a worker may run at
-/// most `staleness` iterations ahead of the slowest worker and the parameter
-/// server applies updates eagerly instead of barriering per KV pair.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Consistency {
-    /// Bulk-synchronous parallel: per-KV-pair update counts, a full barrier
-    /// every iteration (the paper's evaluation mode).
-    Bsp,
-    /// Stale-synchronous parallel with the given staleness bound
-    /// (`staleness = 0` is lockstep iterations with eager, unordered applies).
-    Ssp {
-        /// Maximum iterations any worker may lead the slowest worker by.
-        staleness: usize,
-    },
-}
-
 /// When layer synchronisation is allowed to start.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scheduler {

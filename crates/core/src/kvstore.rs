@@ -23,18 +23,17 @@
 //! master is a copy-on-write `Arc`: the identity reply is a view of it
 //! (`ShardState::identity_reply`) that all `P` workers' `ParamChunk`s
 //! share, and the master's next write copies it first only if such a view
-//! is still held. Under BSP none is: a round completes only after every
-//! worker has applied the last one. An SSP reply still on its way, or a
-//! retransmit copy under a fault plan, costs that one copy.
+//! is still held. A round completes only after every worker has applied
+//! the last one, so none is, except a retransmit copy under a fault plan,
+//! which costs that one copy.
 //!
 //! [`ShardServer`] is the one place a scheme's shard side lives: the table
 //! of pairs a shard may hold, and what serving each takes — the PS fold and
-//! reply (identity, or lossy with its error-feedback residual), SSP's
-//! apply-on-arrival, Adam's reconstruction — behind calls the shard loop
-//! makes alike for every scheme.
+//! reply (identity, or lossy with its error-feedback residual), Adam's
+//! reconstruction — behind calls the shard loop makes alike for every
+//! scheme.
 
 use crate::checkpoint::{self, PairState};
-use crate::config::Consistency;
 use crate::coordinator::Coordinator;
 use crate::membership::MembershipSchedule;
 use crate::route::{self, Dest, Payload, Route};
@@ -169,7 +168,7 @@ impl ShardState {
     /// # Panics
     ///
     /// Panics if the pair was never initialised.
-    pub(crate) fn identity_reply(&self, key: KvKey) -> Bytes {
+    fn identity_reply(&self, key: KvKey) -> Bytes {
         wire::identity_view(self.master(key))
     }
 
@@ -393,19 +392,6 @@ impl ShardState {
         );
         self.velocity.remove(&key);
     }
-
-    /// Applies one worker's gradient immediately (no update counting) and
-    /// returns the fresh master copy — the bounded-asynchronous path
-    /// (Section 3 notes Poseidon's design "can easily be applied to
-    /// asynchronous or bounded-asynchronous consistency models"; staleness
-    /// enforcement lives with the workers' clock, not the shard). A malformed
-    /// frame is refused and leaves the master untouched.
-    pub fn receive_grad_async(&mut self, key: KvKey, grad: &Staged) -> Result<&[f32], CodecError> {
-        let scale = self.update_scale;
-        let master = self.master_mut(key);
-        grad.cursor(master.len())?.axpy_next(scale, master);
-        Ok(master)
-    }
 }
 
 /// How a pair's round is answered.
@@ -427,8 +413,6 @@ enum Reply {
 pub struct ShardServer {
     state: ShardState,
     me: usize,
-    /// Under SSP a gradient is applied on arrival and answered to its sender.
-    ssp: bool,
     schedule: Arc<MembershipSchedule>,
     /// The ownership universe — this shard's home pairs under a trivial
     /// schedule, every PS pair of the mesh under an elastic one — by key:
@@ -441,20 +425,18 @@ pub struct ShardServer {
 
 impl ShardServer {
     /// Shard `me` of the coordinator's plan under `schedule`, folding with
-    /// momentum `µ` under `consistency`; it holds no pair yet.
+    /// momentum `µ`; it holds no pair yet.
     ///
     /// # Panics
     ///
-    /// Panics if an elastic schedule meets a layer synced whole (Adam), or
-    /// SSP a lossy reply codec (error feedback needs the BSP barrier).
+    /// Panics if an elastic schedule meets a layer synced whole (Adam).
     pub fn new(
         coordinator: &Coordinator,
         me: usize,
         schedule: &Arc<MembershipSchedule>,
         momentum: f32,
-        consistency: Consistency,
     ) -> Self {
-        let (elastic, ssp) = (!schedule.is_trivial(), consistency != Consistency::Bsp);
+        let elastic = !schedule.is_trivial();
         let mut table = BTreeMap::new();
         for (l, _) in coordinator.scheme_assignment() {
             // A shard holds the pairs its layer's frames reach: the route's
@@ -464,11 +446,6 @@ impl ShardServer {
             for (dest, seg) in route.sends(0, chunks.len(), |seg| chunks[seg].shard) {
                 let Dest::Shard(home) = dest else { continue };
                 let codec = coordinator.best_codec(l);
-                assert!(
-                    !ssp || codec == Codec::Identity,
-                    "SSP supports the identity codec only; lossy error feedback needs the \
-                     BSP barrier"
-                );
                 let info = &coordinator.layers()[l];
                 let (chunk, range, reply) = match route.payload() {
                     Payload::Chunks => (seg as u32, chunks[seg].range(), Reply::Chunk(codec)),
@@ -493,7 +470,6 @@ impl ShardServer {
         Self {
             state: ShardState::with_momentum(workers, 0.0, momentum),
             me,
-            ssp,
             schedule: Arc::clone(schedule),
             table,
             reply_comp: HashMap::new(),
@@ -527,12 +503,12 @@ impl ShardServer {
     }
 
     /// Serves one non-control frame from worker `from` at update scale
-    /// `scale`: stages it (SSP: applies it) and answers a round it completes
-    /// through `emit`. A PS identity reply is the fresh master, encoded in the
-    /// fold's walk into one buffer all `P` workers share; a lossy one is the
-    /// velocity compressed with error feedback, on its way before the master
-    /// advances by its *decoded* bytes; SSP answers the sender alone. An Adam
-    /// round folds the workers' factors, reconstructed dense.
+    /// `scale`: stages it and answers a round it completes through `emit`.
+    /// A PS identity reply is the fresh master, encoded in the fold's walk
+    /// into one buffer all `P` workers share; a lossy one is the velocity
+    /// compressed with error feedback, on its way before the master advances
+    /// by its *decoded* bytes. An Adam round folds the workers' factors,
+    /// reconstructed dense.
     ///
     /// # Errors
     ///
@@ -567,14 +543,6 @@ impl ShardServer {
                     data,
                 };
                 let grad = Staged::Frame { codec, payload };
-                if self.ssp {
-                    self.state.receive_grad_async(key, &grad)?;
-                    emit(
-                        Dest::Worker(from),
-                        reply_with(self.state.identity_reply(key)),
-                    );
-                    return Ok(());
-                }
                 if !self.state.stage(from, key, grad)? {
                     return Ok(());
                 }
@@ -883,16 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn async_apply_folds_one_gradient_immediately() {
-        let mut shard = ShardState::new(3, -0.5);
-        shard.init_pair((0, 0), vec![1.0, 1.0]);
-        let fresh = shard.receive_grad_async((0, 0), &frame(&[2.0, -2.0]));
-        assert_eq!(fresh.unwrap(), &[0.0, 2.0]);
-        assert!(shard.receive_grad_async((0, 0), &frame(&[2.0])).is_err());
-        assert_eq!(shard.pair((0, 0)).unwrap(), &[0.0, 2.0], "refused whole");
-    }
-
-    #[test]
     fn momentum_accumulates_velocity_across_rounds() {
         // v1 = g = 4; theta = -4*0.25... scale -1: theta1 = 10 - 4 = 6.
         // v2 = 0.5*4 + 4 = 6; theta2 = 6 - 6 = 0.
@@ -1024,7 +982,7 @@ mod tests {
 
     /// Shard 0's server for one `3 × 4` FC layer (15 parameters, one pair)
     /// over two colocated nodes, holding nothing yet.
-    fn fc_server(policy: SchemePolicy, codec: Codec, consistency: Consistency) -> ShardServer {
+    fn fc_server(policy: SchemePolicy, codec: Codec) -> ShardServer {
         let layers = vec![LayerInfo {
             name: "fc".into(),
             param_elems: 15,
@@ -1036,18 +994,7 @@ mod tests {
         );
         let coordinator = Coordinator::from_layers(layers, cluster, policy, partition)
             .with_codec_policy(CodecPolicy::Always(codec));
-        let momentum = if consistency == Consistency::Bsp {
-            0.9
-        } else {
-            0.0
-        };
-        ShardServer::new(
-            &coordinator,
-            0,
-            &MembershipSchedule::trivial(2),
-            momentum,
-            consistency,
-        )
+        ShardServer::new(&coordinator, 0, &MembershipSchedule::trivial(2), 0.9)
     }
 
     /// The layer's initial parameters.
@@ -1087,7 +1034,7 @@ mod tests {
 
     #[test]
     fn a_lossy_pair_handed_off_between_rounds_replies_as_if_it_never_moved() {
-        let lossy = || fc_server(SchemePolicy::AlwaysPs, Codec::OneBit, Consistency::Bsp);
+        let lossy = || fc_server(SchemePolicy::AlwaysPs, Codec::OneBit);
         let (mut stay, mut moved) = (init(lossy()), init(lossy()));
         for iter in 0..5 {
             if iter == 2 {
@@ -1121,7 +1068,7 @@ mod tests {
 
     #[test]
     fn an_identity_reply_views_the_master_and_one_held_across_a_round_keeps_its_bytes() {
-        let identity = || fc_server(SchemePolicy::AlwaysPs, Codec::Identity, Consistency::Bsp);
+        let identity = || fc_server(SchemePolicy::AlwaysPs, Codec::Identity);
         let (mut plain, mut holding) = (init(identity()), init(identity()));
         let round = |s: &mut ShardServer, iter| {
             assert!(serve(s, 1, grad(iter, 1)).is_empty());
@@ -1155,39 +1102,8 @@ mod tests {
     }
 
     #[test]
-    fn an_ssp_frame_is_answered_to_its_sender_only() {
-        let ssp = Consistency::Ssp { staleness: 1 };
-        let mut server = init(fc_server(SchemePolicy::AlwaysPs, Codec::Identity, ssp));
-        let mut reference = ShardState::new(2, -0.125);
-        reference.init_pair((0, 0), ramp());
-        let Message::GradChunk { codec, data, .. } = grad(0, 1) else {
-            unreachable!()
-        };
-        let fresh = reference.receive_grad_async(
-            (0, 0),
-            &Staged::Frame {
-                codec,
-                payload: data,
-            },
-        );
-        let data = wire::encode_f32s(fresh.unwrap());
-        let (layer, chunk, codec) = (0, 0, Codec::Identity);
-        let reply = Message::ParamChunk {
-            iter: 0,
-            layer,
-            chunk,
-            codec,
-            data,
-        };
-        assert_eq!(
-            serve(&mut server, 1, grad(0, 1)),
-            vec![(Dest::Worker(1), reply)]
-        );
-    }
-
-    #[test]
     fn an_adam_round_fans_out_the_fold_of_the_reconstructed_gradients() {
-        let adam = fc_server(SchemePolicy::AdamSf, Codec::Identity, Consistency::Bsp);
+        let adam = fc_server(SchemePolicy::AdamSf, Codec::Identity);
         let (mut server, key) = (init(adam), (0, LAYER_GRANULAR_CHUNK));
         let mut reference = ShardState::with_momentum(2, -0.125, 0.9);
         reference.init_pair(key, ramp());
@@ -1229,13 +1145,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "SSP supports the identity codec only")]
-    fn ssp_refuses_a_lossy_reply_codec() {
-        let ssp = Consistency::Ssp { staleness: 1 };
-        fc_server(SchemePolicy::AlwaysPs, Codec::OneBit, ssp);
-    }
-
-    #[test]
     #[should_panic(expected = "elastic membership does not support layer-granular")]
     fn an_elastic_schedule_refuses_adam() {
         let layers = vec![LayerInfo {
@@ -1251,6 +1160,6 @@ mod tests {
             Coordinator::from_layers(layers, cluster, SchemePolicy::AdamSf, partition);
         let plan = crate::membership::MembershipPlan::parse("leave:1@5").unwrap();
         let schedule = MembershipSchedule::resolve(&plan, 2).unwrap();
-        ShardServer::new(&coordinator, 0, &schedule, 0.9, Consistency::Bsp);
+        ShardServer::new(&coordinator, 0, &schedule, 0.9);
     }
 }

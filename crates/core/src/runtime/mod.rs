@@ -21,24 +21,22 @@
 //! traffic the analytic cost model predicts.
 //!
 //! The runtime implements synchronous (BSP) data-parallel SGD exactly as in
-//! the paper: per-KV-pair update counts on the server side, a per-layer
-//! completion vector on the worker side, and gradient averaging such that the
-//! distributed trajectory equals single-node large-batch SGD.
+//! the paper, and no other consistency model: per-KV-pair update counts on
+//! the server side, a per-layer completion vector on the worker side, and
+//! gradient averaging such that the distributed trajectory equals
+//! single-node large-batch SGD.
 
-mod clock;
 mod node;
 mod server;
 mod worker;
 
 pub use crate::wire::LAYER_GRANULAR_CHUNK;
-pub use clock::SspClock;
 pub use node::{flatten_model_params, run_endpoint, NodeOutcome};
 pub use worker::evaluate_error;
 
 use crate::checkpoint::TrainingCheckpoint;
 use crate::config::{
-    ClusterConfig, Codec, CodecPolicy, CommScheme, ComputeConfig, Consistency, Partition,
-    SchemePolicy,
+    ClusterConfig, Codec, CodecPolicy, CommScheme, ComputeConfig, Partition, SchemePolicy,
 };
 use crate::coordinator::Coordinator;
 use crate::faults::{FaultPlan, FiredFault};
@@ -216,7 +214,7 @@ pub struct RuntimeConfig {
     /// Classical momentum µ applied to the aggregated gradient (0 = plain
     /// SGD, the default). PS/Adam layers keep velocity on their server shard,
     /// SFB layers keep identical velocity on every replica, 1-bit layers on
-    /// the aggregate before its quantization. Unsupported under SSP.
+    /// the aggregate before its quantization.
     pub momentum: f32,
     /// Learning-rate schedule applied on top of `learning_rate`.
     pub lr_schedule: LrSchedule,
@@ -225,7 +223,7 @@ pub struct RuntimeConfig {
     /// Layer-to-codec policy, orthogonal to the scheme policy. The default
     /// [`CodecPolicy::Identity`] is bitwise identical to the pre-codec wire;
     /// [`SchemePolicy::OneBit`] overrides this with [`Codec::OneBit`] on FC
-    /// layers regardless (the named CNTK baseline). Lossy codecs require BSP.
+    /// layers regardless (the named CNTK baseline).
     pub codec: CodecPolicy,
     /// Parameter partitioning across shards.
     pub partition: Partition,
@@ -233,16 +231,8 @@ pub struct RuntimeConfig {
     pub iterations: usize,
     /// Evaluate the eval set every this many iterations (0 = never).
     pub eval_every: usize,
-    /// Consistency model. [`Consistency::Ssp`] requires
-    /// [`SchemePolicy::AlwaysPs`]: SFB, Adam and 1-bit are synchronous
-    /// protocols (they barrier on all workers' contributions).
-    pub consistency: Consistency,
     /// Inject a straggler for experiments: `(worker, extra ms per iteration)`.
     pub straggler_delay_ms: Option<(usize, u64)>,
-    /// Inject per-iteration compute jitter for experiments: every worker
-    /// sleeps a uniformly random `0..jitter` microseconds each iteration
-    /// (deterministic per worker id). This is the workload SSP absorbs.
-    pub jitter_us: Option<u64>,
     /// Compute-thread budget for the layer kernels, divided evenly across
     /// worker threads so nested parallelism stays bounded. Thread count
     /// never affects results (kernels are bitwise thread-count independent).
@@ -265,7 +255,7 @@ pub struct RuntimeConfig {
     pub faults: FaultConfig,
     /// Scripted elastic-membership plan (shard joins/leaves/restarts at
     /// logical iterations). Empty = fixed membership. Non-trivial plans
-    /// require BSP and exclude layer-granular (AdamSf) shards; workers are
+    /// exclude layer-granular (AdamSf) shards; workers are
     /// never elastic (the mesh stays `2P` endpoints), only KV ownership
     /// moves, so the elastic run is bitwise-identical to the fixed one.
     pub membership: crate::membership::MembershipPlan,
@@ -299,9 +289,7 @@ impl RuntimeConfig {
             partition: Partition::default_kv_pairs(),
             iterations,
             eval_every: 0,
-            consistency: Consistency::Bsp,
             straggler_delay_ms: None,
-            jitter_us: None,
             compute: ComputeConfig::default(),
             comm_timeout: Duration::from_secs(30),
             telemetry: TelemetryConfig::default(),
@@ -320,7 +308,7 @@ pub struct TrainResult<M: Model> {
     pub losses: Vec<f32>,
     /// `(iteration, top-1 error)` samples from worker 0 on the eval set.
     pub test_errors: Vec<(usize, f32)>,
-    /// Worker 0's final replica (all replicas are identical under BSP).
+    /// Worker 0's final replica (every replica ends bitwise identical).
     pub net: M,
     /// Per-node traffic counters for the whole run.
     pub traffic: Arc<TrafficCounters>,
@@ -328,12 +316,6 @@ pub struct TrainResult<M: Model> {
     pub schemes: Vec<(usize, CommScheme)>,
     /// The gradient codec the coordinator chose per trainable layer.
     pub codecs: Vec<(usize, Codec)>,
-    /// Largest clock spread observed between the fastest and slowest worker
-    /// (0 under BSP; bounded by `staleness + 1` under SSP).
-    pub max_staleness_spread: u64,
-    /// Per-worker wall time of the training loop, seconds. Under BSP every
-    /// worker paces the slowest; under SSP fast workers finish early.
-    pub worker_wall_s: Vec<f64>,
     /// Everything the telemetry recorder captured, when
     /// [`RuntimeConfig::telemetry`] was enabled (`None` otherwise). Export
     /// with [`crate::telemetry::chrome::to_chrome_json`] or summarise with
@@ -356,31 +338,12 @@ pub struct TrainResult<M: Model> {
     pub checkpoint: Option<crate::checkpoint::TrainingCheckpoint>,
 }
 
-/// Validates the consistency configuration, returning the SSP staleness
-/// bound if enabled.
-fn ssp_mode(cfg: &RuntimeConfig) -> Option<u64> {
-    match cfg.consistency {
-        Consistency::Bsp => None,
-        Consistency::Ssp { staleness } => {
-            assert_eq!(
-                cfg.policy,
-                SchemePolicy::AlwaysPs,
-                "SSP supports the PS path only; SFB/Adam/1-bit are synchronous protocols"
-            );
-            assert_eq!(cfg.momentum, 0.0, "momentum is not supported under SSP");
-            Some(staleness as u64)
-        }
-    }
-}
-
 /// Everything derived from the model + config that every participant (worker
 /// or shard, in-process or remote) must agree on — the one thing both entry
 /// points execute. What an endpoint needs beyond it, it reads from `cfg`.
 pub(crate) struct RunPlan<'a> {
     pub cfg: &'a RuntimeConfig,
     pub coordinator: Coordinator,
-    /// `Some(staleness)` under SSP.
-    pub ssp: Option<u64>,
     /// The resolved membership schedule every participant routes by.
     pub schedule: Arc<MembershipSchedule>,
 }
@@ -412,27 +375,19 @@ fn route<T: Transport>(run: &RunPlan<'_>, endpoint: &T, epoch: u32, to: Dest, ms
 /// Builds the shared run plan deterministically from the reference replica.
 pub(crate) fn build_run_plan<'a, M: Model>(reference: &M, cfg: &'a RuntimeConfig) -> RunPlan<'a> {
     let p = cfg.workers;
-    let ssp = ssp_mode(cfg);
     let cluster = ClusterConfig::colocated(p, cfg.batch_per_worker);
     let coordinator = Coordinator::from_model(reference, cluster, cfg.policy, cfg.partition)
         .with_codec_policy(cfg.codec);
     let schedule = MembershipSchedule::resolve(&cfg.membership, p)
         .unwrap_or_else(|e| panic!("invalid membership plan: {e}"));
-    if !schedule.is_trivial() {
-        assert!(ssp.is_none(), "elastic membership requires BSP");
-    }
     assert!(
         cfg.start_iter == 0 || cfg.resume.is_some(),
         "a mid-run segment (start_iter > 0) must resume from a checkpoint"
     );
-    if cfg.start_iter > 0 || cfg.resume.is_some() || cfg.export_state {
-        assert!(ssp.is_none(), "checkpoint/restore requires BSP");
-    }
 
     RunPlan {
         cfg,
         coordinator,
-        ssp,
         schedule,
     }
 }
@@ -458,8 +413,7 @@ pub fn train<M: Model>(
     assert!(cfg.iterations > 0, "need at least one iteration");
     let p = cfg.workers;
     telemetry::configure(&cfg.telemetry);
-    let run = build_run_plan(&net_factory(), cfg);
-    let clock = Arc::new(SspClock::new(p));
+    let run = &build_run_plan(&net_factory(), cfg);
 
     // Endpoints 0..P are workers on nodes 0..P; endpoints P..2P are shards
     // colocated on the same nodes.
@@ -469,8 +423,7 @@ pub fn train<M: Model>(
         let handles: Vec<_> = endpoints
             .into_iter()
             .map(|endpoint| {
-                let (run, clock) = (&run, Arc::clone(&clock));
-                scope.spawn(move || node::run_node(run, net_factory(), data, eval, endpoint, clock))
+                scope.spawn(move || node::run_node(run, net_factory(), data, eval, endpoint))
             })
             .collect();
         handles
@@ -487,7 +440,7 @@ pub fn train<M: Model>(
     });
 
     let mut fault_report = cfg.faults.active().then(ChaosReport::default);
-    let (mut worker_losses, mut worker_wall_s, mut busy_p50) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut worker_losses, mut busy_p50) = (Vec::new(), Vec::new());
     let (mut first, mut worker_states, mut shard_states) = (None, Vec::new(), Vec::new());
     for outcome in outcomes {
         let chaos = match outcome {
@@ -496,7 +449,6 @@ pub fn train<M: Model>(
                 test_errors,
                 net,
                 busy_p50_ns,
-                wall,
                 checkpoint: state,
                 chaos,
             } => {
@@ -505,7 +457,6 @@ pub fn train<M: Model>(
                 // whatever earlier runs left in the process-global registry.
                 busy_p50.push((worker_losses.len(), busy_p50_ns));
                 worker_losses.push(losses);
-                worker_wall_s.push(wall.as_secs_f64());
                 first.get_or_insert((test_errors, net));
                 worker_states.extend(state);
                 chaos
@@ -534,8 +485,6 @@ pub fn train<M: Model>(
         traffic,
         schemes: run.coordinator.scheme_assignment(),
         codecs: run.coordinator.codec_assignment(),
-        max_staleness_spread: clock.max_spread_observed(),
-        worker_wall_s,
         trace,
         fault_report,
         health: crate::health::detect(&busy_p50, crate::health::DEFAULT_STRAGGLER_FACTOR),
@@ -994,53 +943,6 @@ mod tests {
         let ps = mk(SchemePolicy::AlwaysPs);
         let sfb = mk(SchemePolicy::AlwaysSfbForFc);
         assert!(ps.net.max_param_diff(&sfb.net) < 1e-4);
-    }
-
-    #[test]
-    fn ssp_trains_and_respects_staleness_bound() {
-        let cfg = RuntimeConfig {
-            policy: SchemePolicy::AlwaysPs,
-            consistency: Consistency::Ssp { staleness: 2 },
-            ..RuntimeConfig::new(4, 8, 0.1, 20)
-        };
-        let r = train(&factory, &dataset(), None, &cfg);
-        assert!(
-            r.losses.last().unwrap() < &r.losses[0],
-            "SSP must still learn"
-        );
-        assert!(
-            r.max_staleness_spread <= 3,
-            "spread {} exceeded staleness+1",
-            r.max_staleness_spread
-        );
-    }
-
-    #[test]
-    fn ssp_differs_from_bsp_trajectory() {
-        let bsp = distributed(SchemePolicy::AlwaysPs, 4);
-        let cfg = RuntimeConfig {
-            policy: SchemePolicy::AlwaysPs,
-            consistency: Consistency::Ssp { staleness: 1 },
-            partition: Partition::KvPairs { pair_elems: 50 },
-            ..RuntimeConfig::new(4, 8, 0.2, 5)
-        };
-        let ssp = train(&factory, &dataset(), None, &cfg);
-        // Eager unordered applies change the trajectory (except in freak
-        // schedules; a tie here would be suspicious but not impossible, so we
-        // assert learning rather than strict difference, plus the spread
-        // telemetry is present).
-        assert!(ssp.losses.last().unwrap() < &ssp.losses[0]);
-        assert_eq!(bsp.max_staleness_spread, 0, "BSP reports no spread");
-    }
-
-    #[test]
-    #[should_panic(expected = "SSP supports the PS path only")]
-    fn ssp_rejects_non_ps_policies() {
-        let cfg = RuntimeConfig {
-            consistency: Consistency::Ssp { staleness: 1 },
-            ..RuntimeConfig::new(2, 8, 0.1, 2)
-        };
-        let _ = train(&factory, &dataset(), None, &cfg);
     }
 
     #[test]

@@ -16,15 +16,13 @@
 //! Endpoint ids follow the fabric convention: `0..P` are workers on physical
 //! nodes `0..P`, `P..2P` are shards colocated on the same nodes.
 
-use super::{build_run_plan, server, worker, ChaosReport, RunPlan, RuntimeConfig, SspClock};
+use super::{build_run_plan, server, worker, ChaosReport, RunPlan, RuntimeConfig};
 use crate::faults::FaultyTransport;
 use crate::syncer;
 use crate::telemetry;
 use crate::transport::{ReliableTransport, Transport};
 use poseidon_nn::data::Dataset;
 use poseidon_nn::Model;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// What one endpoint produced.
 pub enum NodeOutcome<M: Model> {
@@ -40,9 +38,6 @@ pub enum NodeOutcome<M: Model> {
         /// This worker's per-iteration busy-time p50 (ns), for mesh-level
         /// straggler detection by the launcher (see [`crate::health`]).
         busy_p50_ns: u64,
-        /// Wall time of this worker's training loop (under SSP fast workers
-        /// finish well before a straggler; under BSP they pace it).
-        wall: Duration,
         /// Full worker state (`export_state` runs only).
         checkpoint: Option<crate::checkpoint::WorkerCheckpoint>,
         /// What the chaos plane did at this endpoint (`None` with it off).
@@ -61,13 +56,13 @@ pub enum NodeOutcome<M: Model> {
 ///
 /// All participants must build the run from identical `net_factory`, `data`
 /// and `cfg` (deterministic agreement); the endpoint's fabric id decides its
-/// role. Only BSP is supported — SSP's shared clock needs one process.
+/// role.
 ///
 /// # Panics
 ///
-/// Panics on configuration mismatch (fabric size ≠ `2 * cfg.workers`, SSP
-/// requested) and on transport failures (a dead peer surfaces as a timeout
-/// panic naming this endpoint).
+/// Panics on configuration mismatch (fabric size ≠ `2 * cfg.workers`) and
+/// on transport failures (a dead peer surfaces as a timeout panic naming
+/// this endpoint).
 pub fn run_endpoint<M: Model, T: Transport>(
     net_factory: &(dyn Fn() -> M + Sync),
     data: &Dataset,
@@ -90,18 +85,12 @@ pub fn run_endpoint<M: Model, T: Transport>(
     // The replica the plan is read from is this endpoint's model.
     let net = net_factory();
     let run = build_run_plan(&net, cfg);
-    assert!(
-        run.ssp.is_none(),
-        "the per-process runtime is BSP-only: SSP's clock is shared process state"
-    );
     let me = endpoint.endpoint_id();
     if cfg.telemetry.enabled {
         let role = if me < p { "worker" } else { "shard" };
         telemetry::set_process(me as u32, format!("poseidon-node e{me} ({role})"));
     }
-    // BSP never consults the clock; a private one satisfies the worker.
-    let clock = Arc::new(SspClock::new(p));
-    run_node(&run, net, data, eval, endpoint, clock)
+    run_node(&run, net, data, eval, endpoint)
 }
 
 /// Runs one endpoint of `run` to completion, for [`train`](super::train)
@@ -116,11 +105,10 @@ pub(super) fn run_node<M: Model, T: Transport>(
     data: &Dataset,
     eval: Option<&Dataset>,
     endpoint: T,
-    clock: Arc<SspClock>,
 ) -> NodeOutcome<M> {
     let faults = &run.cfg.faults;
     if !faults.active() {
-        return run_role(run, net, data, eval, endpoint, clock);
+        return run_role(run, net, data, eval, endpoint);
     }
     // The fault layer breaks originals on the way out; the reliability layer
     // above it (whose retransmits pass the fault layer unfaulted) heals the
@@ -129,7 +117,7 @@ pub(super) fn run_node<M: Model, T: Transport>(
     let log = faulty.log();
     let reliable = ReliableTransport::new(faulty, faults.reliability.clone().unwrap_or_default());
     let stats = reliable.stats();
-    let mut outcome = run_role(run, net, data, eval, reliable, clock);
+    let mut outcome = run_role(run, net, data, eval, reliable);
     let (NodeOutcome::Worker { chaos, .. } | NodeOutcome::Server { chaos, .. }) = &mut outcome;
     *chaos = Some(ChaosReport::of_endpoint(&log, &stats));
     outcome
@@ -142,7 +130,6 @@ fn run_role<M: Model, T: Transport>(
     data: &Dataset,
     eval: Option<&Dataset>,
     endpoint: T,
-    clock: Arc<SspClock>,
 ) -> NodeOutcome<M> {
     let (p, me) = (run.cfg.workers, endpoint.endpoint_id());
     let resume = run.cfg.resume.as_ref();
@@ -160,7 +147,7 @@ fn run_role<M: Model, T: Transport>(
         };
         // Worker `me` trains on shard `me` of the same deterministic
         // partition every participant computes.
-        worker::run_worker(run, local, net, data.part(p, me), endpoint, clock)
+        worker::run_worker(run, local, net, data.part(p, me), endpoint)
     } else {
         let restore = resume.map(|ck| {
             ck.shards

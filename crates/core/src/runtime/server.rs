@@ -5,7 +5,7 @@
 //! worker, it runs unchanged over any [`Transport`].
 //!
 //! One loop serves every run, segmented by membership epoch: a run with
-//! fixed membership — BSP or SSP, fresh or resumed from a checkpoint — is
+//! fixed membership, fresh or resumed from a checkpoint, is
 //! one segment in which every owned pair takes exactly `P` gradient messages
 //! per iteration. A non-trivial
 //! [`MembershipSchedule`](crate::membership::MembershipSchedule) cuts the run at each
@@ -44,13 +44,7 @@ pub(crate) fn run_server<M: Model, T: Transport>(
     let m_handoff = metrics::counter("poseidon_handoff_pairs_total", &[]);
     let shard_label = endpoint.endpoint_id().to_string();
     let m_serve = metrics::histogram("poseidon_serve_ns", &[("shard", &shard_label)]);
-    let mut kv = ShardServer::new(
-        &run.coordinator,
-        me,
-        &run.schedule,
-        cfg.momentum,
-        cfg.consistency,
-    );
+    let mut kv = ShardServer::new(&run.coordinator, me, &run.schedule, cfg.momentum);
 
     let (start, end) = (cfg.start_iter, cfg.start_iter + cfg.iterations);
     let mut epoch = sched.epoch_at(start);
@@ -112,8 +106,8 @@ pub(crate) fn run_server<M: Model, T: Transport>(
             let (from, what, iter) = (env.from, env.msg.tag_name(), env.msg.iter());
             let _serve_span = telemetry::span("serve.apply", env.msg.layer() as u64, iter);
             let serve_started = Instant::now();
-            // Per-iteration learning-rate schedule: messages carry their BSP
-            // round, so the scale for this update is exact even under SSP.
+            // Per-iteration learning-rate schedule: messages carry their
+            // round, so the scale for this update is exact.
             let emit = |to, msg| route(run, &endpoint, epoch, to, msg);
             match kv.serve(from, env.msg, run.scale_at(iter as usize), emit) {
                 Ok(()) => {

@@ -27,7 +27,7 @@
 //! worker takes, is poisoned: counted, diagnosed and dropped, never a
 //! process abort.
 
-use super::{note_poisoned_frame, route, NodeOutcome, RunPlan, SspClock};
+use super::{note_poisoned_frame, route, NodeOutcome, RunPlan};
 use crate::checkpoint::{LayerCheckpoint, WorkerCheckpoint};
 use crate::metrics;
 use crate::syncer::{self, Syncer};
@@ -38,7 +38,6 @@ use poseidon_nn::data::Dataset;
 use poseidon_nn::loss::SoftmaxCrossEntropy;
 use poseidon_nn::{BackwardNeeds, Finished, Layer, Model, ParamBlock};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// What one worker has that its peers do not; everything else it reads
@@ -232,7 +231,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
     mut net: M,
     data: Dataset,
     mut endpoint: T,
-    clock: Arc<SspClock>,
 ) -> NodeOutcome<M> {
     let (cfg, coordinator) = (run.cfg, &run.coordinator);
     let (workers, me) = (cfg.workers, endpoint.endpoint_id());
@@ -328,11 +326,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         completed: 0,
     };
 
-    let started = Instant::now();
-    let mut jitter_rng = cfg.jitter_us.map(|_| {
-        use rand::SeedableRng;
-        rand::rngs::StdRng::seed_from_u64(0x5A17 + me as u64)
-    });
     let mut losses = Vec::with_capacity(cfg.iterations);
     let mut test_errors = Vec::new();
 
@@ -349,18 +342,11 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
             endpoint.set_epoch(epoch);
             m_epoch.set(epoch as u64);
         }
-        if let Some(staleness) = run.ssp {
-            clock.wait_until_allowed(me, iter as u64, staleness);
-        }
         ex.begin_iteration(iter, epoch);
         let iter_started = Instant::now();
 
         if let Some((_, ms)) = cfg.straggler_delay_ms.filter(|&(w, _)| w == me) {
             std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        if let (Some(bound), Some(rng)) = (cfg.jitter_us, jitter_rng.as_mut()) {
-            use rand::Rng;
-            std::thread::sleep(std::time::Duration::from_micros(rng.gen_range(0..bound)));
         }
         let batch = cfg.batch_per_worker;
         let (x, y) = data.minibatch(iter * batch, batch);
@@ -400,10 +386,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
 
         m_step.record(iter_started.elapsed().as_nanos() as u64);
 
-        if run.ssp.is_some() {
-            clock.advance(me, iter as u64);
-        }
-
         // Periodic evaluation (worker 0 only: the runner hands the eval set
         // to worker 0 alone).
         if let Some(eval_set) = &local.eval {
@@ -414,7 +396,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         }
     }
 
-    let wall = started.elapsed();
     let layers = ex.layers;
     endpoint
         .shutdown()
@@ -456,7 +437,6 @@ pub(crate) fn run_worker<M: Model, T: Transport>(
         test_errors,
         net,
         busy_p50_ns: m_busy.snapshot().quantile(0.5),
-        wall,
         checkpoint,
         chaos: None,
     }

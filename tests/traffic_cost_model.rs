@@ -197,10 +197,7 @@ fn run_codec(codec: Codec) -> (u64, Vec<f32>) {
     let data = Dataset::gaussian_clusters(TensorShape::flat(24), 6, 192, 0.35, 11);
     let cfg = RuntimeConfig {
         policy: SchemePolicy::AlwaysPs,
-        codec: match codec {
-            Codec::Identity => CodecPolicy::Identity,
-            c => CodecPolicy::Always(c),
-        },
+        codec: CodecPolicy::Always(codec),
         partition: Partition::KvPairs { pair_elems: 256 },
         ..RuntimeConfig::new(3, 8, 0.15, 12)
     };
