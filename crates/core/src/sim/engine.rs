@@ -18,10 +18,25 @@
 //! the straggler drop, and they price a frame by what it carries
 //! ([`Payload`]), never by its scheme.
 //!
-//! Every reported statistic is a function of the order in which the queue
-//! pops — `(time, insertion order)`, see [`poseidon_netsim::EventQueue`] —
-//! so the handlers below must keep issuing the same `schedule_at` calls in
-//! the same order; `tests/sim_fingerprint.rs` pins the result bit for bit.
+//! Every reported statistic and traced event is a function of the order in
+//! which the queue pops — `(time, insertion order)`, see
+//! [`poseidon_netsim::EventQueue`] — and of what each popped event does.
+//! Most arrivals do nothing but count: a push at its shard, a pulled chunk
+//! at its worker, a peer's SF batch; only the one that completes the count
+//! (§4.1's KV-store rule: the `P`-th update applies) moves anything. So the
+//! FIFO NICs queue only an arrival that can complete its count, the last of
+//! its remote or loopback stream ([`SimState::load_streams`]), and *settle*
+//! every other one as it is sent: its transfer still reserves both NICs, is
+//! recorded in the ledger and traces its `tx.frame` then, and it is counted
+//! at once. The events that remain are a subsequence of the ones an engine
+//! that queued every arrival would pop, in the same order, with the same
+//! handlers; the invariant is that every handler keeps issuing the rest of
+//! its `schedule_at` calls in the same order. An arrival whose landing
+//! reserves a resource (an unoverlapped engine's memcpy stream, a lossy
+//! decode) stays queued, and so does every arrival under the fair-share
+//! model, where flows finish out of order. `tests/sim_fingerprint.rs` pins
+//! the statistics bit for bit and the traced timelines event for event; the
+//! `tests` below pin how many events a call pops.
 //! Progress is kept in flat tables over the coordinator's own index space
 //! (a chunk's position in the chunk table, and trainable layer × worker):
 //! see [`SimState`].
@@ -240,15 +255,20 @@ struct SimState<'a> {
     /// ones arrive, as a dropped straggler never sends on a non-collective
     /// layer — or contributions at the tree root.
     gathered: Vec<u32>,
-    /// Pulls still in flight per slot.
-    pull_remaining: Vec<u32>,
     /// Chunks a (layer, worker) still waits for; `UNSET` until the first
     /// lands there.
     chunks_remaining: Vec<u32>,
     /// Peer SF batches received per (layer, worker).
     sf_counts: Vec<u32>,
+    /// Pushes per slot not sent yet, as `[remote, loopback]` streams (see
+    /// [`Self::load_streams`]).
+    pushes_unsent: Vec<[u32; 2]>,
+    /// Pull landings and peer SF batches per (layer, worker) not sent yet,
+    /// as `[remote, loopback]` streams.
+    lands_unsent: Vec<[u32; 2]>,
     /// Local gradient ready time per (layer, worker) — collective schemes;
-    /// `NAN` until the worker's `SyncReady`.
+    /// `NAN` until the worker's `SyncReady`. Empty unless some layer rides
+    /// a collective.
     coll_ready: Vec<f64>,
     /// Collective frames that need the local gradient and arrived before it
     /// was ready — a ring REDUCE hop, a tree root's last contribution:
@@ -272,12 +292,63 @@ impl SimState<'_> {
         self.done_count = 0;
         let active_nodes = (0..self.p).filter(|&w| !self.is_dropped(w)).count();
         self.expected_done = self.plans.len() * active_nodes;
-        self.pull_remaining.fill(0);
         self.gathered.fill(0);
+        self.load_streams();
         self.chunks_remaining.fill(UNSET);
         self.sf_counts.fill(0);
         self.coll_ready.fill(f64::NAN);
         self.coll_pending.fill(f64::NAN);
+    }
+
+    /// Loads the arrivals one iteration sends each progress index, split
+    /// into a remote and a loopback stream: every active worker's push of
+    /// each chunk to its home shard (of an Adam layer's factors to its
+    /// shard), every reply a shard sends each worker, and an SFB layer's
+    /// batch from every active peer.
+    ///
+    /// A remote stream's arrivals all cross the rx queue of the node they
+    /// reach, which is FIFO: each finishes no earlier than the one reserved
+    /// before it, and equal times pop in insertion order, so the last one
+    /// sent pops last. A loopback stream is a worker's push to its own
+    /// node's shard, or the replies that shard sends its worker as its
+    /// `ApplyDone`s pop, at the finish times of its FIFO CPU stream. Only
+    /// the last arrival of a stream can complete a count, and
+    /// [`Self::queues`] queues only those.
+    fn load_streams(&mut self) {
+        let p = self.p;
+        let pushes = self.required_pushes() as u32;
+        for (d, plan) in self.plans.iter().enumerate() {
+            let lands = d * p..(d + 1) * p;
+            match plan.route.payload() {
+                Payload::Chunks => {
+                    self.lands_unsent[lands.clone()].fill([plan.chunks.len() as u32, 0]);
+                    for (c, &(shard, ..)) in plan.chunks.iter().enumerate() {
+                        let own = u32::from(!self.is_dropped(shard));
+                        self.pushes_unsent[plan.base + c] = [pushes - own, own];
+                        let [remote, local] = &mut self.lands_unsent[lands.start + shard];
+                        *remote -= 1;
+                        *local += 1;
+                    }
+                }
+                Payload::Factors if plan.route.to_peers() => {
+                    for w in 0..p {
+                        self.lands_unsent[lands.start + w] = [self.required_sf(w) as u32, 0];
+                    }
+                }
+                Payload::Factors => {
+                    // Adam: every worker sends its factors to one shard.
+                    let to = plan.route.sends(0, 0, |_| 0).last();
+                    let shard = node_of(to.expect("an Adam layer's shard").0);
+                    let own = u32::from(!self.is_dropped(shard));
+                    self.pushes_unsent[plan.base] = [pushes - own, own];
+                    for w in 0..p {
+                        let local = u32::from(w == shard);
+                        self.lands_unsent[lands.start + w] = [1 - local, local];
+                    }
+                }
+                Payload::Segments => {}
+            }
+        }
     }
 
     /// Worker `w`'s payload of `bytes`, ready at `ready`, leaving for the
@@ -356,27 +427,82 @@ impl SimState<'_> {
         self.done_count += 1;
     }
 
-    /// One of the chunks `worker` waits for on dense layer `layer` (all of
-    /// the layer's, or the single reply of an Adam layer) landed at `t`; the
-    /// last one synchronises the layer there.
-    fn chunk_landed(&mut self, layer: usize, worker: usize, t: f64) {
-        let plan = &self.plans[layer];
+    /// Counts one of the chunks `worker` waits for on dense layer `layer`
+    /// (all of the layer's, or the single reply of an Adam layer); `true`
+    /// iff it was the last.
+    fn chunk_counted(&mut self, layer: usize, worker: usize) -> bool {
         let i = self.lw(layer, worker);
         let left = &mut self.chunks_remaining[i];
         if *left == UNSET {
-            *left = plan.chunks.len().max(1) as u32;
+            *left = self.plans[layer].chunks.len().max(1) as u32;
         }
         *left -= 1;
-        if *left == 0 {
-            *left = UNSET;
-            self.layer_synced(plan, worker, t);
+        if *left > 0 {
+            return false;
+        }
+        *left = UNSET;
+        true
+    }
+
+    /// One of the chunks `worker` waits for on dense layer `layer` landed at
+    /// `t`; the last one synchronises the layer there.
+    fn chunk_landed(&mut self, layer: usize, worker: usize, t: f64) {
+        if self.chunk_counted(layer, worker) {
+            self.layer_synced(&self.plans[layer], worker, t);
         }
     }
 
+    /// Counts arrival `ev` — a push at its shard, a peer's SF batch, a
+    /// pulled chunk at its worker — towards its progress index; `true` iff
+    /// it completes the count.
+    fn count_arrival(&mut self, ev: Ev) -> bool {
+        let (d, chunk, node) = (ev.layer as usize, ev.chunk as usize, ev.node as usize);
+        match ev.kind {
+            Kind::GradArrive => {
+                let required = self.required_pushes() as u32;
+                let count = &mut self.gathered[self.plans[d].base + chunk];
+                *count += 1;
+                *count >= required
+            }
+            Kind::SfArrive => {
+                let required = self.required_sf(node) as u32;
+                let i = self.lw(d, node);
+                let count = &mut self.sf_counts[i];
+                *count += 1;
+                *count >= required
+            }
+            Kind::PullArrive => self.chunk_counted(d, node),
+            _ => unreachable!("{:?} is no counted arrival", ev.kind),
+        }
+    }
+
+    /// Whether the arrival `ev`, just reserved on the FIFO NICs, goes into
+    /// the queue: every event does, except a counted arrival that is not the
+    /// last of its stream ([`Self::load_streams`]) and whose landing
+    /// reserves nothing.
+    fn queues(&mut self, ev: Ev, loopback: bool) -> bool {
+        let plan = &self.plans[ev.layer as usize];
+        let lw = self.lw(ev.layer as usize, ev.node as usize);
+        let streams = match ev.kind {
+            Kind::GradArrive => &mut self.pushes_unsent[plan.base + ev.chunk as usize],
+            Kind::SfArrive => &mut self.lands_unsent[lw],
+            // A landing that stages or decodes reserves the memcpy or CPU
+            // stream, in pop order: it keeps its event.
+            Kind::PullArrive if !self.cfg.unoverlapped_memcpy && plan.codec == Codec::Identity => {
+                &mut self.lands_unsent[lw]
+            }
+            _ => return true,
+        };
+        let left = &mut streams[usize::from(loopback)];
+        *left = left.checked_sub(1).expect("an arrival no stream counts");
+        *left == 0
+    }
+
     /// Dispatches a transfer under the configured bandwidth model: FIFO NIC
-    /// queues schedule the arrival event eagerly; the fair-share model
-    /// registers a fluid flow whose completion the main loop turns into the
-    /// event.
+    /// queues schedule the arrival event eagerly, or settle it on the spot
+    /// where [`Self::queues`] says it cannot complete its count; the
+    /// fair-share model registers a fluid flow whose completion the main
+    /// loop turns into the event.
     fn send(
         &mut self,
         queue: &mut EventQueue<Ev>,
@@ -403,7 +529,12 @@ impl SimState<'_> {
             }
             None => {
                 let arrive = self.net.transfer(ready, NodeId(src), NodeId(dst), bytes);
-                queue.schedule_at(arrive, ev);
+                if self.queues(ev, src == dst) {
+                    queue.schedule_at(arrive, ev);
+                } else {
+                    let completed = self.count_arrival(ev);
+                    debug_assert!(!completed, "a settled {ev:?} completed its count");
+                }
             }
         }
     }
@@ -419,7 +550,7 @@ pub fn simulate(spec: &ModelSpec, cfg: &SimConfig) -> IterationReport {
 /// live runtime emits, so [`crate::telemetry::chrome::to_chrome_json`] and
 /// [`crate::telemetry::report::summarize`] work on simulated timelines too.
 pub fn simulate_with_trace(spec: &ModelSpec, cfg: &SimConfig) -> (IterationReport, Trace) {
-    let (report, trace) = simulate_inner(spec, cfg, true);
+    let (report, trace, _) = simulate_inner(spec, cfg, true);
     (report, trace.expect("tracing requested"))
 }
 
@@ -437,11 +568,13 @@ pub fn simulate_with_metrics(
     (report, snapshot)
 }
 
+/// The report, the trace if `trace` asked for one, and the number of events
+/// the call popped from its queue (the engine's work, pinned by the tests).
 fn simulate_inner(
     spec: &ModelSpec,
     cfg: &SimConfig,
     trace: bool,
-) -> (IterationReport, Option<Trace>) {
+) -> (IterationReport, Option<Trace>, u64) {
     let p = cfg.nodes;
     let gpus = cfg.gpus_per_node.max(1);
     let batch = cfg.batch_per_node.unwrap_or(spec.default_batch);
@@ -535,11 +668,12 @@ fn simulate_inner(
         memcpy: vec![Resource::new(); p],
         cpu: vec![Resource::new(); p],
         pcie: vec![Resource::new(); p],
-        pull_remaining: vec![0; slots],
         gathered: vec![0; slots],
         chunks_remaining: vec![UNSET; plans.len() * p],
         sf_counts: vec![0; plans.len() * p],
-        coll_ready: vec![f64::NAN; plans.len() * p],
+        pushes_unsent: vec![[0; 2]; slots],
+        lands_unsent: vec![[0; 2]; plans.len() * p],
+        coll_ready: vec![f64::NAN; if any_collective { plans.len() * p } else { 0 }],
         coll_pending: vec![f64::NAN; if any_collective { slots * p } else { 0 }],
         layer_done: 0.0,
         done_count: 0,
@@ -556,6 +690,7 @@ fn simulate_inner(
     let iterations = 3usize;
     let mut iter_start = 0.0f64;
     let mut measured = (0.0f64, 0.0f64); // (start, end) of last iteration
+    let mut popped = 0u64;
 
     for it in 0..iterations {
         if it == iterations - 1 {
@@ -647,6 +782,7 @@ fn simulate_inner(
                 continue;
             }
             let Some((now, ev)) = queue.pop() else { break };
+            popped += 1;
             if let Some(fair) = state.fair.as_mut() {
                 if fair.next_event_time().is_none_or(|t| t >= now) {
                     for done_ev in fair.advance(now.min(ft_v)) {
@@ -702,7 +838,7 @@ fn simulate_inner(
             .collect(),
     };
     let trace = state.tracer.take().map(|tr| tr.into_trace(p, spec.name));
-    (report, trace)
+    (report, trace, popped)
 }
 
 /// The node a frame's destination lives on: worker `w` runs on node `w`,
@@ -776,10 +912,7 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
             }
         }
         Kind::GradArrive => {
-            let required = state.required_pushes() as u32;
-            let count = &mut state.gathered[plan.base + chunk];
-            *count += 1;
-            if *count < required {
+            if !state.count_arrival(ev) {
                 return;
             }
             let shard = node;
@@ -814,7 +947,6 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                 // Adam's reply is the whole fresh matrix.
                 _ => plan.dense_bytes + MSG_OVERHEAD,
             };
-            state.pull_remaining[plan.base + chunk] = p as u32;
             for w in route::replies(p) {
                 let pull = Ev::new(Kind::PullArrive, d, chunk, w);
                 state.send(queue, now, shard, w, pull_bytes, pull);
@@ -827,16 +959,10 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
                 let dq = plan.dense_bytes as f64 / state.cfg.transform_flops;
                 done = state.cpu[node].reserve(done, dq).1;
             }
-            let in_flight = &mut state.pull_remaining[plan.base + chunk];
-            *in_flight = in_flight.checked_sub(1).expect("pull bookkeeping");
             state.chunk_landed(d, node, done);
         }
         Kind::SfArrive => {
-            let required = state.required_sf(node) as u32;
-            let i = state.lw(d, node);
-            let count = &mut state.sf_counts[i];
-            *count += 1;
-            if *count < required {
+            if !state.count_arrival(ev) {
                 return;
             }
             let (m, n) = plan.fc_shape.expect("SFB needs FC shape");
@@ -955,4 +1081,40 @@ pub fn speedup_series(
             (n, report.speedup)
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::System;
+    use poseidon_nn::zoo;
+
+    /// The engine's work contract: how many events one call pops (three
+    /// iterations) at 32 nodes and 10 GbE. The FIFO NICs settle every
+    /// arrival that cannot complete its count without queueing it, so a KV
+    /// pair's `P` pushes cost at most two events, and so do the chunks of a
+    /// layer a worker pulls; an engine that queued one event per push and
+    /// per pull popped 89 574, 105 858 and 89 574 here. Caffe+PS stages
+    /// every pulled chunk through its memcpy stream, so its pulls stay
+    /// queued. A count that moves changes what the engine does per event;
+    /// `tests/sim_fingerprint.rs` says whether it changed a result.
+    #[test]
+    fn events_per_call_are_pinned() {
+        let runs = [
+            (zoo::vgg19_22k(), System::WfbpPs, 8_118),
+            (zoo::resnet152(), System::Poseidon, 63_507),
+            (zoo::vgg19_22k(), System::CaffePs, 49_074),
+        ];
+        for (spec, system, want) in runs {
+            let cfg = SimConfig::system(system, 32, 10.0);
+            let (_, _, popped) = simulate_inner(&spec, &cfg, false);
+            assert_eq!(
+                popped,
+                want,
+                "{} {} at 32x10: events popped",
+                spec.name,
+                system.label()
+            );
+        }
+    }
 }

@@ -23,8 +23,8 @@
 //! with each other above the bucket's bit — spread over the buckets below,
 //! all empty at that moment. An event is refiled at most 64 times and usually
 //! a handful, against a `log n`-deep sift per operation in a binary heap
-//! (measured on the simulator's own schedules: README, "Reproducing the
-//! paper's evaluation").
+//! (measured on the simulator's own schedules: README, "What a simulated
+//! point costs").
 //!
 //! Buckets are linked lists threaded through one arena of nodes, so refiling
 //! an event relinks it without moving it, a popped event's node is reused by

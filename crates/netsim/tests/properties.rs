@@ -40,8 +40,10 @@ fn event_queue_is_deterministic() {
     });
 }
 
-/// A serial resource's total busy time equals the sum of durations, and
-/// job intervals never overlap.
+/// A serial resource's total busy time equals the sum of durations, job
+/// intervals never overlap, and finish times never decrease in reservation
+/// order, exactly, whatever the ready times (the simulator's CPU streams
+/// lean on this the way its NICs lean on the rx-queue property below).
 #[test]
 fn resource_conserves_time() {
     cases(256, |g| {
@@ -53,6 +55,10 @@ fn resource_conserves_time() {
             let (start, finish) = r.reserve(ready, dur);
             assert!(start >= ready);
             assert!(start >= last_finish - 1e-12, "jobs must not overlap");
+            assert!(
+                finish >= last_finish,
+                "{finish} finishes before {last_finish}"
+            );
             assert!((finish - start - dur).abs() < 1e-9);
             last_finish = finish;
             total += dur;
@@ -185,5 +191,57 @@ fn transfer_completion_is_monotone_in_ready_time() {
         let d1 = a.transfer(r1, NodeId(0), NodeId(1), bytes);
         let d2 = b.transfer(r1 + dr, NodeId(0), NodeId(1), bytes);
         assert!(d2 >= d1 - 1e-12);
+    });
+}
+
+/// The premise on which the cluster simulator queues only the arrivals that
+/// can complete a count: over any sequence of transfers, with ready times
+/// in any order, the remote transfers into one node complete in call order
+/// (never earlier than the one before them), exactly, with no tolerance. A
+/// loopback completes at its ready time and is invisible to everything
+/// else: a twin network that never sees it returns the same completions
+/// and keeps the same ledger.
+#[test]
+fn remote_completions_into_a_node_never_decrease_and_loopbacks_are_free() {
+    cases(256, |g| {
+        let nodes = g.size(1..6);
+        let cfg = LinkConfig {
+            bandwidth_gbps: g.range(1.0f64..40.0),
+            latency_s: g.range(0.0f64..1e-3),
+        };
+        let calls = g.vec(1..150, |g| {
+            (
+                g.range(0.0f64..0.1),
+                g.range(0..nodes),
+                g.range(0..nodes),
+                g.range(0u64..20_000_000),
+            )
+        });
+        let mut net = Network::new(nodes, cfg);
+        let mut twin = Network::new(nodes, cfg);
+        let mut last_into = vec![0.0f64; nodes];
+        for &(ready, src, dst, bytes) in &calls {
+            let done = net.transfer(ready, NodeId(src), NodeId(dst), bytes);
+            if src == dst {
+                assert_eq!(done.to_bits(), ready.to_bits(), "loopback at {ready}");
+                continue;
+            }
+            let twin_done = twin.transfer(ready, NodeId(src), NodeId(dst), bytes);
+            assert_eq!(
+                done.to_bits(),
+                twin_done.to_bits(),
+                "a loopback moved a NIC"
+            );
+            assert!(
+                done >= last_into[dst],
+                "into node {dst}: {done} completes before {}",
+                last_into[dst]
+            );
+            last_into[dst] = done;
+        }
+        for n in 0..nodes {
+            assert_eq!(net.ledger().tx_bytes(n), twin.ledger().tx_bytes(n));
+            assert_eq!(net.ledger().rx_bytes(n), twin.ledger().rx_bytes(n));
+        }
     });
 }

@@ -77,14 +77,20 @@ echo "== bitwise oracles and data paths under --release =="
 # `Reliable` retransmit copies hold those frames past their round. Every
 # destination those paths use comes from `route.rs`, so its unit tests (the
 # routing completeness walk for P = 1..33) run here too, with the
-# simulator/runtime frame cross-check (`sim_runtime_frames`).
+# simulator/runtime frame cross-check (`sim_runtime_frames`). `sim_zoo32`
+# measures the simulator in the release build too, so its pins run here:
+# every statistic and traced event (`sim_fingerprint`), the queue's pop
+# order (`queue_order`) and the FIFO premises the engine's settled
+# arrivals rest on (netsim `properties`).
 cargo test --release -q -p poseidon-tensor --test gemm_oracle --test codec_oracle
 cargo test --release -q -p poseidon-tensor --lib kernel::
 cargo test --release -q -p poseidon-nn --test conv_oracle --test parallel_determinism \
     --test backward_contract
 cargo test --release -q -p poseidon-repro --test ps_wire_path --test collective_wire_path \
     --test wfbp_drain --test distributed_equivalence --test checkpoint_restore \
-    --test poisoned_payloads --test chaos_recovery --test sim_runtime_frames
+    --test poisoned_payloads --test chaos_recovery --test sim_runtime_frames \
+    --test sim_fingerprint
+cargo test --release -q -p poseidon-netsim --test properties --test queue_order
 cargo test --release -q -p poseidon --lib -- kvstore:: syncer:: route::
 
 echo "== paper's training figures run to completion =="

@@ -11,9 +11,15 @@
 //! A digest is FNV-1a over the `f64::to_bits` of `iter_time_s`,
 //! `throughput_ips`, `speedup`, `stall_fraction` and every `per_node_gbit`
 //! entry of each report, in the order the reports were produced.
+//!
+//! The traced timelines are pinned too, event for event ([`trace_digest`]),
+//! from the engine of commit `7521cda`, which queued one event per push and
+//! per pull: an engine that queues fewer events must still handle the ones
+//! it keeps in the same order, ties included.
 
 use poseidon::config::{Codec, CodecPolicy, Scheduler, SchemePolicy, Topology};
 use poseidon::sim::{simulate, simulate_with_trace, IterationReport, SimConfig, System};
+use poseidon::telemetry::Trace;
 use poseidon_netsim::LinkConfig;
 use poseidon_nn::zoo::{self, ModelSpec};
 
@@ -34,7 +40,17 @@ impl Fnv {
     }
 
     fn word(&mut self, w: u64) {
-        for b in w.to_le_bytes() {
+        self.raw(&w.to_le_bytes());
+    }
+
+    /// A length-prefixed byte string.
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.word(bytes.len() as u64);
+        self.raw(bytes);
+    }
+
+    fn raw(&mut self, bytes: &[u8]) {
+        for &b in bytes {
             self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
@@ -70,7 +86,7 @@ fn check(what: &str, got: &[(String, u64)], golden: &[u64]) {
             .filter(|((_, d), want)| Some(d) != *want)
             .map(|((label, _), _)| label.as_str())
             .collect();
-        panic!("{what}: simulated statistics moved for {moved:?}; computed table:\n{table}");
+        panic!("{what}: digests moved for {moved:?}; computed table:\n{table}");
     }
 }
 
@@ -395,4 +411,77 @@ fn paths_outside_the_sweep_repeat_the_parent_engine_and_tracing_observes_only() 
         })
         .collect();
     check("paths", &got, &PATHS_GOLDEN);
+}
+
+/// FNV-1a over every event of a traced timeline: per track its id, name
+/// and event count, then each event's `ts_ns`, kind, name, lane, `a` and
+/// `b`, in the order the track holds them. Events that tie on `ts_ns` keep
+/// the order the engine recorded them in, so this moves if the engine
+/// handles tied events in another order, even where no statistic does.
+fn trace_digest(trace: &Trace) -> u64 {
+    let mut h = Fnv::new();
+    h.word(trace.tracks.len() as u64);
+    for track in &trace.tracks {
+        h.word(track.tid);
+        h.bytes(track.name.as_bytes());
+        h.word(track.events.len() as u64);
+        for e in &track.events {
+            h.word(e.ts_ns);
+            h.word(e.kind as u64);
+            h.bytes(e.name.as_bytes());
+            h.word(u64::from(e.lane));
+            h.word(e.a);
+            h.word(e.b);
+        }
+    }
+    h.0
+}
+
+/// The six systems, a dropped straggler and multi-GPU nodes on VGG19 at 8
+/// nodes: PS chunks with several per shard, SFB, Adam's factors and the
+/// 1-bit codec, with and without the memcpy stream.
+fn traced() -> Vec<(String, SimConfig)> {
+    let mut runs: Vec<(String, SimConfig)> = SYSTEMS
+        .iter()
+        .map(|&system| {
+            let label = format!("{} vgg19 8x10", system.label());
+            (label, SimConfig::system(system, 8, 10.0))
+        })
+        .collect();
+    runs.push((
+        "straggler dropped poseidon vgg19 8x10".into(),
+        with(System::Poseidon, 8, 10.0, |c| {
+            c.straggler = Some((5, 1.5));
+            c.drop_stragglers = true;
+        }),
+    ));
+    runs.push((
+        "4 gpus poseidon vgg19 8x40".into(),
+        with(System::Poseidon, 8, 40.0, |c| c.gpus_per_node = 4),
+    ));
+    runs
+}
+
+const TRACE_GOLDEN: [u64; 8] = [
+    0x734583078b808c11, // Caffe+PS vgg19 8x10
+    0xbd5fd543143d52a9, // WFBP(PS) vgg19 8x10
+    0xfd3e6ee71c2496db, // Poseidon vgg19 8x10
+    0xa2ca07df899d8f14, // TF vgg19 8x10
+    0xaad2606125361964, // Adam vgg19 8x10
+    0x3dce678c968029fb, // CNTK-1bit vgg19 8x10
+    0x5232d31d5b21c953, // straggler dropped poseidon vgg19 8x10
+    0x15e5352a317d33cc, // 4 gpus poseidon vgg19 8x40
+];
+
+#[test]
+fn traced_timelines_repeat_the_parent_engine_event_for_event() {
+    let model = zoo::vgg19();
+    let got: Vec<(String, u64)> = traced()
+        .into_iter()
+        .map(|(label, cfg)| {
+            let (_, trace) = simulate_with_trace(&model, &cfg);
+            (label, trace_digest(&trace))
+        })
+        .collect();
+    check("traced timelines", &got, &TRACE_GOLDEN);
 }
