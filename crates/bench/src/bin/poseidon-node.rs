@@ -104,7 +104,7 @@ const USAGE: &str = "poseidon-node: multi-process distributed SGD over TCP
   --batch N         per-worker minibatch                    [8]
   --lr F            learning rate                           [0.2]
   --momentum F      classical momentum                      [0.0]
-  --policy S        ps | hybrid | sfb | adam | onebit | ring | tree [hybrid]
+  --policy S        ps | hybrid | sfb | adam | onebit | ring [hybrid]
   --codec S         gradient codec on PS/collective layers:
                     identity | onebit                       [identity]
   --pair-elems N    KV-pair size in f32 elements            [37]
@@ -163,7 +163,6 @@ fn parse_args() -> Result<Args, String> {
                     "adam" => SchemePolicy::AdamSf,
                     "onebit" => SchemePolicy::OneBit,
                     "ring" => SchemePolicy::AlwaysRing,
-                    "tree" => SchemePolicy::AlwaysTree,
                     other => return Err(format!("unknown policy {other:?}\n{USAGE}")),
                 }
             }

@@ -1,26 +1,35 @@
-//! `poseidon-node --codec` takes the two codecs the build ships. Any other
-//! spelling is refused by the argument parser, before the launcher binds a
-//! port or spawns an endpoint.
+//! `poseidon-node --codec` takes the two codecs the build ships, and
+//! `--policy` the schemes it ships. Any other spelling is refused by the
+//! argument parser, before the launcher binds a port or spawns an endpoint.
 
 use std::process::Command;
 
 #[test]
 fn unknown_codec_spellings_are_refused_before_any_endpoint_starts() {
-    for codec in ["f16", "cost"] {
+    let cases = [
+        ("--codec", "f16", "identity|onebit"),
+        ("--codec", "cost", "identity|onebit"),
+        ("--policy", "tree", "unknown policy \"tree\""),
+    ];
+    for (flag, value, names) in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_poseidon-node"))
-            .args(["--codec", codec])
+            .args([flag, value])
             .output()
             .expect("spawn poseidon-node");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(!out.status.success(), "--codec {codec} must fail: {stderr}");
+        assert!(!out.status.success(), "{flag} {value} must fail: {stderr}");
         assert!(
-            stderr.contains("identity|onebit"),
-            "--codec {codec}: stderr must name the valid spellings: {stderr}"
+            stderr.contains(names),
+            "{flag} {value}: stderr must say {names:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("| tree"),
+            "{flag} {value}: the usage offers no tree: {stderr}"
         );
         // The launcher echoes every endpoint's report on stdout.
         assert!(
             out.stdout.is_empty(),
-            "--codec {codec}: an endpoint ran: {}",
+            "{flag} {value}: an endpoint ran: {}",
             String::from_utf8_lossy(&out.stdout)
         );
     }

@@ -19,7 +19,6 @@ use std::time::{Duration, Instant};
 pub const TCP_LOOPBACK_PS: u16 = 10_000;
 pub const TCP_LOOPBACK_HYBRID: u16 = 11_000;
 pub const TCP_LOOPBACK_RING: u16 = 12_000;
-pub const TCP_LOOPBACK_TREE: u16 = 13_000;
 pub const TRACE_ROUNDTRIP: u16 = 14_000;
 pub const TCP_SEVER_RECONNECT: u16 = 15_000;
 pub const METRICS_SCRAPE_MESH: u16 = 16_000;

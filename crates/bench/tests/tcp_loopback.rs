@@ -148,38 +148,33 @@ fn multiprocess_tcp_equals_inproc_ps() {
     assert_eq!(tcp.per_node, inproc.traffic.per_node_totals());
 }
 
-/// The collectives' exactness claim, end to end over real sockets: a ring
-/// (and tree) run on the 4-endpoint TCP loopback mesh produces replicas
-/// bitwise identical to the *PS baseline* — not merely internally
-/// consistent — and counts the same traffic as its in-process twin.
+/// The ring's exactness claim, end to end over real sockets: a ring run on
+/// the 4-endpoint TCP loopback mesh produces replicas bitwise identical to
+/// the *PS baseline* — not merely internally consistent — and counts the
+/// same traffic as its in-process twin.
 #[test]
 fn multiprocess_tcp_ring_and_tree_equal_inproc_ps() {
     let ps = run_inproc(SchemePolicy::AlwaysPs);
     let want = hex(&flatten_model_params(&ps.net));
-    for (range, policy, scheme) in [
-        (common::TCP_LOOPBACK_RING, "ring", SchemePolicy::AlwaysRing),
-        (common::TCP_LOOPBACK_TREE, "tree", SchemePolicy::AlwaysTree),
-    ] {
-        let tcp = run_launcher(policy, common::port(range));
-        for (w, got) in tcp.worker_params_hex.iter().enumerate() {
-            assert_eq!(
-                got, &want,
-                "{policy}: worker {w}'s TCP replica differs from in-process PS"
-            );
-        }
-        let inproc = run_inproc(scheme);
+    let tcp = run_launcher("ring", common::port(common::TCP_LOOPBACK_RING));
+    for (w, got) in tcp.worker_params_hex.iter().enumerate() {
         assert_eq!(
-            hex(&flatten_model_params(&inproc.net)),
-            want,
-            "{policy}: in-process collective differs from PS"
+            got, &want,
+            "ring: worker {w}'s TCP replica differs from in-process PS"
         );
-        assert_eq!(
-            tcp.total_bytes,
-            inproc.traffic.total_bytes(),
-            "{policy}: both transports must count identical traffic"
-        );
-        assert_eq!(tcp.per_node, inproc.traffic.per_node_totals());
     }
+    let inproc = run_inproc(SchemePolicy::AlwaysRing);
+    assert_eq!(
+        hex(&flatten_model_params(&inproc.net)),
+        want,
+        "ring: in-process collective differs from PS"
+    );
+    assert_eq!(
+        tcp.total_bytes,
+        inproc.traffic.total_bytes(),
+        "ring: both transports must count identical traffic"
+    );
+    assert_eq!(tcp.per_node, inproc.traffic.per_node_totals());
 }
 
 #[test]

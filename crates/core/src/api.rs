@@ -10,8 +10,8 @@
 //! | `BestScheme(layer)` | Coordinator | [`crate::coordinator::Coordinator::best_scheme`] |
 //! | `Query(properties)` | Coordinator | [`crate::coordinator::Coordinator::query`] |
 //! | `Send` (syncer) | Syncer | [`crate::syncer::Syncer::send`]: the worker loop in [`crate::runtime`] calls it the moment a layer's backward completes, and transmits the frames it hands back to the [`crate::route::Dest`] each names, which [`crate::route::Route::sends`] chose |
-//! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::receive`]: validates, decodes and stages one frame (a PS chunk via [`crate::syncer::Syncer::on_param_chunk`], a ring/tree hop added and forwarded) or refuses it as poisoned, completing via [`crate::syncer::Syncer::is_complete`]; the worker calls it for whatever has arrived between the layers of backward, and for the rest after it |
-//! | `Move` (syncer) | Syncer | GPU→CPU: inside [`crate::syncer::Syncer::send`], an identity PS push and the identity ring's head lend the layer's weight gradient to their frames (a view per KV pair or segment, given back by `apply`), [`crate::syncer::Syncer::encode_push_grad`] encodes any other KV pair, and a ring hop or tree fold reads `scale·g` straight from the layer's gradient storage when it adds it; CPU→GPU: a PS chunk and a collective segment's new velocity step the replica inside `receive` — on the last ring hop in the pass that folds it — and an SFB or Adam round lands through [`crate::syncer::Syncer::apply`] ([`crate::syncer::write_params_flat`], or [`crate::syncer::reconstruct_sf_batches`] and the momentum step) |
+//! | `Receive` (syncer) | Syncer | [`crate::syncer::Syncer::receive`]: validates, decodes and stages one frame (a PS chunk via [`crate::syncer::Syncer::on_param_chunk`], a ring hop added and forwarded) or refuses it as poisoned, completing via [`crate::syncer::Syncer::is_complete`]; the worker calls it for whatever has arrived between the layers of backward, and for the rest after it |
+//! | `Move` (syncer) | Syncer | GPU→CPU: inside [`crate::syncer::Syncer::send`], an identity PS push and the identity ring's head lend the layer's weight gradient to their frames (a view per KV pair or segment, given back by `apply`), [`crate::syncer::Syncer::encode_push_grad`] encodes any other KV pair, and a ring hop reads `scale·g` straight from the layer's gradient storage when it adds it; CPU→GPU: a PS chunk and a collective segment's new velocity step the replica inside `receive` — on the last ring hop in the pass that folds it — and an SFB or Adam round lands through [`crate::syncer::Syncer::apply`] ([`crate::syncer::write_params_flat`], or [`crate::syncer::reconstruct_sf_batches`] and the momentum step) |
 //! | `Send` (KV store) | KV store | [`crate::kvstore::ShardServer::serve`], once a pair's update count reaches `P` (the `Ok(true)` of [`crate::kvstore::ShardState::stage`]): the round's reply goes to every worker through its `emit` callback — a view of the master the fold's walk just advanced ([`crate::kvstore::ShardState::fold_apply_encode`]), the compressed velocity ahead of [`crate::kvstore::ShardState::apply_delta`] for a lossy pair, or an Adam layer's fresh matrix |
 //! | `Receive` (KV store) | KV store | [`crate::kvstore::ShardServer::serve`]: stages one frame as its bytes ([`crate::kvstore::ShardState::stage`]; Adam's factors reconstructed dense first), or refuses it as poisoned |
 //!

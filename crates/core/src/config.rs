@@ -22,10 +22,6 @@ pub enum CommScheme {
     /// id-ordered worker chain, then the folded update distributes the other
     /// way — no server traffic, ≈2 tensor transits per NIC.
     Ring,
-    /// Tree allreduce: contributions gather up a binary worker tree to the
-    /// root, which folds them in worker-id order and broadcasts the update
-    /// back down — logarithmic hop depth (FireCaffe's reduction tree).
-    Tree,
 }
 
 impl std::fmt::Display for CommScheme {
@@ -35,7 +31,6 @@ impl std::fmt::Display for CommScheme {
             CommScheme::Sfb => "SFB",
             CommScheme::AdamSf => "AdamSF",
             CommScheme::Ring => "Ring",
-            CommScheme::Tree => "Tree",
         };
         write!(f, "{s}")
     }
@@ -49,7 +44,7 @@ pub enum CodecPolicy {
     /// Raw f32 everywhere — bitwise identical to the pre-codec wire.
     #[default]
     Identity,
-    /// One codec for every codec-capable (PS/ring/tree) layer.
+    /// One codec for every codec-capable (PS/ring) layer.
     Always(Codec),
 }
 
@@ -74,9 +69,7 @@ pub enum SchemePolicy {
     OneBit,
     /// Ring allreduce for every trainable layer (ablation / collectives).
     AlwaysRing,
-    /// Tree allreduce for every trainable layer (ablation / collectives).
-    AlwaysTree,
-    /// Generalised HybComm: price PS, SFB, ring and tree per layer against a
+    /// Generalised HybComm: price PS, SFB and ring per layer against a
     /// hierarchical topology and pick the cheapest
     /// ([`crate::costmodel::best_scheme_topo`]).
     TopoAware(Topology),
@@ -232,7 +225,6 @@ mod tests {
         assert_eq!(CommScheme::Sfb.to_string(), "SFB");
         assert_eq!(CommScheme::AdamSf.to_string(), "AdamSF");
         assert_eq!(CommScheme::Ring.to_string(), "Ring");
-        assert_eq!(CommScheme::Tree.to_string(), "Tree");
     }
 
     #[test]

@@ -161,9 +161,9 @@ impl Coordinator {
     ///
     /// SFB/Adam/1-bit apply to FC layers only (their updates decompose into
     /// sufficient factors); other layers fall back to PS under those
-    /// policies. The collective schemes (ring/tree) apply to any trainable
-    /// layer. A single-worker cluster always reduces to PS — SFB has no
-    /// peers and a one-worker collective chain never completes.
+    /// policies. The ring applies to any trainable layer. A single-worker
+    /// cluster always reduces to PS — SFB has no peers and a one-worker
+    /// chain never completes.
     ///
     /// # Panics
     ///
@@ -208,13 +208,6 @@ impl Coordinator {
                     CommScheme::Ring
                 }
             }
-            SchemePolicy::AlwaysTree => {
-                if single {
-                    CommScheme::Ps
-                } else {
-                    CommScheme::Tree
-                }
-            }
             SchemePolicy::TopoAware(topo) => {
                 costmodel::best_scheme_topo(info.param_elems, fc, &self.cluster, &topo)
             }
@@ -243,7 +236,7 @@ impl Coordinator {
     pub fn best_codec(&self, layer: usize) -> Codec {
         let info = &self.layers[layer];
         let scheme = self.best_scheme(layer);
-        if !matches!(scheme, CommScheme::Ps | CommScheme::Ring | CommScheme::Tree) {
+        if !matches!(scheme, CommScheme::Ps | CommScheme::Ring) {
             return Codec::Identity;
         }
         if self.policy == SchemePolicy::OneBit && info.fc_shape.is_some() {
@@ -447,18 +440,8 @@ mod tests {
             .scheme_assignment()
             .iter()
             .all(|&(_, s)| s == CommScheme::Ring));
-        let c = coordinator(SchemePolicy::AlwaysTree, 8, 32);
-        assert!(c
-            .scheme_assignment()
-            .iter()
-            .all(|&(_, s)| s == CommScheme::Tree));
         // Single node reduces to PS: a one-worker chain never completes.
         let c = coordinator(SchemePolicy::AlwaysRing, 1, 32);
-        assert!(c
-            .scheme_assignment()
-            .iter()
-            .all(|&(_, s)| s == CommScheme::Ps));
-        let c = coordinator(SchemePolicy::AlwaysTree, 1, 32);
         assert!(c
             .scheme_assignment()
             .iter()
@@ -504,10 +487,10 @@ mod tests {
         );
         let schemes = c.scheme_assignment();
         assert_eq!(schemes[0].1, CommScheme::Ps, "small layer stays on the PS");
-        assert!(
-            matches!(schemes[1].1, CommScheme::Ring | CommScheme::Tree),
-            "large layer goes collective, got {}",
-            schemes[1].1
+        assert_eq!(
+            schemes[1].1,
+            CommScheme::Ring,
+            "large layer goes collective"
         );
     }
 

@@ -111,10 +111,8 @@ pub fn sfb_crossover_batch(m: usize, n: usize, workers: usize, servers: usize) -
 // (possibly oversubscribed) core — and take
 // `latency_term + max(load / bandwidth)` as the predicted sync time. The
 // loads mirror what our runtimes actually send: PS is the colocated Table-1
-// row, SFB an all-to-all factor broadcast, ring the id-ordered chain carrying
-// the full tensor twice around (see `syncer`), and tree a raw gather to the
-// root plus a broadcast back down (no interior reduction — that is what
-// keeps the fold bitwise identical to PS).
+// row, SFB an all-to-all factor broadcast, and ring the id-ordered chain
+// carrying the full tensor twice around (see `syncer`).
 
 /// Predicted synchronisation time per scheme for one layer, in seconds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -125,8 +123,6 @@ pub struct SchemeTimes {
     pub sfb: Option<f64>,
     /// Ring allreduce (chain; requires ≥ 2 workers).
     pub ring: f64,
-    /// Tree allreduce (raw gather + broadcast; requires ≥ 2 workers).
-    pub tree: f64,
 }
 
 fn bw_bytes(gbps: f64) -> f64 {
@@ -210,30 +206,6 @@ pub fn ring_time_topo(param_elems: usize, topo: &Topology) -> f64 {
     step_time(topo, latency, dev, uplink, core)
 }
 
-/// Predicted tree-allreduce sync time for a layer of `param_elems` values.
-///
-/// Models the runtime's raw gather: every non-root contribution reaches the
-/// root unreduced (the root folds in worker-id order, bitwise equal to PS),
-/// so the root's NIC receives `(p−1)B` — the price of exactness — while hop
-/// depth is logarithmic.
-pub fn tree_time_topo(param_elems: usize, topo: &Topology) -> f64 {
-    let b = 4.0 * param_elems as f64;
-    let p = topo.total_devices();
-    let d = topo.devices_per_node;
-    if p <= 1 {
-        return 0.0;
-    }
-    let depth = (usize::BITS - (p - 1).leading_zeros()) as f64; // ⌈log2 p⌉
-    let inter_depth = (usize::BITS - (topo.nodes - 1).leading_zeros()) as f64;
-    let intra_depth = (depth - inter_depth).max(0.0);
-    // Up + down traversals of the tree.
-    let latency = 2.0 * (inter_depth * topo.inter.latency_s + intra_depth * topo.intra.latency_s);
-    let dev = (p - 1) as f64 * b; // root gathers every contribution raw
-    let uplink = (p.saturating_sub(d)) as f64 * b;
-    let core = (p.saturating_sub(d) + topo.nodes.saturating_sub(1)) as f64 * b;
-    step_time(topo, latency, dev, uplink, core)
-}
-
 /// Predicted per-scheme sync times for one layer on `topo`.
 pub fn scheme_times_topo(
     param_elems: usize,
@@ -245,16 +217,15 @@ pub fn scheme_times_topo(
         ps: ps_time_topo(param_elems, topo),
         sfb: fc_shape.map(|(m, n)| sfb_time_topo(m, n, cluster.batch_per_worker, topo)),
         ring: ring_time_topo(param_elems, topo),
-        tree: tree_time_topo(param_elems, topo),
     }
 }
 
-/// Generalised Algorithm 1: the cheapest of PS/SFB/ring/tree for a layer of
+/// Generalised Algorithm 1: the cheapest of PS/SFB/ring for a layer of
 /// `param_elems` values (SFB only competes when `fc_shape` is `Some`) on the
 /// given hierarchical topology.
 ///
-/// Ties break deterministically in the preference order PS > SFB > ring >
-/// tree, so byte-count ties never flip the choice between runs.
+/// Ties break deterministically in the preference order PS > SFB > ring, so
+/// byte-count ties never flip the choice between runs.
 pub fn best_scheme_topo(
     param_elems: usize,
     fc_shape: Option<(usize, usize)>,
@@ -275,7 +246,6 @@ pub fn best_scheme_topo(
         consider(CommScheme::Sfb, sfb);
     }
     consider(CommScheme::Ring, t.ring);
-    consider(CommScheme::Tree, t.tree);
     best.0
 }
 
@@ -427,10 +397,7 @@ mod tests {
         // beat PS's ≈2B(P−1)·f.
         let big = 16 * 1024 * 1024; // 64 MiB
         let choice = best_scheme_topo(big, None, &cluster, &topo);
-        assert!(
-            matches!(choice, CommScheme::Ring | CommScheme::Tree),
-            "large conv should pick a collective, got {choice}"
-        );
+        assert_eq!(choice, CommScheme::Ring, "large conv should pick the ring");
         assert!(ring_time_topo(big, &topo) < ps_time_topo(big, &topo));
     }
 
@@ -463,7 +430,7 @@ mod tests {
     #[test]
     fn predicted_times_scale_with_tensor_size() {
         let topo = oversubscribed();
-        for f in [ps_time_topo, ring_time_topo, tree_time_topo] {
+        for f in [ps_time_topo, ring_time_topo] {
             let small = f(1 << 10, &topo);
             let large = f(1 << 24, &topo);
             assert!(large > small, "{large} vs {small}");
@@ -478,7 +445,6 @@ mod tests {
             ps: f64::INFINITY,
             sfb: Some(f64::INFINITY),
             ring: f64::INFINITY,
-            tree: f64::INFINITY,
         };
         for gbps in [1.0, 4.0, 10.0, 40.0, 100.0] {
             let mut topo = oversubscribed();
@@ -487,7 +453,6 @@ mod tests {
             assert!(t.ps <= prev.ps);
             assert!(t.sfb.unwrap() <= prev.sfb.unwrap());
             assert!(t.ring <= prev.ring);
-            assert!(t.tree <= prev.tree);
             prev = t;
         }
     }

@@ -11,12 +11,8 @@
 //! The ring is the chain `0 → 1 → … → P−1`: the head sends, each later
 //! worker adds its contribution and forwards, and worker `P−1`'s add
 //! completes the fold and originates DISTRIBUTE, which walks `0 → … → P−2`.
-//! The tree is the binary heap over worker ids rooted at 0: every other
-//! worker sends its origin-tagged contribution to its parent, interior
-//! workers relay it, the root folds all `P` after its own, and DISTRIBUTE
-//! walks back down. Every function is pure and allocates nothing, and every
-//! set of workers ascends — the order the simulator's pinned statistics
-//! depend on.
+//! Every function is pure and allocates nothing, and every set of workers
+//! ascends — the order the simulator's pinned statistics depend on.
 
 use crate::chunk::Chunk;
 use crate::config::CommScheme;
@@ -43,7 +39,7 @@ pub enum Payload {
     /// One frame of sufficient factors: to a shard that answers every
     /// worker with the fresh matrix (Adam), or to every peer (SFB).
     Factors,
-    /// Ring, tree: a collective frame per segment, hop by hop.
+    /// Ring: a collective frame per segment, hop by hop.
     Segments,
 }
 
@@ -56,12 +52,6 @@ pub enum Hop {
     /// Ring REDUCE at the chain's end: the add completes the fold; step the
     /// replica and originate DISTRIBUTE to these workers.
     Fold(Range<usize>),
-    /// Tree REDUCE below the root: relay unchanged to the parent.
-    Relay(usize),
-    /// Tree REDUCE at the root: gather; once every other worker's
-    /// contribution is in, fold them after the root's own, step the replica
-    /// and originate DISTRIBUTE to these workers.
-    Gather(Range<usize>),
     /// DISTRIBUTE: step the replica by the velocity carried and forward the
     /// frame unchanged to these workers.
     Land(Range<usize>),
@@ -92,11 +82,6 @@ pub fn segments(chunks: &[Chunk], param_elems: usize) -> Vec<(usize, usize)> {
         "collective segments must cover the layer"
     );
     chunks.iter().map(|c| (c.offset, c.len)).collect()
-}
-
-/// Tree parent of worker `w > 0`.
-fn parent(w: usize) -> usize {
-    (w - 1) / 2
 }
 
 /// One layer's routing: its scheme, the worker count and, for Adam, the
@@ -143,7 +128,7 @@ impl Route {
         match self.scheme {
             CommScheme::Ps => Payload::Chunks,
             CommScheme::Sfb | CommScheme::AdamSf => Payload::Factors,
-            CommScheme::Ring | CommScheme::Tree => Payload::Segments,
+            CommScheme::Ring => Payload::Segments,
         }
     }
 
@@ -156,7 +141,7 @@ impl Route {
     /// Where worker `me`'s `Send` frames go, in sending order, as
     /// `(destination, segment)`: a PS chunk or collective segment out of
     /// `segs`, whose home shard is `home(segment)`, or segment 0, the
-    /// factors. Ring workers after the head and the tree root send nothing.
+    /// factors. Ring workers after the head send nothing.
     ///
     /// # Panics
     ///
@@ -175,8 +160,7 @@ impl Route {
             }
             CommScheme::Sfb => (1, Some(0..self.workers)),
             CommScheme::Ring if me == 0 && self.workers > 1 => (segs, Some(1..2)),
-            CommScheme::Tree if me > 0 => (segs, Some(parent(me)..parent(me) + 1)),
-            CommScheme::Ring | CommScheme::Tree => (0, None),
+            CommScheme::Ring => (0, None),
         };
         let (dest, skip): (fn(usize) -> Dest, usize) = match self.to_peers() {
             // A worker never sends to itself.
@@ -187,12 +171,6 @@ impl Route {
             let to = to.clone().unwrap_or_else(|| home(seg)..home(seg) + 1);
             to.filter(move |&n| n != skip).map(move |n| (dest(n), seg))
         })
-    }
-
-    /// Tree children of worker `w`.
-    fn children(&self, w: usize) -> Range<usize> {
-        let p = self.workers;
-        (2 * w + 1).min(p)..(2 * w + 3).min(p)
     }
 
     /// What a collective frame of `phase` does at worker `me`; `None` where
@@ -209,34 +187,16 @@ impl Route {
             (CommScheme::Ring, COLLECTIVE_DISTRIBUTE) => {
                 Some(Hop::Land(me + 1..(me + 2).min(last)))
             }
-            (CommScheme::Tree, COLLECTIVE_REDUCE) if me == 0 => Some(Hop::Gather(self.children(0))),
-            (CommScheme::Tree, COLLECTIVE_REDUCE) => Some(Hop::Relay(parent(me))),
-            (CommScheme::Tree, COLLECTIVE_DISTRIBUTE) if me == 0 => None,
-            (CommScheme::Tree, COLLECTIVE_DISTRIBUTE) => Some(Hop::Land(self.children(me))),
             _ => None,
         }
     }
 
     /// The worker a collective frame of `phase` reaches worker `me` from —
-    /// for a tree REDUCE, the one contributed by worker `origin` — or
-    /// `None` where no such frame reaches `me`. Ring frames originate at
-    /// the head; DISTRIBUTE frames are not told apart by origin.
-    pub fn sender(&self, phase: u8, origin: usize, me: usize) -> Option<usize> {
+    /// its predecessor on the chain, or for the head's DISTRIBUTE, the
+    /// worker that folded — or `None` where no such frame reaches `me`.
+    pub fn sender(&self, phase: u8, me: usize) -> Option<usize> {
         self.hop(phase, me)?;
-        match (self.scheme, phase) {
-            (CommScheme::Ring, COLLECTIVE_REDUCE) => (origin == 0).then(|| me - 1),
-            (CommScheme::Ring, _) => Some(me.checked_sub(1).unwrap_or(self.workers - 1)),
-            (_, COLLECTIVE_REDUCE) if origin < self.workers => {
-                // Climb from the origin to the child of `me` on its path.
-                let mut w = origin;
-                while w > me && parent(w) != me {
-                    w = parent(w);
-                }
-                (w > me).then_some(w)
-            }
-            (_, COLLECTIVE_REDUCE) => None,
-            _ => Some(parent(me)),
-        }
+        Some(me.checked_sub(1).unwrap_or(self.workers - 1))
     }
 }
 
@@ -244,20 +204,13 @@ impl Route {
 mod tests {
     use super::*;
 
-    const COLLECTIVES: [CommScheme; 2] = [CommScheme::Ring, CommScheme::Tree];
-
-    /// Tree depth of worker `w`: the hops from `w` to the root.
-    fn depth(w: usize) -> usize {
-        (usize::BITS - 1 - (w + 1).leading_zeros()) as usize
-    }
-
     /// Segments per layer in the walks below.
     const SEGS: usize = 3;
 
     /// Walks every REDUCE frame `Route::sends` hands out, hop by hop,
     /// checking each hop's sender. Returns each frame's `(origin, segment,
     /// path)` — the workers it visited — and where each ended: the worker
-    /// that folded or gathered it, with its DISTRIBUTE targets.
+    /// that folded it, with its DISTRIBUTE targets.
     #[allow(clippy::type_complexity)]
     fn walk_reduce(
         route: Route,
@@ -272,16 +225,16 @@ mod tests {
                 let (mut from, mut path) = (origin, vec![at]);
                 loop {
                     assert_eq!(
-                        route.sender(COLLECTIVE_REDUCE, origin, at),
+                        route.sender(COLLECTIVE_REDUCE, at),
                         Some(from),
                         "{route:?}: REDUCE from {origin} reaches {at}"
                     );
                     match route.hop(COLLECTIVE_REDUCE, at).expect("a REDUCE hop") {
-                        Hop::Add(next) | Hop::Relay(next) => {
+                        Hop::Add(next) => {
                             (from, at) = (at, next);
                             path.push(at);
                         }
-                        Hop::Fold(to) | Hop::Gather(to) => {
+                        Hop::Fold(to) => {
                             ends.push((at, to.collect()));
                             break;
                         }
@@ -301,7 +254,7 @@ mod tests {
         let mut frontier: Vec<(usize, usize)> = to.iter().map(|&w| (folder, w)).collect();
         while let Some((from, at)) = frontier.pop() {
             assert_eq!(
-                route.sender(COLLECTIVE_DISTRIBUTE, 0, at),
+                route.sender(COLLECTIVE_DISTRIBUTE, at),
                 Some(from),
                 "{route:?}: DISTRIBUTE reaches {at}"
             );
@@ -341,26 +294,6 @@ mod tests {
                 assert_eq!(landed, want, "ring DISTRIBUTE, P={p}");
             }
 
-            let tree = Route::new(CommScheme::Tree, p);
-            let (paths, ends) = walk_reduce(tree, p);
-            assert_eq!(
-                paths.len(),
-                (p - 1) * SEGS,
-                "every non-root contributes, P={p}"
-            );
-            for (origin, seg, path) in &paths {
-                let what = format!("origin {origin} segment {seg}, P={p}");
-                assert_eq!(path.len(), depth(*origin), "{what}");
-                assert_eq!(path.last(), Some(&0), "{what} reaches the root");
-            }
-            if p > 1 {
-                let (folder, to) = one_end(&ends);
-                assert_eq!(folder, 0);
-                let landed = walk_distribute(tree, p, folder, &to);
-                let want: Vec<usize> = (0..p).map(|w| usize::from(w != 0)).collect();
-                assert_eq!(landed, want, "tree DISTRIBUTE, P={p}");
-            }
-
             // Replies reach every worker; SFB's factors every other one.
             assert_eq!(replies(p).collect::<Vec<_>>(), (0..p).collect::<Vec<_>>());
             let sfb = Route::new(CommScheme::Sfb, p);
@@ -392,30 +325,18 @@ mod tests {
         }
         for route in [ps, adam] {
             assert_eq!(route.hop(COLLECTIVE_REDUCE, 1), None);
-            assert_eq!(route.sender(COLLECTIVE_DISTRIBUTE, 0, 1), None);
+            assert_eq!(route.sender(COLLECTIVE_DISTRIBUTE, 1), None);
         }
     }
 
     #[test]
     fn no_frame_is_expected_where_none_is_sent() {
-        for scheme in COLLECTIVES {
-            let route = Route::new(scheme, 5);
-            // Out of range workers and phases, and origins off the path.
-            assert_eq!(route.hop(COLLECTIVE_REDUCE, 5), None);
-            assert_eq!(route.hop(2, 1), None);
-            assert_eq!(route.sender(2, 0, 1), None);
-            assert_eq!(route.sender(COLLECTIVE_REDUCE, 9, 0), None);
-        }
         let ring = Route::new(CommScheme::Ring, 5);
-        assert_eq!(ring.sender(COLLECTIVE_REDUCE, 0, 0), None, "the head");
-        assert_eq!(ring.sender(COLLECTIVE_REDUCE, 3, 4), None, "origin 3");
-        assert_eq!(ring.sender(COLLECTIVE_DISTRIBUTE, 0, 4), None, "the folder");
-        let tree = Route::new(CommScheme::Tree, 5);
-        assert_eq!(tree.sender(COLLECTIVE_DISTRIBUTE, 0, 0), None, "the root");
-        assert_eq!(tree.sender(COLLECTIVE_REDUCE, 0, 0), None, "the root's own");
-        assert_eq!(tree.sender(COLLECTIVE_REDUCE, 4, 2), None, "4 is under 1");
-        assert_eq!(tree.sender(COLLECTIVE_REDUCE, 4, 4), None, "its own frame");
-        assert_eq!(tree.sender(COLLECTIVE_REDUCE, 4, 1), Some(4));
-        assert_eq!(tree.sender(COLLECTIVE_REDUCE, 4, 0), Some(1));
+        // Out of range workers and phases.
+        assert_eq!(ring.hop(COLLECTIVE_REDUCE, 5), None);
+        assert_eq!(ring.hop(2, 1), None);
+        assert_eq!(ring.sender(2, 1), None);
+        assert_eq!(ring.sender(COLLECTIVE_REDUCE, 0), None, "the head");
+        assert_eq!(ring.sender(COLLECTIVE_DISTRIBUTE, 4), None, "the folder");
     }
 }

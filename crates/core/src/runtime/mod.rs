@@ -949,21 +949,13 @@ mod tests {
     fn ring_and_tree_match_ps_bitwise() {
         let ps = distributed(SchemePolicy::AlwaysPs, 4);
         let ring = distributed(SchemePolicy::AlwaysRing, 4);
-        let tree = distributed(SchemePolicy::AlwaysTree, 4);
         assert_eq!(
             ps.net.max_param_diff(&ring.net),
             0.0,
             "ring must replicate the PS fold bitwise"
         );
-        assert_eq!(
-            ps.net.max_param_diff(&tree.net),
-            0.0,
-            "tree must replicate the PS fold bitwise"
-        );
         assert_eq!(ps.losses, ring.losses);
-        assert_eq!(ps.losses, tree.losses);
         assert!(ring.schemes.iter().all(|&(_, s)| s == CommScheme::Ring));
-        assert!(tree.schemes.iter().all(|&(_, s)| s == CommScheme::Tree));
         assert!(
             ring.traffic.total_bytes() > 0,
             "collectives move real bytes"
@@ -987,16 +979,10 @@ mod tests {
         };
         let ps = mk(SchemePolicy::AlwaysPs);
         let ring = mk(SchemePolicy::AlwaysRing);
-        let tree = mk(SchemePolicy::AlwaysTree);
         assert_eq!(
             ps.net.max_param_diff(&ring.net),
             0.0,
             "ring diverged under momentum + LR schedule"
-        );
-        assert_eq!(
-            ps.net.max_param_diff(&tree.net),
-            0.0,
-            "tree diverged under momentum + LR schedule"
         );
     }
 
@@ -1025,16 +1011,10 @@ mod tests {
         };
         let ps = distributed(SchemePolicy::AlwaysPs, 3);
         let ring = skewed(SchemePolicy::AlwaysRing);
-        let tree = skewed(SchemePolicy::AlwaysTree);
         assert_eq!(
             ps.net.max_param_diff(&ring.net),
             0.0,
             "skewed ring run diverged"
-        );
-        assert_eq!(
-            ps.net.max_param_diff(&tree.net),
-            0.0,
-            "skewed tree run diverged"
         );
     }
 
@@ -1082,7 +1062,7 @@ mod tests {
     #[test]
     fn topo_aware_policy_trains_exactly() {
         use poseidon_netsim::LinkConfig;
-        // Whatever mix of PS/SFB/ring/tree the topology-aware pricer picks,
+        // Whatever mix of PS/SFB/ring the topology-aware pricer picks,
         // every scheme in the mix is exact, so the trajectory must match PS.
         let topo = crate::config::Topology::two_level(
             3,

@@ -251,9 +251,9 @@ struct SimState<'a> {
     // Progress of one iteration, reset by `begin_iteration`. Three index
     // spaces, all sized from the plan: a chunk's slot `plan.base + chunk`,
     // `dense layer · P + worker` (`lw`), and `slot · P + worker`.
-    /// Frames gathered per slot: pushes at its shard — exactly the required
-    /// ones arrive, as a dropped straggler never sends on a non-collective
-    /// layer — or contributions at the tree root.
+    /// Pushes gathered per slot at its shard — exactly the required ones
+    /// arrive, as a dropped straggler never sends on a non-collective
+    /// layer.
     gathered: Vec<u32>,
     /// Chunks a (layer, worker) still waits for; `UNSET` until the first
     /// lands there.
@@ -270,10 +270,9 @@ struct SimState<'a> {
     /// `NAN` until the worker's `SyncReady`. Empty unless some layer rides
     /// a collective.
     coll_ready: Vec<f64>,
-    /// Collective frames that need the local gradient and arrived before it
-    /// was ready — a ring REDUCE hop, a tree root's last contribution:
-    /// arrival time per (slot, worker), `NAN` when nothing is stashed. Empty
-    /// unless some layer rides a collective.
+    /// Ring REDUCE hops, which need the local gradient, that arrived before
+    /// it was ready: arrival time per (slot, worker), `NAN` when nothing is
+    /// stashed. Empty unless some layer rides a collective.
     coll_pending: Vec<f64>,
     layer_done: f64,
     done_count: usize,
@@ -576,6 +575,12 @@ fn simulate_inner(
     trace: bool,
 ) -> (IterationReport, Option<Trace>, u64) {
     let p = cfg.nodes;
+    if let Some((node, _)) = cfg.straggler {
+        assert!(
+            node < p,
+            "straggler node {node} is out of range for {p} nodes"
+        );
+    }
     let gpus = cfg.gpus_per_node.max(1);
     let batch = cfg.batch_per_node.unwrap_or(spec.default_batch);
     // A node's effective batch is the sum over its GPUs — this is what the
@@ -750,7 +755,7 @@ fn simulate_inner(
         state.begin_iteration(iter_start);
         for (d, plan) in plans.iter().enumerate().rev() {
             // Collectives have no partial-participation mode: every worker is
-            // a link in the chain/tree, so a straggler still sends (and gates
+            // a link in the chain, so a straggler still sends (and gates
             // the fold) even when its iteration completion is discounted.
             let collective = plan.route.payload() == Payload::Segments;
             for (w, done) in bwd_done.iter().enumerate() {
@@ -978,19 +983,6 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
             let (_, bytes, _) = plan.chunks[chunk];
             match plan.route.hop(phase, node).expect("a hop its route sends") {
                 Hop::Add(_) | Hop::Fold(_) => contribute(state, queue, now, d, chunk, node),
-                Hop::Gather(_) => {
-                    let gathered = &mut state.gathered[plan.base + chunk];
-                    *gathered += 1;
-                    // The root's own contribution makes the last of P.
-                    if (*gathered as usize) + 1 == p {
-                        contribute(state, queue, now, d, chunk, node);
-                    }
-                }
-                Hop::Relay(parent) => {
-                    // Relay the origin-tagged payload unchanged.
-                    let up = Ev::new(Kind::Hop(phase), d, chunk, parent);
-                    state.send(queue, now, node, parent, bytes, up);
-                }
                 Hop::Land(next) => {
                     state.chunk_landed(d, node, now);
                     for to in next {
@@ -1003,8 +995,7 @@ fn step(state: &mut SimState<'_>, queue: &mut EventQueue<Ev>, now: f64, ev: Ev) 
     }
 }
 
-/// A collective frame that needs worker `at`'s own contribution — a ring
-/// REDUCE hop, or the last contribution the tree root gathers — is due at
+/// A ring REDUCE hop, which needs worker `at`'s own contribution, is due at
 /// `now`: fold it once the local gradient is ready, stashing it until then
 /// (the live runtime's park discipline).
 fn contribute(
@@ -1024,10 +1015,10 @@ fn contribute(
     }
 }
 
-/// Worker `at`, whose local gradient is ready, folds `chunk`'s collective
-/// frame on the transform stream — one add on a ring hop, all `P`
-/// contributions at the tree root — then forwards the partial or, where the
-/// fold completes, lands it and originates the DISTRIBUTE pass.
+/// Worker `at`, whose local gradient is ready, adds its contribution to
+/// `chunk`'s ring frame on the transform stream, then forwards the partial
+/// or, where the fold completes, lands it and originates the DISTRIBUTE
+/// pass.
 fn fold_hop(
     state: &mut SimState<'_>,
     queue: &mut EventQueue<Ev>,
@@ -1040,11 +1031,7 @@ fn fold_hop(
     let plan = &state.plans[d];
     let hop = plan.route.hop(COLLECTIVE_REDUCE, at).expect("a REDUCE hop");
     let (_, bytes, dense) = plan.chunks[chunk];
-    let adds = match hop {
-        Hop::Gather(_) => p,
-        _ => 1,
-    };
-    let dur = adds as f64 * dense as f64 / state.cfg.apply_bytes_per_s;
+    let dur = dense as f64 / state.cfg.apply_bytes_per_s;
     let done = state.cpu[at].reserve(now, dur).1;
     if let Some(tr) = state.tracer.as_mut() {
         tr.span(p + at, "coll.fold", 0, plan.layer as u64, now, done);
@@ -1054,16 +1041,14 @@ fn fold_hop(
             let on = Ev::new(Kind::Hop(COLLECTIVE_REDUCE), d, chunk, next);
             state.send(queue, done, at, next, bytes, on);
         }
-        Hop::Fold(to) | Hop::Gather(to) => {
+        Hop::Fold(to) => {
             state.chunk_landed(d, at, done);
             for w in to {
                 let share = Ev::new(Kind::Hop(COLLECTIVE_DISTRIBUTE), d, chunk, w);
                 state.send(queue, done, at, w, bytes, share);
             }
         }
-        Hop::Relay(_) | Hop::Land(_) => {
-            unreachable!("only a ring hop or the tree root folds")
-        }
+        Hop::Land(_) => unreachable!("DISTRIBUTE folds nothing"),
     }
 }
 
@@ -1116,5 +1101,26 @@ mod tests {
                 system.label()
             );
         }
+    }
+
+    /// A straggler on a node the cluster does not have is refused up front,
+    /// whether or not it is dropped.
+    fn out_of_range_straggler(drop_stragglers: bool) {
+        let mut cfg = SimConfig::system(System::Poseidon, 8, 10.0);
+        cfg.straggler = Some((9, 2.0));
+        cfg.drop_stragglers = drop_stragglers;
+        simulate_inner(&zoo::alexnet(), &cfg, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler node 9 is out of range for 8 nodes")]
+    fn out_of_range_straggler_is_refused() {
+        out_of_range_straggler(false);
+    }
+
+    #[test]
+    #[should_panic(expected = "straggler node 9 is out of range for 8 nodes")]
+    fn out_of_range_dropped_straggler_is_refused() {
+        out_of_range_straggler(true);
     }
 }

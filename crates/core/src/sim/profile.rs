@@ -93,7 +93,8 @@ pub struct SimConfig {
     /// Rate for SF reconstruction / (de)quantization work (FLOP/s on the
     /// transform stream).
     pub transform_flops: f64,
-    /// Inject a straggler: `(node, compute slowdown factor > 1)`.
+    /// Inject a straggler: `(node, compute slowdown factor > 1)`, with
+    /// `node < nodes` (a simulation refuses any other).
     pub straggler: Option<(usize, f64)>,
     /// The paper's straggler policy: "Poseidon handles stragglers by simply
     /// dropping them" — when set, BSP aggregation proceeds once `P − 1`

@@ -18,8 +18,8 @@
 //! [`Syncer::apply`] gives the buffer back to the layer when the round
 //! completes. A frame still held then — a retransmit copy, say — keeps the
 //! buffer, and the layer gets a fresh one, which its next backward writes
-//! over. Frames that touch the bias, every lossy codec and the tree encode
-//! into pool leases as before.
+//! over. Frames that touch the bias and every lossy codec encode into pool
+//! leases as before.
 //!
 //! Where a round lands: a PS chunk, and a collective segment's new
 //! velocity, step the replica the moment they arrive, inside
@@ -117,7 +117,7 @@ pub struct Syncer {
     received_matrix: Option<Vec<f32>>,
     /// SFB: every worker's factor batch this iteration, ours included.
     sf_batches: Vec<Option<SfBatch>>,
-    // --- collective (ring/tree) state ---
+    // --- collective (ring) state ---
     /// Momentum coefficient µ replicated client-side; must match the PS
     /// shards' for bitwise parity across schemes.
     momentum: f32,
@@ -135,8 +135,6 @@ pub struct Syncer {
     round_scale: Option<f32>,
     /// Per-segment completion flag this iteration.
     seg_done: Vec<bool>,
-    /// Tree root only: decoded origin-tagged contributions, `[seg][origin]`.
-    gathered: Vec<Vec<Option<Vec<f32>>>>,
     // --- compression plane ---
     /// This layer's gradient codec (identity = the bitwise-exact f32 wire).
     codec: Codec,
@@ -178,7 +176,6 @@ impl Syncer {
             _ => Vec::new(),
         };
         let n_segs = segs.len();
-        let gathers = matches!(route.hop(COLLECTIVE_REDUCE, me), Some(Hop::Gather(_)));
         Self {
             layer,
             route,
@@ -194,11 +191,6 @@ impl Syncer {
             velocity: vec![None; n_segs],
             round_scale: None,
             seg_done: vec![false; n_segs],
-            gathered: if gathers {
-                vec![vec![None; workers]; n_segs]
-            } else {
-                Vec::new()
-            },
             codec: Codec::Identity,
             push_comp: (0..n_chunks).map(|_| None).collect(),
             seg_comp: (0..n_segs).map(|_| None).collect(),
@@ -613,17 +605,13 @@ impl Syncer {
         // state and lives across iterations (next round's µ·v).
         self.round_scale = None;
         self.seg_done.fill(false);
-        for seg in &mut self.gathered {
-            seg.fill(None);
-        }
     }
 
     /// The collective `Send`. The identity ring's head (worker 0) sends its
     /// raw gradient `g₀` — views of the lent weight gradient where a segment
     /// lies in the weights — and the hop after it seeds the fold from it;
     /// under a lossy codec the head sends the fold's prefix `µ·v + scale·g₀`
-    /// instead, compressed with the segment's error feedback. Tree non-roots
-    /// push their origin-tagged `c = scale·g` towards the root. Every other
+    /// instead, compressed with the segment's error feedback. Every other
     /// worker sends nothing: the hop or fold that adds its contribution
     /// forms `scale·g` from the layer's gradient storage then.
     fn send_collective(
@@ -638,10 +626,10 @@ impl Syncer {
         );
         assert_eq!(p.num_params(), self.param_elems, "gradient length mismatch");
         self.round_scale = Some(scale);
-        let (sends, ring) = (self.sends(), self.route.scheme() == CommScheme::Ring);
-        let lent = match ring && !sends.is_empty() {
-            true => self.lend_grad_weights(p),
-            false => None,
+        let sends = self.sends();
+        let lent = match sends.is_empty() {
+            true => None,
+            false => self.lend_grad_weights(p),
         };
         let view = lent.as_ref().map(wire::identity_view);
         let gw = lent
@@ -650,17 +638,9 @@ impl Syncer {
         let gb = p.grad_bias.as_slice();
         let mut out = Vec::new();
         for (to, seg) in sends {
-            let data = match ring {
-                true => self.head_frame(seg, view.as_ref(), (gw, gb), scale),
-                false => self.encode_contribution(seg, (gw, gb), Seed::Plain, scale),
-            };
-            let route = wire::pack_collective(COLLECTIVE_REDUCE, self.me, seg);
+            let data = self.head_frame(seg, view.as_ref(), (gw, gb), scale);
+            let route = wire::pack_collective(COLLECTIVE_REDUCE, 0, seg);
             out.push((to, self.frame(iter, route, data)));
-        }
-        if let Some(Hop::Gather(to)) = self.route.hop(COLLECTIVE_REDUCE, self.me) {
-            for seg in 0..self.segs.len() {
-                self.try_fold_root(seg, to.clone(), p, iter, &mut out);
-            }
         }
         out
     }
@@ -684,14 +664,23 @@ impl Syncer {
                 // Dirty lease: the runs cover every byte.
                 let mut lease = BufPool::global().get_dirty(len * 4);
                 for (at, g) in runs(off..off + len, gw, gb) {
-                    lease[4 * at..4 * (at + g.len())].put(g.iter().copied());
+                    let dst = lease[4 * at..4 * (at + g.len())].as_chunks_mut::<4>().0;
+                    for (d, g) in dst.iter_mut().zip(g) {
+                        *d = g.to_le_bytes();
+                    }
                 }
                 lease.freeze()
             }
             _ => {
+                // Staged, then compressed with the segment's error feedback.
                 let v = self.fold_start(seg);
                 let seed = Seed::over(self.momentum, v.as_deref());
-                self.encode_contribution(seg, (gw, gb), seed, scale)
+                self.scratch.resize(len, 0.0);
+                for (at, g) in runs(off..off + len, gw, gb) {
+                    let seed = seed.at(4 * at..4 * (at + g.len()));
+                    write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
+                }
+                Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
             }
         }
     }
@@ -703,37 +692,7 @@ impl Syncer {
         self.velocity[seg].clone().filter(|_| self.momentum != 0.0)
     }
 
-    /// Segment `seg`'s contribution `scale·g` out of the flat gradient
-    /// `w ++ b`, seeded as `seed` says, as one frame: written in one pass
-    /// into a pooled lease under the identity codec, staged and compressed
-    /// with the segment's error feedback under a lossy one.
-    fn encode_contribution(
-        &mut self,
-        seg: usize,
-        (w, b): (&[f32], &[f32]),
-        seed: Seed<'_>,
-        scale: f32,
-    ) -> Bytes {
-        let (off, len) = self.segs[seg];
-        let runs = runs(off..off + len, w, b);
-        if self.codec == Codec::Identity {
-            // Dirty lease: the runs cover every byte.
-            let mut lease = BufPool::global().get_dirty(len * 4);
-            for (at, g) in runs {
-                let bytes = 4 * at..4 * (at + g.len());
-                write_scaled(&mut lease[bytes.clone()], seed.at(bytes), scale, g);
-            }
-            return lease.freeze();
-        }
-        self.scratch.resize(len, 0.0);
-        for (at, g) in runs {
-            let seed = seed.at(4 * at..4 * (at + g.len()));
-            write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
-        }
-        Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch)
-    }
-
-    /// Handles a collective (ring/tree) frame of iteration `iter` from
+    /// Handles a collective frame of iteration `iter` from
     /// worker `from_worker`, doing what its route says it does here
     /// ([`Route::hop`]) and returning the frames to forward. A segment's new
     /// velocity steps `p` where the segment lies the moment it is known.
@@ -751,11 +710,11 @@ impl Syncer {
     /// # Errors
     ///
     /// Returns the [`CodecError`] of a poisoned frame — a payload that fails
-    /// to decode, a route whose phase or segment this layer does not have,
-    /// a sender other than the one the route expects ([`Route::sender`]),
-    /// or a layer that is not a collective's; nothing is written and the
-    /// segment stays incomplete, and the caller decides whether to count and
-    /// drop or abort.
+    /// to decode, a route whose phase or segment this layer does not have
+    /// or whose origin is not the head's, a sender other than the one the
+    /// route expects ([`Route::sender`]), or a layer that is not a
+    /// collective's; nothing is written and the segment stays incomplete,
+    /// and the caller decides whether to count and drop or abort.
     ///
     /// # Panics
     ///
@@ -777,6 +736,10 @@ impl Syncer {
             return Err(WRONG_KIND);
         }
         let (phase, origin, seg) = wire::unpack_collective(route);
+        if origin != 0 {
+            // Every collective frame originates at the ring's head.
+            return Err(CodecError::Malformed("a collective origin other than 0"));
+        }
         let Some(hop) = self.route.hop(phase, self.me) else {
             return Err(CodecError::Malformed(
                 "a collective phase this worker never receives",
@@ -789,7 +752,7 @@ impl Syncer {
             let got = payload.len() / 4;
             return Err(CodecError::LengthMismatch { expect: len, got });
         }
-        if self.route.sender(phase, origin, self.me) != Some(from_worker) {
+        if self.route.sender(phase, self.me) != Some(from_worker) {
             return Err(CodecError::Malformed(
                 "a collective frame from off its route",
             ));
@@ -810,8 +773,7 @@ impl Syncer {
                     // the fold from its raw gradient; every later hop adds
                     // to the partial.
                     let v = self.fold_start(seg);
-                    let seed =
-                        (from_worker == origin).then(|| Seed::over(self.momentum, v.as_deref()));
+                    let seed = (from_worker == 0).then(|| Seed::over(self.momentum, v.as_deref()));
                     // Dirty lease: the runs cover every byte.
                     let mut lease = BufPool::global().get_dirty(len * 4);
                     let range = off..off + len;
@@ -851,21 +813,6 @@ impl Syncer {
                     Hop::Add(next) => out.push(self.hop(iter, next, route, data)),
                     _ => unreachable!("a ring REDUCE adds or folds"),
                 }
-            }
-            Hop::Relay(parent) => {
-                // Relay the origin-tagged frame unchanged towards the root
-                // (shared `Bytes`, no copy).
-                out.push(self.hop(iter, parent, route, payload));
-            }
-            Hop::Gather(to) => {
-                assert!(
-                    self.gathered[seg][origin].is_none(),
-                    "duplicate tree contribution from origin {origin}"
-                );
-                // Decode on arrival so a poisoned frame surfaces here,
-                // before the fold consumes any sibling state.
-                self.gathered[seg][origin] = Some(wire::decode_codec(self.codec, &payload, len)?);
-                self.try_fold_root(seg, to, p, iter, &mut out);
             }
             Hop::Land(next) => {
                 assert!(
@@ -933,48 +880,6 @@ impl Syncer {
     fn keep(&mut self, seg: usize, v: Bytes) {
         self.velocity[seg] = Some(v);
         self.seg_done[seg] = true;
-    }
-
-    /// Root-side tree fold: once every other worker's contribution is in
-    /// and our own `Send` has fired for `seg`, replay the shard's exact fold
-    /// (`µ·v + scale·g₀` or `0.0 + scale·g₀`, then `+= c_w` in worker-id
-    /// order), step the replica by it and broadcast it down to `to`.
-    fn try_fold_root(
-        &mut self,
-        seg: usize,
-        to: Range<usize>,
-        p: &mut ParamBlock,
-        iter: u64,
-        out: &mut Vec<(Dest, Message)>,
-    ) {
-        let Some(scale) = self.round_scale else {
-            return;
-        };
-        let mut gathered = self.gathered[seg].iter().enumerate();
-        if self.seg_done[seg] || gathered.any(|(o, c)| o != self.me && c.is_none()) {
-            return;
-        }
-        let (off, len) = self.segs[seg];
-        let v = self.fold_start(seg);
-        let seed = Seed::over(self.momentum, v.as_deref());
-        self.scratch.resize(len, 0.0);
-        let grads = (p.grad_weights.as_slice(), p.grad_bias.as_slice());
-        for (at, g) in runs(off..off + len, grads.0, grads.1) {
-            let seed = seed.at(4 * at..4 * (at + g.len()));
-            write_scaled(&mut self.scratch[at..at + g.len()], seed, scale, g);
-        }
-        for b in self.gathered[seg].iter_mut().filter_map(Option::take) {
-            for (v, src) in self.scratch.iter_mut().zip(&b) {
-                *v += src;
-            }
-        }
-        let data = Self::compress(self.codec, &mut self.seg_comp[seg], &self.scratch);
-        // Under a lossy codec the root, like every other replica, applies
-        // what the wire carries — the decode of its own encoding — so all
-        // replicas stay bitwise identical.
-        let v = self.distributed(seg, &data).expect("own encoding");
-        self.land(iter, seg, v, p);
-        self.distribute(iter, seg, to, &data, out);
     }
 
     /// Records our own sufficient-factor batch at `Send` time (SFB includes
@@ -1073,7 +978,7 @@ impl Syncer {
             CommScheme::Ps => self.chunk_done.iter().all(|&d| d),
             CommScheme::AdamSf => self.received_matrix.is_some(),
             CommScheme::Sfb => self.sf_batches.iter().all(Option::is_some),
-            CommScheme::Ring | CommScheme::Tree => self.seg_done.iter().all(|&d| d),
+            CommScheme::Ring => self.seg_done.iter().all(|&d| d),
         }
     }
 
@@ -1088,7 +993,7 @@ impl Syncer {
             self.layer
         );
         Some(match self.route.scheme() {
-            CommScheme::Ps | CommScheme::Ring | CommScheme::Tree => return None,
+            CommScheme::Ps | CommScheme::Ring => return None,
             CommScheme::AdamSf => {
                 SyncOutcome::FreshParams(self.received_matrix.take().expect("complete"))
             }
@@ -1204,36 +1109,19 @@ fn ring_hop(
     }
 }
 
-/// Somewhere a run of `f32`s goes: a value buffer, or wire bytes
-/// (little-endian, the identity codec's layout).
-trait F32Sink {
-    fn put(&mut self, vals: impl Iterator<Item = f32>);
-}
-
-impl F32Sink for [f32] {
-    fn put(&mut self, vals: impl Iterator<Item = f32>) {
-        for (d, v) in self.iter_mut().zip(vals) {
-            *d = v;
-        }
-    }
-}
-
-impl F32Sink for [u8] {
-    fn put(&mut self, vals: impl Iterator<Item = f32>) {
-        for (d, v) in self.as_chunks_mut::<4>().0.iter_mut().zip(vals) {
-            *d = v.to_le_bytes();
-        }
-    }
-}
-
 /// Writes `scale·g`, seeded as `seed` says, over `dst` in one pass.
-fn write_scaled<S: F32Sink + ?Sized>(dst: &mut S, seed: Seed<'_>, scale: f32, g: &[f32]) {
+fn write_scaled(dst: &mut [f32], seed: Seed<'_>, scale: f32, g: &[f32]) {
     match seed {
-        Seed::Plain => dst.put(g.iter().map(|g| scale * g)),
-        Seed::Zero => dst.put(g.iter().map(|g| 0.0 + scale * g)),
+        Seed::Zero => {
+            for (d, g) in dst.iter_mut().zip(g) {
+                *d = 0.0 + scale * g;
+            }
+        }
         Seed::Momentum(mu, v) => {
             assert_eq!(v.len(), 4 * g.len(), "velocity run length");
-            dst.put(wire::le_f32s(v).zip(g).map(|(v, g)| mu * v + scale * g))
+            for ((d, v), g) in dst.iter_mut().zip(wire::le_f32s(v)).zip(g) {
+                *d = mu * v + scale * g;
+            }
         }
     }
 }
@@ -1636,14 +1524,6 @@ mod tests {
     }
 
     #[test]
-    fn tree_matches_ps_shard_bitwise() {
-        for &workers in &[2, 3, 4, 7] {
-            collective_matches_shard(CommScheme::Tree, workers, 0.0);
-            collective_matches_shard(CommScheme::Tree, workers, 0.9);
-        }
-    }
-
-    #[test]
     fn collective_layer_without_chunks_uses_one_segment() {
         let mut a = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 0);
         let mut b = Syncer::new(0, CommScheme::Ring, vec![], 3, 2, 1);
@@ -1719,7 +1599,6 @@ mod tests {
     fn lossy_collectives_keep_replicas_bitwise_identical() {
         for &workers in &[2usize, 3, 5] {
             lossy_collective_replicas_agree(CommScheme::Ring, Codec::OneBit, workers);
-            lossy_collective_replicas_agree(CommScheme::Tree, Codec::OneBit, workers);
         }
     }
 
@@ -1877,26 +1756,22 @@ mod tests {
     }
 
     #[test]
-    fn tree_distribute_from_a_non_parent_is_poisoned() {
-        // Worker 3's parent is 1; its sibling 4, the root and 2 are not.
-        for from in [0, 2, 4] {
-            let mut s = Syncer::new(0, CommScheme::Tree, vec![], 2, 5, 3).with_momentum(0.9);
-            let mut p = block_with_grads(&[0.5, 0.25]);
-            s.send(&mut p, 0, 1.0, |_, _| {});
-            let route = wire::pack_collective(COLLECTIVE_DISTRIBUTE, 0, 0);
-            refuses_off_route(s, &mut p, from, route);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate tree contribution")]
-    fn duplicate_tree_contribution_panics() {
-        let mut s = Syncer::new(0, CommScheme::Tree, vec![], 2, 3, 0);
-        let mut p = block_with_grads(&[0.0, 0.0]);
-        let route = wire::pack_collective(COLLECTIVE_REDUCE, 1, 0);
-        for _ in 0..2 {
-            let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
-            let _ = s.receive(1, msg, &mut p.0, |_, _| {});
+    fn collective_frame_with_a_nonzero_origin_is_poisoned() {
+        // Worker 1 of 3 takes REDUCE and DISTRIBUTE from worker 0: only the
+        // origin bits are off, and origin 0 is the control.
+        for phase in [COLLECTIVE_REDUCE, COLLECTIVE_DISTRIBUTE] {
+            for origin in [0, 1, 2, (1 << 14) - 1] {
+                let mut s = Syncer::new(0, CommScheme::Ring, vec![], 2, 3, 1).with_momentum(0.9);
+                let mut p = block_with_grads(&[0.5, 0.25]);
+                s.send(&mut p, 0, 1.0, |_, _| {});
+                let route = wire::pack_collective(phase, origin, 0);
+                if origin == 0 {
+                    let msg = collective(0, route, wire::encode_f32s(&[1.0, 2.0]));
+                    s.receive(0, msg, &mut p.0, |_, _| {}).unwrap();
+                } else {
+                    refuses_off_route(s, &mut p, 0, route);
+                }
+            }
         }
     }
 

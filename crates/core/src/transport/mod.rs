@@ -106,7 +106,7 @@ pub enum Message {
         /// The sequence number the receiver expects next.
         expect: u64,
     },
-    /// A collective (ring/tree allreduce) segment travelling worker → worker.
+    /// A collective (ring allreduce) segment travelling worker → worker.
     /// `route` packs the phase, originating worker and segment index
     /// ([`crate::wire::pack_collective`]); it rides in the frame's chunk
     /// field, so the wire format is unchanged.

@@ -31,7 +31,7 @@
 //!
 //! Version 3 packs a one-byte [`Codec`] id into the top 8 bits of the layer
 //! word (layer indices are bounded by [`MAX_LAYER_INDEX`]), so every
-//! gradient-bearing frame — PS push, parameter broadcast, ring/tree
+//! gradient-bearing frame — PS push, parameter broadcast, ring
 //! collective — is self-describing about its payload encoding and
 //! mixed-codec meshes interoperate.
 //!
@@ -116,17 +116,18 @@ const TAG_NACK: u8 = 6;
 const TAG_COLLECTIVE: u8 = 7;
 const TAG_HANDOFF: u8 = 8;
 
-/// Collective route phase: accumulating towards the fold point (ring
-/// `Reduce`, tree `Up`).
+/// Collective route phase: accumulating along the ring towards the worker
+/// that folds.
 pub const COLLECTIVE_REDUCE: u8 = 0;
-/// Collective route phase: folded update travelling back out (ring
-/// `Distribute`, tree `Down`).
+/// Collective route phase: the folded update travelling back round the
+/// ring.
 pub const COLLECTIVE_DISTRIBUTE: u8 = 1;
 
 /// Packs a collective frame's route — phase, originating worker, segment
 /// index — into the 32-bit chunk field: `phase(2) | origin(14) | seg(16)`.
 /// With phase < 2 the result can never collide with
-/// [`LAYER_GRANULAR_CHUNK`].
+/// [`LAYER_GRANULAR_CHUNK`]. Every collective originates at the ring's head,
+/// so senders write origin 0 and receivers refuse any other.
 ///
 /// # Panics
 ///
@@ -619,11 +620,9 @@ pub(crate) fn le_f32s(bytes: &[u8]) -> impl Iterator<Item = f32> + '_ {
         .map(|b| f32::from_le_bytes(*b))
 }
 
-/// How a contribution `c = scale·g` enters a fold.
+/// How a contribution `c = scale·g` starts a fold.
 #[derive(Clone, Copy)]
 pub(crate) enum Seed<'a> {
-    /// As it is: somebody else's fold adds it in.
-    Plain,
     /// First into a fold over a zero velocity: `0.0 + c`, the f32 op the
     /// shard runs on its zero-filled velocity. Never `c` itself —
     /// `0.0 + (-0.0)` is `+0.0`, assignment isn't.
@@ -676,7 +675,6 @@ pub(crate) fn fold_run(
     let p = le_f32s(payload);
     match seed {
         None => sum_run(dst, p, scale, g, params),
-        Some(Seed::Plain) => sum_run(dst, p.map(|p| scale * p), scale, g, params),
         Some(Seed::Zero) => sum_run(dst, p.map(|p| 0.0 + scale * p), scale, g, params),
         Some(Seed::Momentum(mu, v)) => {
             assert_eq!(v.len(), payload.len(), "velocity run length");
@@ -949,7 +947,6 @@ mod tests {
             |f: fn(f32, f32) -> f32| -> Vec<f32> { (0..6).map(|i| f(v[i], g0[i])).collect() };
         let cases = [
             (None, head(|_, p| p)),
-            (Some(Seed::Plain), head(|_, p| -0.5 * p)),
             (Some(Seed::Zero), head(|_, p| 0.0 + -0.5 * p)),
             (
                 Some(Seed::Momentum(mu, &vb)),

@@ -48,12 +48,12 @@ fn metrics_are_a_pure_observer_on_every_scheme() {
         metrics::is_enabled(),
         "metrics must be on by default — they are the live-introspection plane"
     );
-    for policy in [
+    let policies = [
         SchemePolicy::AlwaysPs,
         SchemePolicy::Hybrid,
         SchemePolicy::AlwaysRing,
-        SchemePolicy::AlwaysTree,
-    ] {
+    ];
+    for policy in policies {
         metrics::set_enabled(true);
         let on = run(policy);
         metrics::set_enabled(false);
@@ -84,15 +84,15 @@ fn metrics_are_a_pure_observer_on_every_scheme() {
 
     // The metered runs above actually landed in the global registry: the
     // per-worker step histograms exist and counted every iteration of the
-    // four metered runs.
+    // metered runs, one per policy.
     let snap = metrics::snapshot();
     let steps = snap
         .histogram("poseidon_step_time_ns", &[("worker", "0")])
         .expect("worker 0 step-time histogram");
+    let metered = (policies.len() * ITERS) as u64;
     assert!(
-        steps.count >= 4 * ITERS as u64,
-        "expected at least {} metered steps, saw {}",
-        4 * ITERS,
+        steps.count >= metered,
+        "expected at least {metered} metered steps, saw {}",
         steps.count
     );
 }

@@ -239,17 +239,11 @@ fn more_inter_bandwidth_never_slows_any_scheme() {
             fast.ring,
             slow.ring
         );
-        assert!(
-            fast.tree <= slow.tree,
-            "tree: {} > {}",
-            fast.tree,
-            slow.tree
-        );
     });
 }
 
 /// The chosen scheme is always a cheapest one, and ties resolve by the
-/// fixed preference order PS > SFB > ring > tree — so byte-count ties
+/// fixed preference order PS > SFB > ring — so byte-count ties
 /// can never flip the choice between runs or between equal-size layers.
 #[test]
 fn best_scheme_topo_is_a_stable_minimum() {
@@ -278,7 +272,6 @@ fn best_scheme_topo_is_a_stable_minimum() {
                 ranked.push((CommScheme::Sfb, sfb));
             }
             ranked.push((CommScheme::Ring, t.ring));
-            ranked.push((CommScheme::Tree, t.tree));
             let best_time = ranked
                 .iter()
                 .find(|(s, _)| *s == best)

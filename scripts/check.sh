@@ -26,12 +26,12 @@ echo "== tier-1: cargo build --release && cargo test =="
 # (loopback_accounting: in-order delivery, exact ledgers), the
 # one-thread-per-endpoint budget (poller_threads), the exact traffic of
 # every scheme and of both codecs (identity, onebit) on the real runtime
-# (traffic_cost_model: PS, SFB, ring and tree bytes per frame and hop; the
+# (traffic_cost_model: PS, SFB and ring bytes per frame and hop; the
 # 1-bit byte ratio, repeatability and convergence next to the dense run),
 # the crates/bench process suites (tcp_loopback, trace_roundtrip,
 # tcp_sever_reconnect, metrics_scrape, elastic_membership: every membership
-# epoch scraped; codec_flag: an unknown --codec is refused) and the
-# paper's results diff (crates/bench/tests/paper.rs: table1, table3,
+# epoch scraped; codec_flag: an unknown --codec or --policy is refused) and
+# the paper's results diff (crates/bench/tests/paper.rs: table1, table3,
 # overhead, multigpu, fig5-fig8, fig10 and ablation regenerated and compared
 # byte for byte with results/<name>.txt).
 cargo build --release

@@ -71,9 +71,6 @@ fn plan_for(policy: SchemePolicy) -> FaultPlan {
         // last worker. Every hop is a single point of failure for the whole
         // fold, so faults here are maximally disruptive.
         SchemePolicy::AlwaysRing => "drop:0>1@n1;delay1:1>0@n2;dup:0>1@n3;sever:1>0@n1",
-        // Tree (P=2): worker 1 gathers to the root over 1→0, the root
-        // broadcasts back over 0→1.
-        SchemePolicy::AlwaysTree => "drop:1>0@n1;delay1:0>1@n2;dup:1>0@n3;sever:0>1@n1",
         // Hybrid picks per layer; fault both kinds of links and let
         // whichever carries traffic fire.
         _ => "drop:0>3@n1;drop:0>1@n1;dup:3>0@n2;delay1:1>0@n1;sever:1>2@n1",
@@ -87,7 +84,6 @@ fn faulty_runs_converge_bitwise_for_every_scheme() {
         SchemePolicy::AlwaysPs,
         SchemePolicy::AlwaysSfbForFc,
         SchemePolicy::AlwaysRing,
-        SchemePolicy::AlwaysTree,
         SchemePolicy::Hybrid,
     ] {
         let clean = run(policy, FaultConfig::default());
@@ -149,51 +145,40 @@ fn faulty_runs_converge_bitwise_for_every_scheme() {
 /// the fixed fold order — the repaired run stays bitwise identical.
 #[test]
 fn three_worker_ring_and_tree_survive_mid_chain_faults() {
-    for (policy, plan) in [
-        (
-            SchemePolicy::AlwaysRing,
-            // REDUCE walks 0→1→2, DISTRIBUTE walks 2→0→1.
-            "drop:1>2@n2;dup:2>0@n1;delay1:0>1@n3;sever:1>2@n4",
-        ),
-        (
-            SchemePolicy::AlwaysTree,
-            // Children 1,2 gather to root 0; the root broadcasts back down.
-            "drop:2>0@n1;dup:1>0@n2;delay1:0>2@n1;sever:0>1@n2",
-        ),
-    ] {
-        let cfg = |faults| RuntimeConfig {
-            policy,
-            partition: Partition::KvPairs { pair_elems: 37 },
-            comm_timeout: Duration::from_secs(20),
-            faults,
-            ..RuntimeConfig::new(3, BATCH, LR, ITERS)
-        };
-        let clean = train(&factory, &dataset(), None, &cfg(FaultConfig::default()));
-        let faulty = train(
-            &factory,
-            &dataset(),
-            None,
-            &cfg(FaultConfig {
-                plan: Some(FaultPlan::parse(plan).expect("plan parses")),
-                reliability: None,
-            }),
-        );
-        assert_eq!(
-            faulty.net.max_param_diff(&clean.net),
-            0.0,
-            "{policy:?}: mid-chain faults must be invisible to the fold"
-        );
-        assert_eq!(faulty.losses, clean.losses, "{policy:?}");
-        let report = faulty.fault_report.expect("chaos plane on");
-        assert!(
-            report.fired.iter().any(|f| f.action == FaultAction::Drop),
-            "{policy:?}: a drop must fire: {report:?}"
-        );
-        assert!(
-            report.retransmits >= 1,
-            "{policy:?}: the chain heals via retransmit: {report:?}"
-        );
-    }
+    // REDUCE walks 0→1→2, DISTRIBUTE walks 2→0→1.
+    let plan = "drop:1>2@n2;dup:2>0@n1;delay1:0>1@n3;sever:1>2@n4";
+    let cfg = |faults| RuntimeConfig {
+        policy: SchemePolicy::AlwaysRing,
+        partition: Partition::KvPairs { pair_elems: 37 },
+        comm_timeout: Duration::from_secs(20),
+        faults,
+        ..RuntimeConfig::new(3, BATCH, LR, ITERS)
+    };
+    let clean = train(&factory, &dataset(), None, &cfg(FaultConfig::default()));
+    let faulty = train(
+        &factory,
+        &dataset(),
+        None,
+        &cfg(FaultConfig {
+            plan: Some(FaultPlan::parse(plan).expect("plan parses")),
+            reliability: None,
+        }),
+    );
+    assert_eq!(
+        faulty.net.max_param_diff(&clean.net),
+        0.0,
+        "mid-chain faults must be invisible to the fold"
+    );
+    assert_eq!(faulty.losses, clean.losses);
+    let report = faulty.fault_report.expect("chaos plane on");
+    assert!(
+        report.fired.iter().any(|f| f.action == FaultAction::Drop),
+        "a drop must fire: {report:?}"
+    );
+    assert!(
+        report.retransmits >= 1,
+        "the chain heals via retransmit: {report:?}"
+    );
 }
 
 /// The chaos contract extends to lossy codecs: residual-carrying compressors

@@ -121,14 +121,6 @@ fn restore_is_bitwise_under_ring() {
     );
 }
 
-#[test]
-fn restore_is_bitwise_under_tree() {
-    assert_restore_is_bitwise(
-        &config(SchemePolicy::AlwaysTree, CodecPolicy::Identity, 0.0),
-        "tree",
-    );
-}
-
 /// Momentum velocity and the 1-bit codec's error-feedback residuals are the
 /// states a checkpoint most easily gets *almost* right; this run exercises
 /// both through the kill boundary.

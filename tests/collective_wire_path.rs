@@ -1,4 +1,4 @@
-//! The collective data path touches each ring or tree byte as few times as
+//! The collective data path touches each ring byte as few times as
 //! the fold allows: the ring's head lends its raw gradient to its REDUCE
 //! frames, the hop after it seeds the fold from that gradient, every hop
 //! reads `scale·g` straight from gradient storage, the hop that ends the
@@ -142,14 +142,16 @@ fn round(
     );
 }
 
-/// Drives `workers` collective syncers through `steps` exchanges, frames
+/// Drives `workers` ring syncers through four exchanges, frames
 /// delivered in send order, and checks every replica after every step
 /// against the reference fold.
-fn assert_collective_matches_reference(scheme: CommScheme, workers: usize, momentum: f32) {
-    let what = format!("{scheme} P={workers} µ={momentum}");
+fn assert_ring_matches_reference(workers: usize, momentum: f32) {
+    let what = format!("P={workers} µ={momentum}");
     let mut rng = Lcg(0xC011 + workers as u64);
     let mut syncers: Vec<Syncer> = (0..workers)
-        .map(|w| Syncer::new(0, scheme, segments(), ELEMS, workers, w).with_momentum(momentum))
+        .map(|w| {
+            Syncer::new(0, CommScheme::Ring, segments(), ELEMS, workers, w).with_momentum(momentum)
+        })
         .collect();
     let init: Vec<f32> = (0..ELEMS).map(|_| rng.next_f32()).collect();
     let mut nets: Vec<Network> = (0..workers).map(|_| replica(&init)).collect();
@@ -199,10 +201,7 @@ fn assert_collective_matches_reference(scheme: CommScheme, workers: usize, momen
 fn collectives_fold_from_gradient_storage_exactly_like_the_flat_reference() {
     for momentum in [0.0, 0.9] {
         for workers in [2, 3, 5] {
-            assert_collective_matches_reference(CommScheme::Ring, workers, momentum);
-        }
-        for workers in [2, 3, 4, 7] {
-            assert_collective_matches_reference(CommScheme::Tree, workers, momentum);
+            assert_ring_matches_reference(workers, momentum);
         }
     }
 }
@@ -295,39 +294,35 @@ fn ring_head_frames_view_the_gradient_and_replicas_keep_the_distribute_frame() {
 }
 
 /// Fifty exchanges: what a syncer keeps between iterations is allocated by
-/// the second one and never grows after, on every position of a ring and a
-/// tree.
+/// the second one and never grows after, on every position of a ring.
 #[test]
 fn kept_buffers_do_not_grow_with_the_step_count() {
     let _globals = exclusive();
-    for scheme in [CommScheme::Ring, CommScheme::Tree] {
-        let workers = 3;
-        let mut rng = Lcg(0x50);
-        let mut syncers: Vec<Syncer> = (0..workers)
-            .map(|w| Syncer::new(0, scheme, segments(), ELEMS, workers, w).with_momentum(0.9))
-            .collect();
-        let mut nets: Vec<Network> = (0..workers).map(|_| replica(&[0.0; ELEMS])).collect();
-        let mut settled: Vec<usize> = Vec::new();
-        for step in 0..50 {
-            for net in &mut nets {
-                fill_grads(params(net), &mut rng);
-            }
-            round(&mut syncers, &mut nets, step, -0.01, |_, _| {});
-            let kept: Vec<usize> = syncers.iter().map(Syncer::retained_elems).collect();
-            match step {
-                0 => {}
-                1 => settled = kept,
-                _ => assert_eq!(kept, settled, "{scheme}: kept elements at step {step}"),
-            }
+    let workers = 3;
+    let mut rng = Lcg(0x50);
+    let mut syncers: Vec<Syncer> = (0..workers)
+        .map(|w| Syncer::new(0, CommScheme::Ring, segments(), ELEMS, workers, w).with_momentum(0.9))
+        .collect();
+    let mut nets: Vec<Network> = (0..workers).map(|_| replica(&[0.0; ELEMS])).collect();
+    let mut settled: Vec<usize> = Vec::new();
+    for step in 0..50 {
+        for net in &mut nets {
+            fill_grads(params(net), &mut rng);
         }
-        for (w, kept) in settled.into_iter().enumerate() {
-            // A velocity frame per segment, and the tree root's staging for
-            // one segment.
-            assert!(
-                (ELEMS..3 * ELEMS).contains(&kept),
-                "{scheme}: worker {w} keeps {kept} elements for a layer of {ELEMS}"
-            );
+        round(&mut syncers, &mut nets, step, -0.01, |_, _| {});
+        let kept: Vec<usize> = syncers.iter().map(Syncer::retained_elems).collect();
+        match step {
+            0 => {}
+            1 => settled = kept,
+            _ => assert_eq!(kept, settled, "kept elements at step {step}"),
         }
+    }
+    for (w, kept) in settled.into_iter().enumerate() {
+        // A velocity frame per segment, and any staging scratch.
+        assert!(
+            (ELEMS..3 * ELEMS).contains(&kept),
+            "worker {w} keeps {kept} elements for a layer of {ELEMS}"
+        );
     }
 }
 

@@ -191,37 +191,6 @@ fn paths() -> Vec<(&'static str, ModelSpec, SimConfig)> {
             }),
         ),
         (
-            "tree googlenet 8x40",
-            zoo::googlenet(),
-            with(System::WfbpPs, 8, 40.0, |c| {
-                c.policy = SchemePolicy::AlwaysTree
-            }),
-        ),
-        (
-            "tree resnet152 32x10",
-            zoo::resnet152(),
-            with(System::WfbpPs, 32, 10.0, |c| {
-                c.policy = SchemePolicy::AlwaysTree
-            }),
-        ),
-        (
-            "tree googlenet 7x40 straggler 0 dropped",
-            zoo::googlenet(),
-            with(System::WfbpPs, 7, 40.0, |c| {
-                c.policy = SchemePolicy::AlwaysTree;
-                straggler(0, 1.5, true)(c);
-            }),
-        ),
-        (
-            "tree googlenet 8x40 straggler 5 sequential",
-            zoo::googlenet(),
-            with(System::WfbpPs, 8, 40.0, |c| {
-                c.policy = SchemePolicy::AlwaysTree;
-                c.scheduler = Scheduler::Sequential;
-                straggler(5, 2.0, false)(c);
-            }),
-        ),
-        (
             "topo-aware vgg19 8x10",
             zoo::vgg19(),
             with(System::WfbpPs, 8, 10.0, |c| {
@@ -335,14 +304,6 @@ fn paths() -> Vec<(&'static str, ModelSpec, SimConfig)> {
             }),
         ),
         (
-            "onebit tree alexnet 8x10",
-            zoo::alexnet(),
-            with(System::WfbpPs, 8, 10.0, |c| {
-                c.policy = SchemePolicy::AlwaysTree;
-                c.codec_policy = CodecPolicy::Always(Codec::OneBit);
-            }),
-        ),
-        (
             "onebit caffe-ps memcpy alexnet 8x10",
             zoo::alexnet(),
             with(System::CaffePs, 8, 10.0, |c| {
@@ -360,16 +321,12 @@ fn paths() -> Vec<(&'static str, ModelSpec, SimConfig)> {
     ]
 }
 
-const PATHS_GOLDEN: [u64; 31] = [
+const PATHS_GOLDEN: [u64; 26] = [
     0x67dae89c221d9f4e, // ring vgg19 8x40
     0xc6d6af84e5a67c04, // ring googlenet 32x10
     0x1edc7a8464cfc5c4, // ring googlenet 8x40 straggler 3
     0x238498574f52b7a7, // ring googlenet 8x40 straggler 3 dropped
     0x9c173e50600ed585, // ring googlenet 2x10
-    0xd7deb02e878b903f, // tree googlenet 8x40
-    0xbc60b6eaecbbd068, // tree resnet152 32x10
-    0x9ff0147d2b87ed8b, // tree googlenet 7x40 straggler 0 dropped
-    0xa2e1fa7e8707d1d9, // tree googlenet 8x40 straggler 5 sequential
     0x028cf477aa6addd3, // topo-aware vgg19 8x10
     0x2d0893fc93646ad1, // topo-aware vgg19 8x10 straggler 6
     0x9aa8813bab67f996, // fair-share poseidon vgg19 8x40
@@ -389,7 +346,6 @@ const PATHS_GOLDEN: [u64; 31] = [
     0x512a6c8c45a95403, // 4 gpus ring alexnet 4x40
     0x9652508242dd728c, // sequential hybrid vgg19 8x10
     0x7af2109fddb345ca, // sequential hybrid inception-v3 32x40
-    0x4d4e12bf1de83e34, // onebit tree alexnet 8x10
     0xd8f7119eecfe20bf, // onebit caffe-ps memcpy alexnet 8x10
     0x457530faf791db82, // always-sfb googlenet batch 16 8x40
 ];

@@ -132,7 +132,6 @@ fn simulator_and_runtime_send_the_same_frames() {
         SchemePolicy::AlwaysSfbForFc,
         SchemePolicy::AdamSf,
         SchemePolicy::AlwaysRing,
-        SchemePolicy::AlwaysTree,
     ];
     for p in [2, 3, 5] {
         let cluster = ClusterConfig::colocated(p, BATCH);

@@ -94,22 +94,6 @@ fn ring_traffic_matches_exact_message_accounting() {
 }
 
 #[test]
-fn tree_traffic_matches_exact_message_accounting() {
-    let result = run(SchemePolicy::AlwaysTree);
-    // Each non-root worker's contribution climbs its depth in the binary tree
-    // (worker w sits floor(log2(w + 1)) hops below the root), and the root's
-    // folded DISTRIBUTE frame reaches each of the P-1 others once: 7 hops at
-    // P = 4.
-    let climb: u64 = (1..WORKERS).map(|w| u64::from((w + 1).ilog2())).sum();
-    let hops = climb + (WORKERS as u64 - 1);
-    assert_eq!(
-        result.traffic.total_bytes(),
-        hops * one_copy_of_every_chunk() * ITERS as u64,
-        "measured tree bytes differ from the exact per-frame accounting"
-    );
-}
-
-#[test]
 fn ps_traffic_matches_table1_formula_asymptotically() {
     // Table 1 says a colocated node carries 2·M·N·(P1+P2-2)/P2 values per FC
     // layer. The runtime additionally ships the bias vector (modelled here by

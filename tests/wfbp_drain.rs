@@ -9,7 +9,7 @@
 //!   goes through the tail, as before the drain existed) ends on the same
 //!   replicas as a run that drains, and the always-on counter
 //!   `poseidon_wfbp_drained_frames_total` tells the two apart;
-//! * a neighbour that is ahead delivers a ring or tree REDUCE before the
+//! * a neighbour that is ahead delivers a ring REDUCE before the
 //!   local `Send` of that layer has fired; the frame is parked and replayed
 //!   after it, and the run stays bitwise equal to the parameter-server run.
 //!
@@ -256,10 +256,9 @@ fn draining_inside_backward_ends_on_the_tail_only_replicas() {
 }
 
 /// The straggler is the *receiving* end of a REDUCE: ring worker `w` gets
-/// worker `w − 1`'s partial sums, the tree's root its children's
-/// contributions, for every layer, before its own backward has produced
-/// anything. Parked and replayed, the collectives still replicate the
-/// parameter-server fold bit for bit.
+/// worker `w − 1`'s partial sums, for every layer, before its own backward
+/// has produced anything. Parked and replayed, the ring still replicates
+/// the parameter-server fold bit for bit.
 #[test]
 fn a_reduce_that_beats_the_local_send_is_parked_and_replayed() {
     let _globals = exclusive();
@@ -271,11 +270,7 @@ fn a_reduce_that_beats_the_local_send_is_parked_and_replayed() {
         &config(SchemePolicy::AlwaysPs, workers),
     );
     let want = flatten_model_params(&ps.net);
-    let cases = [
-        (SchemePolicy::AlwaysRing, 1),
-        (SchemePolicy::AlwaysRing, 2),
-        (SchemePolicy::AlwaysTree, 0),
-    ];
+    let cases = [(SchemePolicy::AlwaysRing, 1), (SchemePolicy::AlwaysRing, 2)];
     for (policy, receiver) in cases {
         let cfg = RuntimeConfig {
             straggler_delay_ms: Some((receiver, 15)),
